@@ -20,7 +20,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import incidence, maximal, multiplier, selftest
@@ -150,17 +149,7 @@ def cmd_mult_error(args) -> int:
     if limit < 1 << (max(ks) + 1):
         raise UsageError(f"--limit must be >= 2^{max(ks) + 1} for k = {max(ks)}")
     table = _get_table(limit, args.cache_dir)
-    if args.threads > 1 and len(ks) > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda k: multiplier.error_profile([k], args.d, grid, table, arc_D=args.arc_d),
-                    ks,
-                )
-            )
-        rows = [r for part in parts for r in part.rows]
-    else:
-        rows = multiplier.error_profile(ks, args.d, grid, table, arc_D=args.arc_d).rows
+    rows = multiplier.error_profile(ks, args.d, grid, table, arc_D=args.arc_d).rows
     multiplier.write_error_profile_csv(rows, args.out)
     for r in rows:
         print(f"k={r.k} sup|E_k|={r.sup_abs_E:.6f} argmax={r.argmax_alpha:.6f} wall={r.wall_ms:.0f}ms")
@@ -251,15 +240,17 @@ def cmd_apply(args) -> int:
     else:
         raise UsageError("need --delta or --input FILE")
 
+    print(f"degenerate_directions={maximal.degenerate_directions(cfg, L)}/{len(cfg.directions)}")
     out = maximal.maximal_op(f, cfg, method=args.method)
     if args.delta:
         disjoint = maximal.delta_spread_disjoint(cfg, L)
         closed = maximal.delta_spread_value(cfg)
         measured = out.norm2()
-        rel = abs(measured - closed) / closed if closed else float("nan")
+        # the closed form only holds under the disjoint-support precondition
+        rel = f"{abs(measured - closed) / closed:.3g}" if disjoint and closed else "n/a"
         print(
             f"delta-spread: measured={measured:.12g} closed_form={closed:.12g} "
-            f"rel={rel:.3g} disjoint_precondition={disjoint}"
+            f"rel={rel} disjoint_precondition={disjoint}"
         )
     if args.out:
         maximal.save_grid_function(out, args.out)
@@ -295,7 +286,8 @@ def cmd_norm_sweep(args) -> int:
         rep = maximal.empirical_norm(cfg, L, trials=args.trials, seed=seed)
         overall = max(v["max_ratio"] for v in rep.per_family.values())
         rows.append((n, overall, rep))
-        print(f"N={n}: max ratio {overall:.6f}")
+        degenerate = maximal.degenerate_directions(cfg, L)
+        print(f"N={n}: max ratio {overall:.6f} degenerate_directions={degenerate}/{n}")
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["schema", "primedir.norm_sweep.v1"])
@@ -319,8 +311,6 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--profile", choices=sorted(PROFILES), help="named desk-scale preset")
     common.add_argument("--cache-dir", help="sieve cache directory (default $PD_CACHE_DIR)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker cap for data-parallel sweeps")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add(name, **kw):

@@ -162,16 +162,19 @@ class _IntFamily:
         return abs(X - b * Dd) << self.shift <= self.r * Dd
 
 
+def _int_point(x: Fraction, y: Fraction) -> tuple[int, int, int]:
+    """The triple (px, py, d) with (x, y) = (px/d, py/d), d the least common denominator."""
+    d = math.lcm(x.denominator, y.denominator)
+    return x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d
+
+
 def tube_membership(beta: tuple[Fraction, Fraction], fam: TubeFamily) -> bool:
     """Exact membership of a rational point in a tube family.
 
     The slab condition is closed (boundary points are members) and the test
     locates the nearest plane index by rounding, never by search.
     """
-    bx, by = Fraction(beta[0]), Fraction(beta[1])
-    d = math.lcm(bx.denominator, by.denominator)
-    return _IntFamily(fam).member(bx.numerator * (d // bx.denominator),
-                                  by.numerator * (d // by.denominator), d)
+    return _IntFamily(fam).member(*_int_point(Fraction(beta[0]), Fraction(beta[1])))
 
 
 # -- pairwise intersection lattices ------------------------------------------------
@@ -335,9 +338,8 @@ def max_overlap_scan(
         for _ in range(sample_count):
             x = window.x_lo + Fraction(rng.randrange(res + 1), res) * wx
             y = window.y_lo + Fraction(rng.randrange(res + 1), res) * wy
-            d = math.lcm(x.denominator, y.denominator)
             checked += 1
-            c = _count_at(ints, x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d)
+            c = _count_at(ints, *_int_point(x, y))
             if c > best:
                 best, witness = c, (x, y)
 
@@ -346,9 +348,7 @@ def max_overlap_scan(
         pt = _interior_point(fam, window)
         if pt is None:
             continue
-        d = math.lcm(pt[0].denominator, pt[1].denominator)
-        c = _count_at(ints, pt[0].numerator * (d // pt[0].denominator),
-                      pt[1].numerator * (d // pt[1].denominator), d)
+        c = _count_at(ints, *_int_point(*pt))
         checked += 1
         if c > best:
             best, witness = c, pt

@@ -30,7 +30,7 @@ from .arith import PrimeTable
 from .bumps import BumpSpec, DEFAULT_BUMP, eval_chi
 from .directions import DirectionSet
 from .errors import ParseError
-from .multiplier import m_k_grid, prime_weights
+from .multiplier import fold_weights, m_k_grid, prime_weights
 
 __all__ = [
     "GridFunction",
@@ -45,6 +45,7 @@ __all__ = [
     "NormReport",
     "delta_spread_value",
     "delta_spread_disjoint",
+    "degenerate_directions",
     "frequency_split",
     "save_grid_function",
     "load_grid_function",
@@ -135,9 +136,22 @@ class OperatorConfig:
         return range(self.k_min, self.k_max + 1)
 
 
-def _folded_weights(k: int, L: int, table: PrimeTable) -> np.ndarray:
-    primes, w = prime_weights(k, table)
-    return np.bincount((primes % L).astype(np.int64), weights=w, minlength=L)
+def _roll_sum(values: np.ndarray, folded: np.ndarray, v: tuple[int, int]) -> np.ndarray:
+    """Spatial kernel: sum over residues r of folded[r] times values shifted by r v."""
+    L = values.shape[0]
+    out = np.zeros((L, L), dtype=np.complex128)
+    vx, vy = v[0] % L, v[1] % L
+    for r in np.flatnonzero(folded):
+        out += folded[r] * np.roll(values, ((r * vx) % L, (r * vy) % L), axis=(0, 1))
+    return out
+
+
+def _apply_symbol(fhat: np.ndarray, symbol: np.ndarray, v: tuple[int, int]) -> np.ndarray:
+    """Spectral kernel: invert fhat times symbol[(j1 vx + j2 vy) mod L]."""
+    L = fhat.shape[0]
+    j = np.arange(L, dtype=np.int64)
+    idx = (j[:, None] * (v[0] % L) + j[None, :] * (v[1] % L)) % L
+    return np.fft.ifft2(symbol[idx] * fhat)
 
 
 def average_along(f: GridFunction, v: tuple[int, int], k: int, cfg: OperatorConfig) -> GridFunction:
@@ -146,17 +160,7 @@ def average_along(f: GridFunction, v: tuple[int, int], k: int, cfg: OperatorConf
     The shift p v mod L depends on p only through p mod L, so the prime sum
     folds to at most L rolled copies of f.
     """
-    L = f.L
-    folded = _folded_weights(k, L, cfg.table)
-    out = np.zeros((L, L), dtype=np.complex128)
-    vx, vy = v[0] % L, v[1] % L
-    for r in np.flatnonzero(folded):
-        out += folded[r] * np.roll(f.values, ((r * vx) % L, (r * vy) % L), axis=(0, 1))
-    return GridFunction(L, out)
-
-
-def _spectral_table(k: int, L: int, cfg: OperatorConfig) -> np.ndarray:
-    return m_k_grid(k, L, cfg.table)
+    return GridFunction(f.L, _roll_sum(f.values, fold_weights(k, f.L, cfg.table), v))
 
 
 def spectral_average(f: GridFunction, v: tuple[int, int], k: int, cfg: OperatorConfig) -> GridFunction:
@@ -165,12 +169,8 @@ def spectral_average(f: GridFunction, v: tuple[int, int], k: int, cfg: OperatorC
     The symbol at frequency (j1, j2) is m_k((j1 vx + j2 vy)/L mod 1), read
     from the folded 1D table, so the only approximation is the FFT round-off.
     """
-    L = f.L
-    table1d = _spectral_table(k, L, cfg)
-    j = np.arange(L, dtype=np.int64)
-    idx = (j[:, None] * (v[0] % L) + j[None, :] * (v[1] % L)) % L
-    fhat = np.fft.fft2(f.values)
-    return GridFunction(L, np.fft.ifft2(table1d[idx] * fhat))
+    symbol = m_k_grid(k, f.L, cfg.table)
+    return GridFunction(f.L, _apply_symbol(np.fft.fft2(f.values), symbol, v))
 
 
 def maximal_op(f: GridFunction, cfg: OperatorConfig, method: str = "spectral") -> GridFunction:
@@ -180,21 +180,16 @@ def maximal_op(f: GridFunction, cfg: OperatorConfig, method: str = "spectral") -
     L = f.L
     out = np.zeros((L, L), dtype=np.float64)
     fhat = np.fft.fft2(f.values) if method == "spectral" else None
-    j = np.arange(L, dtype=np.int64)
     for k in cfg.scales:
         if method == "spectral":
-            table1d = _spectral_table(k, L, cfg)
+            symbol = m_k_grid(k, L, cfg.table)
         else:
-            folded = _folded_weights(k, L, cfg.table)
+            folded = fold_weights(k, L, cfg.table)
         for v in cfg.directions:
             if method == "spectral":
-                idx = (j[:, None] * (v[0] % L) + j[None, :] * (v[1] % L)) % L
-                g = np.fft.ifft2(table1d[idx] * fhat)
+                g = _apply_symbol(fhat, symbol, v)
             else:
-                g = np.zeros((L, L), dtype=np.complex128)
-                vx, vy = v[0] % L, v[1] % L
-                for r in np.flatnonzero(folded):
-                    g += folded[r] * np.roll(f.values, ((r * vx) % L, (r * vy) % L), axis=(0, 1))
+                g = _roll_sum(f.values, folded, v)
             np.maximum(out, np.abs(g), out=out)
     return GridFunction(L, out)
 
@@ -229,13 +224,10 @@ def line_decompose(L: int, v: tuple[int, int]) -> list[tuple[np.ndarray, np.ndar
 
 def _maximal_1d_cyclic(g: np.ndarray, cfg: OperatorConfig) -> np.ndarray:
     """sup_k of the 1D cyclic prime average of g on Z/len(g)."""
-    n = len(g)
     ghat = np.fft.fft(g)
-    out = np.zeros(n, dtype=np.float64)
+    out = np.zeros(len(g), dtype=np.float64)
     for k in cfg.scales:
-        primes, w = prime_weights(k, cfg.table)
-        folded = np.bincount((primes % n).astype(np.int64), weights=w, minlength=n)
-        conv = np.fft.ifft(np.fft.fft(folded) * ghat)
+        conv = np.fft.ifft(m_k_grid(k, len(g), cfg.table) * ghat)
         np.maximum(out, np.abs(conv), out=out)
     return out
 
@@ -323,6 +315,12 @@ def delta_spread_disjoint(cfg: OperatorConfig, L: int) -> bool:
     return True
 
 
+def degenerate_directions(cfg: OperatorConfig, L: int) -> int:
+    """How many directions reduce to (0, 0) mod L; the average along such a v
+    is m_k(0) f, not a directional average."""
+    return sum(1 for vx, vy in cfg.directions if vx % L == 0 and vy % L == 0)
+
+
 @dataclass
 class NormReport:
     L: int
@@ -353,9 +351,8 @@ def empirical_norm(
         best, arg = 0.0, ""
         if name == "delta":
             f = GridFunction.delta(L)
-            ratio = maximal_op(f, cfg, method).norm2() / f.norm2()
-            best, arg = ratio, "point mass at 0"
             delta_measured = maximal_op(f, cfg, method).norm2()
+            best, arg = delta_measured / f.norm2(), "point mass at 0"
         elif name in ("gaussian", "rademacher"):
             for t in range(trials):
                 f = GridFunction.random(L, rng, kind=name)

@@ -42,6 +42,7 @@ __all__ = [
     "ErrorProfileRow",
     "ErrorProfileResult",
     "prime_weights",
+    "fold_weights",
     "m_k",
     "m_k_grid",
     "m_k_naive_grid",
@@ -71,6 +72,15 @@ def prime_weights(k: int, table: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
     return primes, scale * bumps.eval_phi(scale * primes.astype(np.float64)) * logs
 
 
+def fold_weights(k: int, n: int, table: PrimeTable) -> np.ndarray:
+    """The scale-k weights summed by prime residue mod n: entry r is the total
+    weight of the primes p = r (mod n)."""
+    if n < 1:
+        raise ValueError("fold modulus must be >= 1")
+    primes, w = prime_weights(k, table)
+    return np.bincount((primes % n).astype(np.int64), weights=w, minlength=n)
+
+
 # -- m_k evaluation ------------------------------------------------------------
 
 def _fsum_complex(terms: np.ndarray) -> complex:
@@ -93,15 +103,13 @@ def m_k(k: int, alpha, table: PrimeTable) -> complex:
     only on p a mod q, so residues fold exactly.  Float alpha reduces each
     p*alpha mod 1 in 80-bit precision before exponentiation.
     """
-    primes, w = prime_weights(k, table)
     if isinstance(alpha, Fraction):
         q = alpha.denominator
         if q <= 1 << 16:  # larger denominators gain nothing over the 80-bit path
-            res = (primes % q) * (alpha.numerator % q) % q
-            folded = np.bincount(res.astype(np.int64), weights=w, minlength=q)
-            phases = np.exp(-2j * np.pi * np.arange(q) / q)
-            return _fsum_complex(folded * phases)
+            res = np.arange(q) * (alpha.numerator % q) % q
+            return _fsum_complex(fold_weights(k, q, table) * np.exp(-2j * np.pi * res / q))
         alpha = float(alpha)
+    primes, w = prime_weights(k, table)
     phase = np.mod(primes.astype(np.longdouble) * np.longdouble(alpha), 1.0).astype(np.float64)
     return _fsum_complex(w * np.exp(-2j * np.pi * phase))
 
@@ -113,11 +121,7 @@ def m_k_grid(k: int, L: int, table: PrimeTable) -> np.ndarray:
     and taking one length-L DFT yields every sample: O(#primes + L log L)
     instead of O(L * #primes).  Phases are exact by construction.
     """
-    if L < 1:
-        raise ValueError("grid size must be >= 1")
-    primes, w = prime_weights(k, table)
-    folded = np.bincount((primes % L).astype(np.int64), weights=w, minlength=L)
-    return np.fft.fft(folded)
+    return np.fft.fft(fold_weights(k, L, table))
 
 
 def m_k_naive_grid(k: int, L: int, table: PrimeTable, dtype_phase=np.longdouble) -> np.ndarray:
@@ -137,15 +141,10 @@ def m_k_naive_grid(k: int, L: int, table: PrimeTable, dtype_phase=np.longdouble)
     return out
 
 
-def m_k_at_denominator(k: int, q: int, table: PrimeTable) -> np.ndarray:
-    """m_k(a/q) for every residue a = 0..q-1 at once (exact phases).
-
-    Folds the weights modulo q and applies one length-q DFT; index the result
-    at coprime a to read off the values over the reduced fractions a/q.
-    """
-    primes, w = prime_weights(k, table)
-    folded = np.bincount((primes % q).astype(np.int64), weights=w, minlength=q)
-    return np.fft.fft(folded)
+# m_k(a/q) for every residue a = 0..q-1 at once (exact phases): the same folded
+# DFT at L = q; index the result at coprime a to read off the values over the
+# reduced fractions a/q.
+m_k_at_denominator = m_k_grid
 
 
 # -- the main term L_k ----------------------------------------------------------
@@ -323,7 +322,7 @@ def error_profile(
         t0 = time.perf_counter()
         m_vals = np.empty(len(grid), dtype=np.complex128)
         for q, idxs in by_den.items():
-            dft = m_k_at_denominator(k, q, table)
+            dft = m_k_grid(k, q, table)
             for idx in idxs:
                 m_vals[idx] = dft[grid[idx].numerator % q]
         sm = s_max if s_max is not None else default_s_max(k, D)[0]
@@ -445,12 +444,7 @@ def k0_threshold(s: int, k_V: int, N: int, eps: float, log=math.log) -> int:
 @lru_cache(maxsize=32)
 def _downsample_profile(k: int, log2_halfwidth: int, order: int, n_panels: int):
     """Nodes u, weights, and profile values V_k(W u) chi(u/2) on [-1, 1]."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(-1.0, 1.0, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
+    nodes, weights = bumps._panel_nodes(-1.0, 1.0, n_panels, order)
     W = math.ldexp(1.0, log2_halfwidth)
     vk = np.array([v_k(k, W * u) for u in nodes])
     g = vk * bumps.eval_chi(nodes / 2.0)

@@ -17,11 +17,17 @@ import numpy as np
 from . import arith, bumps, directions, incidence, maximal, multiplier
 
 
+def _require(cond, msg) -> None:
+    """Raise AssertionError(msg) unless cond holds; unlike assert, this also runs under -O."""
+    if not cond:
+        raise AssertionError(msg)
+
+
 def _check_arith_identities():
     for q in range(1, 2001):
         divisors = [d for d in range(1, q + 1) if q % d == 0]
-        assert sum(arith.mobius(d) for d in divisors) == (1 if q == 1 else 0), q
-        assert sum(arith.totient(d) for d in divisors) == q, q
+        _require(sum(arith.mobius(d) for d in divisors) == (1 if q == 1 else 0), q)
+        _require(sum(arith.totient(d) for d in divisors) == q, q)
 
 
 def _check_ramanujan_cross_validation():
@@ -29,7 +35,7 @@ def _check_ramanujan_cross_validation():
         for n in range(-30, 31):
             closed = arith.ramanujan_sum(q, n)
             brute = arith.ramanujan_sum_bruteforce(q, n)
-            assert abs(closed - brute) < 1e-9, (q, n, closed, brute)
+            _require(abs(closed - brute) < 1e-9, (q, n, closed, brute))
 
 
 def _check_full_exponential_sum():
@@ -37,32 +43,32 @@ def _check_full_exponential_sum():
         for n in range(-20, 21):
             direct = sum(cmath.exp(2j * cmath.pi * n * a / q) for a in range(1, q + 1))
             sym = arith.full_exponential_sum(q, n)
-            assert abs(direct - sym) < 1e-9, (q, n)
+            _require(abs(direct - sym) < 1e-9, (q, n))
 
 
 def _check_farey_cardinalities():
     for s in range(0, 7):
         level = arith.farey_level(s)
         if s == 0:
-            assert level.fractions == [arith.ReducedFraction(0, 1)]
+            _require(level.fractions == [arith.ReducedFraction(0, 1)], "level 0")
         else:
             expect = sum(arith.totient(q) for q in range(1 << s, 1 << (s + 1)))
-            assert len(level.fractions) == expect, s
+            _require(len(level.fractions) == expect, s)
 
 
 def _check_bumps():
     c = bumps.DEFAULT_BUMP.normalization
-    assert bumps.eval_phi(0.5) == 0.0
-    assert abs(bumps.eval_phi(1.5) - c * math.exp(-1)) < 1e-14
-    assert bumps.eval_chi(0.0) == 1.0 and bumps.eval_chi(0.6) == 0.0
-    assert abs(bumps.eval_chi(0.375) - 0.5) < 1e-14
-    assert bumps.chi_s(0, 0.0) == 1.0
-    assert bumps.chi_s(0, 2.0**-42) == 1.0  # plateau boundary
-    assert bumps.chi_s(2, 1.0) == 0.0
-    assert abs(bumps.v_k(12, 0.0) - 1.0) < 1e-12
+    _require(bumps.eval_phi(0.5) == 0.0, "phi(0.5)")
+    _require(abs(bumps.eval_phi(1.5) - c * math.exp(-1)) < 1e-14, "phi(1.5)")
+    _require(bumps.eval_chi(0.0) == 1.0 and bumps.eval_chi(0.6) == 0.0, "chi(0), chi(0.6)")
+    _require(abs(bumps.eval_chi(0.375) - 0.5) < 1e-14, "chi(0.375)")
+    _require(bumps.chi_s(0, 0.0) == 1.0, "chi_0(0)")
+    _require(bumps.chi_s(0, 2.0**-42) == 1.0, "chi_0 plateau boundary")
+    _require(bumps.chi_s(2, 1.0) == 0.0, "chi_2(1)")
+    _require(abs(bumps.v_k(12, 0.0) - 1.0) < 1e-12, "V_12(0)")
     a = bumps.v_k(10, 2.0**-5)
     b = bumps.v_k(10, -(2.0**-5))
-    assert abs(a - b.conjugate()) < 1e-13
+    _require(abs(a - b.conjugate()) < 1e-13, "V_k conjugate symmetry")
 
 
 def _check_vk_decay():
@@ -70,29 +76,29 @@ def _check_vk_decay():
     C = l1_d1 / (2 * math.pi) + 0.5
     for X in (1.0, 10.0, 100.0, 1000.0):
         val = abs(bumps.v_k(0, X))
-        assert val <= C / X + 1e-12, (X, val)
+        _require(val <= C / X + 1e-12, (X, val))
 
 
 def _check_multiplier_pnt(table):
     m0 = multiplier.m_k(12, Fraction(0), table)
-    assert abs(m0 - 1) < 0.1, m0
+    _require(abs(m0 - 1) < 0.1, m0)
     mh = multiplier.m_k(12, Fraction(1, 2), table)
-    assert abs(mh + m0) < 1e-12, mh  # exactly -m_k(0) once p = 2 has left the window
+    _require(abs(mh + m0) < 1e-12, mh)  # exactly -m_k(0) once p = 2 has left the window
     mt = multiplier.m_k(12, Fraction(1, 3), table)
-    assert abs(mt + 0.5) < 0.1, mt
-    assert abs(multiplier.L_k(12, Fraction(1, 3)) + 0.5) < 1e-10
+    _require(abs(mt + 0.5) < 0.1, mt)
+    _require(abs(multiplier.L_k(12, Fraction(1, 3)) + 0.5) < 1e-10, "L_12(1/3)")
 
 
 def _check_folded_grid(table):
     g = multiplier.m_k_grid(12, 256, table)
     n = multiplier.m_k_naive_grid(12, 256, table)
-    assert np.abs(g - n).max() < 1e-9
+    _require(np.abs(g - n).max() < 1e-9, np.abs(g - n).max())
 
 
 def _check_downsampled():
     cs = multiplier.downsampled_coefficients(6, 0, 4, range(-512, 129), chi_scale_log2=6)
-    assert abs(cs.sum() - 1.0) < 2e-2, cs.sum()
-    assert np.abs(cs).sum() < 10.0
+    _require(abs(cs.sum() - 1.0) < 2e-2, cs.sum())
+    _require(np.abs(cs).sum() < 10.0, np.abs(cs).sum())
 
 
 def _check_construction():
@@ -102,8 +108,8 @@ def _check_construction():
         directions.validate_direction_set(ds)
         blob = directions.serialize(ds)
         again = directions.rescale_to_integers(directions.construct_directions(spec))
-        assert directions.serialize(again) == blob, "determinism"
-        assert directions.serialize(directions.deserialize(blob)) == blob, "round trip"
+        _require(directions.serialize(again) == blob, "determinism")
+        _require(directions.serialize(directions.deserialize(blob)) == blob, "round trip")
 
 
 def _check_incidence():
@@ -112,11 +118,12 @@ def _check_incidence():
     f2 = incidence.TubeFamily(v=(F(0), F(1)), r=3, s=1, C1=8, torus_side=1)
     win = incidence.default_window("k")
     pts = incidence.candidate_intersections(f1, f2, win)
-    assert (F(0), F(0)) in pts and all(
+    _require((F(0), F(0)) in pts and all(
         incidence.tube_membership(p, f1) and incidence.tube_membership(p, f2) for p in pts
-    )
+    ), pts)
     rep = incidence.max_overlap_scan([f1, f2], win)
-    assert rep.max_overlap == 2 and incidence.replay_witness(rep, [f1, f2]) == 2
+    _require(rep.max_overlap == 2 and incidence.replay_witness(rep, [f1, f2]) == 2,
+             rep.max_overlap)
     spec = directions.DirectionSpec(N=4, eps=1.0, seed=7)
     ds = directions.rescale_to_integers(directions.construct_directions(spec))
     fams = incidence.families_from_direction_set(ds, s=2)
@@ -126,7 +133,7 @@ def _check_incidence():
         (ds.vectors[0].v.x, ds.vectors[0].v.y), 4, s=2, C1=fams[0].C1
     )
     repb = incidence.max_overlap_scan(base, win2)
-    assert 1 <= rep2.max_overlap < repb.max_overlap == 4
+    _require(1 <= rep2.max_overlap < repb.max_overlap == 4, (rep2.max_overlap, repb.max_overlap))
 
 
 def _check_operator(table):
@@ -139,15 +146,15 @@ def _check_operator(table):
         a = maximal.average_along(f, v, 6, cfg)
         b = maximal.spectral_average(f, v, 6, cfg)
         rel = np.linalg.norm(a.values - b.values) / np.linalg.norm(a.values)
-        assert rel < 1e-8, rel
+        _require(rel < 1e-8, rel)
     L = 512
-    assert maximal.delta_spread_disjoint(cfg, L)
+    _require(maximal.delta_spread_disjoint(cfg, L), "disjoint precondition")
     measured = maximal.maximal_op(maximal.GridFunction.delta(L), cfg, method="spatial").norm2()
     closed = maximal.delta_spread_value(cfg)
-    assert abs(measured - closed) <= 1e-10 * closed, (measured, closed)
+    _require(abs(measured - closed) <= 1e-10 * closed, (measured, closed))
     rep = maximal.transference_check(cfg, L=16, trials=10, seed=1)
-    assert rep.max_off_line_leak == 0.0
-    assert rep.max_norm_rel_err <= 1e-10
+    _require(rep.max_off_line_leak == 0.0, rep.max_off_line_leak)
+    _require(rep.max_norm_rel_err <= 1e-10, rep.max_norm_rel_err)
 
 
 def run_all(verbose: bool = True) -> bool:

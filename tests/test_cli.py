@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,12 +53,6 @@ class TestMultError:
         rows = [line.split(",") for line in lines[2:]]
         assert [r[0] for r in rows] == ["10", "12"]
         assert float(rows[0][2]) > float(rows[1][2])  # decreasing sup error
-
-    def test_threads_flag(self, env):
-        out = env / "e.csv"
-        assert run("mult-error", "--k-list", "10,12", "--grid", "64",
-                   "--threads", "2", "--out", str(out)) == 0
-        assert len(out.read_text().strip().splitlines()) == 4
 
     def test_small_d_usage_error(self, env):
         assert run("mult-error", "--k-list", "10", "--d", "16", "--grid", "32",
@@ -141,6 +139,23 @@ class TestApply:
         assert rc == 0
         assert "delta-spread" in capsys.readouterr().out
 
+    def test_delta_rel_na_when_not_disjoint(self, env, capsys):
+        # desk-small: L = 64, k = 10..12, so the prime translates wrap around
+        rc = run("apply", "--profile", "desk-small", "--vectors", "1,0;0,1", "--delta")
+        assert rc == 0
+        out = capsys.readouterr().out
+        line = next(l for l in out.splitlines() if l.startswith("delta-spread"))
+        assert "rel=n/a" in line and "disjoint_precondition=False" in line
+
+    def test_degenerate_directions_reported(self, env, capsys):
+        ds = env / "ds.json"
+        run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
+        capsys.readouterr()
+        rc = run("apply", "--ds", str(ds), "--l", "64", "--k-min", "5", "--k-max", "6",
+                 "--delta")
+        assert rc == 0
+        assert "degenerate_directions=4/4" in capsys.readouterr().out
+
     def test_missing_input_usage(self, env):
         assert run("apply", "--vectors", "1,0", "--k-min", "5", "--k-max", "6") == 3
 
@@ -172,9 +187,33 @@ class TestNormSweep:
         overall = [max(per_n[n]) for n in ns]
         assert all(b >= a - 1e-12 for a, b in zip(overall, overall[1:]))
 
+    def test_degenerate_directions_reported(self, env, capsys):
+        rc = run("norm-sweep", "--n-list", "2,4,8", "--l", "32", "--trials", "1",
+                 "--out", str(env / "sweep.csv"))
+        assert rc == 0
+        out = capsys.readouterr().out
+        line = next(l for l in out.splitlines() if l.startswith("N=8:"))
+        assert "degenerate_directions=8/8" in line
+
 
 class TestSelftest:
     def test_clean_build_exits_zero(self, env, capsys):
         assert run("selftest") == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_checks_survive_optimize(self):
+        # a wrong folded grid must fail the selftest even with asserts stripped
+        code = (
+            "import numpy as np\n"
+            "from primedir import multiplier, selftest\n"
+            "if __debug__:\n"
+            "    raise SystemExit(2)\n"
+            "multiplier.m_k_grid = lambda k, L, table: np.zeros(L, dtype=complex)\n"
+            "raise SystemExit(0 if selftest.run_all(verbose=False) is False else 1)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
+        assert proc.returncode == 0, proc.stderr

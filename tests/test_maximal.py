@@ -4,6 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from primedir import maximal as X
 from primedir.errors import ParseError
 from primedir.multiplier import m_k, prime_weights
@@ -204,6 +206,59 @@ class TestNorms:
         assert set(rep.per_family) == {"delta", "gaussian", "rademacher", "boxes"}
         assert rep.delta_spread_closed_form > 0
         assert all(v["max_ratio"] > 0 for v in rep.per_family.values())
+
+    def test_point_mass_evaluated_once(self, cfg4, monkeypatch):
+        real = X.maximal_op
+        calls = []
+
+        def counting(f, cfg, method="spectral"):
+            calls.append(method)
+            return real(f, cfg, method)
+
+        monkeypatch.setattr(X, "maximal_op", counting)
+        measured = real(X.GridFunction.delta(32), cfg4).norm2()
+        rep = X.empirical_norm(cfg4, 32, families=("delta",))
+        assert len(calls) == 1
+        assert rep.delta_spread_measured == measured
+        assert rep.per_family["delta"] == {"max_ratio": measured, "argmax": "point mass at 0"}
+        calls.clear()
+        rep = X.empirical_norm(cfg4, 32, families=("boxes",))
+        assert len(calls) == 5 + 1  # boxes of side 1..16, then the point mass
+        assert rep.delta_spread_measured == measured
+
+    def test_degenerate_directions(self, table13):
+        cfg = X.OperatorConfig(directions=((64, 0), (1, 0), (0, -128)), k_min=5, k_max=6,
+                               table=table13)
+        assert X.degenerate_directions(cfg, 64) == 2
+        assert X.degenerate_directions(cfg, 128) == 1
+
+
+_VECTORS = st.tuples(st.integers(-64, 64), st.integers(-64, 64)).filter(lambda v: v != (0, 0))
+
+
+class TestKernelProperties:
+    """The spatial roll route and the spectral symbol route agree for any direction."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(v=_VECTORS, k=st.integers(3, 6), L=st.sampled_from([8, 16, 32]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_spectral_average_equals_spatial(self, table13, v, k, L, seed):
+        cfg = X.OperatorConfig(directions=(v,), k_min=k, k_max=k, table=table13)
+        f = X.GridFunction.random(L, np.random.default_rng(seed))
+        a = X.average_along(f, v, k, cfg).values
+        b = X.spectral_average(f, v, k, cfg).values
+        assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(a)
+
+    @settings(max_examples=50, deadline=None)
+    @given(v=_VECTORS, w=_VECTORS, k=st.integers(3, 6), L=st.sampled_from([8, 16, 32]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_maximal_spectral_equals_spatial(self, table13, v, w, k, L, seed):
+        cfg = X.OperatorConfig(directions=(v, w), k_min=3, k_max=k, table=table13)
+        f = X.GridFunction.random(L, np.random.default_rng(seed))
+        a = X.maximal_op(f, cfg, method="spatial").values
+        b = X.maximal_op(f, cfg, method="spectral").values
+        assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(a)
+
 
 class TestFrequencySplit:
     def test_constant_is_all_low(self):

@@ -68,6 +68,15 @@ class TestGridPaths:
         for a in range(7):
             assert abs(vals[a] - M.m_k(12, Fraction(a, 7), table13)) < 1e-9
 
+    def test_fold_weights_sums_by_residue(self, table13):
+        primes, w = M.prime_weights(10, table13)
+        folded = M.fold_weights(10, 12, table13)
+        assert folded.shape == (12,)
+        for r in range(12):
+            assert folded[r] == pytest.approx(w[primes % 12 == r].sum(), abs=1e-15)
+        with pytest.raises(ValueError):
+            M.fold_weights(10, 0, table13)
+
 
 class TestLk:
     def test_level_zero_at_zero(self):
