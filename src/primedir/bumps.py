@@ -20,7 +20,6 @@ expectation is well defined:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,8 +27,6 @@ import numpy as np
 from .errors import PrecisionError
 
 __all__ = [
-    "BumpSpec",
-    "DEFAULT_BUMP",
     "eval_phi",
     "eval_chi",
     "chi_s",
@@ -40,29 +37,9 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class BumpSpec:
-    """Quadrature configuration for the fixed bump phi on [1, 2].
-
-    ``normalization`` is the constant c making the integral of phi exactly 1
-    (computed once by quadrature); ``quadrature_points`` is the Gauss-Legendre
-    order used per panel; ``max_panels`` caps the oscillation-resolved panel
-    count of v_k.
-    """
-
-    support_lo: float = 1.0
-    support_hi: float = 2.0
-    quadrature_points: int = 16
-    max_panels: int = 1 << 21
-
-    @property
-    def normalization(self) -> float:
-        return _normalization_constant()
-
-
-DEFAULT_BUMP = BumpSpec()
+_QUADRATURE_POINTS = 16  # Gauss-Legendre order per panel of v_k
+_MAX_PANELS = 1 << 21  # panel budget of v_k; beyond it the decay bound answers
+_ABS_TOL = 1e-10  # absolute accuracy v_k is held to
 
 
 @lru_cache(maxsize=8)
@@ -194,17 +171,17 @@ def phi_deriv_l1() -> tuple[float, float]:
     return l1_d1, l1_d2
 
 
-def _oscillatory_integral(X: float, spec: BumpSpec) -> complex:
+def _oscillatory_integral(X: float) -> complex:
     """integral over [1,2] of e(X t) phi(t) dt, phases reduced in extended precision."""
-    n_panels = int(min(max(16, math.ceil(2.0 * abs(X)) + 8), spec.max_panels))
-    nodes, weights = _panel_nodes(1.0, 2.0, n_panels, spec.quadrature_points)
+    n_panels = max(16, math.ceil(2.0 * abs(X)) + 8)  # v_k keeps this within _MAX_PANELS
+    nodes, weights = _panel_nodes(1.0, 2.0, n_panels, _QUADRATURE_POINTS)
     # X*t can reach ~2^21; reduce mod 1 in 80-bit precision before exp.
     phase = np.mod(np.longdouble(X) * nodes.astype(np.longdouble), 1.0).astype(np.float64)
     vals = _raw_bump(nodes) * np.exp(2j * math.pi * phase)
     return _normalization_constant() * complex(np.dot(weights, vals))
 
 
-def v_k(k: int, alpha: float, spec: BumpSpec = DEFAULT_BUMP, abs_tol: float = 1e-10) -> complex:
+def v_k(k: int, alpha: float) -> complex:
     """V_k(alpha) = integral of e(2^k t alpha) phi(t) dt, to ~1e-10 absolute.
 
     Depends on alpha only through X = 2^k alpha.  Oscillation is resolved with
@@ -219,14 +196,14 @@ def v_k(k: int, alpha: float, spec: BumpSpec = DEFAULT_BUMP, abs_tol: float = 1e
     if aX > math.ldexp(1.0, 40):
         raise PrecisionError(f"|2^k alpha| = {aX:.3g} beyond the supported 2^40 cap")
     needed = math.ceil(2.0 * aX) + 8
-    if needed > spec.max_panels:
+    if needed > _MAX_PANELS:
         _, l1_d2 = phi_deriv_l1()
         bound = l1_d2 / (_TWO_PI * aX) ** 2
-        if bound < 0.01 * abs_tol:
+        if bound < 0.01 * _ABS_TOL:
             return 0.0 + 0.0j
         raise PrecisionError(
-            f"oscillation 2^k|alpha| = {aX:.3g} needs {needed} panels, budget {spec.max_panels}"
+            f"oscillation 2^k|alpha| = {aX:.3g} needs {needed} panels, budget {_MAX_PANELS}"
         )
     if X < 0:
-        return _oscillatory_integral(-X, spec).conjugate()
-    return _oscillatory_integral(X, spec)
+        return _oscillatory_integral(-X).conjugate()
+    return _oscillatory_integral(X)

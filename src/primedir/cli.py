@@ -161,24 +161,27 @@ def cmd_incidence(args) -> int:
     s = _opt(args, "s", required=True)
     if s < 1:
         raise UsageError("--s must be >= 1")
+    if args.variant == "k" and args.window_half is not None:
+        raise UsageError("--window-half sizes the ktilde window; the k window is fixed")
     ds = load_direction_set(args.ds)
     if ds.A is None:
         ds = rescale_to_integers(ds)
-    win = incidence.default_window(args.variant, half=args.window_half)
+    win = incidence.default_window(args.variant, half=_opt(args, "window_half", 1))
     n = len(ds.vectors)
 
     def families_for(r_values):
         if r_values is None:
             r_values = [1 << s] * n
-        if args.baseline == "parallel":
-            rec = ds.vectors[0]
-            fam_c1 = args.c1 if args.c1 is not None else incidence.default_c1(ds)
-            return incidence.parallel_baseline(
-                (rec.v.x, rec.v.y), n, s=s, C1=fam_c1, r=r_values[0]
-            )
-        return incidence.families_from_direction_set(
+        fams = incidence.families_from_direction_set(
             ds, s=s, C1=args.c1, r_values=r_values, variant=args.variant
         )
+        if args.baseline == "parallel":
+            # same C1 as the family scan, so the two reports compare
+            rec = ds.vectors[0]
+            return incidence.parallel_baseline(
+                (rec.v.x, rec.v.y), n, s=s, C1=fams[0].C1, r=r_values[0]
+            )
+        return fams
 
     if args.replay:
         rep = incidence.load_overlap_report(args.replay)
@@ -347,7 +350,8 @@ def _build_parser() -> _Parser:
     i.add_argument("--c1", type=int, default=None)
     i.add_argument("--variant", choices=["k", "ktilde"], default="ktilde")
     i.add_argument("--baseline", choices=["parallel"], default=None)
-    i.add_argument("--window-half", type=int, default=1)
+    i.add_argument("--window-half", type=int, default=None,
+                   help="half-side of the ktilde scan window (default 1)")
     i.add_argument("--r-sweeps", type=int, default=1,
                    help="random denominator assignments to sweep (first is all 2^s)")
     i.add_argument("--seed", type=int, default=0)

@@ -519,8 +519,8 @@ def serialize(ds: DirectionSet) -> bytes:
     return json.dumps({"content_hash": digest, **payload}, sort_keys=True, indent=1).encode()
 
 
-def deserialize(data: bytes, validate: bool = True) -> DirectionSet:
-    """Parse, re-hash, rebuild, and (by default) re-validate a DirectionSet."""
+def deserialize(data: bytes) -> DirectionSet:
+    """Parse, re-hash, rebuild, and re-validate a DirectionSet."""
     try:
         doc = json.loads(data.decode())
     except json.JSONDecodeError as exc:
@@ -564,8 +564,7 @@ def deserialize(data: bytes, validate: bool = True) -> DirectionSet:
         )
     except (KeyError, TypeError) as exc:
         raise ParseError(f"missing or malformed field in direction-set file: {exc}") from exc
-    if validate:
-        validate_direction_set(ds)
+    validate_direction_set(ds)
     return ds
 
 
@@ -574,6 +573,6 @@ def save_direction_set(ds: DirectionSet, path) -> None:
         fh.write(serialize(ds))
 
 
-def load_direction_set(path, validate: bool = True) -> DirectionSet:
+def load_direction_set(path) -> DirectionSet:
     with open(path, "rb") as fh:
-        return deserialize(fh.read(), validate=validate)
+        return deserialize(fh.read())

@@ -288,16 +288,14 @@ def max_overlap_scan(
     families: list[TubeFamily],
     window: ScanWindow,
     budget: int = 2_000_000,
-    sample_count: int = 20_000,
-    seed: int = 0,
 ) -> OverlapReport:
     """Maximum pointwise overlap of the families over the window.
 
     Exact method: overlap counts are evaluated at every pairwise lattice cell
     center and corner (sufficient for any maximum >= 2) plus one interior
     point per family (the overlap-1 floor).  If the candidate count would
-    exceed ``budget`` the scan falls back to a seeded grid sample and labels
-    the report method accordingly.
+    exceed ``budget`` the scan falls back to a grid sample of 20 000 points
+    (seed 0) and labels the report method accordingly.
     """
     if not families:
         raise ValueError("need at least one family")
@@ -332,10 +330,10 @@ def max_overlap_scan(
                         best, witness = c, (x, y)
     else:
         method = "grid-sample"
-        rng = random.Random(seed)
+        rng = random.Random(0)
         res = 1 << 24
         wx, wy = window.x_hi - window.x_lo, window.y_hi - window.y_lo
-        for _ in range(sample_count):
+        for _ in range(20_000):
             x = window.x_lo + Fraction(rng.randrange(res + 1), res) * wx
             y = window.y_lo + Fraction(rng.randrange(res + 1), res) * wy
             checked += 1
@@ -370,9 +368,10 @@ def replay_witness(report: OverlapReport, families: list[TubeFamily]) -> int:
 
 # -- families from a constructed direction set ---------------------------------------
 
-def default_c1(ds: DirectionSet, margin: int = 16) -> int:
+def default_c1(ds: DirectionSet) -> int:
     """Thickness exponent large enough that the ball at the origin captures a
-    single tube per direction: 2^(-C1) below the exclusion radius by a margin.
+    single tube per direction: 2^(-C1) below the exclusion radius by a margin
+    of 16 binary orders.
 
     Mirrors the requirement that the thickness constant be chosen sufficiently
     large depending on A: every family's zero-index tube passes through the
@@ -381,7 +380,7 @@ def default_c1(ds: DirectionSet, margin: int = 16) -> int:
     """
     if ds.A is None:
         raise ValueError("rescale the set first (the thickness default derives from A)")
-    return (ds.A * ds.A).bit_length() + margin
+    return (ds.A * ds.A).bit_length() + 16
 
 
 def families_from_direction_set(
@@ -468,7 +467,7 @@ class SelectedPair:
     prime: int
 
 
-def greedy_pair_selection(ds: DirectionSet, indices: list[int] | None = None) -> list[SelectedPair]:
+def greedy_pair_selection(ds: DirectionSet) -> list[SelectedPair]:
     """Inductively select disjoint pairs whose y-coordinate integer factors
     share a fresh window prime.
 
@@ -477,10 +476,8 @@ def greedy_pair_selection(ds: DirectionSet, indices: list[int] | None = None) ->
     prime not chosen at an earlier step.  Returns the pairs with their primes;
     an empty list is a valid outcome.
     """
-    if indices is None:
-        indices = list(range(len(ds.vectors)))
-    factors = {i: ds.y_factor(i) for i in indices}
-    unused = list(indices)
+    factors = {i: ds.y_factor(i) for i in range(len(ds.vectors))}
+    unused = list(range(len(ds.vectors)))
     chosen_primes: set[int] = set()
     out: list[SelectedPair] = []
     while len(unused) >= 2:

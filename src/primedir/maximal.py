@@ -22,12 +22,12 @@ the pulled-back sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import PrimeTable
-from .bumps import BumpSpec, DEFAULT_BUMP, eval_chi
+from .bumps import eval_chi
 from .directions import DirectionSet
 from .errors import ParseError
 from .multiplier import fold_weights, m_k_grid, prime_weights
@@ -55,14 +55,14 @@ __all__ = [
 
 @dataclass
 class GridFunction:
-    """A complex function on the periodic grid (Z/L)^2, L a power of two."""
+    """A complex function on the periodic grid (Z/L)^2, L >= 2."""
 
     L: int
     values: np.ndarray
 
     def __post_init__(self):
-        if self.L < 2 or self.L & (self.L - 1):
-            raise ValueError("grid side must be a power of two")
+        if self.L < 2:
+            raise ValueError("grid side must be >= 2")
         self.values = np.asarray(self.values)
         if self.values.shape != (self.L, self.L):
             raise ValueError(f"values must be {self.L}x{self.L}")
@@ -95,7 +95,7 @@ class GridFunction:
 
 @dataclass
 class OperatorConfig:
-    """Directions, scale range, bump, and sieve backing one operator instance.
+    """Directions, scale range, and sieve backing one operator instance.
 
     ``directions`` are integer vectors (arbitrary size; shifts reduce mod L).
     ``ds`` optionally records the constructed family they came from.
@@ -105,7 +105,6 @@ class OperatorConfig:
     k_min: int
     k_max: int
     table: PrimeTable
-    bump: BumpSpec = field(default_factory=lambda: DEFAULT_BUMP)
     ds: DirectionSet | None = None
 
     def __post_init__(self):
@@ -123,13 +122,12 @@ class OperatorConfig:
 
     @classmethod
     def from_direction_set(
-        cls, ds: DirectionSet, k_min: int, k_max: int, table: PrimeTable,
-        bump: BumpSpec = DEFAULT_BUMP,
+        cls, ds: DirectionSet, k_min: int, k_max: int, table: PrimeTable
     ) -> "OperatorConfig":
         if ds.integer_vectors is None:
             raise ValueError("rescale the direction set first")
         return cls(directions=tuple(ds.integer_vectors), k_min=k_min, k_max=k_max,
-                   table=table, bump=bump, ds=ds)
+                   table=table, ds=ds)
 
     @property
     def scales(self) -> range:
@@ -263,7 +261,7 @@ def transference_check(
         vals[xs, ys] = rng.standard_normal(len(xs)) + 1j * rng.standard_normal(len(xs))
         f = GridFunction(L, vals)
         single = OperatorConfig(directions=(v,), k_min=cfg.k_min, k_max=cfg.k_max,
-                                table=cfg.table, bump=cfg.bump)
+                                table=cfg.table)
         out = maximal_op(f, single, method="spatial")
         mask = np.zeros((L, L), dtype=bool)
         mask[xs, ys] = True
@@ -454,8 +452,8 @@ def load_grid_function(path) -> GridFunction:
     return GridFunction(L, vals)
 
 
-def export_csv(f: GridFunction, path, imag_tol: float = 1e-9) -> None:
-    """CSV of the real values; refuses grids with a non-negligible imaginary part."""
-    if np.abs(f.values.imag).max(initial=0.0) > imag_tol:
+def export_csv(f: GridFunction, path) -> None:
+    """CSV of the real values; refuses grids with an imaginary part above 1e-9."""
+    if np.abs(f.values.imag).max(initial=0.0) > 1e-9:
         raise ValueError("grid has a non-negligible imaginary part; CSV export is for real outputs")
     np.savetxt(path, f.values.real, delimiter=",")

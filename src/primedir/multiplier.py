@@ -34,7 +34,7 @@ import numpy as np
 
 from . import bumps
 from .arith import PrimeTable, ReducedFraction, convergents, mobius, reduced_fraction, totient
-from .bumps import BumpSpec, DEFAULT_BUMP, chi_s, v_k
+from .bumps import chi_s, v_k
 
 __all__ = [
     "MultiplierProfile",
@@ -124,19 +124,19 @@ def m_k_grid(k: int, L: int, table: PrimeTable) -> np.ndarray:
     return np.fft.fft(fold_weights(k, L, table))
 
 
-def m_k_naive_grid(k: int, L: int, table: PrimeTable, dtype_phase=np.longdouble) -> np.ndarray:
+def m_k_naive_grid(k: int, L: int, table: PrimeTable) -> np.ndarray:
     """m_k at j/L by per-point prime summation (the benchmark baseline).
 
     Chunked over grid points; each point costs one pass over the scale-k
     primes, which is exactly the cost profile the folded path removes.
     """
     primes, w = prime_weights(k, table)
-    p_ld = primes.astype(dtype_phase)
+    p_ld = primes.astype(np.longdouble)
     out = np.empty(L, dtype=np.complex128)
     chunk = max(1, (1 << 22) // max(len(primes), 1))
     for start in range(0, L, chunk):
         js = np.arange(start, min(start + chunk, L))
-        phase = np.mod(p_ld[None, :] * (js[:, None].astype(dtype_phase) / dtype_phase(L)), 1.0)
+        phase = np.mod(p_ld[None, :] * (js[:, None].astype(np.longdouble) / np.longdouble(L)), 1.0)
         out[js] = (w[None, :] * np.exp(-2j * np.pi * phase.astype(np.float64))).sum(axis=1)
     return out
 
@@ -168,21 +168,18 @@ def _level_candidates(alpha: Fraction, s_max: int) -> dict[int, list[tuple[int, 
     return buckets
 
 
-@lru_cache(maxsize=65536)
-def _v_k_cached(k: int, alpha: float) -> complex:
-    return v_k(k, alpha, DEFAULT_BUMP)
+_v_k_cached = lru_cache(maxsize=65536)(v_k)
 
 
-def _term_value(k: int, s: int, alpha: Fraction, p: int, q: int, spec: BumpSpec) -> complex:
+def _term_value(k: int, s: int, alpha: Fraction, p: int, q: int) -> complex:
     delta = alpha - Fraction(p, q)
     cut = chi_s(s, float(delta))
     if cut == 0.0:
         return 0.0 + 0.0j
-    vk = _v_k_cached(k, float(delta)) if spec is DEFAULT_BUMP else v_k(k, float(delta), spec)
-    return (mobius(q) / totient(q)) * vk * cut
+    return (mobius(q) / totient(q)) * _v_k_cached(k, float(delta)) * cut
 
 
-def L_k_s(k: int, s: int, alpha, spec: BumpSpec = DEFAULT_BUMP) -> complex:
+def L_k_s(k: int, s: int, alpha) -> complex:
     """The level-s main term: mu(q)/phi(q) V_k(alpha - a/q) chi_s(alpha - a/q).
 
     At most one fraction of the level has alpha inside its cutoff support, and
@@ -194,7 +191,7 @@ def L_k_s(k: int, s: int, alpha, spec: BumpSpec = DEFAULT_BUMP) -> complex:
     alpha = _torus_frac(Fraction(alpha))
     total = 0.0 + 0.0j
     for p, q in _level_candidates(alpha, s).get(s, []):
-        total += _term_value(k, s, alpha, p, q, spec)
+        total += _term_value(k, s, alpha, p, q)
     return total
 
 
@@ -206,7 +203,7 @@ def default_s_max(k: int, D: float = DEFAULT_D) -> tuple[int, bool]:
     return (want, False) if want <= S_MAX_CAP else (S_MAX_CAP, True)
 
 
-def L_k(k: int, alpha, s_max: int | None = None, spec: BumpSpec = DEFAULT_BUMP) -> complex:
+def L_k(k: int, alpha, s_max: int | None = None) -> complex:
     """L_k(alpha) = sum over s <= s_max of L_{k,s}(alpha).
 
     Periodic by construction (alpha is reduced to its fractional part before
@@ -221,7 +218,7 @@ def L_k(k: int, alpha, s_max: int | None = None, spec: BumpSpec = DEFAULT_BUMP) 
     total = 0.0 + 0.0j
     for s, cands in _level_candidates(alpha, s_max).items():
         for p, q in cands:
-            total += _term_value(k, s, alpha, p, q, spec)
+            total += _term_value(k, s, alpha, p, q)
     return total
 
 
@@ -260,6 +257,8 @@ class ErrorProfileRow:
     sup_abs_E: float
     sup_minor_m: float
     argmax_alpha: float
+    s_max: int
+    truncated: bool
     wall_ms: float
 
 
@@ -270,10 +269,13 @@ class ErrorProfileResult:
     grid_fractions: list[Fraction]
 
 
-def _profile_grid(grid_size: int, farey_s: int = 6) -> list[Fraction]:
-    """All reduced fractions with denominator below 2^(farey_s+1), plus uniform fill."""
+_FAREY_LEVEL = 6  # the sweep grid holds every reduced fraction of levels s <= 6
+
+
+def _profile_grid(grid_size: int) -> list[Fraction]:
+    """All reduced fractions with denominator below 2^(_FAREY_LEVEL+1), plus uniform fill."""
     pts = {Fraction(0, 1)}
-    for q in range(2, 1 << (farey_s + 1)):
+    for q in range(2, 1 << (_FAREY_LEVEL + 1)):
         for a in range(1, q):
             if math.gcd(a, q) == 1:
                 pts.add(Fraction(a, q))
@@ -287,9 +289,7 @@ def error_profile(
     D: float,
     grid_size: int,
     table: PrimeTable,
-    spec: BumpSpec = DEFAULT_BUMP,
     arc_D: float | None = None,
-    s_max: int | None = None,
 ) -> ErrorProfileResult:
     """Sweep sup |m_k - L_k| over a fraction-heavy grid for each k.
 
@@ -325,9 +325,8 @@ def error_profile(
             dft = m_k_grid(k, q, table)
             for idx in idxs:
                 m_vals[idx] = dft[grid[idx].numerator % q]
-        sm = s_max if s_max is not None else default_s_max(k, D)[0]
-        truncated = s_max is None and default_s_max(k, D)[1]
-        l_vals = np.array([L_k(k, fr, sm, spec) for fr in grid])
+        sm, truncated = default_s_max(k, D)
+        l_vals = np.array([L_k(k, fr, sm) for fr in grid])
         e_vals = m_vals - l_vals
         abs_e = np.abs(e_vals)
         imax = int(np.argmax(abs_e))
@@ -347,6 +346,8 @@ def error_profile(
                 sup_abs_E=float(abs_e[imax]),
                 sup_minor_m=sup_minor,
                 argmax_alpha=float(grid_arr[imax]),
+                s_max=sm,
+                truncated=truncated,
                 wall_ms=wall,
             )
         )
@@ -356,10 +357,13 @@ def error_profile(
 def write_error_profile_csv(rows, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["schema", "primedir.error_profile.v1"])
-        writer.writerow(["k", "D", "sup_abs_E", "sup_minor_m", "argmax_alpha", "wall_ms"])
+        writer.writerow(["schema", "primedir.error_profile.v2"])
+        writer.writerow(
+            ["k", "D", "sup_abs_E", "sup_minor_m", "argmax_alpha", "s_max", "truncated", "wall_ms"]
+        )
         for r in rows:
-            writer.writerow([r.k, r.D, r.sup_abs_E, r.sup_minor_m, r.argmax_alpha, r.wall_ms])
+            writer.writerow([r.k, r.D, r.sup_abs_E, r.sup_minor_m, r.argmax_alpha,
+                             r.s_max, r.truncated, r.wall_ms])
 
 
 # -- arcs ------------------------------------------------------------------------
@@ -427,16 +431,15 @@ def classify_arc(alpha, k: int, D: float) -> ArcLabel:
     return ArcLabel("minor", None)
 
 
-def k0_threshold(s: int, k_V: int, N: int, eps: float, log=math.log) -> int:
+def k0_threshold(s: int, k_V: int, N: int, eps: float) -> int:
     """The level threshold: k_V while s <= eps log N, and s beyond it.
 
-    ``log`` defaults to the natural logarithm (configurable, since the choice
-    of base is a free convention); the boundary s == eps log N takes the
+    log is the natural logarithm; the boundary s == eps log N takes the
     small-s branch.
     """
     if s < 0:
         raise ValueError("level must be >= 0")
-    return k_V if s <= eps * log(N) else s
+    return k_V if s <= eps * math.log(N) else s
 
 
 # -- downsampled multiplier -------------------------------------------------------

@@ -49,7 +49,8 @@ class TestMultError:
         out = env / "e.csv"
         assert run("mult-error", "--k-list", "10,12", "--grid", "64", "--out", str(out)) == 0
         lines = out.read_text().strip().splitlines()
-        assert lines[1] == "k,D,sup_abs_E,sup_minor_m,argmax_alpha,wall_ms"
+        assert lines[0] == "schema,primedir.error_profile.v2"
+        assert lines[1] == "k,D,sup_abs_E,sup_minor_m,argmax_alpha,s_max,truncated,wall_ms"
         rows = [line.split(",") for line in lines[2:]]
         assert [r[0] for r in rows] == ["10", "12"]
         assert float(rows[0][2]) > float(rows[1][2])  # decreasing sup error
@@ -96,6 +97,28 @@ class TestIncidence:
         c = json.loads(rep_c.read_text())["max_overlap"]
         b = json.loads(rep_b.read_text())["max_overlap"]
         assert c < b == 4
+
+    def test_baseline_uses_family_c1(self, env):
+        # the baseline scans at the C1 stored in the set's spec, as the family scan does
+        ds = env / "ds.json"
+        run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--c1", "60", "--out", str(ds))
+        rep_c, rep_b = env / "c.json", env / "b.json"
+        assert run("incidence", "--ds", str(ds), "--s", "2", "--out", str(rep_c)) == 0
+        assert run("incidence", "--ds", str(ds), "--s", "2", "--baseline", "parallel",
+                   "--out", str(rep_b)) == 0
+        c1 = [json.loads(p.read_text())["C1"] for p in (rep_c, rep_b)]
+        assert c1 == [60, 60]
+
+    def test_window_half_only_for_ktilde(self, env):
+        ds = env / "ds.json"
+        run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
+        assert run("incidence", "--ds", str(ds), "--s", "2", "--variant", "k",
+                   "--window-half", "5", "--out", str(env / "k.json")) == 3
+        assert not (env / "k.json").exists()
+        rep = env / "t.json"
+        assert run("incidence", "--ds", str(ds), "--s", "2", "--variant", "ktilde",
+                   "--window-half", "2", "--out", str(rep)) == 0
+        assert json.loads(rep.read_text())["window"] == ["-2", "2", "-2", "2"]
 
     def test_r_sweeps(self, env):
         ds = env / "ds.json"
@@ -155,6 +178,15 @@ class TestApply:
                  "--delta")
         assert rc == 0
         assert "degenerate_directions=4/4" in capsys.readouterr().out
+
+    def test_odd_grid_avoids_degeneracy(self, env, capsys):
+        ds = env / "ds.json"
+        run("construct", "--n", "8", "--eps", "0.5", "--seed", "7", "--out", str(ds))
+        capsys.readouterr()
+        rc = run("apply", "--ds", str(ds), "--l", "63", "--k-min", "5", "--k-max", "6",
+                 "--delta")
+        assert rc == 0
+        assert "degenerate_directions=0/8" in capsys.readouterr().out
 
     def test_missing_input_usage(self, env):
         assert run("apply", "--vectors", "1,0", "--k-min", "5", "--k-max", "6") == 3

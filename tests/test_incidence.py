@@ -157,7 +157,7 @@ class TestScan:
 
     def test_grid_sample_fallback(self):
         f1, f2 = axis_families()
-        rep = I.max_overlap_scan([f1, f2], I.default_window("k"), budget=1, sample_count=500)
+        rep = I.max_overlap_scan([f1, f2], I.default_window("k"), budget=1)
         assert rep.method == "grid-sample"
         assert rep.max_overlap >= 1
 

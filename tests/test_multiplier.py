@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from primedir import arith, bumps, multiplier as M
 
@@ -140,6 +141,46 @@ class TestLk:
         assert s_max == 17 and not truncated
 
 
+@st.composite
+def _near_fractions(draw):
+    """a/q plus a dyadic offset, mostly inside the cutoff support of q's level."""
+    q = draw(st.integers(1, 300))
+    a = draw(st.integers(-q, 2 * q))
+    delta = Fraction(draw(st.integers(-(2**20), 2**20)), 2 ** draw(st.integers(30, 120)))
+    return Fraction(a, q) + delta
+
+
+@st.composite
+def _near_fraction_floats(draw):
+    """Floats on the 2^-52 lattice, so alpha + 1 and -alpha are exact."""
+    return math.ldexp(round(math.ldexp(float(draw(_near_fractions())), 52)), -52)
+
+
+class TestSymmetryProperties:
+    """Periodicity and conjugate symmetry, which hold exactly for the symbol."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(alpha=st.one_of(_near_fractions(), _near_fraction_floats()), k=st.integers(4, 16))
+    def test_main_term_periodic_and_conjugate(self, alpha, k):
+        value = M.L_k(k, alpha)
+        assert M.L_k(k, alpha + 1) == value
+        assert M.L_k(k, -alpha) == value.conjugate()
+
+    @settings(max_examples=50, deadline=None)
+    @given(q=st.integers(1, 2**16), data=st.data(), k=st.integers(4, 12))
+    def test_symbol_periodic_at_fractions(self, table13, q, data, k):
+        alpha = Fraction(data.draw(st.integers(-q, 2 * q)), q)
+        assert M.m_k(k, alpha + 1, table13) == M.m_k(k, alpha, table13)
+
+    @settings(max_examples=50, deadline=None)
+    @given(alpha=st.one_of(_near_fractions(), _near_fraction_floats()), k=st.integers(4, 12))
+    def test_symbol_conjugate_symmetric(self, table13, alpha, k):
+        # the float path reduces p alpha mod 1 for each sign separately, so
+        # the two sides agree to rounding, not bit for bit
+        gap = M.m_k(k, -alpha, table13) - M.m_k(k, alpha, table13).conjugate()
+        assert abs(gap) <= 1e-13
+
+
 class TestNearFractionApproximation:
     def test_deviation_decreases_in_k(self, table21):
         # max over reduced fractions q <= 32 of |m_k(a/q + 2^-k) - mu/phi V_k(2^-k)|
@@ -195,9 +236,12 @@ class TestErrorProfile:
         path = tmp_path / "e.csv"
         M.write_error_profile_csv(res.rows, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("schema,")
-        assert lines[1] == "k,D,sup_abs_E,sup_minor_m,argmax_alpha,wall_ms"
+        assert lines[0] == "schema,primedir.error_profile.v2"
+        assert lines[1] == "k,D,sup_abs_E,sup_minor_m,argmax_alpha,s_max,truncated,wall_ms"
         assert len(lines) == 3
+        # k^17 exceeds 2^(S_MAX_CAP+1) at k = 10, so the level sum is truncated
+        assert (res.rows[0].s_max, res.rows[0].truncated) == (22, True)
+        assert lines[2].split(",")[5:7] == ["22", "True"]
 
     def test_grid_mismatch_rejected(self, table13):
         res = M.error_profile([10], 17.0, 64, table13)
@@ -280,10 +324,9 @@ class TestK0Threshold:
         assert M.k0_threshold(boundary, 40, N, eps) == 40
 
     def test_configurable_log(self):
-        # natural log: 0.5 ln(2^30) ~ 10.4, so s = 11 takes the large branch;
-        # base-2 logs lift the threshold to 15 and s = 11 stays small
+        # natural log: 0.5 ln(2^30) ~ 10.4, so s = 11 takes the large branch
+        # (a base-2 log would lift the threshold to 15)
         assert M.k0_threshold(11, 40, 2**30, 0.5) == 11
-        assert M.k0_threshold(11, 40, 2**30, 0.5, log=math.log2) == 40
 
 
 class TestDownsampled:
