@@ -30,8 +30,6 @@ __all__ = [
     "eval_phi",
     "eval_chi",
     "chi_s",
-    "chi_s_support",
-    "chi_s_plateau",
     "v_k",
     "phi_deriv_l1",
 ]
@@ -111,16 +109,6 @@ def eval_chi(x):
     mid = ~dead & (down > 0.0)
     out[mid] = up[mid] / (up[mid] + down[mid])
     return float(out[0]) if scalar else out
-
-
-def chi_s_plateau(s: int) -> float:
-    """Half-width of the plateau of chi_s: chi_s = 1 on |alpha| <= 2^(-10(s+4)-2)."""
-    return math.ldexp(1.0, -10 * (s + 4) - 2)
-
-
-def chi_s_support(s: int) -> float:
-    """Half-width of the support of chi_s: chi_s = 0 on |alpha| >= 2^(-10(s+4)-1)."""
-    return math.ldexp(1.0, -10 * (s + 4) - 1)
 
 
 def chi_s(s: int, alpha: float) -> float:

@@ -38,11 +38,11 @@ from .errors import ConstructionError, ParseError
 PROFILES = {
     "desk-small": {
         "n": 4, "eps": 1.0, "seed": 7, "k_min": 10, "k_max": 12,
-        "l": 64, "limit": 1 << 13, "grid": 256, "k_list": "10,11,12", "s": 1,
+        "l": 63, "limit": 1 << 13, "grid": 256, "k_list": "10,11,12", "s": 1,
     },
     "desk-full": {
         "n": 8, "eps": 0.5, "seed": 7, "k_min": 14, "k_max": 16,
-        "l": 128, "limit": 1 << 21, "grid": 1024, "k_list": "14,16,18,20", "s": 2,
+        "l": 127, "limit": 1 << 21, "grid": 1024, "k_list": "14,16,18,20", "s": 2,
     },
 }
 
@@ -157,35 +157,36 @@ def cmd_mult_error(args) -> int:
     return 0
 
 
-def cmd_incidence(args) -> int:
-    s = _opt(args, "s", required=True)
-    if s < 1:
-        raise UsageError("--s must be >= 1")
-    if args.variant == "k" and args.window_half is not None:
-        raise UsageError("--window-half sizes the ktilde window; the k window is fixed")
-    ds = load_direction_set(args.ds)
-    if ds.A is None:
-        ds = rescale_to_integers(ds)
-    win = incidence.default_window(args.variant, half=_opt(args, "window_half", 1))
-    n = len(ds.vectors)
+_SCAN_FLAGS = ("s", "c1", "variant", "baseline", "window_half", "budget", "r_sweeps", "seed")
 
-    def families_for(r_values):
-        if r_values is None:
-            r_values = [1 << s] * n
-        fams = incidence.families_from_direction_set(
-            ds, s=s, C1=args.c1, r_values=r_values, variant=args.variant
+
+def _load_rescaled(path):
+    ds = load_direction_set(path)
+    return rescale_to_integers(ds) if ds.A is None else ds
+
+
+def _incidence_families(ds, s, C1, r_values, variant, baseline):
+    """The tube families of ds, or with baseline "parallel" as many copies of
+    its first direction at the same C1 and r, so the two reports compare."""
+    fams = incidence.families_from_direction_set(
+        ds, s=s, C1=C1, r_values=r_values, variant=variant
+    )
+    if baseline == "parallel":
+        rec = ds.vectors[0]
+        return incidence.parallel_baseline(
+            (rec.v.x, rec.v.y), len(fams), s=s, C1=fams[0].C1, r=fams[0].r
         )
-        if args.baseline == "parallel":
-            # same C1 as the family scan, so the two reports compare
-            rec = ds.vectors[0]
-            return incidence.parallel_baseline(
-                (rec.v.x, rec.v.y), n, s=s, C1=fams[0].C1, r=r_values[0]
-            )
-        return fams
+    return fams
 
+
+def cmd_incidence(args) -> int:
     if args.replay:
+        given = [f"--{f.replace('_', '-')}" for f in _SCAN_FLAGS if getattr(args, f) is not None]
+        if given:
+            raise UsageError(f"--replay takes the families from the report; drop {' '.join(given)}")
         rep = incidence.load_overlap_report(args.replay)
-        fams = families_for(list(rep.r_values) if rep.r_values else None)
+        fams = _incidence_families(_load_rescaled(args.ds), rep.s, rep.C1, rep.r_values,
+                                   rep.variant, rep.baseline)
         count = incidence.replay_witness(rep, fams)
         if count != rep.max_overlap:
             print(f"REPLAY MISMATCH: witness count {count} != reported {rep.max_overlap}")
@@ -193,16 +194,28 @@ def cmd_incidence(args) -> int:
         print(f"replay ok: witness attains {count}")
         return 0
 
-    rng = random.Random(args.seed)
+    s = _opt(args, "s", required=True)
+    if s < 1:
+        raise UsageError("--s must be >= 1")
+    variant = args.variant or "ktilde"
+    if variant == "k" and args.window_half is not None:
+        raise UsageError("--window-half sizes the ktilde window; the k window is fixed")
+    win = incidence.default_window(variant, half=_opt(args, "window_half", 1))
+    budget = 2_000_000 if args.budget is None else args.budget
+    rng = random.Random(0 if args.seed is None else args.seed)
+    ds = _load_rescaled(args.ds)
+    n = len(ds.vectors)
     best = None
-    for sweep in range(max(1, args.r_sweeps)):
+    for sweep in range(max(1, 1 if args.r_sweeps is None else args.r_sweeps)):
         if sweep == 0:
             r_values = [1 << s] * n
         else:
             r_values = [rng.randrange(1 << s, 1 << (s + 1)) for _ in range(n)]
-        rep = incidence.max_overlap_scan(families_for(r_values), win, budget=args.budget)
+        fams = _incidence_families(ds, s, args.c1, r_values, variant, args.baseline)
+        rep = incidence.max_overlap_scan(fams, win, budget=budget)
         if best is None or rep.max_overlap > best.max_overlap:
             best = rep
+    best.baseline = args.baseline  # replay rebuilds the baseline from the report
     incidence.save_overlap_report(best, args.out)
     print(
         f"max_overlap={best.max_overlap} method={best.method} "
@@ -213,7 +226,7 @@ def cmd_incidence(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    L = _opt(args, "l", 64)
+    L = _opt(args, "l", 63)
     k_min = _opt(args, "k_min", required=True)
     k_max = _opt(args, "k_max", required=True)
     if k_min > k_max:
@@ -270,7 +283,7 @@ def cmd_norm_sweep(args) -> int:
         raise UsageError("--n-list must hold positive sizes")
     eps = _opt(args, "eps", 0.5)
     seed = _opt(args, "seed", 7)
-    L = _opt(args, "l", 64)
+    L = _opt(args, "l", 63)
     k_min = _opt(args, "k_min", 10)
     k_max = _opt(args, "k_max", 12)
     if k_min > k_max:
@@ -348,15 +361,18 @@ def _build_parser() -> _Parser:
     i.add_argument("--ds", required=True)
     i.add_argument("--s", type=int)
     i.add_argument("--c1", type=int, default=None)
-    i.add_argument("--variant", choices=["k", "ktilde"], default="ktilde")
+    i.add_argument("--variant", choices=["k", "ktilde"], default=None,
+                   help="tube variant (default ktilde)")
     i.add_argument("--baseline", choices=["parallel"], default=None)
     i.add_argument("--window-half", type=int, default=None,
                    help="half-side of the ktilde scan window (default 1)")
-    i.add_argument("--r-sweeps", type=int, default=1,
-                   help="random denominator assignments to sweep (first is all 2^s)")
-    i.add_argument("--seed", type=int, default=0)
-    i.add_argument("--budget", type=int, default=2_000_000)
-    i.add_argument("--replay", default=None, help="verify the witness of an existing report")
+    i.add_argument("--r-sweeps", type=int, default=None,
+                   help="random denominator assignments to sweep (first is all 2^s; default 1)")
+    i.add_argument("--seed", type=int, default=None, help="seed of the r sweeps (default 0)")
+    i.add_argument("--budget", type=int, default=None,
+                   help="exact-scan candidate budget (default 2000000)")
+    i.add_argument("--replay", default=None,
+                   help="verify the witness of an existing report; takes only --ds")
     i.add_argument("--out", default="overlap.json")
     i.set_defaults(fn=cmd_incidence)
 

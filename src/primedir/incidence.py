@@ -255,6 +255,7 @@ class OverlapReport:
     window: ScanWindow
     candidates_checked: int = 0
     r_values: tuple[int, ...] | None = None  # per-family denominators, for replay
+    baseline: str | None = None  # "parallel" for a parallel-baseline scan, for replay
 
 
 def _interior_point(fam: TubeFamily, window: ScanWindow) -> tuple[Fraction, Fraction] | None:
@@ -616,7 +617,7 @@ def intersection_shrink_check(
 
 # -- report files -----------------------------------------------------------------------
 
-_REPORT_SCHEMA = "primedir.overlap_report.v1"
+_REPORT_SCHEMA = "primedir.overlap_report.v2"
 
 
 def save_overlap_report(report: OverlapReport, path) -> None:
@@ -638,6 +639,7 @@ def save_overlap_report(report: OverlapReport, path) -> None:
                    str(report.window.y_lo), str(report.window.y_hi)],
         "candidates_checked": report.candidates_checked,
         "r_values": list(report.r_values) if report.r_values is not None else None,
+        "baseline": report.baseline,
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
@@ -663,5 +665,5 @@ def load_overlap_report(path) -> OverlapReport:
         s=doc["s"], C1=doc["C1"], max_overlap=doc["max_overlap"], witness=witness,
         family_count=doc["family_count"], method=doc["method"], variant=doc["variant"],
         window=ScanWindow(*win), candidates_checked=doc["candidates_checked"],
-        r_values=tuple(rv) if rv is not None else None,
+        r_values=tuple(rv) if rv is not None else None, baseline=doc["baseline"],
     )

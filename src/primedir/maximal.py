@@ -194,29 +194,30 @@ def maximal_op(f: GridFunction, cfg: OperatorConfig, method: str = "spectral") -
 
 # -- line decomposition and transference ------------------------------------------
 
+def _orbit(L: int, v: tuple[int, int], start) -> tuple[np.ndarray, np.ndarray]:
+    """The line through start along v: the points (start + n v) mod L for
+    n < L // gcd(vx, vy, L), the order of v in (Z/L)^2, as index arrays."""
+    n = np.arange(L // math.gcd(v[0], v[1], L))
+    return (start[0] + n * (v[0] % L)) % L, (start[1] + n * (v[1] % L)) % L
+
+
 def line_decompose(L: int, v: tuple[int, int]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Partition (Z/L)^2 into orbits of x -> x + v; each orbit is one discrete line.
 
-    Returns (xs, ys) index arrays per orbit, in traversal order (so orbit
-    element n is the point start + n v).  Raises ValueError for v = 0.
+    The orbits are the cosets of the cyclic group v generates, taken from
+    each point not yet covered in row-major order.  Returns (xs, ys) index
+    arrays per orbit, in traversal order (so orbit element n is the point
+    start + n v).  Raises ValueError for v = 0.
     """
     if v == (0, 0):
         raise ValueError("direction must be nonzero")
-    vx, vy = v[0] % L, v[1] % L
-    seen = np.zeros((L, L), dtype=bool)
+    seen = np.zeros(L * L, dtype=bool)
     orbits = []
-    for x0 in range(L):
-        for y0 in range(L):
-            if seen[x0, y0]:
-                continue
-            xs, ys = [], []
-            x, y = x0, y0
-            while not seen[x, y]:
-                seen[x, y] = True
-                xs.append(x)
-                ys.append(y)
-                x, y = (x + vx) % L, (y + vy) % L
-            orbits.append((np.array(xs), np.array(ys)))
+    for i in range(L * L):
+        if not seen[i]:
+            xs, ys = _orbit(L, v, divmod(i, L))
+            seen[xs * L + ys] = True
+            orbits.append((xs, ys))
     return orbits
 
 
@@ -255,8 +256,8 @@ def transference_check(
     lines = 0
     for t in range(trials):
         v = cfg.directions[t % len(cfg.directions)]
-        orbits = line_decompose(L, v)
-        xs, ys = orbits[rng.integers(len(orbits))]
+        # every line has the same length, so a uniform point lies on a uniform line
+        xs, ys = _orbit(L, v, rng.integers(L, size=2))
         vals = np.zeros((L, L), dtype=np.complex128)
         vals[xs, ys] = rng.standard_normal(len(xs)) + 1j * rng.standard_normal(len(xs))
         f = GridFunction(L, vals)

@@ -11,9 +11,9 @@ and this module evaluates all the computable objects of that approximation:
 * m_k pointwise (compensated summation, extended-precision phase reduction),
   on equispaced grids via a fold-then-FFT fast path, and at reduced fractions
   via residue folding;
-* the main term L_k = sum over levels s of L_{k,s}, where each level
-  contributes at most one cutoff-localized term, located exactly through
-  continued-fraction convergents;
+* the main term L_k = sum over levels s of L_{k,s}, which is a single
+  cutoff-localized term at the last continued-fraction convergent of alpha
+  below the level cap;
 * the error profile E_k = m_k - L_k swept over a grid, with CSV output;
 * major/minor arc classification (exact, via the minimal-denominator
   fraction in an interval);
@@ -153,46 +153,42 @@ def _torus_frac(alpha: Fraction) -> Fraction:
     return alpha - math.floor(alpha)
 
 
-def _level_candidates(alpha: Fraction, s_max: int) -> dict[int, list[tuple[int, int]]]:
-    """Convergents of alpha bucketed by dyadic level of the denominator.
+_ONE_TERM_MAX_LEVEL = 38  # where the one-term proof of L_k stops
 
-    Only convergents can fall inside a level's cutoff support (the support
-    half-width 2^(-10(s+4)-1) is below 1/(2 q^2) for every admissible q), so
-    this is a complete candidate list for every L_{k,s}.
-    """
-    buckets: dict[int, list[tuple[int, int]]] = {}
-    for p, q in convergents(alpha, (1 << (s_max + 1)) - 1):
-        s = q.bit_length() - 1
-        if s <= s_max:
-            buckets.setdefault(s, []).append((p, q))
-    return buckets
+
+def _last_convergent(alpha, s_max: int) -> tuple[Fraction, int, int]:
+    """(alpha mod 1, p, q) for the last convergent p/q of alpha mod 1 with q < 2^(s_max+1)."""
+    if s_max > _ONE_TERM_MAX_LEVEL:
+        raise ValueError(f"level {s_max} > {_ONE_TERM_MAX_LEVEL}, where the one-term proof stops")
+    alpha = _torus_frac(Fraction(alpha))
+    p, q = convergents(alpha, (1 << (s_max + 1)) - 1)[-1]
+    return alpha, p, q
 
 
 _v_k_cached = lru_cache(maxsize=65536)(v_k)
 
 
-def _term_value(k: int, s: int, alpha: Fraction, p: int, q: int) -> complex:
+def _term_value(k: int, alpha: Fraction, p: int, q: int) -> complex:
+    """mu(q)/phi(q) V_k(alpha - p/q) chi_s(alpha - p/q) at the level s of q."""
     delta = alpha - Fraction(p, q)
-    cut = chi_s(s, float(delta))
+    cut = chi_s(q.bit_length() - 1, float(delta))
     if cut == 0.0:
         return 0.0 + 0.0j
-    return (mobius(q) / totient(q)) * _v_k_cached(k, float(delta)) * cut
+    # adding to 0j turns -0.0 parts into +0.0, so a zero term has one sign
+    return 0j + (mobius(q) / totient(q)) * _v_k_cached(k, float(delta)) * cut
 
 
 def L_k_s(k: int, s: int, alpha) -> complex:
     """The level-s main term: mu(q)/phi(q) V_k(alpha - a/q) chi_s(alpha - a/q).
 
-    At most one fraction of the level has alpha inside its cutoff support, and
-    any such fraction is a continued-fraction convergent of alpha, so the
-    nearest-fraction search is a convergent walk rather than a Farey sweep.
+    Only the last convergent of alpha with q < 2^(s+1) can lie inside its
+    cutoff support (see L_k), so the level-s term is its term when its
+    denominator has level s, and 0 otherwise.
     """
     if s < 0:
         raise ValueError("level must be >= 0")
-    alpha = _torus_frac(Fraction(alpha))
-    total = 0.0 + 0.0j
-    for p, q in _level_candidates(alpha, s).get(s, []):
-        total += _term_value(k, s, alpha, p, q)
-    return total
+    alpha, p, q = _last_convergent(alpha, s)
+    return _term_value(k, alpha, p, q) if q.bit_length() - 1 == s else 0j
 
 
 def default_s_max(k: int, D: float = DEFAULT_D) -> tuple[int, bool]:
@@ -204,7 +200,12 @@ def default_s_max(k: int, D: float = DEFAULT_D) -> tuple[int, bool]:
 
 
 def L_k(k: int, alpha, s_max: int | None = None) -> complex:
-    """L_k(alpha) = sum over s <= s_max of L_{k,s}(alpha).
+    """L_k(alpha) = sum over s <= s_max of L_{k,s}(alpha), which is one term.
+
+    Fractions p/q, p'/q' at levels s <= s' lie more than 2^-(s+s'+2) apart,
+    but both inside their chi_s supports they would lie within 2^-(10s+40);
+    for s' <= s_max <= 38 the two cannot both hold.  Each later convergent
+    is closer, so only the last convergent with q < 2^(s_max+1) contributes.
 
     Periodic by construction (alpha is reduced to its fractional part before
     the convergent walk).  ``s_max`` defaults to the smallest s whose level
@@ -214,12 +215,7 @@ def L_k(k: int, alpha, s_max: int | None = None) -> complex:
     """
     if s_max is None:
         s_max, _ = default_s_max(k)
-    alpha = _torus_frac(Fraction(alpha))
-    total = 0.0 + 0.0j
-    for s, cands in _level_candidates(alpha, s_max).items():
-        for p, q in cands:
-            total += _term_value(k, s, alpha, p, q)
-    return total
+    return _term_value(k, *_last_convergent(alpha, s_max))
 
 
 # -- profiles and the error sweep ------------------------------------------------

@@ -76,8 +76,33 @@ class TestIncidence:
         assert run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds)) == 0
         assert run("incidence", "--ds", str(ds), "--s", "2", "--out", str(rep)) == 0
         doc = json.loads(rep.read_text())
-        assert doc["schema"] == "primedir.overlap_report.v1"
-        assert run("incidence", "--ds", str(ds), "--s", "2", "--replay", str(rep)) == 0
+        assert doc["schema"] == "primedir.overlap_report.v2"
+        assert doc["baseline"] is None
+        assert run("incidence", "--ds", str(ds), "--replay", str(rep)) == 0
+
+    def test_baseline_report_replays(self, env, capsys):
+        ds = env / "ds.json"
+        rep = env / "rep.json"
+        run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
+        assert run("incidence", "--ds", str(ds), "--s", "2", "--baseline", "parallel",
+                   "--out", str(rep)) == 0
+        assert json.loads(rep.read_text())["baseline"] == "parallel"
+        capsys.readouterr()
+        assert run("incidence", "--ds", str(ds), "--replay", str(rep)) == 0
+        assert "replay ok: witness attains 4" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--s", "3"), ("--c1", "60"), ("--variant", "k"), ("--baseline", "parallel"),
+        ("--window-half", "9"), ("--budget", "1"), ("--r-sweeps", "5"), ("--seed", "3"),
+    ])
+    def test_scan_flag_rejected_with_replay(self, env, capsys, flag, value):
+        ds = env / "ds.json"
+        rep = env / "rep.json"
+        run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
+        assert run("incidence", "--ds", str(ds), "--s", "2", "--out", str(rep)) == 0
+        capsys.readouterr()
+        assert run("incidence", "--ds", str(ds), "--replay", str(rep), flag, value) == 3
+        assert flag in capsys.readouterr().err
 
     def test_baseline_reaches_family_size(self, env, capsys):
         ds = env / "ds.json"
@@ -163,7 +188,7 @@ class TestApply:
         assert "delta-spread" in capsys.readouterr().out
 
     def test_delta_rel_na_when_not_disjoint(self, env, capsys):
-        # desk-small: L = 64, k = 10..12, so the prime translates wrap around
+        # desk-small: L = 63, k = 10..12, so the prime translates wrap around
         rc = run("apply", "--profile", "desk-small", "--vectors", "1,0;0,1", "--delta")
         assert rc == 0
         out = capsys.readouterr().out
@@ -178,6 +203,13 @@ class TestApply:
                  "--delta")
         assert rc == 0
         assert "degenerate_directions=4/4" in capsys.readouterr().out
+
+    def test_profile_grid_side_avoids_degeneracy(self, env, capsys):
+        ds = env / "ds.json"
+        run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
+        capsys.readouterr()
+        assert run("apply", "--profile", "desk-small", "--ds", str(ds), "--delta") == 0
+        assert "degenerate_directions=0/4" in capsys.readouterr().out
 
     def test_odd_grid_avoids_degeneracy(self, env, capsys):
         ds = env / "ds.json"

@@ -1,4 +1,4 @@
-
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -141,12 +141,15 @@ class TestLines:
         assert len(orbits) == 4 and all(len(o[0]) == 4 for o in orbits)
 
     def test_partition_and_equal_sizes(self):
-        for v in ((1, 0), (1, 1), (2, 1), (6, 4), (8, 0)):
-            L = 8
+        huge = (10**30 + 7, -(3 * 10**29 + 1))
+        cases = [(8, v) for v in ((1, 0), (1, 1), (2, 1), (6, 4), (8, 0), (-3, 2), huge)]
+        cases += [(12, (-4, 6)), (12, (9, -3)), (15, (-5, 10)), (15, huge)]
+        for L, v in cases:
             orbits = X.line_decompose(L, v)
             sizes = {len(o[0]) for o in orbits}
             assert len(sizes) == 1  # orbit-size enumeration oracle: all equal
             size = sizes.pop()
+            assert size == L // math.gcd(v[0], v[1], L)  # the order of v in (Z/L)^2
             assert (L * L) % size == 0
             assert sum(len(o[0]) for o in orbits) == L * L
             seen = set()

@@ -134,6 +134,12 @@ class TestLk:
         e = abs(M.m_k(16, Fraction(1, 3), table21) - M.L_k(16, Fraction(1, 3)))
         assert e < 0.05
 
+    def test_level_above_one_term_proof_rejected(self):
+        with pytest.raises(ValueError):
+            M.L_k(12, Fraction(1, 3), s_max=39)
+        with pytest.raises(ValueError):
+            M.L_k_s(12, 39, Fraction(1, 3))
+
     def test_default_s_max_cap(self):
         s_max, truncated = M.default_s_max(20, 17.0)
         assert s_max == M.S_MAX_CAP and truncated
@@ -154,6 +160,28 @@ def _near_fractions(draw):
 def _near_fraction_floats(draw):
     """Floats on the 2^-52 lattice, so alpha + 1 and -alpha are exact."""
     return math.ldexp(round(math.ldexp(float(draw(_near_fractions())), 52)), -52)
+
+
+class TestMainTermOneTerm:
+    """L_k is the sum over every convergent below 2^(s_max+1), and that sum has
+    at most one term inside its cutoff support."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(alpha=st.one_of(_near_fractions(), _near_fraction_floats()), k=st.integers(4, 20),
+           s_max=st.one_of(st.none(), st.integers(0, 38)))
+    def test_equals_sum_over_all_convergents(self, alpha, k, s_max):
+        levels = M.default_s_max(k)[0] if s_max is None else s_max
+        x = Fraction(alpha) - math.floor(Fraction(alpha))
+        total, inside = 0j, 0
+        for p, q in arith.convergents(x, (1 << (levels + 1)) - 1):
+            d = float(x - Fraction(p, q))
+            cut = bumps.chi_s(q.bit_length() - 1, d)
+            if cut != 0.0:
+                inside += 1
+                total += arith.mobius(q) / arith.totient(q) * bumps.v_k(k, d) * cut
+        assert inside <= 1
+        value = M.L_k(k, alpha, s_max)
+        assert (value.real.hex(), value.imag.hex()) == (total.real.hex(), total.imag.hex())
 
 
 class TestSymmetryProperties:
