@@ -645,25 +645,60 @@ def save_overlap_report(report: OverlapReport, path) -> None:
         json.dump(doc, fh, indent=1, sort_keys=True)
 
 
+def _report_field(doc: dict, key: str, ok, what: str, path):
+    """doc[key] when ok accepts it; a ParseError naming the field otherwise."""
+    if key not in doc:
+        raise ParseError(f"{path}: missing field {key!r}")
+    if not ok(doc[key]):
+        raise ParseError(f"{path}: field {key!r} must be {what}, got {doc[key]!r}")
+    return doc[key]
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _report_rationals(doc: dict, key: str, n: int, path, nullable: bool = False):
+    """doc[key] as a list of n exact rationals written as strings ("-2", "3/7")."""
+    texts = _report_field(
+        doc, key,
+        lambda x: (x is None and nullable) or (
+            isinstance(x, list) and len(x) == n and all(isinstance(t, str) for t in x)),
+        f"{'null or ' if nullable else ''}a list of {n} rational strings", path)
+    if texts is None:
+        return None
+    out = []
+    for i, text in enumerate(texts):
+        try:
+            out.append(Fraction(text))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"{path}: bad rational {text!r} at {key}[{i}]") from exc
+    return out
+
+
 def load_overlap_report(path) -> OverlapReport:
+    """Read a report written by save_overlap_report; any malformed field is a
+    ParseError that names it."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {exc.msg} at line {exc.lineno}") from exc
-    if doc.get("schema") != _REPORT_SCHEMA:
-        raise ParseError(f"{path}: unexpected schema {doc.get('schema')!r}")
-    wit = doc["witness"]
-    witness = None
-    if wit is not None:
-        nx, dx = wit[0].split("/")
-        ny, dy = wit[1].split("/")
-        witness = (Fraction(int(nx), int(dx)), Fraction(int(ny), int(dy)))
-    win = [Fraction(w) for w in doc["window"]]
-    rv = doc.get("r_values")
+    if not isinstance(doc, dict) or doc.get("schema") != _REPORT_SCHEMA:
+        raise ParseError(f"{path}: not a {_REPORT_SCHEMA} report")
+    ints = {key: _report_field(doc, key, _is_int, "an integer", path)
+            for key in ("s", "C1", "max_overlap", "family_count", "candidates_checked")}
+    method, variant = (_report_field(doc, key, lambda x: isinstance(x, str), "a string", path)
+                       for key in ("method", "variant"))
+    witness = _report_rationals(doc, "witness", 2, path, nullable=True)
+    win = _report_rationals(doc, "window", 4, path)
+    rv = _report_field(doc, "r_values",
+                       lambda x: x is None or isinstance(x, list) and all(map(_is_int, x)),
+                       "null or a list of integers", path)
+    baseline = _report_field(doc, "baseline", lambda x: x is None or isinstance(x, str),
+                             "null or a string", path)
     return OverlapReport(
-        s=doc["s"], C1=doc["C1"], max_overlap=doc["max_overlap"], witness=witness,
-        family_count=doc["family_count"], method=doc["method"], variant=doc["variant"],
-        window=ScanWindow(*win), candidates_checked=doc["candidates_checked"],
-        r_values=tuple(rv) if rv is not None else None, baseline=doc["baseline"],
+        **ints, method=method, variant=variant, window=ScanWindow(*win),
+        witness=tuple(witness) if witness is not None else None,
+        r_values=tuple(rv) if rv is not None else None, baseline=baseline,
     )

@@ -11,7 +11,9 @@ evaluation routes are kept in cross-checkable agreement:
 * spatial: fold the prime weights modulo L (the shift p v mod L only depends
   on p mod L) and accumulate rolled copies of f;
 * spectral: multiply the 2D transform by m_k(v . beta) sampled from the folded
-  1D multiplier table and invert.
+  1D multiplier table and invert.  The prime weights are real, so the symbol
+  is Hermitian, m_k(-a) = conj m_k(a); for real f the route works on the half
+  spectrum (rfft2 / irfft2) and a complex f takes the full one.
 
 The module also carries the discrete line decomposition of the grid along a
 direction and the transference check built on it: a single-direction operator
@@ -55,7 +57,8 @@ __all__ = [
 
 @dataclass
 class GridFunction:
-    """A complex function on the periodic grid (Z/L)^2, L >= 2."""
+    """A real or complex function on the periodic grid (Z/L)^2, L >= 2; real
+    values take the half-spectrum route, so the real families are float64."""
 
     L: int
     values: np.ndarray
@@ -71,20 +74,20 @@ class GridFunction:
 
     @classmethod
     def delta(cls, L: int) -> "GridFunction":
-        vals = np.zeros((L, L), dtype=np.complex128)
+        vals = np.zeros((L, L))
         vals[0, 0] = 1.0
         return cls(L, vals)
 
     @classmethod
     def constant(cls, L: int, c: complex = 1.0) -> "GridFunction":
-        return cls(L, np.full((L, L), c, dtype=np.complex128))
+        return cls(L, np.full((L, L), c, dtype=np.result_type(c, np.float64)))
 
     @classmethod
     def random(cls, L: int, rng: np.random.Generator, kind: str = "gaussian") -> "GridFunction":
         if kind == "gaussian":
             vals = rng.standard_normal((L, L)) + 1j * rng.standard_normal((L, L))
         elif kind == "rademacher":
-            vals = rng.choice([-1.0, 1.0], size=(L, L)).astype(np.complex128)
+            vals = rng.choice([-1.0, 1.0], size=(L, L))
         else:
             raise ValueError(f"unknown random kind {kind!r}")
         return cls(L, vals)
@@ -144,12 +147,25 @@ def _roll_sum(values: np.ndarray, folded: np.ndarray, v: tuple[int, int]) -> np.
     return out
 
 
-def _apply_symbol(fhat: np.ndarray, symbol: np.ndarray, v: tuple[int, int]) -> np.ndarray:
-    """Spectral kernel: invert fhat times symbol[(j1 vx + j2 vy) mod L]."""
+def _spectrum(values: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The 2D transform of f and whether f is real.  A real f has a Hermitian
+    transform, so only its half spectrum (rfft2, columns 0..L//2) is kept."""
+    real = not np.iscomplexobj(values)
+    return (np.fft.rfft2(values) if real else np.fft.fft2(values)), real
+
+
+def _apply_symbol(fhat: np.ndarray, symbol: np.ndarray, v: tuple[int, int], real: bool) -> np.ndarray:
+    """Spectral kernel: invert fhat times symbol[(j1 vx + j2 vy) mod L].
+
+    The two terms of the index are reduced apart and read from the symbol
+    tiled twice, so no modulo runs over the grid.  A half spectrum (real set)
+    inverts with irfft2 to the real L x L average.
+    """
     L = fhat.shape[0]
     j = np.arange(L, dtype=np.int64)
-    idx = (j[:, None] * (v[0] % L) + j[None, :] * (v[1] % L)) % L
-    return np.fft.ifft2(symbol[idx] * fhat)
+    idx = ((j * (v[0] % L)) % L)[:, None] + ((j[:fhat.shape[1]] * (v[1] % L)) % L)[None, :]
+    g = np.tile(symbol, 2)[idx] * fhat
+    return np.fft.irfft2(g, s=(L, L)) if real else np.fft.ifft2(g)
 
 
 def average_along(f: GridFunction, v: tuple[int, int], k: int, cfg: OperatorConfig) -> GridFunction:
@@ -167,8 +183,8 @@ def spectral_average(f: GridFunction, v: tuple[int, int], k: int, cfg: OperatorC
     The symbol at frequency (j1, j2) is m_k((j1 vx + j2 vy)/L mod 1), read
     from the folded 1D table, so the only approximation is the FFT round-off.
     """
-    symbol = m_k_grid(k, f.L, cfg.table)
-    return GridFunction(f.L, _apply_symbol(np.fft.fft2(f.values), symbol, v))
+    fhat, real = _spectrum(f.values)
+    return GridFunction(f.L, _apply_symbol(fhat, m_k_grid(k, f.L, cfg.table), v, real))
 
 
 def maximal_op(f: GridFunction, cfg: OperatorConfig, method: str = "spectral") -> GridFunction:
@@ -177,7 +193,8 @@ def maximal_op(f: GridFunction, cfg: OperatorConfig, method: str = "spectral") -
         raise ValueError("method must be 'spectral' or 'spatial'")
     L = f.L
     out = np.zeros((L, L), dtype=np.float64)
-    fhat = np.fft.fft2(f.values) if method == "spectral" else None
+    if method == "spectral":
+        fhat, real = _spectrum(f.values)
     for k in cfg.scales:
         if method == "spectral":
             symbol = m_k_grid(k, L, cfg.table)
@@ -185,7 +202,7 @@ def maximal_op(f: GridFunction, cfg: OperatorConfig, method: str = "spectral") -
             folded = fold_weights(k, L, cfg.table)
         for v in cfg.directions:
             if method == "spectral":
-                g = _apply_symbol(fhat, symbol, v)
+                g = _apply_symbol(fhat, symbol, v, real)
             else:
                 g = _roll_sum(f.values, folded, v)
             np.maximum(out, np.abs(g), out=out)
@@ -361,7 +378,7 @@ def empirical_norm(
         elif name == "boxes":
             size = 1
             while size <= L // 2:
-                vals = np.zeros((L, L), dtype=np.complex128)
+                vals = np.zeros((L, L))
                 vals[:size, :size] = 1.0
                 f = GridFunction(L, vals)
                 ratio = maximal_op(f, cfg, method).norm2() / f.norm2()

@@ -104,6 +104,28 @@ class TestIncidence:
         assert run("incidence", "--ds", str(ds), "--replay", str(rep), flag, value) == 3
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,named", [
+        ("baseline", None, "'baseline'"),  # None: delete the key
+        ("witness", ["1/0", "0/1"], "witness[0]"),
+        ("witness", 5, "'witness'"),
+        ("window", ["0"], "'window'"),
+    ])
+    def test_malformed_report_is_validation_failure(self, env, capsys, key, value, named):
+        ds = env / "ds.json"
+        rep = env / "rep.json"
+        run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
+        assert run("incidence", "--ds", str(ds), "--s", "2", "--out", str(rep)) == 0
+        doc = json.loads(rep.read_text())
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        rep.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("incidence", "--ds", str(ds), "--replay", str(rep)) == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err and named in err
+
     def test_baseline_reaches_family_size(self, env, capsys):
         ds = env / "ds.json"
         rep = env / "rep.json"

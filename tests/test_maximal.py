@@ -238,7 +238,16 @@ class TestNorms:
 
 
 _VECTORS = st.tuples(st.integers(-64, 64), st.integers(-64, 64)).filter(lambda v: v != (0, 0))
-_SIDES = st.sampled_from([8, 12, 15, 16, 32])  # 12 and 15 are not powers of two
+# 12, 15 and 3 are not powers of two; at L = 2 the half spectrum is as wide as the full one
+_SIDES = st.sampled_from([2, 3, 8, 12, 15, 16, 32])
+
+
+def _draw(L, seed, real):
+    """A Gaussian grid function, real (half-spectrum route) or complex."""
+    rng = np.random.default_rng(seed)
+    if real:
+        return X.GridFunction(L, rng.standard_normal((L, L)))
+    return X.GridFunction.random(L, rng)
 
 
 class TestKernelProperties:
@@ -246,23 +255,53 @@ class TestKernelProperties:
 
     @settings(max_examples=50, deadline=None)
     @given(v=_VECTORS, k=st.integers(3, 6), L=_SIDES,
-           seed=st.integers(0, 2**32 - 1))
-    def test_spectral_average_equals_spatial(self, table13, v, k, L, seed):
+           seed=st.integers(0, 2**32 - 1), real=st.booleans())
+    def test_spectral_average_equals_spatial(self, table13, v, k, L, seed, real):
         cfg = X.OperatorConfig(directions=(v,), k_min=k, k_max=k, table=table13)
-        f = X.GridFunction.random(L, np.random.default_rng(seed))
+        f = _draw(L, seed, real)
         a = X.average_along(f, v, k, cfg).values
         b = X.spectral_average(f, v, k, cfg).values
         assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(a)
 
     @settings(max_examples=50, deadline=None)
     @given(v=_VECTORS, w=_VECTORS, k=st.integers(3, 6), L=_SIDES,
-           seed=st.integers(0, 2**32 - 1))
-    def test_maximal_spectral_equals_spatial(self, table13, v, w, k, L, seed):
+           seed=st.integers(0, 2**32 - 1), real=st.booleans())
+    def test_maximal_spectral_equals_spatial(self, table13, v, w, k, L, seed, real):
         cfg = X.OperatorConfig(directions=(v, w), k_min=3, k_max=k, table=table13)
-        f = X.GridFunction.random(L, np.random.default_rng(seed))
+        f = _draw(L, seed, real)
         a = X.maximal_op(f, cfg, method="spatial").values
         b = X.maximal_op(f, cfg, method="spectral").values
         assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(a)
+
+
+class TestRealRoute:
+    """Real input takes the half spectrum; it must match the full-spectrum route."""
+
+    @pytest.mark.parametrize("L", [2, 3, 16, 63])
+    def test_maximal_real_equals_complex(self, table13, L):
+        cfg = X.OperatorConfig(directions=((1, 0), (3, -7), (2, 1), (10**30 + 1, 5)),
+                               k_min=4, k_max=6, table=table13)
+        vals = np.random.default_rng(L).standard_normal((L, L))
+        real = X.maximal_op(X.GridFunction(L, vals), cfg).values
+        full = X.maximal_op(X.GridFunction(L, vals.astype(complex)), cfg).values
+        assert np.max(np.abs(real - full)) <= 1e-12 * np.max(np.abs(full))
+
+    @pytest.mark.parametrize("L", [2, 15])
+    def test_spectral_average_of_real_is_real(self, table13, L):
+        cfg = X.OperatorConfig(directions=((2, 1),), k_min=5, k_max=5, table=table13)
+        f = X.GridFunction(L, np.random.default_rng(3).standard_normal((L, L)))
+        g = X.spectral_average(f, (2, 1), 5, cfg).values
+        assert g.dtype == np.float64
+        full = X.spectral_average(X.GridFunction(L, f.values.astype(complex)), (2, 1), 5, cfg)
+        assert np.max(np.abs(g - full.values)) <= 1e-12 * np.max(np.abs(full.values))
+
+    def test_real_families_are_real(self):
+        rng = np.random.default_rng(0)
+        assert X.GridFunction.delta(8).values.dtype == np.float64
+        assert X.GridFunction.constant(8).values.dtype == np.float64
+        assert X.GridFunction.constant(8, 2j).values.dtype == np.complex128
+        assert X.GridFunction.random(8, rng, kind="rademacher").values.dtype == np.float64
+        assert X.GridFunction.random(8, rng).values.dtype == np.complex128
 
 
 class TestFrequencySplit:

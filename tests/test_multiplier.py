@@ -78,6 +78,13 @@ class TestGridPaths:
         with pytest.raises(ValueError):
             M.fold_weights(10, 0, table13)
 
+    @pytest.mark.parametrize("L", [2, 3, 63, 64, 1024])
+    def test_grid_hermitian(self, table13, L):
+        # the half-spectrum route of maximal relies on m_k(-j/L) = conj m_k(j/L)
+        for k in (5, 12):
+            g = M.m_k_grid(k, L, table13)
+            assert np.abs(g[(-np.arange(L)) % L] - np.conj(g)).max() <= 1e-14
+
 
 class TestLk:
     def test_level_zero_at_zero(self):
