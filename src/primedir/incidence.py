@@ -14,7 +14,10 @@ point per family for the overlap-1 floor) finds the maximum.
 
 All geometry is exact.  Points are carried as integer triples (px, py, d)
 meaning (px/d, py/d), and membership tests reduce to big-integer comparisons;
-the public API speaks Fractions.
+the public API speaks Fractions.  The grid-sample fallback of the scan puts
+its 20 000 points over one denominator and counts them in int64 numpy chunks
+from per-family constants, whenever those constants bound every intermediate
+value below 2^63; otherwise it counts through the same big-integer predicate.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .directions import DirectionSet
 from .errors import ParseError
@@ -153,19 +158,100 @@ class _IntFamily:
             half = span // 2
             px = (px + half) % span - half
             py = (py + half) % span - half
-        if self.ex_n and (px * px + py * py) * self.ex_d**2 < self.ex_n**2 * d * d:
-            return False
-        T = self.ax * px + self.ay * py
-        X = self.r * T
+        X = self.r * (self.ax * px + self.ay * py)
         Dd = self.den * d
         b = (2 * X + Dd) // (2 * Dd)  # nearest integer to X / Dd
-        return abs(X - b * Dd) << self.shift <= self.r * Dd
+        if abs(X - b * Dd) << self.shift > self.r * Dd:
+            return False
+        return not self.ex_n or (px * px + py * py) * self.ex_d**2 >= self.ex_n**2 * d * d
 
 
 def _int_point(x: Fraction, y: Fraction) -> tuple[int, int, int]:
     """The triple (px, py, d) with (x, y) = (px/d, py/d), d the least common denominator."""
     d = math.lcm(x.denominator, y.denominator)
     return x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d
+
+
+class _IntWindow:
+    """The window's edges as (numerator, denominator) pairs, for integer triples."""
+
+    __slots__ = ("xl", "xh", "yl", "yh")
+
+    def __init__(self, window: ScanWindow):
+        self.xl, self.xh, self.yl, self.yh = (
+            (f.numerator, f.denominator)
+            for f in (window.x_lo, window.x_hi, window.y_lo, window.y_hi))
+
+    def contains(self, px: int, py: int, d: int) -> bool:
+        """window.contains(px/d, py/d) for d > 0, by cross-multiplication."""
+        (xln, xld), (xhn, xhd), (yln, yld), (yhn, yhd) = self.xl, self.xh, self.yl, self.yh
+        return (xln * d <= px * xld and px * xhd <= xhn * d
+                and yln * d <= py * yld and py * yhd <= yhn * d)
+
+
+# -- int64 counting at one fixed denominator ---------------------------------------------
+
+_INT64_END = 1 << 63
+
+
+def _int64_plan(ints: list[_IntFamily], d: int, bound: int):
+    """Constants of every family's member() at the fixed denominator d, or None.
+
+    Valid for points (px, py, d) with |px|, |py| <= bound.  The families are
+    grouped by torus side, as (span, half, [(thr, Dd, cx, cy, lim), ...]), all
+    taken at the doubled denominator 2d that member() works at:
+
+    - span = side 2d and half = side d fold a doubled coordinate (span 0: no fold);
+    - thr = ceil(ex_n^2 (2d)^2 / ex_d^2): a folded point is excluded when
+      px^2 + py^2 < thr (0: no exclusion);
+    - Dd = den 2d, cx = r ax mod Dd, cy = r ay mod Dd: the slab test depends
+      only on res = (cx px + cy py) mod Dd;
+    - lim = (r Dd) >> shift: the point is in a slab when min(res, Dd - res) <= lim.
+
+    None when some intermediate value of _int64_counts could reach 2^63.
+    """
+    d2 = 2 * d
+    big = 2 * bound  # doubled coordinates before folding
+    if big >= _INT64_END:
+        return None
+    groups: dict = {}
+    for f in ints:
+        span = 0 if f.side is None else f.side * d2
+        if big + span >= _INT64_END:
+            return None
+        m = span // 2 if span else big  # largest |coordinate| the slab and exclusion tests see
+        thr = 0
+        if f.ex_n:
+            if 2 * m * m + 1 >= _INT64_END:
+                return None
+            # no folded point reaches 2 m^2 + 1, so the clamp keeps every comparison
+            thr = min(-(-(f.ex_n**2 * d2 * d2) // f.ex_d**2), 2 * m * m + 1)
+        Dd = f.den * d2
+        # |cx fx + cy fy| < 2 Dd m, and lim < 2 Dd since shift >= s and r < 2^(s+1);
+        # the + 1 keeps Dd itself in range when m is 0
+        if 2 * Dd * (m + 1) >= _INT64_END:
+            return None
+        groups.setdefault(span, []).append(
+            (thr, Dd, (f.r * f.ax) % Dd, (f.r * f.ay) % Dd, (f.r * Dd) >> f.shift))
+    return [(span, span // 2, fams) for span, fams in groups.items()]
+
+
+def _int64_counts(plan, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Per-point family counts for int64 arrays px, py (one d); equals member() summed."""
+    px, py = 2 * px, 2 * py
+    counts = np.zeros(px.shape, dtype=np.int64)
+    for span, half, fams in plan:
+        fx, fy = (px, py) if not span else ((px + half) % span - half, (py + half) % span - half)
+        sq = None
+        for thr, Dd, cx, cy, lim in fams:
+            res = (cx * fx + cy * fy) % Dd
+            hit = np.minimum(res, Dd - res) <= lim
+            if thr:
+                if sq is None:
+                    sq = fx * fx + fy * fy
+                hit &= sq >= thr
+            counts += hit
+    return counts
 
 
 def tube_membership(beta: tuple[Fraction, Fraction], fam: TubeFamily) -> bool:
@@ -207,19 +293,17 @@ def _pair_lattice(f1: TubeFamily, f2: TubeFamily, window: ScanWindow, offsets: b
     sgn = 1 if D > 0 else -1
     D *= sgn
     offs = [(0, 0), (-1, -1), (-1, 1), (1, -1), (1, 1)] if offsets else [(0, 0)]
+    # (px, py) = (kx u - lx w, ly w - ky u) at t1 = u / (r1 2^c1), t2 = w / (r2 2^c2),
+    # u = a 2^c1 + o1 r1 and w = b 2^c2 + o2 r2: the offsets add constant shifts
+    kx, ky = (sgn * c * i1.den * r2 << c2 for c in (i2.ay, i2.ax))
+    lx, ly = (sgn * c * i2.den * r1 << c1 for c in (i1.ay, i1.ax))
+    shifts = [(o1 * r1 * kx - o2 * r2 * lx, o2 * r2 * ly - o1 * r1 * ky) for o1, o2 in offs]
     out = []
     for a in range(a_lo, a_hi + 1):
+        ua, va = kx * a << c1, ky * a << c1
         for b in range(b_lo, b_hi + 1):
-            for o1, o2 in offs:
-                u = (a << c1) + o1 * r1  # t1 = u / (r1 2^c1)
-                w = (b << c2) + o2 * r2
-                px = sgn * (
-                    i2.ay * i1.den * u * r2 * (1 << c2) - i1.ay * i2.den * w * r1 * (1 << c1)
-                )
-                py = sgn * (
-                    -i2.ax * i1.den * u * r2 * (1 << c2) + i1.ax * i2.den * w * r1 * (1 << c1)
-                )
-                out.append((px, py, D))
+            x0, y0 = ua - (lx * b << c2), (ly * b << c2) - va
+            out.extend((x0 + sx, y0 + sy, D) for sx, sy in shifts)
     return out
 
 
@@ -231,12 +315,10 @@ def candidate_intersections(
     The centers solve v1.beta = a/r1, v2.beta = b/r2; every returned point is a
     member of both (thickened) families.  Raises ValueError on parallel input.
     """
-    pts = []
-    for px, py, d in _pair_lattice(f1, f2, window, offsets=False):
-        x, y = Fraction(px, d), Fraction(py, d)
-        if window.contains(x, y):
-            pts.append((x, y))
-    return pts
+    win = _IntWindow(window)
+    return [(Fraction(px, d), Fraction(py, d))
+            for px, py, d in _pair_lattice(f1, f2, window, offsets=False)
+            if win.contains(px, py, d)]
 
 
 # -- the scan ------------------------------------------------------------------------
@@ -285,6 +367,47 @@ def _count_at(ints: list[_IntFamily], px: int, py: int, d: int) -> int:
     return sum(1 for f in ints if f.member(px, py, d))
 
 
+_SAMPLES = 20_000
+_SAMPLE_BITS = 24  # sample coordinates sit on the 2^-24 grid across the window
+_CHUNK = 2048  # points per int64 batch; bounds the temporaries of _int64_counts
+
+
+def _grid_sample(ints: list[_IntFamily], window: ScanWindow):
+    """(best, witness) over the 20 000 seeded samples x_lo + (i / 2^24) wx.
+
+    All samples share the denominator d = lcm(window denominators) 2^24, so
+    sample i is the unreduced triple (x0 + i wx, y0 + j wy, d) in integers.
+    The witness is the first sample that reaches the maximum.
+    """
+    rng = random.Random(0)
+    # x-then-y order, as each sample draws its two indices
+    ij = np.fromiter((rng.randrange((1 << _SAMPLE_BITS) + 1) for _ in range(2 * _SAMPLES)),
+                     dtype=np.int64, count=2 * _SAMPLES).reshape(_SAMPLES, 2)
+    edges = (window.x_lo, window.x_hi, window.y_lo, window.y_hi)
+    den = math.lcm(*(f.denominator for f in edges))
+    x_lo, x_hi, y_lo, y_hi = (f.numerator * (den // f.denominator) for f in edges)
+    x0, y0, wx, wy = x_lo << _SAMPLE_BITS, y_lo << _SAMPLE_BITS, x_hi - x_lo, y_hi - y_lo
+    d = den << _SAMPLE_BITS
+    plan = _int64_plan(ints, d, int(max(map(abs, edges)) * d))
+    best, at = 0, None
+    if plan is not None:
+        for start in range(0, _SAMPLES, _CHUNK):
+            chunk = ij[start:start + _CHUNK]
+            counts = _int64_counts(plan, x0 + chunk[:, 0] * wx, y0 + chunk[:, 1] * wy)
+            k = int(np.argmax(counts))
+            if counts[k] > best:
+                best, at = int(counts[k]), start + k
+    else:
+        for k, (i, j) in enumerate(ij.tolist()):
+            c = _count_at(ints, x0 + i * wx, y0 + j * wy, d)
+            if c > best:
+                best, at = c, k
+    if at is None:
+        return best, None
+    i, j = ij[at].tolist()
+    return best, (Fraction(x0 + i * wx, d), Fraction(y0 + j * wy, d))
+
+
 def max_overlap_scan(
     families: list[TubeFamily],
     window: ScanWindow,
@@ -297,6 +420,24 @@ def max_overlap_scan(
     point per family (the overlap-1 floor).  If the candidate count would
     exceed ``budget`` the scan falls back to a grid sample of 20 000 points
     (seed 0) and labels the report method accordingly.
+
+    Both branches work on integer triples (px, py, d); a Fraction is built
+    only for a new witness.  Two facts make that exact:
+
+    - ``_IntFamily.member(px, py, d)`` gives the same answer when the triple
+      is scaled by any positive integer: the torus fold, the exclusion test
+      and the nearest-plane rounding are all homogeneous.  So an unreduced
+      common denominator answers as ``_int_point``'s reduced triple does.
+    - The slab test depends only on X mod Dd.  With res = X mod Dd,
+      ``|X - b Dd| << shift <= r Dd`` holds exactly when
+      ``min(res, Dd - res) <= (r Dd) >> shift``; a tie at Dd / 2 gives the
+      same distance either way.
+
+    The grid sample therefore counts all its points at one denominator, in
+    int64 chunks of 2048 points from per-family constants computed once per
+    scan (``_int64_plan``).  When those constants cannot bound every
+    intermediate value below 2^63, it counts through ``member`` on Python
+    integers instead.
     """
     if not families:
         raise ValueError("need at least one family")
@@ -317,30 +458,22 @@ def max_overlap_scan(
     checked = 0
     if est <= budget:
         method = "exact-candidates"
+        win = _IntWindow(window)
         for i in range(len(families)):
             for j in range(i + 1, len(families)):
                 if ints[i].ax * ints[j].ay - ints[i].ay * ints[j].ax == 0:
                     continue
                 for px, py, d in _pair_lattice(families[i], families[j], window, offsets=True):
-                    x, y = Fraction(px, d), Fraction(py, d)
-                    if not window.contains(x, y):
+                    if not win.contains(px, py, d):
                         continue
                     checked += 1
                     c = _count_at(ints, px, py, d)
                     if c > best:
-                        best, witness = c, (x, y)
+                        best, witness = c, (Fraction(px, d), Fraction(py, d))
     else:
         method = "grid-sample"
-        rng = random.Random(0)
-        res = 1 << 24
-        wx, wy = window.x_hi - window.x_lo, window.y_hi - window.y_lo
-        for _ in range(20_000):
-            x = window.x_lo + Fraction(rng.randrange(res + 1), res) * wx
-            y = window.y_lo + Fraction(rng.randrange(res + 1), res) * wy
-            checked += 1
-            c = _count_at(ints, *_int_point(x, y))
-            if c > best:
-                best, witness = c, (x, y)
+        best, witness = _grid_sample(ints, window)
+        checked = _SAMPLES
 
     # overlap-1 floor from per-family interior points
     for fam in families:

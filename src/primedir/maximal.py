@@ -429,15 +429,21 @@ def frequency_split(f: GridFunction, A: int) -> tuple[GridFunction, GridFunction
 # -- grid-function files ----------------------------------------------------------------
 
 _GF_MAGIC = b"PDGF 1\n"
+_GF_DTYPES = {"float64": "<f8", "complex128": "<c16"}
 
 
 def save_grid_function(f: GridFunction, path) -> None:
-    """Text header (side length, dtype) + little-endian complex doubles, row-major."""
+    """Text header (side length, dtype) + little-endian doubles, row-major.
+
+    Real values are written as float64 and complex ones as complex128, so a
+    real grid read back takes the half-spectrum route again.
+    """
+    dtype = "complex128" if np.iscomplexobj(f.values) else "float64"
     with open(path, "wb") as fh:
         fh.write(_GF_MAGIC)
         fh.write(f"L {f.L}\n".encode())
-        fh.write(b"dtype complex128\nEND\n")
-        fh.write(np.ascontiguousarray(f.values, dtype="<c16").tobytes())
+        fh.write(f"dtype {dtype}\nEND\n".encode())
+        fh.write(np.ascontiguousarray(f.values, dtype=_GF_DTYPES[dtype]).tobytes())
 
 
 def load_grid_function(path) -> GridFunction:
@@ -456,17 +462,19 @@ def load_grid_function(path) -> GridFunction:
             fields[key] = val
         else:
             raise ParseError(f"{path}: header END marker missing")
-        if fields.get("dtype", "complex128") != "complex128":
-            raise ParseError(f"{path}: unsupported dtype {fields.get('dtype')!r}")
+        dtype = fields.get("dtype", "complex128")
+        if dtype not in _GF_DTYPES:
+            raise ParseError(f"{path}: unsupported dtype {dtype!r}")
         try:
             L = int(fields["L"])
         except (KeyError, ValueError):
             raise ParseError(f"{path}: missing or bad L header")
         raw = fh.read()
-    expect = L * L * 16
+    wire = np.dtype(_GF_DTYPES[dtype])
+    expect = L * L * wire.itemsize
     if len(raw) != expect:
         raise ParseError(f"{path}: payload holds {len(raw)} bytes, expected {expect}")
-    vals = np.frombuffer(raw, dtype="<c16").reshape(L, L).astype(np.complex128)
+    vals = np.frombuffer(raw, dtype=wire).reshape(L, L).astype(dtype)
     return GridFunction(L, vals)
 
 

@@ -55,7 +55,6 @@ __all__ = [
     "classify_arc",
     "simplest_in_interval",
     "k0_threshold",
-    "downsampled_multiplier",
     "downsampled_coefficients",
 ]
 
@@ -477,10 +476,3 @@ def downsampled_coefficients(
     nodes, weights, g = _downsample_profile(k, log2_W, 20, n_panels)
     phases = np.exp(2j * np.pi * (q * W) * np.outer(n_arr.astype(np.float64), nodes))
     return (q * W) * (phases * (weights * g)[None, :]).sum(axis=1)
-
-
-def downsampled_multiplier(
-    k: int, k0: int, q: int, n: int, chi_scale_log2: int | None = None
-) -> complex:
-    """Single spatial coefficient of the downsampled profile; see downsampled_coefficients."""
-    return complex(downsampled_coefficients(k, k0, q, [n], chi_scale_log2)[0])

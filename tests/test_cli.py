@@ -204,6 +204,16 @@ class TestApply:
         assert np.abs(g.values.imag).max() == 0.0
         assert len(csv_out.read_text().strip().splitlines()) == 32
 
+    def test_real_grid_stays_real(self, env):
+        # a real output saved by --out is read back as float64 by --input, so
+        # the second apply takes the half-spectrum route and saves float64 again
+        first, second = env / "m.pdgf", env / "m2.pdgf"
+        args = ("apply", "--vectors", "1,0;0,1", "--l", "32", "--k-min", "5", "--k-max", "6")
+        assert run(*args, "--delta", "--out", str(first)) == 0
+        assert maximal.load_grid_function(first).values.dtype == np.float64
+        assert run(*args, "--input", str(first), "--out", str(second)) == 0
+        assert maximal.load_grid_function(second).values.dtype == np.float64
+
     def test_profile_preset(self, env, capsys):
         rc = run("apply", "--profile", "desk-small", "--vectors", "1,0;0,1", "--delta")
         assert rc == 0

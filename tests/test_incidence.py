@@ -1,7 +1,12 @@
+import functools
+import random
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primedir import incidence as I
 from primedir.errors import ParseError
@@ -185,6 +190,191 @@ class TestScan:
         win = I.ScanWindow(F(1, 7), F(1, 7) + F(1, 10**6), F(1, 11), F(1, 11) + F(1, 10**6))
         rep = I.max_overlap_scan(fams, win, budget=200_000)
         assert rep.max_overlap <= len(fams)
+
+
+class TestIntWindow:
+    WINDOWS = (
+        I.ScanWindow(F(-3, 7), F(2, 5), F(-1, 3), F(-1, 9)),
+        I.ScanWindow(F(-2), F(-1, 2), F(0), F(5, 3)),
+        I.ScanWindow(F(1, 3), F(1, 3), F(-2, 7), F(-2, 7)),  # a single point
+    )
+
+    @pytest.mark.parametrize("win", WINDOWS)
+    def test_edges_and_corners_match_contains(self, win):
+        iw = I._IntWindow(win)
+        eps = F(1, 10**9)
+        xs = (win.x_lo, (win.x_lo + win.x_hi) / 2, win.x_hi)
+        ys = (win.y_lo, (win.y_lo + win.y_hi) / 2, win.y_hi)
+        for x0 in xs:
+            for y0 in ys:
+                for dx in (-eps, F(0), eps):
+                    for dy in (-eps, F(0), eps):
+                        x, y = x0 + dx, y0 + dy
+                        px, py, d = I._int_point(x, y)
+                        for k in (1, 6):  # unreduced triples too
+                            assert iw.contains(k * px, k * py, k * d) == win.contains(x, y)
+
+    @pytest.mark.parametrize("win", WINDOWS)
+    def test_closed_edges_are_members(self, win):
+        iw = I._IntWindow(win)
+        for x, y in win.corners():
+            assert iw.contains(*I._int_point(x, y))
+        for x in (win.x_lo, win.x_hi):
+            assert iw.contains(*I._int_point(x, win.center()[1]))
+        for y in (win.y_lo, win.y_hi):
+            assert iw.contains(*I._int_point(win.center()[0], y))
+
+
+# -- int64 counting against the scalar predicate -------------------------------------
+
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, w) with a u + b w = g = gcd(a, b) >= 0."""
+    if b == 0:
+        return abs(a), (1 if a >= 0 else -1), 0
+    g, u, w = _ext_gcd(b, a % b)
+    return g, w, u - (a // b) * w
+
+
+@st.composite
+def _tube_families(draw):
+    """|v| <= 50, 2^s <= r < 2^(s+1), and the smallest C1 the spacing allows
+    (or one more), so that the thickness matters."""
+    s = draw(st.integers(1, 2))
+    r = draw(st.integers(1 << s, (2 << s) - 1))
+    vx = F(draw(st.integers(-35, 35)), draw(st.integers(1, 3)))
+    vy = F(draw(st.integers(-35, 35)), draw(st.integers(1, 3)))
+    if vx == 0 and vy == 0:
+        vx = F(1)
+    C1 = 1
+    while r * r * (vx * vx + vy * vy) >= 4 ** (C1 * s):
+        C1 += 1
+    C1 += draw(st.integers(0, 1))
+    ex = draw(st.one_of(st.just(F(0)), st.builds(F, st.integers(1, 5), st.integers(10, 20))))
+    side = draw(st.one_of(st.just(1), st.integers(2, 4), st.none()))
+    return I.TubeFamily(v=(vx, vy), r=r, s=s, C1=C1, exclusion_radius=ex, torus_side=side)
+
+
+def _slab_points(fam: I.TubeFamily):
+    """Triples over one denominator d on the family's slab boundaries, one step
+    inside and outside them, and at the tie midway between two planes."""
+    f = I._IntFamily(fam)
+    g, u, w = _ext_gcd(f.ax, f.ay)
+    d = g * f.r << (f.shift + 1)
+    M = f.den * d  # v . beta = T / M at the point (px/d, py/d), T = ax px + ay py
+    # T = b M / r + edge puts the point on a slab boundary (r T - b M = r M 2^-shift),
+    # T = b M / r + tie midway between two planes (r T - b M = M / 2)
+    edge, tie = M >> f.shift, M // (2 * f.r)
+    pts = []
+    for b in (-1, 0, 1):
+        base = b * M // f.r
+        for T in (base + edge, base - edge, base + edge - g, base + edge + g,
+                  base - edge + g, base - edge - g, base + tie):
+            px, py = u * T // g, w * T // g
+            if f.ay:  # slide along the line to keep the coordinates small
+                k = -(px * g) // f.ay
+                px, py = px + k * (f.ay // g), py - k * (f.ax // g)
+            assert f.ax * px + f.ay * py == T
+            pts.append((px, py, d))
+    return pts
+
+
+def _circle_points(fam: I.TubeFamily):
+    """Rational points on the exclusion circle, and just inside and outside it."""
+    ex = F(fam.exclusion_radius)
+    pts = []
+    for j, k in ((0, 1), (1, 2), (1, 3), (2, 3)):
+        c, s = F(k * k - j * j, k * k + j * j), F(2 * j * k, k * k + j * j)
+        for x, y in ((c, s), (-s, c), (-c, -s), (s, -c)):
+            for stretch in (F(1), F(63, 64), F(65, 64)):
+                pts.append(I._int_point(ex * stretch * x, ex * stretch * y))
+    return pts
+
+
+def _assert_counts_match(ints, pts):
+    """_int64_counts over points sharing one d equals member() summed, for the
+    whole list and for each family alone."""
+    d = pts[0][2]
+    px = np.array([p[0] for p in pts], dtype=np.int64)
+    py = np.array([p[1] for p in pts], dtype=np.int64)
+    bound = max(max(abs(p[0]), abs(p[1])) for p in pts)
+    for group in [ints] + [[f] for f in ints]:
+        plan = I._int64_plan(group, d, bound)
+        assert plan is not None
+        want = [sum(f.member(x, y, d) for f in group) for x, y, _ in pts]
+        assert I._int64_counts(plan, px, py).tolist() == want
+
+
+@functools.cache
+def _samples(window):
+    """The scan's 20 000 seeded sample points, built in Fractions."""
+    rng = random.Random(0)
+    res = 1 << 24
+    wx, wy = window.x_hi - window.x_lo, window.y_hi - window.y_lo
+    points = []
+    for _ in range(20_000):
+        x = window.x_lo + F(rng.randrange(res + 1), res) * wx
+        y = window.y_lo + F(rng.randrange(res + 1), res) * wy
+        points.append((x, y))
+    return points
+
+
+def _recount_scan(fams, window):
+    """The grid-sample scan recounted point by point through tube_membership."""
+    best, witness = 0, None
+    floor = [pt for pt in (I._interior_point(f, window) for f in fams) if pt is not None]
+    for pt in _samples(window) + floor:
+        c = sum(I.tube_membership(pt, f) for f in fams)
+        if c > best:
+            best, witness = c, pt
+    return best, witness
+
+
+class TestInt64Counts:
+    @settings(max_examples=60, deadline=None)
+    @given(fams=st.lists(_tube_families(), min_size=1, max_size=4),
+           scale=st.integers(1, 9), data=st.data())
+    def test_counts_equal_member(self, fams, scale, data):
+        ints = [I._IntFamily(f) for f in fams]
+        d = data.draw(st.integers(1, 1 << 16))
+        coord = st.integers(-2 * d, 2 * d)
+        batches = [[(x, y, d) for x, y in data.draw(
+            st.lists(st.tuples(coord, coord), min_size=1, max_size=30))]]
+        batches += [_slab_points(f) for f in fams]
+        batches += [[pt] for f in fams if f.exclusion_radius for pt in _circle_points(f)]
+        for pts in batches:
+            # member() is homogeneous, so scaled triples must count the same
+            _assert_counts_match(ints, [(scale * x, scale * y, scale * e) for x, y, e in pts])
+
+    def test_k_variant_default_window_takes_int64(self, toy_ds):
+        fams = I.families_from_direction_set(toy_ds, s=2, variant="k")
+        ints = [I._IntFamily(f) for f in fams]
+        d = 2 << 24  # lcm(2) 2^24 on [-1/2, 1/2]^2
+        plan = I._int64_plan(ints, d, d // 2)
+        assert plan is not None
+        assert all(Dd == 1 << 26 for _, _, group in plan for _, Dd, _, _, _ in group)
+
+    # dyadic windows count in int64; the last one's denominators push d past
+    # int64, so its samples go through member() on Python integers
+    WINDOWS = (
+        (I.ScanWindow(F(-1, 2), F(1, 2), F(-1, 2), F(1, 2)), False),
+        (I.ScanWindow(F(-1), F(1), F(-1, 2), F(3, 4)), False),
+        (I.ScanWindow(F(-1, 3), F(2, 5), F(-1, 3), F(2, 5)), None),  # either path
+        (I.ScanWindow(F(1, 7), F(1, 7) + F(1, 10**6), F(1, 11), F(1, 11) + F(1, 10**6)), True),
+    )
+
+    @pytest.mark.parametrize("win,fallback", WINDOWS)
+    @settings(max_examples=3, deadline=None)
+    @given(fams=st.lists(_tube_families(), min_size=1, max_size=3))
+    def test_sample_scan_equals_recount(self, win, fallback, fams):
+        plans = []
+        real = I._int64_plan
+        with mock.patch.object(I, "_int64_plan", lambda *a: plans.append(real(*a)) or plans[-1]):
+            # budget -1: a list without a non-parallel pair has 0 candidates
+            rep = I.max_overlap_scan(fams, win, budget=-1)
+        assert rep.method == "grid-sample"
+        if fallback is not None:
+            assert (plans[0] is None) == fallback
+        assert (rep.max_overlap, rep.witness) == _recount_scan(fams, win)
 
 
 class TestGreedySelection:

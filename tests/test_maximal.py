@@ -344,6 +344,31 @@ class TestFiles:
         g = X.load_grid_function(path)
         assert g.L == 16 and np.array_equal(g.values, f.values)
 
+    def test_round_trip_keeps_dtype(self, tmp_path):
+        rng = np.random.default_rng(10)
+        real = X.GridFunction(8, rng.standard_normal((8, 8)))
+        for f, dtype, payload in ((real, "float64", 8 * 8 * 8),
+                                  (X.GridFunction.random(8, rng), "complex128", 8 * 8 * 16)):
+            path = tmp_path / f"{dtype}.pdgf"
+            X.save_grid_function(f, path)
+            assert f"dtype {dtype}\n".encode() in path.read_bytes()
+            assert path.stat().st_size == len(b"PDGF 1\nL 8\ndtype \nEND\n") + len(dtype) + payload
+            g = X.load_grid_function(path)
+            assert g.values.dtype == np.dtype(dtype) and np.array_equal(g.values, f.values)
+
+    def test_bad_dtype_header(self, tmp_path):
+        path = tmp_path / "g.pdgf"
+        path.write_bytes(b"PDGF 1\nL 4\ndtype float32\nEND\n" + bytes(4 * 4 * 4))
+        with pytest.raises(ParseError, match="dtype"):
+            X.load_grid_function(path)
+
+    def test_payload_length_checked_per_dtype(self, tmp_path):
+        path = tmp_path / "g.pdgf"
+        for dtype, wrong in ((b"float64", 4 * 4 * 16), (b"complex128", 4 * 4 * 8)):
+            path.write_bytes(b"PDGF 1\nL 4\ndtype " + dtype + b"\nEND\n" + bytes(wrong))
+            with pytest.raises(ParseError, match="payload"):
+                X.load_grid_function(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "g.pdgf"
         path.write_bytes(b"WRONG 1\nL 4\ndtype complex128\nEND\n" + bytes(4 * 4 * 16))

@@ -165,8 +165,9 @@ def _near_fractions(draw):
 
 @st.composite
 def _near_fraction_floats(draw):
-    """Floats on the 2^-52 lattice, so alpha + 1 and -alpha are exact."""
-    return math.ldexp(round(math.ldexp(float(draw(_near_fractions())), 52)), -52)
+    """Floats on the 2^-51 lattice, so alpha + 1 and -alpha are exact: |alpha + 1|
+    stays below 4, and 2^-51 is the spacing of the floats in [2, 4)."""
+    return math.ldexp(round(math.ldexp(float(draw(_near_fractions())), 51)), -51)
 
 
 class TestMainTermOneTerm:
@@ -378,7 +379,7 @@ class TestDownsampled:
                 u = mid + half * xi
                 total += wi * half * bumps.v_k(12, W * u) * bumps.eval_chi(u / 2.0)
         oracle = W * total  # coefficient at n = 0
-        got = M.downsampled_multiplier(12, 0, 1, 0)
+        got = M.downsampled_coefficients(12, 0, 1, [0])[0]
         assert abs(got - oracle) < 1e-12
 
     def test_l1_bounded_at_paper_width(self):
@@ -401,4 +402,4 @@ class TestDownsampled:
 
     def test_rejects_bad_modulus(self):
         with pytest.raises(ValueError):
-            M.downsampled_multiplier(6, 0, 0, 0)
+            M.downsampled_coefficients(6, 0, 0, [0])[0]
