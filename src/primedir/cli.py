@@ -143,6 +143,8 @@ def cmd_mult_error(args) -> int:
         raise UsageError("--k-list is empty")
     if args.d <= 16:
         raise UsageError("--d must exceed 16 (the main-term approximation requires D > 2^4)")
+    if args.arc_d is not None and args.arc_d <= 0:
+        raise UsageError("--arc-d must be positive")
     if grid < 1:
         raise UsageError("--grid must be positive")
     limit = _opt(args, "limit", 1 << (max(ks) + 1))
@@ -202,11 +204,14 @@ def cmd_incidence(args) -> int:
         raise UsageError("--window-half sizes the ktilde window; the k window is fixed")
     win = incidence.default_window(variant, half=_opt(args, "window_half", 1))
     budget = 2_000_000 if args.budget is None else args.budget
+    sweeps = 1 if args.r_sweeps is None else args.r_sweeps
+    if sweeps < 1:
+        raise UsageError("--r-sweeps must be >= 1")
     rng = random.Random(0 if args.seed is None else args.seed)
     ds = _load_rescaled(args.ds)
     n = len(ds.vectors)
     best = None
-    for sweep in range(max(1, 1 if args.r_sweeps is None else args.r_sweeps)):
+    for sweep in range(sweeps):
         if sweep == 0:
             r_values = [1 << s] * n
         else:
@@ -288,7 +293,11 @@ def cmd_norm_sweep(args) -> int:
     k_max = _opt(args, "k_max", 12)
     if k_min > k_max:
         raise UsageError("--k-min must be <= --k-max")
+    if args.trials < 1:
+        raise UsageError("--trials must be >= 1")
     limit = _opt(args, "limit", 1 << (k_max + 1))
+    if limit < 1 << (k_max + 1):
+        raise UsageError(f"--limit must be >= 2^{k_max + 1}")
     table = _get_table(limit, args.cache_dir)
     # one family at the largest size; prefixes give genuinely nested sets,
     # making the ratio table monotone by construction

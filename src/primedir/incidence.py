@@ -13,15 +13,15 @@ lines, so scanning cell centers and corners over all pairs (plus one interior
 point per family for the overlap-1 floor) finds the maximum.
 
 All geometry is exact.  Points are carried as integer triples (px, py, d)
-meaning (px/d, py/d), and membership tests reduce to big-integer comparisons;
-the public API speaks Fractions.  The grid-sample fallback of the scan puts
-its 20 000 points over one denominator and counts them in int64 numpy chunks
-from per-family constants, whenever those constants bound every intermediate
-value below 2^63; otherwise it counts through the same big-integer predicate.
+meaning (px/d, py/d); the public API speaks Fractions.  The scan counts each
+batch of points over one denominator with a single numpy counter, in int64
+when per-family constants bound every intermediate value below 2^63 and in
+Python integers otherwise.  ``tube_membership`` is the scalar reference.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -189,13 +189,13 @@ class _IntWindow:
                 and yln * d <= py * yld and py * yhd <= yhn * d)
 
 
-# -- int64 counting at one fixed denominator ---------------------------------------------
+# -- counting at one fixed denominator ------------------------------------------------
 
 _INT64_END = 1 << 63
 
 
-def _int64_plan(ints: list[_IntFamily], d: int, bound: int):
-    """Constants of every family's member() at the fixed denominator d, or None.
+def _plan(ints: list[_IntFamily], d: int, bound: int):
+    """Constants of every family's member() at the fixed denominator d, and a dtype.
 
     Valid for points (px, py, d) with |px|, |py| <= bound.  The families are
     grouped by torus side, as (span, half, [(thr, Dd, cx, cy, lim), ...]), all
@@ -208,39 +208,32 @@ def _int64_plan(ints: list[_IntFamily], d: int, bound: int):
       only on res = (cx px + cy py) mod Dd;
     - lim = (r Dd) >> shift: the point is in a slab when min(res, Dd - res) <= lim.
 
-    None when some intermediate value of _int64_counts could reach 2^63.
+    The dtype is np.int64 when no intermediate value of _counts can reach 2^63, else object.
     """
     d2 = 2 * d
     big = 2 * bound  # doubled coordinates before folding
-    if big >= _INT64_END:
-        return None
+    fits = big < _INT64_END
     groups: dict = {}
     for f in ints:
         span = 0 if f.side is None else f.side * d2
-        if big + span >= _INT64_END:
-            return None
         m = span // 2 if span else big  # largest |coordinate| the slab and exclusion tests see
-        thr = 0
-        if f.ex_n:
-            if 2 * m * m + 1 >= _INT64_END:
-                return None
-            # no folded point reaches 2 m^2 + 1, so the clamp keeps every comparison
-            thr = min(-(-(f.ex_n**2 * d2 * d2) // f.ex_d**2), 2 * m * m + 1)
         Dd = f.den * d2
         # |cx fx + cy fy| < 2 Dd m, and lim < 2 Dd since shift >= s and r < 2^(s+1);
-        # the + 1 keeps Dd itself in range when m is 0
-        if 2 * Dd * (m + 1) >= _INT64_END:
-            return None
+        # the + 1 keeps Dd itself in range when m is 0; only an exclusion squares m
+        fits = (fits and big + span < _INT64_END and 2 * Dd * (m + 1) < _INT64_END
+                and (not f.ex_n or 2 * m * m + 1 < _INT64_END))
+        # no folded point reaches 2 m^2 + 1, so the clamp keeps every comparison
+        thr = min(-(-(f.ex_n**2 * d2 * d2) // f.ex_d**2), 2 * m * m + 1)
         groups.setdefault(span, []).append(
             (thr, Dd, (f.r * f.ax) % Dd, (f.r * f.ay) % Dd, (f.r * Dd) >> f.shift))
-    return [(span, span // 2, fams) for span, fams in groups.items()]
+    return [(span, span // 2, fams) for span, fams in groups.items()], (np.int64 if fits else object)
 
 
-def _int64_counts(plan, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Per-point family counts for int64 arrays px, py (one d); equals member() summed."""
+def _counts(plan, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Per-point family counts for arrays px, py of the plan's dtype; equals member() summed."""
     px, py = 2 * px, 2 * py
     counts = np.zeros(px.shape, dtype=np.int64)
-    for span, half, fams in plan:
+    for span, half, fams in plan[0]:
         fx, fy = (px, py) if not span else ((px + half) % span - half, (py + half) % span - half)
         sq = None
         for thr, Dd, cx, cy, lim in fams:
@@ -349,6 +342,7 @@ def _interior_point(fam: TubeFamily, window: ScanWindow) -> tuple[Fraction, Frac
     """
     vx, vy = Fraction(fam.v[0]), Fraction(fam.v[1])
     n2 = vx * vx + vy * vy
+    ifam = [_IntFamily(fam)]
     cx, cy = window.center()
     t0 = vx * cx + vy * cy
     a0 = round(t0 * fam.r)
@@ -358,18 +352,33 @@ def _interior_point(fam: TubeFamily, window: ScanWindow) -> tuple[Fraction, Frac
         px, py = cx + lam * vx, cy + lam * vy
         for mu in (Fraction(0), w_quarter, -w_quarter, 2 * w_quarter, -2 * w_quarter):
             x, y = px - mu * vy, py + mu * vx  # slide along the plane
-            if window.contains(x, y) and tube_membership((x, y), fam):
+            if window.contains(x, y) and _count_points(ifam, [_int_point(x, y)], window)[0]:
                 return (x, y)
     return None
 
 
-def _count_at(ints: list[_IntFamily], px: int, py: int, d: int) -> int:
-    return sum(1 for f in ints if f.member(px, py, d))
+def _count_points(ints: list[_IntFamily], pts: list, window: ScanWindow) -> np.ndarray:
+    """Family counts of the triples pts, which share one denominator and lie in the window."""
+    d = pts[0][2]
+    reach = max(map(abs, (window.x_lo, window.x_hi, window.y_lo, window.y_hi)))
+    plan = _plan(ints, d, int(reach * d))
+    px, py = (np.array([p[k] for p in pts], dtype=plan[1]) for k in (0, 1))
+    return _counts(plan, px, py)
 
 
 _SAMPLES = 20_000
 _SAMPLE_BITS = 24  # sample coordinates sit on the 2^-24 grid across the window
-_CHUNK = 2048  # points per int64 batch; bounds the temporaries of _int64_counts
+_CHUNK = 2048  # points per batch; bounds the temporaries of _counts
+
+
+@functools.cache
+def _sample_indices() -> np.ndarray:
+    """The samples' (i, j) grid indices, drawn once from random.Random(0), x then y; read-only."""
+    rng = random.Random(0)
+    ij = np.fromiter((rng.randrange((1 << _SAMPLE_BITS) + 1) for _ in range(2 * _SAMPLES)),
+                     dtype=np.int32, count=2 * _SAMPLES).reshape(_SAMPLES, 2)
+    ij.flags.writeable = False
+    return ij
 
 
 def _grid_sample(ints: list[_IntFamily], window: ScanWindow):
@@ -379,29 +388,20 @@ def _grid_sample(ints: list[_IntFamily], window: ScanWindow):
     sample i is the unreduced triple (x0 + i wx, y0 + j wy, d) in integers.
     The witness is the first sample that reaches the maximum.
     """
-    rng = random.Random(0)
-    # x-then-y order, as each sample draws its two indices
-    ij = np.fromiter((rng.randrange((1 << _SAMPLE_BITS) + 1) for _ in range(2 * _SAMPLES)),
-                     dtype=np.int64, count=2 * _SAMPLES).reshape(_SAMPLES, 2)
+    ij = _sample_indices()
     edges = (window.x_lo, window.x_hi, window.y_lo, window.y_hi)
     den = math.lcm(*(f.denominator for f in edges))
     x_lo, x_hi, y_lo, y_hi = (f.numerator * (den // f.denominator) for f in edges)
     x0, y0, wx, wy = x_lo << _SAMPLE_BITS, y_lo << _SAMPLE_BITS, x_hi - x_lo, y_hi - y_lo
     d = den << _SAMPLE_BITS
-    plan = _int64_plan(ints, d, int(max(map(abs, edges)) * d))
+    plan = _plan(ints, d, int(max(map(abs, edges)) * d))
     best, at = 0, None
-    if plan is not None:
-        for start in range(0, _SAMPLES, _CHUNK):
-            chunk = ij[start:start + _CHUNK]
-            counts = _int64_counts(plan, x0 + chunk[:, 0] * wx, y0 + chunk[:, 1] * wy)
-            k = int(np.argmax(counts))
-            if counts[k] > best:
-                best, at = int(counts[k]), start + k
-    else:
-        for k, (i, j) in enumerate(ij.tolist()):
-            c = _count_at(ints, x0 + i * wx, y0 + j * wy, d)
-            if c > best:
-                best, at = c, k
+    for start in range(0, _SAMPLES, _CHUNK):
+        chunk = ij[start:start + _CHUNK].astype(plan[1])
+        counts = _counts(plan, x0 + chunk[:, 0] * wx, y0 + chunk[:, 1] * wy)
+        k = int(np.argmax(counts))
+        if counts[k] > best:
+            best, at = int(counts[k]), start + k
     if at is None:
         return best, None
     i, j = ij[at].tolist()
@@ -433,11 +433,12 @@ def max_overlap_scan(
       ``min(res, Dd - res) <= (r Dd) >> shift``; a tie at Dd / 2 gives the
       same distance either way.
 
-    The grid sample therefore counts all its points at one denominator, in
-    int64 chunks of 2048 points from per-family constants computed once per
-    scan (``_int64_plan``).  When those constants cannot bound every
-    intermediate value below 2^63, it counts through ``member`` on Python
-    integers instead.
+    So one counter serves every batch of points that share a denominator: a
+    pair's lattice candidates, a 2048-point chunk of the grid sample, a floor
+    point.  ``_plan`` computes the per-family constants once per batch and
+    picks int64 when they bound every intermediate value below 2^63, Python
+    integers otherwise; ``_counts`` applies them.  The scan never calls
+    ``member``, so ``replay_witness`` checks a witness independently.
     """
     if not families:
         raise ValueError("need at least one family")
@@ -445,13 +446,12 @@ def max_overlap_scan(
     ints = [_IntFamily(f) for f in families]
     s, C1 = families[0].s, families[0].C1
 
-    # candidate budget estimate
-    est = 0
+    n = len(families)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if ints[i].ax * ints[j].ay != ints[i].ay * ints[j].ax]  # non-parallel
     ranges = [_plane_range(f, window) for f in families]
-    for i in range(len(families)):
-        for j in range(i + 1, len(families)):
-            if ints[i].ax * ints[j].ay - ints[i].ay * ints[j].ax != 0:
-                est += 5 * (ranges[i][1] - ranges[i][0] + 1) * (ranges[j][1] - ranges[j][0] + 1)
+    est = sum(5 * (ranges[i][1] - ranges[i][0] + 1) * (ranges[j][1] - ranges[j][0] + 1)
+              for i, j in pairs)  # candidate budget estimate
 
     best = 0
     witness: tuple[Fraction, Fraction] | None = None
@@ -459,17 +459,17 @@ def max_overlap_scan(
     if est <= budget:
         method = "exact-candidates"
         win = _IntWindow(window)
-        for i in range(len(families)):
-            for j in range(i + 1, len(families)):
-                if ints[i].ax * ints[j].ay - ints[i].ay * ints[j].ax == 0:
-                    continue
-                for px, py, d in _pair_lattice(families[i], families[j], window, offsets=True):
-                    if not win.contains(px, py, d):
-                        continue
-                    checked += 1
-                    c = _count_at(ints, px, py, d)
-                    if c > best:
-                        best, witness = c, (Fraction(px, d), Fraction(py, d))
+        for i, j in pairs:
+            pts = [p for p in _pair_lattice(families[i], families[j], window, offsets=True)
+                   if win.contains(*p)]
+            if not pts:
+                continue
+            checked += len(pts)
+            counts = _count_points(ints, pts, window)
+            k = int(np.argmax(counts))  # the pair's first candidate to reach its maximum
+            if counts[k] > best:
+                px, py, d = pts[k]
+                best, witness = int(counts[k]), (Fraction(px, d), Fraction(py, d))
     else:
         method = "grid-sample"
         best, witness = _grid_sample(ints, window)
@@ -480,7 +480,7 @@ def max_overlap_scan(
         pt = _interior_point(fam, window)
         if pt is None:
             continue
-        c = _count_at(ints, *_int_point(*pt))
+        c = int(_count_points(ints, [_int_point(*pt)], window)[0])
         checked += 1
         if c > best:
             best, witness = c, pt

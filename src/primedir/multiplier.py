@@ -33,7 +33,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import bumps
-from .arith import PrimeTable, ReducedFraction, convergents, mobius, reduced_fraction, totient
+from .arith import (
+    PrimeTable, ReducedFraction, convergents, farey_level, mobius, reduced_fraction, totient,
+)
 from .bumps import chi_s, v_k
 
 __all__ = [
@@ -268,12 +270,8 @@ _FAREY_LEVEL = 6  # the sweep grid holds every reduced fraction of levels s <= 6
 
 
 def _profile_grid(grid_size: int) -> list[Fraction]:
-    """All reduced fractions with denominator below 2^(_FAREY_LEVEL+1), plus uniform fill."""
-    pts = {Fraction(0, 1)}
-    for q in range(2, 1 << (_FAREY_LEVEL + 1)):
-        for a in range(1, q):
-            if math.gcd(a, q) == 1:
-                pts.add(Fraction(a, q))
+    """Every fraction of the Farey levels s <= _FAREY_LEVEL, plus uniform fill."""
+    pts = {f.value for s in range(_FAREY_LEVEL + 1) for f in farey_level(s).fractions}
     for j in range(grid_size):
         pts.add(Fraction(j, grid_size))
     return sorted(pts)

@@ -59,6 +59,12 @@ class TestMultError:
         assert run("mult-error", "--k-list", "10", "--d", "16", "--grid", "32",
                    "--out", str(env / "x.csv")) == 3
 
+    @pytest.mark.parametrize("arc_d", ["0", "-1"])
+    def test_nonpositive_arc_d_usage_error(self, env, arc_d):
+        assert run("mult-error", "--k-list", "10", "--grid", "32", "--arc-d", arc_d,
+                   "--out", str(env / "x.csv")) == 3
+        assert not (env / "cache").exists()  # rejected before any sieving
+
     def test_cache_created_and_reused(self, env):
         out = env / "e.csv"
         assert run("mult-error", "--k-list", "10", "--grid", "32", "--out", str(out)) == 0
@@ -172,6 +178,14 @@ class TestIncidence:
         run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
         assert run("incidence", "--ds", str(ds), "--s", "2", "--r-sweeps", "3",
                    "--seed", "5", "--out", str(env / "r.json")) == 0
+
+    @pytest.mark.parametrize("sweeps", ["0", "-2"])
+    def test_nonpositive_r_sweeps_usage_error(self, env, sweeps):
+        ds = env / "ds.json"
+        run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
+        assert run("incidence", "--ds", str(ds), "--s", "2", "--r-sweeps", sweeps,
+                   "--out", str(env / "r.json")) == 3
+        assert not (env / "r.json").exists()
 
     def test_tampered_ds_is_validation_error(self, env):
         ds = env / "ds.json"
@@ -290,6 +304,15 @@ class TestNormSweep:
         out = capsys.readouterr().out
         line = next(l for l in out.splitlines() if l.startswith("N=8:"))
         assert "degenerate_directions=8/8" in line
+
+
+    @pytest.mark.parametrize("flags", [["--limit", "4096"], ["--trials", "0"]])
+    def test_bad_flag_usage_error_before_sieve(self, env, flags):
+        # --limit must reach 2^(k_max + 1) = 8192 for k_max = 12
+        assert run("norm-sweep", "--n-list", "2", "--k-max", "12", *flags,
+                   "--out", str(env / "sweep.csv")) == 3
+        assert not (env / "cache").exists()
+        assert not (env / "sweep.csv").exists()
 
 
 class TestSelftest:

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from fractions import Fraction as F
 from unittest import mock
@@ -225,7 +226,7 @@ class TestIntWindow:
             assert iw.contains(*I._int_point(win.center()[0], y))
 
 
-# -- int64 counting against the scalar predicate -------------------------------------
+# -- the scan's counter against the scalar predicate ---------------------------------
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, u, w) with a u + b w = g = gcd(a, b) >= 0."""
@@ -290,18 +291,17 @@ def _circle_points(fam: I.TubeFamily):
     return pts
 
 
-def _assert_counts_match(ints, pts):
-    """_int64_counts over points sharing one d equals member() summed, for the
-    whole list and for each family alone."""
+def _assert_counts_match(ints, pts, dtype=np.int64):
+    """_counts over points sharing one d equals member() summed, for the whole
+    list and for each family alone, with the plan taking the given dtype."""
     d = pts[0][2]
-    px = np.array([p[0] for p in pts], dtype=np.int64)
-    py = np.array([p[1] for p in pts], dtype=np.int64)
     bound = max(max(abs(p[0]), abs(p[1])) for p in pts)
     for group in [ints] + [[f] for f in ints]:
-        plan = I._int64_plan(group, d, bound)
-        assert plan is not None
+        plan = I._plan(group, d, bound)
+        assert plan[1] is dtype
+        px, py = (np.array([p[k] for p in pts], dtype=dtype) for k in (0, 1))
         want = [sum(f.member(x, y, d) for f in group) for x, y, _ in pts]
-        assert I._int64_counts(plan, px, py).tolist() == want
+        assert I._counts(plan, px, py).tolist() == want
 
 
 @functools.cache
@@ -329,7 +329,26 @@ def _recount_scan(fams, window):
     return best, witness
 
 
+def _recount_exact(fams, window):
+    """The exact scan recounted point by point through member(): every in-window
+    candidate of every non-parallel pair, then the floor points."""
+    ints = [I._IntFamily(f) for f in fams]
+    win = I._IntWindow(window)
+    pts = [p for i, j in itertools.combinations(range(len(fams)), 2)
+           if ints[i].ax * ints[j].ay != ints[i].ay * ints[j].ax
+           for p in I._pair_lattice(fams[i], fams[j], window, offsets=True) if win.contains(*p)]
+    pts += [I._int_point(*pt) for pt in (I._interior_point(f, window) for f in fams) if pt]
+    best, witness = 0, None
+    for px, py, d in pts:
+        c = sum(f.member(px, py, d) for f in ints)
+        if c > best:
+            best, witness = c, (F(px, d), F(py, d))
+    return best, witness, len(pts)
+
+
 class TestInt64Counts:
+    """The counter in both dtypes; int64 is taken whenever the bounds allow it."""
+
     @settings(max_examples=60, deadline=None)
     @given(fams=st.lists(_tube_families(), min_size=1, max_size=4),
            scale=st.integers(1, 9), data=st.data())
@@ -342,19 +361,21 @@ class TestInt64Counts:
         batches += [_slab_points(f) for f in fams]
         batches += [[pt] for f in fams if f.exclusion_radius for pt in _circle_points(f)]
         for pts in batches:
-            # member() is homogeneous, so scaled triples must count the same
-            _assert_counts_match(ints, [(scale * x, scale * y, scale * e) for x, y, e in pts])
+            # member() is homogeneous, so scaled triples must count the same;
+            # scaled past 2^63 they count on Python integers
+            for k, dtype in ((scale, np.int64), (scale << 64, object)):
+                _assert_counts_match(ints, [(k * x, k * y, k * e) for x, y, e in pts], dtype)
 
     def test_k_variant_default_window_takes_int64(self, toy_ds):
         fams = I.families_from_direction_set(toy_ds, s=2, variant="k")
         ints = [I._IntFamily(f) for f in fams]
         d = 2 << 24  # lcm(2) 2^24 on [-1/2, 1/2]^2
-        plan = I._int64_plan(ints, d, d // 2)
-        assert plan is not None
-        assert all(Dd == 1 << 26 for _, _, group in plan for _, Dd, _, _, _ in group)
+        plan = I._plan(ints, d, d // 2)
+        assert plan[1] is np.int64
+        assert all(Dd == 1 << 26 for _, _, group in plan[0] for _, Dd, _, _, _ in group)
 
     # dyadic windows count in int64; the last one's denominators push d past
-    # int64, so its samples go through member() on Python integers
+    # int64, so its samples count on Python integers
     WINDOWS = (
         (I.ScanWindow(F(-1, 2), F(1, 2), F(-1, 2), F(1, 2)), False),
         (I.ScanWindow(F(-1), F(1), F(-1, 2), F(3, 4)), False),
@@ -362,18 +383,29 @@ class TestInt64Counts:
         (I.ScanWindow(F(1, 7), F(1, 7) + F(1, 10**6), F(1, 11), F(1, 11) + F(1, 10**6)), True),
     )
 
+    @settings(max_examples=25, deadline=None)
+    @given(fams=st.lists(_tube_families(), min_size=1, max_size=3),
+           win=st.sampled_from([
+               I.ScanWindow(F(-1, 16), F(1, 16), F(-1, 16), F(1, 16)),
+               I.ScanWindow(F(1, 7), F(1, 7) + F(1, 20), F(-1, 3), F(-1, 3) + F(1, 30)),
+           ]))
+    def test_exact_scan_equals_recount(self, fams, win):
+        rep = I.max_overlap_scan(fams, win)
+        assert rep.method == "exact-candidates"
+        assert (rep.max_overlap, rep.witness, rep.candidates_checked) == _recount_exact(fams, win)
+
     @pytest.mark.parametrize("win,fallback", WINDOWS)
     @settings(max_examples=3, deadline=None)
     @given(fams=st.lists(_tube_families(), min_size=1, max_size=3))
     def test_sample_scan_equals_recount(self, win, fallback, fams):
         plans = []
-        real = I._int64_plan
-        with mock.patch.object(I, "_int64_plan", lambda *a: plans.append(real(*a)) or plans[-1]):
+        real = I._plan
+        with mock.patch.object(I, "_plan", lambda *a: plans.append(real(*a)) or plans[-1]):
             # budget -1: a list without a non-parallel pair has 0 candidates
             rep = I.max_overlap_scan(fams, win, budget=-1)
         assert rep.method == "grid-sample"
         if fallback is not None:
-            assert (plans[0] is None) == fallback
+            assert (plans[0][1] is object) == fallback
         assert (rep.max_overlap, rep.witness) == _recount_scan(fams, win)
 
 
