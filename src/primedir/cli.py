@@ -268,9 +268,10 @@ def cmd_apply(args) -> int:
         closed = maximal.delta_spread_value(cfg)
         measured = out.norm2()
         # the closed form only holds under the disjoint-support precondition
+        closed_s = f"{closed:.12g}" if disjoint else "n/a"
         rel = f"{abs(measured - closed) / closed:.3g}" if disjoint and closed else "n/a"
         print(
-            f"delta-spread: measured={measured:.12g} closed_form={closed:.12g} "
+            f"delta-spread: measured={measured:.12g} closed_form={closed_s} "
             f"rel={rel} disjoint_precondition={disjoint}"
         )
     if args.out:

@@ -11,9 +11,10 @@ evaluation routes are kept in cross-checkable agreement:
 * spatial: fold the prime weights modulo L (the shift p v mod L only depends
   on p mod L) and accumulate rolled copies of f;
 * spectral: multiply the 2D transform by m_k(v . beta) sampled from the folded
-  1D multiplier table and invert.  The prime weights are real, so the symbol
-  is Hermitian, m_k(-a) = conj m_k(a); for real f the route works on the half
-  spectrum (rfft2 / irfft2) and a complex f takes the full one.
+  1D multiplier table and invert the product in place, one axis at a time.
+  The prime weights are real, so the symbol is Hermitian,
+  m_k(-a) = conj m_k(a); for real f the route works on the half spectrum
+  (rfft2, inverted as irfft2 does) and a complex f takes the full one.
 
 The module also carries the discrete line decomposition of the grid along a
 direction and the transference check built on it: a single-direction operator
@@ -158,14 +159,22 @@ def _apply_symbol(fhat: np.ndarray, symbol: np.ndarray, v: tuple[int, int], real
     """Spectral kernel: invert fhat times symbol[(j1 vx + j2 vy) mod L].
 
     The two terms of the index are reduced apart and read from the symbol
-    tiled twice, so no modulo runs over the grid.  A half spectrum (real set)
-    inverts with irfft2 to the real L x L average.
+    tiled twice, so no modulo runs over the grid.  The gathered symbol is a
+    fresh array: fhat is multiplied into it and it is inverted in place, one
+    1D pass per axis, so fhat (shared by every call) is only read.  A half
+    spectrum (real set) inverts its columns in place, then takes the real
+    inverse along its rows to the L x L average: the order irfft2 takes.
     """
     L = fhat.shape[0]
     j = np.arange(L, dtype=np.int64)
     idx = ((j * (v[0] % L)) % L)[:, None] + ((j[:fhat.shape[1]] * (v[1] % L)) % L)[None, :]
-    g = np.tile(symbol, 2)[idx] * fhat
-    return np.fft.irfft2(g, s=(L, L)) if real else np.fft.ifft2(g)
+    g = np.tile(symbol, 2)[idx]
+    g *= fhat
+    if real:
+        np.fft.ifft(g, axis=0, out=g)
+        return np.fft.irfft(g, n=L, axis=1)
+    np.fft.ifft(g, axis=1, out=g)
+    return np.fft.ifft(g, axis=0, out=g)
 
 
 def average_along(f: GridFunction, v: tuple[int, int], k: int, cfg: OperatorConfig) -> GridFunction:
@@ -403,27 +412,24 @@ def frequency_split(f: GridFunction, A: int) -> tuple[GridFunction, GridFunction
     """Split f into low and high frequency parts at the radius 1/A^2.
 
     f1 keeps the frequencies inside the ball (smooth radial cutoff built from
-    the package cutoff function), f2 the rest; f = f1 + f2 up to FFT round-off.
-    When 1/A^2 <= 1/L the cutoff is degenerate: f1 is the mean component and
-    the returned flag is True.
+    the package cutoff function) and f2 = f - f1 the rest, so f = f1 + f2
+    holds exactly.  When 1/A^2 <= 1/L the cutoff is degenerate: f1 is the
+    mean component and the returned flag is True.
     """
     if A < 1:
         raise ValueError("A must be >= 1")
     L = f.L
     rho = 1.0 / (float(A) * float(A)) if A < 10**150 else 0.0
     fhat = np.fft.fft2(f.values)
-    if rho <= 1.0 / L:
+    degenerate = rho <= 1.0 / L
+    if degenerate:
         low = np.zeros_like(fhat)
         low[0, 0] = fhat[0, 0]
-        f1 = GridFunction(L, np.fft.ifft2(low))
-        f2 = GridFunction(L, f.values - f1.values)
-        return f1, f2, True
-    xi = np.fft.fftfreq(L)
-    rad = np.hypot(xi[:, None], xi[None, :])
-    theta = eval_chi(rad / (2.0 * rho))
-    f1 = GridFunction(L, np.fft.ifft2(fhat * theta))
-    f2 = GridFunction(L, np.fft.ifft2(fhat * (1.0 - theta)))
-    return f1, f2, False
+    else:
+        xi = np.fft.fftfreq(L)
+        low = fhat * eval_chi(np.hypot(xi[:, None], xi[None, :]) / (2.0 * rho))
+    f1 = GridFunction(L, np.fft.ifft2(low))
+    return f1, GridFunction(L, f.values - f1.values), degenerate
 
 
 # -- grid-function files ----------------------------------------------------------------

@@ -206,6 +206,7 @@ class TestApply:
         line = next(l for l in out.splitlines() if l.startswith("delta-spread"))
         rel = float(line.split("rel=")[1].split()[0])
         assert rel <= 1e-10
+        assert float(line.split("closed_form=")[1].split()[0]) > 0
 
     def test_grid_file_output(self, env):
         out = env / "m.pdgf"
@@ -240,6 +241,7 @@ class TestApply:
         out = capsys.readouterr().out
         line = next(l for l in out.splitlines() if l.startswith("delta-spread"))
         assert "rel=n/a" in line and "disjoint_precondition=False" in line
+        assert "closed_form=n/a" in line
 
     def test_degenerate_directions_reported(self, env, capsys):
         ds = env / "ds.json"
@@ -336,3 +338,26 @@ class TestSelftest:
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                               text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
         assert proc.returncode == 0, proc.stderr
+
+    def test_real_route_checked(self):
+        # a real inverse that lets the half spectrum fix the output length
+        # (2 (L//2) columns, wrong for odd L) must fail the operator check
+        code = (
+            "import inspect, textwrap\n"
+            "from primedir import maximal, selftest\n"
+            "if __debug__:\n"
+            "    raise SystemExit(2)\n"
+            "src = textwrap.dedent(inspect.getsource(maximal._apply_symbol))\n"
+            "mutant = src.replace('np.fft.irfft(g, n=L, axis=1)', 'np.fft.irfft(g, axis=1)')\n"
+            "if mutant == src:\n"
+            "    raise SystemExit(3)\n"
+            "exec(mutant, vars(maximal))\n"
+            "raise SystemExit(0 if selftest.run_all(verbose=True) is False else 1)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        failed = [l for l in proc.stdout.splitlines() if l.startswith("[FAIL]")]
+        assert len(failed) == 1 and "operator identities" in failed[0], proc.stdout

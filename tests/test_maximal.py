@@ -304,6 +304,49 @@ class TestRealRoute:
         assert X.GridFunction.random(8, rng).values.dtype == np.complex128
 
 
+class TestInPlaceKernel:
+    """The spectral kernel inverts its own product array; the input and the
+    shared transform are only read, whatever (k, v) came before."""
+
+    @staticmethod
+    def _case(table, L, real):
+        cfg = X.OperatorConfig(directions=((1, 0), (3, -7), (2, 1), (10**30 + 1, 5)),
+                               k_min=4, k_max=6, table=table)
+        return cfg, _draw(L, 100 + L, real)
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("L", [2, 3, 16, 63])
+    def test_read_only_input(self, table13, L, real):
+        # a write into f.values raises once it is read-only
+        cfg, f = self._case(table13, L, real)
+        before = f.values.copy()
+        m = X.maximal_op(f, cfg).values
+        a = X.spectral_average(f, (3, -7), 6, cfg).values
+        f.values.setflags(write=False)
+        assert np.array_equal(X.maximal_op(f, cfg).values, m)
+        assert np.array_equal(X.spectral_average(f, (3, -7), 6, cfg).values, a)
+        assert np.array_equal(f.values, before)
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("L", [2, 3, 16, 63])
+    def test_repeat_call_identical(self, table13, L, real):
+        cfg, f = self._case(table13, L, real)
+        assert np.array_equal(X.maximal_op(f, cfg).values, X.maximal_op(f, cfg).values)
+        a = X.spectral_average(f, (2, 1), 5, cfg).values
+        assert np.array_equal(a, X.spectral_average(f, (2, 1), 5, cfg).values)
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("L", [2, 3, 16, 63])
+    def test_maximal_is_max_of_averages(self, table13, L, real):
+        # maximal_op reuses one transform for every (k, v); each
+        # spectral_average takes a fresh one, so any write into the shared
+        # transform shows as a difference
+        cfg, f = self._case(table13, L, real)
+        each = [np.abs(X.spectral_average(f, v, k, cfg).values)
+                for k in cfg.scales for v in cfg.directions]
+        assert np.array_equal(X.maximal_op(f, cfg).values, np.max(each, axis=0))
+
+
 class TestFrequencySplit:
     def test_constant_is_all_low(self):
         f = X.GridFunction.constant(32, 2.5)
@@ -322,8 +365,9 @@ class TestFrequencySplit:
 
     def test_exact_recomposition_and_plancherel(self):
         f = X.GridFunction.random(64, np.random.default_rng(6))
-        f1, f2, _ = X.frequency_split(f, 2)
-        assert np.abs(f.values - f1.values - f2.values).max() < 1e-12
+        f1, f2, deg = X.frequency_split(f, 2)
+        assert not deg
+        assert np.array_equal(f.values - f1.values, f2.values)
         lhs = f.norm2() ** 2
         inner = np.vdot(f1.values, f2.values)
         rhs = f1.norm2() ** 2 + f2.norm2() ** 2 + 2 * inner.real
@@ -334,7 +378,7 @@ class TestFrequencySplit:
         f1, f2, deg = X.frequency_split(f, 10**6)
         assert deg
         assert np.abs(f1.values - f.values.mean()).max() < 1e-12
-        assert np.abs(f.values - f1.values - f2.values).max() < 1e-12
+        assert np.array_equal(f.values - f1.values, f2.values)
 
 class TestFiles:
     def test_round_trip(self, tmp_path):
