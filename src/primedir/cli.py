@@ -2,11 +2,14 @@
 
 Subcommands: construct, mult-error, incidence, apply, norm-sweep, selftest.
 Every command validates its numeric flags against the module preconditions
-before any compute starts, caches the prime sieve under PD_CACHE_DIR, writes
-machine-readable reports (CSV or JSON, all schema-tagged), and never mutates
-an input file.
+before any compute starts, writes machine-readable reports (CSV or JSON, all
+schema-tagged), and never mutates an input file. Commands that sieve size the
+prime table from their largest scale k as 2^(k+1) and cache it per size under
+PD_CACHE_DIR.
 
-Flag resolution order: explicit flag > --profile preset > built-in fallback.
+Flags resolve in one place, `_resolve`, which `main` calls before the command
+runs: explicit flag > --profile preset > the command's fallback (`_FALLBACKS`).
+A flag that another given flag makes the command ignore is refused first.
 
 Exit codes: 0 ok, 1 runtime error, 2 validation/construction failure, 3 usage.
 """
@@ -38,13 +41,35 @@ from .errors import ConstructionError, ParseError
 PROFILES = {
     "desk-small": {
         "n": 4, "eps": 1.0, "seed": 7, "k_min": 10, "k_max": 12,
-        "l": 63, "limit": 1 << 13, "grid": 256, "k_list": "10,11,12", "s": 1,
+        "l": 63, "grid": 256, "k_list": "10,11,12", "s": 1,
     },
     "desk-full": {
         "n": 8, "eps": 0.5, "seed": 7, "k_min": 14, "k_max": 16,
-        "l": 127, "limit": 1 << 21, "grid": 1024, "k_list": "14,16,18,20", "s": 2,
+        "l": 127, "grid": 1024, "k_list": "14,16,18,20", "s": 2,
     },
 }
+
+# Per command, the fallback of each flag that neither the command line nor the
+# --profile preset set; None marks a flag that one of the two must set.
+_FALLBACKS = {
+    "construct": {"n": None, "eps": None, "seed": 0},
+    "mult-error": {"k_list": "14,16,18,20", "grid": 1024},
+    "incidence": {"s": None, "variant": "ktilde", "window_half": 1,
+                  "budget": 2_000_000, "r_sweeps": 1, "seed": 0},
+    "apply": {"l": 63, "k_min": None, "k_max": None},
+    "norm-sweep": {"eps": 0.5, "seed": 7, "l": 63, "k_min": 10, "k_max": 12},
+    "selftest": {},
+}
+# incidence's --seed seeds its r sweeps, not a construction: no preset sets it
+_NOT_PRESET = {"incidence": ("seed",)}
+
+_SCAN_FLAGS = ("s", "c1", "variant", "baseline", "window_half", "budget", "r_sweeps", "seed")
+# (command, flag, the flag it makes the command ignore)
+_OVERRIDES = (
+    ("construct", "no_rescale", "a"),
+    ("apply", "ds", "vectors"),
+    ("apply", "delta", "input"),
+)
 
 
 class UsageError(Exception):
@@ -58,26 +83,70 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(3)
 
 
-def _opt(args, name: str, fallback=None, required: bool = False):
-    """Resolve a flag: explicit value, else profile preset, else fallback."""
-    val = getattr(args, name, None)
-    if val is None and args.profile:
-        val = PROFILES[args.profile].get(name)
-    if val is None:
-        val = fallback
-    if val is None and required:
-        raise UsageError(f"--{name.replace('_', '-')} is required (or use --profile)")
-    return val
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
-def _cache_dir(arg: str | None) -> Path:
-    d = Path(arg or os.environ.get("PD_CACHE_DIR") or Path.home() / ".cache" / "primedir")
+def _reject_ignored(args) -> None:
+    """Refuse a typed flag that another typed flag makes the command ignore.
+
+    Runs on the flags as given, before resolution: a preset or fallback value
+    is never the one ignored."""
+    if args.command == "incidence":
+        if args.replay:
+            given = [_flag(f) for f in _SCAN_FLAGS if getattr(args, f) is not None]
+            if given:
+                raise UsageError(
+                    f"--replay takes the families from the report; drop {' '.join(given)}"
+                )
+        if args.variant == "k" and args.window_half is not None:
+            raise UsageError("--window-half sizes the ktilde window; the k window is fixed")
+    for command, flag, ignored in _OVERRIDES:
+        if args.command == command and getattr(args, flag) and getattr(args, ignored) is not None:
+            raise UsageError(f"{_flag(flag)} makes the command ignore {_flag(ignored)}; drop one")
+
+
+def _resolve(args) -> None:
+    """Set every flag of the command in place: the given value, else the
+    --profile preset, else the command's fallback."""
+    preset = PROFILES.get(args.profile, {})
+    unpreset = _NOT_PRESET.get(args.command, ())
+    missing = []
+    for name, fallback in _FALLBACKS[args.command].items():
+        val = getattr(args, name)
+        if val is None and name not in unpreset:
+            val = preset.get(name)
+        if val is None:
+            val = fallback
+        if val is None:
+            missing.append(_flag(name))
+        setattr(args, name, val)
+    if missing and not getattr(args, "replay", None):  # a replay reads the report instead
+        raise UsageError(f"missing {' '.join(missing)} (give the flag or use --profile)")
+
+
+def _operator_scales(args) -> range:
+    """The scales of apply and norm-sweep, after checking them and the grid side."""
+    if args.l < 2:
+        raise UsageError("--l must be >= 2")
+    if args.k_min > args.k_max:
+        raise UsageError("--k-min must be <= --k-max")
+    return range(args.k_min, args.k_max + 1)
+
+
+def _prime_table(scales, least: int, cache_dir: str | None):
+    """The sieve up to 2^(max(scales) + 1), cached per limit.
+
+    A scale-k average reads only the primes in [2^k, 2^(k+1)]
+    (``PrimeTable.slice_for_scale``), so a larger table changes no output.
+    The scales are checked against ``least`` before anything is sieved or
+    the cache directory is made.
+    """
+    if min(scales) < least:
+        raise UsageError(f"scales must be >= {least}; got k = {min(scales)}")
+    limit = 1 << (max(scales) + 1)
+    d = Path(cache_dir or os.environ.get("PD_CACHE_DIR") or Path.home() / ".cache" / "primedir")
     d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
-def _get_table(limit: int, cache_dir: str | None):
-    d = _cache_dir(cache_dir)
     path = d / f"primes_{limit}.pdpt"
     if path.exists():
         try:
@@ -87,6 +156,12 @@ def _get_table(limit: int, cache_dir: str | None):
     table = sieve_primes(limit)
     save_prime_table(table, path)
     return table
+
+
+def _load_ds(path):
+    """A direction set from file, rescaled to integers unless it already is."""
+    ds = load_direction_set(path)
+    return ds if ds.integer_vectors is not None else rescale_to_integers(ds)
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -113,15 +188,12 @@ def _parse_vectors(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def cmd_construct(args) -> int:
-    n = _opt(args, "n", required=True)
-    eps = _opt(args, "eps", required=True)
-    seed = _opt(args, "seed", 0)
-    if n < 2:
+    if args.n < 2:
         raise UsageError("family size --n must be >= 2")
-    if not 0 < eps <= 1:
+    if not 0 < args.eps <= 1:
         raise UsageError("--eps must lie in (0, 1]")
     spec = DirectionSpec(
-        N=n, eps=eps, M=args.m_exp, mode=args.mode, seed=seed,
+        N=args.n, eps=args.eps, M=args.m_exp, mode=args.mode, seed=args.seed,
         C0=args.c0, C1=args.c1, window_base=args.window_base,
         window_count=args.window_count,
     )
@@ -137,34 +209,22 @@ def cmd_construct(args) -> int:
 
 
 def cmd_mult_error(args) -> int:
-    ks = _parse_int_list(_opt(args, "k_list", "14,16,18,20"), "k")
-    grid = _opt(args, "grid", 1024)
+    ks = _parse_int_list(args.k_list, "k")
     if not ks:
         raise UsageError("--k-list is empty")
     if args.d <= 16:
         raise UsageError("--d must exceed 16 (the main-term approximation requires D > 2^4)")
     if args.arc_d is not None and args.arc_d <= 0:
         raise UsageError("--arc-d must be positive")
-    if grid < 1:
+    if args.grid < 1:
         raise UsageError("--grid must be positive")
-    limit = _opt(args, "limit", 1 << (max(ks) + 1))
-    if limit < 1 << (max(ks) + 1):
-        raise UsageError(f"--limit must be >= 2^{max(ks) + 1} for k = {max(ks)}")
-    table = _get_table(limit, args.cache_dir)
-    rows = multiplier.error_profile(ks, args.d, grid, table, arc_D=args.arc_d).rows
+    table = _prime_table(ks, 1, args.cache_dir)  # classify_arc needs k >= 1
+    rows = multiplier.error_profile(ks, args.d, args.grid, table, arc_D=args.arc_d).rows
     multiplier.write_error_profile_csv(rows, args.out)
     for r in rows:
         print(f"k={r.k} sup|E_k|={r.sup_abs_E:.6f} argmax={r.argmax_alpha:.6f} wall={r.wall_ms:.0f}ms")
     print(f"wrote {args.out}")
     return 0
-
-
-_SCAN_FLAGS = ("s", "c1", "variant", "baseline", "window_half", "budget", "r_sweeps", "seed")
-
-
-def _load_rescaled(path):
-    ds = load_direction_set(path)
-    return rescale_to_integers(ds) if ds.A is None else ds
 
 
 def _incidence_families(ds, s, C1, r_values, variant, baseline):
@@ -183,11 +243,8 @@ def _incidence_families(ds, s, C1, r_values, variant, baseline):
 
 def cmd_incidence(args) -> int:
     if args.replay:
-        given = [f"--{f.replace('_', '-')}" for f in _SCAN_FLAGS if getattr(args, f) is not None]
-        if given:
-            raise UsageError(f"--replay takes the families from the report; drop {' '.join(given)}")
         rep = incidence.load_overlap_report(args.replay)
-        fams = _incidence_families(_load_rescaled(args.ds), rep.s, rep.C1, rep.r_values,
+        fams = _incidence_families(_load_ds(args.ds), rep.s, rep.C1, rep.r_values,
                                    rep.variant, rep.baseline)
         count = incidence.replay_witness(rep, fams)
         if count != rep.max_overlap:
@@ -196,28 +253,23 @@ def cmd_incidence(args) -> int:
         print(f"replay ok: witness attains {count}")
         return 0
 
-    s = _opt(args, "s", required=True)
+    s = args.s
     if s < 1:
         raise UsageError("--s must be >= 1")
-    variant = args.variant or "ktilde"
-    if variant == "k" and args.window_half is not None:
-        raise UsageError("--window-half sizes the ktilde window; the k window is fixed")
-    win = incidence.default_window(variant, half=_opt(args, "window_half", 1))
-    budget = 2_000_000 if args.budget is None else args.budget
-    sweeps = 1 if args.r_sweeps is None else args.r_sweeps
-    if sweeps < 1:
+    if args.r_sweeps < 1:
         raise UsageError("--r-sweeps must be >= 1")
-    rng = random.Random(0 if args.seed is None else args.seed)
-    ds = _load_rescaled(args.ds)
+    win = incidence.default_window(args.variant, half=args.window_half)
+    rng = random.Random(args.seed)
+    ds = _load_ds(args.ds)
     n = len(ds.vectors)
     best = None
-    for sweep in range(sweeps):
+    for sweep in range(args.r_sweeps):
         if sweep == 0:
             r_values = [1 << s] * n
         else:
             r_values = [rng.randrange(1 << s, 1 << (s + 1)) for _ in range(n)]
-        fams = _incidence_families(ds, s, args.c1, r_values, variant, args.baseline)
-        rep = incidence.max_overlap_scan(fams, win, budget=budget)
+        fams = _incidence_families(ds, s, args.c1, r_values, args.variant, args.baseline)
+        rep = incidence.max_overlap_scan(fams, win, budget=args.budget)
         if best is None or rep.max_overlap > best.max_overlap:
             best = rep
     best.baseline = args.baseline  # replay rebuilds the baseline from the report
@@ -231,27 +283,14 @@ def cmd_incidence(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    L = _opt(args, "l", 63)
-    k_min = _opt(args, "k_min", required=True)
-    k_max = _opt(args, "k_max", required=True)
-    if k_min > k_max:
-        raise UsageError("--k-min must be <= --k-max")
-    limit = _opt(args, "limit", 1 << (k_max + 1))
-    if limit < 1 << (k_max + 1):
-        raise UsageError(f"--limit must be >= 2^{k_max + 1}")
-    table = _get_table(limit, args.cache_dir)
+    L = args.l
+    scales = _operator_scales(args)
     if args.ds:
-        ds = load_direction_set(args.ds)
-        if ds.integer_vectors is None:
-            ds = rescale_to_integers(ds)
-        cfg = maximal.OperatorConfig.from_direction_set(ds, k_min, k_max, table)
+        ds = _load_ds(args.ds)
     elif args.vectors:
-        cfg = maximal.OperatorConfig(
-            directions=_parse_vectors(args.vectors), k_min=k_min, k_max=k_max, table=table
-        )
+        vectors = _parse_vectors(args.vectors)
     else:
         raise UsageError("need --ds or --vectors")
-
     if args.delta:
         f = maximal.GridFunction.delta(L)
     elif args.input:
@@ -261,6 +300,13 @@ def cmd_apply(args) -> int:
     else:
         raise UsageError("need --delta or --input FILE")
 
+    table = _prime_table(scales, 0, args.cache_dir)
+    if args.ds:
+        cfg = maximal.OperatorConfig.from_direction_set(ds, args.k_min, args.k_max, table)
+    else:
+        cfg = maximal.OperatorConfig(
+            directions=vectors, k_min=args.k_min, k_max=args.k_max, table=table
+        )
     print(f"degenerate_directions={maximal.degenerate_directions(cfg, L)}/{len(cfg.directions)}")
     out = maximal.maximal_op(f, cfg, method=args.method)
     if args.delta:
@@ -287,32 +333,24 @@ def cmd_norm_sweep(args) -> int:
     ns = sorted(set(_parse_int_list(args.n_list, "n")))
     if not ns or ns[0] < 1:
         raise UsageError("--n-list must hold positive sizes")
-    eps = _opt(args, "eps", 0.5)
-    seed = _opt(args, "seed", 7)
-    L = _opt(args, "l", 63)
-    k_min = _opt(args, "k_min", 10)
-    k_max = _opt(args, "k_max", 12)
-    if k_min > k_max:
-        raise UsageError("--k-min must be <= --k-max")
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
-    limit = _opt(args, "limit", 1 << (k_max + 1))
-    if limit < 1 << (k_max + 1):
-        raise UsageError(f"--limit must be >= 2^{k_max + 1}")
-    table = _get_table(limit, args.cache_dir)
+    scales = _operator_scales(args)
     # one family at the largest size; prefixes give genuinely nested sets,
     # making the ratio table monotone by construction
-    spec = DirectionSpec(N=max(ns[-1], 2), eps=eps, seed=seed)
+    spec = DirectionSpec(N=max(ns[-1], 2), eps=args.eps, seed=args.seed)
     ds = rescale_to_integers(construct_directions(spec))
+    table = _prime_table(scales, 0, args.cache_dir)
     rows = []
     for n in ns:
         cfg = maximal.OperatorConfig(
-            directions=tuple(ds.integer_vectors[:n]), k_min=k_min, k_max=k_max, table=table
+            directions=tuple(ds.integer_vectors[:n]), k_min=args.k_min, k_max=args.k_max,
+            table=table,
         )
-        rep = maximal.empirical_norm(cfg, L, trials=args.trials, seed=seed)
+        rep = maximal.empirical_norm(cfg, args.l, trials=args.trials, seed=args.seed)
         overall = max(v["max_ratio"] for v in rep.per_family.values())
         rows.append((n, overall, rep))
-        degenerate = maximal.degenerate_directions(cfg, L)
+        degenerate = maximal.degenerate_directions(cfg, args.l)
         print(f"N={n}: max ratio {overall:.6f} degenerate_directions={degenerate}/{n}")
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -363,7 +401,6 @@ def _build_parser() -> _Parser:
     m.add_argument("--arc-d", type=float, default=None,
                    help="classification exponent for the per-arc column")
     m.add_argument("--grid", type=int)
-    m.add_argument("--limit", type=int)
     m.add_argument("--out", required=True)
     m.set_defaults(fn=cmd_mult_error)
 
@@ -392,7 +429,6 @@ def _build_parser() -> _Parser:
     a.add_argument("--l", type=int)
     a.add_argument("--k-min", dest="k_min", type=int)
     a.add_argument("--k-max", dest="k_max", type=int)
-    a.add_argument("--limit", type=int)
     a.add_argument("--delta", action="store_true",
                    help="use a point mass input and check the spread identity")
     a.add_argument("--input", default=None, help="grid-function file")
@@ -408,7 +444,6 @@ def _build_parser() -> _Parser:
     n.add_argument("--l", type=int)
     n.add_argument("--k-min", dest="k_min", type=int)
     n.add_argument("--k-max", dest="k_max", type=int)
-    n.add_argument("--limit", type=int)
     n.add_argument("--trials", type=int, default=8)
     n.add_argument("--out", required=True)
     n.set_defaults(fn=cmd_norm_sweep)
@@ -419,10 +454,11 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
+        _reject_ignored(args)
+        _resolve(args)
         code = args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

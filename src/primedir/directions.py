@@ -371,7 +371,7 @@ def validate_direction_set(ds: DirectionSet) -> None:
                 raise ConstructionError(
                     f"non-parallel bullet violated for vectors {i}, {j}"
                 )
-    if ds.integer_vectors is not None:
+    if (ds.A, ds.A_tilde, ds.integer_vectors) != (None, None, None):
         _validate_rescaling(ds)
 
 

@@ -109,7 +109,7 @@ def test_criterion_3_spectral_equals_spatial(toy_ds, table13):
 
     p = PROFILES["desk-small"]
     assert (toy_ds.spec.N, toy_ds.spec.eps, toy_ds.spec.seed) == (p["n"], p["eps"], p["seed"])
-    assert table13.limit == p["limit"]
+    assert table13.limit == 2 ** (p["k_max"] + 1)
     cfg = maximal.OperatorConfig.from_direction_set(toy_ds, p["k_min"], p["k_max"], table13)
     rng = np.random.default_rng(2024)
     worst = 0.0

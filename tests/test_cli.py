@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -38,6 +39,14 @@ class TestConstruct:
     def test_n_one_is_usage_error(self, env):
         assert run("construct", "--n", "1", "--eps", "0.5", "--out", str(env / "x.json")) == 3
 
+    def test_a_with_no_rescale_usage_error(self, env, capsys):
+        out = env / "x.json"
+        assert run("construct", "--n", "4", "--eps", "1.0", "--no-rescale", "--a", "5",
+                   "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "--no-rescale" in err and "--a" in err
+        assert not out.exists()
+
     def test_strict_infeasible_is_validation_error(self, env):
         rc = run("construct", "--n", "4", "--eps", "1.0", "--mode", "strict",
                  "--out", str(env / "x.json"))
@@ -64,6 +73,14 @@ class TestMultError:
         assert run("mult-error", "--k-list", "10", "--grid", "32", "--arc-d", arc_d,
                    "--out", str(env / "x.csv")) == 3
         assert not (env / "cache").exists()  # rejected before any sieving
+
+    @pytest.mark.parametrize("k_list", ["0", "-2", "10,0"])
+    def test_scale_below_one_usage_error_before_sieve(self, env, k_list):
+        # classify_arc needs k >= 1
+        assert run("mult-error", f"--k-list={k_list}", "--grid", "32",
+                   "--out", str(env / "x.csv")) == 3
+        assert not (env / "cache").exists()
+        assert not (env / "x.csv").exists()
 
     def test_cache_created_and_reused(self, env):
         out = env / "e.csv"
@@ -195,6 +212,20 @@ class TestIncidence:
         bad.write_text(blob)
         assert run("incidence", "--ds", str(bad), "--s", "2", "--out", str(env / "x.json")) == 2
 
+    def test_partly_rescaled_ds_is_validation_error(self, env):
+        # A kept, A_tilde and integer_vectors nulled, hash recomputed
+        ds = env / "ds.json"
+        run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
+        doc = json.loads(ds.read_text())
+        doc.pop("content_hash")
+        doc["A_tilde"] = doc["integer_vectors"] = None
+        canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        doc = {"content_hash": hashlib.sha256(canon.encode()).hexdigest(), **doc}
+        bad = env / "bad.json"
+        bad.write_text(json.dumps(doc, sort_keys=True, indent=1))
+        assert run("incidence", "--ds", str(bad), "--s", "2", "--out", str(env / "x.json")) == 2
+        assert not (env / "x.json").exists()
+
 
 class TestApply:
     def test_delta_identity_line(self, env, capsys):
@@ -271,6 +302,33 @@ class TestApply:
     def test_missing_input_usage(self, env):
         assert run("apply", "--vectors", "1,0", "--k-min", "5", "--k-max", "6") == 3
 
+    @pytest.mark.parametrize("flags", [
+        ["--k-min", "-2"], ["--k-min", "-3", "--k-max", "-2"], ["--l", "1"], ["--k-min", "7"],
+        ["--vectors", "1,0;0"],
+    ])
+    def test_bad_flag_usage_error_before_sieve(self, env, flags):
+        assert run("apply", "--vectors", "1,0;0,1", "--k-min", "5", "--k-max", "6", "--delta",
+                   *flags) == 3
+        assert not (env / "cache").exists()
+
+    def test_ds_with_vectors_usage_error(self, env, capsys):
+        ds = env / "ds.json"
+        run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
+        capsys.readouterr()
+        assert run("apply", "--ds", str(ds), "--vectors", "1,0", "--k-min", "5", "--k-max", "6",
+                   "--delta") == 3
+        err = capsys.readouterr().err
+        assert "--ds" in err and "--vectors" in err
+
+    def test_delta_with_input_usage_error(self, env, capsys):
+        src = env / "f.pdgf"
+        maximal.save_grid_function(maximal.GridFunction.delta(32), src)
+        assert run("apply", "--vectors", "1,0", "--l", "32", "--k-min", "5", "--k-max", "6",
+                   "--delta", "--input", str(src), "--out", str(env / "o.pdgf")) == 3
+        err = capsys.readouterr().err
+        assert "--delta" in err and "--input" in err
+        assert not (env / "o.pdgf").exists()
+
     def test_input_roundtrip(self, env):
         f = maximal.GridFunction.random(32, np.random.default_rng(0))
         src = env / "f.pdgf"
@@ -307,14 +365,81 @@ class TestNormSweep:
         line = next(l for l in out.splitlines() if l.startswith("N=8:"))
         assert "degenerate_directions=8/8" in line
 
-
-    @pytest.mark.parametrize("flags", [["--limit", "4096"], ["--trials", "0"]])
+    @pytest.mark.parametrize("flags", [["--k-min", "-2"], ["--trials", "0"], ["--l", "1"]])
     def test_bad_flag_usage_error_before_sieve(self, env, flags):
-        # --limit must reach 2^(k_max + 1) = 8192 for k_max = 12
         assert run("norm-sweep", "--n-list", "2", "--k-max", "12", *flags,
                    "--out", str(env / "sweep.csv")) == 3
         assert not (env / "cache").exists()
         assert not (env / "sweep.csv").exists()
+
+
+# Each command with only its required flags: the values it runs with, without a
+# profile and under each preset, and the sieve limit 2^(largest scale + 1)
+# (None: the command sieves nothing). The values are those the commands ran
+# with when each resolved its own flags.
+_REQUIRED = {  # without a profile
+    "construct": ["--n", "4", "--eps", "1.0"],
+    "incidence": ["--s", "2"],
+    "apply": ["--k-min", "5", "--k-max", "6"],
+}
+_TAIL = {
+    "construct": ["--out", "ds.json"],
+    "mult-error": ["--out", "e.csv"],
+    "incidence": ["--ds", "ds.json"],
+    "apply": ["--vectors", "1,0;0,1", "--delta"],
+    "norm-sweep": ["--out", "sweep.csv"],
+    "selftest": [],
+}
+_RESOLVED = {
+    ("construct", None): ({"n": 4, "eps": 1.0, "seed": 0}, None),
+    ("construct", "desk-small"): ({"n": 4, "eps": 1.0, "seed": 7}, None),
+    ("construct", "desk-full"): ({"n": 8, "eps": 0.5, "seed": 7}, None),
+    ("mult-error", None): ({"k_list": "14,16,18,20", "grid": 1024, "d": 17.0}, 2**21),
+    ("mult-error", "desk-small"): ({"k_list": "10,11,12", "grid": 256, "d": 17.0}, 2**13),
+    ("mult-error", "desk-full"): ({"k_list": "14,16,18,20", "grid": 1024, "d": 17.0}, 2**21),
+    ("apply", None): ({"l": 63, "k_min": 5, "k_max": 6}, 2**7),
+    ("apply", "desk-small"): ({"l": 63, "k_min": 10, "k_max": 12}, 2**13),
+    ("apply", "desk-full"): ({"l": 127, "k_min": 14, "k_max": 16}, 2**17),
+    ("norm-sweep", None): (
+        {"eps": 0.5, "seed": 7, "l": 63, "k_min": 10, "k_max": 12, "trials": 8}, 2**13),
+    ("norm-sweep", "desk-small"): (
+        {"eps": 1.0, "seed": 7, "l": 63, "k_min": 10, "k_max": 12, "trials": 8}, 2**13),
+    ("norm-sweep", "desk-full"): (
+        {"eps": 0.5, "seed": 7, "l": 127, "k_min": 14, "k_max": 16, "trials": 8}, 2**17),
+    ("selftest", None): ({}, None),
+    ("selftest", "desk-small"): ({}, None),
+    ("selftest", "desk-full"): ({}, None),
+}
+_SCAN = {"variant": "ktilde", "window_half": 1, "budget": 2_000_000, "r_sweeps": 1, "seed": 0}
+for _profile, _s in ((None, 2), ("desk-small", 1), ("desk-full", 2)):
+    # the presets' seed is the construction's; incidence's seeds its r sweeps
+    _RESOLVED[("incidence", _profile)] = ({"s": _s, **_SCAN}, None)
+
+
+class TestResolution:
+    @pytest.mark.parametrize("command,profile", sorted(_RESOLVED, key=str))
+    def test_resolved_values_and_table_limit(self, env, monkeypatch, command, profile):
+        expected, limit = _RESOLVED[(command, profile)]
+        given = ["--profile", profile] if profile else _REQUIRED.get(command, [])
+        argv = [command, *given, *_TAIL[command]]
+        monkeypatch.chdir(env)
+        fn = "cmd_" + command.replace("-", "_")
+        seen = {}
+        real = getattr(cli, fn)
+        monkeypatch.setattr(cli, fn, lambda args: seen.update(vars(args)) or 0)
+        assert cli.main(argv) == 0
+        assert {k: seen[k] for k in expected} == expected
+        if limit is None:
+            return
+
+        def sieve(n):
+            seen["limit"] = n
+            raise RuntimeError("stop at the sieve")
+
+        monkeypatch.setattr(cli, fn, real)
+        monkeypatch.setattr(cli, "sieve_primes", sieve)
+        assert cli.main(argv) == 1
+        assert seen["limit"] == limit
 
 
 class TestSelftest:

@@ -202,6 +202,22 @@ class TestSerialization:
         with pytest.raises(ConstructionError, match="bullet|metadata"):
             D.deserialize(json.dumps(doc2, sort_keys=True, indent=1).encode())
 
+    @pytest.mark.parametrize("kept", ["A", "A_tilde", "integer_vectors"])
+    def test_partial_rescaling_rejected(self, toy_ds, kept):
+        # re-hashed with one of the three rescaling fields kept and the other
+        # two nulled: the validator checks the rescaling whenever any is set
+        import hashlib
+
+        doc = json.loads(D.serialize(toy_ds))
+        doc.pop("content_hash")
+        for key in ("A", "A_tilde", "integer_vectors"):
+            if key != kept:
+                doc[key] = None
+        canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        doc2 = {"content_hash": hashlib.sha256(canon.encode()).hexdigest(), **doc}
+        with pytest.raises(ConstructionError, match="incomplete rescaling"):
+            D.deserialize(json.dumps(doc2, sort_keys=True, indent=1).encode())
+
     def test_malformed_json_reports_location(self):
         with pytest.raises(ParseError, match="line"):
             D.deserialize(b'{"schema": "primedir.direction_set.v1", ')
