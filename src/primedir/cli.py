@@ -109,7 +109,7 @@ def _reject_ignored(args) -> None:
 def _resolve(args) -> None:
     """Set every flag of the command in place: the given value, else the
     --profile preset, else the command's fallback."""
-    preset = PROFILES.get(args.profile, {})
+    preset = PROFILES.get(getattr(args, "profile", None), {})  # selftest takes no --profile
     unpreset = _NOT_PRESET.get(args.command, ())
     missing = []
     for name, fallback in _FALLBACKS[args.command].items():
@@ -258,6 +258,10 @@ def cmd_incidence(args) -> int:
         raise UsageError("--s must be >= 1")
     if args.r_sweeps < 1:
         raise UsageError("--r-sweeps must be >= 1")
+    if args.window_half < 1:
+        raise UsageError("--window-half must be >= 1")
+    if args.budget < 0:
+        raise UsageError("--budget must be >= 0")
     win = incidence.default_window(args.variant, half=args.window_half)
     rng = random.Random(args.seed)
     ds = _load_ds(args.ds)
@@ -372,15 +376,16 @@ def cmd_selftest(args) -> int:
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="primedir", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--profile", choices=sorted(PROFILES), help="named desk-scale preset")
-    common.add_argument("--cache-dir", help="sieve cache directory (default $PD_CACHE_DIR)")
+    profile = argparse.ArgumentParser(add_help=False)
+    profile.add_argument("--profile", choices=sorted(PROFILES), help="named desk-scale preset")
+    cache = argparse.ArgumentParser(add_help=False)  # only the commands that sieve
+    cache.add_argument("--cache-dir", help="sieve cache directory (default $PD_CACHE_DIR)")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add(name, *parents, **kw):
+        return sub.add_parser(name, parents=list(parents), **kw)
 
-    c = add("construct", help="build, validate, and write a direction set")
+    c = add("construct", profile, help="build, validate, and write a direction set")
     c.add_argument("--n", type=int)
     c.add_argument("--eps", type=float)
     c.add_argument("--mode", choices=["toy", "strict"], default="toy")
@@ -395,7 +400,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--out", required=True)
     c.set_defaults(fn=cmd_construct)
 
-    m = add("mult-error", help="sweep sup|m_k - L_k| and write a CSV")
+    m = add("mult-error", profile, cache, help="sweep sup|m_k - L_k| and write a CSV")
     m.add_argument("--k-list", dest="k_list")
     m.add_argument("--d", type=float, default=17.0)
     m.add_argument("--arc-d", type=float, default=None,
@@ -404,7 +409,7 @@ def _build_parser() -> _Parser:
     m.add_argument("--out", required=True)
     m.set_defaults(fn=cmd_mult_error)
 
-    i = add("incidence", help="max-overlap scan of a direction set's tubes")
+    i = add("incidence", profile, help="max-overlap scan of a direction set's tubes")
     i.add_argument("--ds", required=True)
     i.add_argument("--s", type=int)
     i.add_argument("--c1", type=int, default=None)
@@ -423,7 +428,7 @@ def _build_parser() -> _Parser:
     i.add_argument("--out", default="overlap.json")
     i.set_defaults(fn=cmd_incidence)
 
-    a = add("apply", help="apply the maximal operator to a grid function")
+    a = add("apply", profile, cache, help="apply the maximal operator to a grid function")
     a.add_argument("--ds", default=None)
     a.add_argument("--vectors", default=None, help="'x,y;x,y;...' integer directions")
     a.add_argument("--l", type=int)
@@ -437,7 +442,7 @@ def _build_parser() -> _Parser:
     a.add_argument("--csv", default=None)
     a.set_defaults(fn=cmd_apply)
 
-    n = add("norm-sweep", help="empirical norm ratios over nested family sizes")
+    n = add("norm-sweep", profile, cache, help="empirical norm ratios over nested family sizes")
     n.add_argument("--n-list", dest="n_list", default="4,8,16")
     n.add_argument("--eps", type=float)
     n.add_argument("--seed", type=int)

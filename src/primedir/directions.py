@@ -122,10 +122,7 @@ class DirectionSet:
     integer_vectors: tuple[tuple[int, int], ...] | None = None
 
     def prime_product(self, i: int) -> int:
-        out = 1
-        for idx in self.vectors[i].prime_subset:
-            out *= self.prime_window[idx]
-        return out
+        return math.prod(self.prime_window[idx] for idx in self.vectors[i].prime_subset)
 
     def y_factor(self, i: int) -> int:
         """(v_i)_y * R / Q_i = n_i * (prime product): the integer whose prime
@@ -283,19 +280,9 @@ def construct_directions(spec: DirectionSpec) -> DirectionSet:
 
     records = []
     for (m, n), subset in zip(pairs, subsets):
-        prod = 1
-        for idx in subset:
-            prod *= window[idx]
-        S = Fraction(prod, R)
+        S = Fraction(math.prod(window[idx] for idx in subset), R)
         e = _dyadic_exponent(S * S * (m * m + n * n))
-        q_lo = Fraction(1, (2 ** (100 * kappa)) * spec.N**2)
-        q_hi = Fraction(2 ** (100 * kappa), spec.N**2)
-        Q = Fraction(2**e) if e >= 0 else Fraction(1, 2**-e)
-        if not q_lo <= Q <= q_hi:
-            raise ConstructionError(
-                f"dyadic normalizer bullet violated: Q = 2^{e} outside "
-                f"[2^-{100 * kappa} N^-2, 2^{100 * kappa} N^-2] for (m, n) = ({m}, {n})"
-            )
+        Q = Fraction(2) ** e
         v = RationalVector(x=m * Q * S, y=n * Q * S)
         records.append(
             VectorRecord(m=m, n=n, q_exponent=e, prime_subset=tuple(subset), v=v)
@@ -349,7 +336,7 @@ def validate_direction_set(ds: DirectionSet) -> None:
             )
         seen_subsets.add(key)
         e = rec.q_exponent
-        Q = Fraction(2**e) if e >= 0 else Fraction(1, 2**-e)
+        Q = Fraction(2) ** e
         q_lo = Fraction(1, (2 ** (100 * ds.kappa)) * N**2)
         q_hi = Fraction(2 ** (100 * ds.kappa), N**2)
         if not q_lo <= Q <= q_hi:
@@ -420,13 +407,10 @@ def rescale_to_integers(ds: DirectionSet, A: int | None = None) -> DirectionSet:
         raise ValueError(
             f"no multiple of the base multiple {B} lies in [A/10, 10A] for A = {A}"
         )
-    ints = []
-    for rec in ds.vectors:
-        vx, vy = rec.v.x * At, rec.v.y * At
-        if vx.denominator != 1 or vy.denominator != 1:
-            raise ConstructionError("rescaling failed to clear a denominator")
-        ints.append((int(vx), int(vy)))
-    out = replace(ds, A=A, A_tilde=At, integer_vectors=tuple(ints))
+    # A_tilde is a multiple of the base multiple, so every product is integral;
+    # _validate_rescaling checks that exactly
+    ints = tuple((int(rec.v.x * At), int(rec.v.y * At)) for rec in ds.vectors)
+    out = replace(ds, A=A, A_tilde=At, integer_vectors=ints)
     _validate_rescaling(out)
     return out
 
@@ -478,6 +462,12 @@ def _frac_parse(s: str, where: str) -> Fraction:
         raise ParseError(f"bad rational {s!r} at {where}") from exc
 
 
+def _digest(payload: dict) -> str:
+    """sha256 of the payload's canonical JSON (sorted keys, fixed separators)."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
 def _payload(ds: DirectionSet) -> dict:
     return {
         "schema": _DS_SCHEMA,
@@ -514,9 +504,8 @@ def serialize(ds: DirectionSet) -> bytes:
     between CLI commands.
     """
     payload = _payload(ds)
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode()).hexdigest()
-    return json.dumps({"content_hash": digest, **payload}, sort_keys=True, indent=1).encode()
+    doc = {"content_hash": _digest(payload), **payload}
+    return json.dumps(doc, sort_keys=True, indent=1).encode()
 
 
 def deserialize(data: bytes) -> DirectionSet:
@@ -527,10 +516,7 @@ def deserialize(data: bytes) -> DirectionSet:
         raise ParseError(f"malformed direction-set file: {exc.msg} at line {exc.lineno} col {exc.colno}") from exc
     if not isinstance(doc, dict) or doc.get("schema") != _DS_SCHEMA:
         raise ParseError(f"unexpected schema {doc.get('schema')!r} at top level")
-    recorded = doc.pop("content_hash", None)
-    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode()).hexdigest()
-    if recorded != digest:
+    if doc.pop("content_hash", None) != _digest(doc):
         raise ParseError("content hash mismatch: file was modified after writing")
     try:
         spec = DirectionSpec(**doc["spec"])

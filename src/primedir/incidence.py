@@ -13,10 +13,12 @@ lines, so scanning cell centers and corners over all pairs (plus one interior
 point per family for the overlap-1 floor) finds the maximum.
 
 All geometry is exact.  Points are carried as integer triples (px, py, d)
-meaning (px/d, py/d); the public API speaks Fractions.  The scan counts each
-batch of points over one denominator with a single numpy counter, in int64
-when per-family constants bound every intermediate value below 2^63 and in
-Python integers otherwise.  ``tube_membership`` is the scalar reference.
+meaning (px/d, py/d); the public API speaks Fractions.  Each ``TubeFamily``
+fixes its integer form once, at construction, and ``TubeFamily.member`` is
+the scalar reference predicate (``tube_membership`` applies it to a Fraction
+point).  The scan counts each batch of points over one denominator with a
+single numpy counter, in int64 when per-family constants bound every
+intermediate value below 2^63 and in Python integers otherwise.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "tube_membership",
     "candidate_intersections",
     "max_overlap_scan",
-    "scan_direction_set",
     "families_from_direction_set",
     "parallel_baseline",
     "default_window",
@@ -63,6 +64,10 @@ class TubeFamily:
     ``torus_side`` is the periodization side length (1 for the unit torus,
     the integer rescaling constant for the scaled variant, or None to scan a
     plain window with no folding).
+
+    Construction also fixes the integer form that ``member`` and the scan
+    read: v = (ax, ay) / den, thickness 2^-shift with shift = C1 s, and
+    exclusion radius ex_n / ex_d.
     """
 
     v: tuple[Fraction, Fraction]
@@ -71,7 +76,6 @@ class TubeFamily:
     C1: int
     exclusion_radius: Fraction = Fraction(0)
     torus_side: int | None = None
-    label: str = ""
 
     def __post_init__(self):
         if not (1 << self.s) <= self.r < (1 << (self.s + 1)):
@@ -79,16 +83,39 @@ class TubeFamily:
         if self.C1 < 1:
             raise ValueError("thickness exponent C1 must be >= 1")
         vx, vy = Fraction(self.v[0]), Fraction(self.v[1])
-        if vx == 0 and vy == 0:
+        den = math.lcm(vx.denominator, vy.denominator)
+        ax, ay = vx.numerator * (den // vx.denominator), vy.numerator * (den // vy.denominator)
+        ex = Fraction(self.exclusion_radius)
+        # derived attributes, not fields, so equality and hashing see only the
+        # fields; written through __dict__ because the dataclass is frozen
+        self.__dict__.update(ax=ax, ay=ay, den=den, shift=self.C1 * self.s,
+                             ex_n=ex.numerator, ex_d=ex.denominator)
+        if ax == 0 and ay == 0:
             raise ValueError("tube direction must be nonzero")
         # thickness 2^(-C1 s) below the tube spacing 1/(r |v|):
         # equivalent to r^2 |v|^2 < 4^(C1 s), exactly.
-        if self.s >= 1 and self.r**2 * (vx * vx + vy * vy) >= Fraction(4) ** (self.C1 * self.s):
+        if self.s >= 1 and self.r**2 * (ax * ax + ay * ay) >= den * den << 2 * self.shift:
             raise ValueError("tube thickness is not below the tube spacing; raise C1")
 
     @property
     def thickness(self) -> Fraction:
-        return Fraction(1, 2 ** (self.C1 * self.s))
+        return Fraction(1, 1 << self.shift)
+
+    def member(self, px: int, py: int, d: int) -> bool:
+        """Is (px/d, py/d) in the family? Exact integer arithmetic, d > 0."""
+        # double the triple so the torus half-side stays integral
+        px, py, d = 2 * px, 2 * py, 2 * d
+        if self.torus_side is not None:
+            span = self.torus_side * d
+            half = span // 2
+            px = (px + half) % span - half
+            py = (py + half) % span - half
+        X = self.r * (self.ax * px + self.ay * py)
+        Dd = self.den * d
+        b = (2 * X + Dd) // (2 * Dd)  # nearest integer to X / Dd
+        if abs(X - b * Dd) << self.shift > self.r * Dd:
+            return False
+        return not self.ex_n or (px * px + py * py) * self.ex_d**2 >= self.ex_n**2 * d * d
 
 
 @dataclass(frozen=True)
@@ -130,41 +157,7 @@ def default_window(variant: str, half: int = 1) -> ScanWindow:
     return ScanWindow(-h, h, -h, h)
 
 
-# -- integer fast path -----------------------------------------------------------
-
-class _IntFamily:
-    """Direction as an integer pair over a denominator, plus scan constants."""
-
-    __slots__ = ("ax", "ay", "den", "r", "shift", "ex_n", "ex_d", "side")
-
-    def __init__(self, fam: TubeFamily):
-        vx, vy = Fraction(fam.v[0]), Fraction(fam.v[1])
-        den = math.lcm(vx.denominator, vy.denominator)
-        self.ax = vx.numerator * (den // vx.denominator)
-        self.ay = vy.numerator * (den // vy.denominator)
-        self.den = den
-        self.r = fam.r
-        self.shift = fam.C1 * fam.s  # thickness = 2^-shift
-        ex = Fraction(fam.exclusion_radius)
-        self.ex_n, self.ex_d = ex.numerator, ex.denominator
-        self.side = fam.torus_side
-
-    def member(self, px: int, py: int, d: int) -> bool:
-        """Is (px/d, py/d) in the family? Exact integer arithmetic."""
-        # double the triple so the torus half-side stays integral
-        px, py, d = 2 * px, 2 * py, 2 * d
-        if self.side is not None:
-            span = self.side * d
-            half = span // 2
-            px = (px + half) % span - half
-            py = (py + half) % span - half
-        X = self.r * (self.ax * px + self.ay * py)
-        Dd = self.den * d
-        b = (2 * X + Dd) // (2 * Dd)  # nearest integer to X / Dd
-        if abs(X - b * Dd) << self.shift > self.r * Dd:
-            return False
-        return not self.ex_n or (px * px + py * py) * self.ex_d**2 >= self.ex_n**2 * d * d
-
+# -- integer points and windows ----------------------------------------------------
 
 def _int_point(x: Fraction, y: Fraction) -> tuple[int, int, int]:
     """The triple (px, py, d) with (x, y) = (px/d, py/d), d the least common denominator."""
@@ -194,7 +187,7 @@ class _IntWindow:
 _INT64_END = 1 << 63
 
 
-def _plan(ints: list[_IntFamily], d: int, bound: int):
+def _plan(families: list[TubeFamily], d: int, bound: int):
     """Constants of every family's member() at the fixed denominator d, and a dtype.
 
     Valid for points (px, py, d) with |px|, |py| <= bound.  The families are
@@ -214,8 +207,8 @@ def _plan(ints: list[_IntFamily], d: int, bound: int):
     big = 2 * bound  # doubled coordinates before folding
     fits = big < _INT64_END
     groups: dict = {}
-    for f in ints:
-        span = 0 if f.side is None else f.side * d2
+    for f in families:
+        span = 0 if f.torus_side is None else f.torus_side * d2
         m = span // 2 if span else big  # largest |coordinate| the slab and exclusion tests see
         Dd = f.den * d2
         # |cx fx + cy fy| < 2 Dd m, and lim < 2 Dd since shift >= s and r < 2^(s+1);
@@ -253,7 +246,7 @@ def tube_membership(beta: tuple[Fraction, Fraction], fam: TubeFamily) -> bool:
     The slab condition is closed (boundary points are members) and the test
     locates the nearest plane index by rounding, never by search.
     """
-    return _IntFamily(fam).member(*_int_point(Fraction(beta[0]), Fraction(beta[1])))
+    return fam.member(*_int_point(Fraction(beta[0]), Fraction(beta[1])))
 
 
 # -- pairwise intersection lattices ------------------------------------------------
@@ -267,20 +260,20 @@ def _plane_range(fam: TubeFamily, window: ScanWindow) -> tuple[int, int]:
     return math.ceil(lo * fam.r), math.floor(hi * fam.r)
 
 
-def _pair_lattice(f1: TubeFamily, f2: TubeFamily, window: ScanWindow, offsets: bool):
+def _pair_lattice(f1: TubeFamily, f2: TubeFamily, range1: tuple[int, int],
+                  range2: tuple[int, int], offsets: bool):
     """Integer-triple candidate points of the (f1, f2) intersection lattice.
 
-    Yields (px, py, d) for each admissible plane-index pair (a, b), the cell
-    center, and, when ``offsets`` is set, the four cell corners (crossings of
-    the slab boundary lines).  d is a common positive denominator.
+    Yields (px, py, d) for each plane-index pair (a, b) in range1 x range2
+    (``_plane_range`` of each family), the cell center, and, when ``offsets``
+    is set, the four cell corners (crossings of the slab boundary lines).
+    d is a common positive denominator.
     """
-    i1, i2 = _IntFamily(f1), _IntFamily(f2)
-    delta = i1.ax * i2.ay - i1.ay * i2.ax
+    delta = f1.ax * f2.ay - f1.ay * f2.ax
     if delta == 0:
         raise ValueError("tube directions are parallel")
-    a_lo, a_hi = _plane_range(f1, window)
-    b_lo, b_hi = _plane_range(f2, window)
-    c1, c2 = i1.shift, i2.shift
+    (a_lo, a_hi), (b_lo, b_hi) = range1, range2
+    c1, c2 = f1.shift, f2.shift
     r1, r2 = f1.r, f2.r
     D = delta * r1 * r2 * (1 << (c1 + c2))
     sgn = 1 if D > 0 else -1
@@ -288,8 +281,8 @@ def _pair_lattice(f1: TubeFamily, f2: TubeFamily, window: ScanWindow, offsets: b
     offs = [(0, 0), (-1, -1), (-1, 1), (1, -1), (1, 1)] if offsets else [(0, 0)]
     # (px, py) = (kx u - lx w, ly w - ky u) at t1 = u / (r1 2^c1), t2 = w / (r2 2^c2),
     # u = a 2^c1 + o1 r1 and w = b 2^c2 + o2 r2: the offsets add constant shifts
-    kx, ky = (sgn * c * i1.den * r2 << c2 for c in (i2.ay, i2.ax))
-    lx, ly = (sgn * c * i2.den * r1 << c1 for c in (i1.ay, i1.ax))
+    kx, ky = (sgn * c * f1.den * r2 << c2 for c in (f2.ay, f2.ax))
+    lx, ly = (sgn * c * f2.den * r1 << c1 for c in (f1.ay, f1.ax))
     shifts = [(o1 * r1 * kx - o2 * r2 * lx, o2 * r2 * ly - o1 * r1 * ky) for o1, o2 in offs]
     out = []
     for a in range(a_lo, a_hi + 1):
@@ -310,7 +303,8 @@ def candidate_intersections(
     """
     win = _IntWindow(window)
     return [(Fraction(px, d), Fraction(py, d))
-            for px, py, d in _pair_lattice(f1, f2, window, offsets=False)
+            for px, py, d in _pair_lattice(f1, f2, _plane_range(f1, window),
+                                           _plane_range(f2, window), offsets=False)
             if win.contains(px, py, d)]
 
 
@@ -342,7 +336,6 @@ def _interior_point(fam: TubeFamily, window: ScanWindow) -> tuple[Fraction, Frac
     """
     vx, vy = Fraction(fam.v[0]), Fraction(fam.v[1])
     n2 = vx * vx + vy * vy
-    ifam = [_IntFamily(fam)]
     cx, cy = window.center()
     t0 = vx * cx + vy * cy
     a0 = round(t0 * fam.r)
@@ -352,16 +345,16 @@ def _interior_point(fam: TubeFamily, window: ScanWindow) -> tuple[Fraction, Frac
         px, py = cx + lam * vx, cy + lam * vy
         for mu in (Fraction(0), w_quarter, -w_quarter, 2 * w_quarter, -2 * w_quarter):
             x, y = px - mu * vy, py + mu * vx  # slide along the plane
-            if window.contains(x, y) and _count_points(ifam, [_int_point(x, y)], window)[0]:
+            if window.contains(x, y) and _count_points([fam], [_int_point(x, y)], window)[0]:
                 return (x, y)
     return None
 
 
-def _count_points(ints: list[_IntFamily], pts: list, window: ScanWindow) -> np.ndarray:
+def _count_points(families: list[TubeFamily], pts: list, window: ScanWindow) -> np.ndarray:
     """Family counts of the triples pts, which share one denominator and lie in the window."""
     d = pts[0][2]
     reach = max(map(abs, (window.x_lo, window.x_hi, window.y_lo, window.y_hi)))
-    plan = _plan(ints, d, int(reach * d))
+    plan = _plan(families, d, int(reach * d))
     px, py = (np.array([p[k] for p in pts], dtype=plan[1]) for k in (0, 1))
     return _counts(plan, px, py)
 
@@ -381,7 +374,7 @@ def _sample_indices() -> np.ndarray:
     return ij
 
 
-def _grid_sample(ints: list[_IntFamily], window: ScanWindow):
+def _grid_sample(families: list[TubeFamily], window: ScanWindow):
     """(best, witness) over the 20 000 seeded samples x_lo + (i / 2^24) wx.
 
     All samples share the denominator d = lcm(window denominators) 2^24, so
@@ -394,7 +387,7 @@ def _grid_sample(ints: list[_IntFamily], window: ScanWindow):
     x_lo, x_hi, y_lo, y_hi = (f.numerator * (den // f.denominator) for f in edges)
     x0, y0, wx, wy = x_lo << _SAMPLE_BITS, y_lo << _SAMPLE_BITS, x_hi - x_lo, y_hi - y_lo
     d = den << _SAMPLE_BITS
-    plan = _plan(ints, d, int(max(map(abs, edges)) * d))
+    plan = _plan(families, d, int(max(map(abs, edges)) * d))
     best, at = 0, None
     for start in range(0, _SAMPLES, _CHUNK):
         chunk = ij[start:start + _CHUNK].astype(plan[1])
@@ -424,7 +417,7 @@ def max_overlap_scan(
     Both branches work on integer triples (px, py, d); a Fraction is built
     only for a new witness.  Two facts make that exact:
 
-    - ``_IntFamily.member(px, py, d)`` gives the same answer when the triple
+    - ``TubeFamily.member(px, py, d)`` gives the same answer when the triple
       is scaled by any positive integer: the torus fold, the exclusion test
       and the nearest-plane rounding are all homogeneous.  So an unreduced
       common denominator answers as ``_int_point``'s reduced triple does.
@@ -443,12 +436,11 @@ def max_overlap_scan(
     if not families:
         raise ValueError("need at least one family")
     variant = "k" if families[0].torus_side == 1 else "ktilde"
-    ints = [_IntFamily(f) for f in families]
     s, C1 = families[0].s, families[0].C1
 
     n = len(families)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if ints[i].ax * ints[j].ay != ints[i].ay * ints[j].ax]  # non-parallel
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)  # the non-parallel pairs
+             if families[i].ax * families[j].ay != families[i].ay * families[j].ax]
     ranges = [_plane_range(f, window) for f in families]
     est = sum(5 * (ranges[i][1] - ranges[i][0] + 1) * (ranges[j][1] - ranges[j][0] + 1)
               for i, j in pairs)  # candidate budget estimate
@@ -460,19 +452,20 @@ def max_overlap_scan(
         method = "exact-candidates"
         win = _IntWindow(window)
         for i, j in pairs:
-            pts = [p for p in _pair_lattice(families[i], families[j], window, offsets=True)
+            pts = [p for p in _pair_lattice(families[i], families[j], ranges[i], ranges[j],
+                                            offsets=True)
                    if win.contains(*p)]
             if not pts:
                 continue
             checked += len(pts)
-            counts = _count_points(ints, pts, window)
+            counts = _count_points(families, pts, window)
             k = int(np.argmax(counts))  # the pair's first candidate to reach its maximum
             if counts[k] > best:
                 px, py, d = pts[k]
                 best, witness = int(counts[k]), (Fraction(px, d), Fraction(py, d))
     else:
         method = "grid-sample"
-        best, witness = _grid_sample(ints, window)
+        best, witness = _grid_sample(families, window)
         checked = _SAMPLES
 
     # overlap-1 floor from per-family interior points
@@ -480,7 +473,7 @@ def max_overlap_scan(
         pt = _interior_point(fam, window)
         if pt is None:
             continue
-        c = int(_count_points(ints, [_int_point(*pt)], window)[0])
+        c = int(_count_points(families, [_int_point(*pt)], window)[0])
         checked += 1
         if c > best:
             best, witness = c, pt
@@ -541,42 +534,17 @@ def families_from_direction_set(
     if variant == "ktilde":
         if ds.A is None:
             raise ValueError("rescale the set first (the exclusion ball needs A)")
-        return [
-            TubeFamily(
-                v=(rec.v.x, rec.v.y), r=r_values[i], s=s, C1=C1,
-                exclusion_radius=Fraction(1, ds.A),
-                torus_side=ds.A_tilde, label=f"v{i}",
-            )
-            for i, rec in enumerate(ds.vectors)
-        ]
-    if variant == "k":
+        vs = [(rec.v.x, rec.v.y) for rec in ds.vectors]
+        excl, side = Fraction(1, ds.A), ds.A_tilde
+    elif variant == "k":
         if ds.integer_vectors is None:
             raise ValueError("rescale the set first (the unit-torus variant uses integer vectors)")
-        return [
-            TubeFamily(
-                v=(Fraction(ix), Fraction(iy)), r=r_values[i], s=s, C1=C1,
-                exclusion_radius=Fraction(1, ds.A**2),
-                torus_side=1, label=f"v{i}",
-            )
-            for i, (ix, iy) in enumerate(ds.integer_vectors)
-        ]
-    raise ValueError("variant must be 'k' or 'ktilde'")
-
-
-def scan_direction_set(
-    ds: DirectionSet,
-    s: int,
-    C1: int | None = None,
-    r_values: list[int] | None = None,
-    variant: str = "ktilde",
-    window: ScanWindow | None = None,
-    **scan_kw,
-) -> OverlapReport:
-    """Build the tube families of a direction set and run the overlap scan."""
-    fams = families_from_direction_set(ds, s=s, C1=C1, r_values=r_values, variant=variant)
-    if window is None:
-        window = default_window(variant)
-    return max_overlap_scan(fams, window, **scan_kw)
+        vs = [(Fraction(ix), Fraction(iy)) for ix, iy in ds.integer_vectors]
+        excl, side = Fraction(1, ds.A**2), 1
+    else:
+        raise ValueError("variant must be 'k' or 'ktilde'")
+    return [TubeFamily(v=v, r=r, s=s, C1=C1, exclusion_radius=excl, torus_side=side)
+            for v, r in zip(vs, r_values)]
 
 
 def parallel_baseline(
@@ -589,7 +557,7 @@ def parallel_baseline(
     """
     if r is None:
         r = 1 << s
-    return [TubeFamily(v=v, r=r, s=s, C1=C1, label=f"copy{i}") for i in range(count)]
+    return [TubeFamily(v=v, r=r, s=s, C1=C1) for _ in range(count)]
 
 
 # -- greedy pair selection and shrinking intersections --------------------------------
@@ -656,18 +624,18 @@ def _pair_x_intervals(
     f1: TubeFamily, f2: TubeFamily, window: ScanWindow
 ) -> list[tuple[Fraction, Fraction]]:
     """Exact x-coordinate intervals of the (f1, f2) intersection cells in the window."""
-    i1, i2 = _IntFamily(f1), _IntFamily(f2)
-    delta = i1.ax * i2.ay - i1.ay * i2.ax
-    if delta == 0:
+    (v1x, v1y), (v2x, v2y) = f1.v, f2.v
+    det = abs(Fraction(v1x * v2y - v1y * v2x))
+    if det == 0:
         raise ValueError("parallel pair")
     # extents of one cell along each axis: from the corner formula,
     # x varies by +- (|v2y| thick1 + |v1y| thick2) / |det|, y analogously.
-    det = Fraction(delta, i1.den * i2.den)
-    ext = (abs(Fraction(i2.ay, i2.den)) * f1.thickness + abs(Fraction(i1.ay, i1.den)) * f2.thickness) / abs(det)
-    ext_y = (abs(Fraction(i2.ax, i2.den)) * f1.thickness + abs(Fraction(i1.ax, i1.den)) * f2.thickness) / abs(det)
+    ext = (abs(v2y) * f1.thickness + abs(v1y) * f2.thickness) / det
+    ext_y = (abs(v2x) * f1.thickness + abs(v1x) * f2.thickness) / det
     excl = min(Fraction(f1.exclusion_radius), Fraction(f2.exclusion_radius))
     ivs = []
-    for px, py, d in _pair_lattice(f1, f2, window, offsets=False):
+    for px, py, d in _pair_lattice(f1, f2, _plane_range(f1, window), _plane_range(f2, window),
+                                   offsets=False):
         x, y = Fraction(px, d), Fraction(py, d)
         if not (window.x_lo - ext <= x <= window.x_hi + ext
                 and window.y_lo - ext_y <= y <= window.y_hi + ext_y):
@@ -706,7 +674,6 @@ def intersection_shrink_check(
     pairs: list[SelectedPair],
     s: int,
     C1: int | None = None,
-    r_values: dict[int, int] | None = None,
     window: ScanWindow | None = None,
 ) -> ShrinkReport:
     """Measure how the x-coordinate set of the running pair-intersection shrinks.
@@ -717,8 +684,10 @@ def intersection_shrink_check(
     toward the origin.  The report carries the measured containment radius
     after each pair (sup |x| over the surviving set; 0 when empty).
 
-    ``C1`` defaults to the spec override or a deliberately mild 8: measured
-    radii are only informative when the intervals are fat enough to meet.
+    The pairs' families are the set's ``ktilde`` families at r = 2^s, so the
+    set must be rescaled.  ``C1`` defaults to the spec override or a
+    deliberately mild 8: measured radii are only informative when the
+    intervals are fat enough to meet.
     """
     if C1 is None:
         C1 = ds.spec.C1 if ds.spec.C1 is not None else 8
@@ -726,17 +695,11 @@ def intersection_shrink_check(
         window = default_window("ktilde")
     if not pairs:
         raise ValueError("need at least one selected pair")
+    fams = families_from_direction_set(ds, s, C1=C1, variant="ktilde")
     current: list[tuple[Fraction, Fraction]] | None = None
     radii: list[float] = []
     for sp in pairs:
-        r_i = (r_values or {}).get(sp.i, 1 << s)
-        r_j = (r_values or {}).get(sp.j, 1 << s)
-        excl = Fraction(1, ds.A) if ds.A else Fraction(0)
-        f1 = TubeFamily(v=(ds.vectors[sp.i].v.x, ds.vectors[sp.i].v.y), r=r_i, s=s, C1=C1,
-                        exclusion_radius=excl, torus_side=ds.A_tilde)
-        f2 = TubeFamily(v=(ds.vectors[sp.j].v.x, ds.vectors[sp.j].v.y), r=r_j, s=s, C1=C1,
-                        exclusion_radius=excl, torus_side=ds.A_tilde)
-        ivs = _pair_x_intervals(f1, f2, window)
+        ivs = _pair_x_intervals(fams[sp.i], fams[sp.j], window)
         current = ivs if current is None else _intersect_interval_unions(current, ivs)
         radius = max((max(abs(lo), abs(hi)) for lo, hi in current), default=Fraction(0))
         radii.append(float(radius))

@@ -204,6 +204,16 @@ class TestIncidence:
                    "--out", str(env / "r.json")) == 3
         assert not (env / "r.json").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--window-half", "0"], ["--window-half", "-1"], ["--budget", "-1"],
+    ])
+    def test_bad_scan_flag_usage_error_before_load(self, env, capsys, flags):
+        # the set does not exist, so exit 3 shows the check runs before loading it
+        assert run("incidence", "--ds", str(env / "missing.json"), "--s", "2", *flags,
+                   "--out", str(env / "r.json")) == 3
+        assert flags[0] in capsys.readouterr().err
+        assert not (env / "r.json").exists()
+
     def test_tampered_ds_is_validation_error(self, env):
         ds = env / "ds.json"
         run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
@@ -407,8 +417,6 @@ _RESOLVED = {
     ("norm-sweep", "desk-full"): (
         {"eps": 0.5, "seed": 7, "l": 127, "k_min": 14, "k_max": 16, "trials": 8}, 2**17),
     ("selftest", None): ({}, None),
-    ("selftest", "desk-small"): ({}, None),
-    ("selftest", "desk-full"): ({}, None),
 }
 _SCAN = {"variant": "ktilde", "window_half": 1, "budget": 2_000_000, "r_sweeps": 1, "seed": 0}
 for _profile, _s in ((None, 2), ("desk-small", 1), ("desk-full", 2)):
@@ -440,6 +448,24 @@ class TestResolution:
         monkeypatch.setattr(cli, "sieve_primes", sieve)
         assert cli.main(argv) == 1
         assert seen["limit"] == limit
+
+
+class TestFlagScope:
+    # --profile is taken by every command but selftest, --cache-dir only by those that sieve
+    @pytest.mark.parametrize("argv", [
+        ["selftest", "--profile", "desk-full"],
+        ["selftest", "--cache-dir", "D"],
+        ["construct", "--n", "4", "--eps", "1.0", "--out", "ds.json", "--cache-dir", "D"],
+        ["incidence", "--ds", "ds.json", "--s", "2", "--cache-dir", "D"],
+    ], ids=["selftest-profile", "selftest-cache-dir", "construct-cache-dir",
+            "incidence-cache-dir"])
+    def test_flag_refused(self, env, monkeypatch, capsys, argv):
+        monkeypatch.chdir(env)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 3
+        assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+        assert not (env / "ds.json").exists() and not (env / "D").exists()
 
 
 class TestSelftest:

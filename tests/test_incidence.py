@@ -167,11 +167,6 @@ class TestScan:
         assert rep.method == "grid-sample"
         assert rep.max_overlap >= 1
 
-    def test_scan_direction_set_wrapper(self, toy_ds):
-        rep = I.scan_direction_set(toy_ds, s=2)
-        fams = I.families_from_direction_set(toy_ds, s=2)
-        assert rep == I.max_overlap_scan(fams, I.default_window("ktilde"))
-
     def test_constructed_below_baseline(self, toy_ds):
         fams = I.families_from_direction_set(toy_ds, s=2)
         win = I.default_window("ktilde")
@@ -255,10 +250,9 @@ def _tube_families(draw):
     return I.TubeFamily(v=(vx, vy), r=r, s=s, C1=C1, exclusion_radius=ex, torus_side=side)
 
 
-def _slab_points(fam: I.TubeFamily):
+def _slab_points(f: I.TubeFamily):
     """Triples over one denominator d on the family's slab boundaries, one step
     inside and outside them, and at the tie midway between two planes."""
-    f = I._IntFamily(fam)
     g, u, w = _ext_gcd(f.ax, f.ay)
     d = g * f.r << (f.shift + 1)
     M = f.den * d  # v . beta = T / M at the point (px/d, py/d), T = ax px + ay py
@@ -289,6 +283,53 @@ def _circle_points(fam: I.TubeFamily):
             for stretch in (F(1), F(63, 64), F(65, 64)):
                 pts.append(I._int_point(ex * stretch * x, ex * stretch * y))
     return pts
+
+
+def _fold_edge_points(fam: I.TubeFamily):
+    """Points on the fold edges x = +-side/2 and y = +-side/2 that lie on a slab
+    boundary, just inside it or just outside, the other coordinate in [-side/2, side/2)."""
+    if fam.torus_side is None:
+        return []
+    half = F(fam.torus_side, 2)
+    vx, vy = F(fam.v[0]), F(fam.v[1])
+    edge = F(1, 2 ** (fam.C1 * fam.s))  # distance of a slab boundary from its plane
+    pts = []
+    for x0 in (-half, half):
+        for k in (-1, 0, 1):
+            for e in (edge, -edge, edge * F(63, 64), edge * F(65, 64)):
+                for w, u, swap in ((vx, vy, False), (vy, vx, True)):
+                    # w x0 + u y = (b + k) / r + e with b the plane nearest w x0
+                    if u:
+                        y = (F(round(fam.r * w * x0) + k, fam.r) + e - w * x0) / u
+                        if -half <= y < half:
+                            pts.append((y, x0) if swap else (x0, y))
+    return pts
+
+
+def _oracle_member(beta, fam: I.TubeFamily) -> bool:
+    """The tube definition in plain Fractions, from the family's fields alone."""
+    x, y = F(beta[0]), F(beta[1])
+    if fam.torus_side is not None:  # fold into [-side/2, side/2)^2
+        side = fam.torus_side
+        x -= side * ((x + F(side, 2)) // side)
+        y -= side * ((y + F(side, 2)) // side)
+    t = fam.r * (F(fam.v[0]) * x + F(fam.v[1]) * y)
+    if abs(t - round(t)) > fam.r * F(1, 2 ** (fam.C1 * fam.s)):
+        return False
+    return x * x + y * y >= F(fam.exclusion_radius) ** 2
+
+
+class TestMembershipOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(fam=_tube_families(), data=st.data())
+    def test_membership_matches_definition(self, fam, data):
+        coord = st.one_of(st.fractions(-5, 5, max_denominator=97),
+                          st.integers(-10, 10).map(lambda k: F(k, 2)))
+        pts = [(F(px, d), F(py, d)) for px, py, d in _slab_points(fam) + _circle_points(fam)]
+        pts += _fold_edge_points(fam)
+        pts += data.draw(st.lists(st.tuples(coord, coord), max_size=40))
+        for beta in pts:
+            assert I.tube_membership(beta, fam) == _oracle_member(beta, fam), beta
 
 
 def _assert_counts_match(ints, pts, dtype=np.int64):
@@ -332,15 +373,16 @@ def _recount_scan(fams, window):
 def _recount_exact(fams, window):
     """The exact scan recounted point by point through member(): every in-window
     candidate of every non-parallel pair, then the floor points."""
-    ints = [I._IntFamily(f) for f in fams]
     win = I._IntWindow(window)
+    ranges = [I._plane_range(f, window) for f in fams]
     pts = [p for i, j in itertools.combinations(range(len(fams)), 2)
-           if ints[i].ax * ints[j].ay != ints[i].ay * ints[j].ax
-           for p in I._pair_lattice(fams[i], fams[j], window, offsets=True) if win.contains(*p)]
+           if fams[i].ax * fams[j].ay != fams[i].ay * fams[j].ax
+           for p in I._pair_lattice(fams[i], fams[j], ranges[i], ranges[j], offsets=True)
+           if win.contains(*p)]
     pts += [I._int_point(*pt) for pt in (I._interior_point(f, window) for f in fams) if pt]
     best, witness = 0, None
     for px, py, d in pts:
-        c = sum(f.member(px, py, d) for f in ints)
+        c = sum(f.member(px, py, d) for f in fams)
         if c > best:
             best, witness = c, (F(px, d), F(py, d))
     return best, witness, len(pts)
@@ -353,7 +395,6 @@ class TestInt64Counts:
     @given(fams=st.lists(_tube_families(), min_size=1, max_size=4),
            scale=st.integers(1, 9), data=st.data())
     def test_counts_equal_member(self, fams, scale, data):
-        ints = [I._IntFamily(f) for f in fams]
         d = data.draw(st.integers(1, 1 << 16))
         coord = st.integers(-2 * d, 2 * d)
         batches = [[(x, y, d) for x, y in data.draw(
@@ -364,13 +405,12 @@ class TestInt64Counts:
             # member() is homogeneous, so scaled triples must count the same;
             # scaled past 2^63 they count on Python integers
             for k, dtype in ((scale, np.int64), (scale << 64, object)):
-                _assert_counts_match(ints, [(k * x, k * y, k * e) for x, y, e in pts], dtype)
+                _assert_counts_match(fams, [(k * x, k * y, k * e) for x, y, e in pts], dtype)
 
     def test_k_variant_default_window_takes_int64(self, toy_ds):
         fams = I.families_from_direction_set(toy_ds, s=2, variant="k")
-        ints = [I._IntFamily(f) for f in fams]
         d = 2 << 24  # lcm(2) 2^24 on [-1/2, 1/2]^2
-        plan = I._plan(ints, d, d // 2)
+        plan = I._plan(fams, d, d // 2)
         assert plan[1] is np.int64
         assert all(Dd == 1 << 26 for _, _, group in plan[0] for _, Dd, _, _, _ in group)
 
