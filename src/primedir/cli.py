@@ -55,7 +55,7 @@ _FALLBACKS = {
     "construct": {"n": None, "eps": None, "seed": 0},
     "mult-error": {"k_list": "14,16,18,20", "grid": 1024},
     "incidence": {"s": None, "variant": "ktilde", "window_half": 1,
-                  "budget": 2_000_000, "r_sweeps": 1, "seed": 0},
+                  "budget": 2_000_000, "r_sweeps": 1, "seed": 0, "out": "overlap.json"},
     "apply": {"l": 63, "k_min": None, "k_max": None},
     "norm-sweep": {"eps": 0.5, "seed": 7, "l": 63, "k_min": 10, "k_max": 12},
     "selftest": {},
@@ -63,7 +63,9 @@ _FALLBACKS = {
 # incidence's --seed seeds its r sweeps, not a construction: no preset sets it
 _NOT_PRESET = {"incidence": ("seed",)}
 
-_SCAN_FLAGS = ("s", "c1", "variant", "baseline", "window_half", "budget", "r_sweeps", "seed")
+# the flags of a scan, which a replay of an existing report takes none of
+_SCAN_FLAGS = ("s", "c1", "variant", "baseline", "window_half", "budget", "r_sweeps", "seed",
+               "out")
 # (command, flag, the flag it makes the command ignore)
 _OVERRIDES = (
     ("construct", "no_rescale", "a"),
@@ -97,7 +99,8 @@ def _reject_ignored(args) -> None:
             given = [_flag(f) for f in _SCAN_FLAGS if getattr(args, f) is not None]
             if given:
                 raise UsageError(
-                    f"--replay takes the families from the report; drop {' '.join(given)}"
+                    f"--replay checks an existing report and writes nothing; "
+                    f"drop {' '.join(given)}"
                 )
         if args.variant == "k" and args.window_half is not None:
             raise UsageError("--window-half sizes the ktilde window; the k window is fixed")
@@ -425,7 +428,7 @@ def _build_parser() -> _Parser:
                    help="exact-scan candidate budget (default 2000000)")
     i.add_argument("--replay", default=None,
                    help="verify the witness of an existing report; takes only --ds")
-    i.add_argument("--out", default="overlap.json")
+    i.add_argument("--out", default=None, help="report file to write (default overlap.json)")
     i.set_defaults(fn=cmd_incidence)
 
     a = add("apply", profile, cache, help="apply the maximal operator to a grid function")

@@ -18,7 +18,10 @@ fixes its integer form once, at construction, and ``TubeFamily.member`` is
 the scalar reference predicate (``tube_membership`` applies it to a Fraction
 point).  The scan counts each batch of points over one denominator with a
 single numpy counter, in int64 when per-family constants bound every
-intermediate value below 2^63 and in Python integers otherwise.
+intermediate value below 2^63 and in Python integers otherwise.  The counter
+takes the families that share a torus side and an exclusion radius as one
+group, in one (families x points) broadcast; the overlap-1 floor points go
+through it as a single batch over the lcm of their denominators.
 """
 
 from __future__ import annotations
@@ -82,6 +85,8 @@ class TubeFamily:
             raise ValueError(f"need 2^s <= r < 2^(s+1); got r={self.r}, s={self.s}")
         if self.C1 < 1:
             raise ValueError("thickness exponent C1 must be >= 1")
+        if self.torus_side is not None and self.torus_side < 1:
+            raise ValueError(f"torus side must be >= 1 (or None); got {self.torus_side}")
         vx, vy = Fraction(self.v[0]), Fraction(self.v[1])
         den = math.lcm(vx.denominator, vy.denominator)
         ax, ay = vx.numerator * (den // vx.denominator), vy.numerator * (den // vy.denominator)
@@ -181,6 +186,17 @@ class _IntWindow:
         return (xln * d <= px * xld and px * xhd <= xhn * d
                 and yln * d <= py * yld and py * yhd <= yhn * d)
 
+    def mask(self, px: np.ndarray, py: np.ndarray, d: int) -> np.ndarray:
+        """contains() over arrays of numerators sharing the denominator d > 0:
+        the edges are rounded inward to integers at d once, so each point
+        costs four comparisons."""
+        (xln, xld), (xhn, xhd), (yln, yld), (yhn, yhd) = self.xl, self.xh, self.yl, self.yh
+        inside = px >= -(-xln * d // xld)
+        inside &= px <= xhn * d // xhd
+        inside &= py >= -(-yln * d // yld)
+        inside &= py <= yhn * d // yhd
+        return inside
+
 
 # -- counting at one fixed denominator ------------------------------------------------
 
@@ -190,9 +206,10 @@ _INT64_END = 1 << 63
 def _plan(families: list[TubeFamily], d: int, bound: int):
     """Constants of every family's member() at the fixed denominator d, and a dtype.
 
-    Valid for points (px, py, d) with |px|, |py| <= bound.  The families are
-    grouped by torus side, as (span, half, [(thr, Dd, cx, cy, lim), ...]), all
-    taken at the doubled denominator 2d that member() works at:
+    Valid for points (px, py, d) with |px|, |py| <= bound.  Families that share
+    a torus side and an exclusion radius form one group, and each group is one
+    tuple (span, half, thr, Dd, cx, cy, lim), all taken at the doubled
+    denominator 2d that member() works at:
 
     - span = side 2d and half = side d fold a doubled coordinate (span 0: no fold);
     - thr = ceil(ex_n^2 (2d)^2 / ex_d^2): a folded point is excluded when
@@ -201,42 +218,65 @@ def _plan(families: list[TubeFamily], d: int, bound: int):
       only on res = (cx px + cy py) mod Dd;
     - lim = (r Dd) >> shift: the point is in a slab when min(res, Dd - res) <= lim.
 
-    The dtype is np.int64 when no intermediate value of _counts can reach 2^63, else object.
+    span, half and thr are computed once per group; Dd, cx, cy and lim are
+    columns of shape (families, 1), one row per family of the group, so that
+    _counts applies a group to a row of points in one broadcast.  The dtype,
+    which the columns take, is np.int64 when no intermediate value of _counts
+    can reach 2^63, else object.
     """
     d2 = 2 * d
     big = 2 * bound  # doubled coordinates before folding
     fits = big < _INT64_END
-    groups: dict = {}
+    by_key: dict = {}
     for f in families:
-        span = 0 if f.torus_side is None else f.torus_side * d2
+        by_key.setdefault((f.torus_side, f.ex_n, f.ex_d), []).append(f)
+    groups = []
+    for (side, ex_n, ex_d), fams in by_key.items():
+        span = 0 if side is None else side * d2
         m = span // 2 if span else big  # largest |coordinate| the slab and exclusion tests see
-        Dd = f.den * d2
+        Dd = [f.den * d2 for f in fams]
         # |cx fx + cy fy| < 2 Dd m, and lim < 2 Dd since shift >= s and r < 2^(s+1);
         # the + 1 keeps Dd itself in range when m is 0; only an exclusion squares m
-        fits = (fits and big + span < _INT64_END and 2 * Dd * (m + 1) < _INT64_END
-                and (not f.ex_n or 2 * m * m + 1 < _INT64_END))
+        fits = (fits and big + span < _INT64_END and 2 * max(Dd) * (m + 1) < _INT64_END
+                and (not ex_n or 2 * m * m + 1 < _INT64_END))
         # no folded point reaches 2 m^2 + 1, so the clamp keeps every comparison
-        thr = min(-(-(f.ex_n**2 * d2 * d2) // f.ex_d**2), 2 * m * m + 1)
-        groups.setdefault(span, []).append(
-            (thr, Dd, (f.r * f.ax) % Dd, (f.r * f.ay) % Dd, (f.r * Dd) >> f.shift))
-    return [(span, span // 2, fams) for span, fams in groups.items()], (np.int64 if fits else object)
+        thr = min(-(-(ex_n**2 * d2 * d2) // ex_d**2), 2 * m * m + 1)
+        cols = (Dd, [(f.r * f.ax) % D for f, D in zip(fams, Dd)],
+                [(f.r * f.ay) % D for f, D in zip(fams, Dd)],
+                [(f.r * D) >> f.shift for f, D in zip(fams, Dd)])
+        groups.append((span, span // 2, thr, cols))
+    dtype = np.int64 if fits else object
+    return [(span, half, thr, *(np.array(c, dtype=dtype)[:, None] for c in cols))
+            for span, half, thr, cols in groups], dtype
 
 
 def _counts(plan, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Per-point family counts for arrays px, py of the plan's dtype; equals member() summed."""
+    """Per-point family counts for 1-d arrays px, py of the plan's dtype; equals
+    member() summed.
+
+    Each group is one (families x points) broadcast, worked in place so that
+    at most two such arrays live at once; its exclusion mask is one row.
+    """
     px, py = 2 * px, 2 * py
     counts = np.zeros(px.shape, dtype=np.int64)
-    for span, half, fams in plan[0]:
-        fx, fy = (px, py) if not span else ((px + half) % span - half, (py + half) % span - half)
-        sq = None
-        for thr, Dd, cx, cy, lim in fams:
-            res = (cx * fx + cy * fy) % Dd
-            hit = np.minimum(res, Dd - res) <= lim
-            if thr:
-                if sq is None:
-                    sq = fx * fx + fy * fy
-                hit &= sq >= thr
-            counts += hit
+    for span, half, thr, Dd, cx, cy, lim in plan[0]:
+        if span:
+            fx, fy = px + half, py + half
+            fx %= span
+            fy %= span
+            fx -= half
+            fy -= half
+        else:
+            fx, fy = px, py
+        res = cx * fx
+        res += cy * fy
+        res %= Dd
+        hit = res <= lim
+        np.subtract(Dd, res, out=res)  # the distance to the next plane up
+        hit |= res <= lim
+        if thr:
+            hit &= fx * fx + fy * fy >= thr
+        counts += np.count_nonzero(hit, axis=0)
     return counts
 
 
@@ -260,14 +300,16 @@ def _plane_range(fam: TubeFamily, window: ScanWindow) -> tuple[int, int]:
     return math.ceil(lo * fam.r), math.floor(hi * fam.r)
 
 
-def _pair_lattice(f1: TubeFamily, f2: TubeFamily, range1: tuple[int, int],
-                  range2: tuple[int, int], offsets: bool):
-    """Integer-triple candidate points of the (f1, f2) intersection lattice.
+def _pair_axes(f1: TubeFamily, f2: TubeFamily, range1: tuple[int, int],
+               range2: tuple[int, int], offsets: bool):
+    """The (f1, f2) intersection lattice as per-axis terms over one denominator.
 
-    Yields (px, py, d) for each plane-index pair (a, b) in range1 x range2
-    (``_plane_range`` of each family), the cell center, and, when ``offsets``
-    is set, the four cell corners (crossings of the slab boundary lines).
-    d is a common positive denominator.
+    Returns (xa, ya), (xb, yb), (xo, yo) and D > 0: the candidate at the
+    plane-index pair (a, b) in range1 x range2 (``_plane_range`` of each
+    family) and offset o is (xa[a] + xb[b] + xo[o], ya[a] + yb[b] + yo[o], D),
+    with a, b and o counted from 0.  Offset 0 is the cell center; when
+    ``offsets`` is set, offsets 1-4 are the four cell corners (crossings of the
+    slab boundary lines).
     """
     delta = f1.ax * f2.ay - f1.ay * f2.ax
     if delta == 0:
@@ -283,14 +325,30 @@ def _pair_lattice(f1: TubeFamily, f2: TubeFamily, range1: tuple[int, int],
     # u = a 2^c1 + o1 r1 and w = b 2^c2 + o2 r2: the offsets add constant shifts
     kx, ky = (sgn * c * f1.den * r2 << c2 for c in (f2.ay, f2.ax))
     lx, ly = (sgn * c * f2.den * r1 << c1 for c in (f1.ay, f1.ax))
-    shifts = [(o1 * r1 * kx - o2 * r2 * lx, o2 * r2 * ly - o1 * r1 * ky) for o1, o2 in offs]
-    out = []
-    for a in range(a_lo, a_hi + 1):
-        ua, va = kx * a << c1, ky * a << c1
-        for b in range(b_lo, b_hi + 1):
-            x0, y0 = ua - (lx * b << c2), (ly * b << c2) - va
-            out.extend((x0 + sx, y0 + sy, D) for sx, sy in shifts)
-    return out
+    a, b = range(a_lo, a_hi + 1), range(b_lo, b_hi + 1)
+    return (([kx * i << c1 for i in a], [-(ky * i << c1) for i in a]),
+            ([-(lx * j << c2) for j in b], [ly * j << c2 for j in b]),
+            ([o1 * r1 * kx - o2 * r2 * lx for o1, o2 in offs],
+             [o2 * r2 * ly - o1 * r1 * ky for o1, o2 in offs]), D)
+
+
+def _pair_lattice(f1: TubeFamily, f2: TubeFamily, range1: tuple[int, int],
+                  range2: tuple[int, int], offsets: bool):
+    """The ``_pair_axes`` candidates as a list of (px, py, D), in (a, b, offset) order."""
+    (xa, ya), (xb, yb), (xo, yo), D = _pair_axes(f1, f2, range1, range2, offsets)
+    return [(x + u + sx, y + w + sy, D)
+            for x, y in zip(xa, ya) for u, w in zip(xb, yb) for sx, sy in zip(xo, yo)]
+
+
+def _pair_candidates(f1: TubeFamily, f2: TubeFamily, range1: tuple[int, int],
+                     range2: tuple[int, int], win: _IntWindow):
+    """The in-window ``_pair_axes`` candidates, cell centers and corners, as
+    object arrays px, py in ``_pair_lattice`` order, and their denominator D."""
+    (xa, ya), (xb, yb), (xo, yo), D = _pair_axes(f1, f2, range1, range2, offsets=True)
+    px, py = (np.add.outer(np.add.outer(np.array(u, dtype=object), v), o).ravel()
+              for u, v, o in ((xa, xb, xo), (ya, yb, yo)))
+    inside = win.mask(px, py, D)
+    return px[inside], py[inside], D
 
 
 def candidate_intersections(
@@ -345,23 +403,24 @@ def _interior_point(fam: TubeFamily, window: ScanWindow) -> tuple[Fraction, Frac
         px, py = cx + lam * vx, cy + lam * vy
         for mu in (Fraction(0), w_quarter, -w_quarter, 2 * w_quarter, -2 * w_quarter):
             x, y = px - mu * vy, py + mu * vx  # slide along the plane
-            if window.contains(x, y) and _count_points([fam], [_int_point(x, y)], window)[0]:
-                return (x, y)
+            if window.contains(x, y):
+                ix, iy, d = _int_point(x, y)
+                if _count_points([fam], [ix], [iy], d, window)[0]:
+                    return (x, y)
     return None
 
 
-def _count_points(families: list[TubeFamily], pts: list, window: ScanWindow) -> np.ndarray:
-    """Family counts of the triples pts, which share one denominator and lie in the window."""
-    d = pts[0][2]
+def _count_points(families: list[TubeFamily], px, py, d: int, window: ScanWindow) -> np.ndarray:
+    """Family counts of the points (px[i], py[i], d), which lie in the window;
+    px and py are sequences or arrays of integers."""
     reach = max(map(abs, (window.x_lo, window.x_hi, window.y_lo, window.y_hi)))
     plan = _plan(families, d, int(reach * d))
-    px, py = (np.array([p[k] for p in pts], dtype=plan[1]) for k in (0, 1))
-    return _counts(plan, px, py)
+    return _counts(plan, *(np.asarray(c, dtype=plan[1]) for c in (px, py)))
 
 
 _SAMPLES = 20_000
 _SAMPLE_BITS = 24  # sample coordinates sit on the 2^-24 grid across the window
-_CHUNK = 2048  # points per batch; bounds the temporaries of _counts
+_CHUNK = 2048  # points per batch; _counts' temporaries hold at most families x chunk values
 
 
 @functools.cache
@@ -427,11 +486,19 @@ def max_overlap_scan(
       same distance either way.
 
     So one counter serves every batch of points that share a denominator: a
-    pair's lattice candidates, a 2048-point chunk of the grid sample, a floor
-    point.  ``_plan`` computes the per-family constants once per batch and
-    picks int64 when they bound every intermediate value below 2^63, Python
-    integers otherwise; ``_counts`` applies them.  The scan never calls
-    ``member``, so ``replay_witness`` checks a witness independently.
+    pair's in-window lattice candidates (filtered against the window by array
+    comparisons), a 2048-point chunk of the grid sample, and the floor points,
+    all counted in one batch over the lcm of their denominators.  ``_plan``
+    computes the per-family constants once per batch, and the fold and
+    exclusion constants once per group of families that share a torus side
+    and an exclusion radius; it picks int64 when they bound every
+    intermediate value below 2^63, Python integers otherwise.  ``_counts``
+    applies each group in one (families x points) broadcast.  The witness is
+    the first candidate, in pair order then lattice order, to reach the
+    maximum; a floor point is the witness only when the floor's maximum
+    beats the pairs', and then it is the first floor point to reach it,
+    which is the point a one-at-a-time loop would keep.  The scan never
+    calls ``member``, so ``replay_witness`` checks a witness independently.
     """
     if not families:
         raise ValueError("need at least one family")
@@ -452,31 +519,32 @@ def max_overlap_scan(
         method = "exact-candidates"
         win = _IntWindow(window)
         for i, j in pairs:
-            pts = [p for p in _pair_lattice(families[i], families[j], ranges[i], ranges[j],
-                                            offsets=True)
-                   if win.contains(*p)]
-            if not pts:
+            px, py, d = _pair_candidates(families[i], families[j], ranges[i], ranges[j], win)
+            if not len(px):
                 continue
-            checked += len(pts)
-            counts = _count_points(families, pts, window)
+            checked += len(px)
+            counts = _count_points(families, px, py, d, window)
             k = int(np.argmax(counts))  # the pair's first candidate to reach its maximum
             if counts[k] > best:
-                px, py, d = pts[k]
-                best, witness = int(counts[k]), (Fraction(px, d), Fraction(py, d))
+                best, witness = int(counts[k]), (Fraction(px[k], d), Fraction(py[k], d))
     else:
         method = "grid-sample"
         best, witness = _grid_sample(families, window)
         checked = _SAMPLES
 
-    # overlap-1 floor from per-family interior points
-    for fam in families:
-        pt = _interior_point(fam, window)
-        if pt is None:
-            continue
-        c = int(_count_points(families, [_int_point(*pt)], window)[0])
-        checked += 1
-        if c > best:
-            best, witness = c, pt
+    # overlap-1 floor from per-family interior points, counted in one batch over
+    # the lcm of their denominators; the first to reach the batch's maximum is
+    # the witness when that maximum beats the pairs'
+    floor = [pt for pt in (_interior_point(f, window) for f in families) if pt is not None]
+    if floor:
+        triples = [_int_point(*pt) for pt in floor]
+        d = math.lcm(*(e for _, _, e in triples))
+        counts = _count_points(families, [x * (d // e) for x, _, e in triples],
+                               [y * (d // e) for _, y, e in triples], d, window)
+        checked += len(floor)
+        k = int(np.argmax(counts))
+        if counts[k] > best:
+            best, witness = int(counts[k]), floor[k]
 
     return OverlapReport(
         s=s, C1=C1, max_overlap=best, witness=witness,

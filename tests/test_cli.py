@@ -117,6 +117,7 @@ class TestIncidence:
     @pytest.mark.parametrize("flag,value", [
         ("--s", "3"), ("--c1", "60"), ("--variant", "k"), ("--baseline", "parallel"),
         ("--window-half", "9"), ("--budget", "1"), ("--r-sweeps", "5"), ("--seed", "3"),
+        ("--out", "x.json"),  # a replay writes nothing
     ])
     def test_scan_flag_rejected_with_replay(self, env, capsys, flag, value):
         ds = env / "ds.json"
@@ -418,7 +419,8 @@ _RESOLVED = {
         {"eps": 0.5, "seed": 7, "l": 127, "k_min": 14, "k_max": 16, "trials": 8}, 2**17),
     ("selftest", None): ({}, None),
 }
-_SCAN = {"variant": "ktilde", "window_half": 1, "budget": 2_000_000, "r_sweeps": 1, "seed": 0}
+_SCAN = {"variant": "ktilde", "window_half": 1, "budget": 2_000_000, "r_sweeps": 1, "seed": 0,
+         "out": "overlap.json"}
 for _profile, _s in ((None, 2), ("desk-small", 1), ("desk-full", 2)):
     # the presets' seed is the construction's; incidence's seeds its r sweeps
     _RESOLVED[("incidence", _profile)] = ({"s": _s, **_SCAN}, None)

@@ -35,6 +35,12 @@ class TestTubeFamily:
         with pytest.raises(ValueError):
             I.TubeFamily(v=(F(0), F(0)), r=2, s=1, C1=8)
 
+    @pytest.mark.parametrize("side", [0, -1])
+    def test_nonpositive_torus_side_rejected(self, side):
+        # side 0 would read as no fold in the scan while member() divides by it
+        with pytest.raises(ValueError, match="torus side"):
+            I.TubeFamily(v=(F(1), F(0)), r=2, s=1, C1=8, torus_side=side)
+
 
 class TestMembership:
     def test_axis_plane(self):
@@ -412,7 +418,7 @@ class TestInt64Counts:
         d = 2 << 24  # lcm(2) 2^24 on [-1/2, 1/2]^2
         plan = I._plan(fams, d, d // 2)
         assert plan[1] is np.int64
-        assert all(Dd == 1 << 26 for _, _, group in plan[0] for _, Dd, _, _, _ in group)
+        assert all((Dd == 1 << 26).all() for _, _, _, Dd, _, _, _ in plan[0])
 
     # dyadic windows count in int64; the last one's denominators push d past
     # int64, so its samples count on Python integers
@@ -423,16 +429,85 @@ class TestInt64Counts:
         (I.ScanWindow(F(1, 7), F(1, 7) + F(1, 10**6), F(1, 11), F(1, 11) + F(1, 10**6)), True),
     )
 
+    EXACT_WINDOWS = (
+        I.ScanWindow(F(-1, 16), F(1, 16), F(-1, 16), F(1, 16)),
+        I.ScanWindow(F(1, 7), F(1, 7) + F(1, 20), F(-1, 3), F(-1, 3) + F(1, 30)),
+    )
+
     @settings(max_examples=25, deadline=None)
     @given(fams=st.lists(_tube_families(), min_size=1, max_size=3),
-           win=st.sampled_from([
-               I.ScanWindow(F(-1, 16), F(1, 16), F(-1, 16), F(1, 16)),
-               I.ScanWindow(F(1, 7), F(1, 7) + F(1, 20), F(-1, 3), F(-1, 3) + F(1, 30)),
-           ]))
+           win=st.sampled_from(EXACT_WINDOWS))
     def test_exact_scan_equals_recount(self, fams, win):
         rep = I.max_overlap_scan(fams, win)
         assert rep.method == "exact-candidates"
         assert (rep.max_overlap, rep.witness, rep.candidates_checked) == _recount_exact(fams, win)
+
+    @settings(max_examples=25, deadline=None)
+    @given(fams=st.lists(_tube_families(), min_size=1, max_size=4),
+           win=st.sampled_from(EXACT_WINDOWS))
+    def test_exact_scan_plans_once_per_batch(self, fams, win):
+        """_plan runs at most once per non-parallel pair with in-window
+        candidates, once for the floor batch, and once per in-window
+        interior-point trial: no family and no floor point is planned alone."""
+        plans, trials, inside = [], [], []
+        real_plan, real_interior, real_contains = I._plan, I._interior_point, I.ScanWindow.contains
+
+        def interior(fam, window):
+            inside.append(fam)
+            try:
+                return real_interior(fam, window)
+            finally:
+                inside.pop()
+
+        def contains(self, x, y):
+            hit = real_contains(self, x, y)
+            if hit and inside:
+                trials.append((x, y))
+            return hit
+
+        with mock.patch.object(I, "_plan", lambda *a: plans.append(bool(inside)) or real_plan(*a)), \
+                mock.patch.object(I, "_interior_point", interior), \
+                mock.patch.object(I.ScanWindow, "contains", contains):
+            rep = I.max_overlap_scan(fams, win)
+        assert rep.method == "exact-candidates"
+        iw = I._IntWindow(win)
+        ranges = [I._plane_range(f, win) for f in fams]
+        busy = sum(1 for i, j in itertools.combinations(range(len(fams)), 2)
+                   if fams[i].ax * fams[j].ay != fams[i].ay * fams[j].ax
+                   and any(iw.contains(*p) for p in I._pair_lattice(
+                       fams[i], fams[j], ranges[i], ranges[j], offsets=True)))
+        assert plans.count(False) <= busy + 1
+        assert plans.count(True) <= len(trials)
+
+    @pytest.mark.parametrize("v", [(F(1), F(0)), (F(3), F(-5, 2))])
+    def test_floor_witness_is_first_interior_point(self, v):
+        # parallel copies have no pair candidates, so the floor batch decides
+        fams = I.parallel_baseline(v, 4, s=2, C1=8)
+        win = I.default_window("ktilde")
+        rep = I.max_overlap_scan(fams, win)
+        assert rep.witness == I._interior_point(fams[0], win)
+        assert rep.max_overlap == rep.family_count == 4
+        assert rep.candidates_checked == 4
+
+    @pytest.mark.parametrize("v,ks,rs,corner", [
+        ((1, 3), (2, 1, 1, 3, 2), (4, 6, 5, 6, 5), (F(-3, 7), F(2, 9))),  # counts 1 2 2 1 2
+        ((1, 0), (3, 1, 1, 3, 2), (4, 5, 4, 5, 5), (F(-4, 7), F(2, 9))),  # counts 1 3 3 3 3
+    ])
+    def test_floor_witness_first_to_reach_floor_maximum(self, v, ks, rs, corner):
+        # parallel directions with different r: the floor points differ, the
+        # maximum is reached at more than one of them, and the witness is the
+        # first point to reach it
+        fams = [I.TubeFamily(v=(F(k * v[0]), F(k * v[1])), r=r, s=2, C1=8)
+                for k, r in zip(ks, rs)]
+        x0, y0 = corner
+        win = I.ScanWindow(x0, x0 + F(1, 3), y0, y0 + F(1, 4))
+        floor = [I._interior_point(f, win) for f in fams]
+        counts = [sum(I.tube_membership(pt, f) for f in fams) for pt in floor]
+        first = counts.index(max(counts))
+        assert first > 0 and any(c == counts[first] and pt != floor[first]
+                                 for c, pt in zip(counts[first + 1:], floor[first + 1:]))
+        rep = I.max_overlap_scan(fams, win)
+        assert (rep.max_overlap, rep.witness) == (counts[first], floor[first])
 
     @pytest.mark.parametrize("win,fallback", WINDOWS)
     @settings(max_examples=3, deadline=None)
