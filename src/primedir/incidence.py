@@ -12,16 +12,20 @@ some pair's intersection cell, whose corners are crossings of slab boundary
 lines, so scanning cell centers and corners over all pairs (plus one interior
 point per family for the overlap-1 floor) finds the maximum.
 
-All geometry is exact.  Points are carried as integer triples (px, py, d)
-meaning (px/d, py/d); the public API speaks Fractions.  Each ``TubeFamily``
-fixes its integer form once, at construction, and ``TubeFamily.member`` is
-the scalar reference predicate (``tube_membership`` applies it to a Fraction
-point).  The scan counts each batch of points over one denominator with a
-single numpy counter, in int64 when per-family constants bound every
-intermediate value below 2^63 and in Python integers otherwise.  The counter
-takes the families that share a torus side and an exclusion radius as one
-group, in one (families x points) broadcast; the overlap-1 floor points go
-through it as a single batch over the lcm of their denominators.
+All geometry is exact and integer.  Points are carried as integer triples
+(px, py, d) meaning (px/d, py/d), and the window as integer edges over one
+denominator; each ``TubeFamily`` fixes its integer form once, at
+construction.  Fractions appear only at the public API: windows and
+directions come in as Fractions, and witnesses, lattice centers and shrink
+intervals go out as Fractions.  ``TubeFamily.member`` is the scalar
+reference predicate (``tube_membership`` applies it to a Fraction point).
+The scan counts each batch of points over one denominator with a single
+numpy counter, in int64 when per-family constants bound every intermediate
+value below 2^63 and in Python integers otherwise.  The counter takes the
+families that share a torus side and an exclusion radius as one group, in
+one (families x points) broadcast; each family's floor walk counts its
+trials in one call, and the floor points go through the counter as a single
+batch over the lcm of their denominators.
 """
 
 from __future__ import annotations
@@ -136,17 +140,6 @@ class ScanWindow:
         if self.x_lo > self.x_hi or self.y_lo > self.y_hi:
             raise ValueError("empty window")
 
-    def corners(self):
-        return [
-            (self.x_lo, self.y_lo),
-            (self.x_lo, self.y_hi),
-            (self.x_hi, self.y_lo),
-            (self.x_hi, self.y_hi),
-        ]
-
-    def center(self) -> tuple[Fraction, Fraction]:
-        return ((self.x_lo + self.x_hi) / 2, (self.y_lo + self.y_hi) / 2)
-
     def contains(self, x: Fraction, y: Fraction) -> bool:
         return self.x_lo <= x <= self.x_hi and self.y_lo <= y <= self.y_hi
 
@@ -171,31 +164,30 @@ def _int_point(x: Fraction, y: Fraction) -> tuple[int, int, int]:
 
 
 class _IntWindow:
-    """The window's edges as (numerator, denominator) pairs, for integer triples."""
+    """The window as integer edges x0 <= x1, y0 <= y1 over one denominator W > 0."""
 
-    __slots__ = ("xl", "xh", "yl", "yh")
+    __slots__ = ("x0", "x1", "y0", "y1", "W")
 
     def __init__(self, window: ScanWindow):
-        self.xl, self.xh, self.yl, self.yh = (
-            (f.numerator, f.denominator)
-            for f in (window.x_lo, window.x_hi, window.y_lo, window.y_hi))
+        edges = (window.x_lo, window.x_hi, window.y_lo, window.y_hi)
+        self.W = math.lcm(*(f.denominator for f in edges))
+        self.x0, self.x1, self.y0, self.y1 = (f.numerator * (self.W // f.denominator)
+                                              for f in edges)
 
-    def contains(self, px: int, py: int, d: int) -> bool:
-        """window.contains(px/d, py/d) for d > 0, by cross-multiplication."""
-        (xln, xld), (xhn, xhd), (yln, yld), (yhn, yhd) = self.xl, self.xh, self.yl, self.yh
-        return (xln * d <= px * xld and px * xhd <= xhn * d
-                and yln * d <= py * yld and py * yhd <= yhn * d)
-
-    def mask(self, px: np.ndarray, py: np.ndarray, d: int) -> np.ndarray:
-        """contains() over arrays of numerators sharing the denominator d > 0:
-        the edges are rounded inward to integers at d once, so each point
-        costs four comparisons."""
-        (xln, xld), (xhn, xhd), (yln, yld), (yhn, yhd) = self.xl, self.xh, self.yl, self.yh
-        inside = px >= -(-xln * d // xld)
-        inside &= px <= xhn * d // xhd
-        inside &= py >= -(-yln * d // yld)
-        inside &= py <= yhn * d // yhd
+    def mask(self, px, py, d: int):
+        """Is (px/d, py/d) in the closed window? d > 0; px and py are integers
+        or arrays of them: the edges are rounded inward to integers at d once,
+        so each point costs four comparisons."""
+        W = self.W
+        inside = px >= -(-self.x0 * d // W)
+        inside &= px <= self.x1 * d // W
+        inside &= py >= -(-self.y0 * d // W)
+        inside &= py <= self.y1 * d // W
         return inside
+
+    def reach(self, d: int) -> int:
+        """floor(d max |edge|): no window point (px/d, py/d) has a larger |px| or |py|."""
+        return max(map(abs, (self.x0, self.x1, self.y0, self.y1))) * d // self.W
 
 
 # -- counting at one fixed denominator ------------------------------------------------
@@ -291,25 +283,29 @@ def tube_membership(beta: tuple[Fraction, Fraction], fam: TubeFamily) -> bool:
 
 # -- pairwise intersection lattices ------------------------------------------------
 
-def _plane_range(fam: TubeFamily, window: ScanWindow) -> tuple[int, int]:
-    """Indices a with the slab v.beta ~ a/r meeting the window (thickness included)."""
-    vx, vy = Fraction(fam.v[0]), Fraction(fam.v[1])
-    dots = [vx * cx + vy * cy for cx, cy in window.corners()]
-    lo = min(dots) - fam.thickness
-    hi = max(dots) + fam.thickness
-    return math.ceil(lo * fam.r), math.floor(hi * fam.r)
+def _plane_range(fam: TubeFamily, win: _IntWindow) -> tuple[int, int]:
+    """Indices a with the slab v.beta ~ a/r meeting the window (thickness included).
+
+    v.beta = dot / D at a corner, with dot = ax x + ay y and D = den W, so the
+    range is ceil(r (min dot - D 2^-shift) / D) .. floor(r (max dot + D 2^-shift) / D).
+    """
+    dots = [fam.ax * x + fam.ay * y for x in (win.x0, win.x1) for y in (win.y0, win.y1)]
+    D = fam.den * win.W
+    scale = D << fam.shift
+    return (-(-fam.r * ((min(dots) << fam.shift) - D) // scale),
+            fam.r * ((max(dots) << fam.shift) + D) // scale)
 
 
-def _pair_axes(f1: TubeFamily, f2: TubeFamily, range1: tuple[int, int],
-               range2: tuple[int, int], offsets: bool):
-    """The (f1, f2) intersection lattice as per-axis terms over one denominator.
+def _pair_candidates(f1: TubeFamily, f2: TubeFamily, range1: tuple[int, int],
+                     range2: tuple[int, int], win: _IntWindow, offsets: bool):
+    """The in-window points of the (f1, f2) intersection lattice, as object
+    arrays px, py over one denominator D > 0.
 
-    Returns (xa, ya), (xb, yb), (xo, yo) and D > 0: the candidate at the
-    plane-index pair (a, b) in range1 x range2 (``_plane_range`` of each
-    family) and offset o is (xa[a] + xb[b] + xo[o], ya[a] + yb[b] + yo[o], D),
-    with a, b and o counted from 0.  Offset 0 is the cell center; when
-    ``offsets`` is set, offsets 1-4 are the four cell corners (crossings of the
-    slab boundary lines).
+    Candidates run over the plane-index pairs (a, b) in range1 x range2
+    (``_plane_range`` of each family) and, for each, the offsets o: offset 0
+    is the cell center; when ``offsets`` is set, offsets 1-4 are the four cell
+    corners (crossings of the slab boundary lines).  The arrays keep
+    (a, b, o) order, a outermost.
     """
     delta = f1.ax * f2.ay - f1.ay * f2.ax
     if delta == 0:
@@ -326,27 +322,12 @@ def _pair_axes(f1: TubeFamily, f2: TubeFamily, range1: tuple[int, int],
     kx, ky = (sgn * c * f1.den * r2 << c2 for c in (f2.ay, f2.ax))
     lx, ly = (sgn * c * f2.den * r1 << c1 for c in (f1.ay, f1.ax))
     a, b = range(a_lo, a_hi + 1), range(b_lo, b_hi + 1)
-    return (([kx * i << c1 for i in a], [-(ky * i << c1) for i in a]),
-            ([-(lx * j << c2) for j in b], [ly * j << c2 for j in b]),
-            ([o1 * r1 * kx - o2 * r2 * lx for o1, o2 in offs],
-             [o2 * r2 * ly - o1 * r1 * ky for o1, o2 in offs]), D)
-
-
-def _pair_lattice(f1: TubeFamily, f2: TubeFamily, range1: tuple[int, int],
-                  range2: tuple[int, int], offsets: bool):
-    """The ``_pair_axes`` candidates as a list of (px, py, D), in (a, b, offset) order."""
-    (xa, ya), (xb, yb), (xo, yo), D = _pair_axes(f1, f2, range1, range2, offsets)
-    return [(x + u + sx, y + w + sy, D)
-            for x, y in zip(xa, ya) for u, w in zip(xb, yb) for sx, sy in zip(xo, yo)]
-
-
-def _pair_candidates(f1: TubeFamily, f2: TubeFamily, range1: tuple[int, int],
-                     range2: tuple[int, int], win: _IntWindow):
-    """The in-window ``_pair_axes`` candidates, cell centers and corners, as
-    object arrays px, py in ``_pair_lattice`` order, and their denominator D."""
-    (xa, ya), (xb, yb), (xo, yo), D = _pair_axes(f1, f2, range1, range2, offsets=True)
+    axes = (([kx * i << c1 for i in a], [-(lx * j << c2) for j in b],
+             [o1 * r1 * kx - o2 * r2 * lx for o1, o2 in offs]),
+            ([-(ky * i << c1) for i in a], [ly * j << c2 for j in b],
+             [o2 * r2 * ly - o1 * r1 * ky for o1, o2 in offs]))
     px, py = (np.add.outer(np.add.outer(np.array(u, dtype=object), v), o).ravel()
-              for u, v, o in ((xa, xb, xo), (ya, yb, yo)))
+              for u, v, o in axes)
     inside = win.mask(px, py, D)
     return px[inside], py[inside], D
 
@@ -360,10 +341,9 @@ def candidate_intersections(
     member of both (thickened) families.  Raises ValueError on parallel input.
     """
     win = _IntWindow(window)
-    return [(Fraction(px, d), Fraction(py, d))
-            for px, py, d in _pair_lattice(f1, f2, _plane_range(f1, window),
-                                           _plane_range(f2, window), offsets=False)
-            if win.contains(px, py, d)]
+    px, py, d = _pair_candidates(f1, f2, _plane_range(f1, win), _plane_range(f2, win), win,
+                                 offsets=False)
+    return [(Fraction(x, d), Fraction(y, d)) for x, y in zip(px, py)]
 
 
 # -- the scan ------------------------------------------------------------------------
@@ -385,36 +365,45 @@ class OverlapReport:
     baseline: str | None = None  # "parallel" for a parallel-baseline scan, for replay
 
 
-def _interior_point(fam: TubeFamily, window: ScanWindow) -> tuple[Fraction, Fraction] | None:
+def _interior_point(fam: TubeFamily, win: _IntWindow) -> tuple[Fraction, Fraction] | None:
     """A point on a tube center plane inside the window (overlap floor >= 1).
 
-    Walks perpendicularly from the window center to nearby planes, then along
-    each plane (the zero-index plane passes through the excluded origin ball,
-    so an on-plane offset is usually needed).
+    Walks perpendicularly from the window center to the planes a/r nearest
+    it, then along each plane by multiples of a quarter of the window's
+    smaller side (the zero-index plane passes through the excluded origin
+    ball, so an on-plane offset is usually needed); the first trial in the
+    window that the family covers is the point.
+
+    The 25 trials share the denominator d = 4 W r S den, where S = ax^2 + ay^2
+    and T = ax (x0 + x1) + ay (y0 + y1): v . center = T / (2 W den), plane a
+    meets the normal at center + (2 W den a - r T) / (2 W r S) (ax, ay), and
+    one step along a plane is w / (4 W) (-ay, ax) / den, w = min(x1 - x0, y1 - y0).
     """
-    vx, vy = Fraction(fam.v[0]), Fraction(fam.v[1])
-    n2 = vx * vx + vy * vy
-    cx, cy = window.center()
-    t0 = vx * cx + vy * cy
-    a0 = round(t0 * fam.r)
-    w_quarter = min(window.x_hi - window.x_lo, window.y_hi - window.y_lo) / 4
+    ax, ay, den, r = fam.ax, fam.ay, fam.den, fam.r
+    x0, x1, y0, y1, W = win.x0, win.x1, win.y0, win.y1, win.W
+    S, T = ax * ax + ay * ay, ax * (x0 + x1) + ay * (y0 + y1)
+    d, rSw = 4 * W * r * S * den, r * S * min(x1 - x0, y1 - y0)
+    cx, cy = 2 * r * S * den * (x0 + x1), 2 * r * S * den * (y0 + y1)  # the center, over d
+    a0 = round(Fraction(r * T, 2 * W * den))  # the plane nearest the center; ties go to even
+    trials = []
     for a in (a0, a0 - 1, a0 + 1, a0 - 2, a0 + 2):
-        lam = (Fraction(a, fam.r) - t0) / n2
-        px, py = cx + lam * vx, cy + lam * vy
-        for mu in (Fraction(0), w_quarter, -w_quarter, 2 * w_quarter, -2 * w_quarter):
-            x, y = px - mu * vy, py + mu * vx  # slide along the plane
-            if window.contains(x, y):
-                ix, iy, d = _int_point(x, y)
-                if _count_points([fam], [ix], [iy], d, window)[0]:
-                    return (x, y)
+        lam = 2 * den * (2 * W * den * a - r * T)  # plane a meets the normal at cx + lam ax
+        for m in (0, 1, -1, 2, -2):
+            px, py = cx + lam * ax - m * rSw * ay, cy + lam * ay + m * rSw * ax
+            if win.mask(px, py, d):
+                trials.append((px, py))
+    if trials:
+        hits = _count_points([fam], *zip(*trials), d, win)
+        for (px, py), hit in zip(trials, hits):
+            if hit:
+                return Fraction(px, d), Fraction(py, d)
     return None
 
 
-def _count_points(families: list[TubeFamily], px, py, d: int, window: ScanWindow) -> np.ndarray:
+def _count_points(families: list[TubeFamily], px, py, d: int, win: _IntWindow) -> np.ndarray:
     """Family counts of the points (px[i], py[i], d), which lie in the window;
     px and py are sequences or arrays of integers."""
-    reach = max(map(abs, (window.x_lo, window.x_hi, window.y_lo, window.y_hi)))
-    plan = _plan(families, d, int(reach * d))
+    plan = _plan(families, d, win.reach(d))
     return _counts(plan, *(np.asarray(c, dtype=plan[1]) for c in (px, py)))
 
 
@@ -433,20 +422,18 @@ def _sample_indices() -> np.ndarray:
     return ij
 
 
-def _grid_sample(families: list[TubeFamily], window: ScanWindow):
+def _grid_sample(families: list[TubeFamily], win: _IntWindow):
     """(best, witness) over the 20 000 seeded samples x_lo + (i / 2^24) wx.
 
-    All samples share the denominator d = lcm(window denominators) 2^24, so
-    sample i is the unreduced triple (x0 + i wx, y0 + j wy, d) in integers.
-    The witness is the first sample that reaches the maximum.
+    All samples share the denominator d = W 2^24, so sample i is the
+    unreduced triple (x0 + i wx, y0 + j wy, d) in integers.  The witness is
+    the first sample that reaches the maximum.
     """
     ij = _sample_indices()
-    edges = (window.x_lo, window.x_hi, window.y_lo, window.y_hi)
-    den = math.lcm(*(f.denominator for f in edges))
-    x_lo, x_hi, y_lo, y_hi = (f.numerator * (den // f.denominator) for f in edges)
-    x0, y0, wx, wy = x_lo << _SAMPLE_BITS, y_lo << _SAMPLE_BITS, x_hi - x_lo, y_hi - y_lo
-    d = den << _SAMPLE_BITS
-    plan = _plan(families, d, int(max(map(abs, edges)) * d))
+    x0, y0 = win.x0 << _SAMPLE_BITS, win.y0 << _SAMPLE_BITS
+    wx, wy = win.x1 - win.x0, win.y1 - win.y0
+    d = win.W << _SAMPLE_BITS
+    plan = _plan(families, d, win.reach(d))
     best, at = 0, None
     for start in range(0, _SAMPLES, _CHUNK):
         chunk = ij[start:start + _CHUNK].astype(plan[1])
@@ -473,8 +460,9 @@ def max_overlap_scan(
     exceed ``budget`` the scan falls back to a grid sample of 20 000 points
     (seed 0) and labels the report method accordingly.
 
-    Both branches work on integer triples (px, py, d); a Fraction is built
-    only for a new witness.  Two facts make that exact:
+    Both branches, and the floor, work on integer triples (px, py, d) and on
+    the window as integer edges over one denominator; a Fraction is built
+    only for a floor point or a new witness.  Two facts make that exact:
 
     - ``TubeFamily.member(px, py, d)`` gives the same answer when the triple
       is scaled by any positive integer: the torus fold, the exclusion test
@@ -487,18 +475,19 @@ def max_overlap_scan(
 
     So one counter serves every batch of points that share a denominator: a
     pair's in-window lattice candidates (filtered against the window by array
-    comparisons), a 2048-point chunk of the grid sample, and the floor points,
-    all counted in one batch over the lcm of their denominators.  ``_plan``
-    computes the per-family constants once per batch, and the fold and
-    exclusion constants once per group of families that share a torus side
-    and an exclusion radius; it picks int64 when they bound every
-    intermediate value below 2^63, Python integers otherwise.  ``_counts``
-    applies each group in one (families x points) broadcast.  The witness is
-    the first candidate, in pair order then lattice order, to reach the
-    maximum; a floor point is the witness only when the floor's maximum
-    beats the pairs', and then it is the first floor point to reach it,
-    which is the point a one-at-a-time loop would keep.  The scan never
-    calls ``member``, so ``replay_witness`` checks a witness independently.
+    comparisons), a 2048-point chunk of the grid sample, the in-window trials
+    of one family's floor walk, and the floor points, all counted in one batch
+    over the lcm of their denominators.  ``_plan`` computes the per-family
+    constants once per batch, and the fold and exclusion constants once per
+    group of families that share a torus side and an exclusion radius; it
+    picks int64 when they bound every intermediate value below 2^63, Python
+    integers otherwise.  ``_counts`` applies each group in one
+    (families x points) broadcast.  The witness is the first candidate, in
+    pair order then lattice order, to reach the maximum; a floor point is the
+    witness only when the floor's maximum beats the pairs', and then it is
+    the first floor point to reach it, which is the point a one-at-a-time
+    loop would keep.  The scan never calls ``member``, so ``replay_witness``
+    checks a witness independently.
     """
     if not families:
         raise ValueError("need at least one family")
@@ -508,7 +497,8 @@ def max_overlap_scan(
     n = len(families)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)  # the non-parallel pairs
              if families[i].ax * families[j].ay != families[i].ay * families[j].ax]
-    ranges = [_plane_range(f, window) for f in families]
+    win = _IntWindow(window)
+    ranges = [_plane_range(f, win) for f in families]
     est = sum(5 * (ranges[i][1] - ranges[i][0] + 1) * (ranges[j][1] - ranges[j][0] + 1)
               for i, j in pairs)  # candidate budget estimate
 
@@ -517,30 +507,30 @@ def max_overlap_scan(
     checked = 0
     if est <= budget:
         method = "exact-candidates"
-        win = _IntWindow(window)
         for i, j in pairs:
-            px, py, d = _pair_candidates(families[i], families[j], ranges[i], ranges[j], win)
+            px, py, d = _pair_candidates(families[i], families[j], ranges[i], ranges[j], win,
+                                         offsets=True)
             if not len(px):
                 continue
             checked += len(px)
-            counts = _count_points(families, px, py, d, window)
+            counts = _count_points(families, px, py, d, win)
             k = int(np.argmax(counts))  # the pair's first candidate to reach its maximum
             if counts[k] > best:
                 best, witness = int(counts[k]), (Fraction(px[k], d), Fraction(py[k], d))
     else:
         method = "grid-sample"
-        best, witness = _grid_sample(families, window)
+        best, witness = _grid_sample(families, win)
         checked = _SAMPLES
 
     # overlap-1 floor from per-family interior points, counted in one batch over
     # the lcm of their denominators; the first to reach the batch's maximum is
     # the witness when that maximum beats the pairs'
-    floor = [pt for pt in (_interior_point(f, window) for f in families) if pt is not None]
+    floor = [pt for pt in (_interior_point(f, win) for f in families) if pt is not None]
     if floor:
         triples = [_int_point(*pt) for pt in floor]
         d = math.lcm(*(e for _, _, e in triples))
         counts = _count_points(families, [x * (d // e) for x, _, e in triples],
-                               [y * (d // e) for _, y, e in triples], d, window)
+                               [y * (d // e) for _, y, e in triples], d, win)
         checked += len(floor)
         k = int(np.argmax(counts))
         if counts[k] > best:
@@ -701,13 +691,16 @@ def _pair_x_intervals(
     ext = (abs(v2y) * f1.thickness + abs(v1y) * f2.thickness) / det
     ext_y = (abs(v2x) * f1.thickness + abs(v1x) * f2.thickness) / det
     excl = min(Fraction(f1.exclusion_radius), Fraction(f2.exclusion_radius))
+    # the centers of cells that reach into the window: the window's plane
+    # ranges, masked to the window grown by one cell extent
+    win = _IntWindow(window)
+    grown = _IntWindow(ScanWindow(window.x_lo - ext, window.x_hi + ext,
+                                  window.y_lo - ext_y, window.y_hi + ext_y))
+    px, py, d = _pair_candidates(f1, f2, _plane_range(f1, win), _plane_range(f2, win), grown,
+                                 offsets=False)
     ivs = []
-    for px, py, d in _pair_lattice(f1, f2, _plane_range(f1, window), _plane_range(f2, window),
-                                   offsets=False):
-        x, y = Fraction(px, d), Fraction(py, d)
-        if not (window.x_lo - ext <= x <= window.x_hi + ext
-                and window.y_lo - ext_y <= y <= window.y_hi + ext_y):
-            continue
+    for x, y in zip(px, py):
+        x, y = Fraction(x, d), Fraction(y, d)
         # cells swallowed by the excluded origin ball contribute no points
         if excl > 0 and (abs(x) + ext) ** 2 + (abs(y) + ext_y) ** 2 <= excl * excl:
             continue

@@ -360,7 +360,6 @@ def empirical_norm(
     families: tuple[str, ...] = ("delta", "gaussian", "rademacher", "boxes"),
     trials: int = 8,
     seed: int = 0,
-    method: str = "spectral",
 ) -> NormReport:
     """Adversarial norm estimate: max of ||maximal_op f|| / ||f|| per test family.
 
@@ -376,12 +375,12 @@ def empirical_norm(
         best, arg = 0.0, ""
         if name == "delta":
             f = GridFunction.delta(L)
-            delta_measured = maximal_op(f, cfg, method).norm2()
+            delta_measured = maximal_op(f, cfg).norm2()
             best, arg = delta_measured / f.norm2(), "point mass at 0"
         elif name in ("gaussian", "rademacher"):
             for t in range(trials):
                 f = GridFunction.random(L, rng, kind=name)
-                ratio = maximal_op(f, cfg, method).norm2() / f.norm2()
+                ratio = maximal_op(f, cfg).norm2() / f.norm2()
                 if ratio > best:
                     best, arg = ratio, f"{name} trial {t}"
         elif name == "boxes":
@@ -390,7 +389,7 @@ def empirical_norm(
                 vals = np.zeros((L, L))
                 vals[:size, :size] = 1.0
                 f = GridFunction(L, vals)
-                ratio = maximal_op(f, cfg, method).norm2() / f.norm2()
+                ratio = maximal_op(f, cfg).norm2() / f.norm2()
                 if ratio > best:
                     best, arg = ratio, f"box {size}x{size}"
                 size *= 2
@@ -398,7 +397,7 @@ def empirical_norm(
             raise ValueError(f"unknown test family {name!r}")
         per[name] = {"max_ratio": best, "argmax": arg}
     if "delta" not in families:
-        delta_measured = maximal_op(GridFunction.delta(L), cfg, method).norm2()
+        delta_measured = maximal_op(GridFunction.delta(L), cfg).norm2()
     return NormReport(
         L=L, per_family=per,
         delta_spread_closed_form=delta_spread_value(cfg),

@@ -49,7 +49,6 @@ __all__ = [
     "m_k_grid",
     "m_k_naive_grid",
     "m_k_at_denominator",
-    "L_k_s",
     "L_k",
     "default_s_max",
     "error_profile",
@@ -177,19 +176,6 @@ def _term_value(k: int, alpha: Fraction, p: int, q: int) -> complex:
         return 0.0 + 0.0j
     # adding to 0j turns -0.0 parts into +0.0, so a zero term has one sign
     return 0j + (mobius(q) / totient(q)) * _v_k_cached(k, float(delta)) * cut
-
-
-def L_k_s(k: int, s: int, alpha) -> complex:
-    """The level-s main term: mu(q)/phi(q) V_k(alpha - a/q) chi_s(alpha - a/q).
-
-    Only the last convergent of alpha with q < 2^(s+1) can lie inside its
-    cutoff support (see L_k), so the level-s term is its term when its
-    denominator has level s, and 0 otherwise.
-    """
-    if s < 0:
-        raise ValueError("level must be >= 0")
-    alpha, p, q = _last_convergent(alpha, s)
-    return _term_value(k, alpha, p, q) if q.bit_length() - 1 == s else 0j
 
 
 def default_s_max(k: int, D: float = DEFAULT_D) -> tuple[int, bool]:

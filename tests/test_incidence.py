@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction as F
 from unittest import mock
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primedir import directions
 from primedir import incidence as I
 from primedir.errors import ParseError
 
@@ -203,6 +205,7 @@ class TestIntWindow:
 
     @pytest.mark.parametrize("win", WINDOWS)
     def test_edges_and_corners_match_contains(self, win):
+        # mask() on scalar triples against the Fraction reference contains()
         iw = I._IntWindow(win)
         eps = F(1, 10**9)
         xs = (win.x_lo, (win.x_lo + win.x_hi) / 2, win.x_hi)
@@ -214,17 +217,18 @@ class TestIntWindow:
                         x, y = x0 + dx, y0 + dy
                         px, py, d = I._int_point(x, y)
                         for k in (1, 6):  # unreduced triples too
-                            assert iw.contains(k * px, k * py, k * d) == win.contains(x, y)
+                            assert iw.mask(k * px, k * py, k * d) == win.contains(x, y)
 
     @pytest.mark.parametrize("win", WINDOWS)
     def test_closed_edges_are_members(self, win):
         iw = I._IntWindow(win)
-        for x, y in win.corners():
-            assert iw.contains(*I._int_point(x, y))
-        for x in (win.x_lo, win.x_hi):
-            assert iw.contains(*I._int_point(x, win.center()[1]))
-        for y in (win.y_lo, win.y_hi):
-            assert iw.contains(*I._int_point(win.center()[0], y))
+        cx, cy = (win.x_lo + win.x_hi) / 2, (win.y_lo + win.y_hi) / 2
+        pts = [(x, y) for x in (win.x_lo, win.x_hi) for y in (win.y_lo, win.y_hi)]
+        pts += [(x, cy) for x in (win.x_lo, win.x_hi)] + [(cx, y) for y in (win.y_lo, win.y_hi)]
+        px, py, d = zip(*(I._int_point(x, y) for x, y in pts))
+        e = math.lcm(*d)  # one denominator, as the scan's arrays share
+        assert iw.mask(np.array([x * (e // k) for x, k in zip(px, d)]),
+                       np.array([y * (e // k) for y, k in zip(py, d)]), e).all()
 
 
 # -- the scan's counter against the scalar predicate ---------------------------------
@@ -368,7 +372,8 @@ def _samples(window):
 def _recount_scan(fams, window):
     """The grid-sample scan recounted point by point through tube_membership."""
     best, witness = 0, None
-    floor = [pt for pt in (I._interior_point(f, window) for f in fams) if pt is not None]
+    win = I._IntWindow(window)
+    floor = [pt for pt in (I._interior_point(f, win) for f in fams) if pt is not None]
     for pt in _samples(window) + floor:
         c = sum(I.tube_membership(pt, f) for f in fams)
         if c > best:
@@ -380,12 +385,14 @@ def _recount_exact(fams, window):
     """The exact scan recounted point by point through member(): every in-window
     candidate of every non-parallel pair, then the floor points."""
     win = I._IntWindow(window)
-    ranges = [I._plane_range(f, window) for f in fams]
-    pts = [p for i, j in itertools.combinations(range(len(fams)), 2)
-           if fams[i].ax * fams[j].ay != fams[i].ay * fams[j].ax
-           for p in I._pair_lattice(fams[i], fams[j], ranges[i], ranges[j], offsets=True)
-           if win.contains(*p)]
-    pts += [I._int_point(*pt) for pt in (I._interior_point(f, window) for f in fams) if pt]
+    ranges = [I._plane_range(f, win) for f in fams]
+    pts = []
+    for i, j in itertools.combinations(range(len(fams)), 2):
+        if fams[i].ax * fams[j].ay != fams[i].ay * fams[j].ax:
+            px, py, d = I._pair_candidates(fams[i], fams[j], ranges[i], ranges[j], win,
+                                           offsets=True)
+            pts += [(x, y, d) for x, y in zip(px, py)]
+    pts += [I._int_point(*pt) for pt in (I._interior_point(f, win) for f in fams) if pt]
     best, witness = 0, None
     for px, py, d in pts:
         c = sum(f.member(px, py, d) for f in fams)
@@ -447,10 +454,10 @@ class TestInt64Counts:
            win=st.sampled_from(EXACT_WINDOWS))
     def test_exact_scan_plans_once_per_batch(self, fams, win):
         """_plan runs at most once per non-parallel pair with in-window
-        candidates, once for the floor batch, and once per in-window
-        interior-point trial: no family and no floor point is planned alone."""
-        plans, trials, inside = [], [], []
-        real_plan, real_interior, real_contains = I._plan, I._interior_point, I.ScanWindow.contains
+        candidates, once for the floor batch, and once per family's interior
+        point walk: no floor point or walk trial is planned alone."""
+        plans, inside = [], []
+        real_plan, real_interior = I._plan, I._interior_point
 
         def interior(fam, window):
             inside.append(fam)
@@ -459,25 +466,18 @@ class TestInt64Counts:
             finally:
                 inside.pop()
 
-        def contains(self, x, y):
-            hit = real_contains(self, x, y)
-            if hit and inside:
-                trials.append((x, y))
-            return hit
-
         with mock.patch.object(I, "_plan", lambda *a: plans.append(bool(inside)) or real_plan(*a)), \
-                mock.patch.object(I, "_interior_point", interior), \
-                mock.patch.object(I.ScanWindow, "contains", contains):
+                mock.patch.object(I, "_interior_point", interior):
             rep = I.max_overlap_scan(fams, win)
         assert rep.method == "exact-candidates"
         iw = I._IntWindow(win)
-        ranges = [I._plane_range(f, win) for f in fams]
+        ranges = [I._plane_range(f, iw) for f in fams]
         busy = sum(1 for i, j in itertools.combinations(range(len(fams)), 2)
                    if fams[i].ax * fams[j].ay != fams[i].ay * fams[j].ax
-                   and any(iw.contains(*p) for p in I._pair_lattice(
-                       fams[i], fams[j], ranges[i], ranges[j], offsets=True)))
+                   and len(I._pair_candidates(fams[i], fams[j], ranges[i], ranges[j], iw,
+                                              offsets=True)[0]))
         assert plans.count(False) <= busy + 1
-        assert plans.count(True) <= len(trials)
+        assert plans.count(True) <= len(fams)
 
     @pytest.mark.parametrize("v", [(F(1), F(0)), (F(3), F(-5, 2))])
     def test_floor_witness_is_first_interior_point(self, v):
@@ -485,7 +485,7 @@ class TestInt64Counts:
         fams = I.parallel_baseline(v, 4, s=2, C1=8)
         win = I.default_window("ktilde")
         rep = I.max_overlap_scan(fams, win)
-        assert rep.witness == I._interior_point(fams[0], win)
+        assert rep.witness == I._interior_point(fams[0], I._IntWindow(win))
         assert rep.max_overlap == rep.family_count == 4
         assert rep.candidates_checked == 4
 
@@ -501,7 +501,7 @@ class TestInt64Counts:
                 for k, r in zip(ks, rs)]
         x0, y0 = corner
         win = I.ScanWindow(x0, x0 + F(1, 3), y0, y0 + F(1, 4))
-        floor = [I._interior_point(f, win) for f in fams]
+        floor = [I._interior_point(f, I._IntWindow(win)) for f in fams]
         counts = [sum(I.tube_membership(pt, f) for f in fams) for pt in floor]
         first = counts.index(max(counts))
         assert first > 0 and any(c == counts[first] and pt != floor[first]
@@ -522,6 +522,114 @@ class TestInt64Counts:
         if fallback is not None:
             assert (plans[0][1] is object) == fallback
         assert (rep.max_overlap, rep.witness) == _recount_scan(fams, win)
+
+
+def _fraction_plane_range(fam: I.TubeFamily, window: I.ScanWindow) -> tuple[int, int]:
+    """Plane indices a whose thickened slab meets the window, in plain Fractions."""
+    vx, vy = F(fam.v[0]), F(fam.v[1])
+    dots = [vx * x + vy * y for x in (window.x_lo, window.x_hi) for y in (window.y_lo, window.y_hi)]
+    return (math.ceil((min(dots) - fam.thickness) * fam.r),
+            math.floor((max(dots) + fam.thickness) * fam.r))
+
+
+def _fraction_interior_point(fam: I.TubeFamily, window: I.ScanWindow):
+    """The floor walk in plain Fractions, one trial at a time through
+    tube_membership: from the window center along v to the planes a/r
+    nearest it, then along each plane by multiples of a quarter side."""
+    vx, vy = F(fam.v[0]), F(fam.v[1])
+    n2 = vx * vx + vy * vy
+    cx, cy = (window.x_lo + window.x_hi) / 2, (window.y_lo + window.y_hi) / 2
+    t0 = vx * cx + vy * cy
+    a0 = round(t0 * fam.r)
+    quarter = min(window.x_hi - window.x_lo, window.y_hi - window.y_lo) / 4
+    for a in (a0, a0 - 1, a0 + 1, a0 - 2, a0 + 2):
+        lam = (F(a, fam.r) - t0) / n2
+        px, py = cx + lam * vx, cy + lam * vy
+        for mu in (F(0), quarter, -quarter, 2 * quarter, -2 * quarter):
+            x, y = px - mu * vy, py + mu * vx
+            if window.contains(x, y) and I.tube_membership((x, y), fam):
+                return x, y
+    return None
+
+
+@st.composite
+def _windows(draw):
+    """Default, off-centre and single-point windows, and one drawn at random."""
+    corner = st.fractions(-1, 1, max_denominator=30)
+    side = st.fractions(0, 2, max_denominator=30)
+    x0, y0 = draw(corner), draw(corner)
+    drawn = I.ScanWindow(x0, x0 + draw(side), y0, y0 + draw(side))
+    return draw(st.sampled_from((
+        I.default_window("k"), I.default_window("ktilde"),
+        I.ScanWindow(F(1, 7), F(1, 7) + F(1, 3), F(-2, 9), F(-2, 9) + F(1, 4)),
+        I.ScanWindow(F(-5, 3), F(-1, 2), F(2, 5), F(9, 7)),
+        I.ScanWindow(F(1, 3), F(1, 3), F(-2, 7), F(-2, 7)),
+        I.ScanWindow(F(0), F(0), F(0), F(0)),
+        drawn,
+    )))
+
+
+class TestFloorWalkOracle:
+    """The integer floor walk and plane range against their Fraction forms."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(fam=_tube_families(), window=_windows(), shrink=st.sampled_from((1, 12, 40)))
+    def test_integer_walk_equals_fraction_walk(self, fam, window, shrink):
+        # a shorter v keeps the thickness below the spacing; it also keeps the
+        # walk's on-plane steps, which scale with |v|, inside the window, so
+        # the trials off the normal (and their order) are exercised
+        fam = I.TubeFamily(v=(fam.v[0] / shrink, fam.v[1] / shrink), r=fam.r, s=fam.s,
+                           C1=fam.C1, exclusion_radius=fam.exclusion_radius,
+                           torus_side=fam.torus_side)
+        win = I._IntWindow(window)
+        assert I._plane_range(fam, win) == _fraction_plane_range(fam, window)
+        assert I._interior_point(fam, win) == _fraction_interior_point(fam, window)
+
+    @pytest.mark.parametrize("ex,window,want", [
+        # the window center sits midway between the planes x = 0 and x = 1/2:
+        # t0 r = 1/2 rounds to the even plane 0, whose first trial (0, 0) is
+        # on the window edge; rounding half up would give (1/2, 0)
+        (F(0), I.ScanWindow(F(0), F(1, 2), F(-1, 4), F(1, 4)), (F(0), F(0))),
+        # the origin is excluded, so the walk slides along plane 0, up first
+        (F(1, 10), I.default_window("k"), (F(0), F(1, 4))),
+    ])
+    def test_explicit_walks(self, ex, window, want):
+        fam = I.TubeFamily(v=(F(1), F(0)), r=2, s=1, C1=8, exclusion_radius=ex)
+        assert I._interior_point(fam, I._IntWindow(window)) == want
+        assert _fraction_interior_point(fam, window) == want
+
+
+class TestPinnedWitnesses:
+    """Whole scans against reports recorded before the scan's geometry moved
+    from Fractions to integers; the benchmark compares no witness."""
+
+    @staticmethod
+    def _report(fams, window):
+        rep = I.max_overlap_scan(fams, window)
+        return rep.max_overlap, rep.method, rep.candidates_checked, rep.witness
+
+    def test_toy_ktilde(self, toy_ds):
+        # the seed-7 N = 4 set at s = 2: a floor point is the witness
+        fams = I.families_from_direction_set(toy_ds, s=2)
+        assert self._report(fams, I.default_window("ktilde")) == (
+            1, "exact-candidates", 34, (F(-3027, 128000), F(11099, 128000)))
+
+    @pytest.mark.parametrize("variant,want", [
+        ("ktilde", (2, "exact-candidates", 178,
+                    (F(-8129464000000, 9664423892217), F(-8707768000000, 9664423892217)))),
+        ("k", (8, "grid-sample", 20008, (F(4538079, 16777216), F(715429, 2097152)))),
+    ])
+    def test_seed0_n8_s3(self, variant, want):
+        spec = directions.DirectionSpec(N=8, eps=0.5, seed=0)
+        ds = directions.rescale_to_integers(directions.construct_directions(spec))
+        fams = I.families_from_direction_set(ds, s=3, variant=variant)
+        assert self._report(fams, I.default_window(variant)) == want
+
+    def test_parallel_baseline_off_centre(self):
+        fams = I.parallel_baseline((F(3), F(-5, 2)), 5, s=2, C1=8)
+        window = I.ScanWindow(F(1, 7), F(2, 7), F(-1, 3), F(-1, 5))
+        assert self._report(fams, window) == (
+            5, "exact-candidates", 5, (F(173, 854), F(-1097, 4270)))
 
 
 class TestGreedySelection:

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -86,16 +87,51 @@ class TestGridPaths:
             assert np.abs(g[(-np.arange(L)) % L] - np.conj(g)).max() <= 1e-14
 
 
+@functools.cache
+def _level_values(s: int):
+    """The dyadic Farey level s and its fractions' float values."""
+    fracs = arith.farey_level(s).fractions
+    return fracs, np.array([f.a / f.q for f in fracs])
+
+
+def _farey_sum(k: int, alpha: Fraction, s_max: int) -> complex:
+    """sum over every reduced a/q of every level s <= s_max of
+    mu(q)/phi(q) V_k(delta) chi_s(delta), delta = alpha - a/q taken in [-1/2, 1/2).
+
+    chi_s(delta) vanishes once |delta| >= 2^-(10(s+4)+1) <= 2^-41, so a float
+    prefilter at 2^-30 skips only zero terms; the rest are summed exactly as
+    L_k forms its one term."""
+    total = 0j
+    x = float(alpha % 1)
+    for s in range(s_max + 1):
+        fracs, vals = _level_values(s)
+        for i in np.flatnonzero(np.abs((x - vals + 0.5) % 1.0 - 0.5) < 2.0**-30):
+            f = fracs[i]
+            delta = alpha - Fraction(f.a, f.q)
+            delta -= math.floor(delta + Fraction(1, 2))
+            cut = bumps.chi_s(s, float(delta))
+            if cut != 0.0:
+                total += (arith.mobius(f.q) / arith.totient(f.q)) * bumps.v_k(k, float(delta)) * cut
+    return total
+
+
 class TestLk:
-    def test_level_zero_at_zero(self):
-        assert M.L_k_s(12, 0, Fraction(0)) == pytest.approx(1.0, abs=1e-10)
-
-    def test_level_one_at_half(self):
-        assert M.L_k_s(12, 1, Fraction(1, 2)) == pytest.approx(-1.0, abs=1e-10)
-
-    def test_level_one_far_from_fractions(self):
-        # 0.4 sits farther than the cutoff support from 1/3, 1/2, 2/3
-        assert M.L_k_s(12, 1, Fraction(2, 5)) == 0.0
+    @pytest.mark.parametrize("s_max", [0, 1, 3, 6])
+    def test_equals_farey_sum(self, s_max):
+        # points on, inside, across and just outside the cutoff support of
+        # fractions of every level up to one past s_max, shifted by integers
+        rng = np.random.default_rng(s_max)
+        offsets = [Fraction(c) for c in ("0", "1/8", "-3/8", "2/5", "-9/20", "3/5")]
+        alphas = []
+        for s in range(s_max + 2):
+            fracs = arith.farey_level(s).fractions
+            for i in sorted({0, len(fracs) // 2, len(fracs) - 1, int(rng.integers(len(fracs)))}):
+                at = Fraction(fracs[i].a, fracs[i].q)
+                alphas += [at + c / 2 ** (10 * (s + 4)) + int(rng.integers(-2, 3)) for c in offsets]
+        for k in (12, 16):
+            for alpha in alphas:
+                got, want = M.L_k(k, alpha, s_max), _farey_sum(k, alpha, s_max)
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), alpha
 
     def test_sum_examples(self):
         assert M.L_k(12, Fraction(0)) == pytest.approx(1.0, abs=1e-10)
@@ -144,8 +180,6 @@ class TestLk:
     def test_level_above_one_term_proof_rejected(self):
         with pytest.raises(ValueError):
             M.L_k(12, Fraction(1, 3), s_max=39)
-        with pytest.raises(ValueError):
-            M.L_k_s(12, 39, Fraction(1, 3))
 
     def test_default_s_max_cap(self):
         s_max, truncated = M.default_s_max(20, 17.0)
