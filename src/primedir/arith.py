@@ -45,10 +45,6 @@ __all__ = [
     "convergents",
 ]
 
-# Odd-only segment of ~256 KiB of bool flags (one flag per odd number).
-_SEGMENT_FLAGS = 1 << 18
-
-
 @dataclass(frozen=True)
 class PrimeTable:
     """Immutable sieve artifact: all primes <= limit with their log weights.
@@ -78,22 +74,11 @@ class PrimeTable:
         return self.primes[lo:hi], self.log_weights[lo:hi]
 
 
-def _simple_sieve(limit: int) -> np.ndarray:
-    if limit < 2:
-        return np.array([], dtype=np.int64)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
-
-
 def sieve_primes(limit: int) -> PrimeTable:
-    """Segmented odd-only sieve of Eratosthenes up to ``limit`` (inclusive).
+    """Odd-only sieve of Eratosthenes up to ``limit`` (inclusive), in one pass.
 
-    Segments hold ~256 KiB of flags so the inner loops stay cache resident;
-    this keeps limits up to 2^25 (needed for scale k = 24) cheap.
+    One bool flag per odd number, flag i standing for 2i + 1, so 2^25 (the
+    table of scale k = 24) needs 16 MiB of flags.
 
     Raises
     ------
@@ -102,36 +87,16 @@ def sieve_primes(limit: int) -> PrimeTable:
     """
     if limit < 2:
         raise ValueError("sieve limit must be >= 2")
-
-    base = _simple_sieve(math.isqrt(limit))
-    odd_base = base[base > 2]
-
-    chunks = [np.array([2], dtype=np.int64)]
-    # Sieve odd numbers in [low, high) per segment.
-    low = 3
-    while low <= limit:
-        high = min(low + 2 * _SEGMENT_FLAGS, limit + 1)
-        n_flags = (high - low + 1) // 2
-        flags = np.ones(n_flags, dtype=bool)
-        for p in odd_base:
-            p = int(p)
-            start = max(p * p, ((low + p - 1) // p) * p)
-            if start >= high:
-                continue
-            if start % 2 == 0:
-                start += p
-            if start >= high:
-                continue
-            flags[(start - low) // 2 :: p] = False
-        chunks.append(low + 2 * np.flatnonzero(flags).astype(np.int64))
-        low = high
-
-    primes = np.concatenate(chunks)
-    primes = primes[primes <= limit]
+    flags = np.ones((limit + 1) // 2, dtype=bool)
+    flags[0] = False  # 1 is not prime
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if flags[p // 2]:
+            flags[p * p // 2 :: p] = False
+    primes = np.concatenate(([2], 2 * np.flatnonzero(flags) + 1)).astype(np.int64)
     return PrimeTable(limit=limit, primes=primes, log_weights=np.log(primes.astype(np.float64)))
 
 
-# -- cache file: magic "PDPT", version byte, u64-le limit, u64-le primes -----
+# -- table file: magic "PDPT", version byte, u64-le limit, u64-le primes -----
 
 _PT_MAGIC = b"PDPT"
 _PT_VERSION = 1
@@ -146,7 +111,7 @@ def save_prime_table(table: PrimeTable, path) -> None:
 
 
 def load_prime_table(path) -> PrimeTable:
-    """Load a cached sieve, revalidating the header and the final entry.
+    """Load a saved sieve, revalidating the header and the final entry.
 
     Raises ParseError on malformed headers and ValueError when the content
     fails revalidation (non-monotone entries, final entry composite or
@@ -348,13 +313,11 @@ def _mr_witness(n: int, a: int) -> bool:
     return True
 
 
-def is_prime_certified(n: int, certainty: list | None = None) -> bool:
+def is_prime_certified(n: int) -> bool:
     """Miller-Rabin primality test, deterministic below MR_DETERMINISTIC_BOUND.
 
     Above the bound the test runs 64 pseudo-random bases derived
-    deterministically from n (failure probability < 2^-128); pass a list as
-    ``certainty`` to receive a single boolean flag telling whether the answer
-    was deterministic.
+    deterministically from n (failure probability < 2^-128).
 
     Raises
     ------
@@ -363,15 +326,12 @@ def is_prime_certified(n: int, certainty: list | None = None) -> bool:
     """
     if n < 2:
         raise ValueError("primality test expects n >= 2")
-    deterministic = n < MR_DETERMINISTIC_BOUND
-    if certainty is not None:
-        certainty.append(deterministic)
     for p in _MR_WITNESSES:
         if n == p:
             return True
         if n % p == 0:
             return False
-    if deterministic:
+    if n < MR_DETERMINISTIC_BOUND:
         return not any(_mr_witness(n, a) for a in _MR_WITNESSES)
     import random
 

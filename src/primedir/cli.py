@@ -3,9 +3,9 @@
 Subcommands: construct, mult-error, incidence, apply, norm-sweep, selftest.
 Every command validates its numeric flags against the module preconditions
 before any compute starts, writes machine-readable reports (CSV or JSON, all
-schema-tagged), and never mutates an input file. Commands that sieve size the
-prime table from their largest scale k as 2^(k+1) and cache it per size under
-PD_CACHE_DIR.
+schema-tagged), and never mutates an input file; it writes no file that its
+flags do not name. Commands that sieve size the prime table from their largest
+scale k as 2^(k+1) and sieve it in memory on each run.
 
 Flags resolve in one place, `_resolve`, which `main` calls before the command
 runs: explicit flag > --profile preset > the command's fallback (`_FALLBACKS`).
@@ -19,14 +19,12 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import os
 import random
 import sys
 import time
-from pathlib import Path
 
 from . import incidence, maximal, multiplier, selftest
-from .arith import load_prime_table, save_prime_table, sieve_primes
+from .arith import sieve_primes
 from .directions import (
     DirectionSpec,
     construct_directions,
@@ -137,28 +135,15 @@ def _operator_scales(args) -> range:
     return range(args.k_min, args.k_max + 1)
 
 
-def _prime_table(scales, least: int, cache_dir: str | None):
-    """The sieve up to 2^(max(scales) + 1), cached per limit.
+def _prime_table(scales, least: int):
+    """The sieve up to 2^(max(scales) + 1), after checking the scales against ``least``.
 
     A scale-k average reads only the primes in [2^k, 2^(k+1)]
     (``PrimeTable.slice_for_scale``), so a larger table changes no output.
-    The scales are checked against ``least`` before anything is sieved or
-    the cache directory is made.
     """
     if min(scales) < least:
         raise UsageError(f"scales must be >= {least}; got k = {min(scales)}")
-    limit = 1 << (max(scales) + 1)
-    d = Path(cache_dir or os.environ.get("PD_CACHE_DIR") or Path.home() / ".cache" / "primedir")
-    d.mkdir(parents=True, exist_ok=True)
-    path = d / f"primes_{limit}.pdpt"
-    if path.exists():
-        try:
-            return load_prime_table(path)
-        except (ParseError, ValueError) as exc:
-            print(f"cache {path} invalid ({exc}); rebuilding", file=sys.stderr)
-    table = sieve_primes(limit)
-    save_prime_table(table, path)
-    return table
+    return sieve_primes(1 << (max(scales) + 1))
 
 
 def _load_ds(path):
@@ -221,7 +206,7 @@ def cmd_mult_error(args) -> int:
         raise UsageError("--arc-d must be positive")
     if args.grid < 1:
         raise UsageError("--grid must be positive")
-    table = _prime_table(ks, 1, args.cache_dir)  # classify_arc needs k >= 1
+    table = _prime_table(ks, 1)  # classify_arc needs k >= 1
     rows = multiplier.error_profile(ks, args.d, args.grid, table, arc_D=args.arc_d).rows
     multiplier.write_error_profile_csv(rows, args.out)
     for r in rows:
@@ -307,7 +292,7 @@ def cmd_apply(args) -> int:
     else:
         raise UsageError("need --delta or --input FILE")
 
-    table = _prime_table(scales, 0, args.cache_dir)
+    table = _prime_table(scales, 0)
     if args.ds:
         cfg = maximal.OperatorConfig.from_direction_set(ds, args.k_min, args.k_max, table)
     else:
@@ -347,7 +332,7 @@ def cmd_norm_sweep(args) -> int:
     # making the ratio table monotone by construction
     spec = DirectionSpec(N=max(ns[-1], 2), eps=args.eps, seed=args.seed)
     ds = rescale_to_integers(construct_directions(spec))
-    table = _prime_table(scales, 0, args.cache_dir)
+    table = _prime_table(scales, 0)
     rows = []
     for n in ns:
         cfg = maximal.OperatorConfig(
@@ -381,8 +366,6 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="primedir", description=__doc__)
     profile = argparse.ArgumentParser(add_help=False)
     profile.add_argument("--profile", choices=sorted(PROFILES), help="named desk-scale preset")
-    cache = argparse.ArgumentParser(add_help=False)  # only the commands that sieve
-    cache.add_argument("--cache-dir", help="sieve cache directory (default $PD_CACHE_DIR)")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add(name, *parents, **kw):
@@ -403,7 +386,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--out", required=True)
     c.set_defaults(fn=cmd_construct)
 
-    m = add("mult-error", profile, cache, help="sweep sup|m_k - L_k| and write a CSV")
+    m = add("mult-error", profile, help="sweep sup|m_k - L_k| and write a CSV")
     m.add_argument("--k-list", dest="k_list")
     m.add_argument("--d", type=float, default=17.0)
     m.add_argument("--arc-d", type=float, default=None,
@@ -431,7 +414,7 @@ def _build_parser() -> _Parser:
     i.add_argument("--out", default=None, help="report file to write (default overlap.json)")
     i.set_defaults(fn=cmd_incidence)
 
-    a = add("apply", profile, cache, help="apply the maximal operator to a grid function")
+    a = add("apply", profile, help="apply the maximal operator to a grid function")
     a.add_argument("--ds", default=None)
     a.add_argument("--vectors", default=None, help="'x,y;x,y;...' integer directions")
     a.add_argument("--l", type=int)
@@ -445,7 +428,7 @@ def _build_parser() -> _Parser:
     a.add_argument("--csv", default=None)
     a.set_defaults(fn=cmd_apply)
 
-    n = add("norm-sweep", profile, cache, help="empirical norm ratios over nested family sizes")
+    n = add("norm-sweep", profile, help="empirical norm ratios over nested family sizes")
     n.add_argument("--n-list", dest="n_list", default="4,8,16")
     n.add_argument("--eps", type=float)
     n.add_argument("--seed", type=int)

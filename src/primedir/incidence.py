@@ -369,27 +369,30 @@ def _interior_point(fam: TubeFamily, win: _IntWindow) -> tuple[Fraction, Fractio
     """A point on a tube center plane inside the window (overlap floor >= 1).
 
     Walks perpendicularly from the window center to the planes a/r nearest
-    it, then along each plane by multiples of a quarter of the window's
-    smaller side (the zero-index plane passes through the excluded origin
-    ball, so an on-plane offset is usually needed); the first trial in the
-    window that the family covers is the point.
+    it, then along each plane by multiples of about a quarter of the
+    window's smaller side, whatever |v| is (the zero-index plane passes
+    through the excluded origin ball, so an on-plane offset is usually
+    needed); the first trial in the window that the family covers is the point.
 
-    The 25 trials share the denominator d = 4 W r S den, where S = ax^2 + ay^2
-    and T = ax (x0 + x1) + ay (y0 + y1): v . center = T / (2 W den), plane a
-    meets the normal at center + (2 W den a - r T) / (2 W r S) (ax, ay), and
-    one step along a plane is w / (4 W) (-ay, ax) / den, w = min(x1 - x0, y1 - y0).
+    The 25 trials share the denominator d = 4 W r S den n1, where
+    S = ax^2 + ay^2, n1 = |ax| + |ay| and T = ax (x0 + x1) + ay (y0 + y1):
+    v . center = T / (2 W den), plane a meets the normal at
+    center + (2 W den a - r T) / (2 W r S) (ax, ay), and one step along a plane
+    is w / (4 W) (-ay, ax) / n1, w = min(x1 - x0, y1 - y0), whose length lies
+    between 1/sqrt(2) and 1 times w / (4 W).
     """
     ax, ay, den, r = fam.ax, fam.ay, fam.den, fam.r
     x0, x1, y0, y1, W = win.x0, win.x1, win.y0, win.y1, win.W
-    S, T = ax * ax + ay * ay, ax * (x0 + x1) + ay * (y0 + y1)
-    d, rSw = 4 * W * r * S * den, r * S * min(x1 - x0, y1 - y0)
-    cx, cy = 2 * r * S * den * (x0 + x1), 2 * r * S * den * (y0 + y1)  # the center, over d
+    S, T, n1 = ax * ax + ay * ay, ax * (x0 + x1) + ay * (y0 + y1), abs(ax) + abs(ay)
+    d, step = 4 * W * r * S * den * n1, r * S * den * min(x1 - x0, y1 - y0)
+    c = 2 * r * S * den * n1
+    cx, cy = c * (x0 + x1), c * (y0 + y1)  # the center, over d
     a0 = round(Fraction(r * T, 2 * W * den))  # the plane nearest the center; ties go to even
     trials = []
     for a in (a0, a0 - 1, a0 + 1, a0 - 2, a0 + 2):
-        lam = 2 * den * (2 * W * den * a - r * T)  # plane a meets the normal at cx + lam ax
+        lam = 2 * den * n1 * (2 * W * den * a - r * T)  # plane a meets the normal at cx + lam ax
         for m in (0, 1, -1, 2, -2):
-            px, py = cx + lam * ax - m * rSw * ay, cy + lam * ay + m * rSw * ax
+            px, py = cx + lam * ax - m * step * ay, cy + lam * ay + m * step * ax
             if win.mask(px, py, d):
                 trials.append((px, py))
     if trials:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -215,7 +215,6 @@ class MultiplierProfile:
     k: int
     grid: np.ndarray
     values: np.ndarray
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in ("m", "L", "E"):
@@ -228,9 +227,7 @@ def difference_profile(mp: MultiplierProfile, lp: MultiplierProfile) -> Multipli
     """E = m - L on an identical grid."""
     if mp.k != lp.k or len(mp.grid) != len(lp.grid) or not np.array_equal(mp.grid, lp.grid):
         raise ValueError("m and L profiles must share a grid")
-    params = dict(lp.params)
-    params.update(mp.params)
-    return MultiplierProfile("E", mp.k, mp.grid, mp.values - lp.values, params)
+    return MultiplierProfile("E", mp.k, mp.grid, mp.values - lp.values)
 
 
 @dataclass
@@ -314,9 +311,8 @@ def error_profile(
         )
         sup_minor = float(np.max(np.abs(m_vals[minor_mask]))) if minor_mask.any() else math.nan
         wall = (time.perf_counter() - t0) * 1e3
-        params = {"D": D, "arc_D": arc_D, "s_max": sm, "truncated": truncated}
-        mp = MultiplierProfile("m", k, grid_arr, m_vals, dict(params))
-        lp = MultiplierProfile("L", k, grid_arr, l_vals, dict(params))
+        mp = MultiplierProfile("m", k, grid_arr, m_vals)
+        lp = MultiplierProfile("L", k, grid_arr, l_vals)
         profiles.extend([mp, lp, difference_profile(mp, lp)])
         rows.append(
             ErrorProfileRow(

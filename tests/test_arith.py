@@ -28,13 +28,22 @@ class TestSieve:
         last = int(t.primes[-1])
         assert last == 999983 and trial_division_is_prime(last)
 
-    def test_matches_simple_sieve(self):
-        t = arith.sieve_primes(10**5)
-        flags = np.ones(10**5 + 1, dtype=bool)
+    # every limit up to 3000, each odd square p^2 and its neighbours (where the
+    # odd-only flags start crossing off p), and one large limit
+    @pytest.mark.parametrize("limit", sorted(
+        set(range(2, 3001))
+        | {p * p + e for p in range(2, 200) if trial_division_is_prime(p) for e in (-1, 0, 1)}
+        | {10**5}
+    ))
+    def test_matches_simple_sieve(self, limit):
+        t = arith.sieve_primes(limit)
+        flags = np.ones(limit + 1, dtype=bool)
         flags[:2] = False
-        for p in range(2, 318):
+        for p in range(2, math.isqrt(limit) + 1):
             if flags[p]:
                 flags[p * p :: p] = False
+        assert t.limit == limit
+        assert t.primes.dtype == np.int64
         assert np.array_equal(t.primes, np.flatnonzero(flags))
 
     def test_log_weights(self):
@@ -173,13 +182,16 @@ class TestPrimality:
         with pytest.raises(ValueError):
             arith.is_prime_certified(1)
 
-    def test_probabilistic_flag(self):
-        cert = []
-        arith.is_prime_certified(10**30 + 57, cert)
-        assert cert == [False]
-        cert = []
-        arith.is_prime_certified(97, cert)
-        assert cert == [True]
+    def test_probabilistic_branch(self):
+        # the bound is the least strong pseudoprime to all twelve fixed
+        # witnesses (1287836182261 * 2575672364521); the random bases above it
+        # catch it, and pass Mersenne primes and a product of two of them
+        n = arith.MR_DETERMINISTIC_BOUND
+        assert n == 1287836182261 * 2575672364521
+        assert not any(arith._mr_witness(n, a) for a in arith._MR_WITNESSES)
+        assert not arith.is_prime_certified(n)
+        assert arith.is_prime_certified(2**89 - 1) and arith.is_prime_certified(2**127 - 1)
+        assert not arith.is_prime_certified((2**61 - 1) * (2**89 - 1))
 
     def test_random_band(self):
         for n in range(10_000, 10_100):

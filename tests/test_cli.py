@@ -13,9 +13,12 @@ from primedir.directions import load_direction_set
 
 
 @pytest.fixture()
-def env(tmp_path, monkeypatch):
-    monkeypatch.setenv("PD_CACHE_DIR", str(tmp_path / "cache"))
-    return tmp_path
+def sieved(monkeypatch):
+    """The limits of every sieve the CLI runs, in call order."""
+    limits = []
+    real = cli.sieve_primes
+    monkeypatch.setattr(cli, "sieve_primes", lambda n: limits.append(n) or real(n))
+    return limits
 
 
 def run(*argv) -> int:
@@ -23,39 +26,39 @@ def run(*argv) -> int:
 
 
 class TestConstruct:
-    def test_writes_valid_file(self, env, capsys):
-        out = env / "ds.json"
+    def test_writes_valid_file(self, tmp_path, capsys):
+        out = tmp_path / "ds.json"
         assert run("construct", "--n", "8", "--eps", "0.5", "--seed", "7", "--out", str(out)) == 0
         assert "VALID" in capsys.readouterr().out
         ds = load_direction_set(out)
         assert len(ds.vectors) == 8
 
-    def test_same_seed_same_bytes(self, env):
-        a, b = env / "a.json", env / "b.json"
+    def test_same_seed_same_bytes(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run("construct", "--n", "4", "--eps", "1.0", "--seed", "3", "--out", str(a)) == 0
         assert run("construct", "--n", "4", "--eps", "1.0", "--seed", "3", "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_n_one_is_usage_error(self, env):
-        assert run("construct", "--n", "1", "--eps", "0.5", "--out", str(env / "x.json")) == 3
+    def test_n_one_is_usage_error(self, tmp_path):
+        assert run("construct", "--n", "1", "--eps", "0.5", "--out", str(tmp_path / "x.json")) == 3
 
-    def test_a_with_no_rescale_usage_error(self, env, capsys):
-        out = env / "x.json"
+    def test_a_with_no_rescale_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
         assert run("construct", "--n", "4", "--eps", "1.0", "--no-rescale", "--a", "5",
                    "--out", str(out)) == 3
         err = capsys.readouterr().err
         assert "--no-rescale" in err and "--a" in err
         assert not out.exists()
 
-    def test_strict_infeasible_is_validation_error(self, env):
+    def test_strict_infeasible_is_validation_error(self, tmp_path):
         rc = run("construct", "--n", "4", "--eps", "1.0", "--mode", "strict",
-                 "--out", str(env / "x.json"))
+                 "--out", str(tmp_path / "x.json"))
         assert rc == 2
 
 
 class TestMultError:
-    def test_csv_written(self, env, capsys):
-        out = env / "e.csv"
+    def test_csv_written(self, tmp_path, capsys):
+        out = tmp_path / "e.csv"
         assert run("mult-error", "--k-list", "10,12", "--grid", "64", "--out", str(out)) == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "schema,primedir.error_profile.v2"
@@ -64,38 +67,29 @@ class TestMultError:
         assert [r[0] for r in rows] == ["10", "12"]
         assert float(rows[0][2]) > float(rows[1][2])  # decreasing sup error
 
-    def test_small_d_usage_error(self, env):
+    def test_small_d_usage_error(self, tmp_path):
         assert run("mult-error", "--k-list", "10", "--d", "16", "--grid", "32",
-                   "--out", str(env / "x.csv")) == 3
+                   "--out", str(tmp_path / "x.csv")) == 3
 
     @pytest.mark.parametrize("arc_d", ["0", "-1"])
-    def test_nonpositive_arc_d_usage_error(self, env, arc_d):
+    def test_nonpositive_arc_d_usage_error(self, tmp_path, sieved, arc_d):
         assert run("mult-error", "--k-list", "10", "--grid", "32", "--arc-d", arc_d,
-                   "--out", str(env / "x.csv")) == 3
-        assert not (env / "cache").exists()  # rejected before any sieving
+                   "--out", str(tmp_path / "x.csv")) == 3
+        assert sieved == []  # rejected before any sieving
 
     @pytest.mark.parametrize("k_list", ["0", "-2", "10,0"])
-    def test_scale_below_one_usage_error_before_sieve(self, env, k_list):
+    def test_scale_below_one_usage_error_before_sieve(self, tmp_path, sieved, k_list):
         # classify_arc needs k >= 1
         assert run("mult-error", f"--k-list={k_list}", "--grid", "32",
-                   "--out", str(env / "x.csv")) == 3
-        assert not (env / "cache").exists()
-        assert not (env / "x.csv").exists()
-
-    def test_cache_created_and_reused(self, env):
-        out = env / "e.csv"
-        assert run("mult-error", "--k-list", "10", "--grid", "32", "--out", str(out)) == 0
-        cache = env / "cache" / "primes_2048.pdpt"
-        assert cache.exists()
-        stamp = cache.stat().st_mtime_ns
-        assert run("mult-error", "--k-list", "10", "--grid", "32", "--out", str(out)) == 0
-        assert cache.stat().st_mtime_ns == stamp  # reused, not rebuilt
+                   "--out", str(tmp_path / "x.csv")) == 3
+        assert sieved == []
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestIncidence:
-    def test_scan_and_replay(self, env):
-        ds = env / "ds.json"
-        rep = env / "rep.json"
+    def test_scan_and_replay(self, tmp_path):
+        ds = tmp_path / "ds.json"
+        rep = tmp_path / "rep.json"
         assert run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds)) == 0
         assert run("incidence", "--ds", str(ds), "--s", "2", "--out", str(rep)) == 0
         doc = json.loads(rep.read_text())
@@ -103,9 +97,9 @@ class TestIncidence:
         assert doc["baseline"] is None
         assert run("incidence", "--ds", str(ds), "--replay", str(rep)) == 0
 
-    def test_baseline_report_replays(self, env, capsys):
-        ds = env / "ds.json"
-        rep = env / "rep.json"
+    def test_baseline_report_replays(self, tmp_path, capsys):
+        ds = tmp_path / "ds.json"
+        rep = tmp_path / "rep.json"
         run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
         assert run("incidence", "--ds", str(ds), "--s", "2", "--baseline", "parallel",
                    "--out", str(rep)) == 0
@@ -119,9 +113,9 @@ class TestIncidence:
         ("--window-half", "9"), ("--budget", "1"), ("--r-sweeps", "5"), ("--seed", "3"),
         ("--out", "x.json"),  # a replay writes nothing
     ])
-    def test_scan_flag_rejected_with_replay(self, env, capsys, flag, value):
-        ds = env / "ds.json"
-        rep = env / "rep.json"
+    def test_scan_flag_rejected_with_replay(self, tmp_path, capsys, flag, value):
+        ds = tmp_path / "ds.json"
+        rep = tmp_path / "rep.json"
         run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
         assert run("incidence", "--ds", str(ds), "--s", "2", "--out", str(rep)) == 0
         capsys.readouterr()
@@ -134,9 +128,9 @@ class TestIncidence:
         ("witness", 5, "'witness'"),
         ("window", ["0"], "'window'"),
     ])
-    def test_malformed_report_is_validation_failure(self, env, capsys, key, value, named):
-        ds = env / "ds.json"
-        rep = env / "rep.json"
+    def test_malformed_report_is_validation_failure(self, tmp_path, capsys, key, value, named):
+        ds = tmp_path / "ds.json"
+        rep = tmp_path / "rep.json"
         run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
         assert run("incidence", "--ds", str(ds), "--s", "2", "--out", str(rep)) == 0
         doc = json.loads(rep.read_text())
@@ -150,96 +144,99 @@ class TestIncidence:
         err = capsys.readouterr().err
         assert "validation error" in err and named in err
 
-    def test_baseline_reaches_family_size(self, env, capsys):
-        ds = env / "ds.json"
-        rep = env / "rep.json"
+    def test_baseline_reaches_family_size(self, tmp_path, capsys):
+        ds = tmp_path / "ds.json"
+        rep = tmp_path / "rep.json"
         run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
         capsys.readouterr()
         assert run("incidence", "--ds", str(ds), "--s", "2", "--baseline", "parallel",
                    "--out", str(rep)) == 0
         assert "max_overlap=4" in capsys.readouterr().out
 
-    def test_constructed_below_baseline(self, env):
-        ds = env / "ds.json"
+    def test_constructed_below_baseline(self, tmp_path):
+        ds = tmp_path / "ds.json"
         run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
-        rep_c, rep_b = env / "c.json", env / "b.json"
+        rep_c, rep_b = tmp_path / "c.json", tmp_path / "b.json"
         run("incidence", "--ds", str(ds), "--s", "2", "--out", str(rep_c))
-        run("incidence", "--ds", str(ds), "--s", "2", "--baseline", "parallel", "--out", str(rep_b))
+        run("incidence", "--ds", str(ds), "--s", "2", "--baseline", "parallel",
+            "--out", str(rep_b))
         c = json.loads(rep_c.read_text())["max_overlap"]
         b = json.loads(rep_b.read_text())["max_overlap"]
         assert c < b == 4
 
-    def test_baseline_uses_family_c1(self, env):
+    def test_baseline_uses_family_c1(self, tmp_path):
         # the baseline scans at the C1 stored in the set's spec, as the family scan does
-        ds = env / "ds.json"
+        ds = tmp_path / "ds.json"
         run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--c1", "60", "--out", str(ds))
-        rep_c, rep_b = env / "c.json", env / "b.json"
+        rep_c, rep_b = tmp_path / "c.json", tmp_path / "b.json"
         assert run("incidence", "--ds", str(ds), "--s", "2", "--out", str(rep_c)) == 0
         assert run("incidence", "--ds", str(ds), "--s", "2", "--baseline", "parallel",
                    "--out", str(rep_b)) == 0
         c1 = [json.loads(p.read_text())["C1"] for p in (rep_c, rep_b)]
         assert c1 == [60, 60]
 
-    def test_window_half_only_for_ktilde(self, env):
-        ds = env / "ds.json"
+    def test_window_half_only_for_ktilde(self, tmp_path):
+        ds = tmp_path / "ds.json"
         run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
         assert run("incidence", "--ds", str(ds), "--s", "2", "--variant", "k",
-                   "--window-half", "5", "--out", str(env / "k.json")) == 3
-        assert not (env / "k.json").exists()
-        rep = env / "t.json"
+                   "--window-half", "5", "--out", str(tmp_path / "k.json")) == 3
+        assert not (tmp_path / "k.json").exists()
+        rep = tmp_path / "t.json"
         assert run("incidence", "--ds", str(ds), "--s", "2", "--variant", "ktilde",
                    "--window-half", "2", "--out", str(rep)) == 0
         assert json.loads(rep.read_text())["window"] == ["-2", "2", "-2", "2"]
 
-    def test_r_sweeps(self, env):
-        ds = env / "ds.json"
+    def test_r_sweeps(self, tmp_path):
+        ds = tmp_path / "ds.json"
         run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
         assert run("incidence", "--ds", str(ds), "--s", "2", "--r-sweeps", "3",
-                   "--seed", "5", "--out", str(env / "r.json")) == 0
+                   "--seed", "5", "--out", str(tmp_path / "r.json")) == 0
 
     @pytest.mark.parametrize("sweeps", ["0", "-2"])
-    def test_nonpositive_r_sweeps_usage_error(self, env, sweeps):
-        ds = env / "ds.json"
+    def test_nonpositive_r_sweeps_usage_error(self, tmp_path, sweeps):
+        ds = tmp_path / "ds.json"
         run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
         assert run("incidence", "--ds", str(ds), "--s", "2", "--r-sweeps", sweeps,
-                   "--out", str(env / "r.json")) == 3
-        assert not (env / "r.json").exists()
+                   "--out", str(tmp_path / "r.json")) == 3
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("flags", [
         ["--window-half", "0"], ["--window-half", "-1"], ["--budget", "-1"],
     ])
-    def test_bad_scan_flag_usage_error_before_load(self, env, capsys, flags):
+    def test_bad_scan_flag_usage_error_before_load(self, tmp_path, capsys, flags):
         # the set does not exist, so exit 3 shows the check runs before loading it
-        assert run("incidence", "--ds", str(env / "missing.json"), "--s", "2", *flags,
-                   "--out", str(env / "r.json")) == 3
+        assert run("incidence", "--ds", str(tmp_path / "missing.json"), "--s", "2", *flags,
+                   "--out", str(tmp_path / "r.json")) == 3
         assert flags[0] in capsys.readouterr().err
-        assert not (env / "r.json").exists()
+        assert not (tmp_path / "r.json").exists()
 
-    def test_tampered_ds_is_validation_error(self, env):
-        ds = env / "ds.json"
+    def test_tampered_ds_is_validation_error(self, tmp_path):
+        ds = tmp_path / "ds.json"
         run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
         blob = ds.read_text().replace('"kappa": 1', '"kappa": 2')
-        bad = env / "bad.json"
+        bad = tmp_path / "bad.json"
         bad.write_text(blob)
-        assert run("incidence", "--ds", str(bad), "--s", "2", "--out", str(env / "x.json")) == 2
+        assert run("incidence", "--ds", str(bad), "--s", "2",
+                   "--out", str(tmp_path / "x.json")) == 2
 
-    def test_partly_rescaled_ds_is_validation_error(self, env):
+    def test_partly_rescaled_ds_is_validation_error(self, tmp_path):
         # A kept, A_tilde and integer_vectors nulled, hash recomputed
-        ds = env / "ds.json"
+        ds = tmp_path / "ds.json"
         run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
         doc = json.loads(ds.read_text())
         doc.pop("content_hash")
         doc["A_tilde"] = doc["integer_vectors"] = None
         canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         doc = {"content_hash": hashlib.sha256(canon.encode()).hexdigest(), **doc}
-        bad = env / "bad.json"
+        bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc, sort_keys=True, indent=1))
-        assert run("incidence", "--ds", str(bad), "--s", "2", "--out", str(env / "x.json")) == 2
-        assert not (env / "x.json").exists()
+        assert run("incidence", "--ds", str(bad), "--s", "2",
+                   "--out", str(tmp_path / "x.json")) == 2
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestApply:
-    def test_delta_identity_line(self, env, capsys):
+    def test_delta_identity_line(self, tmp_path, capsys):
         rc = run("apply", "--vectors", "1,0;0,1;1,1;2,1", "--l", "512",
                  "--k-min", "5", "--k-max", "6", "--delta", "--method", "spatial")
         assert rc == 0
@@ -250,9 +247,9 @@ class TestApply:
         assert rel <= 1e-10
         assert float(line.split("closed_form=")[1].split()[0]) > 0
 
-    def test_grid_file_output(self, env):
-        out = env / "m.pdgf"
-        csv_out = env / "m.csv"
+    def test_grid_file_output(self, tmp_path):
+        out = tmp_path / "m.pdgf"
+        csv_out = tmp_path / "m.csv"
         rc = run("apply", "--vectors", "1,0;0,1", "--l", "32", "--k-min", "5",
                  "--k-max", "6", "--delta", "--out", str(out), "--csv", str(csv_out))
         assert rc == 0
@@ -261,22 +258,22 @@ class TestApply:
         assert np.abs(g.values.imag).max() == 0.0
         assert len(csv_out.read_text().strip().splitlines()) == 32
 
-    def test_real_grid_stays_real(self, env):
+    def test_real_grid_stays_real(self, tmp_path):
         # a real output saved by --out is read back as float64 by --input, so
         # the second apply takes the half-spectrum route and saves float64 again
-        first, second = env / "m.pdgf", env / "m2.pdgf"
+        first, second = tmp_path / "m.pdgf", tmp_path / "m2.pdgf"
         args = ("apply", "--vectors", "1,0;0,1", "--l", "32", "--k-min", "5", "--k-max", "6")
         assert run(*args, "--delta", "--out", str(first)) == 0
         assert maximal.load_grid_function(first).values.dtype == np.float64
         assert run(*args, "--input", str(first), "--out", str(second)) == 0
         assert maximal.load_grid_function(second).values.dtype == np.float64
 
-    def test_profile_preset(self, env, capsys):
+    def test_profile_preset(self, tmp_path, capsys):
         rc = run("apply", "--profile", "desk-small", "--vectors", "1,0;0,1", "--delta")
         assert rc == 0
         assert "delta-spread" in capsys.readouterr().out
 
-    def test_delta_rel_na_when_not_disjoint(self, env, capsys):
+    def test_delta_rel_na_when_not_disjoint(self, tmp_path, capsys):
         # desk-small: L = 63, k = 10..12, so the prime translates wrap around
         rc = run("apply", "--profile", "desk-small", "--vectors", "1,0;0,1", "--delta")
         assert rc == 0
@@ -285,8 +282,8 @@ class TestApply:
         assert "rel=n/a" in line and "disjoint_precondition=False" in line
         assert "closed_form=n/a" in line
 
-    def test_degenerate_directions_reported(self, env, capsys):
-        ds = env / "ds.json"
+    def test_degenerate_directions_reported(self, tmp_path, capsys):
+        ds = tmp_path / "ds.json"
         run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
         capsys.readouterr()
         rc = run("apply", "--ds", str(ds), "--l", "64", "--k-min", "5", "--k-max", "6",
@@ -294,15 +291,15 @@ class TestApply:
         assert rc == 0
         assert "degenerate_directions=4/4" in capsys.readouterr().out
 
-    def test_profile_grid_side_avoids_degeneracy(self, env, capsys):
-        ds = env / "ds.json"
+    def test_profile_grid_side_avoids_degeneracy(self, tmp_path, capsys):
+        ds = tmp_path / "ds.json"
         run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
         capsys.readouterr()
         assert run("apply", "--profile", "desk-small", "--ds", str(ds), "--delta") == 0
         assert "degenerate_directions=0/4" in capsys.readouterr().out
 
-    def test_odd_grid_avoids_degeneracy(self, env, capsys):
-        ds = env / "ds.json"
+    def test_odd_grid_avoids_degeneracy(self, tmp_path, capsys):
+        ds = tmp_path / "ds.json"
         run("construct", "--n", "8", "--eps", "0.5", "--seed", "7", "--out", str(ds))
         capsys.readouterr()
         rc = run("apply", "--ds", str(ds), "--l", "63", "--k-min", "5", "--k-max", "6",
@@ -310,20 +307,20 @@ class TestApply:
         assert rc == 0
         assert "degenerate_directions=0/8" in capsys.readouterr().out
 
-    def test_missing_input_usage(self, env):
+    def test_missing_input_usage(self, tmp_path):
         assert run("apply", "--vectors", "1,0", "--k-min", "5", "--k-max", "6") == 3
 
     @pytest.mark.parametrize("flags", [
         ["--k-min", "-2"], ["--k-min", "-3", "--k-max", "-2"], ["--l", "1"], ["--k-min", "7"],
         ["--vectors", "1,0;0"],
     ])
-    def test_bad_flag_usage_error_before_sieve(self, env, flags):
+    def test_bad_flag_usage_error_before_sieve(self, tmp_path, sieved, flags):
         assert run("apply", "--vectors", "1,0;0,1", "--k-min", "5", "--k-max", "6", "--delta",
                    *flags) == 3
-        assert not (env / "cache").exists()
+        assert sieved == []
 
-    def test_ds_with_vectors_usage_error(self, env, capsys):
-        ds = env / "ds.json"
+    def test_ds_with_vectors_usage_error(self, tmp_path, capsys):
+        ds = tmp_path / "ds.json"
         run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
         capsys.readouterr()
         assert run("apply", "--ds", str(ds), "--vectors", "1,0", "--k-min", "5", "--k-max", "6",
@@ -331,20 +328,20 @@ class TestApply:
         err = capsys.readouterr().err
         assert "--ds" in err and "--vectors" in err
 
-    def test_delta_with_input_usage_error(self, env, capsys):
-        src = env / "f.pdgf"
+    def test_delta_with_input_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "f.pdgf"
         maximal.save_grid_function(maximal.GridFunction.delta(32), src)
         assert run("apply", "--vectors", "1,0", "--l", "32", "--k-min", "5", "--k-max", "6",
-                   "--delta", "--input", str(src), "--out", str(env / "o.pdgf")) == 3
+                   "--delta", "--input", str(src), "--out", str(tmp_path / "o.pdgf")) == 3
         err = capsys.readouterr().err
         assert "--delta" in err and "--input" in err
-        assert not (env / "o.pdgf").exists()
+        assert not (tmp_path / "o.pdgf").exists()
 
-    def test_input_roundtrip(self, env):
+    def test_input_roundtrip(self, tmp_path):
         f = maximal.GridFunction.random(32, np.random.default_rng(0))
-        src = env / "f.pdgf"
+        src = tmp_path / "f.pdgf"
         maximal.save_grid_function(f, src)
-        out = env / "out.pdgf"
+        out = tmp_path / "out.pdgf"
         rc = run("apply", "--vectors", "1,0;0,1", "--l", "32", "--k-min", "5",
                  "--k-max", "6", "--input", str(src), "--out", str(out))
         assert rc == 0
@@ -352,8 +349,8 @@ class TestApply:
 
 
 class TestNormSweep:
-    def test_monotone_table(self, env, capsys):
-        out = env / "sweep.csv"
+    def test_monotone_table(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
         rc = run("norm-sweep", "--n-list", "2,4,8", "--eps", "0.5", "--seed", "7",
                  "--l", "32", "--k-min", "5", "--k-max", "6", "--trials", "2",
                  "--out", str(out))
@@ -368,20 +365,20 @@ class TestNormSweep:
         overall = [max(per_n[n]) for n in ns]
         assert all(b >= a - 1e-12 for a, b in zip(overall, overall[1:]))
 
-    def test_degenerate_directions_reported(self, env, capsys):
+    def test_degenerate_directions_reported(self, tmp_path, capsys):
         rc = run("norm-sweep", "--n-list", "2,4,8", "--l", "32", "--trials", "1",
-                 "--out", str(env / "sweep.csv"))
+                 "--out", str(tmp_path / "sweep.csv"))
         assert rc == 0
         out = capsys.readouterr().out
         line = next(l for l in out.splitlines() if l.startswith("N=8:"))
         assert "degenerate_directions=8/8" in line
 
     @pytest.mark.parametrize("flags", [["--k-min", "-2"], ["--trials", "0"], ["--l", "1"]])
-    def test_bad_flag_usage_error_before_sieve(self, env, flags):
+    def test_bad_flag_usage_error_before_sieve(self, tmp_path, sieved, flags):
         assert run("norm-sweep", "--n-list", "2", "--k-max", "12", *flags,
-                   "--out", str(env / "sweep.csv")) == 3
-        assert not (env / "cache").exists()
-        assert not (env / "sweep.csv").exists()
+                   "--out", str(tmp_path / "sweep.csv")) == 3
+        assert sieved == []
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 # Each command with only its required flags: the values it runs with, without a
@@ -428,11 +425,11 @@ for _profile, _s in ((None, 2), ("desk-small", 1), ("desk-full", 2)):
 
 class TestResolution:
     @pytest.mark.parametrize("command,profile", sorted(_RESOLVED, key=str))
-    def test_resolved_values_and_table_limit(self, env, monkeypatch, command, profile):
+    def test_resolved_values_and_table_limit(self, tmp_path, monkeypatch, command, profile):
         expected, limit = _RESOLVED[(command, profile)]
         given = ["--profile", profile] if profile else _REQUIRED.get(command, [])
         argv = [command, *given, *_TAIL[command]]
-        monkeypatch.chdir(env)
+        monkeypatch.chdir(tmp_path)
         fn = "cmd_" + command.replace("-", "_")
         seen = {}
         real = getattr(cli, fn)
@@ -453,25 +450,56 @@ class TestResolution:
 
 
 class TestFlagScope:
-    # --profile is taken by every command but selftest, --cache-dir only by those that sieve
+    # --profile is taken by every command but selftest, --cache-dir by none
     @pytest.mark.parametrize("argv", [
         ["selftest", "--profile", "desk-full"],
         ["selftest", "--cache-dir", "D"],
         ["construct", "--n", "4", "--eps", "1.0", "--out", "ds.json", "--cache-dir", "D"],
         ["incidence", "--ds", "ds.json", "--s", "2", "--cache-dir", "D"],
+        ["mult-error", "--k-list", "10", "--grid", "32", "--out", "e.csv", "--cache-dir", "D"],
+        ["apply", "--vectors", "1,0;0,1", "--k-min", "5", "--k-max", "6", "--delta",
+         "--cache-dir", "D"],
+        ["norm-sweep", "--out", "sweep.csv", "--cache-dir", "D"],
     ], ids=["selftest-profile", "selftest-cache-dir", "construct-cache-dir",
-            "incidence-cache-dir"])
-    def test_flag_refused(self, env, monkeypatch, capsys, argv):
-        monkeypatch.chdir(env)
+            "incidence-cache-dir", "mult-error-cache-dir", "apply-cache-dir",
+            "norm-sweep-cache-dir"])
+    def test_flag_refused(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 3
         assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
-        assert not (env / "ds.json").exists() and not (env / "D").exists()
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestNoStrayFiles:
+    # the commands that sieve write the files their flags name and nothing else,
+    # whatever HOME is: an empty directory stays empty, and a regular file is
+    # neither read nor an error
+    @pytest.mark.parametrize("home_kind", ["empty-dir", "regular-file"])
+    def test_only_named_outputs(self, tmp_path, monkeypatch, home_kind):
+        home, work = tmp_path / "home", tmp_path / "work"
+        work.mkdir()
+        if home_kind == "empty-dir":
+            home.mkdir()
+        else:
+            home.write_text("not a directory")
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.delenv("PD_CACHE_DIR", raising=False)
+        monkeypatch.chdir(work)
+        assert run("mult-error", "--k-list", "10", "--grid", "32", "--out", "e.csv") == 0
+        assert run("apply", "--vectors", "1,0;0,1;1,1;2,1", "--l", "512",
+                   "--k-min", "5", "--k-max", "6", "--delta") == 0
+        assert run("norm-sweep", "--n-list", "2", "--l", "32", "--k-min", "5", "--k-max", "6",
+                   "--trials", "1", "--out", "sweep.csv") == 0
+        made = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+        assert made == ["home", "work", "work/e.csv", "work/sweep.csv"]
+        if home_kind == "regular-file":
+            assert home.read_text() == "not a directory"
 
 
 class TestSelftest:
-    def test_clean_build_exits_zero(self, env, capsys):
+    def test_clean_build_exits_zero(self, tmp_path, capsys):
         assert run("selftest") == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out

@@ -535,9 +535,10 @@ def _fraction_plane_range(fam: I.TubeFamily, window: I.ScanWindow) -> tuple[int,
 def _fraction_interior_point(fam: I.TubeFamily, window: I.ScanWindow):
     """The floor walk in plain Fractions, one trial at a time through
     tube_membership: from the window center along v to the planes a/r
-    nearest it, then along each plane by multiples of a quarter side."""
+    nearest it, then along each plane by multiples of a quarter side
+    times the direction (-vy, vx) / (|vx| + |vy|)."""
     vx, vy = F(fam.v[0]), F(fam.v[1])
-    n2 = vx * vx + vy * vy
+    n2, n1 = vx * vx + vy * vy, abs(vx) + abs(vy)
     cx, cy = (window.x_lo + window.x_hi) / 2, (window.y_lo + window.y_hi) / 2
     t0 = vx * cx + vy * cy
     a0 = round(t0 * fam.r)
@@ -546,7 +547,7 @@ def _fraction_interior_point(fam: I.TubeFamily, window: I.ScanWindow):
         lam = (F(a, fam.r) - t0) / n2
         px, py = cx + lam * vx, cy + lam * vy
         for mu in (F(0), quarter, -quarter, 2 * quarter, -2 * quarter):
-            x, y = px - mu * vy, py + mu * vx
+            x, y = px - mu * vy / n1, py + mu * vx / n1
             if window.contains(x, y) and I.tube_membership((x, y), fam):
                 return x, y
     return None
@@ -575,9 +576,9 @@ class TestFloorWalkOracle:
     @settings(max_examples=300, deadline=None)
     @given(fam=_tube_families(), window=_windows(), shrink=st.sampled_from((1, 12, 40)))
     def test_integer_walk_equals_fraction_walk(self, fam, window, shrink):
-        # a shorter v keeps the thickness below the spacing; it also keeps the
-        # walk's on-plane steps, which scale with |v|, inside the window, so
-        # the trials off the normal (and their order) are exercised
+        # dividing v by shrink spreads the planes, 1/(r |v|) apart, so walks
+        # whose nearest planes miss the window, or whose trials sit at the
+        # window edges, are exercised, and raises the denominator den of v
         fam = I.TubeFamily(v=(fam.v[0] / shrink, fam.v[1] / shrink), r=fam.r, s=fam.s,
                            C1=fam.C1, exclusion_radius=fam.exclusion_radius,
                            torus_side=fam.torus_side)
@@ -598,10 +599,19 @@ class TestFloorWalkOracle:
         assert I._interior_point(fam, I._IntWindow(window)) == want
         assert _fraction_interior_point(fam, window) == want
 
+    def test_long_direction_still_finds_floor(self):
+        # with v = (30, 0) the planes near the center lie inside the excluded
+        # ball, so the floor point is a step along plane 0; the steps must
+        # not grow with |v|, or they all leave the window
+        fam = I.TubeFamily(v=(30, 0), r=2, s=1, C1=8, exclusion_radius=F(1, 10), torus_side=1)
+        rep = I.max_overlap_scan([fam], I.default_window("k"))
+        assert (rep.max_overlap, rep.witness) == (1, (F(0), F(1, 4)))
+        assert I.replay_witness(rep, [fam]) == 1
+
 
 class TestPinnedWitnesses:
-    """Whole scans against reports recorded before the scan's geometry moved
-    from Fractions to integers; the benchmark compares no witness."""
+    """Whole scans against recorded reports, witness included; the benchmark
+    compares no witness."""
 
     @staticmethod
     def _report(fams, window):
@@ -612,7 +622,7 @@ class TestPinnedWitnesses:
         # the seed-7 N = 4 set at s = 2: a floor point is the witness
         fams = I.families_from_direction_set(toy_ds, s=2)
         assert self._report(fams, I.default_window("ktilde")) == (
-            1, "exact-candidates", 34, (F(-3027, 128000), F(11099, 128000)))
+            1, "exact-candidates", 34, (F(-3, 28), F(11, 28)))
 
     @pytest.mark.parametrize("variant,want", [
         ("ktilde", (2, "exact-candidates", 178,
