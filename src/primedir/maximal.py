@@ -15,6 +15,10 @@ evaluation routes are kept in cross-checkable agreement:
   The prime weights are real, so the symbol is Hermitian,
   m_k(-a) = conj m_k(a); for real f the route works on the half spectrum
   (rfft2, inverted as irfft2 does) and a complex f takes the full one.
+  The maximal operator shares the (k, v) pairs of a spectrum with at least
+  2^17 entries among worker threads, one per CPU the process may run on (at
+  most 4), which overlap in numpy's FFTs; smaller grids stay on the calling
+  thread, where splitting the work costs more than it saves.
 
 The module also carries the discrete line decomposition of the grid along a
 direction and the transference check built on it: a single-direction operator
@@ -25,6 +29,9 @@ the pulled-back sequence.
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,11 +62,17 @@ __all__ = [
     "export_csv",
 ]
 
+_ROWS = 64  # rows per block of the spectral kernel's gather, real inverse and fold
+_THREADED_ENTRIES = 1 << 17  # smaller spectra run faster on the calling thread alone
+_MAX_WORKERS = 4
+
 
 @dataclass
 class GridFunction:
-    """A real or complex function on the periodic grid (Z/L)^2, L >= 2; real
-    values take the half-spectrum route, so the real families are float64."""
+    """A real or complex function on the periodic grid (Z/L)^2, L >= 2.
+
+    Values are kept as float64 or complex128, so both routes run in double
+    precision; real values take the half-spectrum route."""
 
     L: int
     values: np.ndarray
@@ -67,7 +80,8 @@ class GridFunction:
     def __post_init__(self):
         if self.L < 2:
             raise ValueError("grid side must be >= 2")
-        self.values = np.asarray(self.values)
+        vals = np.asarray(self.values)
+        self.values = vals.astype(np.complex128 if np.iscomplexobj(vals) else np.float64, copy=False)
         if self.values.shape != (self.L, self.L):
             raise ValueError(f"values must be {self.L}x{self.L}")
         if not np.all(np.isfinite(self.values)):
@@ -155,26 +169,38 @@ def _spectrum(values: np.ndarray) -> tuple[np.ndarray, bool]:
     return (np.fft.rfft2(values) if real else np.fft.fft2(values)), real
 
 
-def _apply_symbol(fhat: np.ndarray, symbol: np.ndarray, v: tuple[int, int], real: bool) -> np.ndarray:
-    """Spectral kernel: invert fhat times symbol[(j1 vx + j2 vy) mod L].
+def _apply_symbol(fhat: np.ndarray, symbol: np.ndarray, v: tuple[int, int], real: bool,
+                  buf: np.ndarray):
+    """Spectral kernel: invert fhat times symbol[(j1 vx + j2 vy) mod L] in buf.
 
-    The two terms of the index are reduced apart and read from the symbol
-    tiled twice, so no modulo runs over the grid.  The gathered symbol is a
-    fresh array: fhat is multiplied into it and it is inverted in place, one
-    1D pass per axis, so fhat (shared by every call) is only read.  A half
-    spectrum (real set) inverts its columns in place, then takes the real
-    inverse along its rows to the L x L average: the order irfft2 takes.
+    buf is a complex product array of fhat's shape, owned by the caller; fhat
+    (shared by every call) is only read.  The two terms of the index are
+    reduced apart and read from the symbol tiled twice, so no modulo runs over
+    the grid.  The product is gathered and inverted in place, one 1D pass per
+    axis; the kernel yields the average in blocks of _ROWS rows, as (row
+    slice, block) pairs, so no grid-sized temporary is made.  A half spectrum
+    (real set) inverts its columns, then takes the real inverse along the rows
+    of each block to the L x L average: the order irfft2 takes.  A yielded
+    complex block is a view of buf, valid until the next call with buf.
     """
     L = fhat.shape[0]
     j = np.arange(L, dtype=np.int64)
-    idx = ((j * (v[0] % L)) % L)[:, None] + ((j[:fhat.shape[1]] * (v[1] % L)) % L)[None, :]
-    g = np.tile(symbol, 2)[idx]
-    g *= fhat
+    rows = (j * (v[0] % L)) % L
+    cols = (j[:fhat.shape[1]] * (v[1] % L)) % L
+    tiled = np.tile(symbol, 2)
+    blocks = [slice(r, r + _ROWS) for r in range(0, L, _ROWS)]
+    for s in blocks:
+        np.take(tiled, rows[s, None] + cols, out=buf[s], mode="clip")
+        buf[s] *= fhat[s]
     if real:
-        np.fft.ifft(g, axis=0, out=g)
-        return np.fft.irfft(g, n=L, axis=1)
-    np.fft.ifft(g, axis=1, out=g)
-    return np.fft.ifft(g, axis=0, out=g)
+        np.fft.ifft(buf, axis=0, out=buf)
+        for s in blocks:
+            yield s, np.fft.irfft(buf[s], n=L, axis=1)
+        return
+    np.fft.ifft(buf, axis=1, out=buf)
+    np.fft.ifft(buf, axis=0, out=buf)
+    for s in blocks:
+        yield s, buf[s]
 
 
 def average_along(f: GridFunction, v: tuple[int, int], k: int, cfg: OperatorConfig) -> GridFunction:
@@ -193,28 +219,101 @@ def spectral_average(f: GridFunction, v: tuple[int, int], k: int, cfg: OperatorC
     from the folded 1D table, so the only approximation is the FFT round-off.
     """
     fhat, real = _spectrum(f.values)
-    return GridFunction(f.L, _apply_symbol(fhat, m_k_grid(k, f.L, cfg.table), v, real))
+    out = np.empty((f.L, f.L), dtype=np.float64 if real else np.complex128)
+    buf = np.empty(fhat.shape, dtype=np.complex128)
+    for s, block in _apply_symbol(fhat, m_k_grid(k, f.L, cfg.table), v, real, buf):
+        out[s] = block
+    return GridFunction(f.L, out)
+
+
+def _worker_count(entries: int, pairs: int) -> int:
+    """Threads for a spectrum of this many entries: 1 below _THREADED_ENTRIES,
+    else one per CPU the process may run on, at most one per pair and
+    _MAX_WORKERS."""
+    if entries < _THREADED_ENTRIES:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, pairs, _MAX_WORKERS))
+
+
+def _mapped(shape: tuple[int, int]) -> np.ndarray:
+    """An uninitialised complex array in an anonymous mapping of its own,
+    unmapped when the array is freed."""
+    n = shape[0] * shape[1]
+    return np.frombuffer(mmap.mmap(-1, 16 * n), dtype=np.complex128).reshape(shape)
+
+
+def _spectral_max(f: GridFunction, cfg: OperatorConfig) -> np.ndarray:
+    """sup over (k, v) of |spectral_average|, the pairs shared by the workers."""
+    L = f.L
+    fhat, real = _spectrum(f.values)
+    symbols = [m_k_grid(k, L, cfg.table) for k in cfg.scales]
+    pairs = [(symbol, v) for symbol in symbols for v in cfg.directions]
+    out = np.zeros((L, L), dtype=np.float64)
+    todo = iter(pairs)
+    lock = threading.Lock()
+    stop = threading.Event()
+    errors = []
+
+    def work(buf):
+        try:
+            while not stop.is_set():
+                with lock:
+                    pair = next(todo, None)
+                if pair is None:
+                    return
+                for s, block in _apply_symbol(fhat, *pair, real, buf):
+                    a = np.abs(block)
+                    with lock:
+                        np.maximum(out[s], a, out=out[s])
+        except Exception as exc:  # re-raised by the caller once every worker is joined
+            errors.append(exc)
+            stop.set()
+
+    # the other workers' product arrays live in mappings of their own: on the
+    # heap, freeing them trimmed it, and the caller's next arrays page-faulted
+    threads = [threading.Thread(target=work, args=(_mapped(fhat.shape),))
+               for _ in range(_worker_count(fhat.size, len(pairs)) - 1)]
+    for t in threads:
+        t.start()
+    try:
+        work(np.empty(fhat.shape, dtype=np.complex128))
+    finally:
+        stop.set()
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+    return out
 
 
 def maximal_op(f: GridFunction, cfg: OperatorConfig, method: str = "spectral") -> GridFunction:
-    """Pointwise sup of |A_{v,k} f| over the configured directions and scales."""
+    """Pointwise sup of |A_{v,k} f| over the configured directions and scales.
+
+    The spectral route shares its (k, v) pairs among w workers, the calling
+    thread and w - 1 threads that start and end inside the call.  w is 1 for
+    a spectrum of fewer than 2^17 entries (real L < 512, complex L < 363),
+    else the number of CPUs in the process's affinity mask, capped at 4 and
+    at the number of pairs.  A worker's exception is raised here once every
+    worker has stopped.  Each worker holds one complex product array of the
+    spectrum's size (L x (L//2 + 1) for real f, L x L for complex f) and
+    blocks of 64 rows; each block's modulus is folded into the running
+    maximum under a lock.  np.maximum is exact, so the output is
+    bit-identical for any worker count.
+    """
     if method not in ("spectral", "spatial"):
         raise ValueError("method must be 'spectral' or 'spatial'")
+    if method == "spectral":
+        return GridFunction(f.L, _spectral_max(f, cfg))
     L = f.L
     out = np.zeros((L, L), dtype=np.float64)
-    if method == "spectral":
-        fhat, real = _spectrum(f.values)
     for k in cfg.scales:
-        if method == "spectral":
-            symbol = m_k_grid(k, L, cfg.table)
-        else:
-            folded = fold_weights(k, L, cfg.table)
+        folded = fold_weights(k, L, cfg.table)
         for v in cfg.directions:
-            if method == "spectral":
-                g = _apply_symbol(fhat, symbol, v, real)
-            else:
-                g = _roll_sum(f.values, folded, v)
-            np.maximum(out, np.abs(g), out=out)
+            np.maximum(out, np.abs(_roll_sum(f.values, folded, v)), out=out)
     return GridFunction(L, out)
 
 

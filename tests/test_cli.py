@@ -529,7 +529,7 @@ class TestSelftest:
             "if __debug__:\n"
             "    raise SystemExit(2)\n"
             "src = textwrap.dedent(inspect.getsource(maximal._apply_symbol))\n"
-            "mutant = src.replace('np.fft.irfft(g, n=L, axis=1)', 'np.fft.irfft(g, axis=1)')\n"
+            "mutant = src.replace('np.fft.irfft(buf[s], n=L, axis=1)', 'np.fft.irfft(buf[s], axis=1)')\n"
             "if mutant == src:\n"
             "    raise SystemExit(3)\n"
             "exec(mutant, vars(maximal))\n"

@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +34,28 @@ class TestGridFunction:
         vals[1, 1] = np.nan
         with pytest.raises(ValueError):
             X.GridFunction(8, vals)
+
+    @pytest.mark.parametrize("dtype", ["float16", "float32", "complex64", "int64", "bool"])
+    def test_values_kept_in_double(self, table13, dtype):
+        # a single-precision f would take a single-precision forward
+        # transform, 2e-8 off the spatial route at this size
+        rng = np.random.default_rng(11)
+        raw = 4 * (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+        if dtype == "complex64":
+            vals = raw.astype(dtype)
+        elif dtype == "bool":
+            vals = raw.real > 0
+        else:
+            vals = raw.real.astype(dtype)
+        f = X.GridFunction(64, vals)
+        assert f.values.dtype == (np.complex128 if dtype == "complex64" else np.float64)
+        assert np.array_equal(f.values, vals)
+        cfg = X.OperatorConfig(directions=((1, 0), (3, -7), (2, 1)), k_min=4, k_max=6,
+                               table=table13)
+        a = X.maximal_op(f, cfg, method="spatial").values
+        b = X.maximal_op(f, cfg, method="spectral").values
+        assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(a)
+
 
 class TestAverages:
     def test_delta_single_prime(self, cfg4):
@@ -345,6 +370,105 @@ class TestInPlaceKernel:
         each = [np.abs(X.spectral_average(f, v, k, cfg).values)
                 for k in cfg.scales for v in cfg.directions]
         assert np.array_equal(X.maximal_op(f, cfg).values, np.max(each, axis=0))
+
+
+def _cpus(monkeypatch, n):
+    """Make the process look as if its affinity mask held n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+# spectra of at least 2^17 entries: a real L = 512 grid keeps 512 x 257 of
+# them, a complex L = 363 grid (odd side) all 363 x 363
+_WORKER_CASES = pytest.mark.parametrize("L, real", [(512, True), (363, False)])
+
+
+class TestWorkerPath:
+    """Large spectra share their (k, v) pairs among worker threads; the output
+    does not depend on how many there are."""
+
+    @staticmethod
+    def _case(table, L, real):
+        cfg = X.OperatorConfig(directions=((1, 0), (3, -7), (2, 1)), k_min=5, k_max=6,
+                               table=table)
+        return cfg, _draw(L, 200 + L, real)
+
+    def test_worker_count(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        assert X._worker_count(2**17 - 1, 24) == 1
+        assert X._worker_count(2**17, 24) == 2
+        assert X._worker_count(2**17, 1) == 1
+        _cpus(monkeypatch, 64)
+        assert X._worker_count(2**20, 24) == 4
+        assert X._worker_count(2**20, 3) == 3
+
+    @_WORKER_CASES
+    def test_any_worker_count_identical(self, table13, L, real, monkeypatch):
+        # more workers than this machine has CPUs, switching threads every
+        # microsecond: a lost update to the running maximum shows as a difference
+        cfg, f = self._case(table13, L, real)
+        default = X.maximal_op(f, cfg).values
+        _cpus(monkeypatch, 1)
+        assert np.array_equal(X.maximal_op(f, cfg).values, default)
+        _cpus(monkeypatch, 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(4):
+                assert np.array_equal(X.maximal_op(f, cfg).values, default)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @_WORKER_CASES
+    def test_maximal_is_max_of_averages(self, table13, L, real, monkeypatch):
+        _cpus(monkeypatch, 4)
+        cfg, f = self._case(table13, L, real)
+        each = [np.abs(X.spectral_average(f, v, k, cfg).values)
+                for k in cfg.scales for v in cfg.directions]
+        assert np.array_equal(X.maximal_op(f, cfg).values, np.max(each, axis=0))
+
+    @_WORKER_CASES
+    def test_threads_live_for_one_call(self, table13, L, real, monkeypatch):
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        _cpus(monkeypatch, 4)
+        cfg, f = self._case(table13, L, real)
+        before = threading.active_count()
+        X.maximal_op(f, cfg)
+        assert len(started) == 3  # the calling thread is the fourth worker
+        assert threading.active_count() == before
+        assert not any(t.is_alive() for t in started)
+        started.clear()
+        X.maximal_op(_draw(256, 0, False), cfg)  # 2^16 entries: no thread
+        assert started == []
+
+    @_WORKER_CASES
+    def test_worker_exception_raised(self, table13, L, real, monkeypatch):
+        kernel = X._apply_symbol
+        lock = threading.Lock()
+        calls = []
+
+        def failing(*args):
+            with lock:
+                calls.append(None)
+                n = len(calls)
+            if n == 3:
+                raise RuntimeError("third pair")
+            return kernel(*args)
+
+        monkeypatch.setattr(X, "_apply_symbol", failing)
+        _cpus(monkeypatch, 4)
+        cfg, f = self._case(table13, L, real)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="third pair"):
+            X.maximal_op(f, cfg)
+        assert threading.active_count() == before
 
 
 class TestFrequencySplit:
