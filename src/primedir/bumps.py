@@ -38,6 +38,7 @@ _TWO_PI = 2.0 * math.pi
 _QUADRATURE_POINTS = 16  # Gauss-Legendre order per panel of v_k
 _MAX_PANELS = 1 << 21  # panel budget of v_k; beyond it the decay bound answers
 _ABS_TOL = 1e-10  # absolute accuracy v_k is held to
+_CHUNK_PANELS = 4096  # panels of v_k evaluated at once, so its memory does not grow with X
 
 
 @lru_cache(maxsize=8)
@@ -47,8 +48,12 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _panel_nodes(a: float, b: float, n_panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights of composite Gauss-Legendre on [a, b] with equal panels."""
+    return _edge_nodes(np.linspace(a, b, n_panels + 1), order)
+
+
+def _edge_nodes(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes/weights of Gauss-Legendre of the given order on each panel between edges."""
     x, w = _leggauss(order)
-    edges = np.linspace(a, b, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -58,14 +63,8 @@ def _panel_nodes(a: float, b: float, n_panels: int, order: int) -> tuple[np.ndar
 
 def _raw_bump(t: np.ndarray) -> np.ndarray:
     """exp(-1/(1-(2t-3)^2)) on (1,2), 0 elsewhere; unnormalized."""
-    t = np.asarray(t, dtype=np.float64)
-    u = 2.0 * t - 3.0
-    inside = np.abs(u) < 1.0
-    out = np.zeros_like(t)
-    if np.any(inside):
-        ui = u[inside]
-        out[inside] = np.exp(-1.0 / (1.0 - ui * ui))
-    return out
+    u = 2.0 * np.asarray(t, dtype=np.float64) - 3.0
+    return _h(1.0 - u * u)
 
 
 @lru_cache(maxsize=1)
@@ -160,13 +159,20 @@ def phi_deriv_l1() -> tuple[float, float]:
 
 
 def _oscillatory_integral(X: float) -> complex:
-    """integral over [1,2] of e(X t) phi(t) dt, phases reduced in extended precision."""
+    """integral over [1,2] of e(X t) phi(t) dt, phases reduced in extended precision.
+
+    The panels are cut from one set of edges over [1, 2] and summed
+    _CHUNK_PANELS at a time.
+    """
     n_panels = max(16, math.ceil(2.0 * abs(X)) + 8)  # v_k keeps this within _MAX_PANELS
-    nodes, weights = _panel_nodes(1.0, 2.0, n_panels, _QUADRATURE_POINTS)
-    # X*t can reach ~2^21; reduce mod 1 in 80-bit precision before exp.
-    phase = np.mod(np.longdouble(X) * nodes.astype(np.longdouble), 1.0).astype(np.float64)
-    vals = _raw_bump(nodes) * np.exp(2j * math.pi * phase)
-    return _normalization_constant() * complex(np.dot(weights, vals))
+    edges = np.linspace(1.0, 2.0, n_panels + 1)
+    total = 0j
+    for lo in range(0, n_panels, _CHUNK_PANELS):
+        nodes, weights = _edge_nodes(edges[lo:lo + _CHUNK_PANELS + 1], _QUADRATURE_POINTS)
+        # X*t can reach ~2^21; reduce mod 1 in 80-bit precision before exp.
+        phase = np.mod(np.longdouble(X) * nodes.astype(np.longdouble), 1.0).astype(np.float64)
+        total += complex(np.dot(weights, _raw_bump(nodes) * np.exp(2j * math.pi * phase)))
+    return _normalization_constant() * total
 
 
 def v_k(k: int, alpha: float) -> complex:

@@ -1,15 +1,16 @@
 """Batch orchestration CLI.
 
-Subcommands: construct, mult-error, incidence, apply, norm-sweep, selftest.
-Every command validates its numeric flags against the module preconditions
-before any compute starts, writes machine-readable reports (CSV or JSON, all
-schema-tagged), and never mutates an input file; it writes no file that its
-flags do not name. Commands that sieve size the prime table from their largest
-scale k as 2^(k+1) and sieve it in memory on each run.
+Subcommands: construct, mult-error, incidence, replay, apply, norm-sweep,
+selftest. Every command validates its numeric flags against the module
+preconditions before any compute starts, writes machine-readable reports (CSV
+or JSON, all schema-tagged), and never mutates an input file; it writes no file
+that its flags do not name. Commands that sieve size the prime table from their
+largest scale k as 2^(k+1) and sieve it in memory on each run.
 
-Flags resolve in one place, `_resolve`, which `main` calls before the command
-runs: explicit flag > --profile preset > the command's fallback (`_FALLBACKS`).
-A flag that another given flag makes the command ignore is refused first.
+argparse refuses an unknown flag and a pair of conflicting flags (exit 3)
+before any file is read. The remaining size and scale flags resolve in one
+place, `_resolve`, which `main` calls before the command runs: explicit flag >
+--profile preset > the command's fallback (`_FALLBACKS`).
 
 Exit codes: 0 ok, 1 runtime error, 2 validation/construction failure, 3 usage.
 """
@@ -52,24 +53,12 @@ PROFILES = {
 _FALLBACKS = {
     "construct": {"n": None, "eps": None, "seed": 0},
     "mult-error": {"k_list": "14,16,18,20", "grid": 1024},
-    "incidence": {"s": None, "variant": "ktilde", "window_half": 1,
-                  "budget": 2_000_000, "r_sweeps": 1, "seed": 0, "out": "overlap.json"},
+    "incidence": {"s": None},
+    "replay": {},
     "apply": {"l": 63, "k_min": None, "k_max": None},
     "norm-sweep": {"eps": 0.5, "seed": 7, "l": 63, "k_min": 10, "k_max": 12},
     "selftest": {},
 }
-# incidence's --seed seeds its r sweeps, not a construction: no preset sets it
-_NOT_PRESET = {"incidence": ("seed",)}
-
-# the flags of a scan, which a replay of an existing report takes none of
-_SCAN_FLAGS = ("s", "c1", "variant", "baseline", "window_half", "budget", "r_sweeps", "seed",
-               "out")
-# (command, flag, the flag it makes the command ignore)
-_OVERRIDES = (
-    ("construct", "no_rescale", "a"),
-    ("apply", "ds", "vectors"),
-    ("apply", "delta", "input"),
-)
 
 
 class UsageError(Exception):
@@ -83,46 +72,22 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(3)
 
 
-def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
-
-
-def _reject_ignored(args) -> None:
-    """Refuse a typed flag that another typed flag makes the command ignore.
-
-    Runs on the flags as given, before resolution: a preset or fallback value
-    is never the one ignored."""
-    if args.command == "incidence":
-        if args.replay:
-            given = [_flag(f) for f in _SCAN_FLAGS if getattr(args, f) is not None]
-            if given:
-                raise UsageError(
-                    f"--replay checks an existing report and writes nothing; "
-                    f"drop {' '.join(given)}"
-                )
-        if args.variant == "k" and args.window_half is not None:
-            raise UsageError("--window-half sizes the ktilde window; the k window is fixed")
-    for command, flag, ignored in _OVERRIDES:
-        if args.command == command and getattr(args, flag) and getattr(args, ignored) is not None:
-            raise UsageError(f"{_flag(flag)} makes the command ignore {_flag(ignored)}; drop one")
-
-
 def _resolve(args) -> None:
     """Set every flag of the command in place: the given value, else the
     --profile preset, else the command's fallback."""
-    preset = PROFILES.get(getattr(args, "profile", None), {})  # selftest takes no --profile
-    unpreset = _NOT_PRESET.get(args.command, ())
+    # selftest and replay take no --profile
+    preset = PROFILES.get(getattr(args, "profile", None), {})
     missing = []
     for name, fallback in _FALLBACKS[args.command].items():
         val = getattr(args, name)
-        if val is None and name not in unpreset:
+        if val is None:
             val = preset.get(name)
         if val is None:
             val = fallback
         if val is None:
-            missing.append(_flag(name))
+            missing.append("--" + name.replace("_", "-"))
         setattr(args, name, val)
-    if missing and not getattr(args, "replay", None):  # a replay reads the report instead
+    if missing:
         raise UsageError(f"missing {' '.join(missing)} (give the flag or use --profile)")
 
 
@@ -182,12 +147,9 @@ def cmd_construct(args) -> int:
         raise UsageError("--eps must lie in (0, 1]")
     spec = DirectionSpec(
         N=args.n, eps=args.eps, M=args.m_exp, mode=args.mode, seed=args.seed,
-        C0=args.c0, C1=args.c1, window_base=args.window_base,
-        window_count=args.window_count,
+        C0=args.c0, window_base=args.window_base, window_count=args.window_count,
     )
-    ds = construct_directions(spec)
-    if not args.no_rescale:
-        ds = rescale_to_integers(ds, args.a)
+    ds = rescale_to_integers(construct_directions(spec), args.a)
     save_direction_set(ds, args.out)
     ma = min_angle(ds)
     digest = hashlib.sha256(serialize(ds)).hexdigest()[:16]
@@ -210,7 +172,8 @@ def cmd_mult_error(args) -> int:
     rows = multiplier.error_profile(ks, args.d, args.grid, table, arc_D=args.arc_d).rows
     multiplier.write_error_profile_csv(rows, args.out)
     for r in rows:
-        print(f"k={r.k} sup|E_k|={r.sup_abs_E:.6f} argmax={r.argmax_alpha:.6f} wall={r.wall_ms:.0f}ms")
+        print(f"k={r.k} sup|E_k|={r.sup_abs_E:.6f} argmax={r.argmax_alpha:.6f} "
+              f"wall={r.wall_ms:.0f}ms s_max={r.s_max} truncated={r.truncated}")
     print(f"wrote {args.out}")
     return 0
 
@@ -230,27 +193,19 @@ def _incidence_families(ds, s, C1, r_values, variant, baseline):
 
 
 def cmd_incidence(args) -> int:
-    if args.replay:
-        rep = incidence.load_overlap_report(args.replay)
-        fams = _incidence_families(_load_ds(args.ds), rep.s, rep.C1, rep.r_values,
-                                   rep.variant, rep.baseline)
-        count = incidence.replay_witness(rep, fams)
-        if count != rep.max_overlap:
-            print(f"REPLAY MISMATCH: witness count {count} != reported {rep.max_overlap}")
-            return 2
-        print(f"replay ok: witness attains {count}")
-        return 0
-
     s = args.s
     if s < 1:
         raise UsageError("--s must be >= 1")
     if args.r_sweeps < 1:
         raise UsageError("--r-sweeps must be >= 1")
-    if args.window_half < 1:
+    if args.window_half is not None and args.variant == "k":
+        raise UsageError("--window-half sizes the ktilde window; the k window is fixed")
+    half = 1 if args.window_half is None else args.window_half
+    if half < 1:
         raise UsageError("--window-half must be >= 1")
     if args.budget < 0:
         raise UsageError("--budget must be >= 0")
-    win = incidence.default_window(args.variant, half=args.window_half)
+    win = incidence.default_window(args.variant, half=half)
     rng = random.Random(args.seed)
     ds = _load_ds(args.ds)
     n = len(ds.vectors)
@@ -274,33 +229,41 @@ def cmd_incidence(args) -> int:
     return 0
 
 
+def cmd_replay(args) -> int:
+    rep = incidence.load_overlap_report(args.report)
+    fams = _incidence_families(_load_ds(args.ds), rep.s, rep.C1, rep.r_values,
+                               rep.variant, rep.baseline)
+    count = incidence.replay_witness(rep, fams)
+    if count != rep.max_overlap:
+        print(f"REPLAY MISMATCH: witness count {count} != reported {rep.max_overlap}")
+        return 2
+    print(f"replay ok: witness attains {count}")
+    return 0
+
+
 def cmd_apply(args) -> int:
     L = args.l
     scales = _operator_scales(args)
-    if args.ds:
+    if args.vectors is None:
         ds = _load_ds(args.ds)
-    elif args.vectors:
-        vectors = _parse_vectors(args.vectors)
     else:
-        raise UsageError("need --ds or --vectors")
+        vectors = _parse_vectors(args.vectors)
     if args.delta:
         f = maximal.GridFunction.delta(L)
-    elif args.input:
+    else:
         f = maximal.load_grid_function(args.input)
         if f.L != L:
             raise UsageError(f"input grid side {f.L} != --l {L}")
-    else:
-        raise UsageError("need --delta or --input FILE")
 
     table = _prime_table(scales, 0)
-    if args.ds:
+    if args.vectors is None:
         cfg = maximal.OperatorConfig.from_direction_set(ds, args.k_min, args.k_max, table)
     else:
         cfg = maximal.OperatorConfig(
             directions=vectors, k_min=args.k_min, k_max=args.k_max, table=table
         )
     print(f"degenerate_directions={maximal.degenerate_directions(cfg, L)}/{len(cfg.directions)}")
-    out = maximal.maximal_op(f, cfg, method=args.method)
+    out = maximal.maximal_op(f, cfg)
     if args.delta:
         disjoint = maximal.delta_spread_disjoint(cfg, L)
         closed = maximal.delta_spread_value(cfg)
@@ -378,11 +341,9 @@ def _build_parser() -> _Parser:
     c.add_argument("--seed", type=int)
     c.add_argument("--m-exp", type=int, default=2, help="window exponent M")
     c.add_argument("--c0", type=int, default=3)
-    c.add_argument("--c1", type=int, default=None)
     c.add_argument("--window-base", type=int, default=None)
     c.add_argument("--window-count", type=int, default=None)
     c.add_argument("--a", type=int, default=None, help="integer annulus radius (default N^C0)")
-    c.add_argument("--no-rescale", action="store_true")
     c.add_argument("--out", required=True)
     c.set_defaults(fn=cmd_construct)
 
@@ -399,31 +360,33 @@ def _build_parser() -> _Parser:
     i.add_argument("--ds", required=True)
     i.add_argument("--s", type=int)
     i.add_argument("--c1", type=int, default=None)
-    i.add_argument("--variant", choices=["k", "ktilde"], default=None,
-                   help="tube variant (default ktilde)")
+    i.add_argument("--variant", choices=["k", "ktilde"], default="ktilde")
     i.add_argument("--baseline", choices=["parallel"], default=None)
     i.add_argument("--window-half", type=int, default=None,
                    help="half-side of the ktilde scan window (default 1)")
-    i.add_argument("--r-sweeps", type=int, default=None,
-                   help="random denominator assignments to sweep (first is all 2^s; default 1)")
-    i.add_argument("--seed", type=int, default=None, help="seed of the r sweeps (default 0)")
-    i.add_argument("--budget", type=int, default=None,
-                   help="exact-scan candidate budget (default 2000000)")
-    i.add_argument("--replay", default=None,
-                   help="verify the witness of an existing report; takes only --ds")
-    i.add_argument("--out", default=None, help="report file to write (default overlap.json)")
+    i.add_argument("--r-sweeps", type=int, default=1,
+                   help="random denominator assignments to sweep (first is all 2^s)")
+    i.add_argument("--seed", type=int, default=0, help="seed of the r sweeps")
+    i.add_argument("--budget", type=int, default=2_000_000, help="exact-scan candidate budget")
+    i.add_argument("--out", default="overlap.json", help="report file to write")
     i.set_defaults(fn=cmd_incidence)
 
+    r = add("replay", help="re-verify the witness of an overlap report")
+    r.add_argument("--ds", required=True)
+    r.add_argument("--report", required=True, help="overlap report written by incidence")
+    r.set_defaults(fn=cmd_replay)
+
     a = add("apply", profile, help="apply the maximal operator to a grid function")
-    a.add_argument("--ds", default=None)
-    a.add_argument("--vectors", default=None, help="'x,y;x,y;...' integer directions")
+    directions = a.add_mutually_exclusive_group(required=True)
+    directions.add_argument("--ds")
+    directions.add_argument("--vectors", help="'x,y;x,y;...' integer directions")
     a.add_argument("--l", type=int)
     a.add_argument("--k-min", dest="k_min", type=int)
     a.add_argument("--k-max", dest="k_max", type=int)
-    a.add_argument("--delta", action="store_true",
-                   help="use a point mass input and check the spread identity")
-    a.add_argument("--input", default=None, help="grid-function file")
-    a.add_argument("--method", choices=["spectral", "spatial"], default="spectral")
+    source = a.add_mutually_exclusive_group(required=True)
+    source.add_argument("--delta", action="store_true",
+                        help="use a point mass input and check the spread identity")
+    source.add_argument("--input", help="grid-function file")
     a.add_argument("--out", default=None)
     a.add_argument("--csv", default=None)
     a.set_defaults(fn=cmd_apply)
@@ -448,7 +411,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        _reject_ignored(args)
         _resolve(args)
         code = args.fn(args)
     except UsageError as exc:

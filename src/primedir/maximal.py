@@ -456,14 +456,15 @@ class NormReport:
 def empirical_norm(
     cfg: OperatorConfig,
     L: int,
-    families: tuple[str, ...] = ("delta", "gaussian", "rademacher", "boxes"),
+    families: tuple[str, ...] = ("delta", "gaussian", "rademacher", "boxes", "constant"),
     trials: int = 8,
     seed: int = 0,
 ) -> NormReport:
     """Adversarial norm estimate: max of ||maximal_op f|| / ||f|| per test family.
 
-    Families: the point mass, complex Gaussian noise, random signs, and
-    dyadic-size box indicators.  (The operator is a sup of moduli, hence
+    Families: the point mass, complex Gaussian noise, random signs,
+    dyadic-size box indicators, and the constant 1, whose ratio is
+    max_k |m_k(0)|.  (The operator is a sup of moduli, hence
     nonlinear, so power iteration is not available; families play the role of
     structured adversaries.)
     """
@@ -492,6 +493,9 @@ def empirical_norm(
                 if ratio > best:
                     best, arg = ratio, f"box {size}x{size}"
                 size *= 2
+        elif name == "constant":
+            f = GridFunction.constant(L)
+            best, arg = maximal_op(f, cfg).norm2() / f.norm2(), "constant 1"
         else:
             raise ValueError(f"unknown test family {name!r}")
         per[name] = {"max_ratio": best, "argmax": arg}

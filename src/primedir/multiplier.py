@@ -17,8 +17,8 @@ and this module evaluates all the computable objects of that approximation:
 * the error profile E_k = m_k - L_k swept over a grid, with CSV output;
 * major/minor arc classification (exact, via the minimal-denominator
   fraction in an interval);
-* the level threshold k0(s) and the downsampled multiplier coefficients
-  used by the high-frequency argument.
+* the downsampled multiplier coefficients used by the high-frequency
+  argument.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ __all__ = [
     "write_error_profile_csv",
     "classify_arc",
     "simplest_in_interval",
-    "k0_threshold",
     "downsampled_coefficients",
 ]
 
@@ -404,17 +403,6 @@ def classify_arc(alpha, k: int, D: float) -> ArcLabel:
     if best.denominator <= kD_int:
         return ArcLabel("major", reduced_fraction(best.numerator, best.denominator))
     return ArcLabel("minor", None)
-
-
-def k0_threshold(s: int, k_V: int, N: int, eps: float) -> int:
-    """The level threshold: k_V while s <= eps log N, and s beyond it.
-
-    log is the natural logarithm; the boundary s == eps log N takes the
-    small-s branch.
-    """
-    if s < 0:
-        raise ValueError("level must be >= 0")
-    return k_V if s <= eps * math.log(N) else s
 
 
 # -- downsampled multiplier -------------------------------------------------------

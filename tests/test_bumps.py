@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,24 @@ class TestVk:
         monkeypatch.setattr(bumps, "_MAX_PANELS", 64)
         with pytest.raises(PrecisionError):
             bumps.v_k(0, 1000.0)  # needs ~2000 panels, bound too large for 0
+
+    def test_memory_flat_in_oscillation(self):
+        # the panels are evaluated in fixed chunks: X = 2^18 took a 521 MiB
+        # peak when all 2^19 panels were built at once
+        tracemalloc.start()
+        try:
+            bumps.v_k(0, 2.0**18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    def test_chunks_cut_from_global_edges(self, monkeypatch):
+        # 7 panels a chunk divides none of the panel counts below
+        whole = [bumps.v_k(0, X) for X in (0.3, 129.5, 1000.75)]
+        monkeypatch.setattr(bumps, "_CHUNK_PANELS", 7)
+        for X, ref in zip((0.3, 129.5, 1000.75), whole):
+            assert abs(bumps.v_k(0, X) - ref) < 1e-15
 
     def test_certified_zero_beyond_budget(self):
         assert bumps.v_k(0, 2.0**39) == 0.0

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from primedir import cli, maximal
-from primedir.directions import load_direction_set
+from primedir.directions import (
+    DirectionSpec, construct_directions, load_direction_set, save_direction_set,
+)
 
 
 @pytest.fixture()
@@ -43,12 +45,34 @@ class TestConstruct:
         assert run("construct", "--n", "1", "--eps", "0.5", "--out", str(tmp_path / "x.json")) == 3
 
     def test_a_with_no_rescale_usage_error(self, tmp_path, capsys):
+        # --no-rescale is gone: every command rescales an unrescaled set on load
         out = tmp_path / "x.json"
-        assert run("construct", "--n", "4", "--eps", "1.0", "--no-rescale", "--a", "5",
-                   "--out", str(out)) == 3
-        err = capsys.readouterr().err
-        assert "--no-rescale" in err and "--a" in err
+        with pytest.raises(SystemExit) as exc:
+            run("construct", "--n", "4", "--eps", "1.0", "--no-rescale", "--a", "5",
+                "--out", str(out))
+        assert exc.value.code == 3
+        assert "unrecognized arguments: --no-rescale" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unrescaled_library_set_gives_same_output(self, tmp_path, capsys):
+        # a set saved through the library without rescaling is rescaled on load
+        # with the default A, which is what construct without --a writes
+        cli_ds, lib_ds = tmp_path / "cli.json", tmp_path / "lib.json"
+        assert run("construct", "--n", "4", "--eps", "1.0", "--seed", "7",
+                   "--out", str(cli_ds)) == 0
+        save_direction_set(construct_directions(DirectionSpec(N=4, eps=1.0, seed=7)), lib_ds)
+        assert load_direction_set(lib_ds).integer_vectors is None
+        outputs = []
+        for ds in (cli_ds, lib_ds):
+            capsys.readouterr()
+            assert run("incidence", "--ds", str(ds), "--s", "2",
+                       "--out", str(tmp_path / "r.json")) == 0
+            assert run("apply", "--ds", str(ds), "--l", "63", "--k-min", "5", "--k-max", "6",
+                       "--delta", "--out", str(tmp_path / "m.pdgf")) == 0
+            lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("done")]
+            outputs.append((lines, (tmp_path / "r.json").read_bytes(),
+                            (tmp_path / "m.pdgf").read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_strict_infeasible_is_validation_error(self, tmp_path):
         rc = run("construct", "--n", "4", "--eps", "1.0", "--mode", "strict",
@@ -66,6 +90,17 @@ class TestMultError:
         rows = [line.split(",") for line in lines[2:]]
         assert [r[0] for r in rows] == ["10", "12"]
         assert float(rows[0][2]) > float(rows[1][2])  # decreasing sup error
+
+    def test_stdout_reports_level_truncation(self, tmp_path, capsys):
+        # k^17 < 2^18 at k = 2; at k = 3 the level needed (26) exceeds the cap 22
+        out = tmp_path / "e.csv"
+        assert run("mult-error", "--k-list", "2,3", "--grid", "32", "--out", str(out)) == 0
+        rows = [l for l in capsys.readouterr().out.splitlines() if l.startswith("k=")]
+        assert [r.split()[-2:] for r in rows] == [
+            ["s_max=17", "truncated=False"], ["s_max=22", "truncated=True"],
+        ]
+        csv_rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        assert [r[5:7] for r in csv_rows] == [["17", "False"], ["22", "True"]]
 
     def test_small_d_usage_error(self, tmp_path):
         assert run("mult-error", "--k-list", "10", "--d", "16", "--grid", "32",
@@ -95,7 +130,7 @@ class TestIncidence:
         doc = json.loads(rep.read_text())
         assert doc["schema"] == "primedir.overlap_report.v2"
         assert doc["baseline"] is None
-        assert run("incidence", "--ds", str(ds), "--replay", str(rep)) == 0
+        assert run("replay", "--ds", str(ds), "--report", str(rep)) == 0
 
     def test_baseline_report_replays(self, tmp_path, capsys):
         ds = tmp_path / "ds.json"
@@ -105,7 +140,7 @@ class TestIncidence:
                    "--out", str(rep)) == 0
         assert json.loads(rep.read_text())["baseline"] == "parallel"
         capsys.readouterr()
-        assert run("incidence", "--ds", str(ds), "--replay", str(rep)) == 0
+        assert run("replay", "--ds", str(ds), "--report", str(rep)) == 0
         assert "replay ok: witness attains 4" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag,value", [
@@ -119,8 +154,32 @@ class TestIncidence:
         run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
         assert run("incidence", "--ds", str(ds), "--s", "2", "--out", str(rep)) == 0
         capsys.readouterr()
-        assert run("incidence", "--ds", str(ds), "--replay", str(rep), flag, value) == 3
-        assert flag in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run("replay", "--ds", str(ds), "--report", str(rep), flag, value)
+        assert exc.value.code == 3
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / value).exists()
+
+    def test_replay_flag_of_incidence_refused_before_load(self, tmp_path, capsys):
+        # the set and the report do not exist: the old form fails at parse time
+        with pytest.raises(SystemExit) as exc:
+            run("incidence", "--ds", str(tmp_path / "missing.json"),
+                "--replay", str(tmp_path / "rep.json"))
+        assert exc.value.code == 3
+        assert "unrecognized arguments: --replay" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_replay_mismatch_exits_two(self, tmp_path, capsys):
+        ds = tmp_path / "ds.json"
+        rep = tmp_path / "rep.json"
+        run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
+        assert run("incidence", "--ds", str(ds), "--s", "2", "--out", str(rep)) == 0
+        doc = json.loads(rep.read_text())
+        doc["max_overlap"] += 1
+        rep.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("replay", "--ds", str(ds), "--report", str(rep)) == 2
+        assert "REPLAY MISMATCH" in capsys.readouterr().out
 
     @pytest.mark.parametrize("key,value,named", [
         ("baseline", None, "'baseline'"),  # None: delete the key
@@ -140,7 +199,7 @@ class TestIncidence:
             doc[key] = value
         rep.write_text(json.dumps(doc))
         capsys.readouterr()
-        assert run("incidence", "--ds", str(ds), "--replay", str(rep)) == 2
+        assert run("replay", "--ds", str(ds), "--report", str(rep)) == 2
         err = capsys.readouterr().err
         assert "validation error" in err and named in err
 
@@ -167,7 +226,8 @@ class TestIncidence:
     def test_baseline_uses_family_c1(self, tmp_path):
         # the baseline scans at the C1 stored in the set's spec, as the family scan does
         ds = tmp_path / "ds.json"
-        run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--c1", "60", "--out", str(ds))
+        spec = DirectionSpec(N=4, eps=1.0, seed=7, C1=60)
+        save_direction_set(construct_directions(spec), ds)
         rep_c, rep_b = tmp_path / "c.json", tmp_path / "b.json"
         assert run("incidence", "--ds", str(ds), "--s", "2", "--out", str(rep_c)) == 0
         assert run("incidence", "--ds", str(ds), "--s", "2", "--baseline", "parallel",
@@ -238,7 +298,7 @@ class TestIncidence:
 class TestApply:
     def test_delta_identity_line(self, tmp_path, capsys):
         rc = run("apply", "--vectors", "1,0;0,1;1,1;2,1", "--l", "512",
-                 "--k-min", "5", "--k-max", "6", "--delta", "--method", "spatial")
+                 "--k-min", "5", "--k-max", "6", "--delta")
         assert rc == 0
         out = capsys.readouterr().out
         assert "delta-spread" in out and "disjoint_precondition=True" in out
@@ -307,8 +367,17 @@ class TestApply:
         assert rc == 0
         assert "degenerate_directions=0/8" in capsys.readouterr().out
 
-    def test_missing_input_usage(self, tmp_path):
-        assert run("apply", "--vectors", "1,0", "--k-min", "5", "--k-max", "6") == 3
+    def test_missing_input_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("apply", "--vectors", "1,0", "--k-min", "5", "--k-max", "6")
+        assert exc.value.code == 3
+        assert "one of the arguments --delta --input is required" in capsys.readouterr().err
+
+    def test_missing_directions_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("apply", "--delta", "--k-min", "5", "--k-max", "6")
+        assert exc.value.code == 3
+        assert "one of the arguments --ds --vectors is required" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [
         ["--k-min", "-2"], ["--k-min", "-3", "--k-max", "-2"], ["--l", "1"], ["--k-min", "7"],
@@ -323,16 +392,20 @@ class TestApply:
         ds = tmp_path / "ds.json"
         run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
         capsys.readouterr()
-        assert run("apply", "--ds", str(ds), "--vectors", "1,0", "--k-min", "5", "--k-max", "6",
-                   "--delta") == 3
+        with pytest.raises(SystemExit) as exc:
+            run("apply", "--ds", str(ds), "--vectors", "1,0", "--k-min", "5", "--k-max", "6",
+                "--delta")
+        assert exc.value.code == 3
         err = capsys.readouterr().err
         assert "--ds" in err and "--vectors" in err
 
     def test_delta_with_input_usage_error(self, tmp_path, capsys):
         src = tmp_path / "f.pdgf"
         maximal.save_grid_function(maximal.GridFunction.delta(32), src)
-        assert run("apply", "--vectors", "1,0", "--l", "32", "--k-min", "5", "--k-max", "6",
-                   "--delta", "--input", str(src), "--out", str(tmp_path / "o.pdgf")) == 3
+        with pytest.raises(SystemExit) as exc:
+            run("apply", "--vectors", "1,0", "--l", "32", "--k-min", "5", "--k-max", "6",
+                "--delta", "--input", str(src), "--out", str(tmp_path / "o.pdgf"))
+        assert exc.value.code == 3
         err = capsys.readouterr().err
         assert "--delta" in err and "--input" in err
         assert not (tmp_path / "o.pdgf").exists()
@@ -357,13 +430,17 @@ class TestNormSweep:
         assert rc == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("schema,")
-        per_n = {}
+        # per family: the constant row is the same for every N, so it would
+        # make an overall maximum monotone on its own
+        per_fam = {}
         for row in lines[2:]:
             n, fam, ratio, _ = row.split(",", 3)
-            per_n.setdefault(int(n), []).append(float(ratio))
-        ns = sorted(per_n)
-        overall = [max(per_n[n]) for n in ns]
-        assert all(b >= a - 1e-12 for a, b in zip(overall, overall[1:]))
+            per_fam.setdefault(fam, []).append((int(n), float(ratio)))
+        assert set(per_fam) == {"delta", "gaussian", "rademacher", "boxes", "constant"}
+        for rows in per_fam.values():
+            assert [n for n, _ in rows] == [2, 4, 8]
+            ratios = [r for _, r in rows]
+            assert all(b >= a - 1e-12 for a, b in zip(ratios, ratios[1:]))
 
     def test_degenerate_directions_reported(self, tmp_path, capsys):
         rc = run("norm-sweep", "--n-list", "2,4,8", "--l", "32", "--trials", "1",
@@ -394,6 +471,7 @@ _TAIL = {
     "construct": ["--out", "ds.json"],
     "mult-error": ["--out", "e.csv"],
     "incidence": ["--ds", "ds.json"],
+    "replay": ["--ds", "ds.json", "--report", "overlap.json"],
     "apply": ["--vectors", "1,0;0,1", "--delta"],
     "norm-sweep": ["--out", "sweep.csv"],
     "selftest": [],
@@ -414,10 +492,11 @@ _RESOLVED = {
         {"eps": 1.0, "seed": 7, "l": 63, "k_min": 10, "k_max": 12, "trials": 8}, 2**13),
     ("norm-sweep", "desk-full"): (
         {"eps": 0.5, "seed": 7, "l": 127, "k_min": 14, "k_max": 16, "trials": 8}, 2**17),
+    ("replay", None): ({"ds": "ds.json", "report": "overlap.json"}, None),
     ("selftest", None): ({}, None),
 }
-_SCAN = {"variant": "ktilde", "window_half": 1, "budget": 2_000_000, "r_sweeps": 1, "seed": 0,
-         "out": "overlap.json"}
+_SCAN = {"variant": "ktilde", "window_half": None, "budget": 2_000_000, "r_sweeps": 1,
+         "seed": 0, "out": "overlap.json"}
 for _profile, _s in ((None, 2), ("desk-small", 1), ("desk-full", 2)):
     # the presets' seed is the construction's; incidence's seeds its r sweeps
     _RESOLVED[("incidence", _profile)] = ({"s": _s, **_SCAN}, None)
@@ -450,7 +529,8 @@ class TestResolution:
 
 
 class TestFlagScope:
-    # --profile is taken by every command but selftest, --cache-dir by none
+    # --profile is taken by every command but selftest and replay, --cache-dir,
+    # construct --c1 and apply --method by none
     @pytest.mark.parametrize("argv", [
         ["selftest", "--profile", "desk-full"],
         ["selftest", "--cache-dir", "D"],
@@ -460,9 +540,13 @@ class TestFlagScope:
         ["apply", "--vectors", "1,0;0,1", "--k-min", "5", "--k-max", "6", "--delta",
          "--cache-dir", "D"],
         ["norm-sweep", "--out", "sweep.csv", "--cache-dir", "D"],
+        ["replay", "--ds", "ds.json", "--report", "overlap.json", "--profile", "desk-full"],
+        ["construct", "--n", "4", "--eps", "1.0", "--out", "ds.json", "--c1", "60"],
+        ["apply", "--vectors", "1,0;0,1", "--k-min", "5", "--k-max", "6", "--delta",
+         "--method", "spatial"],
     ], ids=["selftest-profile", "selftest-cache-dir", "construct-cache-dir",
             "incidence-cache-dir", "mult-error-cache-dir", "apply-cache-dir",
-            "norm-sweep-cache-dir"])
+            "norm-sweep-cache-dir", "replay-profile", "construct-c1", "apply-method"])
     def test_flag_refused(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:

@@ -232,9 +232,16 @@ class TestNorms:
 
     def test_report_fields(self, cfg4):
         rep = X.empirical_norm(cfg4, 32, trials=2, seed=1)
-        assert set(rep.per_family) == {"delta", "gaussian", "rademacher", "boxes"}
+        assert set(rep.per_family) == {"delta", "gaussian", "rademacher", "boxes", "constant"}
         assert rep.delta_spread_closed_form > 0
         assert all(v["max_ratio"] > 0 for v in rep.per_family.values())
+
+    def test_constant_family_attains_symbol_at_zero(self, cfg4, table13):
+        # M 1 = max_k |m_k(0)| everywhere, a lower bound on the operator norm
+        rep = X.empirical_norm(cfg4, 32, families=("constant",))
+        expect = max(abs(m_k(k, Fraction(0), table13)) for k in cfg4.scales)
+        assert abs(rep.per_family["constant"]["max_ratio"] - expect) < 1e-12
+        assert rep.per_family["constant"]["argmax"] == "constant 1"
 
     def test_point_mass_evaluated_once(self, cfg4, monkeypatch):
         real = X.maximal_op

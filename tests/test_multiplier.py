@@ -383,22 +383,6 @@ class TestArcs:
             M.classify_arc(0.3, 0, 17.0)
 
 
-class TestK0Threshold:
-    def test_examples(self):
-        assert M.k0_threshold(1, 40, 2**20, 0.5) == 40
-        assert M.k0_threshold(30, 40, 2**10, 0.1) == 30
-
-    def test_boundary_takes_small_branch(self):
-        N, eps = 2**20, 0.5
-        boundary = math.floor(eps * math.log(N))
-        assert M.k0_threshold(boundary, 40, N, eps) == 40
-
-    def test_configurable_log(self):
-        # natural log: 0.5 ln(2^30) ~ 10.4, so s = 11 takes the large branch
-        # (a base-2 log would lift the threshold to 15)
-        assert M.k0_threshold(11, 40, 2**30, 0.5) == 11
-
-
 class TestDownsampled:
     def test_q_one_reduction(self):
         # q = 1 is the plain inverse transform of the localized profile;
