@@ -66,6 +66,10 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kw):
+        # a prefix of a flag is not another spelling of it
+        super().__init__(*args, allow_abbrev=False, **kw)
+
     def error(self, message):  # argparse default exits 2; the contract says 3
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
@@ -306,7 +310,8 @@ def cmd_norm_sweep(args) -> int:
         overall = max(v["max_ratio"] for v in rep.per_family.values())
         rows.append((n, overall, rep))
         degenerate = maximal.degenerate_directions(cfg, args.l)
-        print(f"N={n}: max ratio {overall:.6f} degenerate_directions={degenerate}/{n}")
+        ratios = " ".join(f"{fam}={info['max_ratio']:.6f}" for fam, info in rep.per_family.items())
+        print(f"N={n}: max ratio {overall:.6f} {ratios} degenerate_directions={degenerate}/{n}")
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["schema", "primedir.norm_sweep.v1"])

@@ -9,16 +9,20 @@ on the torus grid (Z/L)^2, and the maximal operator takes the pointwise sup of
 evaluation routes are kept in cross-checkable agreement:
 
 * spatial: fold the prime weights modulo L (the shift p v mod L only depends
-  on p mod L) and accumulate rolled copies of f;
+  on p mod L) and accumulate shifted copies of f, read as L x L views of f
+  tiled 2 x 2;
 * spectral: multiply the 2D transform by m_k(v . beta) sampled from the folded
   1D multiplier table and invert the product in place, one axis at a time.
   The prime weights are real, so the symbol is Hermitian,
   m_k(-a) = conj m_k(a); for real f the route works on the half spectrum
   (rfft2, inverted as irfft2 does) and a complex f takes the full one.
-  The maximal operator shares the (k, v) pairs of a spectrum with at least
-  2^17 entries among worker threads, one per CPU the process may run on (at
-  most 4), which overlap in numpy's FFTs; smaller grids stay on the calling
-  thread, where splitting the work costs more than it saves.
+
+Both routes of the maximal operator run through one pair driver: it shares
+the (k, v) pairs among worker threads, one per CPU the process may run on (at
+most 4), which overlap in numpy's FFTs and array loops, whenever a worker's
+array (the spectrum, or the L x L grid on the spatial route) has at least
+2^14 entries; smaller grids stay on the calling thread, where splitting the
+work costs more than it saves.
 
 The module also carries the discrete line decomposition of the grid along a
 direction and the transference check built on it: a single-direction operator
@@ -63,7 +67,8 @@ __all__ = [
 ]
 
 _ROWS = 64  # rows per block of the spectral kernel's gather, real inverse and fold
-_THREADED_ENTRIES = 1 << 17  # smaller spectra run faster on the calling thread alone
+_BLOCK_BYTES = 1 << 18  # rows per block of the spatial kernel, in bytes of one array
+_THREADED_ENTRIES = 1 << 14  # smaller grids run faster on the calling thread alone
 _MAX_WORKERS = 4
 
 
@@ -152,13 +157,27 @@ class OperatorConfig:
         return range(self.k_min, self.k_max + 1)
 
 
-def _roll_sum(values: np.ndarray, folded: np.ndarray, v: tuple[int, int]) -> np.ndarray:
-    """Spatial kernel: sum over residues r of folded[r] times values shifted by r v."""
-    L = values.shape[0]
-    out = np.zeros((L, L), dtype=np.complex128)
-    vx, vy = v[0] % L, v[1] % L
-    for r in np.flatnonzero(folded):
-        out += folded[r] * np.roll(values, ((r * vx) % L, (r * vy) % L), axis=(0, 1))
+def _roll_sum(tiled: np.ndarray, folded: np.ndarray, v: tuple[int, int],
+              term: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Spatial kernel: out = sum over residues r of folded[r] times f shifted by r v.
+
+    tiled is f tiled 2 x 2, so np.roll(f, (a, b), axis=(0, 1)) is the L x L
+    view of tiled that starts at (-a mod L, -b mod L).  term and out are
+    L x L arrays of f's dtype, owned by the caller.  Each residue, in
+    increasing order, is multiplied into term and added into out, so out is
+    the sum of np.roll copies bit for bit.  The sum runs over blocks of rows
+    of _BLOCK_BYTES each, so a block of term and out stays in cache across
+    the residues."""
+    L = out.shape[0]
+    r = np.flatnonzero(folded)
+    sx, sy = (-r * (v[0] % L)) % L, (-r * (v[1] % L)) % L
+    rows = max(1, _BLOCK_BYTES // (L * out.itemsize))
+    for b in range(0, L, rows):
+        o, t = out[b:b + rows], term[b:b + rows]
+        o[...] = 0
+        for x, y, w in zip(sx + b, sy, folded[r]):
+            np.multiply(tiled[x:x + len(o), y:y + L], w, out=t)
+            o += t
     return out
 
 
@@ -207,9 +226,11 @@ def average_along(f: GridFunction, v: tuple[int, int], k: int, cfg: OperatorConf
     """Spatial evaluation of the scale-k prime average along v.
 
     The shift p v mod L depends on p only through p mod L, so the prime sum
-    folds to at most L rolled copies of f.
+    folds to at most L shifted copies of f.  The output has f's dtype.
     """
-    return GridFunction(f.L, _roll_sum(f.values, fold_weights(k, f.L, cfg.table), v))
+    vals = f.values
+    return GridFunction(f.L, _roll_sum(np.tile(vals, (2, 2)), fold_weights(k, f.L, cfg.table),
+                                       v, np.empty_like(vals), np.empty_like(vals)))
 
 
 def spectral_average(f: GridFunction, v: tuple[int, int], k: int, cfg: OperatorConfig) -> GridFunction:
@@ -227,9 +248,9 @@ def spectral_average(f: GridFunction, v: tuple[int, int], k: int, cfg: OperatorC
 
 
 def _worker_count(entries: int, pairs: int) -> int:
-    """Threads for a spectrum of this many entries: 1 below _THREADED_ENTRIES,
-    else one per CPU the process may run on, at most one per pair and
-    _MAX_WORKERS."""
+    """Threads for a worker array of this many entries: 1 below
+    _THREADED_ENTRIES, else one per CPU the process may run on, at most one
+    per pair and _MAX_WORKERS."""
     if entries < _THREADED_ENTRIES:
         return 1
     try:
@@ -239,33 +260,34 @@ def _worker_count(entries: int, pairs: int) -> int:
     return max(1, min(cpus, pairs, _MAX_WORKERS))
 
 
-def _mapped(shape: tuple[int, int]) -> np.ndarray:
-    """An uninitialised complex array in an anonymous mapping of its own,
-    unmapped when the array is freed."""
+def _mapped(shape: tuple[int, int], dtype) -> np.ndarray:
+    """An uninitialised array in an anonymous mapping of its own, unmapped
+    when the array is freed."""
+    dtype = np.dtype(dtype)
     n = shape[0] * shape[1]
-    return np.frombuffer(mmap.mmap(-1, 16 * n), dtype=np.complex128).reshape(shape)
+    return np.frombuffer(mmap.mmap(-1, dtype.itemsize * n), dtype=dtype).reshape(shape)
 
 
-def _spectral_max(f: GridFunction, cfg: OperatorConfig) -> np.ndarray:
-    """sup over (k, v) of |spectral_average|, the pairs shared by the workers."""
-    L = f.L
-    fhat, real = _spectrum(f.values)
-    symbols = [m_k_grid(k, L, cfg.table) for k in cfg.scales]
-    pairs = [(symbol, v) for symbol in symbols for v in cfg.directions]
+def _pair_max(L: int, pairs: list, kernel, buffers: list) -> np.ndarray:
+    """sup over pairs of |kernel(*pair, *bufs)|, the pairs shared by the workers.
+
+    kernel yields a pair's output as (row slice, block) pairs, computed in
+    bufs, the worker's own arrays: one per (shape, dtype) in buffers.  The
+    number of workers follows the entries of the first buffer."""
     out = np.zeros((L, L), dtype=np.float64)
     todo = iter(pairs)
     lock = threading.Lock()
     stop = threading.Event()
     errors = []
 
-    def work(buf):
+    def work(bufs):
         try:
             while not stop.is_set():
                 with lock:
                     pair = next(todo, None)
                 if pair is None:
                     return
-                for s, block in _apply_symbol(fhat, *pair, real, buf):
+                for s, block in kernel(*pair, *bufs):
                     a = np.abs(block)
                     with lock:
                         np.maximum(out[s], a, out=out[s])
@@ -273,14 +295,14 @@ def _spectral_max(f: GridFunction, cfg: OperatorConfig) -> np.ndarray:
             errors.append(exc)
             stop.set()
 
-    # the other workers' product arrays live in mappings of their own: on the
-    # heap, freeing them trimmed it, and the caller's next arrays page-faulted
-    threads = [threading.Thread(target=work, args=(_mapped(fhat.shape),))
-               for _ in range(_worker_count(fhat.size, len(pairs)) - 1)]
+    # the other workers' arrays live in mappings of their own: on the heap,
+    # freeing them trimmed it, and the caller's next arrays page-faulted
+    threads = [threading.Thread(target=work, args=([_mapped(*b) for b in buffers],))
+               for _ in range(_worker_count(math.prod(buffers[0][0]), len(pairs)) - 1)]
     for t in threads:
         t.start()
     try:
-        work(np.empty(fhat.shape, dtype=np.complex128))
+        work([np.empty(*b) for b in buffers])
     finally:
         stop.set()
         for t in threads:
@@ -293,28 +315,41 @@ def _spectral_max(f: GridFunction, cfg: OperatorConfig) -> np.ndarray:
 def maximal_op(f: GridFunction, cfg: OperatorConfig, method: str = "spectral") -> GridFunction:
     """Pointwise sup of |A_{v,k} f| over the configured directions and scales.
 
-    The spectral route shares its (k, v) pairs among w workers, the calling
-    thread and w - 1 threads that start and end inside the call.  w is 1 for
-    a spectrum of fewer than 2^17 entries (real L < 512, complex L < 363),
-    else the number of CPUs in the process's affinity mask, capped at 4 and
-    at the number of pairs.  A worker's exception is raised here once every
-    worker has stopped.  Each worker holds one complex product array of the
-    spectrum's size (L x (L//2 + 1) for real f, L x L for complex f) and
-    blocks of 64 rows; each block's modulus is folded into the running
-    maximum under a lock.  np.maximum is exact, so the output is
-    bit-identical for any worker count.
+    Both routes share their (k, v) pairs among w workers, the calling thread
+    and w - 1 threads that start and end inside the call.  Each worker owns
+    its arrays: on the spectral route one complex product array of the
+    spectrum's size (L x (L//2 + 1) for real f, L x L for complex f), on the
+    spatial route two L x L arrays of f's dtype, which read f tiled 2 x 2
+    (built once per call, as the spectrum is, and shared read-only).  w is 1
+    for fewer than 2^14 entries in such an array (spectral: real L < 181,
+    complex L < 128; spatial: L < 128), else the number of CPUs in the
+    process's affinity mask, capped at 4 and at the number of pairs.  A
+    worker's exception is raised here once every worker has stopped.  The
+    modulus of each output block (64 rows on the spectral route, the whole
+    grid on the spatial one) is folded into the running maximum under a
+    lock; np.maximum is exact, so the output is bit-identical for any worker
+    count.
     """
-    if method not in ("spectral", "spatial"):
-        raise ValueError("method must be 'spectral' or 'spatial'")
-    if method == "spectral":
-        return GridFunction(f.L, _spectral_max(f, cfg))
     L = f.L
-    out = np.zeros((L, L), dtype=np.float64)
-    for k in cfg.scales:
-        folded = fold_weights(k, L, cfg.table)
-        for v in cfg.directions:
-            np.maximum(out, np.abs(_roll_sum(f.values, folded, v)), out=out)
-    return GridFunction(L, out)
+    if method == "spectral":
+        fhat, real = _spectrum(f.values)
+        symbols = [m_k_grid(k, L, cfg.table) for k in cfg.scales]
+        pairs = [(symbol, v) for symbol in symbols for v in cfg.directions]
+        buffers = [(fhat.shape, np.complex128)]
+
+        def kernel(symbol, v, buf):
+            return _apply_symbol(fhat, symbol, v, real, buf)
+    elif method == "spatial":
+        tiled = np.tile(f.values, (2, 2))
+        folds = [fold_weights(k, L, cfg.table) for k in cfg.scales]
+        pairs = [(folded, v) for folded in folds for v in cfg.directions]
+        buffers = [((L, L), f.values.dtype)] * 2
+
+        def kernel(folded, v, term, acc):
+            return [(slice(None), _roll_sum(tiled, folded, v, term, acc))]
+    else:
+        raise ValueError("method must be 'spectral' or 'spatial'")
+    return GridFunction(L, _pair_max(L, pairs, kernel, buffers))
 
 
 # -- line decomposition and transference ------------------------------------------

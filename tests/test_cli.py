@@ -450,6 +450,29 @@ class TestNormSweep:
         line = next(l for l in out.splitlines() if l.startswith("N=8:"))
         assert "degenerate_directions=8/8" in line
 
+    def test_rows_show_each_family(self, tmp_path, capsys):
+        # the README line: the constant family's ratio is the overall maximum
+        # at every N, so only the per-family ratios show the growth with N
+        out = tmp_path / "sweep.csv"
+        assert run("norm-sweep", "--n-list", "4,8,16", "--l", "63", "--k-min", "10",
+                   "--k-max", "12", "--out", str(out)) == 0
+        rows = [l.split() for l in capsys.readouterr().out.splitlines() if l.startswith("N=")]
+        assert [r[0] for r in rows] == ["N=4:", "N=8:", "N=16:"]
+        csv_ratio = {}
+        for line in out.read_text().strip().splitlines()[2:]:
+            n, fam, ratio, _ = line.split(",", 3)
+            csv_ratio[int(n), fam] = float(ratio)
+        delta = []
+        for n, row in zip((4, 8, 16), rows):
+            printed = [t.split("=") for t in row[4:-1]]
+            assert [fam for fam, _ in printed] == [
+                "delta", "gaussian", "rademacher", "boxes", "constant"]
+            for fam, ratio in printed:
+                assert ratio == f"{csv_ratio[n, fam]:.6f}"
+            assert row[3] == dict(printed)["constant"]
+            delta.append(float(dict(printed)["delta"]))
+        assert delta[0] < delta[1] < delta[2] < float(rows[0][3])
+
     @pytest.mark.parametrize("flags", [["--k-min", "-2"], ["--trials", "0"], ["--l", "1"]])
     def test_bad_flag_usage_error_before_sieve(self, tmp_path, sieved, flags):
         assert run("norm-sweep", "--n-list", "2", "--k-max", "12", *flags,
@@ -553,6 +576,22 @@ class TestFlagScope:
             cli.main(argv)
         assert exc.value.code == 3
         assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+    # a prefix of a flag is refused; with argparse's prefix matching on, each
+    # of these lines ran as --n-list, --vectors --delta and --ds --report
+    @pytest.mark.parametrize("argv", [
+        ["norm-sweep", "--n", "8", "--out", "sweep.csv"],
+        ["apply", "--vec", "1,0", "--del"],
+        ["replay", "--d", "ds.json", "--rep", "r.json"],
+    ], ids=["norm-sweep-n", "apply-vec-del", "replay-d-rep"])
+    def test_flag_prefix_refused(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 3
+        assert "error: " in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 

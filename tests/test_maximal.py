@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from primedir import maximal as X
 from primedir.errors import ParseError
-from primedir.multiplier import m_k, prime_weights
+from primedir.multiplier import fold_weights, m_k, prime_weights
 
 @pytest.fixture()
 def cfg4(table13):
@@ -385,8 +385,8 @@ def _cpus(monkeypatch, n):
     monkeypatch.setattr(os, "cpu_count", lambda: n)
 
 
-# spectra of at least 2^17 entries: a real L = 512 grid keeps 512 x 257 of
-# them, a complex L = 363 grid (odd side) all 363 x 363
+# spectra well above the 2^14 entries that start workers: a real L = 512 grid
+# keeps 512 x 257 of them, a complex L = 363 grid (odd side) all 363 x 363
 _WORKER_CASES = pytest.mark.parametrize("L, real", [(512, True), (363, False)])
 
 
@@ -402,9 +402,9 @@ class TestWorkerPath:
 
     def test_worker_count(self, monkeypatch):
         _cpus(monkeypatch, 2)
-        assert X._worker_count(2**17 - 1, 24) == 1
-        assert X._worker_count(2**17, 24) == 2
-        assert X._worker_count(2**17, 1) == 1
+        assert X._worker_count(2**14 - 1, 24) == 1
+        assert X._worker_count(2**14, 24) == 2
+        assert X._worker_count(2**14, 1) == 1
         _cpus(monkeypatch, 64)
         assert X._worker_count(2**20, 24) == 4
         assert X._worker_count(2**20, 3) == 3
@@ -452,7 +452,7 @@ class TestWorkerPath:
         assert threading.active_count() == before
         assert not any(t.is_alive() for t in started)
         started.clear()
-        X.maximal_op(_draw(256, 0, False), cfg)  # 2^16 entries: no thread
+        X.maximal_op(_draw(96, 0, False), cfg)  # 9 216 entries: no thread
         assert started == []
 
     @_WORKER_CASES
@@ -476,6 +476,117 @@ class TestWorkerPath:
         with pytest.raises(RuntimeError, match="third pair"):
             X.maximal_op(f, cfg)
         assert threading.active_count() == before
+
+
+def _rolled(values, folded, v):
+    """The spatial sum as np.roll copies: the kernel's reference."""
+    L = values.shape[0]
+    out = np.zeros((L, L), dtype=np.complex128)
+    vx, vy = v[0] % L, v[1] % L
+    for r in np.flatnonzero(folded):
+        out += folded[r] * np.roll(values, ((r * vx) % L, (r * vy) % L), axis=(0, 1))
+    return out
+
+
+class TestSpatialKernel:
+    """The spatial kernel reads shifted views of f tiled 2 x 2; its sum is the
+    np.roll sum bit for bit, and its pairs go through the workers too."""
+
+    @pytest.mark.parametrize("rows", [None, 7])  # None: the default block size
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("L", [2, 3, 15, 16, 128])
+    def test_equals_roll_reference(self, table13, L, real, rows, monkeypatch):
+        f = _draw(L, 300 + L, real).values
+        if rows:  # blocks of 7 rows, the last one short when 7 does not divide L
+            monkeypatch.setattr(X, "_BLOCK_BYTES", rows * L * f.itemsize)
+        tiled = np.tile(f, (2, 2))
+        for v in ((1, 0), (3, -7), (-2, -5), (10**30 + 1, -(10**30) - 3)):
+            for k in (3, 6):
+                folded = fold_weights(k, L, table13)
+                got = X._roll_sum(tiled, folded, v, np.empty_like(f), np.empty_like(f))
+                assert got.dtype == f.dtype
+                assert np.array_equal(got, _rolled(f, folded, v))
+
+    @staticmethod
+    def _case(table, L, real):
+        cfg = X.OperatorConfig(directions=((1, 0), (3, -7), (2, 1)), k_min=5, k_max=6,
+                               table=table)
+        return cfg, _draw(L, 400 + L, real)
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_any_worker_count_identical(self, table13, real, monkeypatch):
+        cfg, f = self._case(table13, 128, real)  # 2^14 entries: the threaded size
+        _cpus(monkeypatch, 1)
+        one = X.maximal_op(f, cfg, method="spatial").values
+        _cpus(monkeypatch, 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(2):
+                assert np.array_equal(X.maximal_op(f, cfg, method="spatial").values, one)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_maximal_is_max_of_averages(self, table13, real, monkeypatch):
+        _cpus(monkeypatch, 4)
+        cfg, f = self._case(table13, 128, real)
+        each = [np.abs(X.average_along(f, v, k, cfg).values)
+                for k in cfg.scales for v in cfg.directions]
+        assert np.array_equal(X.maximal_op(f, cfg, method="spatial").values,
+                              np.max(each, axis=0))
+
+    def test_worker_exception_raised(self, table13, monkeypatch):
+        kernel = X._roll_sum
+        lock = threading.Lock()
+        calls = []
+
+        def failing(*args):
+            with lock:
+                calls.append(None)
+                n = len(calls)
+            if n == 3:
+                raise RuntimeError("third pair")
+            return kernel(*args)
+
+        monkeypatch.setattr(X, "_roll_sum", failing)
+        _cpus(monkeypatch, 4)
+        cfg, f = self._case(table13, 128, False)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="third pair"):
+            X.maximal_op(f, cfg, method="spatial")
+        assert threading.active_count() == before
+
+
+class TestThreshold:
+    """Workers start from 2^14 entries in a worker's array: the spectrum on
+    the spectral route, the L x L grid on the spatial one."""
+
+    @pytest.mark.parametrize("method, L, real, threads", [
+        ("spectral", 127, False, 0),  # 16 129 entries
+        ("spectral", 128, False, 3),  # 16 384
+        ("spectral", 180, True, 0),  # 180 x 91 = 16 380
+        ("spectral", 181, True, 3),  # 181 x 91 = 16 471
+        ("spatial", 127, True, 0),
+        ("spatial", 128, True, 3),
+    ])
+    def test_boundary(self, table13, method, L, real, threads, monkeypatch):
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        cfg = X.OperatorConfig(directions=((1, 0), (3, -7), (2, 1)), k_min=5, k_max=6,
+                               table=table13)
+        f = _draw(L, 500 + L, real)
+        _cpus(monkeypatch, 1)
+        one = X.maximal_op(f, cfg, method=method).values
+        monkeypatch.setattr(threading, "Thread", Counted)
+        _cpus(monkeypatch, 4)
+        assert np.array_equal(X.maximal_op(f, cfg, method=method).values, one)
+        assert len(started) == threads
 
 
 class TestFrequencySplit:
