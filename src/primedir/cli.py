@@ -227,7 +227,8 @@ def cmd_incidence(args) -> int:
     incidence.save_overlap_report(best, args.out)
     print(
         f"max_overlap={best.max_overlap} method={best.method} "
-        f"candidates={best.candidates_checked} families={best.family_count}"
+        f"candidates={best.candidates_checked} families={best.family_count} "
+        f"fallback_pairs={best.fallback_pairs}"
     )
     print(f"wrote {args.out}")
     return 0

@@ -19,9 +19,12 @@ construction.  Fractions appear only at the public API: windows and
 directions come in as Fractions, and witnesses, lattice centers and shrink
 intervals go out as Fractions.  ``TubeFamily.member`` is the scalar
 reference predicate (``tube_membership`` applies it to a Fraction point).
-The scan counts each batch of points over one denominator with a single
-numpy counter, in int64 when per-family constants bound every intermediate
-value below 2^63 and in Python integers otherwise.  The counter takes the
+The scan counts each pair's lattice candidates on their plane indices, in
+integers of a few machine words, whenever the certificates in
+``max_overlap_scan``'s docstring hold.  It counts every other batch of
+points over one denominator with a single numpy counter, in int64 when
+per-family constants bound every intermediate value below 2^63 and in
+Python integers otherwise.  The counter takes the
 families that share a torus side and an exclusion radius as one group, in
 one (families x points) broadcast; each family's floor walk counts its
 trials in one call, and the floor points go through the counter as a single
@@ -34,7 +37,7 @@ import functools
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -296,6 +299,10 @@ def _plane_range(fam: TubeFamily, win: _IntWindow) -> tuple[int, int]:
             fam.r * ((max(dots) << fam.shift) + D) // scale)
 
 
+# a cell's candidate offsets (o1, o2): the center, then the four corners
+_OFFSETS = ((0, 0), (-1, -1), (-1, 1), (1, -1), (1, 1))
+
+
 def _pair_candidates(f1: TubeFamily, f2: TubeFamily, range1: tuple[int, int],
                      range2: tuple[int, int], win: _IntWindow, offsets: bool):
     """The in-window points of the (f1, f2) intersection lattice, as object
@@ -316,7 +323,7 @@ def _pair_candidates(f1: TubeFamily, f2: TubeFamily, range1: tuple[int, int],
     D = delta * r1 * r2 * (1 << (c1 + c2))
     sgn = 1 if D > 0 else -1
     D *= sgn
-    offs = [(0, 0), (-1, -1), (-1, 1), (1, -1), (1, 1)] if offsets else [(0, 0)]
+    offs = _OFFSETS if offsets else _OFFSETS[:1]
     # (px, py) = (kx u - lx w, ly w - ky u) at t1 = u / (r1 2^c1), t2 = w / (r2 2^c2),
     # u = a 2^c1 + o1 r1 and w = b 2^c2 + o2 r2: the offsets add constant shifts
     kx, ky = (sgn * c * f1.den * r2 << c2 for c in (f2.ay, f2.ax))
@@ -326,7 +333,10 @@ def _pair_candidates(f1: TubeFamily, f2: TubeFamily, range1: tuple[int, int],
              [o1 * r1 * kx - o2 * r2 * lx for o1, o2 in offs]),
             ([-(ky * i << c1) for i in a], [ly * j << c2 for j in b],
              [o2 * r2 * ly - o1 * r1 * ky for o1, o2 in offs]))
-    px, py = (np.add.outer(np.add.outer(np.array(u, dtype=object), v), o).ravel()
+    # every term an object array: numpy turns a list that holds an integer in
+    # [2^63, 2^64) into float64
+    px, py = (np.add.outer(np.add.outer(*(np.array(t, dtype=object) for t in (u, v))),
+                           np.array(o, dtype=object)).ravel()
               for u, v, o in axes)
     inside = win.mask(px, py, D)
     return px[inside], py[inside], D
@@ -346,6 +356,105 @@ def candidate_intersections(
     return [(Fraction(x, d), Fraction(y, d)) for x, y in zip(px, py)]
 
 
+def _solve_between(lo: int, hi: int, k: int, first: int, last: int) -> tuple[int, int]:
+    """(first', last'): the integers b in first..last with lo <= k b <= hi
+    (none when first' > last')."""
+    if k < 0:
+        lo, hi, k = -hi, -lo, -k
+    if k:
+        return max(first, -(-lo // k)), min(last, hi // k)
+    return (first, last) if lo <= 0 <= hi else (1, 0)
+
+
+class _IndexCounter:
+    """Counts a pair's candidates on their plane indices (a, b) and offsets o,
+    without building their coordinates; the identities and certificates are
+    the third fact of ``max_overlap_scan``'s docstring.
+
+    Built once per scan.  ``c`` is the families' common shift, or None when
+    the shifts differ or some torus fold moves a window point; then every
+    pair falls back to ``_pair_candidates`` and ``_count_points``.
+    """
+
+    def __init__(self, families: list[TubeFamily], win: _IntWindow):
+        self.families, self.win = families, win
+        c = families[0].shift
+        edges = (win.x0, win.x1, win.y0, win.y1)
+        unfolded = all(f.torus_side is None
+                       or all(-f.torus_side * win.W <= 2 * e < f.torus_side * win.W for e in edges)
+                       for f in families)
+        self.c = c if unfolded and all(f.shift == c for f in families) else None
+        radii = [Fraction(f.ex_n, f.ex_d) for f in families if f.ex_n]
+        self.ex_max = max(radii, default=None)
+        self.ex_min = min(radii, default=None)
+
+    def pair(self, i: int, j: int, range_i: tuple[int, int], range_j: tuple[int, int]):
+        """(checked, count, point): the number of the pair's in-window
+        candidates, the largest family count among them and the first
+        candidate to reach it, as a triple (px, py, d) (None when no count
+        is positive); None when a certificate fails."""
+        fi, fj, c, win = self.families[i], self.families[j], self.c, self.win
+        if c is None:
+            return None
+        delta = fi.ax * fj.ay - fi.ay * fj.ax
+        sgn, dabs = (1, delta) if delta > 0 else (-1, -delta)
+        rr = fi.r * fj.r
+        G = dabs * rr  # the cell centers' denominator
+        Kx = abs(fj.ay * fi.den) + abs(fi.ay * fj.den)
+        Ky = abs(fj.ax * fi.den) + abs(fi.ax * fj.den)
+        if (rr * win.W * max(Kx, Ky)).bit_length() > c:  # window: 2^c > r_i r_j W max(Kx, Ky)
+            return None
+        # center (a, b) is (xa a + xb b, ya a + yb b) / G, and offset o moves it
+        # by (dx, dy) / (|delta| 2^c), less than 1 / (W G) in each coordinate
+        xa, xb = sgn * fi.den * fj.ay * fj.r, -sgn * fj.den * fi.ay * fi.r
+        ya, yb = -sgn * fi.den * fj.ax * fj.r, sgn * fj.den * fi.ax * fi.r
+        moves = [(sgn * (fi.den * fj.ay * o1 - fj.den * fi.ay * o2),
+                  sgn * (fj.den * fi.ax * o2 - fi.den * fj.ax * o1)) for o1, o2 in _OFFSETS]
+        W, x0, x1, y0, y1 = win.W, win.x0, win.x1, win.y0, win.y1
+        cells = []  # (a, b, cx, cy): the cells whose center is in the window
+        checked = 0
+        for a in range(range_i[0], range_i[1] + 1):
+            # the b whose center lies in the closed window: G x0 <= W cx <= G x1, same in y
+            ux, uy = W * xa * a, W * ya * a
+            b_lo, b_hi = _solve_between(G * x0 - ux, G * x1 - ux, W * xb, *range_j)
+            b_lo, b_hi = _solve_between(G * y0 - uy, G * y1 - uy, W * yb, b_lo, b_hi)
+            for b in range(b_lo, b_hi + 1):
+                cx, cy = xa * a + xb * b, ya * a + yb * b
+                cells.append((a, b, cx, cy))
+                # the center's edge margins decide every point of the cell; on an
+                # edge (0), a point stays when its move points inward or along it
+                edges = (W * cx - G * x0, G * x1 - W * cx, W * cy - G * y0, G * y1 - W * cy)
+                checked += len(_OFFSETS) if min(edges) > 0 else sum(
+                    all(e > 0 or t >= 0 for e, t in zip(edges, (dx, -dx, dy, -dy)))
+                    for dx, dy in moves)
+        if not cells:
+            return 0, 0, None
+        if self.ex_max is not None:
+            n, d = self.ex_max.numerator, self.ex_max.denominator
+            if (d - n * G) << c <= d * (Kx + Ky) * rr:  # a nonzero center clears every ball
+                return None
+            n, d = self.ex_min.numerator, self.ex_min.denominator
+            if any(a == b == 0 for a, b, _, _ in cells) and (n * dabs) << c <= (Kx + Ky) * d:
+                return None  # the origin cell need not lie in every ball
+        counts = [0] * len(cells)
+        for f in self.families:
+            p = fi.den * (f.ax * fj.ay - f.ay * fj.ax)
+            q = fj.den * (fi.ax * f.ay - fi.ay * f.ax)
+            lim = f.den * dabs
+            if (rr * f.r * (abs(p) + abs(q) + lim)).bit_length() > c:  # slab
+                return None
+            # f covers the center (a, b) iff N = f.r (rj p a + ri q b) = 0 mod M
+            # and, in the origin cell, f has no exclusion ball
+            A, B, M = f.r * fj.r * p, f.r * fi.r * q, lim * rr
+            for k, (a, b, _, _) in enumerate(cells):
+                if (A * a + B * b) % M == 0 and not (f.ex_n and a == b == 0):
+                    counts[k] += 1
+        k = max(range(len(cells)), key=counts.__getitem__)  # the first center to reach the maximum
+        if not counts[k]:  # the only cell is the origin's, inside every family's ball
+            return checked, 0, None
+        return checked, counts[k], (cells[k][2], cells[k][3], G)
+
+
 # -- the scan ------------------------------------------------------------------------
 
 @dataclass
@@ -363,6 +472,9 @@ class OverlapReport:
     candidates_checked: int = 0
     r_values: tuple[int, ...] | None = None  # per-family denominators, for replay
     baseline: str | None = None  # "parallel" for a parallel-baseline scan, for replay
+    # pairs counted on their coordinates, not their plane indices; a record of
+    # the run, not of the result: report files and equality leave it out
+    fallback_pairs: int = field(default=0, compare=False)
 
 
 def _interior_point(fam: TubeFamily, win: _IntWindow) -> tuple[Fraction, Fraction] | None:
@@ -465,7 +577,7 @@ def max_overlap_scan(
 
     Both branches, and the floor, work on integer triples (px, py, d) and on
     the window as integer edges over one denominator; a Fraction is built
-    only for a floor point or a new witness.  Two facts make that exact:
+    only for a floor point or a new witness.  Three facts make that exact:
 
     - ``TubeFamily.member(px, py, d)`` gives the same answer when the triple
       is scaled by any positive integer: the torus fold, the exclusion test
@@ -475,12 +587,44 @@ def max_overlap_scan(
       ``|X - b Dd| << shift <= r Dd`` holds exactly when
       ``min(res, Dd - res) <= (r Dd) >> shift``; a tie at Dd / 2 gives the
       same distance either way.
+    - A pair's candidates can be counted on their plane indices, when every
+      family has the same shift c and the certificates below hold.  Take the
+      non-parallel pair (i, j), each family as v = (ax, ay) / den, and
+      Delta = ax_i ay_j - ay_i ax_j, P_l = ax_l ay_j - ay_l ax_j,
+      Q_l = ax_i ay_l - ay_i ax_l, Kx = |ay_j den_i| + |ay_i den_j|,
+      Ky = |ax_j den_i| + |ax_i den_j|.  Candidate (a, b, o) is
+      beta = (cx, cy) / (|Delta| r_i r_j) + delta(o), with cx and cy
+      integers linear in (a, b), |delta_x| <= Kx 2^-c / |Delta| and
+      |delta_y| <= Ky 2^-c / |Delta|.  Family l sees
+      r_l v_l . beta = N_l / M_l + E_l(o), with M_l = den_l |Delta| r_i r_j,
+      N_l = sgn(Delta) r_l (den_i r_j P_l a + den_j r_i Q_l b) and
+      E_l = sgn(Delta) r_l (den_i P_l o1 + den_j Q_l o2) 2^-c / (den_l |Delta|).
+      Slab: when 2^c > r_i r_j r_l (|den_i P_l| + |den_j Q_l| + den_l |Delta|),
+      l covers the candidate iff N_l = 0 mod M_l and
+      |den_i P_l o1 + den_j Q_l o2| <= den_l |Delta|.  (Then |E_l| < 1 / M_l;
+      c >= 1 forces every s >= 1, so M_l >= 4 and |E_l| < 1/2.)  Window:
+      when 2^c > r_i r_j W max(Kx, Ky), the signs of cx W - x0 |Delta| r_i r_j
+      and of the other three edge margins decide all five points of a cell;
+      on an edge (margin 0) a corner stays when its offset numerator points
+      inward or runs along the edge.  Exclusion: a cell whose center is not 0
+      clears every ball when 1 / (|Delta| r_i r_j) - (Kx + Ky) 2^-c / |Delta|
+      exceeds the largest radius, and the cell a = b = 0 lies inside every
+      ball when (Kx + Ky) 2^-c / |Delta| is below the smallest nonzero one.
+      Fold: every torus side holds the window in [-side/2, side/2), checked
+      on the integer edges.  So a family that covers a corner covers its
+      cell's center, which is in the window whenever a corner is and comes
+      first in the cell: each pair's maximum and witness are those of its
+      in-window centers, and the corners only add to ``candidates_checked``.
+      ``_IndexCounter`` applies this in integers of a few machine words.  A
+      pair whose certificates fail is counted on its coordinates, by
+      ``_pair_candidates`` and the counter below, and the report's
+      ``fallback_pairs`` says how many were.
 
     So one counter serves every batch of points that share a denominator: a
-    pair's in-window lattice candidates (filtered against the window by array
-    comparisons), a 2048-point chunk of the grid sample, the in-window trials
-    of one family's floor walk, and the floor points, all counted in one batch
-    over the lcm of their denominators.  ``_plan`` computes the per-family
+    fallback pair's in-window lattice candidates (filtered against the window
+    by array comparisons), a 2048-point chunk of the grid sample, the
+    in-window trials of one family's floor walk, and the floor points, all
+    counted in one batch over the lcm of their denominators.  ``_plan`` computes the per-family
     constants once per batch, and the fold and exclusion constants once per
     group of families that share a torus side and an exclusion radius; it
     picks int64 when they bound every intermediate value below 2^63, Python
@@ -507,10 +651,20 @@ def max_overlap_scan(
 
     best = 0
     witness: tuple[Fraction, Fraction] | None = None
-    checked = 0
+    checked = fallback = 0
     if est <= budget:
         method = "exact-candidates"
+        index = _IndexCounter(families, win)
         for i, j in pairs:
+            got = index.pair(i, j, ranges[i], ranges[j])
+            if got is not None:
+                inside, count, point = got
+                checked += inside
+                if count > best:
+                    px, py, d = point
+                    best, witness = count, (Fraction(px, d), Fraction(py, d))
+                continue
+            fallback += 1
             px, py, d = _pair_candidates(families[i], families[j], ranges[i], ranges[j], win,
                                          offsets=True)
             if not len(px):
@@ -543,7 +697,7 @@ def max_overlap_scan(
         s=s, C1=C1, max_overlap=best, witness=witness,
         family_count=len(families), method=method, variant=variant,
         window=window, candidates_checked=checked,
-        r_values=tuple(f.r for f in families),
+        r_values=tuple(f.r for f in families), fallback_pairs=fallback,
     )
 
 

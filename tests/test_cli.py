@@ -122,14 +122,19 @@ class TestMultError:
 
 
 class TestIncidence:
-    def test_scan_and_replay(self, tmp_path):
+    def test_scan_and_replay(self, tmp_path, capsys):
         ds = tmp_path / "ds.json"
         rep = tmp_path / "rep.json"
         assert run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds)) == 0
+        capsys.readouterr()
         assert run("incidence", "--ds", str(ds), "--s", "2", "--out", str(rep)) == 0
+        # every pair of the set is counted on its plane indices; the count of
+        # pairs that fell back is a fact of the run, not of the report file
+        assert "families=4 fallback_pairs=0\n" in capsys.readouterr().out
         doc = json.loads(rep.read_text())
         assert doc["schema"] == "primedir.overlap_report.v2"
         assert doc["baseline"] is None
+        assert "fallback_pairs" not in doc
         assert run("replay", "--ds", str(ds), "--report", str(rep)) == 0
 
     def test_baseline_report_replays(self, tmp_path, capsys):

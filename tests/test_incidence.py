@@ -119,6 +119,17 @@ class TestCandidates:
                     brute.add((x, y))
         assert set(pts) == brute
 
+    def test_terms_past_int64_stay_integers(self):
+        # D lies between 2^63 and 2^64, and so do some lattice terms: numpy
+        # turns a list of such integers into float64
+        f1 = I.TubeFamily(v=(F(-1, 2), F(-2)), r=7, s=2, C1=14)
+        f2 = I.TubeFamily(v=(F(1), F(8, 3)), r=7, s=2, C1=14)
+        win = I._IntWindow(I.ScanWindow(F(0), F(1, 8), F(-1, 16), F(1, 16)))
+        px, py, d = I._pair_candidates(f1, f2, I._plane_range(f1, win), I._plane_range(f2, win),
+                                       win, offsets=True)
+        assert len(px) and 1 << 63 < d < 1 << 64
+        assert all(type(x) is int for x in [*px, *py])
+
     def test_parallel_rejected(self):
         f1 = I.TubeFamily(v=(F(1), F(0)), r=2, s=1, C1=8)
         f2 = I.TubeFamily(v=(F(2), F(0)), r=3, s=1, C1=8)
@@ -260,6 +271,39 @@ def _tube_families(draw):
     return I.TubeFamily(v=(vx, vy), r=r, s=s, C1=C1, exclusion_radius=ex, torus_side=side)
 
 
+@st.composite
+def _one_shift_families(draw):
+    """(families, large): 2-4 families with one s and one C1, so one shift c.
+    C1 is the smallest the spacing allows plus 0-2, where the index
+    certificates mostly fail, or plus 60-70 (large), where they hold unless a
+    family's exclusion radius is 1/3 or a torus side of 1 folds the window."""
+    s = draw(st.integers(1, 2))
+    n = draw(st.integers(2, 4))
+    coord = st.builds(F, st.integers(-9, 9), st.integers(1, 3))
+    vs = [(draw(coord), draw(coord)) for _ in range(n)]
+    vs = [(F(1), F(0)) if v == (0, 0) else v for v in vs]
+    rs = [draw(st.integers(1 << s, (2 << s) - 1)) for _ in range(n)]
+    C1 = 1
+    while any(r * r * (vx * vx + vy * vy) >= 4 ** (C1 * s) for (vx, vy), r in zip(vs, rs)):
+        C1 += 1
+    large = draw(st.booleans())
+    C1 += draw(st.integers(60, 70) if large else st.integers(0, 2))
+    side = draw(st.sampled_from((None, 7, 1)))
+    exs = [draw(st.sampled_from((F(0), F(1, 10**9)))) for _ in range(n)]
+    if draw(st.integers(0, 3)) == 0:
+        exs[draw(st.integers(0, n - 1))] = F(1, 3)
+    fams = [I.TubeFamily(v=v, r=r, s=s, C1=C1, exclusion_radius=ex, torus_side=side)
+            for v, r, ex in zip(vs, rs, exs)]
+    return fams, large
+
+
+def _axis_families(r=(2, 2, 2), s=1, C1=40, ex=F(0), side=None):
+    """The axes and the diagonal, with one shift C1 s."""
+    vs = ((F(1), F(0)), (F(0), F(1)), (F(1), F(1)))
+    return [I.TubeFamily(v=v, r=ri, s=s, C1=C1, exclusion_radius=ex, torus_side=side)
+            for v, ri in zip(vs, r)]
+
+
 def _slab_points(f: I.TubeFamily):
     """Triples over one denominator d on the family's slab boundaries, one step
     inside and outside them, and at the tie midway between two planes."""
@@ -381,6 +425,11 @@ def _recount_scan(fams, window):
     return best, witness
 
 
+def _exact_facts(rep):
+    """What _recount_exact recomputes of an exact scan's report."""
+    return rep.max_overlap, rep.witness, rep.candidates_checked
+
+
 def _recount_exact(fams, window):
     """The exact scan recounted point by point through member(): every in-window
     candidate of every non-parallel pair, then the floor points."""
@@ -447,7 +496,80 @@ class TestInt64Counts:
     def test_exact_scan_equals_recount(self, fams, win):
         rep = I.max_overlap_scan(fams, win)
         assert rep.method == "exact-candidates"
-        assert (rep.max_overlap, rep.witness, rep.candidates_checked) == _recount_exact(fams, win)
+        assert _exact_facts(rep) == _recount_exact(fams, win)
+
+    # windows for the plane-index counter: one holding the origin, one off it,
+    # one with the origin (always a cell center) on its left edge, and one
+    # whose edge x = 1/2 a torus side of 1 folds to -1/2
+    INDEX_WINDOWS = EXACT_WINDOWS + (
+        I.ScanWindow(F(0), F(1, 8), F(-1, 16), F(1, 16)),
+        I.ScanWindow(F(7, 16), F(1, 2), F(-1, 16), F(1, 16)),
+    )
+
+    def test_index_scan_equals_recount(self):
+        """The scan, pairs on plane indices or on coordinates, against member()
+        at every candidate; both sides of the certificates are drawn."""
+        fell_back = set()
+
+        @settings(max_examples=150, deadline=None)
+        @given(case=_one_shift_families(), win=st.sampled_from(self.INDEX_WINDOWS))
+        def check(case, win):
+            fams, large = case
+            rep = I.max_overlap_scan(fams, win)
+            assert rep.method == "exact-candidates"
+            assert _exact_facts(rep) == _recount_exact(fams, win)
+            folded = fams[0].torus_side == 1 and win.x_hi == F(1, 2)
+            if large and not folded and all(f.exclusion_radius < F(1, 3) for f in fams):
+                assert rep.fallback_pairs == 0
+            fell_back.add(rep.fallback_pairs > 0)
+
+        check()
+        assert fell_back == {False, True}
+
+    @pytest.mark.parametrize("fams,window,fallback", [
+        # the origin, a cell center, on the window's left edge
+        (_axis_families(), I.ScanWindow(F(0), F(1, 2), F(-1, 4), F(1, 4)), 0),
+        # the origin cell without an exclusion ball, and inside a small one
+        (_axis_families(), I.default_window("ktilde"), 0),
+        (_axis_families(ex=F(1, 10**6)), I.default_window("ktilde"), 0),
+        # a ball too small to hold the origin cell's corners, in a window
+        # that holds only that cell: every pair falls back
+        (_axis_families(C1=8, ex=F(1, 1000)), I.ScanWindow(F(0), F(1, 4), F(0), F(1, 4)), 3),
+        # a ball wider than 1 / (|Delta| r_i r_j): every pair falls back
+        (_axis_families(ex=F(1, 3)), I.default_window("ktilde"), 3),
+        # s = 0, so r = 1 and the shift is 0: no certificate holds
+        (_axis_families(r=(1, 1, 1), s=0), I.default_window("ktilde"), 3),
+        # a different r per family
+        (_axis_families(r=(2, 3, 2)), I.default_window("ktilde"), 0),
+        # mixed shifts
+        (_axis_families()[:2] + [I.TubeFamily(v=(F(1), F(1)), r=4, s=2, C1=40)],
+         I.default_window("ktilde"), 3),
+        # the k window against a torus side of 1, whose fold moves the edges
+        # x = 1/2 and y = 1/2, and against a side of 2, whose fold does not
+        (_axis_families(side=1), I.default_window("k"), 3),
+        (_axis_families(side=2), I.default_window("k"), 0),
+        # a slab 2^-8 off the lattice point (1/2, 0) of the axis pair covers
+        # it: the window certificate holds there and the slab one fails
+        (_axis_families(C1=8)[:2] + [I.TubeFamily(v=(F(257, 256), F(0)), r=2, s=1, C1=8)],
+         I.default_window("ktilde"), 2),
+    ])
+    def test_index_certificates_pinned(self, fams, window, fallback):
+        if window.x_lo == 0:
+            assert (F(0), F(0)) in I.candidate_intersections(fams[0], fams[1], window)
+        rep = I.max_overlap_scan(fams, window)
+        assert rep.fallback_pairs == fallback
+        assert _exact_facts(rep) == _recount_exact(fams, window)
+
+    def test_benchmark_inputs_take_index_path(self, toy_ds):
+        # the ktilde families of the benchmark's N = 8 sets, and the toy set
+        spec = directions.DirectionSpec(N=8, eps=0.5, seed=0)
+        ds = directions.rescale_to_integers(directions.construct_directions(spec))
+        window = I.default_window("ktilde")
+        for fams in (I.families_from_direction_set(ds, s=3),
+                     I.families_from_direction_set(toy_ds, s=2)):
+            rep = I.max_overlap_scan(fams, window)
+            assert rep.fallback_pairs == 0
+            assert _exact_facts(rep) == _recount_exact(fams, window)
 
     @settings(max_examples=25, deadline=None)
     @given(fams=st.lists(_tube_families(), min_size=1, max_size=4),
