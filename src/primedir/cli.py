@@ -228,7 +228,7 @@ def cmd_incidence(args) -> int:
     print(
         f"max_overlap={best.max_overlap} method={best.method} "
         f"candidates={best.candidates_checked} families={best.family_count} "
-        f"fallback_pairs={best.fallback_pairs}"
+        f"fallback_pairs={best.fallback_pairs} samples_counted={best.samples_counted}"
     )
     print(f"wrote {args.out}")
     return 0

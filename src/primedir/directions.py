@@ -246,12 +246,12 @@ def _dyadic_exponent(T: Fraction) -> int:
     """Smallest e with 4^e * T >= 1/100: places |2^e v~| in [1/10, 2/10)."""
     if T <= 0:
         raise ValueError("need a positive squared magnitude")
-    e = 0
-    while Fraction(4) ** e * T < Fraction(1, 100):
-        e += 1
-    while Fraction(4) ** (e - 1) * T >= Fraction(1, 100):
-        e -= 1
-    return e
+    # 4^e T >= 1/100 iff a 4^e >= b; with g = bits(b) - bits(a), it fails for
+    # 2e <= g - 1 and holds for 2e >= g + 1, so e is floor(g / 2) or one more
+    a, b = 100 * T.numerator, T.denominator
+    e = (b.bit_length() - a.bit_length()) // 2
+    holds = (a << 2 * e) >= b if e >= 0 else a >= (b << -2 * e)
+    return e if holds else e + 1
 
 
 def construct_directions(spec: DirectionSpec) -> DirectionSet:

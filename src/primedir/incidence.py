@@ -26,9 +26,11 @@ points over one denominator with a single numpy counter, in int64 when
 per-family constants bound every intermediate value below 2^63 and in
 Python integers otherwise.  The counter takes the
 families that share a torus side and an exclusion radius as one group, in
-one (families x points) broadcast; each family's floor walk counts its
-trials in one call, and the floor points go through the counter as a single
-batch over the lcm of their denominators.
+one (families x points) broadcast.  Each family's floor walk tests its
+trials one at a time with ``member``, and the floor points go through the
+counter as a single batch over the lcm of their denominators.  No point lies
+in more families than there are, so once the running maximum equals the
+family count the grid sample stops counting and the floor batch is skipped.
 """
 
 from __future__ import annotations
@@ -469,12 +471,17 @@ class OverlapReport:
     method: str  # "exact-candidates" | "grid-sample"
     variant: str
     window: ScanWindow
+    # the points the scan answers for: every in-window pair candidate (or all
+    # 20 000 grid samples, including those after a sample reached the family
+    # count, which no later sample can beat) plus the floor points
     candidates_checked: int = 0
     r_values: tuple[int, ...] | None = None  # per-family denominators, for replay
     baseline: str | None = None  # "parallel" for a parallel-baseline scan, for replay
-    # pairs counted on their coordinates, not their plane indices; a record of
-    # the run, not of the result: report files and equality leave it out
+    # pairs counted on their coordinates, not their plane indices, and grid
+    # samples actually counted (0 on the exact branch); records of the run,
+    # not of the result: report files and equality leave them out
     fallback_pairs: int = field(default=0, compare=False)
+    samples_counted: int = field(default=0, compare=False)
 
 
 def _interior_point(fam: TubeFamily, win: _IntWindow) -> tuple[Fraction, Fraction] | None:
@@ -485,6 +492,9 @@ def _interior_point(fam: TubeFamily, win: _IntWindow) -> tuple[Fraction, Fractio
     window's smaller side, whatever |v| is (the zero-index plane passes
     through the excluded origin ball, so an on-plane offset is usually
     needed); the first trial in the window that the family covers is the point.
+    Each trial is tested alone, the window first and then ``member``, in
+    the order below, and the walk stops at its first hit, so it plans no
+    counter batch.
 
     The 25 trials share the denominator d = 4 W r S den n1, where
     S = ax^2 + ay^2, n1 = |ax| + |ay| and T = ax (x0 + x1) + ay (y0 + y1):
@@ -500,17 +510,11 @@ def _interior_point(fam: TubeFamily, win: _IntWindow) -> tuple[Fraction, Fractio
     c = 2 * r * S * den * n1
     cx, cy = c * (x0 + x1), c * (y0 + y1)  # the center, over d
     a0 = round(Fraction(r * T, 2 * W * den))  # the plane nearest the center; ties go to even
-    trials = []
     for a in (a0, a0 - 1, a0 + 1, a0 - 2, a0 + 2):
         lam = 2 * den * n1 * (2 * W * den * a - r * T)  # plane a meets the normal at cx + lam ax
         for m in (0, 1, -1, 2, -2):
             px, py = cx + lam * ax - m * step * ay, cy + lam * ay + m * step * ax
-            if win.mask(px, py, d):
-                trials.append((px, py))
-    if trials:
-        hits = _count_points([fam], *zip(*trials), d, win)
-        for (px, py), hit in zip(trials, hits):
-            if hit:
+            if win.mask(px, py, d) and fam.member(px, py, d):
                 return Fraction(px, d), Fraction(py, d)
     return None
 
@@ -538,11 +542,15 @@ def _sample_indices() -> np.ndarray:
 
 
 def _grid_sample(families: list[TubeFamily], win: _IntWindow):
-    """(best, witness) over the 20 000 seeded samples x_lo + (i / 2^24) wx.
+    """(best, witness, counted) over the 20 000 seeded samples x_lo + (i / 2^24) wx.
 
     All samples share the denominator d = W 2^24, so sample i is the
     unreduced triple (x0 + i wx, y0 + j wy, d) in integers.  The witness is
-    the first sample that reaches the maximum.
+    the first sample that reaches the maximum.  No point lies in more
+    families than there are, so counting stops after the first chunk whose
+    maximum reaches len(families): every later sample is certified to count
+    no more, and cannot be a first witness.  ``counted`` is the number of
+    samples actually counted.
     """
     ij = _sample_indices()
     x0, y0 = win.x0 << _SAMPLE_BITS, win.y0 << _SAMPLE_BITS
@@ -556,10 +564,13 @@ def _grid_sample(families: list[TubeFamily], win: _IntWindow):
         k = int(np.argmax(counts))
         if counts[k] > best:
             best, at = int(counts[k]), start + k
+            if best == len(families):
+                break
+    counted = start + len(chunk)
     if at is None:
-        return best, None
+        return best, None, counted
     i, j = ij[at].tolist()
-    return best, (Fraction(x0 + i * wx, d), Fraction(y0 + j * wy, d))
+    return best, (Fraction(x0 + i * wx, d), Fraction(y0 + j * wy, d)), counted
 
 
 def max_overlap_scan(
@@ -622,9 +633,9 @@ def max_overlap_scan(
 
     So one counter serves every batch of points that share a denominator: a
     fallback pair's in-window lattice candidates (filtered against the window
-    by array comparisons), a 2048-point chunk of the grid sample, the
-    in-window trials of one family's floor walk, and the floor points, all
-    counted in one batch over the lcm of their denominators.  ``_plan`` computes the per-family
+    by array comparisons), a 2048-point chunk of the grid sample, and the
+    floor points, all counted in one batch over the lcm of their
+    denominators.  ``_plan`` computes the per-family
     constants once per batch, and the fold and exclusion constants once per
     group of families that share a torus side and an exclusion radius; it
     picks int64 when they bound every intermediate value below 2^63, Python
@@ -633,8 +644,14 @@ def max_overlap_scan(
     pair order then lattice order, to reach the maximum; a floor point is the
     witness only when the floor's maximum beats the pairs', and then it is
     the first floor point to reach it, which is the point a one-at-a-time
-    loop would keep.  The scan never calls ``member``, so ``replay_witness``
-    checks a witness independently.
+    loop would keep.  No point lies in more families than there are, so a
+    maximum equal to the family count is final: the grid sample stops at the
+    first chunk that reaches it (the samples after it still count toward
+    ``candidates_checked``, certified to count no more), and the floor batch
+    is not counted (its points still are).  The floor walk uses ``member``
+    only to pick its point; every reported count comes from the counters
+    above, so ``replay_witness``, which goes through ``member``, still checks
+    a witness independently of them.
     """
     if not families:
         raise ValueError("need at least one family")
@@ -651,7 +668,7 @@ def max_overlap_scan(
 
     best = 0
     witness: tuple[Fraction, Fraction] | None = None
-    checked = fallback = 0
+    checked = fallback = counted = 0
     if est <= budget:
         method = "exact-candidates"
         index = _IndexCounter(families, win)
@@ -676,19 +693,20 @@ def max_overlap_scan(
                 best, witness = int(counts[k]), (Fraction(px[k], d), Fraction(py[k], d))
     else:
         method = "grid-sample"
-        best, witness = _grid_sample(families, win)
+        best, witness, counted = _grid_sample(families, win)
         checked = _SAMPLES
 
     # overlap-1 floor from per-family interior points, counted in one batch over
-    # the lcm of their denominators; the first to reach the batch's maximum is
-    # the witness when that maximum beats the pairs'
+    # the lcm of their denominators unless the maximum is already the family
+    # count; the first to reach the batch's maximum is the witness when that
+    # maximum beats the pairs'
     floor = [pt for pt in (_interior_point(f, win) for f in families) if pt is not None]
-    if floor:
+    checked += len(floor)
+    if floor and best < n:
         triples = [_int_point(*pt) for pt in floor]
         d = math.lcm(*(e for _, _, e in triples))
         counts = _count_points(families, [x * (d // e) for x, _, e in triples],
                                [y * (d // e) for _, y, e in triples], d, win)
-        checked += len(floor)
         k = int(np.argmax(counts))
         if counts[k] > best:
             best, witness = int(counts[k]), floor[k]
@@ -698,6 +716,7 @@ def max_overlap_scan(
         family_count=len(families), method=method, variant=variant,
         window=window, candidates_checked=checked,
         r_values=tuple(f.r for f in families), fallback_pairs=fallback,
+        samples_counted=counted,
     )
 
 

@@ -128,13 +128,29 @@ class TestIncidence:
         assert run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds)) == 0
         capsys.readouterr()
         assert run("incidence", "--ds", str(ds), "--s", "2", "--out", str(rep)) == 0
-        # every pair of the set is counted on its plane indices; the count of
-        # pairs that fell back is a fact of the run, not of the report file
-        assert "families=4 fallback_pairs=0\n" in capsys.readouterr().out
+        # every pair of the set is counted on its plane indices, and the exact
+        # branch counts no grid sample; both counts are facts of the run, not
+        # of the report file
+        assert "families=4 fallback_pairs=0 samples_counted=0\n" in capsys.readouterr().out
         doc = json.loads(rep.read_text())
         assert doc["schema"] == "primedir.overlap_report.v2"
         assert doc["baseline"] is None
         assert "fallback_pairs" not in doc
+        assert "samples_counted" not in doc
+        assert run("replay", "--ds", str(ds), "--report", str(rep)) == 0
+
+    def test_sample_scan_counts_samples(self, tmp_path, capsys):
+        ds = tmp_path / "ds.json"
+        rep = tmp_path / "rep.json"
+        assert run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds)) == 0
+        capsys.readouterr()
+        assert run("incidence", "--ds", str(ds), "--s", "2", "--variant", "k",
+                   "--out", str(rep)) == 0
+        # the first 2048-sample chunk reaches the family count, so the rest of
+        # the 20 000 samples, still reported as checked, are not counted
+        assert ("max_overlap=4 method=grid-sample candidates=20004 families=4 "
+                "fallback_pairs=0 samples_counted=2048\n") in capsys.readouterr().out
+        assert "samples_counted" not in json.loads(rep.read_text())
         assert run("replay", "--ds", str(ds), "--report", str(rep)) == 0
 
     def test_baseline_report_replays(self, tmp_path, capsys):

@@ -3,6 +3,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primedir import directions as D
 from primedir.arith import is_prime_certified
@@ -52,6 +54,37 @@ class TestPrimeWindow:
         spec = D.DirectionSpec(N=4, eps=1.0, window_base=10, window_count=100)
         with pytest.raises(ConstructionError, match="exhausted"):
             D.choose_prime_window(spec)
+
+
+def _reference_dyadic_exponent(T: Fraction) -> int:
+    """The smallest e with 4^e T >= 1/100, by stepping e through Fraction powers."""
+    e = 0
+    while Fraction(4) ** e * T < Fraction(1, 100):
+        e += 1
+    while Fraction(4) ** (e - 1) * T >= Fraction(1, 100):
+        e -= 1
+    return e
+
+
+class TestDyadicExponent:
+    @settings(max_examples=500, deadline=None)
+    @given(num=st.integers(1, 1 << 400), den=st.integers(1, 1 << 400))
+    def test_equals_fraction_loop(self, num, den):
+        T = Fraction(num, den)
+        assert D._dyadic_exponent(T) == _reference_dyadic_exponent(T)
+
+    # the threshold itself and its neighbours, on both sides of e = 0
+    @pytest.mark.parametrize("T", [
+        Fraction(1, 100), Fraction(1, 400), Fraction(1, 25), Fraction(1, 101), Fraction(1, 99),
+        Fraction(4, 100) - Fraction(1, 10**9), Fraction(1), Fraction(10**40, 3),
+        Fraction(3, 10**40)])
+    def test_thresholds(self, T):
+        assert D._dyadic_exponent(T) == _reference_dyadic_exponent(T)
+
+    @pytest.mark.parametrize("T", [Fraction(0), Fraction(-1, 7)])
+    def test_nonpositive_rejected(self, T):
+        with pytest.raises(ValueError):
+            D._dyadic_exponent(T)
 
 
 class TestMnPairs:

@@ -576,8 +576,9 @@ class TestInt64Counts:
            win=st.sampled_from(EXACT_WINDOWS))
     def test_exact_scan_plans_once_per_batch(self, fams, win):
         """_plan runs at most once per non-parallel pair with in-window
-        candidates, once for the floor batch, and once per family's interior
-        point walk: no floor point or walk trial is planned alone."""
+        candidates and once for the floor batch, and never inside a floor
+        walk: a walk tests its trials through member(), and no floor point
+        is planned alone."""
         plans, inside = [], []
         real_plan, real_interior = I._plan, I._interior_point
 
@@ -599,7 +600,7 @@ class TestInt64Counts:
                    and len(I._pair_candidates(fams[i], fams[j], ranges[i], ranges[j], iw,
                                               offsets=True)[0]))
         assert plans.count(False) <= busy + 1
-        assert plans.count(True) <= len(fams)
+        assert plans.count(True) == 0
 
     @pytest.mark.parametrize("v", [(F(1), F(0)), (F(3), F(-5, 2))])
     def test_floor_witness_is_first_interior_point(self, v):
@@ -646,6 +647,105 @@ class TestInt64Counts:
         assert (rep.max_overlap, rep.witness) == _recount_scan(fams, win)
 
 
+def _uncapped_grid_sample(fams, win):
+    """(best, witness) of the grid sample with every one of its 20 000 samples
+    counted, one 2048-sample chunk at a time."""
+    ij = I._sample_indices()
+    d = win.W << 24
+    plan = I._plan(fams, d, win.reach(d))
+    x0, y0, wx, wy = win.x0 << 24, win.y0 << 24, win.x1 - win.x0, win.y1 - win.y0
+    best, witness = 0, None
+    for start in range(0, len(ij), 2048):
+        chunk = ij[start:start + 2048].astype(plan[1])
+        counts = I._counts(plan, x0 + chunk[:, 0] * wx, y0 + chunk[:, 1] * wy)
+        k = int(np.argmax(counts))
+        if counts[k] > best:
+            i, j = chunk[k].tolist()
+            best, witness = int(counts[k]), (F(x0 + i * wx, d), F(y0 + j * wy, d))
+    return best, witness
+
+
+def _counted_floor_scan(fams, window):
+    """(max_overlap, witness, candidates_checked) of a grid-sample scan with
+    every sample and every floor point counted through member()."""
+    win = I._IntWindow(window)
+    best, witness = _uncapped_grid_sample(fams, win)
+    floor = [pt for pt in (I._interior_point(f, win) for f in fams) if pt is not None]
+    for pt in floor:
+        c = sum(f.member(*I._int_point(*pt)) for f in fams)
+        if c > best:
+            best, witness = c, pt
+    return best, witness, I._SAMPLES + len(floor)
+
+
+def _seed0_n8_k_families():
+    spec = directions.DirectionSpec(N=8, eps=0.5, seed=0)
+    ds = directions.rescale_to_integers(directions.construct_directions(spec))
+    return I.families_from_direction_set(ds, s=3, variant="k")
+
+
+def _thin_unit_torus_families(vs, r, C1):
+    return [I.TubeFamily(v=(F(vx), F(vy)), r=r, s=2, C1=C1, torus_side=1) for vx, vy in vs]
+
+
+class TestFamilyCountCeiling:
+    """The grid sample stops at the first chunk that reaches the family count,
+    and the floor batch is not counted once the maximum is the family count;
+    neither changes a report."""
+
+    @pytest.mark.parametrize("make,counted", [
+        # the benchmark's k families: every sample lies on a plane of every
+        # family, so the first chunk reaches the ceiling
+        (_seed0_n8_k_families, 2048),
+        # thin axis families: one family covers sample 35, both first cover
+        # sample 7544, in the fourth chunk
+        (lambda: _thin_unit_torus_families(((1, 0), (0, 1)), r=5, C1=5), 4 * 2048),
+        # thinner still: no sample is covered by both
+        (lambda: _thin_unit_torus_families(((1, 0), (0, 1)), r=4, C1=9), 20_000),
+    ])
+    def test_grid_sample_equals_uncapped(self, make, counted):
+        fams = make()
+        window = I.default_window("k")
+        win = I._IntWindow(window)
+        best, witness = _uncapped_grid_sample(fams, win)
+        assert (best == len(fams)) == (counted < 20_000)
+        assert I._grid_sample(fams, win) == (best, witness, counted)
+        rep = I.max_overlap_scan(fams, window, budget=-1)
+        assert rep.method == "grid-sample"
+        assert rep.samples_counted == counted
+        assert (rep.max_overlap, rep.witness, rep.candidates_checked) == \
+            _counted_floor_scan(fams, window)
+
+    def test_ceiling_skips_floor_batch(self):
+        counted = []
+        real = I._count_points
+
+        def count_points(*a):
+            counted.append(a)
+            return real(*a)
+
+        exact = (_axis_families()[:2], I.default_window("ktilde"))
+        sample = (_seed0_n8_k_families(), I.default_window("k"))
+        with mock.patch.object(I, "_count_points", count_points):
+            reports = [I.max_overlap_scan(fams, window) for fams, window in (exact, sample)]
+        assert counted == []  # neither scan counted its floor points
+        rep = reports[0]
+        assert (rep.method, rep.max_overlap, rep.samples_counted) == ("exact-candidates", 2, 0)
+        assert _exact_facts(rep) == _recount_exact(*exact)
+        rep = reports[1]
+        assert (rep.method, rep.max_overlap) == ("grid-sample", 8)
+        assert (rep.max_overlap, rep.witness, rep.candidates_checked) == \
+            _counted_floor_scan(*sample)
+
+    def test_floor_batch_counted_below_ceiling(self):
+        # one family, no pair: the floor point alone reaches the maximum
+        fams = _axis_families()[:1]
+        with mock.patch.object(I, "_count_points", wraps=I._count_points) as count_points:
+            rep = I.max_overlap_scan(fams, I.default_window("ktilde"))
+        assert count_points.call_count == 1
+        assert (rep.max_overlap, rep.candidates_checked) == (1, 1)
+
+
 def _fraction_plane_range(fam: I.TubeFamily, window: I.ScanWindow) -> tuple[int, int]:
     """Plane indices a whose thickened slab meets the window, in plain Fractions."""
     vx, vy = F(fam.v[0]), F(fam.v[1])
@@ -672,6 +772,31 @@ def _fraction_interior_point(fam: I.TubeFamily, window: I.ScanWindow):
             x, y = px - mu * vy / n1, py + mu * vx / n1
             if window.contains(x, y) and I.tube_membership((x, y), fam):
                 return x, y
+    return None
+
+
+def _counted_interior_point(fam: I.TubeFamily, win: I._IntWindow):
+    """The integer floor walk with its in-window trials counted in one
+    _count_points batch, the first covered trial kept."""
+    ax, ay, den, r = fam.ax, fam.ay, fam.den, fam.r
+    x0, x1, y0, y1, W = win.x0, win.x1, win.y0, win.y1, win.W
+    S, T, n1 = ax * ax + ay * ay, ax * (x0 + x1) + ay * (y0 + y1), abs(ax) + abs(ay)
+    d, step = 4 * W * r * S * den * n1, r * S * den * min(x1 - x0, y1 - y0)
+    c = 2 * r * S * den * n1
+    cx, cy = c * (x0 + x1), c * (y0 + y1)
+    a0 = round(F(r * T, 2 * W * den))
+    trials = []
+    for a in (a0, a0 - 1, a0 + 1, a0 - 2, a0 + 2):
+        lam = 2 * den * n1 * (2 * W * den * a - r * T)
+        for m in (0, 1, -1, 2, -2):
+            px, py = cx + lam * ax - m * step * ay, cy + lam * ay + m * step * ax
+            if win.mask(px, py, d):
+                trials.append((px, py))
+    if trials:
+        hits = I._count_points([fam], *zip(*trials), d, win)
+        for (px, py), hit in zip(trials, hits):
+            if hit:
+                return F(px, d), F(py, d)
     return None
 
 
@@ -707,6 +832,17 @@ class TestFloorWalkOracle:
         win = I._IntWindow(window)
         assert I._plane_range(fam, win) == _fraction_plane_range(fam, window)
         assert I._interior_point(fam, win) == _fraction_interior_point(fam, window)
+
+    @settings(max_examples=300, deadline=None)
+    @given(fam=_tube_families(), window=_windows(), shrink=st.sampled_from((1, 12, 40)))
+    def test_walk_equals_counted_walk(self, fam, window, shrink):
+        # the walk tests one trial at a time through member(); counting all
+        # in-window trials at once must keep the same first covered trial
+        fam = I.TubeFamily(v=(fam.v[0] / shrink, fam.v[1] / shrink), r=fam.r, s=fam.s,
+                           C1=fam.C1, exclusion_radius=fam.exclusion_radius,
+                           torus_side=fam.torus_side)
+        win = I._IntWindow(window)
+        assert I._interior_point(fam, win) == _counted_interior_point(fam, win)
 
     @pytest.mark.parametrize("ex,window,want", [
         # the window center sits midway between the planes x = 0 and x = 1/2:
