@@ -184,16 +184,12 @@ def cmd_mult_error(args) -> int:
 
 def _incidence_families(ds, s, C1, r_values, variant, baseline):
     """The tube families of ds, or with baseline "parallel" as many copies of
-    its first direction at the same C1 and r, so the two reports compare."""
+    its first family (the variant's direction, r, C1, torus and ball), so the
+    two reports compare."""
     fams = incidence.families_from_direction_set(
         ds, s=s, C1=C1, r_values=r_values, variant=variant
     )
-    if baseline == "parallel":
-        rec = ds.vectors[0]
-        return incidence.parallel_baseline(
-            (rec.v.x, rec.v.y), len(fams), s=s, C1=fams[0].C1, r=fams[0].r
-        )
-    return fams
+    return fams[:1] * len(fams) if baseline == "parallel" else fams
 
 
 def cmd_incidence(args) -> int:
@@ -296,8 +292,10 @@ def cmd_norm_sweep(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
     scales = _operator_scales(args)
-    # one family at the largest size; prefixes give genuinely nested sets,
-    # making the ratio table monotone by construction
+    # one family at the largest size; its prefixes are nested sets, so the
+    # operator norm cannot fall as N grows.  Each family's ratio is a lower
+    # estimate of that norm; it cannot fall either, because every N sees the
+    # same test functions (one seed) under a sup over more directions
     spec = DirectionSpec(N=max(ns[-1], 2), eps=args.eps, seed=args.seed)
     ds = rescale_to_integers(construct_directions(spec))
     table = _prime_table(scales, 0)

@@ -13,24 +13,26 @@ lines, so scanning cell centers and corners over all pairs (plus one interior
 point per family for the overlap-1 floor) finds the maximum.
 
 All geometry is exact and integer.  Points are carried as integer triples
-(px, py, d) meaning (px/d, py/d), and the window as integer edges over one
-denominator; each ``TubeFamily`` fixes its integer form once, at
-construction.  Fractions appear only at the public API: windows and
-directions come in as Fractions, and witnesses, lattice centers and shrink
-intervals go out as Fractions.  ``TubeFamily.member`` is the scalar
-reference predicate (``tube_membership`` applies it to a Fraction point).
-The scan counts each pair's lattice candidates on their plane indices, in
-integers of a few machine words, whenever the certificates in
-``max_overlap_scan``'s docstring hold.  It counts every other batch of
-points over one denominator with a single numpy counter, in int64 when
-per-family constants bound every intermediate value below 2^63 and in
-Python integers otherwise.  The counter takes the
-families that share a torus side and an exclusion radius as one group, in
-one (families x points) broadcast.  Each family's floor walk tests its
-trials one at a time with ``member``, and the floor points go through the
-counter as a single batch over the lcm of their denominators.  No point lies
-in more families than there are, so once the running maximum equals the
-family count the grid sample stops counting and the floor batch is skipped.
+(px, py, d) meaning (px/d, py/d); each ``TubeFamily`` and each ``ScanWindow``
+fixes its integer form once, at construction.  Fractions appear only at the
+public API: windows and directions come in as Fractions, and witnesses,
+lattice centers and shrink intervals go out as Fractions.
+``TubeFamily.member`` is the scalar reference predicate (``tube_membership``
+applies it to a Fraction point).
+
+A scan takes one geometry, as the paper does: every family shares the level
+s, the thickness constant C1, the torus side and the exclusion radius, and
+only the direction and the denominator r vary.  The scan counts each pair's
+lattice candidates on their plane indices, in integers of a few machine
+words, whenever the certificates in ``max_overlap_scan``'s docstring hold.
+It counts every other batch of points over one denominator with a single
+numpy counter: one fold, one exclusion row and one (families x points)
+broadcast, in int64 when the bounds keep every intermediate value below 2^63
+and in Python integers otherwise.  Each family's floor walk tests its trials
+one at a time with ``member``, and the floor points go through the counter
+as a single batch over the lcm of their denominators.  No point lies in more
+families than there are, so once the running maximum equals the family count
+the grid sample stops counting and the floor batch is skipped.
 """
 
 from __future__ import annotations
@@ -134,7 +136,11 @@ class TubeFamily:
 
 @dataclass(frozen=True)
 class ScanWindow:
-    """Closed axis-aligned box of exact rationals."""
+    """Closed axis-aligned box of exact rationals.
+
+    Construction also fixes the integer form that the scan reads: the edges
+    x0 <= x1 and y0 <= y1 over one denominator W > 0.
+    """
 
     x_lo: Fraction
     x_hi: Fraction
@@ -144,9 +150,28 @@ class ScanWindow:
     def __post_init__(self):
         if self.x_lo > self.x_hi or self.y_lo > self.y_hi:
             raise ValueError("empty window")
+        edges = (self.x_lo, self.x_hi, self.y_lo, self.y_hi)
+        W = math.lcm(*(f.denominator for f in edges))
+        x0, x1, y0, y1 = (f.numerator * (W // f.denominator) for f in edges)
+        self.__dict__.update(x0=x0, x1=x1, y0=y0, y1=y1, W=W)  # derived, as in TubeFamily
 
     def contains(self, x: Fraction, y: Fraction) -> bool:
         return self.x_lo <= x <= self.x_hi and self.y_lo <= y <= self.y_hi
+
+    def mask(self, px, py, d: int):
+        """Is (px/d, py/d) in the closed window? d > 0; px and py are integers
+        or arrays of them: the edges are rounded inward to integers at d once,
+        so each point costs four comparisons."""
+        W = self.W
+        inside = px >= -(-self.x0 * d // W)
+        inside &= px <= self.x1 * d // W
+        inside &= py >= -(-self.y0 * d // W)
+        inside &= py <= self.y1 * d // W
+        return inside
+
+    def reach(self, d: int) -> int:
+        """floor(d max |edge|): no window point (px/d, py/d) has a larger |px| or |py|."""
+        return max(map(abs, (self.x0, self.x1, self.y0, self.y1))) * d // self.W
 
 
 def default_window(variant: str, half: int = 1) -> ScanWindow:
@@ -168,33 +193,6 @@ def _int_point(x: Fraction, y: Fraction) -> tuple[int, int, int]:
     return x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d
 
 
-class _IntWindow:
-    """The window as integer edges x0 <= x1, y0 <= y1 over one denominator W > 0."""
-
-    __slots__ = ("x0", "x1", "y0", "y1", "W")
-
-    def __init__(self, window: ScanWindow):
-        edges = (window.x_lo, window.x_hi, window.y_lo, window.y_hi)
-        self.W = math.lcm(*(f.denominator for f in edges))
-        self.x0, self.x1, self.y0, self.y1 = (f.numerator * (self.W // f.denominator)
-                                              for f in edges)
-
-    def mask(self, px, py, d: int):
-        """Is (px/d, py/d) in the closed window? d > 0; px and py are integers
-        or arrays of them: the edges are rounded inward to integers at d once,
-        so each point costs four comparisons."""
-        W = self.W
-        inside = px >= -(-self.x0 * d // W)
-        inside &= px <= self.x1 * d // W
-        inside &= py >= -(-self.y0 * d // W)
-        inside &= py <= self.y1 * d // W
-        return inside
-
-    def reach(self, d: int) -> int:
-        """floor(d max |edge|): no window point (px/d, py/d) has a larger |px| or |py|."""
-        return max(map(abs, (self.x0, self.x1, self.y0, self.y1))) * d // self.W
-
-
 # -- counting at one fixed denominator ------------------------------------------------
 
 _INT64_END = 1 << 63
@@ -203,10 +201,10 @@ _INT64_END = 1 << 63
 def _plan(families: list[TubeFamily], d: int, bound: int):
     """Constants of every family's member() at the fixed denominator d, and a dtype.
 
-    Valid for points (px, py, d) with |px|, |py| <= bound.  Families that share
-    a torus side and an exclusion radius form one group, and each group is one
-    tuple (span, half, thr, Dd, cx, cy, lim), all taken at the doubled
-    denominator 2d that member() works at:
+    Valid for points (px, py, d) with |px|, |py| <= bound, and for families
+    that share a torus side and an exclusion radius, as a scan's do.  The
+    constants are one tuple (span, half, thr, Dd, cx, cy, lim), all taken at
+    the doubled denominator 2d that member() works at:
 
     - span = side 2d and half = side d fold a doubled coordinate (span 0: no fold);
     - thr = ceil(ex_n^2 (2d)^2 / ex_d^2): a folded point is excluded when
@@ -215,66 +213,53 @@ def _plan(families: list[TubeFamily], d: int, bound: int):
       only on res = (cx px + cy py) mod Dd;
     - lim = (r Dd) >> shift: the point is in a slab when min(res, Dd - res) <= lim.
 
-    span, half and thr are computed once per group; Dd, cx, cy and lim are
-    columns of shape (families, 1), one row per family of the group, so that
-    _counts applies a group to a row of points in one broadcast.  The dtype,
-    which the columns take, is np.int64 when no intermediate value of _counts
-    can reach 2^63, else object.
+    Dd, cx, cy and lim are columns of shape (families, 1), one row per
+    family, so that _counts applies them to a row of points in one
+    broadcast.  The dtype, which the columns take, is np.int64 when no
+    intermediate value of _counts can reach 2^63, else object.
     """
-    d2 = 2 * d
-    big = 2 * bound  # doubled coordinates before folding
-    fits = big < _INT64_END
-    by_key: dict = {}
-    for f in families:
-        by_key.setdefault((f.torus_side, f.ex_n, f.ex_d), []).append(f)
-    groups = []
-    for (side, ex_n, ex_d), fams in by_key.items():
-        span = 0 if side is None else side * d2
-        m = span // 2 if span else big  # largest |coordinate| the slab and exclusion tests see
-        Dd = [f.den * d2 for f in fams]
-        # |cx fx + cy fy| < 2 Dd m, and lim < 2 Dd since shift >= s and r < 2^(s+1);
-        # the + 1 keeps Dd itself in range when m is 0; only an exclusion squares m
-        fits = (fits and big + span < _INT64_END and 2 * max(Dd) * (m + 1) < _INT64_END
-                and (not ex_n or 2 * m * m + 1 < _INT64_END))
-        # no folded point reaches 2 m^2 + 1, so the clamp keeps every comparison
-        thr = min(-(-(ex_n**2 * d2 * d2) // ex_d**2), 2 * m * m + 1)
-        cols = (Dd, [(f.r * f.ax) % D for f, D in zip(fams, Dd)],
-                [(f.r * f.ay) % D for f, D in zip(fams, Dd)],
-                [(f.r * D) >> f.shift for f, D in zip(fams, Dd)])
-        groups.append((span, span // 2, thr, cols))
+    f0, d2, big = families[0], 2 * d, 2 * bound  # big: doubled coordinates before folding
+    span = 0 if f0.torus_side is None else f0.torus_side * d2
+    m = span // 2 if span else big  # largest |coordinate| the slab and exclusion tests see
+    Dd = [f.den * d2 for f in families]
+    # |cx fx + cy fy| < 2 Dd m, and lim < 2 Dd since shift >= s and r < 2^(s+1);
+    # the + 1 keeps Dd itself in range when m is 0; only an exclusion squares m
+    fits = (big + span < _INT64_END and 2 * max(Dd) * (m + 1) < _INT64_END
+            and (not f0.ex_n or 2 * m * m + 1 < _INT64_END))
+    # no folded point reaches 2 m^2 + 1, so the clamp keeps every comparison
+    thr = min(-(-(f0.ex_n**2 * d2 * d2) // f0.ex_d**2), 2 * m * m + 1)
+    cols = (Dd, [(f.r * f.ax) % D for f, D in zip(families, Dd)],
+            [(f.r * f.ay) % D for f, D in zip(families, Dd)],
+            [(f.r * D) >> f.shift for f, D in zip(families, Dd)])
     dtype = np.int64 if fits else object
-    return [(span, half, thr, *(np.array(c, dtype=dtype)[:, None] for c in cols))
-            for span, half, thr, cols in groups], dtype
+    return (span, span // 2, thr, *(np.array(c, dtype=dtype)[:, None] for c in cols)), dtype
 
 
 def _counts(plan, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """Per-point family counts for 1-d arrays px, py of the plan's dtype; equals
     member() summed.
 
-    Each group is one (families x points) broadcast, worked in place so that
-    at most two such arrays live at once; its exclusion mask is one row.
+    One (families x points) broadcast, worked in place so that at most two
+    such arrays live at once; the exclusion mask is one row.
     """
+    span, half, thr, Dd, cx, cy, lim = plan[0]
     px, py = 2 * px, 2 * py
-    counts = np.zeros(px.shape, dtype=np.int64)
-    for span, half, thr, Dd, cx, cy, lim in plan[0]:
-        if span:
-            fx, fy = px + half, py + half
-            fx %= span
-            fy %= span
-            fx -= half
-            fy -= half
-        else:
-            fx, fy = px, py
-        res = cx * fx
-        res += cy * fy
-        res %= Dd
-        hit = res <= lim
-        np.subtract(Dd, res, out=res)  # the distance to the next plane up
-        hit |= res <= lim
-        if thr:
-            hit &= fx * fx + fy * fy >= thr
-        counts += np.count_nonzero(hit, axis=0)
-    return counts
+    if span:
+        px += half
+        py += half
+        px %= span
+        py %= span
+        px -= half
+        py -= half
+    res = cx * px
+    res += cy * py
+    res %= Dd
+    hit = res <= lim
+    np.subtract(Dd, res, out=res)  # the distance to the next plane up
+    hit |= res <= lim
+    if thr:
+        hit &= px * px + py * py >= thr
+    return np.count_nonzero(hit, axis=0)
 
 
 def tube_membership(beta: tuple[Fraction, Fraction], fam: TubeFamily) -> bool:
@@ -288,7 +273,7 @@ def tube_membership(beta: tuple[Fraction, Fraction], fam: TubeFamily) -> bool:
 
 # -- pairwise intersection lattices ------------------------------------------------
 
-def _plane_range(fam: TubeFamily, win: _IntWindow) -> tuple[int, int]:
+def _plane_range(fam: TubeFamily, win: ScanWindow) -> tuple[int, int]:
     """Indices a with the slab v.beta ~ a/r meeting the window (thickness included).
 
     v.beta = dot / D at a corner, with dot = ax x + ay y and D = den W, so the
@@ -306,34 +291,34 @@ _OFFSETS = ((0, 0), (-1, -1), (-1, 1), (1, -1), (1, 1))
 
 
 def _pair_candidates(f1: TubeFamily, f2: TubeFamily, range1: tuple[int, int],
-                     range2: tuple[int, int], win: _IntWindow, offsets: bool):
+                     range2: tuple[int, int], win: ScanWindow, offsets: bool):
     """The in-window points of the (f1, f2) intersection lattice, as object
     arrays px, py over one denominator D > 0.
 
     Candidates run over the plane-index pairs (a, b) in range1 x range2
     (``_plane_range`` of each family) and, for each, the offsets o: offset 0
     is the cell center; when ``offsets`` is set, offsets 1-4 are the four cell
-    corners (crossings of the slab boundary lines).  The arrays keep
-    (a, b, o) order, a outermost.
+    corners (crossings of the slab boundary lines), at the thickness
+    2^-c, c = f1.shift, that a scan's families share.  A center does not
+    depend on c.  The arrays keep (a, b, o) order, a outermost.
     """
     delta = f1.ax * f2.ay - f1.ay * f2.ax
     if delta == 0:
         raise ValueError("tube directions are parallel")
     (a_lo, a_hi), (b_lo, b_hi) = range1, range2
-    c1, c2 = f1.shift, f2.shift
-    r1, r2 = f1.r, f2.r
-    D = delta * r1 * r2 * (1 << (c1 + c2))
+    c, r1, r2 = f1.shift, f1.r, f2.r
+    D = delta * r1 * r2 << 2 * c
     sgn = 1 if D > 0 else -1
     D *= sgn
     offs = _OFFSETS if offsets else _OFFSETS[:1]
-    # (px, py) = (kx u - lx w, ly w - ky u) at t1 = u / (r1 2^c1), t2 = w / (r2 2^c2),
-    # u = a 2^c1 + o1 r1 and w = b 2^c2 + o2 r2: the offsets add constant shifts
-    kx, ky = (sgn * c * f1.den * r2 << c2 for c in (f2.ay, f2.ax))
-    lx, ly = (sgn * c * f2.den * r1 << c1 for c in (f1.ay, f1.ax))
+    # (px, py) = (kx u - lx w, ly w - ky u) at t1 = u / (r1 2^c), t2 = w / (r2 2^c),
+    # u = a 2^c + o1 r1 and w = b 2^c + o2 r2: the offsets add constant shifts
+    kx, ky = (sgn * t * f1.den * r2 << c for t in (f2.ay, f2.ax))
+    lx, ly = (sgn * t * f2.den * r1 << c for t in (f1.ay, f1.ax))
     a, b = range(a_lo, a_hi + 1), range(b_lo, b_hi + 1)
-    axes = (([kx * i << c1 for i in a], [-(lx * j << c2) for j in b],
+    axes = (([kx * i << c for i in a], [-(lx * j << c) for j in b],
              [o1 * r1 * kx - o2 * r2 * lx for o1, o2 in offs]),
-            ([-(ky * i << c1) for i in a], [ly * j << c2 for j in b],
+            ([-(ky * i << c) for i in a], [ly * j << c for j in b],
              [o2 * r2 * ly - o1 * r1 * ky for o1, o2 in offs]))
     # every term an object array: numpy turns a list that holds an integer in
     # [2^63, 2^64) into float64
@@ -352,9 +337,8 @@ def candidate_intersections(
     The centers solve v1.beta = a/r1, v2.beta = b/r2; every returned point is a
     member of both (thickened) families.  Raises ValueError on parallel input.
     """
-    win = _IntWindow(window)
-    px, py, d = _pair_candidates(f1, f2, _plane_range(f1, win), _plane_range(f2, win), win,
-                                 offsets=False)
+    px, py, d = _pair_candidates(f1, f2, _plane_range(f1, window), _plane_range(f2, window),
+                                 window, offsets=False)
     return [(Fraction(x, d), Fraction(y, d)) for x, y in zip(px, py)]
 
 
@@ -368,93 +352,75 @@ def _solve_between(lo: int, hi: int, k: int, first: int, last: int) -> tuple[int
     return (first, last) if lo <= 0 <= hi else (1, 0)
 
 
-class _IndexCounter:
-    """Counts a pair's candidates on their plane indices (a, b) and offsets o,
-    without building their coordinates; the identities and certificates are
-    the third fact of ``max_overlap_scan``'s docstring.
+def _index_pair(families: list[TubeFamily], i: int, j: int, range_i: tuple[int, int],
+                range_j: tuple[int, int], win: ScanWindow):
+    """Counts the pair's candidates on their plane indices (a, b) and offsets
+    o, without building their coordinates; the identities and certificates
+    are the third fact of ``max_overlap_scan``'s docstring, whose caller
+    has checked that the torus fold moves no window point.
 
-    Built once per scan.  ``c`` is the families' common shift, or None when
-    the shifts differ or some torus fold moves a window point; then every
-    pair falls back to ``_pair_candidates`` and ``_count_points``.
+    Returns (checked, count, point): the number of the pair's in-window
+    candidates, the largest family count among them and the first candidate
+    to reach it, as a triple (px, py, d) (None when no count is positive);
+    None when a certificate fails.
     """
-
-    def __init__(self, families: list[TubeFamily], win: _IntWindow):
-        self.families, self.win = families, win
-        c = families[0].shift
-        edges = (win.x0, win.x1, win.y0, win.y1)
-        unfolded = all(f.torus_side is None
-                       or all(-f.torus_side * win.W <= 2 * e < f.torus_side * win.W for e in edges)
-                       for f in families)
-        self.c = c if unfolded and all(f.shift == c for f in families) else None
-        radii = [Fraction(f.ex_n, f.ex_d) for f in families if f.ex_n]
-        self.ex_max = max(radii, default=None)
-        self.ex_min = min(radii, default=None)
-
-    def pair(self, i: int, j: int, range_i: tuple[int, int], range_j: tuple[int, int]):
-        """(checked, count, point): the number of the pair's in-window
-        candidates, the largest family count among them and the first
-        candidate to reach it, as a triple (px, py, d) (None when no count
-        is positive); None when a certificate fails."""
-        fi, fj, c, win = self.families[i], self.families[j], self.c, self.win
-        if c is None:
+    fi, fj = families[i], families[j]
+    c, ex_n, ex_d = fi.shift, fi.ex_n, fi.ex_d  # shared by every family
+    delta = fi.ax * fj.ay - fi.ay * fj.ax
+    sgn, dabs = (1, delta) if delta > 0 else (-1, -delta)
+    rr = fi.r * fj.r
+    G = dabs * rr  # the cell centers' denominator
+    Kx = abs(fj.ay * fi.den) + abs(fi.ay * fj.den)
+    Ky = abs(fj.ax * fi.den) + abs(fi.ax * fj.den)
+    if (rr * win.W * max(Kx, Ky)).bit_length() > c:  # window: 2^c > r_i r_j W max(Kx, Ky)
+        return None
+    # center (a, b) is (xa a + xb b, ya a + yb b) / G, and offset o moves it
+    # by (dx, dy) / (|delta| 2^c), less than 1 / (W G) in each coordinate
+    xa, xb = sgn * fi.den * fj.ay * fj.r, -sgn * fj.den * fi.ay * fi.r
+    ya, yb = -sgn * fi.den * fj.ax * fj.r, sgn * fj.den * fi.ax * fi.r
+    moves = [(sgn * (fi.den * fj.ay * o1 - fj.den * fi.ay * o2),
+              sgn * (fj.den * fi.ax * o2 - fi.den * fj.ax * o1)) for o1, o2 in _OFFSETS]
+    W, x0, x1, y0, y1 = win.W, win.x0, win.x1, win.y0, win.y1
+    cells = []  # (a, b, cx, cy): the cells whose center is in the window
+    checked = 0
+    for a in range(range_i[0], range_i[1] + 1):
+        # the b whose center lies in the closed window: G x0 <= W cx <= G x1, same in y
+        ux, uy = W * xa * a, W * ya * a
+        b_lo, b_hi = _solve_between(G * x0 - ux, G * x1 - ux, W * xb, *range_j)
+        b_lo, b_hi = _solve_between(G * y0 - uy, G * y1 - uy, W * yb, b_lo, b_hi)
+        for b in range(b_lo, b_hi + 1):
+            cx, cy = xa * a + xb * b, ya * a + yb * b
+            cells.append((a, b, cx, cy))
+            # the center's edge margins decide every point of the cell; on an
+            # edge (0), a point stays when its move points inward or along it
+            edges = (W * cx - G * x0, G * x1 - W * cx, W * cy - G * y0, G * y1 - W * cy)
+            checked += len(_OFFSETS) if min(edges) > 0 else sum(
+                all(e > 0 or t >= 0 for e, t in zip(edges, (dx, -dx, dy, -dy)))
+                for dx, dy in moves)
+    if not cells:
+        return 0, 0, None
+    if ex_n:
+        if (ex_d - ex_n * G) << c <= ex_d * (Kx + Ky) * rr:  # a nonzero center clears the ball
             return None
-        delta = fi.ax * fj.ay - fi.ay * fj.ax
-        sgn, dabs = (1, delta) if delta > 0 else (-1, -delta)
-        rr = fi.r * fj.r
-        G = dabs * rr  # the cell centers' denominator
-        Kx = abs(fj.ay * fi.den) + abs(fi.ay * fj.den)
-        Ky = abs(fj.ax * fi.den) + abs(fi.ax * fj.den)
-        if (rr * win.W * max(Kx, Ky)).bit_length() > c:  # window: 2^c > r_i r_j W max(Kx, Ky)
+        if any(a == b == 0 for a, b, _, _ in cells) and (ex_n * dabs) << c <= (Kx + Ky) * ex_d:
+            return None  # the origin cell need not lie in the ball
+    counts = [0] * len(cells)
+    for f in families:
+        p = fi.den * (f.ax * fj.ay - f.ay * fj.ax)
+        q = fj.den * (fi.ax * f.ay - fi.ay * f.ax)
+        lim = f.den * dabs
+        if (rr * f.r * (abs(p) + abs(q) + lim)).bit_length() > c:  # slab
             return None
-        # center (a, b) is (xa a + xb b, ya a + yb b) / G, and offset o moves it
-        # by (dx, dy) / (|delta| 2^c), less than 1 / (W G) in each coordinate
-        xa, xb = sgn * fi.den * fj.ay * fj.r, -sgn * fj.den * fi.ay * fi.r
-        ya, yb = -sgn * fi.den * fj.ax * fj.r, sgn * fj.den * fi.ax * fi.r
-        moves = [(sgn * (fi.den * fj.ay * o1 - fj.den * fi.ay * o2),
-                  sgn * (fj.den * fi.ax * o2 - fi.den * fj.ax * o1)) for o1, o2 in _OFFSETS]
-        W, x0, x1, y0, y1 = win.W, win.x0, win.x1, win.y0, win.y1
-        cells = []  # (a, b, cx, cy): the cells whose center is in the window
-        checked = 0
-        for a in range(range_i[0], range_i[1] + 1):
-            # the b whose center lies in the closed window: G x0 <= W cx <= G x1, same in y
-            ux, uy = W * xa * a, W * ya * a
-            b_lo, b_hi = _solve_between(G * x0 - ux, G * x1 - ux, W * xb, *range_j)
-            b_lo, b_hi = _solve_between(G * y0 - uy, G * y1 - uy, W * yb, b_lo, b_hi)
-            for b in range(b_lo, b_hi + 1):
-                cx, cy = xa * a + xb * b, ya * a + yb * b
-                cells.append((a, b, cx, cy))
-                # the center's edge margins decide every point of the cell; on an
-                # edge (0), a point stays when its move points inward or along it
-                edges = (W * cx - G * x0, G * x1 - W * cx, W * cy - G * y0, G * y1 - W * cy)
-                checked += len(_OFFSETS) if min(edges) > 0 else sum(
-                    all(e > 0 or t >= 0 for e, t in zip(edges, (dx, -dx, dy, -dy)))
-                    for dx, dy in moves)
-        if not cells:
-            return 0, 0, None
-        if self.ex_max is not None:
-            n, d = self.ex_max.numerator, self.ex_max.denominator
-            if (d - n * G) << c <= d * (Kx + Ky) * rr:  # a nonzero center clears every ball
-                return None
-            n, d = self.ex_min.numerator, self.ex_min.denominator
-            if any(a == b == 0 for a, b, _, _ in cells) and (n * dabs) << c <= (Kx + Ky) * d:
-                return None  # the origin cell need not lie in every ball
-        counts = [0] * len(cells)
-        for f in self.families:
-            p = fi.den * (f.ax * fj.ay - f.ay * fj.ax)
-            q = fj.den * (fi.ax * f.ay - fi.ay * f.ax)
-            lim = f.den * dabs
-            if (rr * f.r * (abs(p) + abs(q) + lim)).bit_length() > c:  # slab
-                return None
-            # f covers the center (a, b) iff N = f.r (rj p a + ri q b) = 0 mod M
-            # and, in the origin cell, f has no exclusion ball
-            A, B, M = f.r * fj.r * p, f.r * fi.r * q, lim * rr
-            for k, (a, b, _, _) in enumerate(cells):
-                if (A * a + B * b) % M == 0 and not (f.ex_n and a == b == 0):
-                    counts[k] += 1
-        k = max(range(len(cells)), key=counts.__getitem__)  # the first center to reach the maximum
-        if not counts[k]:  # the only cell is the origin's, inside every family's ball
-            return checked, 0, None
-        return checked, counts[k], (cells[k][2], cells[k][3], G)
+        # f covers the center (a, b) iff N = f.r (rj p a + ri q b) = 0 mod M
+        # and, in the origin cell, there is no exclusion ball
+        A, B, M = f.r * fj.r * p, f.r * fi.r * q, lim * rr
+        for k, (a, b, _, _) in enumerate(cells):
+            if (A * a + B * b) % M == 0 and not (ex_n and a == b == 0):
+                counts[k] += 1
+    k = max(range(len(cells)), key=counts.__getitem__)  # the first center to reach the maximum
+    if not counts[k]:  # the only cell is the origin's, inside the exclusion ball
+        return checked, 0, None
+    return checked, counts[k], (cells[k][2], cells[k][3], G)
 
 
 # -- the scan ------------------------------------------------------------------------
@@ -484,7 +450,7 @@ class OverlapReport:
     samples_counted: int = field(default=0, compare=False)
 
 
-def _interior_point(fam: TubeFamily, win: _IntWindow) -> tuple[Fraction, Fraction] | None:
+def _interior_point(fam: TubeFamily, win: ScanWindow) -> tuple[Fraction, Fraction] | None:
     """A point on a tube center plane inside the window (overlap floor >= 1).
 
     Walks perpendicularly from the window center to the planes a/r nearest
@@ -519,7 +485,7 @@ def _interior_point(fam: TubeFamily, win: _IntWindow) -> tuple[Fraction, Fractio
     return None
 
 
-def _count_points(families: list[TubeFamily], px, py, d: int, win: _IntWindow) -> np.ndarray:
+def _count_points(families: list[TubeFamily], px, py, d: int, win: ScanWindow) -> np.ndarray:
     """Family counts of the points (px[i], py[i], d), which lie in the window;
     px and py are sequences or arrays of integers."""
     plan = _plan(families, d, win.reach(d))
@@ -541,7 +507,7 @@ def _sample_indices() -> np.ndarray:
     return ij
 
 
-def _grid_sample(families: list[TubeFamily], win: _IntWindow):
+def _grid_sample(families: list[TubeFamily], win: ScanWindow):
     """(best, witness, counted) over the 20 000 seeded samples x_lo + (i / 2^24) wx.
 
     All samples share the denominator d = W 2^24, so sample i is the
@@ -586,6 +552,11 @@ def max_overlap_scan(
     exceed ``budget`` the scan falls back to a grid sample of 20 000 points
     (seed 0) and labels the report method accordingly.
 
+    The families must share one geometry: the level s, the thickness
+    constant C1, the torus side and the exclusion radius, as the tubes of
+    one level and one variant do.  A ValueError names the first field that
+    differs.  So every family has the same shift c = C1 s, fold and ball.
+
     Both branches, and the floor, work on integer triples (px, py, d) and on
     the window as integer edges over one denominator; a Fraction is built
     only for a floor point or a new witness.  Three facts make that exact:
@@ -598,8 +569,8 @@ def max_overlap_scan(
       ``|X - b Dd| << shift <= r Dd`` holds exactly when
       ``min(res, Dd - res) <= (r Dd) >> shift``; a tie at Dd / 2 gives the
       same distance either way.
-    - A pair's candidates can be counted on their plane indices, when every
-      family has the same shift c and the certificates below hold.  Take the
+    - A pair's candidates can be counted on their plane indices, when the
+      certificates below hold.  Take the
       non-parallel pair (i, j), each family as v = (ax, ay) / den, and
       Delta = ax_i ay_j - ay_i ax_j, P_l = ax_l ay_j - ay_l ax_j,
       Q_l = ax_i ay_l - ay_i ax_l, Kx = |ay_j den_i| + |ay_i den_j|,
@@ -618,15 +589,15 @@ def max_overlap_scan(
       and of the other three edge margins decide all five points of a cell;
       on an edge (margin 0) a corner stays when its offset numerator points
       inward or runs along the edge.  Exclusion: a cell whose center is not 0
-      clears every ball when 1 / (|Delta| r_i r_j) - (Kx + Ky) 2^-c / |Delta|
-      exceeds the largest radius, and the cell a = b = 0 lies inside every
-      ball when (Kx + Ky) 2^-c / |Delta| is below the smallest nonzero one.
-      Fold: every torus side holds the window in [-side/2, side/2), checked
-      on the integer edges.  So a family that covers a corner covers its
+      clears the ball when 1 / (|Delta| r_i r_j) - (Kx + Ky) 2^-c / |Delta|
+      exceeds its radius, and the cell a = b = 0 lies inside a ball of
+      nonzero radius when (Kx + Ky) 2^-c / |Delta| is below that radius.
+      Fold: the torus side holds the window in [-side/2, side/2), checked
+      once per scan on the integer edges.  So a family that covers a corner covers its
       cell's center, which is in the window whenever a corner is and comes
       first in the cell: each pair's maximum and witness are those of its
       in-window centers, and the corners only add to ``candidates_checked``.
-      ``_IndexCounter`` applies this in integers of a few machine words.  A
+      ``_index_pair`` applies this in integers of a few machine words.  A
       pair whose certificates fail is counted on its coordinates, by
       ``_pair_candidates`` and the counter below, and the report's
       ``fallback_pairs`` says how many were.
@@ -635,12 +606,11 @@ def max_overlap_scan(
     fallback pair's in-window lattice candidates (filtered against the window
     by array comparisons), a 2048-point chunk of the grid sample, and the
     floor points, all counted in one batch over the lcm of their
-    denominators.  ``_plan`` computes the per-family
-    constants once per batch, and the fold and exclusion constants once per
-    group of families that share a torus side and an exclusion radius; it
+    denominators.  ``_plan`` computes the constants once per batch: one fold,
+    one exclusion threshold and a column of per-family slab constants; it
     picks int64 when they bound every intermediate value below 2^63, Python
-    integers otherwise.  ``_counts`` applies each group in one
-    (families x points) broadcast.  The witness is the first candidate, in
+    integers otherwise.  ``_counts`` applies them in one (families x points)
+    broadcast.  The witness is the first candidate, in
     pair order then lattice order, to reach the maximum; a floor point is the
     witness only when the floor's maximum beats the pairs', and then it is
     the first floor point to reach it, which is the point a one-at-a-time
@@ -655,14 +625,18 @@ def max_overlap_scan(
     """
     if not families:
         raise ValueError("need at least one family")
-    variant = "k" if families[0].torus_side == 1 else "ktilde"
-    s, C1 = families[0].s, families[0].C1
+    f0 = families[0]
+    for name in ("s", "C1", "torus_side", "exclusion_radius"):
+        for k, f in enumerate(families):
+            if getattr(f, name) != getattr(f0, name):
+                raise ValueError(f"a scan takes one geometry: family {k} has {name} "
+                                 f"{getattr(f, name)!r}, family 0 {getattr(f0, name)!r}")
+    variant = "k" if f0.torus_side == 1 else "ktilde"
 
-    n = len(families)
+    n, side = len(families), f0.torus_side
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)  # the non-parallel pairs
              if families[i].ax * families[j].ay != families[i].ay * families[j].ax]
-    win = _IntWindow(window)
-    ranges = [_plane_range(f, win) for f in families]
+    ranges = [_plane_range(f, window) for f in families]
     est = sum(5 * (ranges[i][1] - ranges[i][0] + 1) * (ranges[j][1] - ranges[j][0] + 1)
               for i, j in pairs)  # candidate budget estimate
 
@@ -671,9 +645,11 @@ def max_overlap_scan(
     checked = fallback = counted = 0
     if est <= budget:
         method = "exact-candidates"
-        index = _IndexCounter(families, win)
+        # the fold certificate: the torus side holds the window in [-side/2, side/2)
+        unfolded = side is None or all(-side * window.W <= 2 * e < side * window.W
+                                       for e in (window.x0, window.x1, window.y0, window.y1))
         for i, j in pairs:
-            got = index.pair(i, j, ranges[i], ranges[j])
+            got = _index_pair(families, i, j, ranges[i], ranges[j], window) if unfolded else None
             if got is not None:
                 inside, count, point = got
                 checked += inside
@@ -682,37 +658,37 @@ def max_overlap_scan(
                     best, witness = count, (Fraction(px, d), Fraction(py, d))
                 continue
             fallback += 1
-            px, py, d = _pair_candidates(families[i], families[j], ranges[i], ranges[j], win,
+            px, py, d = _pair_candidates(families[i], families[j], ranges[i], ranges[j], window,
                                          offsets=True)
             if not len(px):
                 continue
             checked += len(px)
-            counts = _count_points(families, px, py, d, win)
+            counts = _count_points(families, px, py, d, window)
             k = int(np.argmax(counts))  # the pair's first candidate to reach its maximum
             if counts[k] > best:
                 best, witness = int(counts[k]), (Fraction(px[k], d), Fraction(py[k], d))
     else:
         method = "grid-sample"
-        best, witness, counted = _grid_sample(families, win)
+        best, witness, counted = _grid_sample(families, window)
         checked = _SAMPLES
 
     # overlap-1 floor from per-family interior points, counted in one batch over
     # the lcm of their denominators unless the maximum is already the family
     # count; the first to reach the batch's maximum is the witness when that
     # maximum beats the pairs'
-    floor = [pt for pt in (_interior_point(f, win) for f in families) if pt is not None]
+    floor = [pt for pt in (_interior_point(f, window) for f in families) if pt is not None]
     checked += len(floor)
     if floor and best < n:
         triples = [_int_point(*pt) for pt in floor]
         d = math.lcm(*(e for _, _, e in triples))
         counts = _count_points(families, [x * (d // e) for x, _, e in triples],
-                               [y * (d // e) for _, y, e in triples], d, win)
+                               [y * (d // e) for _, y, e in triples], d, window)
         k = int(np.argmax(counts))
         if counts[k] > best:
             best, witness = int(counts[k]), floor[k]
 
     return OverlapReport(
-        s=s, C1=C1, max_overlap=best, witness=witness,
+        s=f0.s, C1=f0.C1, max_overlap=best, witness=witness,
         family_count=len(families), method=method, variant=variant,
         window=window, candidates_checked=checked,
         r_values=tuple(f.r for f in families), fallback_pairs=fallback,
@@ -869,11 +845,10 @@ def _pair_x_intervals(
     excl = min(Fraction(f1.exclusion_radius), Fraction(f2.exclusion_radius))
     # the centers of cells that reach into the window: the window's plane
     # ranges, masked to the window grown by one cell extent
-    win = _IntWindow(window)
-    grown = _IntWindow(ScanWindow(window.x_lo - ext, window.x_hi + ext,
-                                  window.y_lo - ext_y, window.y_hi + ext_y))
-    px, py, d = _pair_candidates(f1, f2, _plane_range(f1, win), _plane_range(f2, win), grown,
-                                 offsets=False)
+    grown = ScanWindow(window.x_lo - ext, window.x_hi + ext,
+                       window.y_lo - ext_y, window.y_hi + ext_y)
+    px, py, d = _pair_candidates(f1, f2, _plane_range(f1, window), _plane_range(f2, window),
+                                 grown, offsets=False)
     ivs = []
     for x, y in zip(px, py):
         x, y = Fraction(x, d), Fraction(y, d)

@@ -499,9 +499,8 @@ def empirical_norm(
 
     Families: the point mass, complex Gaussian noise, random signs,
     dyadic-size box indicators, and the constant 1, whose ratio is
-    max_k |m_k(0)|.  (The operator is a sup of moduli, hence
-    nonlinear, so power iteration is not available; families play the role of
-    structured adversaries.)
+    max_k |m_k(0)|.  Each family's ratio is attained by some f, so it is a
+    lower estimate of the operator norm, and may lie far below it.
     """
     rng = np.random.default_rng(seed)
     per = {}

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from primedir import cli, maximal
+from primedir import cli, incidence, maximal
 from primedir.directions import (
     DirectionSpec, construct_directions, load_direction_set, save_direction_set,
 )
@@ -160,6 +160,25 @@ class TestIncidence:
         assert run("incidence", "--ds", str(ds), "--s", "2", "--baseline", "parallel",
                    "--out", str(rep)) == 0
         assert json.loads(rep.read_text())["baseline"] == "parallel"
+        capsys.readouterr()
+        assert run("replay", "--ds", str(ds), "--report", str(rep)) == 0
+        assert "replay ok: witness attains 4" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("variant", ["k", "ktilde"])
+    def test_baseline_scans_the_variant_geometry(self, tmp_path, capsys, variant):
+        # the baseline is copies of the variant's own first family: for k the
+        # integer direction on the unit torus with the ball 1/A^2, not the
+        # rational direction with no torus and no ball
+        ds = tmp_path / "ds.json"
+        rep = tmp_path / "rep.json"
+        run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
+        assert run("incidence", "--ds", str(ds), "--s", "1", "--variant", variant,
+                   "--baseline", "parallel", "--out", str(rep)) == 0
+        doc = json.loads(rep.read_text())
+        assert (doc["variant"], doc["max_overlap"], doc["baseline"]) == (variant, 4, "parallel")
+        sets = cli._load_ds(str(ds))
+        first = incidence.families_from_direction_set(sets, s=1, variant=variant)[0]
+        assert cli._incidence_families(sets, 1, None, None, variant, "parallel") == [first] * 4
         capsys.readouterr()
         assert run("replay", "--ds", str(ds), "--report", str(rep)) == 0
         assert "replay ok: witness attains 4" in capsys.readouterr().out

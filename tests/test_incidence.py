@@ -124,7 +124,7 @@ class TestCandidates:
         # turns a list of such integers into float64
         f1 = I.TubeFamily(v=(F(-1, 2), F(-2)), r=7, s=2, C1=14)
         f2 = I.TubeFamily(v=(F(1), F(8, 3)), r=7, s=2, C1=14)
-        win = I._IntWindow(I.ScanWindow(F(0), F(1, 8), F(-1, 16), F(1, 16)))
+        win = I.ScanWindow(F(0), F(1, 8), F(-1, 16), F(1, 16))
         px, py, d = I._pair_candidates(f1, f2, I._plane_range(f1, win), I._plane_range(f2, win),
                                        win, offsets=True)
         assert len(px) and 1 << 63 < d < 1 << 64
@@ -153,6 +153,19 @@ class TestScan:
         base = I.parallel_baseline((F(1), F(0)), 5, s=1, C1=8)
         rep = I.max_overlap_scan(base, I.default_window("k"))
         assert rep.max_overlap == 5
+
+    @pytest.mark.parametrize("field,other", [
+        ("s", {"r": 4, "s": 2}),
+        ("C1", {"C1": 9}),
+        ("torus_side", {"torus_side": 2}),
+        ("exclusion_radius", {"exclusion_radius": F(1, 100)}),
+    ])
+    def test_mixed_geometry_rejected(self, field, other):
+        # the axis families and a diagonal that differs from them in one field
+        diagonal = {"v": (F(1), F(1)), "r": 2, "s": 1, "C1": 8, "torus_side": 1, **other}
+        fams = [*axis_families(), I.TubeFamily(**diagonal)]
+        with pytest.raises(ValueError, match=f"family 2 has {field} "):
+            I.max_overlap_scan(fams, I.default_window("k"))
 
     def test_soundness_random_points(self):
         f1, f2 = axis_families()
@@ -208,6 +221,8 @@ class TestScan:
 
 
 class TestIntWindow:
+    """The window's integer edges, fixed at construction, against its Fractions."""
+
     WINDOWS = (
         I.ScanWindow(F(-3, 7), F(2, 5), F(-1, 3), F(-1, 9)),
         I.ScanWindow(F(-2), F(-1, 2), F(0), F(5, 3)),
@@ -217,7 +232,6 @@ class TestIntWindow:
     @pytest.mark.parametrize("win", WINDOWS)
     def test_edges_and_corners_match_contains(self, win):
         # mask() on scalar triples against the Fraction reference contains()
-        iw = I._IntWindow(win)
         eps = F(1, 10**9)
         xs = (win.x_lo, (win.x_lo + win.x_hi) / 2, win.x_hi)
         ys = (win.y_lo, (win.y_lo + win.y_hi) / 2, win.y_hi)
@@ -228,17 +242,16 @@ class TestIntWindow:
                         x, y = x0 + dx, y0 + dy
                         px, py, d = I._int_point(x, y)
                         for k in (1, 6):  # unreduced triples too
-                            assert iw.mask(k * px, k * py, k * d) == win.contains(x, y)
+                            assert win.mask(k * px, k * py, k * d) == win.contains(x, y)
 
     @pytest.mark.parametrize("win", WINDOWS)
     def test_closed_edges_are_members(self, win):
-        iw = I._IntWindow(win)
         cx, cy = (win.x_lo + win.x_hi) / 2, (win.y_lo + win.y_hi) / 2
         pts = [(x, y) for x in (win.x_lo, win.x_hi) for y in (win.y_lo, win.y_hi)]
         pts += [(x, cy) for x in (win.x_lo, win.x_hi)] + [(cx, y) for y in (win.y_lo, win.y_hi)]
         px, py, d = zip(*(I._int_point(x, y) for x, y in pts))
         e = math.lcm(*d)  # one denominator, as the scan's arrays share
-        assert iw.mask(np.array([x * (e // k) for x, k in zip(px, d)]),
+        assert win.mask(np.array([x * (e // k) for x, k in zip(px, d)]),
                        np.array([y * (e // k) for y, k in zip(py, d)]), e).all()
 
 
@@ -253,47 +266,56 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 @st.composite
-def _tube_families(draw):
-    """|v| <= 50, 2^s <= r < 2^(s+1), and the smallest C1 the spacing allows
-    (or one more), so that the thickness matters."""
+def _family_lists(draw, min_size=1, max_size=1):
+    """min_size to max_size families that share one geometry, as a scan
+    requires: s, C1, the torus side and the exclusion radius.  |v| <= 50,
+    2^s <= r < 2^(s+1), and the smallest C1 the spacing of every family
+    allows (or one more), so that the thickness matters."""
     s = draw(st.integers(1, 2))
-    r = draw(st.integers(1 << s, (2 << s) - 1))
-    vx = F(draw(st.integers(-35, 35)), draw(st.integers(1, 3)))
-    vy = F(draw(st.integers(-35, 35)), draw(st.integers(1, 3)))
-    if vx == 0 and vy == 0:
-        vx = F(1)
+    vrs = []
+    for _ in range(draw(st.integers(min_size, max_size))):
+        vx = F(draw(st.integers(-35, 35)), draw(st.integers(1, 3)))
+        vy = F(draw(st.integers(-35, 35)), draw(st.integers(1, 3)))
+        if vx == vy == 0:
+            vx = F(1)
+        vrs.append(((vx, vy), draw(st.integers(1 << s, (2 << s) - 1))))
     C1 = 1
-    while r * r * (vx * vx + vy * vy) >= 4 ** (C1 * s):
+    while any(r * r * (vx * vx + vy * vy) >= 4 ** (C1 * s) for (vx, vy), r in vrs):
         C1 += 1
     C1 += draw(st.integers(0, 1))
     ex = draw(st.one_of(st.just(F(0)), st.builds(F, st.integers(1, 5), st.integers(10, 20))))
     side = draw(st.one_of(st.just(1), st.integers(2, 4), st.none()))
-    return I.TubeFamily(v=(vx, vy), r=r, s=s, C1=C1, exclusion_radius=ex, torus_side=side)
+    return [I.TubeFamily(v=v, r=r, s=s, C1=C1, exclusion_radius=ex, torus_side=side)
+            for v, r in vrs]
+
+
+def _tube_families():
+    """One family, drawn as _family_lists draws each of a list's."""
+    return _family_lists().map(lambda fams: fams[0])
 
 
 @st.composite
-def _one_shift_families(draw):
-    """(families, large): 2-4 families with one s and one C1, so one shift c.
-    C1 is the smallest the spacing allows plus 0-2, where the index
-    certificates mostly fail, or plus 60-70 (large), where they hold unless a
-    family's exclusion radius is 1/3 or a torus side of 1 folds the window."""
-    s = draw(st.integers(1, 2))
+def _one_geometry_families(draw):
+    """(families, large): 2-4 families with one s, C1, torus side and
+    exclusion radius, so one shift c = C1 s.  C1 is the smallest the spacing
+    allows plus 0-2, where the index certificates mostly fail, or plus 60-70
+    (large), where they hold unless s = 0 (so c = 0), the radius is 1/3 or
+    a torus side of 1 folds the window."""
+    s = draw(st.integers(0, 2))
     n = draw(st.integers(2, 4))
     coord = st.builds(F, st.integers(-9, 9), st.integers(1, 3))
     vs = [(draw(coord), draw(coord)) for _ in range(n)]
     vs = [(F(1), F(0)) if v == (0, 0) else v for v in vs]
     rs = [draw(st.integers(1 << s, (2 << s) - 1)) for _ in range(n)]
     C1 = 1
-    while any(r * r * (vx * vx + vy * vy) >= 4 ** (C1 * s) for (vx, vy), r in zip(vs, rs)):
+    while s and any(r * r * (vx * vx + vy * vy) >= 4 ** (C1 * s) for (vx, vy), r in zip(vs, rs)):
         C1 += 1
     large = draw(st.booleans())
     C1 += draw(st.integers(60, 70) if large else st.integers(0, 2))
     side = draw(st.sampled_from((None, 7, 1)))
-    exs = [draw(st.sampled_from((F(0), F(1, 10**9)))) for _ in range(n)]
-    if draw(st.integers(0, 3)) == 0:
-        exs[draw(st.integers(0, n - 1))] = F(1, 3)
+    ex = draw(st.sampled_from((F(0), F(1, 10**9), F(1, 3))))
     fams = [I.TubeFamily(v=v, r=r, s=s, C1=C1, exclusion_radius=ex, torus_side=side)
-            for v, r, ex in zip(vs, rs, exs)]
+            for v, r in zip(vs, rs)]
     return fams, large
 
 
@@ -416,8 +438,7 @@ def _samples(window):
 def _recount_scan(fams, window):
     """The grid-sample scan recounted point by point through tube_membership."""
     best, witness = 0, None
-    win = I._IntWindow(window)
-    floor = [pt for pt in (I._interior_point(f, win) for f in fams) if pt is not None]
+    floor = [pt for pt in (I._interior_point(f, window) for f in fams) if pt is not None]
     for pt in _samples(window) + floor:
         c = sum(I.tube_membership(pt, f) for f in fams)
         if c > best:
@@ -433,15 +454,14 @@ def _exact_facts(rep):
 def _recount_exact(fams, window):
     """The exact scan recounted point by point through member(): every in-window
     candidate of every non-parallel pair, then the floor points."""
-    win = I._IntWindow(window)
-    ranges = [I._plane_range(f, win) for f in fams]
+    ranges = [I._plane_range(f, window) for f in fams]
     pts = []
     for i, j in itertools.combinations(range(len(fams)), 2):
         if fams[i].ax * fams[j].ay != fams[i].ay * fams[j].ax:
-            px, py, d = I._pair_candidates(fams[i], fams[j], ranges[i], ranges[j], win,
+            px, py, d = I._pair_candidates(fams[i], fams[j], ranges[i], ranges[j], window,
                                            offsets=True)
             pts += [(x, y, d) for x, y in zip(px, py)]
-    pts += [I._int_point(*pt) for pt in (I._interior_point(f, win) for f in fams) if pt]
+    pts += [I._int_point(*pt) for pt in (I._interior_point(f, window) for f in fams) if pt]
     best, witness = 0, None
     for px, py, d in pts:
         c = sum(f.member(px, py, d) for f in fams)
@@ -454,7 +474,7 @@ class TestInt64Counts:
     """The counter in both dtypes; int64 is taken whenever the bounds allow it."""
 
     @settings(max_examples=60, deadline=None)
-    @given(fams=st.lists(_tube_families(), min_size=1, max_size=4),
+    @given(fams=_family_lists(1, 4),
            scale=st.integers(1, 9), data=st.data())
     def test_counts_equal_member(self, fams, scale, data):
         d = data.draw(st.integers(1, 1 << 16))
@@ -474,7 +494,10 @@ class TestInt64Counts:
         d = 2 << 24  # lcm(2) 2^24 on [-1/2, 1/2]^2
         plan = I._plan(fams, d, d // 2)
         assert plan[1] is np.int64
-        assert all((Dd == 1 << 26).all() for _, _, _, Dd, _, _, _ in plan[0])
+        span, half, thr, Dd = plan[0][:4]
+        assert (span, half) == (2 * d, d)  # the unit torus at the doubled denominator
+        assert thr == -(-(2 * d) ** 2 // toy_ds.A**4)  # the ball 1/A^2 at the doubled d
+        assert Dd.shape == (len(fams), 1) and (Dd == 1 << 26).all()
 
     # dyadic windows count in int64; the last one's denominators push d past
     # int64, so its samples count on Python integers
@@ -491,7 +514,7 @@ class TestInt64Counts:
     )
 
     @settings(max_examples=25, deadline=None)
-    @given(fams=st.lists(_tube_families(), min_size=1, max_size=3),
+    @given(fams=_family_lists(1, 3),
            win=st.sampled_from(EXACT_WINDOWS))
     def test_exact_scan_equals_recount(self, fams, win):
         rep = I.max_overlap_scan(fams, win)
@@ -512,14 +535,14 @@ class TestInt64Counts:
         fell_back = set()
 
         @settings(max_examples=150, deadline=None)
-        @given(case=_one_shift_families(), win=st.sampled_from(self.INDEX_WINDOWS))
+        @given(case=_one_geometry_families(), win=st.sampled_from(self.INDEX_WINDOWS))
         def check(case, win):
             fams, large = case
             rep = I.max_overlap_scan(fams, win)
             assert rep.method == "exact-candidates"
             assert _exact_facts(rep) == _recount_exact(fams, win)
             folded = fams[0].torus_side == 1 and win.x_hi == F(1, 2)
-            if large and not folded and all(f.exclusion_radius < F(1, 3) for f in fams):
+            if large and fams[0].s and not folded and fams[0].exclusion_radius < F(1, 3):
                 assert rep.fallback_pairs == 0
             fell_back.add(rep.fallback_pairs > 0)
 
@@ -541,9 +564,9 @@ class TestInt64Counts:
         (_axis_families(r=(1, 1, 1), s=0), I.default_window("ktilde"), 3),
         # a different r per family
         (_axis_families(r=(2, 3, 2)), I.default_window("ktilde"), 0),
-        # mixed shifts
-        (_axis_families()[:2] + [I.TubeFamily(v=(F(1), F(1)), r=4, s=2, C1=40)],
-         I.default_window("ktilde"), 3),
+        # 2^c = 4 is not above r_i r_j W max(Kx, Ky) >= 4: no window
+        # certificate holds
+        (_axis_families(C1=2), I.default_window("ktilde"), 3),
         # the k window against a torus side of 1, whose fold moves the edges
         # x = 1/2 and y = 1/2, and against a side of 2, whose fold does not
         (_axis_families(side=1), I.default_window("k"), 3),
@@ -572,7 +595,7 @@ class TestInt64Counts:
             assert _exact_facts(rep) == _recount_exact(fams, window)
 
     @settings(max_examples=25, deadline=None)
-    @given(fams=st.lists(_tube_families(), min_size=1, max_size=4),
+    @given(fams=_family_lists(1, 4),
            win=st.sampled_from(EXACT_WINDOWS))
     def test_exact_scan_plans_once_per_batch(self, fams, win):
         """_plan runs at most once per non-parallel pair with in-window
@@ -593,11 +616,10 @@ class TestInt64Counts:
                 mock.patch.object(I, "_interior_point", interior):
             rep = I.max_overlap_scan(fams, win)
         assert rep.method == "exact-candidates"
-        iw = I._IntWindow(win)
-        ranges = [I._plane_range(f, iw) for f in fams]
+        ranges = [I._plane_range(f, win) for f in fams]
         busy = sum(1 for i, j in itertools.combinations(range(len(fams)), 2)
                    if fams[i].ax * fams[j].ay != fams[i].ay * fams[j].ax
-                   and len(I._pair_candidates(fams[i], fams[j], ranges[i], ranges[j], iw,
+                   and len(I._pair_candidates(fams[i], fams[j], ranges[i], ranges[j], win,
                                               offsets=True)[0]))
         assert plans.count(False) <= busy + 1
         assert plans.count(True) == 0
@@ -608,7 +630,7 @@ class TestInt64Counts:
         fams = I.parallel_baseline(v, 4, s=2, C1=8)
         win = I.default_window("ktilde")
         rep = I.max_overlap_scan(fams, win)
-        assert rep.witness == I._interior_point(fams[0], I._IntWindow(win))
+        assert rep.witness == I._interior_point(fams[0], win)
         assert rep.max_overlap == rep.family_count == 4
         assert rep.candidates_checked == 4
 
@@ -624,7 +646,7 @@ class TestInt64Counts:
                 for k, r in zip(ks, rs)]
         x0, y0 = corner
         win = I.ScanWindow(x0, x0 + F(1, 3), y0, y0 + F(1, 4))
-        floor = [I._interior_point(f, I._IntWindow(win)) for f in fams]
+        floor = [I._interior_point(f, win) for f in fams]
         counts = [sum(I.tube_membership(pt, f) for f in fams) for pt in floor]
         first = counts.index(max(counts))
         assert first > 0 and any(c == counts[first] and pt != floor[first]
@@ -634,7 +656,7 @@ class TestInt64Counts:
 
     @pytest.mark.parametrize("win,fallback", WINDOWS)
     @settings(max_examples=3, deadline=None)
-    @given(fams=st.lists(_tube_families(), min_size=1, max_size=3))
+    @given(fams=_family_lists(1, 3))
     def test_sample_scan_equals_recount(self, win, fallback, fams):
         plans = []
         real = I._plan
@@ -668,9 +690,8 @@ def _uncapped_grid_sample(fams, win):
 def _counted_floor_scan(fams, window):
     """(max_overlap, witness, candidates_checked) of a grid-sample scan with
     every sample and every floor point counted through member()."""
-    win = I._IntWindow(window)
-    best, witness = _uncapped_grid_sample(fams, win)
-    floor = [pt for pt in (I._interior_point(f, win) for f in fams) if pt is not None]
+    best, witness = _uncapped_grid_sample(fams, window)
+    floor = [pt for pt in (I._interior_point(f, window) for f in fams) if pt is not None]
     for pt in floor:
         c = sum(f.member(*I._int_point(*pt)) for f in fams)
         if c > best:
@@ -706,10 +727,9 @@ class TestFamilyCountCeiling:
     def test_grid_sample_equals_uncapped(self, make, counted):
         fams = make()
         window = I.default_window("k")
-        win = I._IntWindow(window)
-        best, witness = _uncapped_grid_sample(fams, win)
+        best, witness = _uncapped_grid_sample(fams, window)
         assert (best == len(fams)) == (counted < 20_000)
-        assert I._grid_sample(fams, win) == (best, witness, counted)
+        assert I._grid_sample(fams, window) == (best, witness, counted)
         rep = I.max_overlap_scan(fams, window, budget=-1)
         assert rep.method == "grid-sample"
         assert rep.samples_counted == counted
@@ -775,7 +795,7 @@ def _fraction_interior_point(fam: I.TubeFamily, window: I.ScanWindow):
     return None
 
 
-def _counted_interior_point(fam: I.TubeFamily, win: I._IntWindow):
+def _counted_interior_point(fam: I.TubeFamily, win: I.ScanWindow):
     """The integer floor walk with its in-window trials counted in one
     _count_points batch, the first covered trial kept."""
     ax, ay, den, r = fam.ax, fam.ay, fam.den, fam.r
@@ -829,9 +849,8 @@ class TestFloorWalkOracle:
         fam = I.TubeFamily(v=(fam.v[0] / shrink, fam.v[1] / shrink), r=fam.r, s=fam.s,
                            C1=fam.C1, exclusion_radius=fam.exclusion_radius,
                            torus_side=fam.torus_side)
-        win = I._IntWindow(window)
-        assert I._plane_range(fam, win) == _fraction_plane_range(fam, window)
-        assert I._interior_point(fam, win) == _fraction_interior_point(fam, window)
+        assert I._plane_range(fam, window) == _fraction_plane_range(fam, window)
+        assert I._interior_point(fam, window) == _fraction_interior_point(fam, window)
 
     @settings(max_examples=300, deadline=None)
     @given(fam=_tube_families(), window=_windows(), shrink=st.sampled_from((1, 12, 40)))
@@ -841,8 +860,7 @@ class TestFloorWalkOracle:
         fam = I.TubeFamily(v=(fam.v[0] / shrink, fam.v[1] / shrink), r=fam.r, s=fam.s,
                            C1=fam.C1, exclusion_radius=fam.exclusion_radius,
                            torus_side=fam.torus_side)
-        win = I._IntWindow(window)
-        assert I._interior_point(fam, win) == _counted_interior_point(fam, win)
+        assert I._interior_point(fam, window) == _counted_interior_point(fam, window)
 
     @pytest.mark.parametrize("ex,window,want", [
         # the window center sits midway between the planes x = 0 and x = 1/2:
@@ -854,7 +872,7 @@ class TestFloorWalkOracle:
     ])
     def test_explicit_walks(self, ex, window, want):
         fam = I.TubeFamily(v=(F(1), F(0)), r=2, s=1, C1=8, exclusion_radius=ex)
-        assert I._interior_point(fam, I._IntWindow(window)) == want
+        assert I._interior_point(fam, window) == want
         assert _fraction_interior_point(fam, window) == want
 
     def test_long_direction_still_finds_floor(self):

@@ -2,6 +2,7 @@ import math
 import os
 import sys
 import threading
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -476,6 +477,48 @@ class TestWorkerPath:
         with pytest.raises(RuntimeError, match="third pair"):
             X.maximal_op(f, cfg)
         assert threading.active_count() == before
+
+    @_WORKER_CASES
+    def test_fold_holds_the_lock(self, table13, L, real, monkeypatch):
+        # a fold outside the lock loses an update only under a rare thread
+        # interleaving, so this checks ownership, not output: every fold into
+        # the running maximum runs while its own thread holds _pair_max's lock
+        locks, held = [], []
+
+        class Owned:
+            """A lock that records which thread holds it."""
+
+            def __init__(self):
+                self._lock, self.owner = threading.Lock(), None
+                locks.append(self)
+
+            def __enter__(self):
+                self._lock.acquire()
+                self.owner = threading.get_ident()
+
+            def __exit__(self, *exc):
+                self.owner = None
+                self._lock.release()
+
+        class Numpy:
+            """numpy, with maximum checking the lock first."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def maximum(*args, **kwargs):
+                held.append([lock.owner for lock in locks] == [threading.get_ident()])
+                return np.maximum(*args, **kwargs)
+
+        monkeypatch.setattr(X, "threading", types.SimpleNamespace(
+            Lock=Owned, Event=threading.Event, Thread=threading.Thread))
+        monkeypatch.setattr(X, "np", Numpy())
+        _cpus(monkeypatch, 4)
+        cfg, f = self._case(table13, L, real)
+        X.maximal_op(f, cfg)
+        assert len(locks) == 1
+        assert held and all(held)
 
 
 def _rolled(values, folded, v):
