@@ -26,10 +26,8 @@ print(f"N = {len(ds.vectors)}, derived C1 = {incidence.default_c1(ds)}, window [
 for s in (1, 2, 3):
     fams = incidence.families_from_direction_set(ds, s=s)
     rep = incidence.max_overlap_scan(fams, win)
-    base = incidence.parallel_baseline(
-        (ds.vectors[0].v.x, ds.vectors[0].v.y), len(ds.vectors), s=s, C1=fams[0].C1
-    )
-    repb = incidence.max_overlap_scan(base, win)
+    # the parallel baseline: copies of the first family share every tube
+    repb = incidence.max_overlap_scan(fams[:1] * len(fams), win)
     wit = ""
     if rep.witness is not None:
         wit = f" witness ({float(rep.witness[0]):.4f}, {float(rep.witness[1]):.4f})"

@@ -203,8 +203,6 @@ def cmd_incidence(args) -> int:
     half = 1 if args.window_half is None else args.window_half
     if half < 1:
         raise UsageError("--window-half must be >= 1")
-    if args.budget < 0:
-        raise UsageError("--budget must be >= 0")
     win = incidence.default_window(args.variant, half=half)
     rng = random.Random(args.seed)
     ds = _load_ds(args.ds)
@@ -216,7 +214,7 @@ def cmd_incidence(args) -> int:
         else:
             r_values = [rng.randrange(1 << s, 1 << (s + 1)) for _ in range(n)]
         fams = _incidence_families(ds, s, args.c1, r_values, args.variant, args.baseline)
-        rep = incidence.max_overlap_scan(fams, win, budget=args.budget)
+        rep = incidence.max_overlap_scan(fams, win)
         if best is None or rep.max_overlap > best.max_overlap:
             best = rep
     best.baseline = args.baseline  # replay rebuilds the baseline from the report
@@ -371,7 +369,6 @@ def _build_parser() -> _Parser:
     i.add_argument("--r-sweeps", type=int, default=1,
                    help="random denominator assignments to sweep (first is all 2^s)")
     i.add_argument("--seed", type=int, default=0, help="seed of the r sweeps")
-    i.add_argument("--budget", type=int, default=2_000_000, help="exact-scan candidate budget")
     i.add_argument("--out", default="overlap.json", help="report file to write")
     i.set_defaults(fn=cmd_incidence)
 

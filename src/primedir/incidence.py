@@ -28,11 +28,10 @@ words, whenever the certificates in ``max_overlap_scan``'s docstring hold.
 It counts every other batch of points over one denominator with a single
 numpy counter: one fold, one exclusion row and one (families x points)
 broadcast, in int64 when the bounds keep every intermediate value below 2^63
-and in Python integers otherwise.  Each family's floor walk tests its trials
-one at a time with ``member``, and the floor points go through the counter
-as a single batch over the lcm of their denominators.  No point lies in more
-families than there are, so once the running maximum equals the family count
-the grid sample stops counting and the floor batch is skipped.
+and in Python integers otherwise.  The overlap-1 floor, one point per family,
+is found and counted with ``member``.  No point lies in more families than
+there are, so once the running maximum equals the family count the grid
+sample stops counting and the floor is skipped.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ __all__ = [
     "candidate_intersections",
     "max_overlap_scan",
     "families_from_direction_set",
-    "parallel_baseline",
     "default_window",
     "greedy_pair_selection",
     "SelectedPair",
@@ -450,8 +448,9 @@ class OverlapReport:
     samples_counted: int = field(default=0, compare=False)
 
 
-def _interior_point(fam: TubeFamily, win: ScanWindow) -> tuple[Fraction, Fraction] | None:
-    """A point on a tube center plane inside the window (overlap floor >= 1).
+def _interior_point(fam: TubeFamily, win: ScanWindow) -> tuple[int, int, int] | None:
+    """A point on a tube center plane inside the window (overlap floor >= 1),
+    as an unreduced triple (px, py, d).
 
     Walks perpendicularly from the window center to the planes a/r nearest
     it, then along each plane by multiples of about a quarter of the
@@ -459,8 +458,7 @@ def _interior_point(fam: TubeFamily, win: ScanWindow) -> tuple[Fraction, Fractio
     through the excluded origin ball, so an on-plane offset is usually
     needed); the first trial in the window that the family covers is the point.
     Each trial is tested alone, the window first and then ``member``, in
-    the order below, and the walk stops at its first hit, so it plans no
-    counter batch.
+    the order below, and the walk stops at its first hit.
 
     The 25 trials share the denominator d = 4 W r S den n1, where
     S = ax^2 + ay^2, n1 = |ax| + |ay| and T = ax (x0 + x1) + ay (y0 + y1):
@@ -481,17 +479,11 @@ def _interior_point(fam: TubeFamily, win: ScanWindow) -> tuple[Fraction, Fractio
         for m in (0, 1, -1, 2, -2):
             px, py = cx + lam * ax - m * step * ay, cy + lam * ay + m * step * ax
             if win.mask(px, py, d) and fam.member(px, py, d):
-                return Fraction(px, d), Fraction(py, d)
+                return px, py, d
     return None
 
 
-def _count_points(families: list[TubeFamily], px, py, d: int, win: ScanWindow) -> np.ndarray:
-    """Family counts of the points (px[i], py[i], d), which lie in the window;
-    px and py are sequences or arrays of integers."""
-    plan = _plan(families, d, win.reach(d))
-    return _counts(plan, *(np.asarray(c, dtype=plan[1]) for c in (px, py)))
-
-
+_EXACT_BUDGET = 2_000_000  # most pair candidates the exact branch takes on
 _SAMPLES = 20_000
 _SAMPLE_BITS = 24  # sample coordinates sit on the 2^-24 grid across the window
 _CHUNK = 2048  # points per batch; _counts' temporaries hold at most families x chunk values
@@ -539,17 +531,13 @@ def _grid_sample(families: list[TubeFamily], win: ScanWindow):
     return best, (Fraction(x0 + i * wx, d), Fraction(y0 + j * wy, d)), counted
 
 
-def max_overlap_scan(
-    families: list[TubeFamily],
-    window: ScanWindow,
-    budget: int = 2_000_000,
-) -> OverlapReport:
+def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapReport:
     """Maximum pointwise overlap of the families over the window.
 
     Exact method: overlap counts are evaluated at every pairwise lattice cell
     center and corner (sufficient for any maximum >= 2) plus one interior
     point per family (the overlap-1 floor).  If the candidate count would
-    exceed ``budget`` the scan falls back to a grid sample of 20 000 points
+    exceed 2 000 000 the scan falls back to a grid sample of 20 000 points
     (seed 0) and labels the report method accordingly.
 
     The families must share one geometry: the level s, the thickness
@@ -559,7 +547,7 @@ def max_overlap_scan(
 
     Both branches, and the floor, work on integer triples (px, py, d) and on
     the window as integer edges over one denominator; a Fraction is built
-    only for a floor point or a new witness.  Three facts make that exact:
+    only for a new witness.  Three facts make that exact:
 
     - ``TubeFamily.member(px, py, d)`` gives the same answer when the triple
       is scaled by any positive integer: the torus fold, the exclusion test
@@ -604,24 +592,23 @@ def max_overlap_scan(
 
     So one counter serves every batch of points that share a denominator: a
     fallback pair's in-window lattice candidates (filtered against the window
-    by array comparisons), a 2048-point chunk of the grid sample, and the
-    floor points, all counted in one batch over the lcm of their
-    denominators.  ``_plan`` computes the constants once per batch: one fold,
-    one exclusion threshold and a column of per-family slab constants; it
-    picks int64 when they bound every intermediate value below 2^63, Python
-    integers otherwise.  ``_counts`` applies them in one (families x points)
-    broadcast.  The witness is the first candidate, in
-    pair order then lattice order, to reach the maximum; a floor point is the
-    witness only when the floor's maximum beats the pairs', and then it is
-    the first floor point to reach it, which is the point a one-at-a-time
-    loop would keep.  No point lies in more families than there are, so a
-    maximum equal to the family count is final: the grid sample stops at the
-    first chunk that reaches it (the samples after it still count toward
-    ``candidates_checked``, certified to count no more), and the floor batch
-    is not counted (its points still are).  The floor walk uses ``member``
-    only to pick its point; every reported count comes from the counters
-    above, so ``replay_witness``, which goes through ``member``, still checks
-    a witness independently of them.
+    by array comparisons) and a 2048-point chunk of the grid sample.
+    ``_plan`` computes the constants once per batch: one fold, one exclusion
+    threshold and a column of per-family slab constants; it picks int64 when
+    they bound every intermediate value below 2^63, Python integers
+    otherwise.  ``_counts`` applies them in one (families x points)
+    broadcast.  The floor's handful of points, one per family, are counted
+    one at a time with ``member``, in family order.  The witness is the
+    first candidate, in pair order then lattice order, to reach the maximum;
+    a floor point is the witness only when it beats every count before it,
+    so it is the first floor point to reach the floor's maximum.  No point
+    lies in more families than there are, so a maximum equal to the family
+    count is final: the grid sample stops at the first chunk that reaches it
+    (the samples after it still count toward ``candidates_checked``,
+    certified to count no more), and the floor points are not counted (they
+    still add to ``candidates_checked``).  ``replay_witness`` recounts a
+    witness through ``member``, so it checks a pair or sample witness
+    independently of the counters above.
     """
     if not families:
         raise ValueError("need at least one family")
@@ -643,7 +630,7 @@ def max_overlap_scan(
     best = 0
     witness: tuple[Fraction, Fraction] | None = None
     checked = fallback = counted = 0
-    if est <= budget:
+    if est <= _EXACT_BUDGET:
         method = "exact-candidates"
         # the fold certificate: the torus side holds the window in [-side/2, side/2)
         unfolded = side is None or all(-side * window.W <= 2 * e < side * window.W
@@ -663,7 +650,8 @@ def max_overlap_scan(
             if not len(px):
                 continue
             checked += len(px)
-            counts = _count_points(families, px, py, d, window)
+            plan = _plan(families, d, window.reach(d))
+            counts = _counts(plan, *(np.asarray(c, dtype=plan[1]) for c in (px, py)))
             k = int(np.argmax(counts))  # the pair's first candidate to reach its maximum
             if counts[k] > best:
                 best, witness = int(counts[k]), (Fraction(px[k], d), Fraction(py[k], d))
@@ -672,20 +660,16 @@ def max_overlap_scan(
         best, witness, counted = _grid_sample(families, window)
         checked = _SAMPLES
 
-    # overlap-1 floor from per-family interior points, counted in one batch over
-    # the lcm of their denominators unless the maximum is already the family
-    # count; the first to reach the batch's maximum is the witness when that
-    # maximum beats the pairs'
+    # overlap-1 floor from per-family interior points, counted through member
+    # unless the maximum is already the family count; a point replaces the
+    # witness only by beating the count so far
     floor = [pt for pt in (_interior_point(f, window) for f in families) if pt is not None]
     checked += len(floor)
-    if floor and best < n:
-        triples = [_int_point(*pt) for pt in floor]
-        d = math.lcm(*(e for _, _, e in triples))
-        counts = _count_points(families, [x * (d // e) for x, _, e in triples],
-                               [y * (d // e) for _, y, e in triples], d, window)
-        k = int(np.argmax(counts))
-        if counts[k] > best:
-            best, witness = int(counts[k]), floor[k]
+    if best < n:
+        for px, py, d in floor:
+            count = sum(f.member(px, py, d) for f in families)
+            if count > best:
+                best, witness = count, (Fraction(px, d), Fraction(py, d))
 
     return OverlapReport(
         s=f0.s, C1=f0.C1, max_overlap=best, witness=witness,
@@ -755,19 +739,6 @@ def families_from_direction_set(
         raise ValueError("variant must be 'k' or 'ktilde'")
     return [TubeFamily(v=v, r=r, s=s, C1=C1, exclusion_radius=excl, torus_side=side)
             for v, r in zip(vs, r_values)]
-
-
-def parallel_baseline(
-    v: tuple[Fraction, Fraction], count: int, s: int, C1: int, r: int | None = None
-) -> list[TubeFamily]:
-    """The adversarial baseline: ``count`` copies of one direction with equal r.
-
-    Every copy shares its tube planes, so the overlap at any plane point is
-    exactly ``count``.
-    """
-    if r is None:
-        r = 1 << s
-    return [TubeFamily(v=v, r=r, s=s, C1=C1) for _ in range(count)]
 
 
 # -- greedy pair selection and shrinking intersections --------------------------------
@@ -925,7 +896,7 @@ def intersection_shrink_check(
 
 # -- report files -----------------------------------------------------------------------
 
-_REPORT_SCHEMA = "primedir.overlap_report.v2"
+_REPORT_SCHEMA = "primedir.overlap_report.v3"
 
 
 def save_overlap_report(report: OverlapReport, path) -> None:

@@ -484,8 +484,6 @@ def degenerate_directions(cfg: OperatorConfig, L: int) -> int:
 class NormReport:
     L: int
     per_family: dict
-    delta_spread_closed_form: float
-    delta_spread_measured: float
 
 
 def empirical_norm(
@@ -504,13 +502,11 @@ def empirical_norm(
     """
     rng = np.random.default_rng(seed)
     per = {}
-    delta_measured = 0.0
     for name in families:
         best, arg = 0.0, ""
         if name == "delta":
             f = GridFunction.delta(L)
-            delta_measured = maximal_op(f, cfg).norm2()
-            best, arg = delta_measured / f.norm2(), "point mass at 0"
+            best, arg = maximal_op(f, cfg).norm2() / f.norm2(), "point mass at 0"
         elif name in ("gaussian", "rademacher"):
             for t in range(trials):
                 f = GridFunction.random(L, rng, kind=name)
@@ -533,13 +529,7 @@ def empirical_norm(
         else:
             raise ValueError(f"unknown test family {name!r}")
         per[name] = {"max_ratio": best, "argmax": arg}
-    if "delta" not in families:
-        delta_measured = maximal_op(GridFunction.delta(L), cfg).norm2()
-    return NormReport(
-        L=L, per_family=per,
-        delta_spread_closed_form=delta_spread_value(cfg),
-        delta_spread_measured=delta_measured,
-    )
+    return NormReport(L=L, per_family=per)
 
 
 # -- low/high frequency split ---------------------------------------------------------

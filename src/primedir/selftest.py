@@ -129,10 +129,7 @@ def _check_incidence():
     fams = incidence.families_from_direction_set(ds, s=2)
     win2 = incidence.default_window("ktilde")
     rep2 = incidence.max_overlap_scan(fams, win2)
-    base = incidence.parallel_baseline(
-        (ds.vectors[0].v.x, ds.vectors[0].v.y), 4, s=2, C1=fams[0].C1
-    )
-    repb = incidence.max_overlap_scan(base, win2)
+    repb = incidence.max_overlap_scan(fams[:1] * 4, win2)  # the parallel baseline
     _require(1 <= rep2.max_overlap < repb.max_overlap == 4, (rep2.max_overlap, repb.max_overlap))
 
 

@@ -178,11 +178,10 @@ def test_criterion_6_incidence_separation(toy_matrix):
             win = incidence.default_window("ktilde")
             rep = incidence.max_overlap_scan(fams, win)
             assert rep.method == "exact-candidates"
-            base = incidence.parallel_baseline(
-                (ds.vectors[0].v.x, ds.vectors[0].v.y), n, s=s, C1=fams[0].C1
-            )
+            base = fams[:1] * n  # the parallel baseline
             repb = incidence.max_overlap_scan(base, win)
             assert repb.max_overlap == n
+            assert incidence.replay_witness(repb, base) == n
             assert rep.max_overlap < repb.max_overlap
             assert incidence.replay_witness(rep, fams) == rep.max_overlap
             results.append((n, eps, s, rep.max_overlap))

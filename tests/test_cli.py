@@ -133,7 +133,7 @@ class TestIncidence:
         # of the report file
         assert "families=4 fallback_pairs=0 samples_counted=0\n" in capsys.readouterr().out
         doc = json.loads(rep.read_text())
-        assert doc["schema"] == "primedir.overlap_report.v2"
+        assert doc["schema"] == "primedir.overlap_report.v3"
         assert doc["baseline"] is None
         assert "fallback_pairs" not in doc
         assert "samples_counted" not in doc
@@ -163,6 +163,22 @@ class TestIncidence:
         capsys.readouterr()
         assert run("replay", "--ds", str(ds), "--report", str(rep)) == 0
         assert "replay ok: witness attains 4" in capsys.readouterr().out
+
+    def test_v2_baseline_report_refused(self, tmp_path, capsys):
+        # a v2 baseline report scanned copies with no torus and no ball, which
+        # replay can no longer rebuild: the file is refused by its schema, not
+        # reported as a mismatch
+        ds = tmp_path / "ds.json"
+        rep = tmp_path / "rep.json"
+        run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
+        assert run("incidence", "--ds", str(ds), "--s", "1", "--baseline", "parallel",
+                   "--out", str(rep)) == 0
+        rep.write_text(rep.read_text().replace("overlap_report.v3", "overlap_report.v2"))
+        capsys.readouterr()
+        assert run("replay", "--ds", str(ds), "--report", str(rep)) == 2
+        out = capsys.readouterr()
+        assert "primedir.overlap_report.v3" in out.err
+        assert "REPLAY MISMATCH" not in out.out
 
     @pytest.mark.parametrize("variant", ["k", "ktilde"])
     def test_baseline_scans_the_variant_geometry(self, tmp_path, capsys, variant):
@@ -301,13 +317,22 @@ class TestIncidence:
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("flags", [
-        ["--window-half", "0"], ["--window-half", "-1"], ["--budget", "-1"],
+        ["--window-half", "0"], ["--window-half", "-1"], ["--s", "0"],
     ])
     def test_bad_scan_flag_usage_error_before_load(self, tmp_path, capsys, flags):
         # the set does not exist, so exit 3 shows the check runs before loading it
         assert run("incidence", "--ds", str(tmp_path / "missing.json"), "--s", "2", *flags,
                    "--out", str(tmp_path / "r.json")) == 3
         assert flags[0] in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_budget_is_unknown_flag(self, tmp_path, capsys):
+        # the exact/sample threshold is fixed; no flag restates it
+        with pytest.raises(SystemExit) as exc:
+            run("incidence", "--ds", str(tmp_path / "missing.json"), "--s", "2",
+                "--budget", "5", "--out", str(tmp_path / "r.json"))
+        assert exc.value.code == 3
+        assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
     def test_tampered_ds_is_validation_error(self, tmp_path):
@@ -558,8 +583,8 @@ _RESOLVED = {
     ("replay", None): ({"ds": "ds.json", "report": "overlap.json"}, None),
     ("selftest", None): ({}, None),
 }
-_SCAN = {"variant": "ktilde", "window_half": None, "budget": 2_000_000, "r_sweeps": 1,
-         "seed": 0, "out": "overlap.json"}
+_SCAN = {"variant": "ktilde", "window_half": None, "r_sweeps": 1, "seed": 0,
+         "out": "overlap.json"}
 for _profile, _s in ((None, 2), ("desk-small", 1), ("desk-full", 2)):
     # the presets' seed is the construction's; incidence's seeds its r sweeps
     _RESOLVED[("incidence", _profile)] = ({"s": _s, **_SCAN}, None)

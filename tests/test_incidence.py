@@ -21,6 +21,12 @@ def axis_families():
     return f1, f2
 
 
+def _floor_point(fam, window):
+    """The family's floor point as Fractions (None when the walk finds none)."""
+    pt = I._interior_point(fam, window)
+    return pt and (F(pt[0], pt[2]), F(pt[1], pt[2]))
+
+
 class TestTubeFamily:
     def test_dyadic_denominator_enforced(self):
         with pytest.raises(ValueError):
@@ -150,7 +156,7 @@ class TestScan:
         assert rep.method == "exact-candidates"
 
     def test_parallel_baseline(self):
-        base = I.parallel_baseline((F(1), F(0)), 5, s=1, C1=8)
+        base = [I.TubeFamily(v=(F(1), F(0)), r=2, s=1, C1=8)] * 5
         rep = I.max_overlap_scan(base, I.default_window("k"))
         assert rep.max_overlap == 5
 
@@ -193,9 +199,10 @@ class TestScan:
         assert all(a >= b for a, b in zip(results, results[1:]))
         assert results[0] == 3  # fat tubes do produce a triple point
 
-    def test_grid_sample_fallback(self):
+    def test_grid_sample_fallback(self, monkeypatch):
         f1, f2 = axis_families()
-        rep = I.max_overlap_scan([f1, f2], I.default_window("k"), budget=1)
+        monkeypatch.setattr(I, "_EXACT_BUDGET", 1)
+        rep = I.max_overlap_scan([f1, f2], I.default_window("k"))
         assert rep.method == "grid-sample"
         assert rep.max_overlap >= 1
 
@@ -203,20 +210,17 @@ class TestScan:
         fams = I.families_from_direction_set(toy_ds, s=2)
         win = I.default_window("ktilde")
         rep = I.max_overlap_scan(fams, win)
-        base = I.parallel_baseline(
-            (toy_ds.vectors[0].v.x, toy_ds.vectors[0].v.y),
-            len(toy_ds.vectors), s=2, C1=fams[0].C1,
-        )
-        repb = I.max_overlap_scan(base, win)
+        repb = I.max_overlap_scan(fams[:1] * len(fams), win)
         assert repb.max_overlap == len(toy_ds.vectors)
         assert 1 <= rep.max_overlap < repb.max_overlap
 
-    def test_k_variant_families(self, toy_ds):
+    def test_k_variant_families(self, toy_ds, monkeypatch):
         fams = I.families_from_direction_set(toy_ds, s=1, variant="k")
         # integer vectors are enormous: restrict to a tiny window around a
         # known tube plane and check the scan stays exact and bounded
         win = I.ScanWindow(F(1, 7), F(1, 7) + F(1, 10**6), F(1, 11), F(1, 11) + F(1, 10**6))
-        rep = I.max_overlap_scan(fams, win, budget=200_000)
+        monkeypatch.setattr(I, "_EXACT_BUDGET", 200_000)
+        rep = I.max_overlap_scan(fams, win)
         assert rep.max_overlap <= len(fams)
 
 
@@ -438,7 +442,7 @@ def _samples(window):
 def _recount_scan(fams, window):
     """The grid-sample scan recounted point by point through tube_membership."""
     best, witness = 0, None
-    floor = [pt for pt in (I._interior_point(f, window) for f in fams) if pt is not None]
+    floor = [pt for pt in (_floor_point(f, window) for f in fams) if pt is not None]
     for pt in _samples(window) + floor:
         c = sum(I.tube_membership(pt, f) for f in fams)
         if c > best:
@@ -461,7 +465,7 @@ def _recount_exact(fams, window):
             px, py, d = I._pair_candidates(fams[i], fams[j], ranges[i], ranges[j], window,
                                            offsets=True)
             pts += [(x, y, d) for x, y in zip(px, py)]
-    pts += [I._int_point(*pt) for pt in (I._interior_point(f, window) for f in fams) if pt]
+    pts += [pt for pt in (I._interior_point(f, window) for f in fams) if pt]
     best, witness = 0, None
     for px, py, d in pts:
         c = sum(f.member(px, py, d) for f in fams)
@@ -599,9 +603,8 @@ class TestInt64Counts:
            win=st.sampled_from(EXACT_WINDOWS))
     def test_exact_scan_plans_once_per_batch(self, fams, win):
         """_plan runs at most once per non-parallel pair with in-window
-        candidates and once for the floor batch, and never inside a floor
-        walk: a walk tests its trials through member(), and no floor point
-        is planned alone."""
+        candidates, and never for the floor: a walk tests its trials, and
+        the scan counts the floor points, through member()."""
         plans, inside = [], []
         real_plan, real_interior = I._plan, I._interior_point
 
@@ -621,16 +624,16 @@ class TestInt64Counts:
                    if fams[i].ax * fams[j].ay != fams[i].ay * fams[j].ax
                    and len(I._pair_candidates(fams[i], fams[j], ranges[i], ranges[j], win,
                                               offsets=True)[0]))
-        assert plans.count(False) <= busy + 1
+        assert plans.count(False) <= busy
         assert plans.count(True) == 0
 
     @pytest.mark.parametrize("v", [(F(1), F(0)), (F(3), F(-5, 2))])
     def test_floor_witness_is_first_interior_point(self, v):
-        # parallel copies have no pair candidates, so the floor batch decides
-        fams = I.parallel_baseline(v, 4, s=2, C1=8)
+        # parallel copies have no pair candidates, so the floor decides
+        fams = [I.TubeFamily(v=v, r=4, s=2, C1=8)] * 4
         win = I.default_window("ktilde")
         rep = I.max_overlap_scan(fams, win)
-        assert rep.witness == I._interior_point(fams[0], win)
+        assert rep.witness == _floor_point(fams[0], win)
         assert rep.max_overlap == rep.family_count == 4
         assert rep.candidates_checked == 4
 
@@ -646,7 +649,7 @@ class TestInt64Counts:
                 for k, r in zip(ks, rs)]
         x0, y0 = corner
         win = I.ScanWindow(x0, x0 + F(1, 3), y0, y0 + F(1, 4))
-        floor = [I._interior_point(f, win) for f in fams]
+        floor = [_floor_point(f, win) for f in fams]
         counts = [sum(I.tube_membership(pt, f) for f in fams) for pt in floor]
         first = counts.index(max(counts))
         assert first > 0 and any(c == counts[first] and pt != floor[first]
@@ -662,7 +665,8 @@ class TestInt64Counts:
         real = I._plan
         with mock.patch.object(I, "_plan", lambda *a: plans.append(real(*a)) or plans[-1]):
             # budget -1: a list without a non-parallel pair has 0 candidates
-            rep = I.max_overlap_scan(fams, win, budget=-1)
+            with mock.patch.object(I, "_EXACT_BUDGET", -1):
+                rep = I.max_overlap_scan(fams, win)
         assert rep.method == "grid-sample"
         if fallback is not None:
             assert (plans[0][1] is object) == fallback
@@ -692,10 +696,10 @@ def _counted_floor_scan(fams, window):
     every sample and every floor point counted through member()."""
     best, witness = _uncapped_grid_sample(fams, window)
     floor = [pt for pt in (I._interior_point(f, window) for f in fams) if pt is not None]
-    for pt in floor:
-        c = sum(f.member(*I._int_point(*pt)) for f in fams)
+    for px, py, d in floor:
+        c = sum(f.member(px, py, d) for f in fams)
         if c > best:
-            best, witness = c, pt
+            best, witness = c, (F(px, d), F(py, d))
     return best, witness, I._SAMPLES + len(floor)
 
 
@@ -711,8 +715,8 @@ def _thin_unit_torus_families(vs, r, C1):
 
 class TestFamilyCountCeiling:
     """The grid sample stops at the first chunk that reaches the family count,
-    and the floor batch is not counted once the maximum is the family count;
-    neither changes a report."""
+    and the floor points are not counted once the maximum is the family
+    count; neither changes a report."""
 
     @pytest.mark.parametrize("make,counted", [
         # the benchmark's k families: every sample lies on a plane of every
@@ -724,31 +728,50 @@ class TestFamilyCountCeiling:
         # thinner still: no sample is covered by both
         (lambda: _thin_unit_torus_families(((1, 0), (0, 1)), r=4, C1=9), 20_000),
     ])
-    def test_grid_sample_equals_uncapped(self, make, counted):
+    def test_grid_sample_equals_uncapped(self, make, counted, monkeypatch):
         fams = make()
         window = I.default_window("k")
         best, witness = _uncapped_grid_sample(fams, window)
         assert (best == len(fams)) == (counted < 20_000)
         assert I._grid_sample(fams, window) == (best, witness, counted)
-        rep = I.max_overlap_scan(fams, window, budget=-1)
+        monkeypatch.setattr(I, "_EXACT_BUDGET", -1)
+        rep = I.max_overlap_scan(fams, window)
         assert rep.method == "grid-sample"
         assert rep.samples_counted == counted
         assert (rep.max_overlap, rep.witness, rep.candidates_checked) == \
             _counted_floor_scan(fams, window)
 
+    @staticmethod
+    def _floor_counts(fams, window):
+        """The report, and the member() calls the scan makes outside the floor
+        walks: the floor's counts, since neither branch calls member()."""
+        counts, walking = [], []
+        real_member, real_interior = I.TubeFamily.member, I._interior_point
+
+        def member(self, *a):
+            if not walking:
+                counts.append(a)
+            return real_member(self, *a)
+
+        def interior(fam, win):
+            walking.append(fam)
+            try:
+                return real_interior(fam, win)
+            finally:
+                walking.pop()
+
+        with mock.patch.object(I.TubeFamily, "member", member), \
+                mock.patch.object(I, "_interior_point", interior):
+            return I.max_overlap_scan(fams, window), counts
+
     def test_ceiling_skips_floor_batch(self):
-        counted = []
-        real = I._count_points
-
-        def count_points(*a):
-            counted.append(a)
-            return real(*a)
-
         exact = (_axis_families()[:2], I.default_window("ktilde"))
         sample = (_seed0_n8_k_families(), I.default_window("k"))
-        with mock.patch.object(I, "_count_points", count_points):
-            reports = [I.max_overlap_scan(fams, window) for fams, window in (exact, sample)]
-        assert counted == []  # neither scan counted its floor points
+        reports = []
+        for fams, window in (exact, sample):
+            rep, counted = self._floor_counts(fams, window)
+            assert counted == []  # the scan did not count its floor points
+            reports.append(rep)
         rep = reports[0]
         assert (rep.method, rep.max_overlap, rep.samples_counted) == ("exact-candidates", 2, 0)
         assert _exact_facts(rep) == _recount_exact(*exact)
@@ -760,9 +783,8 @@ class TestFamilyCountCeiling:
     def test_floor_batch_counted_below_ceiling(self):
         # one family, no pair: the floor point alone reaches the maximum
         fams = _axis_families()[:1]
-        with mock.patch.object(I, "_count_points", wraps=I._count_points) as count_points:
-            rep = I.max_overlap_scan(fams, I.default_window("ktilde"))
-        assert count_points.call_count == 1
+        rep, counted = self._floor_counts(fams, I.default_window("ktilde"))
+        assert counted == [I._interior_point(fams[0], I.default_window("ktilde"))]
         assert (rep.max_overlap, rep.candidates_checked) == (1, 1)
 
 
@@ -797,7 +819,7 @@ def _fraction_interior_point(fam: I.TubeFamily, window: I.ScanWindow):
 
 def _counted_interior_point(fam: I.TubeFamily, win: I.ScanWindow):
     """The integer floor walk with its in-window trials counted in one
-    _count_points batch, the first covered trial kept."""
+    counter batch, the first covered trial kept."""
     ax, ay, den, r = fam.ax, fam.ay, fam.den, fam.r
     x0, x1, y0, y1, W = win.x0, win.x1, win.y0, win.y1, win.W
     S, T, n1 = ax * ax + ay * ay, ax * (x0 + x1) + ay * (y0 + y1), abs(ax) + abs(ay)
@@ -813,10 +835,11 @@ def _counted_interior_point(fam: I.TubeFamily, win: I.ScanWindow):
             if win.mask(px, py, d):
                 trials.append((px, py))
     if trials:
-        hits = I._count_points([fam], *zip(*trials), d, win)
+        plan = I._plan([fam], d, win.reach(d))
+        hits = I._counts(plan, *(np.asarray(c, dtype=plan[1]) for c in zip(*trials)))
         for (px, py), hit in zip(trials, hits):
             if hit:
-                return F(px, d), F(py, d)
+                return px, py, d
     return None
 
 
@@ -850,7 +873,7 @@ class TestFloorWalkOracle:
                            C1=fam.C1, exclusion_radius=fam.exclusion_radius,
                            torus_side=fam.torus_side)
         assert I._plane_range(fam, window) == _fraction_plane_range(fam, window)
-        assert I._interior_point(fam, window) == _fraction_interior_point(fam, window)
+        assert _floor_point(fam, window) == _fraction_interior_point(fam, window)
 
     @settings(max_examples=300, deadline=None)
     @given(fam=_tube_families(), window=_windows(), shrink=st.sampled_from((1, 12, 40)))
@@ -872,7 +895,7 @@ class TestFloorWalkOracle:
     ])
     def test_explicit_walks(self, ex, window, want):
         fam = I.TubeFamily(v=(F(1), F(0)), r=2, s=1, C1=8, exclusion_radius=ex)
-        assert I._interior_point(fam, window) == want
+        assert _floor_point(fam, window) == want
         assert _fraction_interior_point(fam, window) == want
 
     def test_long_direction_still_finds_floor(self):
@@ -912,7 +935,7 @@ class TestPinnedWitnesses:
         assert self._report(fams, I.default_window(variant)) == want
 
     def test_parallel_baseline_off_centre(self):
-        fams = I.parallel_baseline((F(3), F(-5, 2)), 5, s=2, C1=8)
+        fams = [I.TubeFamily(v=(F(3), F(-5, 2)), r=4, s=2, C1=8)] * 5
         window = I.ScanWindow(F(1, 7), F(2, 7), F(-1, 3), F(-1, 5))
         assert self._report(fams, window) == (
             5, "exact-candidates", 5, (F(173, 854), F(-1097, 4270)))
@@ -1011,6 +1034,16 @@ class TestReportFiles:
         I.save_overlap_report(rep, path)
         again = I.load_overlap_report(path)
         assert again == rep
+
+    def test_v2_report_refused(self, tmp_path):
+        # v2 parallel baselines had no torus and no ball; v3 ones are copies
+        # of the variant's first family, so a v2 file is refused, not replayed
+        f1, f2 = axis_families()
+        path = tmp_path / "r.json"
+        I.save_overlap_report(I.max_overlap_scan([f1, f2], I.default_window("k")), path)
+        path.write_text(path.read_text().replace("overlap_report.v3", "overlap_report.v2"))
+        with pytest.raises(ParseError, match=r"not a primedir\.overlap_report\.v3 report"):
+            I.load_overlap_report(path)
 
     def test_bad_schema(self, tmp_path):
         path = tmp_path / "r.json"
