@@ -254,6 +254,12 @@ def _dyadic_exponent(T: Fraction) -> int:
     return e if holds else e + 1
 
 
+def _scaled(P: int, R: int, e: int) -> tuple[int, int]:
+    """(num, den) with num / den = 2^e P / R, both integers: the factor Q S
+    of v = (m, n) Q S."""
+    return (P << e, R) if e >= 0 else (P, R << -e)
+
+
 def construct_directions(spec: DirectionSpec) -> DirectionSet:
     """Run the full construction and validate every invariant exactly.
 
@@ -280,10 +286,10 @@ def construct_directions(spec: DirectionSpec) -> DirectionSet:
 
     records = []
     for (m, n), subset in zip(pairs, subsets):
-        S = Fraction(math.prod(window[idx] for idx in subset), R)
-        e = _dyadic_exponent(S * S * (m * m + n * n))
-        Q = Fraction(2) ** e
-        v = RationalVector(x=m * Q * S, y=n * Q * S)
+        P = math.prod(window[idx] for idx in subset)
+        e = _dyadic_exponent(Fraction(P * P * (m * m + n * n), R * R))
+        num, den = _scaled(P, R, e)
+        v = RationalVector(x=Fraction(m * num, den), y=Fraction(n * num, den))
         records.append(
             VectorRecord(m=m, n=n, q_exponent=e, prime_subset=tuple(subset), v=v)
         )
@@ -307,6 +313,7 @@ def validate_direction_set(ds: DirectionSet) -> None:
     recomputes each vector from its metadata, so metadata tampering is caught.
     """
     N = ds.spec.N
+    N2 = N * N
     if len(ds.vectors) != N:
         raise ConstructionError(f"family holds {len(ds.vectors)} vectors, spec says {N}")
     seen_subsets = set()
@@ -335,21 +342,24 @@ def validate_direction_set(ds: DirectionSet) -> None:
                 f"distinct-collections bullet violated: vector {i} repeats {key}"
             )
         seen_subsets.add(key)
+        # 2^-(100 kappa) / N^2 <= Q = 2^e <= 2^(100 kappa) / N^2, on bit lengths:
+        # N^2 >= 2^-t iff bits(N^2) - 1 >= -t, and N^2 <= 2^u iff bits(N^2 - 1) <= u
         e = rec.q_exponent
-        Q = Fraction(2) ** e
-        q_lo = Fraction(1, (2 ** (100 * ds.kappa)) * N**2)
-        q_hi = Fraction(2 ** (100 * ds.kappa), N**2)
-        if not q_lo <= Q <= q_hi:
+        if not (isinstance(e, int) and N2.bit_length() - 1 + e + 100 * ds.kappa >= 0
+                and (N2 - 1).bit_length() <= 100 * ds.kappa - e):
             raise ConstructionError(
                 f"dyadic normalizer bullet violated at vector {i}: Q = 2^{e}"
             )
-        S = Fraction(ds.prime_product(i), ds.scale_denominator)
-        if rec.v.x != m * Q * S or rec.v.y != n * Q * S:
+        # v = (m, n) num / den, cross-multiplied
+        num, den = _scaled(ds.prime_product(i), ds.scale_denominator, e)
+        (xn, xd), (yn, yd) = ((t.numerator, t.denominator) for t in (rec.v.x, rec.v.y))
+        if xn * den != m * num * xd or yn * den != n * num * yd:
             raise ConstructionError(f"vector {i} disagrees with its construction metadata")
-        norm2 = rec.v.norm2()
-        if not (Fraction(1, 100) <= norm2 <= Fraction(100)):
+        # |v|^2 = (xn^2 yd^2 + yn^2 xd^2) / (xd yd)^2 in [1/100, 100]
+        top, bottom = (xn * yd) ** 2 + (yn * xd) ** 2, (xd * yd) ** 2
+        if not (100 * top >= bottom and top <= 100 * bottom):
             raise ConstructionError(
-                f"magnitude bullet violated at vector {i}: |v|^2 = {float(norm2):.3g}"
+                f"magnitude bullet violated at vector {i}: |v|^2 = {top / bottom:.3g}"
             )
     for i in range(N):
         for j in range(i + 1, N):
@@ -366,11 +376,13 @@ def _validate_rescaling(ds: DirectionSet) -> None:
     A, At = ds.A, ds.A_tilde
     if A is None or At is None or ds.integer_vectors is None:
         raise ConstructionError("incomplete rescaling metadata")
-    if not (Fraction(A, 10) <= At <= 10 * A):
+    if not (A <= 10 * At <= 100 * A):
         raise ConstructionError(f"A_tilde = {At} outside [A/10, 10A]")
     for i, (ix, iy) in enumerate(ds.integer_vectors):
-        vx, vy = ds.vectors[i].v.x * At, ds.vectors[i].v.y * At
-        if vx.denominator != 1 or vy.denominator != 1 or (int(vx), int(vy)) != (ix, iy):
+        # x At = ix for x = xn / xd iff xn At = ix xd, an integer or not
+        v = ds.vectors[i].v
+        (xn, xd), (yn, yd) = ((t.numerator, t.denominator) for t in (v.x, v.y))
+        if xn * At != ix * xd or yn * At != iy * yd:
             raise ConstructionError(f"integer vector {i} is not exactly A_tilde * v_{i}")
         r2 = ix * ix + iy * iy
         if not (10_000 * r2 >= A * A and r2 <= 10_000 * A * A):
@@ -409,7 +421,8 @@ def rescale_to_integers(ds: DirectionSet, A: int | None = None) -> DirectionSet:
         )
     # A_tilde is a multiple of the base multiple, so every product is integral;
     # _validate_rescaling checks that exactly
-    ints = tuple((int(rec.v.x * At), int(rec.v.y * At)) for rec in ds.vectors)
+    ints = tuple((rec.v.x.numerator * At // rec.v.x.denominator,
+                  rec.v.y.numerator * At // rec.v.y.denominator) for rec in ds.vectors)
     out = replace(ds, A=A, A_tilde=At, integer_vectors=ints)
     _validate_rescaling(out)
     return out

@@ -24,7 +24,10 @@ A scan takes one geometry, as the paper does: every family shares the level
 s, the thickness constant C1, the torus side and the exclusion radius, and
 only the direction and the denominator r vary.  The scan counts each pair's
 lattice candidates on their plane indices, in integers of a few machine
-words, whenever the certificates in ``max_overlap_scan``'s docstring hold.
+words, whenever the certificates in ``max_overlap_scan``'s docstring hold:
+one bound per scan settles the slab certificate of most pairs, and a cell
+center that no other pair shares lies on no third family's plane, so it
+counts 2 without a pass over the families.
 It counts every other batch of points over one denominator with a single
 numpy counter: one fold, one exclusion row and one (families x points)
 broadcast, in int64 when the bounds keep every intermediate value below 2^63
@@ -40,6 +43,7 @@ import functools
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -340,31 +344,83 @@ def candidate_intersections(
     return [(Fraction(x, d), Fraction(y, d)) for x, y in zip(px, py)]
 
 
-def _solve_between(lo: int, hi: int, k: int, first: int, last: int) -> tuple[int, int]:
-    """(first', last'): the integers b in first..last with lo <= k b <= hi
-    (none when first' > last')."""
-    if k < 0:
-        lo, hi, k = -hi, -lo, -k
-    if k:
-        return max(first, -(-lo // k)), min(last, hi // k)
-    return (first, last) if lo <= 0 <= hi else (1, 0)
+def _axis_rows(xa: int, xb: int, lo: int, hi: int, a_range: tuple[int, int], b_first: int,
+               b_last: int):
+    """One axis of the in-window test lo <= xa a + xb b <= hi as (p, q, L, H, a_range):
+    row a keeps the b with ceil((L - p a) / q) <= b <= floor((H - p a) / q),
+    q > 0.  When xb is 0 the axis bounds a alone, so a_range shrinks and the
+    returned axis keeps every b in b_first..b_last."""
+    if xb:
+        return (xa, xb, lo, hi, a_range) if xb > 0 else (-xa, -xb, -hi, -lo, a_range)
+    if xa < 0:  # xa != 0 when xb == 0, since the pair is not parallel
+        xa, lo, hi = -xa, -hi, -lo
+    a_lo, a_hi = a_range
+    return 0, 1, b_first, b_last, (max(a_lo, -(-lo // xa)), min(a_hi, hi // xa))
 
 
-def _index_pair(families: list[TubeFamily], i: int, j: int, range_i: tuple[int, int],
-                range_j: tuple[int, int], win: ScanWindow):
+def _pair_centers(fi: TubeFamily, fj: TubeFamily, delta: int, range_i: tuple[int, int],
+                  range_j: tuple[int, int], win: ScanWindow):
+    """The pair's in-window cell centers, a outermost, as tuples (a, b, cx, cy,
+    key): center (a, b) is (cx, cy) / G with G = |delta| r_i r_j and delta =
+    ax_i ay_j - ay_i ax_j, and key is the point's reduced triple (cx/g, cy/g,
+    G/g), one key per point (None for the origin, a = b = 0).  Each row a's
+    in-window b interval is solved directly, so no cell outside the window is
+    visited; no certificate is needed."""
+    sgn, G = (1, delta) if delta > 0 else (-1, -delta)
+    G *= fi.r * fj.r
+    xa, xb = sgn * fi.den * fj.ay * fj.r, -sgn * fj.den * fi.ay * fi.r
+    ya, yb = -sgn * fi.den * fj.ax * fj.r, sgn * fj.den * fi.ax * fi.r
+    W, b_first, b_last = win.W, *range_j
+    # the b whose center lies in the closed window: G x0 <= W cx <= G x1, same in y
+    px, qx, Lx, Hx, a_range = _axis_rows(W * xa, W * xb, G * win.x0, G * win.x1, range_i,
+                                         b_first, b_last)
+    py, qy, Ly, Hy, (a_lo, a_hi) = _axis_rows(W * ya, W * yb, G * win.y0, G * win.y1, a_range,
+                                              b_first, b_last)
+    gcd = math.gcd
+    cells = []
+    for a in range(a_lo, a_hi + 1):
+        ux, uy = px * a, py * a
+        b_lo = max(b_first, -((ux - Lx) // qx), -((uy - Ly) // qy))
+        b_hi = min(b_last, (Hx - ux) // qx, (Hy - uy) // qy)
+        ex, ey = xa * a, ya * a
+        for b in range(b_lo, b_hi + 1):
+            cx, cy = ex + xb * b, ey + yb * b
+            g = gcd(cx, cy, G)
+            cells.append((a, b, cx, cy, (cx // g, cy // g, G // g) if a or b else None))
+    return cells
+
+
+def _slab_per_family(families: list[TubeFamily], i: int, j: int, cross, dabs: int) -> bool:
+    """The slab certificate of pair (i, j), family by family: 2^c > r_i r_j r_l
+    (|den_i P_l| + |den_j Q_l| + den_l |Delta|) for every family l."""
+    fi, fj, c = families[i], families[j], families[i].shift
+    rr = fi.r * fj.r
+    return all((rr * f.r * (abs(fi.den * cross[l][j]) + abs(fj.den * cross[i][l])
+                            + f.den * dabs)).bit_length() <= c
+               for l, f in enumerate(families))
+
+
+def _index_pair(families: list[TubeFamily], i: int, j: int, cells, win: ScanWindow,
+                cross, bound, seen):
     """Counts the pair's candidates on their plane indices (a, b) and offsets
     o, without building their coordinates; the identities and certificates
     are the third fact of ``max_overlap_scan``'s docstring, whose caller
     has checked that the torus fold moves no window point.
 
-    Returns (checked, count, point): the number of the pair's in-window
-    candidates, the largest family count among them and the first candidate
-    to reach it, as a triple (px, py, d) (None when no count is positive);
-    None when a certificate fails.
+    ``cells`` are the pair's in-window centers (``_pair_centers``),
+    ``cross[l][m] = ax_l ay_m - ay_l ax_m``, ``bound`` is the scan's
+    (r_max, den_max, colmax) with colmax[m] = max_l |cross[l][m]|, and
+    ``seen`` counts, per center key, the pairs whose centers hold that point.
+
+    Returns (checked, count, point, shared): the number of the pair's
+    in-window candidates, the largest family count among them, the first
+    candidate to reach it as a triple (px, py, d) (None when no count is
+    positive), and the number of centers counted family by family; None
+    when a certificate fails.
     """
     fi, fj = families[i], families[j]
     c, ex_n, ex_d = fi.shift, fi.ex_n, fi.ex_d  # shared by every family
-    delta = fi.ax * fj.ay - fi.ay * fj.ax
+    delta = cross[i][j]
     sgn, dabs = (1, delta) if delta > 0 else (-1, -delta)
     rr = fi.r * fj.r
     G = dabs * rr  # the cell centers' denominator
@@ -372,53 +428,54 @@ def _index_pair(families: list[TubeFamily], i: int, j: int, range_i: tuple[int, 
     Ky = abs(fj.ax * fi.den) + abs(fi.ax * fj.den)
     if (rr * win.W * max(Kx, Ky)).bit_length() > c:  # window: 2^c > r_i r_j W max(Kx, Ky)
         return None
-    # center (a, b) is (xa a + xb b, ya a + yb b) / G, and offset o moves it
-    # by (dx, dy) / (|delta| 2^c), less than 1 / (W G) in each coordinate
-    xa, xb = sgn * fi.den * fj.ay * fj.r, -sgn * fj.den * fi.ay * fi.r
-    ya, yb = -sgn * fi.den * fj.ax * fj.r, sgn * fj.den * fi.ax * fi.r
-    moves = [(sgn * (fi.den * fj.ay * o1 - fj.den * fi.ay * o2),
-              sgn * (fj.den * fi.ax * o2 - fi.den * fj.ax * o1)) for o1, o2 in _OFFSETS]
-    W, x0, x1, y0, y1 = win.W, win.x0, win.x1, win.y0, win.y1
-    cells = []  # (a, b, cx, cy): the cells whose center is in the window
-    checked = 0
-    for a in range(range_i[0], range_i[1] + 1):
-        # the b whose center lies in the closed window: G x0 <= W cx <= G x1, same in y
-        ux, uy = W * xa * a, W * ya * a
-        b_lo, b_hi = _solve_between(G * x0 - ux, G * x1 - ux, W * xb, *range_j)
-        b_lo, b_hi = _solve_between(G * y0 - uy, G * y1 - uy, W * yb, b_lo, b_hi)
-        for b in range(b_lo, b_hi + 1):
-            cx, cy = xa * a + xb * b, ya * a + yb * b
-            cells.append((a, b, cx, cy))
-            # the center's edge margins decide every point of the cell; on an
-            # edge (0), a point stays when its move points inward or along it
-            edges = (W * cx - G * x0, G * x1 - W * cx, W * cy - G * y0, G * y1 - W * cy)
-            checked += len(_OFFSETS) if min(edges) > 0 else sum(
-                all(e > 0 or t >= 0 for e, t in zip(edges, (dx, -dx, dy, -dy)))
-                for dx, dy in moves)
     if not cells:
-        return 0, 0, None
+        return 0, 0, None, 0
     if ex_n:
         if (ex_d - ex_n * G) << c <= ex_d * (Kx + Ky) * rr:  # a nonzero center clears the ball
             return None
-        if any(a == b == 0 for a, b, _, _ in cells) and (ex_n * dabs) << c <= (Kx + Ky) * ex_d:
+        if (any(key is None for *_, key in cells)
+                and (ex_n * dabs) << c <= (Kx + Ky) * ex_d):
             return None  # the origin cell need not lie in the ball
-    counts = [0] * len(cells)
-    for f in families:
-        p = fi.den * (f.ax * fj.ay - f.ay * fj.ax)
-        q = fj.den * (fi.ax * f.ay - fi.ay * f.ax)
-        lim = f.den * dabs
-        if (rr * f.r * (abs(p) + abs(q) + lim)).bit_length() > c:  # slab
-            return None
-        # f covers the center (a, b) iff N = f.r (rj p a + ri q b) = 0 mod M
-        # and, in the origin cell, there is no exclusion ball
-        A, B, M = f.r * fj.r * p, f.r * fi.r * q, lim * rr
-        for k, (a, b, _, _) in enumerate(cells):
-            if (A * a + B * b) % M == 0 and not (ex_n and a == b == 0):
-                counts[k] += 1
-    k = max(range(len(cells)), key=counts.__getitem__)  # the first center to reach the maximum
-    if not counts[k]:  # the only cell is the origin's, inside the exclusion ball
-        return checked, 0, None
-    return checked, counts[k], (cells[k][2], cells[k][3], G)
+    # slab: the scan's bound first, then family by family only where it fails
+    r_max, den_max, colmax = bound
+    if ((rr * r_max * (fi.den * colmax[j] + fj.den * colmax[i] + den_max * dabs)).bit_length() > c
+            and not _slab_per_family(families, i, j, cross, dabs)):
+        return None
+    W = win.W
+    gx0, gx1, gy0, gy1 = G * win.x0, G * win.x1, G * win.y0, G * win.y1
+    moves = rows = point = None  # moves and rows: built when first needed
+    checked = shared = best = 0
+    for a, b, cx, cy, key in cells:
+        # the center's edge margins decide every point of the cell; on an
+        # edge (0), a point stays when its move points inward or along it;
+        # offset o moves a center by (dx, dy) / (|delta| 2^c), less than
+        # 1 / (W G) in each coordinate
+        wx, wy = W * cx, W * cy
+        if gx0 < wx < gx1 and gy0 < wy < gy1:
+            checked += len(_OFFSETS)
+        else:
+            if moves is None:
+                moves = [(sgn * (fi.den * fj.ay * o1 - fj.den * fi.ay * o2),
+                          sgn * (fj.den * fi.ax * o2 - fi.den * fj.ax * o1))
+                         for o1, o2 in _OFFSETS]
+            edges = (wx - gx0, gx1 - wx, wy - gy0, gy1 - wy)
+            checked += sum(all(e > 0 or t >= 0 for e, t in zip(edges, (dx, -dx, dy, -dy)))
+                           for dx, dy in moves)
+        if key is None:  # the origin: in every family, or inside the ball
+            count = 0 if ex_n else len(families)
+        elif seen[key] == 1:  # on no third family's central plane
+            count = 2
+        else:
+            # f covers the center (a, b) iff N = f.r (rj p a + ri q b) = 0 mod M
+            if rows is None:
+                rows = [(f.r * fj.r * fi.den * cross[l][j], f.r * fi.r * fj.den * cross[i][l],
+                         f.den * dabs * rr) for l, f in enumerate(families)]
+            count = sum((A * a + B * b) % M == 0 for A, B, M in rows)
+            shared += 1
+        if count > best:  # the first center to reach the maximum
+            best, point = count, (cx, cy, G)
+    # best stays 0 only when the one cell is the origin's, inside the exclusion ball
+    return checked, best, point, shared
 
 
 # -- the scan ------------------------------------------------------------------------
@@ -441,11 +498,13 @@ class OverlapReport:
     candidates_checked: int = 0
     r_values: tuple[int, ...] | None = None  # per-family denominators, for replay
     baseline: str | None = None  # "parallel" for a parallel-baseline scan, for replay
-    # pairs counted on their coordinates, not their plane indices, and grid
-    # samples actually counted (0 on the exact branch); records of the run,
-    # not of the result: report files and equality leave them out
+    # pairs counted on their coordinates, not their plane indices, grid
+    # samples actually counted (0 on the exact branch), and in-window centers
+    # that another pair shares, counted family by family; records of the
+    # run, not of the result: report files and equality leave them out
     fallback_pairs: int = field(default=0, compare=False)
     samples_counted: int = field(default=0, compare=False)
+    shared_centers: int = field(default=0, compare=False)
 
 
 def _interior_point(fam: TubeFamily, win: ScanWindow) -> tuple[int, int, int] | None:
@@ -585,10 +644,30 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
       cell's center, which is in the window whenever a corner is and comes
       first in the cell: each pair's maximum and witness are those of its
       in-window centers, and the corners only add to ``candidates_checked``.
+      Per scan: one cross table X[l][m] = ax_l ay_m - ay_l ax_m gives every
+      Delta, P_l = X[l][j] and Q_l = -X[l][i], so with colmax[m] =
+      max_l |X[l][m]| the bound 2^c > r_i r_j r_max (den_i colmax[j] +
+      den_j colmax[i] + den_max |Delta|) implies the slab certificate for
+      every l; the family-by-family test runs only for a pair where it
+      fails.  Coincidences: at a center the offset is 0, so under the slab
+      certificate family l covers it iff it lies on a central plane of l
+      (N_l = 0 mod M_l).  Families i and j always do; a center other than
+      the origin lies in the ball of no family, and the origin in all of
+      them or, under the exclusion certificate, in none.  A third family l
+      is not parallel to both i and j, say not to i, so a center beta of
+      (i, j) on a central plane of l is the crossing of that plane with
+      i's: an in-window center of the pair {i, l} (its plane indices lie in
+      both ranges, since beta is in the window).  So a first pass lists
+      every non-parallel pair's in-window centers, keyed by the reduced
+      triple (cx/g, cy/g, G/g), G = |Delta| r_i r_j, and counts per key the
+      pairs that hold it; a center no other pair holds counts 2, the origin
+      counts the family count or 0, and only a shared center is counted
+      family by family (the report's ``shared_centers``).
       ``_index_pair`` applies this in integers of a few machine words.  A
       pair whose certificates fail is counted on its coordinates, by
       ``_pair_candidates`` and the counter below, and the report's
-      ``fallback_pairs`` says how many were.
+      ``fallback_pairs`` says how many were; its centers are still listed
+      in the first pass, since another pair's count relies on them.
 
     So one counter serves every batch of points that share a denominator: a
     fallback pair's in-window lattice candidates (filtered against the window
@@ -629,17 +708,29 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
 
     best = 0
     witness: tuple[Fraction, Fraction] | None = None
-    checked = fallback = counted = 0
+    checked = fallback = counted = shared = 0
     if est <= _EXACT_BUDGET:
         method = "exact-candidates"
         # the fold certificate: the torus side holds the window in [-side/2, side/2)
         unfolded = side is None or all(-side * window.W <= 2 * e < side * window.W
                                        for e in (window.x0, window.x1, window.y0, window.y1))
+        if unfolded:
+            # first pass: every pair's in-window centers, and per point the
+            # number of pairs that hold it (the origin, a center of every
+            # pair, is counted apart)
+            cross = [[fl.ax * fm.ay - fl.ay * fm.ax for fm in families] for fl in families]
+            cells = {(i, j): _pair_centers(families[i], families[j], cross[i][j], ranges[i],
+                                           ranges[j], window) for i, j in pairs}
+            seen = Counter(key for cs in cells.values() for *_, key in cs if key)
+            bound = (max(f.r for f in families), max(f.den for f in families),
+                     [max(abs(row[m]) for row in cross) for m in range(n)])
         for i, j in pairs:
-            got = _index_pair(families, i, j, ranges[i], ranges[j], window) if unfolded else None
+            got = (_index_pair(families, i, j, cells[i, j], window, cross, bound, seen)
+                   if unfolded else None)
             if got is not None:
-                inside, count, point = got
+                inside, count, point, on_planes = got
                 checked += inside
+                shared += on_planes
                 if count > best:
                     px, py, d = point
                     best, witness = count, (Fraction(px, d), Fraction(py, d))
@@ -676,7 +767,7 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
         family_count=len(families), method=method, variant=variant,
         window=window, candidates_checked=checked,
         r_values=tuple(f.r for f in families), fallback_pairs=fallback,
-        samples_counted=counted,
+        samples_counted=counted, shared_centers=shared,
     )
 
 

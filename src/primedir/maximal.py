@@ -157,22 +157,28 @@ class OperatorConfig:
         return range(self.k_min, self.k_max + 1)
 
 
+def _block_rows(L: int, dtype) -> int:
+    """Rows per block of the spatial kernel: _BLOCK_BYTES of one array."""
+    return max(1, _BLOCK_BYTES // (L * np.dtype(dtype).itemsize))
+
+
 def _roll_sum(tiled: np.ndarray, folded: np.ndarray, v: tuple[int, int],
-              term: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Spatial kernel: out = sum over residues r of folded[r] times f shifted by r v.
+              term: np.ndarray, out: np.ndarray, first: int = 0) -> np.ndarray:
+    """Spatial kernel: out = sum over residues r of folded[r] times f shifted by
+    r v, in rows first .. first + len(out) of the grid.
 
     tiled is f tiled 2 x 2, so np.roll(f, (a, b), axis=(0, 1)) is the L x L
     view of tiled that starts at (-a mod L, -b mod L).  term and out are
-    L x L arrays of f's dtype, owned by the caller.  Each residue, in
-    increasing order, is multiplied into term and added into out, so out is
-    the sum of np.roll copies bit for bit.  The sum runs over blocks of rows
-    of _BLOCK_BYTES each, so a block of term and out stays in cache across
-    the residues."""
-    L = out.shape[0]
+    arrays of out's shape and f's dtype, owned by the caller, with L
+    columns.  Each residue, in increasing order, is multiplied into term and
+    added into out, so out is the sum of np.roll copies bit for bit.  The sum
+    runs over blocks of rows of _BLOCK_BYTES each, so a block of term and out
+    stays in cache across the residues."""
+    L = out.shape[1]
     r = np.flatnonzero(folded)
-    sx, sy = (-r * (v[0] % L)) % L, (-r * (v[1] % L)) % L
-    rows = max(1, _BLOCK_BYTES // (L * out.itemsize))
-    for b in range(0, L, rows):
+    sx, sy = (first - r * (v[0] % L)) % L, (-r * (v[1] % L)) % L
+    rows = _block_rows(L, out.dtype)
+    for b in range(0, len(out), rows):
         o, t = out[b:b + rows], term[b:b + rows]
         o[...] = 0
         for x, y, w in zip(sx + b, sy, folded[r]):
@@ -315,20 +321,24 @@ def _pair_max(L: int, pairs: list, kernel, buffers: list) -> np.ndarray:
 def maximal_op(f: GridFunction, cfg: OperatorConfig, method: str = "spectral") -> GridFunction:
     """Pointwise sup of |A_{v,k} f| over the configured directions and scales.
 
-    Both routes share their (k, v) pairs among w workers, the calling thread
-    and w - 1 threads that start and end inside the call.  Each worker owns
-    its arrays: on the spectral route one complex product array of the
-    spectrum's size (L x (L//2 + 1) for real f, L x L for complex f), on the
-    spatial route two L x L arrays of f's dtype, which read f tiled 2 x 2
+    Both routes share their work among w workers, the calling thread and
+    w - 1 threads that start and end inside the call: the spectral route its
+    (k, v) pairs, the spatial route each pair's blocks of rows (_BLOCK_BYTES
+    of one array each), so that a call with few pairs, such as
+    transference_check's one direction, still keeps every worker busy.  Each
+    worker owns its arrays: on the spectral route one complex product array
+    of the spectrum's size (L x (L//2 + 1) for real f, L x L for complex f),
+    on the spatial route two L x L arrays of f's dtype, which read f tiled 2 x 2
     (built once per call, as the spectrum is, and shared read-only).  w is 1
     for fewer than 2^14 entries in such an array (spectral: real L < 181,
     complex L < 128; spatial: L < 128), else the number of CPUs in the
-    process's affinity mask, capped at 4 and at the number of pairs.  A
+    process's affinity mask, capped at 4 and at the number of work units.  A
     worker's exception is raised here once every worker has stopped.  The
-    modulus of each output block (64 rows on the spectral route, the whole
-    grid on the spatial one) is folded into the running maximum under a
-    lock; np.maximum is exact, so the output is bit-identical for any worker
-    count.
+    modulus of each output block (64 rows on the spectral route, one row
+    block on the spatial one) is folded into the running maximum under a
+    lock; np.maximum is exact, and every element sums its residues in the
+    same order however the rows are shared, so the output is bit-identical
+    for any worker count.
     """
     L = f.L
     if method == "spectral":
@@ -342,11 +352,13 @@ def maximal_op(f: GridFunction, cfg: OperatorConfig, method: str = "spectral") -
     elif method == "spatial":
         tiled = np.tile(f.values, (2, 2))
         folds = [fold_weights(k, L, cfg.table) for k in cfg.scales]
-        pairs = [(folded, v) for folded in folds for v in cfg.directions]
+        rows = _block_rows(L, f.values.dtype)
+        pairs = [(folded, v, slice(b, b + rows)) for folded in folds for v in cfg.directions
+                 for b in range(0, L, rows)]
         buffers = [((L, L), f.values.dtype)] * 2
 
-        def kernel(folded, v, term, acc):
-            return [(slice(None), _roll_sum(tiled, folded, v, term, acc))]
+        def kernel(folded, v, s, term, acc):
+            return [(s, _roll_sum(tiled, folded, v, term[s], acc[s], s.start))]
     else:
         raise ValueError("method must be 'spectral' or 'spatial'")
     return GridFunction(L, _pair_max(L, pairs, kernel, buffers))

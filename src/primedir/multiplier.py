@@ -160,6 +160,8 @@ def _last_convergent(alpha, s_max: int) -> tuple[Fraction, int, int]:
     if s_max > _ONE_TERM_MAX_LEVEL:
         raise ValueError(f"level {s_max} > {_ONE_TERM_MAX_LEVEL}, where the one-term proof stops")
     alpha = _torus_frac(Fraction(alpha))
+    if alpha.denominator < 1 << (s_max + 1):  # a rational's last convergent is itself
+        return alpha, alpha.numerator, alpha.denominator
     p, q = convergents(alpha, (1 << (s_max + 1)) - 1)[-1]
     return alpha, p, q
 

@@ -128,15 +128,17 @@ class TestIncidence:
         assert run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds)) == 0
         capsys.readouterr()
         assert run("incidence", "--ds", str(ds), "--s", "2", "--out", str(rep)) == 0
-        # every pair of the set is counted on its plane indices, and the exact
-        # branch counts no grid sample; both counts are facts of the run, not
-        # of the report file
-        assert "families=4 fallback_pairs=0 samples_counted=0\n" in capsys.readouterr().out
+        # every pair of the set is counted on its plane indices, the exact
+        # branch counts no grid sample, and no center lies on a third
+        # family's plane; the counts are facts of the run, not of the report
+        # file
+        assert ("families=4 fallback_pairs=0 samples_counted=0 shared_centers=0\n"
+                in capsys.readouterr().out)
         doc = json.loads(rep.read_text())
         assert doc["schema"] == "primedir.overlap_report.v3"
         assert doc["baseline"] is None
-        assert "fallback_pairs" not in doc
-        assert "samples_counted" not in doc
+        for key in ("fallback_pairs", "samples_counted", "shared_centers"):
+            assert key not in doc
         assert run("replay", "--ds", str(ds), "--report", str(rep)) == 0
 
     def test_sample_scan_counts_samples(self, tmp_path, capsys):
@@ -149,7 +151,7 @@ class TestIncidence:
         # the first 2048-sample chunk reaches the family count, so the rest of
         # the 20 000 samples, still reported as checked, are not counted
         assert ("max_overlap=4 method=grid-sample candidates=20004 families=4 "
-                "fallback_pairs=0 samples_counted=2048\n") in capsys.readouterr().out
+                "fallback_pairs=0 samples_counted=2048 shared_centers=0\n") in capsys.readouterr().out
         assert "samples_counted" not in json.loads(rep.read_text())
         assert run("replay", "--ds", str(ds), "--report", str(rep)) == 0
 

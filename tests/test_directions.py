@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import json
 import re
 from fractions import Fraction
@@ -85,6 +87,148 @@ class TestDyadicExponent:
     def test_nonpositive_rejected(self, T):
         with pytest.raises(ValueError):
             D._dyadic_exponent(T)
+
+
+def _reference_bullets(ds: D.DirectionSet) -> None:
+    """The normalizer, metadata and magnitude bullets of validate_direction_set,
+    then its rescaling check, in Fraction arithmetic, with the same messages."""
+    N = ds.spec.N
+    for i, rec in enumerate(ds.vectors):
+        e = rec.q_exponent
+        Q = Fraction(2) ** e
+        q_lo = Fraction(1, (2 ** (100 * ds.kappa)) * N**2)
+        q_hi = Fraction(2 ** (100 * ds.kappa), N**2)
+        if not q_lo <= Q <= q_hi:
+            raise ConstructionError(f"dyadic normalizer bullet violated at vector {i}: Q = 2^{e}")
+        S = Fraction(ds.prime_product(i), ds.scale_denominator)
+        if rec.v.x != rec.m * Q * S or rec.v.y != rec.n * Q * S:
+            raise ConstructionError(f"vector {i} disagrees with its construction metadata")
+        norm2 = rec.v.norm2()
+        if not (Fraction(1, 100) <= norm2 <= Fraction(100)):
+            raise ConstructionError(
+                f"magnitude bullet violated at vector {i}: |v|^2 = {float(norm2):.3g}")
+    A, At = ds.A, ds.A_tilde
+    if not (Fraction(A, 10) <= At <= 10 * A):
+        raise ConstructionError(f"A_tilde = {At} outside [A/10, 10A]")
+    for i, (ix, iy) in enumerate(ds.integer_vectors):
+        vx, vy = ds.vectors[i].v.x * At, ds.vectors[i].v.y * At
+        if vx.denominator != 1 or vy.denominator != 1 or (int(vx), int(vy)) != (ix, iy):
+            raise ConstructionError(f"integer vector {i} is not exactly A_tilde * v_{i}")
+        r2 = ix * ix + iy * iy
+        if not (10_000 * r2 >= A * A and r2 <= 10_000 * A * A):
+            raise ConstructionError(
+                f"integer-annulus condition violated at vector {i}: |Av|^2 = {r2}")
+
+
+def _outcome(check, ds) -> str | None:
+    """The ConstructionError message the check raises on ds, or None."""
+    try:
+        check(ds)
+    except ConstructionError as exc:
+        return str(exc)
+    return None
+
+
+_rescaled = functools.cache(
+    lambda n, seed: D.rescale_to_integers(D.construct_directions(D.DirectionSpec(N=n, eps=0.5,
+                                                                                  seed=seed))))
+
+
+@st.composite
+def _tampered_sets(draw):
+    """A rescaled set with one field tampered: a q_exponent (around +-100 kappa,
+    at the normalizer's edges, where N = 4 or 8 puts N^2 on a power of two,
+    or shifted with v rescaled to match it), one numerator of v, an integer
+    vector, or A at the ends of [A_tilde / 10, 10 A_tilde]."""
+    ds = _rescaled(draw(st.sampled_from((4, 5, 8))), draw(st.integers(0, 2)))
+    i = draw(st.integers(0, len(ds.vectors) - 1))
+    rec = ds.vectors[i]
+    k, bits = 100 * ds.kappa, (ds.spec.N ** 2).bit_length()
+    kind = draw(st.sampled_from(("q", "q-and-v", "numerator", "integer", "A")))
+    if kind in ("q", "q-and-v"):
+        lowest, highest = -(k + bits - 1), k - (ds.spec.N ** 2 - 1).bit_length()
+        e = draw(st.sampled_from((k, -k, lowest, highest, rec.q_exponent)))
+        e += draw(st.integers(-2, 2))
+        v = rec.v
+        if kind == "q-and-v":
+            S = Fraction(2) ** e * Fraction(ds.prime_product(i), ds.scale_denominator)
+            v = D.RationalVector(rec.m * S, rec.n * S)
+        rec = dataclasses.replace(rec, q_exponent=e, v=v)
+    elif kind == "numerator":
+        step = draw(st.sampled_from((-1, 1)))
+        x, y = rec.v.x, rec.v.y
+        if draw(st.booleans()):
+            x = Fraction(x.numerator + step, x.denominator)
+        else:
+            y = Fraction(y.numerator + step, y.denominator)
+        rec = dataclasses.replace(rec, v=D.RationalVector(x, y))
+    elif kind == "integer":
+        ix, iy = ds.integer_vectors[i]
+        d = draw(st.sampled_from(((1, 0), (0, -1), (-ix, -iy), (iy - ix, ix - iy))))
+        ints = list(ds.integer_vectors)
+        ints[i] = (ix + d[0], iy + d[1])
+        return dataclasses.replace(ds, integer_vectors=tuple(ints))
+    else:
+        At = ds.A_tilde
+        A = draw(st.sampled_from((10 * At, 10 * At + 1, -(-At // 10), -(-At // 10) - 1)))
+        return dataclasses.replace(ds, A=A)
+    return dataclasses.replace(ds, vectors=ds.vectors[:i] + (rec,) + ds.vectors[i + 1:])
+
+
+class TestIntegerValidation:
+    """The integer forms of the normalizer, metadata, magnitude and rescaling
+    checks against their Fraction forms."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ds=_tampered_sets())
+    def test_tampered_sets_raise_alike(self, ds):
+        assert _outcome(D.validate_direction_set, ds) == _outcome(_reference_bullets, ds)
+
+    @pytest.mark.parametrize("n", [4, 5, 8])
+    def test_valid_sets_pass_alike(self, n):
+        ds = _rescaled(n, 0)
+        assert _outcome(D.validate_direction_set, ds) is None
+        assert _outcome(_reference_bullets, ds) is None
+        At = ds.A_tilde
+        assert ds.integer_vectors == tuple((int(rec.v.x * At), int(rec.v.y * At))
+                                           for rec in ds.vectors)
+
+    def test_normalizer_edges_named(self):
+        # N = 4: N^2 = 2^4, so Q = 2^(100 kappa - 4) equals the upper bound
+        ds = _rescaled(4, 0)
+        k = 100 * ds.kappa
+        for e, ok in ((k - 4, True), (k - 3, False), (-k - 4, True), (-k - 5, False)):
+            rec = dataclasses.replace(ds.vectors[0], q_exponent=e)
+            bad = dataclasses.replace(ds, vectors=(rec,) + ds.vectors[1:])
+            got = _outcome(D.validate_direction_set, bad)
+            assert got == _outcome(_reference_bullets, bad)
+            assert got.startswith("dyadic normalizer bullet") is not ok
+
+
+    # |(12, 5)| = 13, so v_0 = (12, 5) 2^e P / R has |v_0|^2 = 100 exactly at
+    # 2^e P / R = 10 / 13 and 1 / 100 exactly at 1 / 130; v_1 = (9, 4) ... stays inside
+    @pytest.mark.parametrize("R,e0,subsets,ok", [
+        (13, 1, ((0,), (1,)), True),
+        (12, 1, ((0,), (1,)), False),
+        (1690, 0, ((1,), (0,)), True),
+        (1691, 0, ((1,), (0,)), False),
+    ])
+    def test_magnitude_edges(self, R, e0, subsets, ok):
+        window = (5, 13)
+        recs = []
+        for (m, n), e, sub in zip(((12, 5), (9, 4)), (e0, 2 if R > 100 else 0), subsets):
+            S = Fraction(2) ** e * Fraction(window[sub[0]], R)
+            recs.append(D.VectorRecord(m=m, n=n, q_exponent=e, prime_subset=sub,
+                                       v=D.RationalVector(m * S, n * S)))
+        ds = D.DirectionSet(spec=D.DirectionSpec(N=2, eps=1.0), kappa=1, prime_window=window,
+                            scale_denominator=R, eps_adjusted=None, vectors=tuple(recs))
+        got = _outcome(D.validate_direction_set, ds)
+        # the reference's rescaling check needs a rescaled set; here none is
+        want = _outcome(lambda d: _reference_bullets(dataclasses.replace(
+            d, A=1, A_tilde=1, integer_vectors=())), ds)
+        assert got == want
+        assert (got is None) == ok
+        assert ok or got.startswith("magnitude bullet violated at vector 0")
 
 
 class TestMnPairs:

@@ -323,6 +323,38 @@ def _one_geometry_families(draw):
     return fams, large
 
 
+@st.composite
+def _concurrent_families(draw):
+    """3-5 families of one geometry whose central planes meet three at a time:
+    v_i, v_j non-parallel, v_i + v_j, all at one r (so plane a of i and b of
+    j cross on plane a + b of the sum, at every center of (i, j)), and a
+    parallel copy of v_i at another r; sometimes one more family.  C1 and
+    the torus side and radius are drawn as in _one_geometry_families, and
+    the families come in a drawn order."""
+    s = draw(st.integers(1, 2))
+    coord = st.builds(F, st.integers(-9, 9), st.integers(1, 3))
+    vi = (draw(coord), draw(coord))
+    vi = (F(1), F(0)) if vi == (0, 0) else vi
+    vj = (draw(coord), draw(coord))
+    if vi[0] * vj[1] == vi[1] * vj[0]:
+        vj = (-vi[1], vi[0])
+    r = draw(st.integers(1 << s, (2 << s) - 1))
+    other = draw(st.integers(1 << s, (2 << s) - 1).filter(lambda x: x != r))
+    vrs = [(vi, r), (vj, r), ((vi[0] + vj[0], vi[1] + vj[1]), r), (vi, other)]
+    if draw(st.booleans()):
+        v = (draw(coord), draw(coord))
+        vrs.append(((F(1), F(0)) if v == (0, 0) else v, draw(st.integers(1 << s, (2 << s) - 1))))
+    vrs = draw(st.permutations(vrs))
+    C1 = 1
+    while any(q * q * (vx * vx + vy * vy) >= 4 ** (C1 * s) for (vx, vy), q in vrs):
+        C1 += 1
+    C1 += draw(st.sampled_from((0, 1, 2, 60, 70)))
+    side = draw(st.sampled_from((None, 7, 1)))
+    ex = draw(st.sampled_from((F(0), F(1, 10**9), F(1, 3))))
+    return [I.TubeFamily(v=v, r=q, s=s, C1=C1, exclusion_radius=ex, torus_side=side)
+            for v, q in vrs]
+
+
 def _axis_families(r=(2, 2, 2), s=1, C1=40, ex=F(0), side=None):
     """The axes and the diagonal, with one shift C1 s."""
     vs = ((F(1), F(0)), (F(0), F(1)), (F(1), F(1)))
@@ -587,16 +619,61 @@ class TestInt64Counts:
         assert rep.fallback_pairs == fallback
         assert _exact_facts(rep) == _recount_exact(fams, window)
 
+    def test_concurrent_planes_scan_equals_recount(self):
+        """Centers that lie on a third family's central plane are counted
+        family by family; the scan must still equal member() at every
+        candidate, and some drawn scans must count such centers."""
+        shared = set()
+
+        @settings(max_examples=120, deadline=None)
+        @given(fams=_concurrent_families(), win=st.sampled_from(self.INDEX_WINDOWS))
+        def check(fams, win):
+            rep = I.max_overlap_scan(fams, win)
+            assert rep.method == "exact-candidates"
+            assert _exact_facts(rep) == _recount_exact(fams, win)
+            shared.add(rep.shared_centers > 0)
+
+        check()
+        assert shared == {False, True}
+
+    @staticmethod
+    def _slab_loops(fams, window):
+        """The report, and the family-by-family slab test's results."""
+        calls = []
+        real = I._slab_per_family
+        with mock.patch.object(I, "_slab_per_family", lambda *a: calls.append(real(*a)) or calls[-1]):
+            return I.max_overlap_scan(fams, window), calls
+
     def test_benchmark_inputs_take_index_path(self, toy_ds):
-        # the ktilde families of the benchmark's N = 8 sets, and the toy set
-        spec = directions.DirectionSpec(N=8, eps=0.5, seed=0)
-        ds = directions.rescale_to_integers(directions.construct_directions(spec))
+        # the ktilde families of the benchmark's N = 8 and N = 16 seed-0
+        # sets, and the toy set
         window = I.default_window("ktilde")
-        for fams in (I.families_from_direction_set(ds, s=3),
-                     I.families_from_direction_set(toy_ds, s=2)):
-            rep = I.max_overlap_scan(fams, window)
+        cases = []
+        for n, levels in ((8, (3,)), (16, (3, 4))):
+            spec = directions.DirectionSpec(N=n, eps=0.5, seed=0)
+            ds = directions.rescale_to_integers(directions.construct_directions(spec))
+            cases += [I.families_from_direction_set(ds, s=s) for s in levels]
+        for fams in cases + [I.families_from_direction_set(toy_ds, s=2)]:
+            rep, loops = self._slab_loops(fams, window)
             assert rep.fallback_pairs == 0
+            # the scan's one slab bound holds for every pair, and no center
+            # lies on a third family's plane
+            assert loops == [] and rep.shared_centers == 0
             assert _exact_facts(rep) == _recount_exact(fams, window)
+
+    def test_axis_families_count_shared_centers(self):
+        # the diagonal is the sum of the axes at one r, so every center of
+        # the axis pair but the origin lies on a diagonal plane; at C1 = 6
+        # the scan's slab bound fails and the family-by-family test holds
+        window = I.default_window("ktilde")
+        fams = _axis_families(r=(2, 3, 3), C1=6)
+        rep, loops = self._slab_loops(fams, window)
+        assert loops and all(loops) and rep.fallback_pairs == 0
+        assert rep.shared_centers > 0
+        assert _exact_facts(rep) == _recount_exact(fams, window)
+        rep, loops = self._slab_loops(_axis_families(), window)
+        assert loops == [] and rep.shared_centers > 0
+        assert rep.max_overlap == 3
 
     @settings(max_examples=25, deadline=None)
     @given(fams=_family_lists(1, 4),

@@ -599,6 +599,28 @@ class TestSpatialKernel:
         assert threading.active_count() == before
 
 
+    def test_one_direction_shares_row_blocks(self, table13, monkeypatch):
+        # transference_check's shape: one direction and three scales, so three
+        # pairs; the workers take (pair, row block) units instead, 64 rows of
+        # a complex L = 256 grid each, and every unit sums the rows it owns
+        cfg = X.OperatorConfig(directions=((3, -7),), k_min=5, k_max=7, table=table13)
+        f = _draw(256, 7, False)
+        units = []
+        kernel = X._roll_sum
+
+        def counted(tiled, folded, v, term, out, first=0):
+            units.append((first, len(out)))
+            return kernel(tiled, folded, v, term, out, first)
+
+        monkeypatch.setattr(X, "_roll_sum", counted)
+        _cpus(monkeypatch, 2)
+        got = X.maximal_op(f, cfg, method="spatial").values
+        assert sorted(units) == sorted([(b, 64) for b in range(0, 256, 64)] * 3)
+        each = [np.abs(_rolled(f.values, fold_weights(k, 256, table13), (3, -7)))
+                for k in cfg.scales]
+        assert np.array_equal(got, np.max(each, axis=0))
+
+
 class TestThreshold:
     """Workers start from 2^14 entries in a worker's array: the spectrum on
     the spectral route, the L x L grid on the spatial one."""

@@ -226,6 +226,21 @@ class TestMainTermOneTerm:
         assert (value.real.hex(), value.imag.hex()) == (total.real.hex(), total.imag.hex())
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(s_max=st.integers(0, 38), shift=st.integers(-2, 2), whole=st.integers(-5, 5),
+           data=st.data())
+    def test_last_convergent_of_exact_fraction(self, s_max, shift, whole, data):
+        # a denominator just below, at or just above 2^(s_max+1): below it, the
+        # fraction is its own last convergent, returned without the walk
+        q = max(1, (1 << (s_max + 1)) + shift)
+        a = data.draw(st.integers(0, q - 1))
+        alpha = whole + Fraction(a, q)
+        x = alpha - math.floor(alpha)
+        want = arith.convergents(x, (1 << (s_max + 1)) - 1)[-1]
+        assert M._last_convergent(alpha, s_max) == (x, *want)
+        assert (x.denominator < 1 << (s_max + 1)) == (want == (x.numerator, x.denominator))
+
+
 class TestSymmetryProperties:
     """Periodicity and conjugate symmetry, which hold exactly for the symbol."""
 
