@@ -25,16 +25,19 @@ s, the thickness constant C1, the torus side and the exclusion radius, and
 only the direction and the denominator r vary.  The scan counts each pair's
 lattice candidates on their plane indices, in integers of a few machine
 words, whenever the certificates in ``max_overlap_scan``'s docstring hold:
-one bound per scan settles the slab certificate of most pairs, and a cell
-center that no other pair shares lies on no third family's plane, so it
-counts 2 without a pass over the families.
-It counts every other batch of points over one denominator with a single
-numpy counter: one fold, one exclusion row and one (families x points)
-broadcast, in int64 when the bounds keep every intermediate value below 2^63
-and in Python integers otherwise.  The overlap-1 floor, one point per family,
-is found and counted with ``member``.  No point lies in more families than
-there are, so once the running maximum equals the family count the grid
-sample stops counting and the floor is skipped.
+one bound per scan is the slab certificate, with no family-by-family
+retest, and a cell center that no other pair shares lies on no third
+family's plane, so it counts 2 without a pass over the families.  A pair
+that fails a certificate is counted on its coordinates, at the five points
+of every cell whose center lies in the window grown by the cell's corner
+reach.  Those points, like every other batch of points over one
+denominator, go through a single numpy counter: one fold, one exclusion
+row and one (families x points) broadcast, in int64 when the bounds keep
+every intermediate value below 2^63 and in Python integers otherwise.
+The overlap-1 floor, one point per family, is found and counted with
+``member``.  No point lies in more families than there are, so once the
+running maximum equals the family count the grid sample stops counting
+and the floor is skipped.
 """
 
 from __future__ import annotations
@@ -292,43 +295,27 @@ def _plane_range(fam: TubeFamily, win: ScanWindow) -> tuple[int, int]:
 _OFFSETS = ((0, 0), (-1, -1), (-1, 1), (1, -1), (1, 1))
 
 
-def _pair_candidates(f1: TubeFamily, f2: TubeFamily, range1: tuple[int, int],
-                     range2: tuple[int, int], win: ScanWindow, offsets: bool):
-    """The in-window points of the (f1, f2) intersection lattice, as object
-    arrays px, py over one denominator D > 0.
+def _moves(fi: TubeFamily, fj: TubeFamily, sgn: int) -> list[tuple[int, int]]:
+    """Per offset, the move (dx, dy) from a cell center of the pair to that
+    candidate, in units of 2^-c / |delta|; sgn is the sign of delta =
+    ax_i ay_j - ay_i ax_j."""
+    return [(sgn * (fi.den * fj.ay * o1 - fj.den * fi.ay * o2),
+             sgn * (fj.den * fi.ax * o2 - fi.den * fj.ax * o1)) for o1, o2 in _OFFSETS]
 
-    Candidates run over the plane-index pairs (a, b) in range1 x range2
-    (``_plane_range`` of each family) and, for each, the offsets o: offset 0
-    is the cell center; when ``offsets`` is set, offsets 1-4 are the four cell
-    corners (crossings of the slab boundary lines), at the thickness
-    2^-c, c = f1.shift, that a scan's families share.  A center does not
-    depend on c.  The arrays keep (a, b, o) order, a outermost.
-    """
-    delta = f1.ax * f2.ay - f1.ay * f2.ax
-    if delta == 0:
-        raise ValueError("tube directions are parallel")
-    (a_lo, a_hi), (b_lo, b_hi) = range1, range2
-    c, r1, r2 = f1.shift, f1.r, f2.r
-    D = delta * r1 * r2 << 2 * c
-    sgn = 1 if D > 0 else -1
-    D *= sgn
-    offs = _OFFSETS if offsets else _OFFSETS[:1]
-    # (px, py) = (kx u - lx w, ly w - ky u) at t1 = u / (r1 2^c), t2 = w / (r2 2^c),
-    # u = a 2^c + o1 r1 and w = b 2^c + o2 r2: the offsets add constant shifts
-    kx, ky = (sgn * t * f1.den * r2 << c for t in (f2.ay, f2.ax))
-    lx, ly = (sgn * t * f2.den * r1 << c for t in (f1.ay, f1.ax))
-    a, b = range(a_lo, a_hi + 1), range(b_lo, b_hi + 1)
-    axes = (([kx * i << c for i in a], [-(lx * j << c) for j in b],
-             [o1 * r1 * kx - o2 * r2 * lx for o1, o2 in offs]),
-            ([-(ky * i << c) for i in a], [ly * j << c for j in b],
-             [o2 * r2 * ly - o1 * r1 * ky for o1, o2 in offs]))
-    # every term an object array: numpy turns a list that holds an integer in
-    # [2^63, 2^64) into float64
-    px, py = (np.add.outer(np.add.outer(*(np.array(t, dtype=object) for t in (u, v))),
-                           np.array(o, dtype=object)).ravel()
-              for u, v, o in axes)
-    inside = win.mask(px, py, D)
-    return px[inside], py[inside], D
+
+def _reach(fi: TubeFamily, fj: TubeFamily) -> tuple[int, int]:
+    """(Kx, Ky): no move of the pair exceeds Kx in x or Ky in y."""
+    return (abs(fj.ay * fi.den) + abs(fi.ay * fj.den),
+            abs(fj.ax * fi.den) + abs(fi.ax * fj.den))
+
+
+def _grown(win: ScanWindow, fi: TubeFamily, fj: TubeFamily, dabs: int):
+    """(grown, ext_x, ext_y): the window grown by the corner reach (ext_x, ext_y) =
+    (Kx, Ky) 2^-c / |delta| of a pair that shares the shift c, so every cell with
+    a point in the window has its center in ``grown``."""
+    ext_x, ext_y = (Fraction(k, dabs << fi.shift) for k in _reach(fi, fj))
+    return (ScanWindow(win.x_lo - ext_x, win.x_hi + ext_x, win.y_lo - ext_y, win.y_hi + ext_y),
+            ext_x, ext_y)
 
 
 def candidate_intersections(
@@ -339,9 +326,13 @@ def candidate_intersections(
     The centers solve v1.beta = a/r1, v2.beta = b/r2; every returned point is a
     member of both (thickened) families.  Raises ValueError on parallel input.
     """
-    px, py, d = _pair_candidates(f1, f2, _plane_range(f1, window), _plane_range(f2, window),
-                                 window, offsets=False)
-    return [(Fraction(x, d), Fraction(y, d)) for x, y in zip(px, py)]
+    delta = f1.ax * f2.ay - f1.ay * f2.ax
+    if delta == 0:
+        raise ValueError("tube directions are parallel")
+    G = abs(delta) * f1.r * f2.r
+    return [(Fraction(cx, G), Fraction(cy, G)) for _, _, cx, cy, _ in
+            _pair_centers(f1, f2, delta, _plane_range(f1, window), _plane_range(f2, window),
+                          window)]
 
 
 def _axis_rows(xa: int, xb: int, lo: int, hi: int, a_range: tuple[int, int], b_first: int,
@@ -390,14 +381,24 @@ def _pair_centers(fi: TubeFamily, fj: TubeFamily, delta: int, range_i: tuple[int
     return cells
 
 
-def _slab_per_family(families: list[TubeFamily], i: int, j: int, cross, dabs: int) -> bool:
-    """The slab certificate of pair (i, j), family by family: 2^c > r_i r_j r_l
-    (|den_i P_l| + |den_j Q_l| + den_l |Delta|) for every family l."""
-    fi, fj, c = families[i], families[j], families[i].shift
-    rr = fi.r * fj.r
-    return all((rr * f.r * (abs(fi.den * cross[l][j]) + abs(fj.den * cross[i][l])
-                            + f.den * dabs)).bit_length() <= c
-               for l, f in enumerate(families))
+def _pair_points(fi: TubeFamily, fj: TubeFamily, delta: int, range_i: tuple[int, int],
+                 range_j: tuple[int, int], win: ScanWindow):
+    """The pair's in-window candidates in (a, b, o) order, a outermost, as object
+    arrays px, py over D = |delta| r_i r_j 2^c: the five offsets of every cell
+    whose center ``_pair_centers`` finds in the grown window (``_grown``),
+    masked to the window."""
+    sgn, dabs = (1, delta) if delta > 0 else (-1, -delta)
+    c, rr = fi.shift, fi.r * fj.r
+    cells = _pair_centers(fi, fj, delta, range_i, range_j, _grown(win, fi, fj, dabs)[0])
+    moves = _moves(fi, fj, sgn)
+    # every term an object array: numpy turns a list that holds an integer in
+    # [2^63, 2^64) into float64
+    px, py = (np.add.outer(np.array([cell[2 + k] << c for cell in cells], dtype=object),
+                           np.array([rr * move[k] for move in moves], dtype=object)).ravel()
+              for k in (0, 1))  # x, then y: (cx, cy) are cell[2:4]
+    D = dabs * rr << c
+    inside = win.mask(px, py, D)
+    return px[inside], py[inside], D
 
 
 def _index_pair(families: list[TubeFamily], i: int, j: int, cells, win: ScanWindow,
@@ -424,8 +425,7 @@ def _index_pair(families: list[TubeFamily], i: int, j: int, cells, win: ScanWind
     sgn, dabs = (1, delta) if delta > 0 else (-1, -delta)
     rr = fi.r * fj.r
     G = dabs * rr  # the cell centers' denominator
-    Kx = abs(fj.ay * fi.den) + abs(fi.ay * fj.den)
-    Ky = abs(fj.ax * fi.den) + abs(fi.ax * fj.den)
+    Kx, Ky = _reach(fi, fj)
     if (rr * win.W * max(Kx, Ky)).bit_length() > c:  # window: 2^c > r_i r_j W max(Kx, Ky)
         return None
     if not cells:
@@ -436,10 +436,8 @@ def _index_pair(families: list[TubeFamily], i: int, j: int, cells, win: ScanWind
         if (any(key is None for *_, key in cells)
                 and (ex_n * dabs) << c <= (Kx + Ky) * ex_d):
             return None  # the origin cell need not lie in the ball
-    # slab: the scan's bound first, then family by family only where it fails
-    r_max, den_max, colmax = bound
-    if ((rr * r_max * (fi.den * colmax[j] + fj.den * colmax[i] + den_max * dabs)).bit_length() > c
-            and not _slab_per_family(families, i, j, cross, dabs)):
+    r_max, den_max, colmax = bound  # slab: the scan's one bound
+    if (rr * r_max * (fi.den * colmax[j] + fj.den * colmax[i] + den_max * dabs)).bit_length() > c:
         return None
     W = win.W
     gx0, gx1, gy0, gy1 = G * win.x0, G * win.x1, G * win.y0, G * win.y1
@@ -455,9 +453,7 @@ def _index_pair(families: list[TubeFamily], i: int, j: int, cells, win: ScanWind
             checked += len(_OFFSETS)
         else:
             if moves is None:
-                moves = [(sgn * (fi.den * fj.ay * o1 - fj.den * fi.ay * o2),
-                          sgn * (fj.den * fi.ax * o2 - fi.den * fj.ax * o1))
-                         for o1, o2 in _OFFSETS]
+                moves = _moves(fi, fj, sgn)
             edges = (wx - gx0, gx1 - wx, wy - gy0, gy1 - wy)
             checked += sum(all(e > 0 or t >= 0 for e, t in zip(edges, (dx, -dx, dy, -dy)))
                            for dx, dy in moves)
@@ -648,8 +644,10 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
       Delta, P_l = X[l][j] and Q_l = -X[l][i], so with colmax[m] =
       max_l |X[l][m]| the bound 2^c > r_i r_j r_max (den_i colmax[j] +
       den_j colmax[i] + den_max |Delta|) implies the slab certificate for
-      every l; the family-by-family test runs only for a pair where it
-      fails.  Coincidences: at a center the offset is 0, so under the slab
+      every l.  That bound is the scan's one slab test: there is no
+      family-by-family retest, and a pair that fails it falls back, as a
+      pair that fails the window or exclusion certificate does.
+      Coincidences: at a center the offset is 0, so under the slab
       certificate family l covers it iff it lies on a central plane of l
       (N_l = 0 mod M_l).  Families i and j always do; a center other than
       the origin lies in the ball of no family, and the origin in all of
@@ -664,10 +662,13 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
       counts the family count or 0, and only a shared center is counted
       family by family (the report's ``shared_centers``).
       ``_index_pair`` applies this in integers of a few machine words.  A
-      pair whose certificates fail is counted on its coordinates, by
-      ``_pair_candidates`` and the counter below, and the report's
-      ``fallback_pairs`` says how many were; its centers are still listed
-      in the first pass, since another pair's count relies on them.
+      pair whose certificates fail is counted on its coordinates by the
+      counter below, and the report's ``fallback_pairs`` says how many
+      were; its centers are still listed in the first pass, since another
+      pair's count relies on them.  Its candidates (``_pair_points``) are
+      the five points of every cell whose center lies in the window grown
+      by the corner reach (Kx, Ky) 2^-c / |Delta|, masked to the window:
+      ``_pair_centers`` is the one enumerator of a pair's lattice.
 
     So one counter serves every batch of points that share a denominator: a
     fallback pair's in-window lattice candidates (filtered against the window
@@ -700,8 +701,8 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
     variant = "k" if f0.torus_side == 1 else "ktilde"
 
     n, side = len(families), f0.torus_side
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)  # the non-parallel pairs
-             if families[i].ax * families[j].ay != families[i].ay * families[j].ax]
+    cross = [[fl.ax * fm.ay - fl.ay * fm.ax for fm in families] for fl in families]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if cross[i][j]]  # non-parallel
     ranges = [_plane_range(f, window) for f in families]
     est = sum(5 * (ranges[i][1] - ranges[i][0] + 1) * (ranges[j][1] - ranges[j][0] + 1)
               for i, j in pairs)  # candidate budget estimate
@@ -718,7 +719,6 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
             # first pass: every pair's in-window centers, and per point the
             # number of pairs that hold it (the origin, a center of every
             # pair, is counted apart)
-            cross = [[fl.ax * fm.ay - fl.ay * fm.ax for fm in families] for fl in families]
             cells = {(i, j): _pair_centers(families[i], families[j], cross[i][j], ranges[i],
                                            ranges[j], window) for i, j in pairs}
             seen = Counter(key for cs in cells.values() for *_, key in cs if key)
@@ -736,8 +736,8 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
                     best, witness = count, (Fraction(px, d), Fraction(py, d))
                 continue
             fallback += 1
-            px, py, d = _pair_candidates(families[i], families[j], ranges[i], ranges[j], window,
-                                         offsets=True)
+            px, py, d = _pair_points(families[i], families[j], cross[i][j], ranges[i], ranges[j],
+                                     window)
             if not len(px):
                 continue
             checked += len(px)
@@ -896,24 +896,18 @@ def _pair_x_intervals(
     f1: TubeFamily, f2: TubeFamily, window: ScanWindow
 ) -> list[tuple[Fraction, Fraction]]:
     """Exact x-coordinate intervals of the (f1, f2) intersection cells in the window."""
-    (v1x, v1y), (v2x, v2y) = f1.v, f2.v
-    det = abs(Fraction(v1x * v2y - v1y * v2x))
-    if det == 0:
+    delta = f1.ax * f2.ay - f1.ay * f2.ax
+    if delta == 0:
         raise ValueError("parallel pair")
-    # extents of one cell along each axis: from the corner formula,
-    # x varies by +- (|v2y| thick1 + |v1y| thick2) / |det|, y analogously.
-    ext = (abs(v2y) * f1.thickness + abs(v1y) * f2.thickness) / det
-    ext_y = (abs(v2x) * f1.thickness + abs(v1x) * f2.thickness) / det
+    # a cell's corners lie within (ext, ext_y) of its center, so the cells
+    # that reach into the window have their centers in the grown window
+    grown, ext, ext_y = _grown(window, f1, f2, abs(delta))
     excl = min(Fraction(f1.exclusion_radius), Fraction(f2.exclusion_radius))
-    # the centers of cells that reach into the window: the window's plane
-    # ranges, masked to the window grown by one cell extent
-    grown = ScanWindow(window.x_lo - ext, window.x_hi + ext,
-                       window.y_lo - ext_y, window.y_hi + ext_y)
-    px, py, d = _pair_candidates(f1, f2, _plane_range(f1, window), _plane_range(f2, window),
-                                 grown, offsets=False)
+    G = abs(delta) * f1.r * f2.r
     ivs = []
-    for x, y in zip(px, py):
-        x, y = Fraction(x, d), Fraction(y, d)
+    for _, _, cx, cy, _ in _pair_centers(f1, f2, delta, _plane_range(f1, window),
+                                         _plane_range(f2, window), grown):
+        x, y = Fraction(cx, G), Fraction(cy, G)
         # cells swallowed by the excluded origin ball contribute no points
         if excl > 0 and (abs(x) + ext) ** 2 + (abs(y) + ext_y) ** 2 <= excl * excl:
             continue
@@ -1058,15 +1052,17 @@ def load_overlap_report(path) -> OverlapReport:
         raise ParseError(f"{path}: not a {_REPORT_SCHEMA} report")
     ints = {key: _report_field(doc, key, _is_int, "an integer", path)
             for key in ("s", "C1", "max_overlap", "family_count", "candidates_checked")}
-    method, variant = (_report_field(doc, key, lambda x: isinstance(x, str), "a string", path)
-                       for key in ("method", "variant"))
+    # tuples, not sets: a list or a dict in the file must fail the test, not raise
+    method, variant, baseline = (
+        _report_field(doc, key, lambda x, ok=ok: x in ok,
+                      "one of " + ", ".join(map(json.dumps, ok)), path)
+        for key, ok in (("method", ("exact-candidates", "grid-sample")),
+                        ("variant", ("k", "ktilde")), ("baseline", (None, "parallel"))))
     witness = _report_rationals(doc, "witness", 2, path, nullable=True)
     win = _report_rationals(doc, "window", 4, path)
     rv = _report_field(doc, "r_values",
                        lambda x: x is None or isinstance(x, list) and all(map(_is_int, x)),
                        "null or a list of integers", path)
-    baseline = _report_field(doc, "baseline", lambda x: x is None or isinstance(x, str),
-                             "null or a string", path)
     return OverlapReport(
         **ints, method=method, variant=variant, window=ScanWindow(*win),
         witness=tuple(witness) if witness is not None else None,

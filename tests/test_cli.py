@@ -244,6 +244,10 @@ class TestIncidence:
         ("witness", ["1/0", "0/1"], "witness[0]"),
         ("witness", 5, "'witness'"),
         ("window", ["0"], "'window'"),
+        # enumerated fields take only the values a scan writes
+        ("method", "anything", "'method'"),
+        ("variant", "K", "'variant'"),
+        ("baseline", "Parallel", "'baseline'"),
     ])
     def test_malformed_report_is_validation_failure(self, tmp_path, capsys, key, value, named):
         ds = tmp_path / "ds.json"

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -126,15 +127,18 @@ class TestCandidates:
         assert set(pts) == brute
 
     def test_terms_past_int64_stay_integers(self):
-        # D lies between 2^63 and 2^64, and so do some lattice terms: numpy
-        # turns a list of such integers into float64
-        f1 = I.TubeFamily(v=(F(-1, 2), F(-2)), r=7, s=2, C1=14)
-        f2 = I.TubeFamily(v=(F(1), F(8, 3)), r=7, s=2, C1=14)
-        win = I.ScanWindow(F(0), F(1, 8), F(-1, 16), F(1, 16))
-        px, py, d = I._pair_candidates(f1, f2, I._plane_range(f1, win), I._plane_range(f2, win),
-                                       win, offsets=True)
+        # D = |delta| r1 r2 2^c lies between 2^63 and 2^64, and so do the
+        # candidates' x terms: numpy turns a list of such integers into float64
+        f1 = I.TubeFamily(v=(F(-1, 2), F(-2)), r=7, s=2, C1=28)
+        f2 = I.TubeFamily(v=(F(1), F(8, 3)), r=7, s=2, C1=28)
+        win = I.ScanWindow(F(3, 4), F(7, 8), F(-1, 16), F(1, 16))
+        px, py, d = I._pair_points(f1, f2, f1.ax * f2.ay - f1.ay * f2.ax, I._plane_range(f1, win),
+                                   I._plane_range(f2, win), win)
         assert len(px) and 1 << 63 < d < 1 << 64
+        assert all(1 << 63 <= x < 1 << 64 for x in px)
         assert all(type(x) is int for x in [*px, *py])
+        assert [(F(x, d), F(y, d)) for x, y in zip(px, py)] == [
+            (F(x, e), F(y, e)) for x, y, e in _lattice_candidates(f1, f2, win)]
 
     def test_parallel_rejected(self):
         f1 = I.TubeFamily(v=(F(1), F(0)), r=2, s=1, C1=8)
@@ -487,16 +491,55 @@ def _exact_facts(rep):
     return rep.max_overlap, rep.witness, rep.candidates_checked
 
 
+def _int_form(v):
+    """(ax, ay, den) with v = (ax, ay) / den."""
+    x, y = F(v[0]), F(v[1])
+    den = math.lcm(x.denominator, y.denominator)
+    return x.numerator * (den // x.denominator), y.numerator * (den // y.denominator), den
+
+
+def _lattice_candidates(f1, f2, window):
+    """The pair's in-window candidates in (a, b, o) order, a outermost, as
+    triples (px, py, d): Cramer's rule on v1.beta = a/r1 + o1 2^-c and
+    v2.beta = b/r2 + o2 2^-c at every plane-index pair (a, b) whose slabs
+    meet the window's range of v1.beta and v2.beta, and at every offset o
+    (the center, then the four corners).  [] for a parallel pair."""
+    c, r1, r2 = f1.shift, f1.r, f2.r
+    (ax1, ay1, k1), (ax2, ay2, k2) = _int_form(f1.v), _int_form(f2.v)
+    det = ax1 * ay2 - ay1 * ax2
+    if det == 0:
+        return []
+    sgn = 1 if det > 0 else -1
+    d = sgn * det * r1 * r2 << c
+
+    def indices(f):
+        dots = [F(f.v[0]) * x + F(f.v[1]) * y
+                for x in (window.x_lo, window.x_hi) for y in (window.y_lo, window.y_hi)]
+        thick = F(1, 1 << c)
+        return range(math.floor(f.r * (min(dots) - thick)),
+                     math.ceil(f.r * (max(dots) + thick)) + 1)
+
+    def inside(p, lo, hi):  # lo <= p / d <= hi
+        return lo.numerator * d <= p * lo.denominator and p * hi.denominator <= hi.numerator * d
+
+    pts = []
+    for a in indices(f1):
+        for b in indices(f2):
+            for o1, o2 in ((0, 0), (-1, -1), (-1, 1), (1, -1), (1, 1)):
+                # (ax1 x + ay1 y) / k1 = u / (r1 2^c) and (ax2 x + ay2 y) / k2 = w / (r2 2^c)
+                u, w = (a << c) + o1 * r1, (b << c) + o2 * r2
+                px = sgn * (k1 * ay2 * r2 * u - k2 * ay1 * r1 * w)
+                py = sgn * (k2 * ax1 * r1 * w - k1 * ax2 * r2 * u)
+                if inside(px, window.x_lo, window.x_hi) and inside(py, window.y_lo, window.y_hi):
+                    pts.append((px, py, d))
+    return pts
+
+
 def _recount_exact(fams, window):
     """The exact scan recounted point by point through member(): every in-window
-    candidate of every non-parallel pair, then the floor points."""
-    ranges = [I._plane_range(f, window) for f in fams]
-    pts = []
-    for i, j in itertools.combinations(range(len(fams)), 2):
-        if fams[i].ax * fams[j].ay != fams[i].ay * fams[j].ax:
-            px, py, d = I._pair_candidates(fams[i], fams[j], ranges[i], ranges[j], window,
-                                           offsets=True)
-            pts += [(x, y, d) for x, y in zip(px, py)]
+    candidate of every pair (``_lattice_candidates``), then the floor points."""
+    pts = [pt for f1, f2 in itertools.combinations(fams, 2)
+           for pt in _lattice_candidates(f1, f2, window)]
     pts += [pt for pt in (I._interior_point(f, window) for f in fams) if pt]
     best, witness = 0, None
     for px, py, d in pts:
@@ -611,6 +654,10 @@ class TestInt64Counts:
         # it: the window certificate holds there and the slab one fails
         (_axis_families(C1=8)[:2] + [I.TubeFamily(v=(F(257, 256), F(0)), r=2, s=1, C1=8)],
          I.default_window("ktilde"), 2),
+        # the axis pair's center (0, 0) lies just left of the window and its
+        # corners (2^-8, +-2^-8) inside it: the fallback counts them only
+        # when it enumerates the window grown by the corner reach
+        (_axis_families(C1=8)[:2], I.ScanWindow(F(1, 512), F(1, 4), F(-1, 4), F(1, 4)), 1),
     ])
     def test_index_certificates_pinned(self, fams, window, fallback):
         if window.x_lo == 0:
@@ -636,14 +683,6 @@ class TestInt64Counts:
         check()
         assert shared == {False, True}
 
-    @staticmethod
-    def _slab_loops(fams, window):
-        """The report, and the family-by-family slab test's results."""
-        calls = []
-        real = I._slab_per_family
-        with mock.patch.object(I, "_slab_per_family", lambda *a: calls.append(real(*a)) or calls[-1]):
-            return I.max_overlap_scan(fams, window), calls
-
     def test_benchmark_inputs_take_index_path(self, toy_ds):
         # the ktilde families of the benchmark's N = 8 and N = 16 seed-0
         # sets, and the toy set
@@ -654,25 +693,23 @@ class TestInt64Counts:
             ds = directions.rescale_to_integers(directions.construct_directions(spec))
             cases += [I.families_from_direction_set(ds, s=s) for s in levels]
         for fams in cases + [I.families_from_direction_set(toy_ds, s=2)]:
-            rep, loops = self._slab_loops(fams, window)
-            assert rep.fallback_pairs == 0
+            rep = I.max_overlap_scan(fams, window)
             # the scan's one slab bound holds for every pair, and no center
             # lies on a third family's plane
-            assert loops == [] and rep.shared_centers == 0
+            assert rep.fallback_pairs == 0 and rep.shared_centers == 0
             assert _exact_facts(rep) == _recount_exact(fams, window)
 
     def test_axis_families_count_shared_centers(self):
         # the diagonal is the sum of the axes at one r, so every center of
         # the axis pair but the origin lies on a diagonal plane; at C1 = 6
-        # the scan's slab bound fails and the family-by-family test holds
+        # the scan's slab bound fails for one pair, which falls back
         window = I.default_window("ktilde")
         fams = _axis_families(r=(2, 3, 3), C1=6)
-        rep, loops = self._slab_loops(fams, window)
-        assert loops and all(loops) and rep.fallback_pairs == 0
-        assert rep.shared_centers > 0
+        rep = I.max_overlap_scan(fams, window)
+        assert rep.fallback_pairs == 1
         assert _exact_facts(rep) == _recount_exact(fams, window)
-        rep, loops = self._slab_loops(_axis_families(), window)
-        assert loops == [] and rep.shared_centers > 0
+        rep = I.max_overlap_scan(_axis_families(), window)
+        assert rep.fallback_pairs == 0 and rep.shared_centers > 0
         assert rep.max_overlap == 3
 
     @settings(max_examples=25, deadline=None)
@@ -697,10 +734,11 @@ class TestInt64Counts:
             rep = I.max_overlap_scan(fams, win)
         assert rep.method == "exact-candidates"
         ranges = [I._plane_range(f, win) for f in fams]
-        busy = sum(1 for i, j in itertools.combinations(range(len(fams)), 2)
-                   if fams[i].ax * fams[j].ay != fams[i].ay * fams[j].ax
-                   and len(I._pair_candidates(fams[i], fams[j], ranges[i], ranges[j], win,
-                                              offsets=True)[0]))
+        busy = 0
+        for i, j in itertools.combinations(range(len(fams)), 2):
+            delta = fams[i].ax * fams[j].ay - fams[i].ay * fams[j].ax
+            busy += bool(delta and len(I._pair_points(fams[i], fams[j], delta, ranges[i],
+                                                      ranges[j], win)[0]))
         assert plans.count(False) <= busy
         assert plans.count(True) == 0
 
@@ -1112,6 +1150,15 @@ class TestReportFiles:
         again = I.load_overlap_report(path)
         assert again == rep
 
+    def test_other_enumerated_values_round_trip(self, tmp_path):
+        # the values test_round_trip's scan does not write
+        f1, f2 = axis_families()
+        rep = I.max_overlap_scan([f1, f2], I.default_window("k"))
+        rep.method, rep.variant, rep.baseline = "grid-sample", "ktilde", "parallel"
+        path = tmp_path / "r.json"
+        I.save_overlap_report(rep, path)
+        assert I.load_overlap_report(path) == rep
+
     def test_v2_report_refused(self, tmp_path):
         # v2 parallel baselines had no torus and no ball; v3 ones are copies
         # of the variant's first family, so a v2 file is refused, not replayed
@@ -1120,6 +1167,21 @@ class TestReportFiles:
         I.save_overlap_report(I.max_overlap_scan([f1, f2], I.default_window("k")), path)
         path.write_text(path.read_text().replace("overlap_report.v3", "overlap_report.v2"))
         with pytest.raises(ParseError, match=r"not a primedir\.overlap_report\.v3 report"):
+            I.load_overlap_report(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("method", "anything"), ("method", None), ("method", ["grid-sample"]),
+        ("variant", "K"), ("variant", 1),
+        ("baseline", "Parallel"), ("baseline", ""), ("baseline", {"parallel": 1}),
+    ])
+    def test_enumerated_field_refused(self, tmp_path, key, value):
+        f1, f2 = axis_families()
+        path = tmp_path / "r.json"
+        I.save_overlap_report(I.max_overlap_scan([f1, f2], I.default_window("k")), path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=f"field '{key}' must be one of"):
             I.load_overlap_report(path)
 
     def test_bad_schema(self, tmp_path):
