@@ -15,7 +15,10 @@ evaluation routes are kept in cross-checkable agreement:
   1D multiplier table and invert the product in place, one axis at a time.
   The prime weights are real, so the symbol is Hermitian,
   m_k(-a) = conj m_k(a); for real f the route works on the half spectrum
-  (rfft2, inverted as irfft2 does) and a complex f takes the full one.
+  (rfft2, inverted as irfft2 does) and a complex f takes the full one.  A
+  call's working set beyond f is the spectrum, computed in place in one
+  array, one product array of the same shape per worker, and the L x L
+  float64 output: about 56 MiB at L = 1024 for complex f and 2 workers.
 
 Both routes of the maximal operator run through one pair driver: it shares
 the (k, v) pairs among worker threads, one per CPU the process may run on (at
@@ -189,9 +192,12 @@ def _roll_sum(tiled: np.ndarray, folded: np.ndarray, v: tuple[int, int],
 
 def _spectrum(values: np.ndarray) -> tuple[np.ndarray, bool]:
     """The 2D transform of f and whether f is real.  A real f has a Hermitian
-    transform, so only its half spectrum (rfft2, columns 0..L//2) is kept."""
+    transform, so only its half spectrum (rfft2, columns 0..L//2) is kept.
+    The spectrum is allocated once and both 1D passes write into it."""
     real = not np.iscomplexobj(values)
-    return (np.fft.rfft2(values) if real else np.fft.fft2(values)), real
+    L = values.shape[0]
+    out = np.empty((L, L // 2 + 1 if real else L), dtype=np.complex128)
+    return (np.fft.rfft2(values, out=out) if real else np.fft.fft2(values, out=out)), real
 
 
 def _apply_symbol(fhat: np.ndarray, symbol: np.ndarray, v: tuple[int, int], real: bool,
@@ -329,7 +335,10 @@ def maximal_op(f: GridFunction, cfg: OperatorConfig, method: str = "spectral") -
     worker owns its arrays: on the spectral route one complex product array
     of the spectrum's size (L x (L//2 + 1) for real f, L x L for complex f),
     on the spatial route two L x L arrays of f's dtype, which read f tiled 2 x 2
-    (built once per call, as the spectrum is, and shared read-only).  w is 1
+    (built once per call, as the spectrum is, and shared read-only).  The
+    spectrum is one array that both forward passes write into, so a spectral
+    call holds it, w product arrays and the L x L float64 output beyond f:
+    at L = 1024, complex f and w = 2, 16 + 2 x 16 + 8 = 56 MiB.  w is 1
     for fewer than 2^14 entries in such an array (spectral: real L < 181,
     complex L < 128; spatial: L < 128), else the number of CPUs in the
     process's affinity mask, capped at 4 and at the number of work units.  A
@@ -552,21 +561,25 @@ def frequency_split(f: GridFunction, A: int) -> tuple[GridFunction, GridFunction
     f1 keeps the frequencies inside the ball (smooth radial cutoff built from
     the package cutoff function) and f2 = f - f1 the rest, so f = f1 + f2
     holds exactly.  When 1/A^2 <= 1/L the cutoff is degenerate: f1 is the
-    mean component and the returned flag is True.
+    mean component and the returned flag is True.  The cutoff is radial, so
+    it keeps a Hermitian spectrum Hermitian: a real f is cut on its half
+    spectrum and gives real f1 and f2, which take the half-spectrum route.
     """
     if A < 1:
         raise ValueError("A must be >= 1")
     L = f.L
     rho = 1.0 / (float(A) * float(A)) if A < 10**150 else 0.0
-    fhat = np.fft.fft2(f.values)
+    low, real = _spectrum(f.values)
     degenerate = rho <= 1.0 / L
     if degenerate:
-        low = np.zeros_like(fhat)
-        low[0, 0] = fhat[0, 0]
+        mean = low[0, 0]
+        low[...] = 0
+        low[0, 0] = mean
     else:
         xi = np.fft.fftfreq(L)
-        low = fhat * eval_chi(np.hypot(xi[:, None], xi[None, :]) / (2.0 * rho))
-    f1 = GridFunction(L, np.fft.ifft2(low))
+        eta = np.fft.rfftfreq(L) if real else xi
+        low *= eval_chi(np.hypot(xi[:, None], eta[None, :]) / (2.0 * rho))
+    f1 = GridFunction(L, np.fft.irfft2(low, s=(L, L)) if real else np.fft.ifft2(low))
     return f1, GridFunction(L, f.values - f1.values), degenerate
 
 

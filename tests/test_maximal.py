@@ -2,6 +2,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -333,6 +334,34 @@ class TestRealRoute:
         assert X.GridFunction.constant(8, 2j).values.dtype == np.complex128
         assert X.GridFunction.random(8, rng, kind="rademacher").values.dtype == np.float64
         assert X.GridFunction.random(8, rng).values.dtype == np.complex128
+
+
+class TestSpectrum:
+    """The forward transform is numpy's, computed in one array of the spectrum's size."""
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("L", [2, 3, 15, 16, 63, 128, 181])
+    def test_equals_numpy(self, L, real):
+        values = _draw(L, 300 + L, real).values
+        fhat, is_real = X._spectrum(values)
+        assert is_real == real
+        assert np.array_equal(fhat, np.fft.rfft2(values) if real else np.fft.fft2(values))
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("L", [128, 181])
+    def test_one_spectrum_allocated(self, L, real):
+        # a second pass that is not written into the spectrum allocates a
+        # second array of its size (peak ratio 2.0); the warm-up call takes
+        # numpy's one-time FFT setup, which alone peaks near 6x at L = 64
+        values = _draw(L, 400 + L, real).values
+        X._spectrum(values)
+        tracemalloc.start()
+        try:
+            fhat, _ = X._spectrum(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * fhat.nbytes
 
 
 class TestInPlaceKernel:
@@ -684,6 +713,32 @@ class TestFrequencySplit:
         assert deg
         assert np.abs(f1.values - f.values.mean()).max() < 1e-12
         assert np.array_equal(f.values - f1.values, f2.values)
+
+    @pytest.mark.parametrize("A", [1, 2, 3, 10**6])
+    @pytest.mark.parametrize("L", [2, 3, 15, 16, 31, 32, 64])
+    def test_real_input_stays_real(self, L, A):
+        f = _draw(L, 500 + L, True)
+        f1, f2, deg = X.frequency_split(f, A)
+        c1, _, cdeg = X.frequency_split(X.GridFunction(L, f.values.astype(complex)), A)
+        assert f1.values.dtype == f2.values.dtype == np.float64
+        assert deg == cdeg == (A * A >= L)
+        assert np.abs(f1.values - c1.values.real).max() <= 1e-14
+        assert np.array_equal(f.values - f1.values, f2.values)
+
+    def test_real_parts_take_half_spectrum(self, table13, monkeypatch):
+        cfg = X.OperatorConfig(directions=((1, 0), (2, 1)), k_min=4, k_max=5, table=table13)
+        f1, f2, _ = X.frequency_split(_draw(32, 7, True), 2)
+        inner, routes = X._spectrum, []
+
+        def spectrum(values):
+            fhat, real = inner(values)
+            routes.append(real)
+            return fhat, real
+
+        monkeypatch.setattr(X, "_spectrum", spectrum)
+        X.maximal_op(f1, cfg)
+        X.maximal_op(f2, cfg)
+        assert routes == [True, True]
 
 class TestFiles:
     def test_round_trip(self, tmp_path):
