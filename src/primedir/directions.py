@@ -475,10 +475,14 @@ def _frac_parse(s: str, where: str) -> Fraction:
         raise ParseError(f"bad rational {s!r} at {where}") from exc
 
 
+def _canonical(doc: dict) -> bytes:
+    """The one JSON encoding of a direction set: sorted keys, fixed separators."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
 def _digest(payload: dict) -> str:
-    """sha256 of the payload's canonical JSON (sorted keys, fixed separators)."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    """sha256 of the payload's canonical JSON."""
+    return hashlib.sha256(_canonical(payload)).hexdigest()
 
 
 def _payload(ds: DirectionSet) -> dict:
@@ -511,23 +515,33 @@ def _payload(ds: DirectionSet) -> dict:
 
 
 def serialize(ds: DirectionSet) -> bytes:
-    """Canonical JSON bytes (sorted keys, fixed separators) with a content hash.
+    """The payload's canonical JSON, the form its content hash covers, with
+    the hash added.
 
     Byte-identical for identical spec + seed, which is the determinism contract
     between CLI commands.
     """
     payload = _payload(ds)
-    doc = {"content_hash": _digest(payload), **payload}
-    return json.dumps(doc, sort_keys=True, indent=1).encode()
+    return _canonical({"content_hash": _digest(payload), **payload})
 
 
 def deserialize(data: bytes) -> DirectionSet:
-    """Parse, re-hash, rebuild, and re-validate a DirectionSet."""
+    """Parse, re-hash, rebuild, and re-validate a DirectionSet.
+
+    Any JSON layout of the same document loads, the indented form that older
+    files use included: the hash is taken over the canonical form.
+    """
     try:
         doc = json.loads(data.decode())
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"direction-set file is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed direction-set file: {exc.msg} at line {exc.lineno} col {exc.colno}") from exc
-    if not isinstance(doc, dict) or doc.get("schema") != _DS_SCHEMA:
+    if not isinstance(doc, dict):
+        kind = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
+        raise ParseError(f"direction-set file holds {kind.get(type(doc), 'a number')} "
+                         "at top level, not a JSON object")
+    if doc.get("schema") != _DS_SCHEMA:
         raise ParseError(f"unexpected schema {doc.get('schema')!r} at top level")
     if doc.pop("content_hash", None) != _digest(doc):
         raise ParseError("content hash mismatch: file was modified after writing")

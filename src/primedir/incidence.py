@@ -35,9 +35,11 @@ denominator, go through a single numpy counter: one fold, one exclusion
 row and one (families x points) broadcast, in int64 when the bounds keep
 every intermediate value below 2^63 and in Python integers otherwise.
 The overlap-1 floor, one point per family, is found and counted with
-``member``.  No point lies in more families than there are, so once the
-running maximum equals the family count the grid sample stops counting
-and the floor is skipped.
+``member``, unless the maximum is already final.  No point lies in more
+families than there are, so once the running maximum equals the family
+count the grid sample stops counting and the floor is skipped; the floor is
+skipped as well once the exact branch reaches a maximum >= 2, which its
+pair candidates certify.
 """
 
 from __future__ import annotations
@@ -686,9 +688,11 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
     count is final: the grid sample stops at the first chunk that reaches it
     (the samples after it still count toward ``candidates_checked``,
     certified to count no more), and the floor points are not counted (they
-    still add to ``candidates_checked``).  ``replay_witness`` recounts a
-    witness through ``member``, so it checks a pair or sample witness
-    independently of the counters above.
+    still add to ``candidates_checked``).  Nor are they on the exact branch
+    once its maximum is 2 or more: the pair candidates are exhaustive for
+    any maximum >= 2, so no floor point can beat it or become the witness.
+    ``replay_witness`` recounts a witness through ``member``, so it checks a
+    pair or sample witness independently of the counters above.
     """
     if not families:
         raise ValueError("need at least one family")
@@ -752,11 +756,12 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
         checked = _SAMPLES
 
     # overlap-1 floor from per-family interior points, counted through member
-    # unless the maximum is already the family count; a point replaces the
-    # witness only by beating the count so far
+    # unless the maximum is already final: the family count, or on the exact
+    # branch any maximum >= 2, which the pair candidates certify; a point
+    # replaces the witness only by beating the count so far
     floor = [pt for pt in (_interior_point(f, window) for f in families) if pt is not None]
     checked += len(floor)
-    if best < n:
+    if best < (2 if method == "exact-candidates" else n):
         for px, py, d in floor:
             count = sum(f.member(px, py, d) for f in families)
             if count > best:
@@ -1043,11 +1048,14 @@ def _report_rationals(doc: dict, key: str, n: int, path, nullable: bool = False)
 def load_overlap_report(path) -> OverlapReport:
     """Read a report written by save_overlap_report; any malformed field is a
     ParseError that names it."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc.msg} at line {exc.lineno}") from exc
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        doc = json.loads(data.decode())
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {exc.msg} at line {exc.lineno}") from exc
     if not isinstance(doc, dict) or doc.get("schema") != _REPORT_SCHEMA:
         raise ParseError(f"{path}: not a {_REPORT_SCHEMA} report")
     ints = {key: _report_field(doc, key, _is_int, "an integer", path)

@@ -585,54 +585,29 @@ def frequency_split(f: GridFunction, A: int) -> tuple[GridFunction, GridFunction
 
 # -- grid-function files ----------------------------------------------------------------
 
-_GF_MAGIC = b"PDGF 1\n"
-_GF_DTYPES = {"float64": "<f8", "complex128": "<c16"}
-
-
 def save_grid_function(f: GridFunction, path) -> None:
-    """Text header (side length, dtype) + little-endian doubles, row-major.
-
-    Real values are written as float64 and complex ones as complex128, so a
-    real grid read back takes the half-spectrum route again.
-    """
-    dtype = "complex128" if np.iscomplexobj(f.values) else "float64"
+    """A numpy .npy file holding the L x L values: float64 for a real grid and
+    complex128 otherwise, so a real grid read back takes the half-spectrum
+    route again.  np.save gets a file opened here, so it adds no .npy suffix."""
     with open(path, "wb") as fh:
-        fh.write(_GF_MAGIC)
-        fh.write(f"L {f.L}\n".encode())
-        fh.write(f"dtype {dtype}\nEND\n".encode())
-        fh.write(np.ascontiguousarray(f.values, dtype=_GF_DTYPES[dtype]).tobytes())
+        np.save(fh, f.values)
 
 
 def load_grid_function(path) -> GridFunction:
+    """Read a .npy file holding one square float64 or complex128 array, in
+    either byte order; any other content is a ParseError that names the path."""
     with open(path, "rb") as fh:
-        if fh.readline() != _GF_MAGIC:
-            raise ParseError(f"{path}: bad magic in header line 1")
-        fields = {}
-        for lineno in (2, 3, 4):
-            line = fh.readline().decode(errors="replace").strip()
-            if line == "END":
-                break
-            try:
-                key, val = line.split(maxsplit=1)
-            except ValueError:
-                raise ParseError(f"{path}: malformed header line {lineno}: {line!r}")
-            fields[key] = val
-        else:
-            raise ParseError(f"{path}: header END marker missing")
-        dtype = fields.get("dtype", "complex128")
-        if dtype not in _GF_DTYPES:
-            raise ParseError(f"{path}: unsupported dtype {dtype!r}")
         try:
-            L = int(fields["L"])
-        except (KeyError, ValueError):
-            raise ParseError(f"{path}: missing or bad L header")
-        raw = fh.read()
-    wire = np.dtype(_GF_DTYPES[dtype])
-    expect = L * L * wire.itemsize
-    if len(raw) != expect:
-        raise ParseError(f"{path}: payload holds {len(raw)} bytes, expected {expect}")
-    vals = np.frombuffer(raw, dtype=wire).reshape(L, L).astype(dtype)
-    return GridFunction(L, vals)
+            vals = np.lib.format.read_array(fh, allow_pickle=False)
+            if fh.read(1):
+                raise ValueError("bytes left after the array")
+            if (vals.ndim != 2 or vals.shape[0] != vals.shape[1]
+                    or vals.dtype.newbyteorder("=") not in (np.float64, np.complex128)):
+                raise ValueError(f"holds a {vals.dtype} array of shape {vals.shape}, "
+                                 "not a square float64 or complex128 grid")
+            return GridFunction(len(vals), vals)
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
 
 
 def export_csv(f: GridFunction, path) -> None:

@@ -41,6 +41,15 @@ class TestConstruct:
         assert run("construct", "--n", "4", "--eps", "1.0", "--seed", "3", "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_hash_is_sha256_of_written_file(self, tmp_path, capsys):
+        # the file is the canonical JSON that its content hash covers
+        out = tmp_path / "ds.json"
+        assert run("construct", "--n", "4", "--eps", "1.0", "--seed", "3", "--out", str(out)) == 0
+        printed = capsys.readouterr().out.split("hash=")[1].split()[0]
+        blob = out.read_bytes()
+        assert printed == hashlib.sha256(blob).hexdigest()[:16]
+        assert blob == json.dumps(json.loads(blob), sort_keys=True, separators=(",", ":")).encode()
+
     def test_n_one_is_usage_error(self, tmp_path):
         assert run("construct", "--n", "1", "--eps", "0.5", "--out", str(tmp_path / "x.json")) == 3
 
@@ -344,7 +353,8 @@ class TestIncidence:
     def test_tampered_ds_is_validation_error(self, tmp_path):
         ds = tmp_path / "ds.json"
         run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
-        blob = ds.read_text().replace('"kappa": 1', '"kappa": 2')
+        blob = ds.read_text().replace('"kappa":1', '"kappa":2')
+        assert blob != ds.read_text()
         bad = tmp_path / "bad.json"
         bad.write_text(blob)
         assert run("incidence", "--ds", str(bad), "--s", "2",
@@ -364,6 +374,38 @@ class TestIncidence:
         assert run("incidence", "--ds", str(bad), "--s", "2",
                    "--out", str(tmp_path / "x.json")) == 2
         assert not (tmp_path / "x.json").exists()
+
+
+class TestBadFiles:
+    """A direction-set or report file that is not a JSON object, or not
+    UTF-8, is a validation error (exit 2) for every command that reads it."""
+
+    BLOBS = {"array": b"[1,2]", "null": b"null", "latin-1": '{"schema": "\u00e9"}'.encode("latin-1")}
+
+    @pytest.mark.parametrize("blob", BLOBS.values(), ids=BLOBS)
+    @pytest.mark.parametrize("command", ["incidence", "replay", "apply"])
+    def test_bad_direction_set(self, tmp_path, capsys, command, blob):
+        bad, rep = tmp_path / "bad.json", tmp_path / "r.json"
+        bad.write_bytes(blob)
+        f1 = incidence.TubeFamily(v=(1, 0), r=2, s=1, C1=8, torus_side=1)
+        f2 = incidence.TubeFamily(v=(0, 1), r=3, s=1, C1=8, torus_side=1)
+        incidence.save_overlap_report(
+            incidence.max_overlap_scan([f1, f2], incidence.default_window("k")), rep)
+        flags = {"incidence": ("--s", "2", "--out", str(tmp_path / "x.json")),
+                 "replay": ("--report", str(rep)),
+                 "apply": ("--l", "32", "--k-min", "5", "--k-max", "6", "--delta")}[command]
+        assert run(command, "--ds", str(bad), *flags) == 2
+        assert capsys.readouterr().err.startswith("validation error:")
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("blob", BLOBS.values(), ids=BLOBS)
+    def test_bad_report(self, tmp_path, capsys, blob):
+        ds, bad = tmp_path / "ds.json", tmp_path / "bad.json"
+        run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
+        bad.write_bytes(blob)
+        capsys.readouterr()
+        assert run("replay", "--ds", str(ds), "--report", str(bad)) == 2
+        assert capsys.readouterr().err.startswith("validation error:")
 
 
 class TestApply:
@@ -490,6 +532,24 @@ class TestApply:
                  "--k-max", "6", "--input", str(src), "--out", str(out))
         assert rc == 0
         assert maximal.load_grid_function(out).L == 32
+
+
+    def test_out_writes_exactly_the_named_file(self, tmp_path):
+        out = tmp_path / "g.bin"
+        assert run("apply", "--vectors", "1,0;0,1", "--l", "32", "--k-min", "5",
+                   "--k-max", "6", "--delta", "--out", str(out)) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["g.bin"]
+        assert np.load(out).shape == (32, 32)
+
+    @pytest.mark.parametrize("blob", [b"", b"PDGF 1\nL 32\ndtype float64\nEND\n" + bytes(32 * 32 * 8)],
+                             ids=["empty", "pdgf"])
+    def test_malformed_input_is_validation_error(self, tmp_path, capsys, blob):
+        src = tmp_path / "f.bin"
+        src.write_bytes(blob)
+        assert run("apply", "--vectors", "1,0;0,1", "--l", "32", "--k-min", "5", "--k-max", "6",
+                   "--input", str(src), "--out", str(tmp_path / "o.bin")) == 2
+        assert capsys.readouterr().err.startswith(f"validation error: {src}: ")
+        assert not (tmp_path / "o.bin").exists()
 
 
 class TestNormSweep:

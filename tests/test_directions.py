@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -362,7 +363,7 @@ class TestSerialization:
 
     def test_value_tamper_rejected(self, toy_ds):
         blob = D.serialize(toy_ds)
-        m = re.search(rb'"m": (\d+)', blob)
+        m = re.search(rb'"m":(\d+)', blob)
         bad = blob[: m.start(1)] + str(int(m.group(1)) + 1).encode() + blob[m.end(1) :]
         with pytest.raises(ParseError, match="hash"):
             D.deserialize(bad)
@@ -394,6 +395,36 @@ class TestSerialization:
         doc2 = {"content_hash": hashlib.sha256(canon.encode()).hexdigest(), **doc}
         with pytest.raises(ConstructionError, match="incomplete rescaling"):
             D.deserialize(json.dumps(doc2, sort_keys=True, indent=1).encode())
+
+    def test_file_is_canonical_json(self, toy_ds):
+        # the file is the form the content hash covers, with the hash added
+        blob = D.serialize(toy_ds)
+        doc = json.loads(blob)
+        assert blob == json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+        digest = doc.pop("content_hash")
+        canon = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+        assert digest == hashlib.sha256(canon).hexdigest()
+
+    def test_indented_file_loads(self, toy_ds):
+        # the indented layout that older files use loads to the same set
+        blob = D.serialize(toy_ds)
+        old = json.dumps(json.loads(blob), sort_keys=True, indent=1).encode()
+        assert old != blob
+        again = D.deserialize(old)
+        assert again == toy_ds
+        assert D.serialize(again) == blob
+
+    @pytest.mark.parametrize("blob,kind", [
+        (b"[1,2]", "an array"), (b"null", "null"), (b"3", "a number"),
+        (b'"x"', "a string"), (b"true", "a boolean"),
+    ])
+    def test_top_level_not_object(self, blob, kind):
+        with pytest.raises(ParseError, match=f"holds {kind} at top level, not a JSON object"):
+            D.deserialize(blob)
+
+    def test_not_utf8(self):
+        with pytest.raises(ParseError, match="not UTF-8"):
+            D.deserialize('{"schema": "\u00e9"}'.encode("latin-1"))
 
     def test_malformed_json_reports_location(self):
         with pytest.raises(ParseError, match="line"):

@@ -902,6 +902,44 @@ class TestFamilyCountCeiling:
         assert counted == [I._interior_point(fams[0], I.default_window("ktilde"))]
         assert (rep.max_overlap, rep.candidates_checked) == (1, 1)
 
+    def test_certified_maximum_skips_floor_batch(self):
+        # the benchmark's N = 8 ktilde families: the exact branch reaches 2 of
+        # 8, which its pair candidates certify, so the floor's 8 points are
+        # walked (candidates_checked keeps them) but none reaches member()
+        ds = directions.rescale_to_integers(
+            directions.construct_directions(directions.DirectionSpec(N=8, eps=0.5, seed=0)))
+        fams, window = I.families_from_direction_set(ds, s=3), I.default_window("ktilde")
+        rep, counted = self._floor_counts(fams, window)
+        assert (rep.method, rep.max_overlap, rep.family_count) == ("exact-candidates", 2, 8)
+        assert counted == []
+        assert _exact_facts(rep) == _recount_exact(fams, window)
+
+    def test_floor_never_beats_certified_maximum(self):
+        """Once the pair candidates reach 2 the scan counts no floor point,
+        and none lies in more families than the reported maximum; below 2 it
+        counts every floor point against every family.  Both sides are drawn."""
+        certified = set()
+
+        @settings(max_examples=80, deadline=None)
+        @given(case=_one_geometry_families(),
+               win=st.sampled_from(TestInt64Counts.INDEX_WINDOWS))
+        def check(case, win):
+            fams, _ = case
+            rep, counted = self._floor_counts(fams, win)
+            assert rep.method == "exact-candidates"
+            floor = [pt for pt in (I._interior_point(f, win) for f in fams) if pt is not None]
+            assert all(sum(f.member(*pt) for f in fams) <= rep.max_overlap for pt in floor)
+            with mock.patch.object(I, "_interior_point", lambda fam, window: None):
+                pairs_max = I.max_overlap_scan(fams, win).max_overlap
+            if pairs_max >= 2:
+                assert counted == [] and rep.max_overlap == pairs_max
+            else:
+                assert counted == [pt for pt in floor for _ in fams]
+            certified.add(pairs_max >= 2)
+
+        check()
+        assert certified == {False, True}
+
 
 def _fraction_plane_range(fam: I.TubeFamily, window: I.ScanWindow) -> tuple[int, int]:
     """Plane indices a whose thickened slab meets the window, in plain Fractions."""
@@ -1194,4 +1232,11 @@ class TestReportFiles:
         path = tmp_path / "r.json"
         path.write_text("{")
         with pytest.raises(ParseError):
+            I.load_overlap_report(path)
+
+    @pytest.mark.parametrize("blob", [b"\xff\xfe{}", b'{"schema": "\xe9"}'])
+    def test_not_utf8(self, tmp_path, blob):
+        path = tmp_path / "r.json"
+        path.write_bytes(blob)
+        with pytest.raises(ParseError, match="not UTF-8"):
             I.load_overlap_report(path)

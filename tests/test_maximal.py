@@ -1,5 +1,7 @@
+import io
 import math
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -740,50 +742,100 @@ class TestFrequencySplit:
         X.maximal_op(f2, cfg)
         assert routes == [True, True]
 
+def _npy(values) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, values)
+    return buf.getvalue()
+
+
 class TestFiles:
     def test_round_trip(self, tmp_path):
         f = X.GridFunction.random(16, np.random.default_rng(9))
-        path = tmp_path / "g.pdgf"
+        path = tmp_path / "g.npy"
         X.save_grid_function(f, path)
         g = X.load_grid_function(path)
         assert g.L == 16 and np.array_equal(g.values, f.values)
 
     def test_round_trip_keeps_dtype(self, tmp_path):
+        # the file is a .npy array of the grid's dtype, its row-major values last
         rng = np.random.default_rng(10)
         real = X.GridFunction(8, rng.standard_normal((8, 8)))
-        for f, dtype, payload in ((real, "float64", 8 * 8 * 8),
-                                  (X.GridFunction.random(8, rng), "complex128", 8 * 8 * 16)):
-            path = tmp_path / f"{dtype}.pdgf"
+        for f, dtype in ((real, "float64"), (X.GridFunction.random(8, rng), "complex128")):
+            path = tmp_path / f"{dtype}.bin"
             X.save_grid_function(f, path)
-            assert f"dtype {dtype}\n".encode() in path.read_bytes()
-            assert path.stat().st_size == len(b"PDGF 1\nL 8\ndtype \nEND\n") + len(dtype) + payload
+            assert path.read_bytes() == _npy(f.values)
+            assert path.read_bytes().endswith(f.values.astype(dtype).tobytes())
+            assert np.load(path).dtype == np.dtype(dtype)
             g = X.load_grid_function(path)
             assert g.values.dtype == np.dtype(dtype) and np.array_equal(g.values, f.values)
+        # np.save added no .npy suffix
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["complex128.bin", "float64.bin"]
+
+    @pytest.mark.parametrize("dtype", [">f8", ">c16"])
+    def test_either_byte_order(self, tmp_path, dtype):
+        vals = np.arange(16.0).reshape(4, 4) * (1j if "c" in dtype else 1)
+        path = tmp_path / "g.npy"
+        path.write_bytes(_npy(vals.astype(dtype)))
+        g = X.load_grid_function(path)
+        assert g.values.dtype == np.dtype(dtype).newbyteorder("=")
+        assert np.array_equal(g.values, vals)
 
     def test_bad_dtype_header(self, tmp_path):
-        path = tmp_path / "g.pdgf"
-        path.write_bytes(b"PDGF 1\nL 4\ndtype float32\nEND\n" + bytes(4 * 4 * 4))
-        with pytest.raises(ParseError, match="dtype"):
-            X.load_grid_function(path)
+        path = tmp_path / "g.npy"
+        for dtype in ("float32", "complex64", "int64"):
+            path.write_bytes(_npy(np.zeros((4, 4), dtype=dtype)))
+            with pytest.raises(ParseError, match=re.escape(f"{path}: holds a {dtype} array")):
+                X.load_grid_function(path)
 
     def test_payload_length_checked_per_dtype(self, tmp_path):
-        path = tmp_path / "g.pdgf"
-        for dtype, wrong in ((b"float64", 4 * 4 * 16), (b"complex128", 4 * 4 * 8)):
-            path.write_bytes(b"PDGF 1\nL 4\ndtype " + dtype + b"\nEND\n" + bytes(wrong))
-            with pytest.raises(ParseError, match="payload"):
+        # one entry short, and one entry of a wider dtype too long
+        path = tmp_path / "g.npy"
+        for dtype in ("float64", "complex128"):
+            blob = _npy(np.zeros((4, 4), dtype=dtype))
+            path.write_bytes(blob[:-np.dtype(dtype).itemsize])
+            with pytest.raises(ParseError, match="Failed to read all data"):
+                X.load_grid_function(path)
+            path.write_bytes(blob + bytes(16))
+            with pytest.raises(ParseError, match="bytes left after the array"):
                 X.load_grid_function(path)
 
     def test_bad_magic(self, tmp_path):
-        path = tmp_path / "g.pdgf"
-        path.write_bytes(b"WRONG 1\nL 4\ndtype complex128\nEND\n" + bytes(4 * 4 * 16))
-        with pytest.raises(ParseError):
-            X.load_grid_function(path)
+        # an old PDGF file, and a .npz archive, fail on the .npy magic string,
+        # not with numpy's message about pickled data
+        path = tmp_path / "g.npy"
+        npz = io.BytesIO()
+        np.savez(npz, g=np.zeros((4, 4)))
+        for blob in (b"PDGF 1\nL 4\ndtype complex128\nEND\n" + bytes(4 * 4 * 16),
+                     b"WRONG 1\nL 4\ndtype complex128\nEND\n" + bytes(4 * 4 * 16),
+                     npz.getvalue()):
+            path.write_bytes(blob)
+            with pytest.raises(ParseError, match="magic string") as exc:
+                X.load_grid_function(path)
+            assert str(path) in str(exc.value) and "pickle" not in str(exc.value)
 
     def test_truncated_payload(self, tmp_path):
-        path = tmp_path / "g.pdgf"
-        path.write_bytes(b"PDGF 1\nL 4\ndtype complex128\nEND\n" + bytes(10))
-        with pytest.raises(ParseError):
+        path = tmp_path / "g.npy"
+        blob = _npy(np.zeros((4, 4), dtype=complex))
+        path.write_bytes(blob[:len(blob) - 4 * 4 * 16 + 10])
+        with pytest.raises(ParseError, match=re.escape(str(path))):
             X.load_grid_function(path)
+
+    @pytest.mark.parametrize("blob,match", [
+        (b"", "reading magic string"),
+        (_npy(np.zeros((4, 4)))[:40], "reading array header"),
+        (_npy(np.zeros(16)), r"shape \(16,\)"),
+        (_npy(np.zeros((2, 2, 4))), r"shape \(2, 2, 4\)"),
+        (_npy(np.zeros((4, 8))), r"shape \(4, 8\)"),
+        (_npy(np.zeros((4, 4), dtype=object)), "allow_pickle"),
+        (_npy(np.zeros((1, 1))), "grid side must be >= 2"),
+        (_npy(np.full((4, 4), np.nan)), "finite"),
+    ], ids=["empty", "short-header", "1d", "3d", "non-square", "object", "1x1", "nan"])
+    def test_malformed_file_is_parse_error(self, tmp_path, blob, match):
+        path = tmp_path / "g.npy"
+        path.write_bytes(blob)
+        with pytest.raises(ParseError, match=match) as exc:
+            X.load_grid_function(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
     def test_csv_export_real_only(self, tmp_path):
         f = X.GridFunction(4, np.ones((4, 4), dtype=complex))
