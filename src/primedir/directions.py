@@ -538,9 +538,8 @@ def deserialize(data: bytes) -> DirectionSet:
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed direction-set file: {exc.msg} at line {exc.lineno} col {exc.colno}") from exc
     if not isinstance(doc, dict):
-        kind = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
-        raise ParseError(f"direction-set file holds {kind.get(type(doc), 'a number')} "
-                         "at top level, not a JSON object")
+        raise ParseError(f"direction-set file holds a JSON {type(doc).__name__} "
+                         "at top level, not an object")
     if doc.get("schema") != _DS_SCHEMA:
         raise ParseError(f"unexpected schema {doc.get('schema')!r} at top level")
     if doc.pop("content_hash", None) != _digest(doc):

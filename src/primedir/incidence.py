@@ -689,8 +689,10 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
     (the samples after it still count toward ``candidates_checked``,
     certified to count no more), and the floor points are not counted (they
     still add to ``candidates_checked``).  Nor are they on the exact branch
-    once its maximum is 2 or more: the pair candidates are exhaustive for
-    any maximum >= 2, so no floor point can beat it or become the witness.
+    once its maximum is 2 or more and at least the size of the largest
+    parallel class: a point that two non-parallel families cover is counted
+    at a pair candidate, and any other lies only in mutually parallel
+    families, so no floor point can beat that maximum or become the witness.
     ``replay_witness`` recounts a witness through ``member``, so it checks a
     pair or sample witness independently of the counters above.
     """
@@ -757,11 +759,13 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
 
     # overlap-1 floor from per-family interior points, counted through member
     # unless the maximum is already final: the family count, or on the exact
-    # branch any maximum >= 2, which the pair candidates certify; a point
-    # replaces the witness only by beating the count so far
+    # branch a maximum >= 2 and >= the largest parallel class (a point off
+    # the pair candidates lies only in parallel families); a point replaces
+    # the witness only by beating the count so far
     floor = [pt for pt in (_interior_point(f, window) for f in families) if pt is not None]
     checked += len(floor)
-    if best < (2 if method == "exact-candidates" else n):
+    par = max(row.count(0) for row in cross)  # cross[i][i] = 0
+    if best < (max(2, par) if method == "exact-candidates" else n):
         for px, py, d in floor:
             count = sum(f.member(px, py, d) for f in families)
             if count > best:

@@ -595,16 +595,27 @@ def save_grid_function(f: GridFunction, path) -> None:
 
 def load_grid_function(path) -> GridFunction:
     """Read a .npy file holding one square float64 or complex128 array, in
-    either byte order; any other content is a ParseError that names the path."""
+    either byte order; any other content is a ParseError that names the path.
+    The header is checked against the file's size before the array is
+    allocated, so a header claiming a huge shape costs no memory."""
+    fmt = np.lib.format
     with open(path, "rb") as fh:
         try:
-            vals = np.lib.format.read_array(fh, allow_pickle=False)
-            if fh.read(1):
-                raise ValueError("bytes left after the array")
-            if (vals.ndim != 2 or vals.shape[0] != vals.shape[1]
-                    or vals.dtype.newbyteorder("=") not in (np.float64, np.complex128)):
-                raise ValueError(f"holds a {vals.dtype} array of shape {vals.shape}, "
+            headers = {(1, 0): fmt.read_array_header_1_0, (2, 0): fmt.read_array_header_2_0}
+            version = fmt.read_magic(fh)
+            if version not in headers:
+                raise ValueError(f"unsupported .npy version {version}")
+            shape, _, dtype = headers[version](fh)
+            if (len(shape) != 2 or shape[0] != shape[1]
+                    or dtype.newbyteorder("=") not in (np.float64, np.complex128)):
+                raise ValueError(f"holds a {dtype} array of shape {shape}, "
                                  "not a square float64 or complex128 grid")
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            need = shape[0] * shape[1] * dtype.itemsize
+            if left != need:
+                raise ValueError(f"payload holds {left} bytes, expected {need}")
+            fh.seek(0)
+            vals = fmt.read_array(fh, allow_pickle=False)
             return GridFunction(len(vals), vals)
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}") from exc

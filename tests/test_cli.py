@@ -541,8 +541,12 @@ class TestApply:
         assert [p.name for p in tmp_path.iterdir()] == ["g.bin"]
         assert np.load(out).shape == (32, 32)
 
-    @pytest.mark.parametrize("blob", [b"", b"PDGF 1\nL 32\ndtype float64\nEND\n" + bytes(32 * 32 * 8)],
-                             ids=["empty", "pdgf"])
+    @pytest.mark.parametrize("blob", [
+        b"", b"PDGF 1\nL 32\ndtype float64\nEND\n" + bytes(32 * 32 * 8),
+        # a .npy header claiming a 10^6 x 10^6 float64 array, then one value
+        b"\x93NUMPY\x01\x00v\x00" + b"{'descr': '<f8', 'fortran_order': False, "
+        b"'shape': (1000000, 1000000), }".ljust(117) + b"\n" + bytes(8),
+    ], ids=["empty", "pdgf", "huge-shape"])
     def test_malformed_input_is_validation_error(self, tmp_path, capsys, blob):
         src = tmp_path / "f.bin"
         src.write_bytes(blob)

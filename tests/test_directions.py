@@ -415,11 +415,11 @@ class TestSerialization:
         assert D.serialize(again) == blob
 
     @pytest.mark.parametrize("blob,kind", [
-        (b"[1,2]", "an array"), (b"null", "null"), (b"3", "a number"),
-        (b'"x"', "a string"), (b"true", "a boolean"),
+        (b"[1,2]", "list"), (b"null", "NoneType"), (b"3", "int"), (b"3.5", "float"),
+        (b'"x"', "str"), (b"true", "bool"),
     ])
     def test_top_level_not_object(self, blob, kind):
-        with pytest.raises(ParseError, match=f"holds {kind} at top level, not a JSON object"):
+        with pytest.raises(ParseError, match=f"holds a JSON {kind} at top level, not an object"):
             D.deserialize(blob)
 
     def test_not_utf8(self):

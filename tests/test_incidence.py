@@ -914,10 +914,28 @@ class TestFamilyCountCeiling:
         assert counted == []
         assert _exact_facts(rep) == _recount_exact(fams, window)
 
+    def test_parallel_copies_beat_pair_maximum(self):
+        # three copies of a vertical family and a pair that reaches 2 where
+        # the copies' strip x = 1/4 meets neither of them: only the floor
+        # point counts 3, so the floor is counted although the pairs reach 2
+        a = I.TubeFamily(v=(F(1), F(0)), r=4, s=2, C1=8)
+        b = I.TubeFamily(v=(F(1), F(1)), r=4, s=2, C1=8)
+        c = I.TubeFamily(v=(F(1), F(-1)), r=5, s=2, C1=8)
+        fams, window = [a, a, a, b, c], I.ScanWindow(F(1, 10), F(1, 2), F(3, 20), F(7, 40))
+        with mock.patch.object(I, "_interior_point", lambda fam, win: None):
+            assert I.max_overlap_scan(fams, window).max_overlap == 2
+        rep, counted = self._floor_counts(fams, window)
+        assert (rep.method, rep.max_overlap) == ("exact-candidates", 3)
+        assert rep.witness == _floor_point(a, window)
+        floor = [pt for pt in (I._interior_point(f, window) for f in fams) if pt is not None]
+        assert counted == [pt for pt in floor for _ in fams]
+        assert _exact_facts(rep) == _recount_exact(fams, window)
+
     def test_floor_never_beats_certified_maximum(self):
-        """Once the pair candidates reach 2 the scan counts no floor point,
-        and none lies in more families than the reported maximum; below 2 it
-        counts every floor point against every family.  Both sides are drawn."""
+        """Once the pair candidates reach 2 and the largest parallel class the
+        scan counts no floor point, and none lies in more families than the
+        reported maximum; below that it counts every floor point against
+        every family.  Both sides are drawn."""
         certified = set()
 
         @settings(max_examples=80, deadline=None)
@@ -931,7 +949,8 @@ class TestFamilyCountCeiling:
             assert all(sum(f.member(*pt) for f in fams) <= rep.max_overlap for pt in floor)
             with mock.patch.object(I, "_interior_point", lambda fam, window: None):
                 pairs_max = I.max_overlap_scan(fams, win).max_overlap
-            if pairs_max >= 2:
+            par = max(sum(f.ax * g.ay == f.ay * g.ax for g in fams) for f in fams)
+            if pairs_max >= max(2, par):
                 assert counted == [] and rep.max_overlap == pairs_max
             else:
                 assert counted == [pt for pt in floor for _ in fams]

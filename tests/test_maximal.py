@@ -792,12 +792,33 @@ class TestFiles:
         path = tmp_path / "g.npy"
         for dtype in ("float64", "complex128"):
             blob = _npy(np.zeros((4, 4), dtype=dtype))
+            size = 16 * np.dtype(dtype).itemsize
             path.write_bytes(blob[:-np.dtype(dtype).itemsize])
-            with pytest.raises(ParseError, match="Failed to read all data"):
+            with pytest.raises(ParseError, match=f"payload holds {size - size // 16} bytes, "
+                                                 f"expected {size}"):
                 X.load_grid_function(path)
             path.write_bytes(blob + bytes(16))
-            with pytest.raises(ParseError, match="bytes left after the array"):
+            with pytest.raises(ParseError, match=f"payload holds {size + 16} bytes, "
+                                                 f"expected {size}"):
                 X.load_grid_function(path)
+
+    @pytest.mark.parametrize("shape", [(10**6, 10**6), (2**40, 2**40), (-1, -1)])
+    def test_claimed_shape_checked_before_allocation(self, tmp_path, shape):
+        # a short file whose header claims a huge shape: refused on the file
+        # size, before numpy allocates the array it claims
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": "<f8", "fortran_order": False, "shape": shape})
+        path = tmp_path / "g.npy"
+        path.write_bytes(header.getvalue() + bytes(8))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=re.escape(str(path))):
+                X.load_grid_function(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_bad_magic(self, tmp_path):
         # an old PDGF file, and a .npz archive, fail on the .npy magic string,
@@ -826,7 +847,7 @@ class TestFiles:
         (_npy(np.zeros(16)), r"shape \(16,\)"),
         (_npy(np.zeros((2, 2, 4))), r"shape \(2, 2, 4\)"),
         (_npy(np.zeros((4, 8))), r"shape \(4, 8\)"),
-        (_npy(np.zeros((4, 4), dtype=object)), "allow_pickle"),
+        (_npy(np.zeros((4, 4), dtype=object)), "holds a object array"),
         (_npy(np.zeros((1, 1))), "grid side must be >= 2"),
         (_npy(np.full((4, 4), np.nan)), "finite"),
     ], ids=["empty", "short-header", "1d", "3d", "non-square", "object", "1x1", "nan"])
