@@ -35,8 +35,7 @@ for s in (1, 2, 3):
     print(
         f"s={s}: constructed max overlap {rep.max_overlap}{wit}  "
         f"vs parallel baseline {repb.max_overlap}  "
-        f"({rep.candidates_checked} exact candidates, "
-        f"fallback_pairs={rep.fallback_pairs}, shared_centers={rep.shared_centers})"
+        f"({rep.candidates_checked} exact candidates, shared_centers={rep.shared_centers})"
     )
 
 print("\npair selection by shared fresh primes:")

@@ -222,8 +222,7 @@ def cmd_incidence(args) -> int:
     print(
         f"max_overlap={best.max_overlap} method={best.method} "
         f"candidates={best.candidates_checked} families={best.family_count} "
-        f"fallback_pairs={best.fallback_pairs} samples_counted={best.samples_counted} "
-        f"shared_centers={best.shared_centers}"
+        f"samples_counted={best.samples_counted} shared_centers={best.shared_centers}"
     )
     print(f"wrote {args.out}")
     return 0

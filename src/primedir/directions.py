@@ -475,6 +475,13 @@ def _frac_parse(s: str, where: str) -> Fraction:
         raise ParseError(f"bad rational {s!r} at {where}") from exc
 
 
+def _int_parse(s: str, where: str) -> int:
+    try:
+        return int(s)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad integer {s!r} at {where}") from exc
+
+
 def _canonical(doc: dict) -> bytes:
     """The one JSON encoding of a direction set: sorted keys, fixed separators."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
@@ -562,14 +569,17 @@ def deserialize(data: bytes) -> DirectionSet:
         ds = DirectionSet(
             spec=spec,
             kappa=doc["kappa"],
-            prime_window=tuple(int(p) for p in doc["prime_window"]),
-            scale_denominator=int(doc["scale_denominator"]),
+            prime_window=tuple(_int_parse(p, f"prime_window[{i}]")
+                               for i, p in enumerate(doc["prime_window"])),
+            scale_denominator=_int_parse(doc["scale_denominator"], "scale_denominator"),
             eps_adjusted=doc["eps_adjusted"],
             vectors=vectors,
-            A=int(doc["A"]) if doc["A"] is not None else None,
-            A_tilde=int(doc["A_tilde"]) if doc["A_tilde"] is not None else None,
+            A=_int_parse(doc["A"], "A") if doc["A"] is not None else None,
+            A_tilde=_int_parse(doc["A_tilde"], "A_tilde") if doc["A_tilde"] is not None else None,
             integer_vectors=(
-                tuple((int(x), int(y)) for x, y in doc["integer_vectors"])
+                tuple((_int_parse(x, f"integer_vectors[{i}][0]"),
+                       _int_parse(y, f"integer_vectors[{i}][1]"))
+                      for i, (x, y) in enumerate(doc["integer_vectors"]))
                 if doc["integer_vectors"] is not None
                 else None
             ),

@@ -22,24 +22,26 @@ applies it to a Fraction point).
 
 A scan takes one geometry, as the paper does: every family shares the level
 s, the thickness constant C1, the torus side and the exclusion radius, and
-only the direction and the denominator r vary.  The scan counts each pair's
-lattice candidates on their plane indices, in integers of a few machine
-words, whenever the certificates in ``max_overlap_scan``'s docstring hold:
+only the direction and the denominator r vary.  The exact scan counts each
+pair's lattice candidates on their plane indices, in integers of a few
+machine words, under the certificates in ``max_overlap_scan``'s docstring:
 one bound per scan is the slab certificate, with no family-by-family
 retest, and a cell center that no other pair shares lies on no third
-family's plane, so it counts 2 without a pass over the families.  A pair
-that fails a certificate is counted on its coordinates, at the five points
-of every cell whose center lies in the window grown by the cell's corner
-reach.  Those points, like every other batch of points over one
-denominator, go through a single numpy counter: one fold, one exclusion
-row and one (families x points) broadcast, in int64 when the bounds keep
-every intermediate value below 2^63 and in Python integers otherwise.
-The overlap-1 floor, one point per family, is found and counted with
-``member``, unless the maximum is already final.  No point lies in more
+family's plane, so it counts 2 without a pass over the families.  The paper
+takes C1 sufficiently large depending on A, and ``default_c1`` follows it;
+a scan below the certificates' C1, or whose exclusion ball reaches the cell
+of an in-window center, is refused with a ValueError that names the
+certificate, the pair and the least C1 that passes it, if any does.  The
+overlap-1 floor, one point per family, is found and counted with
+``member``, unless the maximum is already final.
+The numpy counter (``_plan`` and ``_counts``) serves only the grid sample:
+one fold, one exclusion row and one (families x points) broadcast per
+chunk of samples, in int64 when the bounds keep every intermediate value
+below 2^63 and in Python integers otherwise.  No point lies in more
 families than there are, so once the running maximum equals the family
-count the grid sample stops counting and the floor is skipped; the floor is
-skipped as well once the exact branch reaches a maximum >= 2, which its
-pair candidates certify.
+count the grid sample stops counting and the floor is skipped; the floor
+is skipped as well once the exact branch reaches a maximum >= 2 and at
+least the largest parallel class, which its pair candidates certify.
 """
 
 from __future__ import annotations
@@ -206,7 +208,8 @@ _INT64_END = 1 << 63
 
 
 def _plan(families: list[TubeFamily], d: int, bound: int):
-    """Constants of every family's member() at the fixed denominator d, and a dtype.
+    """Constants of every family's member() at the fixed denominator d, and a
+    dtype, for one chunk of the grid sample.
 
     Valid for points (px, py, d) with |px|, |py| <= bound, and for families
     that share a torus side and an exclusion radius, as a scan's do.  The
@@ -383,24 +386,12 @@ def _pair_centers(fi: TubeFamily, fj: TubeFamily, delta: int, range_i: tuple[int
     return cells
 
 
-def _pair_points(fi: TubeFamily, fj: TubeFamily, delta: int, range_i: tuple[int, int],
-                 range_j: tuple[int, int], win: ScanWindow):
-    """The pair's in-window candidates in (a, b, o) order, a outermost, as object
-    arrays px, py over D = |delta| r_i r_j 2^c: the five offsets of every cell
-    whose center ``_pair_centers`` finds in the grown window (``_grown``),
-    masked to the window."""
-    sgn, dabs = (1, delta) if delta > 0 else (-1, -delta)
-    c, rr = fi.shift, fi.r * fj.r
-    cells = _pair_centers(fi, fj, delta, range_i, range_j, _grown(win, fi, fj, dabs)[0])
-    moves = _moves(fi, fj, sgn)
-    # every term an object array: numpy turns a list that holds an integer in
-    # [2^63, 2^64) into float64
-    px, py = (np.add.outer(np.array([cell[2 + k] << c for cell in cells], dtype=object),
-                           np.array([rr * move[k] for move in moves], dtype=object)).ravel()
-              for k in (0, 1))  # x, then y: (cx, cy) are cell[2:4]
-    D = dabs * rr << c
-    inside = win.mask(px, py, D)
-    return px[inside], py[inside], D
+def _refusal(cert: str, i: int, j: int, s: int, bits: int | None) -> ValueError:
+    """The error for pair (i, j) failing a certificate at level s; ``bits`` is
+    the least shift C1 s that passes it, None when no shift does (at s = 0
+    the shift is 0 whatever C1 is)."""
+    least = f"C1 >= {-(-bits // s)}" if bits is not None and s else "no C1"
+    return ValueError(f"{cert} certificate fails for pair ({i}, {j}); {least} passes it")
 
 
 def _index_pair(families: list[TubeFamily], i: int, j: int, cells, win: ScanWindow,
@@ -408,7 +399,7 @@ def _index_pair(families: list[TubeFamily], i: int, j: int, cells, win: ScanWind
     """Counts the pair's candidates on their plane indices (a, b) and offsets
     o, without building their coordinates; the identities and certificates
     are the third fact of ``max_overlap_scan``'s docstring, whose caller
-    has checked that the torus fold moves no window point.
+    has checked the fold certificate.
 
     ``cells`` are the pair's in-window centers (``_pair_centers``),
     ``cross[l][m] = ax_l ay_m - ay_l ax_m``, ``bound`` is the scan's
@@ -418,8 +409,8 @@ def _index_pair(families: list[TubeFamily], i: int, j: int, cells, win: ScanWind
     Returns (checked, count, point, shared): the number of the pair's
     in-window candidates, the largest family count among them, the first
     candidate to reach it as a triple (px, py, d) (None when no count is
-    positive), and the number of centers counted family by family; None
-    when a certificate fails.
+    positive), and the number of centers counted family by family.  A
+    ValueError (``_refusal``) names the first certificate that fails.
     """
     fi, fj = families[i], families[j]
     c, ex_n, ex_d = fi.shift, fi.ex_n, fi.ex_d  # shared by every family
@@ -428,19 +419,31 @@ def _index_pair(families: list[TubeFamily], i: int, j: int, cells, win: ScanWind
     rr = fi.r * fj.r
     G = dabs * rr  # the cell centers' denominator
     Kx, Ky = _reach(fi, fj)
-    if (rr * win.W * max(Kx, Ky)).bit_length() > c:  # window: 2^c > r_i r_j W max(Kx, Ky)
-        return None
+    bits = (rr * win.W * max(Kx, Ky)).bit_length()
+    if bits > c:  # window: 2^c > r_i r_j W max(Kx, Ky)
+        raise _refusal("window", i, j, fi.s, bits)
     if not cells:
         return 0, 0, None, 0
     if ex_n:
-        if (ex_d - ex_n * G) << c <= ex_d * (Kx + Ky) * rr:  # a nonzero center clears the ball
-            return None
-        if (any(key is None for *_, key in cells)
-                and (ex_n * dabs) << c <= (Kx + Ky) * ex_d):
-            return None  # the origin cell need not lie in the ball
+        # each test below, x 2^c > y, holds iff c >= bit_length(y // x)
+        reach = ex_d * (Kx + Ky) * rr
+        # a nonzero center lies m / G from the origin in the max norm, m >= 1:
+        # the bound at m = 1 first, the nearest in-window center only when it fails
+        if (ex_d - ex_n * G) << c <= reach and any(key for *_, key in cells):
+            m = min(max(abs(cx), abs(cy)) for _, _, cx, cy, key in cells if key)
+            clear = ex_d * m - ex_n * G  # <= 0: that center is in the ball
+            bits = (reach // clear).bit_length() if clear > 0 else None
+            if bits is None or bits > c:
+                raise _refusal("ball", i, j, fi.s, bits)
+        if any(key is None for *_, key in cells):
+            # the origin cell lies in the ball when its corners' reach is below the radius
+            bits = ((Kx + Ky) * ex_d // (ex_n * dabs)).bit_length()
+            if bits > c:
+                raise _refusal("origin-cell", i, j, fi.s, bits)
     r_max, den_max, colmax = bound  # slab: the scan's one bound
-    if (rr * r_max * (fi.den * colmax[j] + fj.den * colmax[i] + den_max * dabs)).bit_length() > c:
-        return None
+    bits = (rr * r_max * (fi.den * colmax[j] + fj.den * colmax[i] + den_max * dabs)).bit_length()
+    if bits > c:
+        raise _refusal("slab", i, j, fi.s, bits)
     W = win.W
     gx0, gx1, gy0, gy1 = G * win.x0, G * win.x1, G * win.y0, G * win.y1
     moves = rows = point = None  # moves and rows: built when first needed
@@ -496,11 +499,9 @@ class OverlapReport:
     candidates_checked: int = 0
     r_values: tuple[int, ...] | None = None  # per-family denominators, for replay
     baseline: str | None = None  # "parallel" for a parallel-baseline scan, for replay
-    # pairs counted on their coordinates, not their plane indices, grid
-    # samples actually counted (0 on the exact branch), and in-window centers
-    # that another pair shares, counted family by family; records of the
-    # run, not of the result: report files and equality leave them out
-    fallback_pairs: int = field(default=0, compare=False)
+    # grid samples actually counted (0 on the exact branch), and in-window
+    # centers that another pair shares, counted family by family; records of
+    # the run, not of the result: report files and equality leave them out
     samples_counted: int = field(default=0, compare=False)
     shared_centers: int = field(default=0, compare=False)
 
@@ -588,14 +589,31 @@ def _grid_sample(families: list[TubeFamily], win: ScanWindow):
     return best, (Fraction(x0 + i * wx, d), Fraction(y0 + j * wy, d)), counted
 
 
+def _fold_certificate(families: list[TubeFamily], window: ScanWindow) -> None:
+    """A ValueError unless the torus fold changes no window point's membership:
+    the window lies in [-side/2, side/2), or in the closed box and a shift
+    by the side moves no family (den | r ax side and den | r ay side)."""
+    side = families[0].torus_side
+    if side is None:
+        return
+    sW = side * window.W
+    if not all(-sW <= 2 * e <= sW for e in (window.x0, window.x1, window.y0, window.y1)):
+        raise ValueError(f"fold certificate fails: the window leaves [-{side}/2, {side}/2]^2")
+    if sW in (2 * window.x1, 2 * window.y1):  # an edge that the fold moves
+        for k, f in enumerate(families):
+            if (f.r * f.ax * side) % f.den or (f.r * f.ay * side) % f.den:
+                raise ValueError(f"fold certificate fails: the window reaches the edge "
+                                 f"{side}/2, and a shift by the torus side moves family {k}")
+
+
 def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapReport:
     """Maximum pointwise overlap of the families over the window.
 
     Exact method: overlap counts are evaluated at every pairwise lattice cell
     center and corner (sufficient for any maximum >= 2) plus one interior
     point per family (the overlap-1 floor).  If the candidate count would
-    exceed 2 000 000 the scan falls back to a grid sample of 20 000 points
-    (seed 0) and labels the report method accordingly.
+    exceed 2 000 000 the scan takes a grid sample of 20 000 points (seed 0)
+    instead and labels the report method accordingly.
 
     The families must share one geometry: the level s, the thickness
     constant C1, the torus side and the exclusion radius, as the tubes of
@@ -614,85 +632,94 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
       ``|X - b Dd| << shift <= r Dd`` holds exactly when
       ``min(res, Dd - res) <= (r Dd) >> shift``; a tie at Dd / 2 gives the
       same distance either way.
-    - A pair's candidates can be counted on their plane indices, when the
-      certificates below hold.  Take the
+    - The exact branch counts each pair's candidates on their plane indices,
+      under the certificates below; the paper takes C1 sufficiently large
+      depending on A, and a scan whose C1 or ball is outside them is refused
+      with a ValueError that names the failing certificate, the pair and
+      the least C1 that passes it (``_refusal``).  Take the
       non-parallel pair (i, j), each family as v = (ax, ay) / den, and
       Delta = ax_i ay_j - ay_i ax_j, P_l = ax_l ay_j - ay_l ax_j,
       Q_l = ax_i ay_l - ay_i ax_l, Kx = |ay_j den_i| + |ay_i den_j|,
       Ky = |ax_j den_i| + |ax_i den_j|.  Candidate (a, b, o) is
-      beta = (cx, cy) / (|Delta| r_i r_j) + delta(o), with cx and cy
+      beta = (cx, cy) / G + delta(o), G = |Delta| r_i r_j, with cx and cy
       integers linear in (a, b), |delta_x| <= Kx 2^-c / |Delta| and
       |delta_y| <= Ky 2^-c / |Delta|.  Family l sees
-      r_l v_l . beta = N_l / M_l + E_l(o), with M_l = den_l |Delta| r_i r_j,
+      r_l v_l . beta = N_l / M_l + E_l(o), with M_l = den_l G,
       N_l = sgn(Delta) r_l (den_i r_j P_l a + den_j r_i Q_l b) and
       E_l = sgn(Delta) r_l (den_i P_l o1 + den_j Q_l o2) 2^-c / (den_l |Delta|).
       Slab: when 2^c > r_i r_j r_l (|den_i P_l| + |den_j Q_l| + den_l |Delta|),
       l covers the candidate iff N_l = 0 mod M_l and
       |den_i P_l o1 + den_j Q_l o2| <= den_l |Delta|.  (Then |E_l| < 1 / M_l;
       c >= 1 forces every s >= 1, so M_l >= 4 and |E_l| < 1/2.)  Window:
-      when 2^c > r_i r_j W max(Kx, Ky), the signs of cx W - x0 |Delta| r_i r_j
-      and of the other three edge margins decide all five points of a cell;
-      on an edge (margin 0) a corner stays when its offset numerator points
-      inward or runs along the edge.  Exclusion: a cell whose center is not 0
-      clears the ball when 1 / (|Delta| r_i r_j) - (Kx + Ky) 2^-c / |Delta|
-      exceeds its radius, and the cell a = b = 0 lies inside a ball of
+      when 2^c > r_i r_j W max(Kx, Ky), the signs of cx W - x0 G and of
+      the other three edge margins decide all five points of a cell; on an
+      edge (margin 0) a corner stays when its offset numerator points inward
+      or runs along the edge.
+      Ball: a cell whose center is not 0 clears the ball when
+      m / G - (Kx + Ky) 2^-c / |Delta| exceeds its radius, m >= 1 being the
+      least max(|cx|, |cy|) over the pair's in-window nonzero centers: the
+      center lies at least m / G from the origin in the max norm, and so in
+      the Euclidean one, and a corner at most (Kx + Ky) 2^-c / |Delta| from
+      its center.  The test takes m = 1 first, and the pair's least m only
+      when that fails.  Origin cell: the cell a = b = 0 lies inside a ball of
       nonzero radius when (Kx + Ky) 2^-c / |Delta| is below that radius.
-      Fold: the torus side holds the window in [-side/2, side/2), checked
-      once per scan on the integer edges.  So a family that covers a corner covers its
-      cell's center, which is in the window whenever a corner is and comes
-      first in the cell: each pair's maximum and witness are those of its
-      in-window centers, and the corners only add to ``candidates_checked``.
+      Each of these four tests reads x 2^c > y in integers, which holds iff
+      c >= bit_length(y // x) when x > 0, so a refusal names the least C1
+      that passes; none does at s = 0 (c = 0), nor for a ball that holds
+      an in-window nonzero center (x <= 0).
+      Fold (``_fold_certificate``, once per scan): the window lies in
+      [-side/2, side/2), where the fold moves no point; or in the closed
+      box [-side/2, side/2]^2 with den | r ax side and den | r ay side for
+      every family, so a shift by the side changes r v . beta by integers
+      and moves no family: the fold then moves only edge points, to the
+      mirror edge, and leaves |px| and |py| unchanged.
+      So a family that covers a corner covers its cell's center, which is
+      in the window whenever a corner is and comes first in the cell: each
+      pair's maximum and witness are those of its in-window centers, and the
+      corners only add to ``candidates_checked``.
       Per scan: one cross table X[l][m] = ax_l ay_m - ay_l ax_m gives every
       Delta, P_l = X[l][j] and Q_l = -X[l][i], so with colmax[m] =
       max_l |X[l][m]| the bound 2^c > r_i r_j r_max (den_i colmax[j] +
       den_j colmax[i] + den_max |Delta|) implies the slab certificate for
       every l.  That bound is the scan's one slab test: there is no
-      family-by-family retest, and a pair that fails it falls back, as a
-      pair that fails the window or exclusion certificate does.
+      family-by-family retest.
       Coincidences: at a center the offset is 0, so under the slab
       certificate family l covers it iff it lies on a central plane of l
       (N_l = 0 mod M_l).  Families i and j always do; a center other than
       the origin lies in the ball of no family, and the origin in all of
-      them or, under the exclusion certificate, in none.  A third family l
+      them or, under the origin-cell certificate, in none.  A third family l
       is not parallel to both i and j, say not to i, so a center beta of
       (i, j) on a central plane of l is the crossing of that plane with
       i's: an in-window center of the pair {i, l} (its plane indices lie in
       both ranges, since beta is in the window).  So a first pass lists
       every non-parallel pair's in-window centers, keyed by the reduced
-      triple (cx/g, cy/g, G/g), G = |Delta| r_i r_j, and counts per key the
-      pairs that hold it; a center no other pair holds counts 2, the origin
+      triple (cx/g, cy/g, G/g), and counts per key the pairs that hold it;
+      a center no other pair holds counts 2, the origin
       counts the family count or 0, and only a shared center is counted
       family by family (the report's ``shared_centers``).
-      ``_index_pair`` applies this in integers of a few machine words.  A
-      pair whose certificates fail is counted on its coordinates by the
-      counter below, and the report's ``fallback_pairs`` says how many
-      were; its centers are still listed in the first pass, since another
-      pair's count relies on them.  Its candidates (``_pair_points``) are
-      the five points of every cell whose center lies in the window grown
-      by the corner reach (Kx, Ky) 2^-c / |Delta|, masked to the window:
+      ``_index_pair`` applies this in integers of a few machine words;
       ``_pair_centers`` is the one enumerator of a pair's lattice.
 
-    So one counter serves every batch of points that share a denominator: a
-    fallback pair's in-window lattice candidates (filtered against the window
-    by array comparisons) and a 2048-point chunk of the grid sample.
-    ``_plan`` computes the constants once per batch: one fold, one exclusion
-    threshold and a column of per-family slab constants; it picks int64 when
-    they bound every intermediate value below 2^63, Python integers
-    otherwise.  ``_counts`` applies them in one (families x points)
-    broadcast.  The floor's handful of points, one per family, are counted
-    one at a time with ``member``, in family order.  The witness is the
-    first candidate, in pair order then lattice order, to reach the maximum;
-    a floor point is the witness only when it beats every count before it,
-    so it is the first floor point to reach the floor's maximum.  No point
-    lies in more families than there are, so a maximum equal to the family
-    count is final: the grid sample stops at the first chunk that reaches it
-    (the samples after it still count toward ``candidates_checked``,
-    certified to count no more), and the floor points are not counted (they
-    still add to ``candidates_checked``).  Nor are they on the exact branch
-    once its maximum is 2 or more and at least the size of the largest
-    parallel class: a point that two non-parallel families cover is counted
-    at a pair candidate, and any other lies only in mutually parallel
-    families, so no floor point can beat that maximum or become the witness.
+    The grid sample counts each 2048-point chunk, whose points share one
+    denominator, in the numpy counter: ``_plan`` computes the constants once
+    per chunk (one fold, one exclusion threshold and a column of per-family
+    slab constants) and picks int64 when they bound every intermediate value
+    below 2^63, Python integers otherwise; ``_counts`` applies them in one
+    (families x points) broadcast.  The floor's handful of points, one per
+    family, are counted one at a time with ``member``, in family order.  The
+    witness is the first candidate, in pair order then lattice order, to
+    reach the maximum; a floor point is the witness only when it beats
+    every count before it, so it is the first floor point to reach the
+    floor's maximum.  No point lies in more families than there are, so a
+    maximum equal to the family count is final: the grid sample stops at
+    the first chunk that reaches it (the samples after it still count
+    toward ``candidates_checked``, certified to count no more), and the
+    floor points are not counted (they still add to
+    ``candidates_checked``).  Nor are they on the exact branch once its
+    maximum is 2 or more and at least the size of the largest parallel
+    class: a point that two non-parallel families cover is counted at a
+    pair candidate, and any other lies only in mutually parallel families,
+    so no floor point can beat that maximum or become the witness.
     ``replay_witness`` recounts a witness through ``member``, so it checks a
     pair or sample witness independently of the counters above.
     """
@@ -706,7 +733,7 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
                                  f"{getattr(f, name)!r}, family 0 {getattr(f0, name)!r}")
     variant = "k" if f0.torus_side == 1 else "ktilde"
 
-    n, side = len(families), f0.torus_side
+    n = len(families)
     cross = [[fl.ax * fm.ay - fl.ay * fm.ax for fm in families] for fl in families]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if cross[i][j]]  # non-parallel
     ranges = [_plane_range(f, window) for f in families]
@@ -715,43 +742,27 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
 
     best = 0
     witness: tuple[Fraction, Fraction] | None = None
-    checked = fallback = counted = shared = 0
+    checked = counted = shared = 0
     if est <= _EXACT_BUDGET:
         method = "exact-candidates"
-        # the fold certificate: the torus side holds the window in [-side/2, side/2)
-        unfolded = side is None or all(-side * window.W <= 2 * e < side * window.W
-                                       for e in (window.x0, window.x1, window.y0, window.y1))
-        if unfolded:
-            # first pass: every pair's in-window centers, and per point the
-            # number of pairs that hold it (the origin, a center of every
-            # pair, is counted apart)
-            cells = {(i, j): _pair_centers(families[i], families[j], cross[i][j], ranges[i],
-                                           ranges[j], window) for i, j in pairs}
-            seen = Counter(key for cs in cells.values() for *_, key in cs if key)
-            bound = (max(f.r for f in families), max(f.den for f in families),
-                     [max(abs(row[m]) for row in cross) for m in range(n)])
+        if pairs:
+            _fold_certificate(families, window)
+        # first pass: every pair's in-window centers, and per point the number
+        # of pairs that hold it (the origin, a center of every pair, is
+        # counted apart)
+        cells = {(i, j): _pair_centers(families[i], families[j], cross[i][j], ranges[i],
+                                       ranges[j], window) for i, j in pairs}
+        seen = Counter(key for cs in cells.values() for *_, key in cs if key)
+        bound = (max(f.r for f in families), max(f.den for f in families),
+                 [max(abs(row[m]) for row in cross) for m in range(n)])
         for i, j in pairs:
-            got = (_index_pair(families, i, j, cells[i, j], window, cross, bound, seen)
-                   if unfolded else None)
-            if got is not None:
-                inside, count, point, on_planes = got
-                checked += inside
-                shared += on_planes
-                if count > best:
-                    px, py, d = point
-                    best, witness = count, (Fraction(px, d), Fraction(py, d))
-                continue
-            fallback += 1
-            px, py, d = _pair_points(families[i], families[j], cross[i][j], ranges[i], ranges[j],
-                                     window)
-            if not len(px):
-                continue
-            checked += len(px)
-            plan = _plan(families, d, window.reach(d))
-            counts = _counts(plan, *(np.asarray(c, dtype=plan[1]) for c in (px, py)))
-            k = int(np.argmax(counts))  # the pair's first candidate to reach its maximum
-            if counts[k] > best:
-                best, witness = int(counts[k]), (Fraction(px[k], d), Fraction(py[k], d))
+            inside, count, point, on_planes = _index_pair(families, i, j, cells[i, j], window,
+                                                          cross, bound, seen)
+            checked += inside
+            shared += on_planes
+            if count > best:
+                px, py, d = point
+                best, witness = count, (Fraction(px, d), Fraction(py, d))
     else:
         method = "grid-sample"
         best, witness, counted = _grid_sample(families, window)
@@ -775,8 +786,8 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
         s=f0.s, C1=f0.C1, max_overlap=best, witness=witness,
         family_count=len(families), method=method, variant=variant,
         window=window, candidates_checked=checked,
-        r_values=tuple(f.r for f in families), fallback_pairs=fallback,
-        samples_counted=counted, shared_centers=shared,
+        r_values=tuple(f.r for f in families), samples_counted=counted,
+        shared_centers=shared,
     )
 
 

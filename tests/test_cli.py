@@ -137,16 +137,15 @@ class TestIncidence:
         assert run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds)) == 0
         capsys.readouterr()
         assert run("incidence", "--ds", str(ds), "--s", "2", "--out", str(rep)) == 0
-        # every pair of the set is counted on its plane indices, the exact
-        # branch counts no grid sample, and no center lies on a third
-        # family's plane; the counts are facts of the run, not of the report
-        # file
-        assert ("families=4 fallback_pairs=0 samples_counted=0 shared_centers=0\n"
+        # the exact branch counts no grid sample, and no center lies on a
+        # third family's plane; the counts are facts of the run, not of the
+        # report file
+        assert ("families=4 samples_counted=0 shared_centers=0\n"
                 in capsys.readouterr().out)
         doc = json.loads(rep.read_text())
         assert doc["schema"] == "primedir.overlap_report.v3"
         assert doc["baseline"] is None
-        for key in ("fallback_pairs", "samples_counted", "shared_centers"):
+        for key in ("samples_counted", "shared_centers"):
             assert key not in doc
         assert run("replay", "--ds", str(ds), "--report", str(rep)) == 0
 
@@ -160,9 +159,21 @@ class TestIncidence:
         # the first 2048-sample chunk reaches the family count, so the rest of
         # the 20 000 samples, still reported as checked, are not counted
         assert ("max_overlap=4 method=grid-sample candidates=20004 families=4 "
-                "fallback_pairs=0 samples_counted=2048 shared_centers=0\n") in capsys.readouterr().out
+                "samples_counted=2048 shared_centers=0\n") in capsys.readouterr().out
         assert "samples_counted" not in json.loads(rep.read_text())
         assert run("replay", "--ds", str(ds), "--report", str(rep)) == 0
+
+    def test_thin_tubes_refused(self, tmp_path, capsys):
+        # at --c1 8 the tubes are too thick for the window certificate; the
+        # refusal names it and the least C1 that passes it, and writes nothing
+        ds, rep = tmp_path / "ds.json", tmp_path / "thin.json"
+        run("construct", "--n", "8", "--eps", "0.5", "--mode", "toy", "--seed", "7",
+            "--out", str(ds))
+        capsys.readouterr()
+        assert run("incidence", "--ds", str(ds), "--s", "2", "--c1", "8", "--out", str(rep)) == 2
+        assert capsys.readouterr().err == (
+            "invalid argument: window certificate fails for pair (0, 1); C1 >= 27 passes it\n")
+        assert not rep.exists()
 
     def test_baseline_report_replays(self, tmp_path, capsys):
         ds = tmp_path / "ds.json"
@@ -396,6 +407,22 @@ class TestBadFiles:
                  "apply": ("--l", "32", "--k-min", "5", "--k-max", "6", "--delta")}[command]
         assert run(command, "--ds", str(bad), *flags) == 2
         assert capsys.readouterr().err.startswith("validation error:")
+        assert not (tmp_path / "x.json").exists()
+
+    def test_rehashed_non_integer_field(self, tmp_path, capsys):
+        # a re-hashed set whose A is not a decimal integer string
+        ds = tmp_path / "ds.json"
+        run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
+        doc = json.loads(ds.read_text())
+        doc.pop("content_hash")
+        doc["A"] = "x"
+        canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        ds.write_text(json.dumps({"content_hash": hashlib.sha256(canon.encode()).hexdigest(),
+                                  **doc}))
+        capsys.readouterr()
+        assert run("incidence", "--ds", str(ds), "--s", "2",
+                   "--out", str(tmp_path / "x.json")) == 2
+        assert capsys.readouterr().err == "validation error: bad integer 'x' at A\n"
         assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize("blob", BLOBS.values(), ids=BLOBS)

@@ -396,6 +396,26 @@ class TestSerialization:
         with pytest.raises(ConstructionError, match="incomplete rescaling"):
             D.deserialize(json.dumps(doc2, sort_keys=True, indent=1).encode())
 
+    @pytest.mark.parametrize("path,named", [
+        (("A",), "at A"), (("A_tilde",), "at A_tilde"),
+        (("scale_denominator",), "at scale_denominator"),
+        (("prime_window", 1), "at prime_window[1]"),
+        (("integer_vectors", 2, 1), "at integer_vectors[2][1]"),
+    ])
+    def test_rehashed_non_integer_string_names_field(self, toy_ds, path, named):
+        # a big integer that is not a decimal string, in a re-hashed file
+        doc = json.loads(D.serialize(toy_ds))
+        doc.pop("content_hash")
+        *outer, last = path
+        node = doc
+        for key in outer:
+            node = node[key]
+        node[last] = "x"
+        canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        blob = json.dumps({"content_hash": hashlib.sha256(canon.encode()).hexdigest(), **doc})
+        with pytest.raises(ParseError, match=re.escape(f"bad integer 'x' {named}")):
+            D.deserialize(blob.encode())
+
     def test_file_is_canonical_json(self, toy_ds):
         # the file is the form the content hash covers, with the hash added
         blob = D.serialize(toy_ds)

@@ -3,6 +3,8 @@ import itertools
 import json
 import math
 import random
+import re
+from collections import Counter
 from fractions import Fraction as F
 from unittest import mock
 
@@ -126,20 +128,6 @@ class TestCandidates:
                     brute.add((x, y))
         assert set(pts) == brute
 
-    def test_terms_past_int64_stay_integers(self):
-        # D = |delta| r1 r2 2^c lies between 2^63 and 2^64, and so do the
-        # candidates' x terms: numpy turns a list of such integers into float64
-        f1 = I.TubeFamily(v=(F(-1, 2), F(-2)), r=7, s=2, C1=28)
-        f2 = I.TubeFamily(v=(F(1), F(8, 3)), r=7, s=2, C1=28)
-        win = I.ScanWindow(F(3, 4), F(7, 8), F(-1, 16), F(1, 16))
-        px, py, d = I._pair_points(f1, f2, f1.ax * f2.ay - f1.ay * f2.ax, I._plane_range(f1, win),
-                                   I._plane_range(f2, win), win)
-        assert len(px) and 1 << 63 < d < 1 << 64
-        assert all(1 << 63 <= x < 1 << 64 for x in px)
-        assert all(type(x) is int for x in [*px, *py])
-        assert [(F(x, d), F(y, d)) for x, y in zip(px, py)] == [
-            (F(x, e), F(y, e)) for x, y, e in _lattice_candidates(f1, f2, win)]
-
     def test_parallel_rejected(self):
         f1 = I.TubeFamily(v=(F(1), F(0)), r=2, s=1, C1=8)
         f2 = I.TubeFamily(v=(F(2), F(0)), r=3, s=1, C1=8)
@@ -190,7 +178,8 @@ class TestScan:
             assert count <= rep.max_overlap
 
     def test_monotone_in_thickness(self):
-        # fatter tubes (smaller C1) can only raise the maximum
+        # fatter tubes (smaller C1) can only raise the maximum, down to the
+        # least C1 the certificates accept; below it the scan refuses
         def scan(c1):
             fams = [
                 I.TubeFamily(v=(F(1), F(0)), r=2, s=1, C1=c1, torus_side=1),
@@ -199,9 +188,13 @@ class TestScan:
             ]
             return I.max_overlap_scan(fams, I.default_window("k")).max_overlap
 
-        results = [scan(c1) for c1 in (2, 4, 8, 12)]
+        with pytest.raises(ValueError, match=r"^window .* \(0, 1\); C1 >= 4 passes it$"):
+            scan(2)
+        with pytest.raises(ValueError, match=r"^slab .* \(0, 1\); C1 >= 6 passes it$"):
+            scan(4)
+        results = [scan(c1) for c1 in (6, 8, 12)]
         assert all(a >= b for a, b in zip(results, results[1:]))
-        assert results[0] == 3  # fat tubes do produce a triple point
+        assert results[0] == 3  # the origin, with no ball, lies in all three
 
     def test_grid_sample_fallback(self, monkeypatch):
         f1, f2 = axis_families()
@@ -306,9 +299,10 @@ def _tube_families():
 def _one_geometry_families(draw):
     """(families, large): 2-4 families with one s, C1, torus side and
     exclusion radius, so one shift c = C1 s.  C1 is the smallest the spacing
-    allows plus 0-2, where the index certificates mostly fail, or plus 60-70
-    (large), where they hold unless s = 0 (so c = 0), the radius is 1/3 or
-    a torus side of 1 folds the window."""
+    allows plus 0-2, where the certificates mostly refuse the scan, or plus
+    60-70 (large), where they hold unless s = 0 (so c = 0), the radius is
+    1/3, or a window that reaches the edge x = 1/2 of a torus side of 1
+    meets a family that a unit shift moves (``_fold_moves``)."""
     s = draw(st.integers(0, 2))
     n = draw(st.integers(2, 4))
     coord = st.builds(F, st.integers(-9, 9), st.integers(1, 3))
@@ -549,6 +543,52 @@ def _recount_exact(fams, window):
     return best, witness, len(pts)
 
 
+_REFUSAL = re.compile(r"(window|ball|origin-cell|slab|fold) certificate fails")
+
+
+def _scan_or_refusal(fams, window):
+    """The exact scan's report, or None when the scan refuses with a
+    ValueError that names a certificate."""
+    try:
+        return I.max_overlap_scan(fams, window)
+    except ValueError as exc:
+        assert _REFUSAL.match(str(exc)), exc
+        return None
+
+
+def _fold_moves(fams, window) -> bool:
+    """Does the fold move a window point's membership?  A torus side of 1 moves
+    the edge x = 1/2 or y = 1/2 to -1/2, which a family notices unless a unit
+    shift changes r v . beta by an integer."""
+    return (fams[0].torus_side == 1 and F(1, 2) in (window.x_hi, window.y_hi)
+            and any(F(f.r * f.v[0]).denominator > 1 or F(f.r * f.v[1]).denominator > 1
+                    for f in fams))
+
+
+def _refused_pairs(fams, window) -> int:
+    """How many of the scan's non-parallel pairs a certificate refuses: all of
+    them when the fold certificate fails, else those ``_index_pair`` refuses
+    after the scan's first pass."""
+    n = len(fams)
+    cross = [[f.ax * g.ay - f.ay * g.ax for g in fams] for f in fams]
+    pairs = [(i, j) for i, j in itertools.combinations(range(n), 2) if cross[i][j]]
+    try:
+        I._fold_certificate(fams, window)
+    except ValueError:
+        return len(pairs)
+    ranges = [I._plane_range(f, window) for f in fams]
+    bound = (max(f.r for f in fams), max(f.den for f in fams),
+             [max(abs(row[m]) for row in cross) for m in range(n)])
+    refused = 0
+    for i, j in pairs:
+        cells = I._pair_centers(fams[i], fams[j], cross[i][j], ranges[i], ranges[j], window)
+        try:
+            I._index_pair(fams, i, j, cells, window, cross, bound, Counter())
+        except ValueError:
+            refused += 1
+    return refused
+
+
 class TestInt64Counts:
     """The counter in both dtypes; int64 is taken whenever the bounds allow it."""
 
@@ -592,53 +632,66 @@ class TestInt64Counts:
         I.ScanWindow(F(1, 7), F(1, 7) + F(1, 20), F(-1, 3), F(-1, 3) + F(1, 30)),
     )
 
-    @settings(max_examples=25, deadline=None)
-    @given(fams=_family_lists(1, 3),
-           win=st.sampled_from(EXACT_WINDOWS))
-    def test_exact_scan_equals_recount(self, fams, win):
-        rep = I.max_overlap_scan(fams, win)
-        assert rep.method == "exact-candidates"
-        assert _exact_facts(rep) == _recount_exact(fams, win)
+    def test_exact_scan_equals_recount(self):
+        """The exact scan refuses, naming a certificate, or equals member() at
+        every candidate; both outcomes are drawn."""
+        refused = set()
+
+        @settings(max_examples=25, deadline=None)
+        @given(fams=_family_lists(1, 3), win=st.sampled_from(self.EXACT_WINDOWS))
+        def check(fams, win):
+            rep = _scan_or_refusal(fams, win)
+            if rep is not None:
+                assert rep.method == "exact-candidates"
+                assert _exact_facts(rep) == _recount_exact(fams, win)
+            refused.add(rep is None)
+
+        check()
+        assert refused == {False, True}
 
     # windows for the plane-index counter: one holding the origin, one off it,
     # one with the origin (always a cell center) on its left edge, and one
-    # whose edge x = 1/2 a torus side of 1 folds to -1/2
+    # whose edge x = 1/2 a torus side of 1 folds to -1/2, which only a family
+    # that a unit shift moves notices
     INDEX_WINDOWS = EXACT_WINDOWS + (
         I.ScanWindow(F(0), F(1, 8), F(-1, 16), F(1, 16)),
         I.ScanWindow(F(7, 16), F(1, 2), F(-1, 16), F(1, 16)),
     )
 
     def test_index_scan_equals_recount(self):
-        """The scan, pairs on plane indices or on coordinates, against member()
-        at every candidate; both sides of the certificates are drawn."""
-        fell_back = set()
+        """The scan refuses, naming a certificate, or equals member() at every
+        candidate; it accepts every large C1 at s >= 1 with a small radius and
+        a fold that moves nothing.  Both outcomes are drawn."""
+        refused = set()
 
         @settings(max_examples=150, deadline=None)
         @given(case=_one_geometry_families(), win=st.sampled_from(self.INDEX_WINDOWS))
         def check(case, win):
             fams, large = case
-            rep = I.max_overlap_scan(fams, win)
-            assert rep.method == "exact-candidates"
-            assert _exact_facts(rep) == _recount_exact(fams, win)
-            folded = fams[0].torus_side == 1 and win.x_hi == F(1, 2)
-            if large and fams[0].s and not folded and fams[0].exclusion_radius < F(1, 3):
-                assert rep.fallback_pairs == 0
-            fell_back.add(rep.fallback_pairs > 0)
+            rep = _scan_or_refusal(fams, win)
+            if (large and fams[0].s and not _fold_moves(fams, win)
+                    and fams[0].exclusion_radius < F(1, 3)):
+                assert rep is not None
+            if rep is not None:
+                assert rep.method == "exact-candidates"
+                assert _exact_facts(rep) == _recount_exact(fams, win)
+            refused.add(rep is None)
 
         check()
-        assert fell_back == {False, True}
+        assert refused == {False, True}
 
-    @pytest.mark.parametrize("fams,window,fallback", [
+    @pytest.mark.parametrize("fams,window,refused", [
         # the origin, a cell center, on the window's left edge
         (_axis_families(), I.ScanWindow(F(0), F(1, 2), F(-1, 4), F(1, 4)), 0),
         # the origin cell without an exclusion ball, and inside a small one
         (_axis_families(), I.default_window("ktilde"), 0),
         (_axis_families(ex=F(1, 10**6)), I.default_window("ktilde"), 0),
         # a ball too small to hold the origin cell's corners, in a window
-        # that holds only that cell: every pair falls back
+        # that holds only that cell: every pair is refused
         (_axis_families(C1=8, ex=F(1, 1000)), I.ScanWindow(F(0), F(1, 4), F(0), F(1, 4)), 3),
-        # a ball wider than 1 / (|Delta| r_i r_j): every pair falls back
-        (_axis_families(ex=F(1, 3)), I.default_window("ktilde"), 3),
+        # a ball wider than 1 / (|Delta| r_i r_j), but narrower than the
+        # nearest in-window nonzero center of every pair, at 1/2
+        (_axis_families(ex=F(1, 3)), I.default_window("ktilde"), 0),
         # s = 0, so r = 1 and the shift is 0: no certificate holds
         (_axis_families(r=(1, 1, 1), s=0), I.default_window("ktilde"), 3),
         # a different r per family
@@ -647,41 +700,97 @@ class TestInt64Counts:
         # certificate holds
         (_axis_families(C1=2), I.default_window("ktilde"), 3),
         # the k window against a torus side of 1, whose fold moves the edges
-        # x = 1/2 and y = 1/2, and against a side of 2, whose fold does not
-        (_axis_families(side=1), I.default_window("k"), 3),
+        # x = 1/2 and y = 1/2 to -1/2 but no integer direction's planes, and
+        # against a side of 2, whose fold moves no window point
+        (_axis_families(side=1), I.default_window("k"), 0),
         (_axis_families(side=2), I.default_window("k"), 0),
         # a slab 2^-8 off the lattice point (1/2, 0) of the axis pair covers
         # it: the window certificate holds there and the slab one fails
         (_axis_families(C1=8)[:2] + [I.TubeFamily(v=(F(257, 256), F(0)), r=2, s=1, C1=8)],
          I.default_window("ktilde"), 2),
         # the axis pair's center (0, 0) lies just left of the window and its
-        # corners (2^-8, +-2^-8) inside it: the fallback counts them only
-        # when it enumerates the window grown by the corner reach
+        # corners (2^-8, +-2^-8) inside it: the window certificate fails
         (_axis_families(C1=8)[:2], I.ScanWindow(F(1, 512), F(1, 4), F(-1, 4), F(1, 4)), 1),
     ])
-    def test_index_certificates_pinned(self, fams, window, fallback):
+    def test_index_certificates_pinned(self, fams, window, refused):
+        """``refused`` pairs of the scan fail a certificate: with none the scan
+        equals member() at every candidate, and otherwise it refuses."""
         if window.x_lo == 0:
             assert (F(0), F(0)) in I.candidate_intersections(fams[0], fams[1], window)
+        assert _refused_pairs(fams, window) == refused
+        rep = _scan_or_refusal(fams, window)
+        assert (rep is None) == (refused > 0)
+        if rep is not None:
+            assert _exact_facts(rep) == _recount_exact(fams, window)
+
+    @pytest.mark.parametrize("fams,window,message", [
+        (_axis_families(C1=8, ex=F(1, 1000)), I.ScanWindow(F(0), F(1, 4), F(0), F(1, 4)),
+         "origin-cell certificate fails for pair (0, 1); C1 >= 11 passes it"),
+        (_axis_families(r=(1, 1, 1), s=0), I.default_window("ktilde"),
+         "window certificate fails for pair (0, 1); no C1 passes it"),
+        (_axis_families(C1=2), I.default_window("ktilde"),
+         "window certificate fails for pair (0, 1); C1 >= 3 passes it"),
+        (_axis_families(C1=8)[:2] + [I.TubeFamily(v=(F(257, 256), F(0)), r=2, s=1, C1=8)],
+         I.default_window("ktilde"), "slab certificate fails for pair (0, 1); C1 >= 13 passes it"),
+        (_axis_families(C1=8)[:2], I.ScanWindow(F(1, 512), F(1, 4), F(-1, 4), F(1, 4)),
+         "window certificate fails for pair (0, 1); C1 >= 12 passes it"),
+        # the nearest nonzero center of the axis pair, (1/2, 0), lies on the
+        # ball; inside a smaller ball its cell's corners reach 2 2^-3 from it
+        (_axis_families(ex=F(1, 2)), I.default_window("ktilde"),
+         "ball certificate fails for pair (0, 1); no C1 passes it"),
+        (_axis_families(C1=3, ex=F(2, 5)), I.default_window("ktilde"),
+         "ball certificate fails for pair (0, 1); C1 >= 5 passes it"),
+        # a unit shift moves the planes of v = (1/3, 0) at r = 2
+        (_axis_families(side=1)[1:] + [I.TubeFamily(v=(F(1, 3), F(0)), r=2, s=1, C1=40,
+                                                    torus_side=1)],
+         I.default_window("k"), "fold certificate fails: the window reaches the edge 1/2, "
+                                "and a shift by the torus side moves family 2"),
+        (_axis_families(side=1), I.ScanWindow(F(-1, 2), F(3, 4), F(-1, 2), F(1, 2)),
+         "fold certificate fails: the window leaves [-1/2, 1/2]^2"),
+    ], ids=["origin-cell", "window-s0", "window", "slab", "window-edge", "ball-center",
+            "ball-reach", "fold-shift", "fold-box"])
+    def test_certificate_refusal_named(self, fams, window, message):
+        with pytest.raises(ValueError) as info:
+            I.max_overlap_scan(fams, window)
+        assert str(info.value) == message
+
+    def test_nearest_center_ball_certifies(self):
+        # the N = 4, seed-0 ktilde families at s = 6 and the default C1: for
+        # one pair the ball bound with a center at 1/G fails, and its nearest
+        # in-window nonzero center clears the ball
+        ds = directions.rescale_to_integers(
+            directions.construct_directions(directions.DirectionSpec(N=4, eps=0.5, seed=0)))
+        fams, window = I.families_from_direction_set(ds, s=6), I.default_window("ktilde")
+        c, ex_n, ex_d = fams[0].shift, fams[0].ex_n, fams[0].ex_d
+        coarse = 0
+        for fi, fj in itertools.combinations(fams, 2):
+            rr = fi.r * fj.r
+            G = abs(fi.ax * fj.ay - fi.ay * fj.ax) * rr
+            Kx, Ky = I._reach(fi, fj)
+            coarse += (ex_d - ex_n * G) << c <= ex_d * (Kx + Ky) * rr
+        assert coarse == 1
         rep = I.max_overlap_scan(fams, window)
-        assert rep.fallback_pairs == fallback
+        assert (rep.max_overlap, rep.shared_centers) == (2, 0)
         assert _exact_facts(rep) == _recount_exact(fams, window)
 
     def test_concurrent_planes_scan_equals_recount(self):
         """Centers that lie on a third family's central plane are counted
-        family by family; the scan must still equal member() at every
-        candidate, and some drawn scans must count such centers."""
+        family by family; the scan must refuse, naming a certificate, or
+        still equal member() at every candidate.  Some drawn scans refuse,
+        and some accepted ones count such centers."""
         shared = set()
 
         @settings(max_examples=120, deadline=None)
         @given(fams=_concurrent_families(), win=st.sampled_from(self.INDEX_WINDOWS))
         def check(fams, win):
-            rep = I.max_overlap_scan(fams, win)
-            assert rep.method == "exact-candidates"
-            assert _exact_facts(rep) == _recount_exact(fams, win)
-            shared.add(rep.shared_centers > 0)
+            rep = _scan_or_refusal(fams, win)
+            if rep is not None:
+                assert rep.method == "exact-candidates"
+                assert _exact_facts(rep) == _recount_exact(fams, win)
+            shared.add(None if rep is None else rep.shared_centers > 0)
 
         check()
-        assert shared == {False, True}
+        assert shared == {None, False, True}
 
     def test_benchmark_inputs_take_index_path(self, toy_ds):
         # the ktilde families of the benchmark's N = 8 and N = 16 seed-0
@@ -694,53 +803,45 @@ class TestInt64Counts:
             cases += [I.families_from_direction_set(ds, s=s) for s in levels]
         for fams in cases + [I.families_from_direction_set(toy_ds, s=2)]:
             rep = I.max_overlap_scan(fams, window)
-            # the scan's one slab bound holds for every pair, and no center
-            # lies on a third family's plane
-            assert rep.fallback_pairs == 0 and rep.shared_centers == 0
+            # every certificate holds for every pair, and no center lies on a
+            # third family's plane
+            assert rep.shared_centers == 0
             assert _exact_facts(rep) == _recount_exact(fams, window)
 
     def test_axis_families_count_shared_centers(self):
         # the diagonal is the sum of the axes at one r, so every center of
         # the axis pair but the origin lies on a diagonal plane; at C1 = 6
-        # the scan's slab bound fails for one pair, which falls back
+        # the scan's slab bound fails for one pair, and the scan refuses
         window = I.default_window("ktilde")
         fams = _axis_families(r=(2, 3, 3), C1=6)
-        rep = I.max_overlap_scan(fams, window)
-        assert rep.fallback_pairs == 1
-        assert _exact_facts(rep) == _recount_exact(fams, window)
+        assert _refused_pairs(fams, window) == 1
+        with pytest.raises(ValueError, match=r"^slab .* pair \(1, 2\); C1 >= 7 passes it$"):
+            I.max_overlap_scan(fams, window)
+        fams = _axis_families(r=(2, 3, 3), C1=7)
+        assert _exact_facts(I.max_overlap_scan(fams, window)) == _recount_exact(fams, window)
         rep = I.max_overlap_scan(_axis_families(), window)
-        assert rep.fallback_pairs == 0 and rep.shared_centers > 0
+        assert rep.shared_centers > 0
         assert rep.max_overlap == 3
 
-    @settings(max_examples=25, deadline=None)
-    @given(fams=_family_lists(1, 4),
-           win=st.sampled_from(EXACT_WINDOWS))
-    def test_exact_scan_plans_once_per_batch(self, fams, win):
-        """_plan runs at most once per non-parallel pair with in-window
-        candidates, and never for the floor: a walk tests its trials, and
-        the scan counts the floor points, through member()."""
-        plans, inside = [], []
-        real_plan, real_interior = I._plan, I._interior_point
+    def test_exact_scan_plans_once_per_batch(self):
+        """The exact branch never runs _plan, the grid sample's batch planner:
+        the pairs count on their plane indices, and the floor walks test their
+        trials, and the scan counts the floor points, through member().  Some
+        drawn scans refuse and some are accepted."""
+        refused = set()
 
-        def interior(fam, window):
-            inside.append(fam)
-            try:
-                return real_interior(fam, window)
-            finally:
-                inside.pop()
+        @settings(max_examples=25, deadline=None)
+        @given(fams=_family_lists(1, 4), win=st.sampled_from(self.EXACT_WINDOWS))
+        def check(fams, win):
+            plans = []
+            with mock.patch.object(I, "_plan", lambda *a: plans.append(a)):
+                rep = _scan_or_refusal(fams, win)
+            assert plans == []
+            assert rep is None or rep.method == "exact-candidates"
+            refused.add(rep is None)
 
-        with mock.patch.object(I, "_plan", lambda *a: plans.append(bool(inside)) or real_plan(*a)), \
-                mock.patch.object(I, "_interior_point", interior):
-            rep = I.max_overlap_scan(fams, win)
-        assert rep.method == "exact-candidates"
-        ranges = [I._plane_range(f, win) for f in fams]
-        busy = 0
-        for i, j in itertools.combinations(range(len(fams)), 2):
-            delta = fams[i].ax * fams[j].ay - fams[i].ay * fams[j].ax
-            busy += bool(delta and len(I._pair_points(fams[i], fams[j], delta, ranges[i],
-                                                      ranges[j], win)[0]))
-        assert plans.count(False) <= busy
-        assert plans.count(True) == 0
+        check()
+        assert refused == {False, True}
 
     @pytest.mark.parametrize("v", [(F(1), F(0)), (F(3), F(-5, 2))])
     def test_floor_witness_is_first_interior_point(self, v):
@@ -935,7 +1036,8 @@ class TestFamilyCountCeiling:
         """Once the pair candidates reach 2 and the largest parallel class the
         scan counts no floor point, and none lies in more families than the
         reported maximum; below that it counts every floor point against
-        every family.  Both sides are drawn."""
+        every family.  Both sides are drawn, and so are scans that refuse,
+        naming a certificate."""
         certified = set()
 
         @settings(max_examples=80, deadline=None)
@@ -943,7 +1045,12 @@ class TestFamilyCountCeiling:
                win=st.sampled_from(TestInt64Counts.INDEX_WINDOWS))
         def check(case, win):
             fams, _ = case
-            rep, counted = self._floor_counts(fams, win)
+            try:
+                rep, counted = self._floor_counts(fams, win)
+            except ValueError as exc:
+                assert _REFUSAL.match(str(exc)), exc
+                certified.add(None)
+                return
             assert rep.method == "exact-candidates"
             floor = [pt for pt in (I._interior_point(f, win) for f in fams) if pt is not None]
             assert all(sum(f.member(*pt) for f in fams) <= rep.max_overlap for pt in floor)
@@ -957,7 +1064,7 @@ class TestFamilyCountCeiling:
             certified.add(pairs_max >= 2)
 
         check()
-        assert certified == {False, True}
+        assert certified == {None, False, True}
 
 
 def _fraction_plane_range(fam: I.TubeFamily, window: I.ScanWindow) -> tuple[int, int]:
