@@ -482,6 +482,13 @@ def _int_parse(s: str, where: str) -> int:
         raise ParseError(f"bad integer {s!r} at {where}") from exc
 
 
+def _pair_parse(entry, where: str) -> tuple[int, int]:
+    """An integer vector: a list of two decimal integer strings."""
+    if not isinstance(entry, list) or len(entry) != 2:
+        raise ParseError(f"bad integer pair {entry!r} at {where}: not a two-element list")
+    return _int_parse(entry[0], f"{where}[0]"), _int_parse(entry[1], f"{where}[1]")
+
+
 def _canonical(doc: dict) -> bytes:
     """The one JSON encoding of a direction set: sorted keys, fixed separators."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
@@ -577,9 +584,8 @@ def deserialize(data: bytes) -> DirectionSet:
             A=_int_parse(doc["A"], "A") if doc["A"] is not None else None,
             A_tilde=_int_parse(doc["A_tilde"], "A_tilde") if doc["A_tilde"] is not None else None,
             integer_vectors=(
-                tuple((_int_parse(x, f"integer_vectors[{i}][0]"),
-                       _int_parse(y, f"integer_vectors[{i}][1]"))
-                      for i, (x, y) in enumerate(doc["integer_vectors"]))
+                tuple(_pair_parse(v, f"integer_vectors[{i}]")
+                      for i, v in enumerate(doc["integer_vectors"]))
                 if doc["integer_vectors"] is not None
                 else None
             ),

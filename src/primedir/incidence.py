@@ -30,10 +30,12 @@ retest, and a cell center that no other pair shares lies on no third
 family's plane, so it counts 2 without a pass over the families.  The paper
 takes C1 sufficiently large depending on A, and ``default_c1`` follows it;
 a scan below the certificates' C1, or whose exclusion ball reaches the cell
-of an in-window center, is refused with a ValueError that names the
-certificate, the pair and the least C1 that passes it, if any does.  The
-overlap-1 floor, one point per family, is found and counted with
-``member``, unless the maximum is already final.
+of an in-window center, is refused with one ValueError for the whole scan:
+it names a certificate that no C1 passes, if there is one, else the
+certificate and pair that need the largest C1, and that C1, the least at
+which every pair passes every certificate.  The overlap-1 floor, one point
+per family, is found and counted with ``member``, unless the maximum is
+already final.
 The numpy counter (``_plan`` and ``_counts``) serves only the grid sample:
 one fold, one exclusion row and one (families x points) broadcast per
 chunk of samples, in int64 when the bounds keep every intermediate value
@@ -386,64 +388,80 @@ def _pair_centers(fi: TubeFamily, fj: TubeFamily, delta: int, range_i: tuple[int
     return cells
 
 
-def _refusal(cert: str, i: int, j: int, s: int, bits: int | None) -> ValueError:
-    """The error for pair (i, j) failing a certificate at level s; ``bits`` is
-    the least shift C1 s that passes it, None when no shift does (at s = 0
-    the shift is 0 whatever C1 is)."""
-    least = f"C1 >= {-(-bits // s)}" if bits is not None and s else "no C1"
-    return ValueError(f"{cert} certificate fails for pair ({i}, {j}); {least} passes it")
+def _refusal(fails: list, s: int) -> ValueError:
+    """The one error for a scan at level s whose pairs fail certificates.
+    fails holds (name, i, j, bits), bits the least shift C1 s that passes
+    certificate name for pair (i, j), None when no shift does (at s = 0 the
+    shift is 0 whatever C1 is).  The error names a certificate that no C1
+    passes if there is one, else the one whose least C1 is the largest: the
+    least C1 that passes every certificate of the scan.  Among equals it
+    names the first, in pair order."""
+    def need(fail):
+        return math.inf if fail[3] is None or not s else -(-fail[3] // s)
+
+    worst = max(fails, key=need)
+    name, i, j, _ = worst
+    least = "no C1" if need(worst) == math.inf else f"C1 >= {need(worst)}"
+    return ValueError(f"{name} certificate fails for pair ({i}, {j}); {least} passes it")
 
 
-def _index_pair(families: list[TubeFamily], i: int, j: int, cells, win: ScanWindow,
-                cross, bound, seen):
-    """Counts the pair's candidates on their plane indices (a, b) and offsets
-    o, without building their coordinates; the identities and certificates
-    are the third fact of ``max_overlap_scan``'s docstring, whose caller
-    has checked the fold certificate.
-
-    ``cells`` are the pair's in-window centers (``_pair_centers``),
-    ``cross[l][m] = ax_l ay_m - ay_l ax_m``, ``bound`` is the scan's
-    (r_max, den_max, colmax) with colmax[m] = max_l |cross[l][m]|, and
-    ``seen`` counts, per center key, the pairs whose centers hold that point.
-
-    Returns (checked, count, point, shared): the number of the pair's
-    in-window candidates, the largest family count among them, the first
-    candidate to reach it as a triple (px, py, d) (None when no count is
-    positive), and the number of centers counted family by family.  A
-    ValueError (``_refusal``) names the first certificate that fails.
-    """
+def _failed_certificates(families: list[TubeFamily], i: int, j: int, cells,
+                         win: ScanWindow, bound) -> list[tuple[str, int | None]]:
+    """The certificates of the third fact of ``max_overlap_scan``'s docstring
+    that pair (i, j) fails at the scan's shift c, as (name, bits): bits is
+    the least shift that passes, None when none does.  ``cells`` are the
+    pair's in-window centers (``_pair_centers``) and ``bound`` the scan's
+    (r_max, den_max, colmax) with colmax[m] = max_l |cross[l][m]|.  A pair
+    with no in-window center is only tested against the window."""
     fi, fj = families[i], families[j]
     c, ex_n, ex_d = fi.shift, fi.ex_n, fi.ex_d  # shared by every family
-    delta = cross[i][j]
-    sgn, dabs = (1, delta) if delta > 0 else (-1, -delta)
+    dabs = abs(fi.ax * fj.ay - fi.ay * fj.ax)
     rr = fi.r * fj.r
     G = dabs * rr  # the cell centers' denominator
     Kx, Ky = _reach(fi, fj)
-    bits = (rr * win.W * max(Kx, Ky)).bit_length()
-    if bits > c:  # window: 2^c > r_i r_j W max(Kx, Ky)
-        raise _refusal("window", i, j, fi.s, bits)
-    if not cells:
-        return 0, 0, None, 0
-    if ex_n:
-        # each test below, x 2^c > y, holds iff c >= bit_length(y // x)
+    # each test, x 2^c > y, holds iff c >= bit_length(y // x), when x > 0
+    needs = [("window", (rr * win.W * max(Kx, Ky)).bit_length())]  # 2^c > r_i r_j W max(Kx, Ky)
+    if cells and ex_n:
         reach = ex_d * (Kx + Ky) * rr
         # a nonzero center lies m / G from the origin in the max norm, m >= 1:
         # the bound at m = 1 first, the nearest in-window center only when it fails
         if (ex_d - ex_n * G) << c <= reach and any(key for *_, key in cells):
             m = min(max(abs(cx), abs(cy)) for _, _, cx, cy, key in cells if key)
             clear = ex_d * m - ex_n * G  # <= 0: that center is in the ball
-            bits = (reach // clear).bit_length() if clear > 0 else None
-            if bits is None or bits > c:
-                raise _refusal("ball", i, j, fi.s, bits)
+            needs.append(("ball", (reach // clear).bit_length() if clear > 0 else None))
         if any(key is None for *_, key in cells):
             # the origin cell lies in the ball when its corners' reach is below the radius
-            bits = ((Kx + Ky) * ex_d // (ex_n * dabs)).bit_length()
-            if bits > c:
-                raise _refusal("origin-cell", i, j, fi.s, bits)
-    r_max, den_max, colmax = bound  # slab: the scan's one bound
-    bits = (rr * r_max * (fi.den * colmax[j] + fj.den * colmax[i] + den_max * dabs)).bit_length()
-    if bits > c:
-        raise _refusal("slab", i, j, fi.s, bits)
+            needs.append(("origin-cell", ((Kx + Ky) * ex_d // (ex_n * dabs)).bit_length()))
+    if cells:
+        r_max, den_max, colmax = bound  # slab: the scan's one bound
+        needs.append(("slab", (rr * r_max * (fi.den * colmax[j] + fj.den * colmax[i]
+                                             + den_max * dabs)).bit_length()))
+    return [(name, bits) for name, bits in needs if bits is None or bits > c]
+
+
+def _index_pair(families: list[TubeFamily], i: int, j: int, cells, win: ScanWindow,
+                cross, seen):
+    """Counts the pair's candidates on their plane indices (a, b) and offsets
+    o, without building their coordinates; the identities and certificates
+    are the third fact of ``max_overlap_scan``'s docstring, whose caller
+    has checked every certificate (``_failed_certificates``).
+
+    ``cells`` are the pair's in-window centers (``_pair_centers``),
+    ``cross[l][m] = ax_l ay_m - ay_l ax_m``, and ``seen`` counts, per center
+    key, the pairs whose centers hold that point.
+
+    Returns (checked, count, point, shared): the number of the pair's
+    in-window candidates, the largest family count among them, the first
+    candidate to reach it as a triple (px, py, d) (None when no count is
+    positive), and the number of centers counted family by family.
+    """
+    fi, fj = families[i], families[j]
+    delta = cross[i][j]
+    sgn, dabs = (1, delta) if delta > 0 else (-1, -delta)
+    rr = fi.r * fj.r
+    G = dabs * rr  # the cell centers' denominator
+    if not cells:
+        return 0, 0, None, 0
     W = win.W
     gx0, gx1, gy0, gy1 = G * win.x0, G * win.x1, G * win.y0, G * win.y1
     moves = rows = point = None  # moves and rows: built when first needed
@@ -463,7 +481,7 @@ def _index_pair(families: list[TubeFamily], i: int, j: int, cells, win: ScanWind
             checked += sum(all(e > 0 or t >= 0 for e, t in zip(edges, (dx, -dx, dy, -dy)))
                            for dx, dy in moves)
         if key is None:  # the origin: in every family, or inside the ball
-            count = 0 if ex_n else len(families)
+            count = 0 if fi.ex_n else len(families)
         elif seen[key] == 1:  # on no third family's central plane
             count = 2
         else:
@@ -634,10 +652,11 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
       same distance either way.
     - The exact branch counts each pair's candidates on their plane indices,
       under the certificates below; the paper takes C1 sufficiently large
-      depending on A, and a scan whose C1 or ball is outside them is refused
-      with a ValueError that names the failing certificate, the pair and
-      the least C1 that passes it (``_refusal``).  Take the
-      non-parallel pair (i, j), each family as v = (ax, ay) / den, and
+      depending on A, and a scan whose C1 or ball is outside them is refused,
+      once every pair has been tested, with a ValueError that names the
+      least C1 that passes every certificate, and the certificate and pair
+      that need it, or a certificate that no C1 passes (``_refusal``).  Take
+      the non-parallel pair (i, j), each family as v = (ax, ay) / den, and
       Delta = ax_i ay_j - ay_i ax_j, P_l = ax_l ay_j - ay_l ax_j,
       Q_l = ax_i ay_l - ay_i ax_l, Kx = |ay_j den_i| + |ay_i den_j|,
       Ky = |ax_j den_i| + |ax_i den_j|.  Candidate (a, b, o) is
@@ -664,9 +683,9 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
       when that fails.  Origin cell: the cell a = b = 0 lies inside a ball of
       nonzero radius when (Kx + Ky) 2^-c / |Delta| is below that radius.
       Each of these four tests reads x 2^c > y in integers, which holds iff
-      c >= bit_length(y // x) when x > 0, so a refusal names the least C1
-      that passes; none does at s = 0 (c = 0), nor for a ball that holds
-      an in-window nonzero center (x <= 0).
+      c >= bit_length(y // x) when x > 0, and x and y do not depend on c, so
+      a refusal names the least C1 that passes; none does at s = 0 (c = 0),
+      nor for a ball that holds an in-window nonzero center (x <= 0).
       Fold (``_fold_certificate``, once per scan): the window lies in
       [-side/2, side/2), where the fold moves no point; or in the closed
       box [-side/2, side/2]^2 with den | r ax side and den | r ay side for
@@ -697,7 +716,8 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
       a center no other pair holds counts 2, the origin
       counts the family count or 0, and only a shared center is counted
       family by family (the report's ``shared_centers``).
-      ``_index_pair`` applies this in integers of a few machine words;
+      ``_failed_certificates`` tests, and ``_index_pair`` counts, in
+      integers of a few machine words;
       ``_pair_centers`` is the one enumerator of a pair's lattice.
 
     The grid sample counts each 2048-point chunk, whose points share one
@@ -755,9 +775,13 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
         seen = Counter(key for cs in cells.values() for *_, key in cs if key)
         bound = (max(f.r for f in families), max(f.den for f in families),
                  [max(abs(row[m]) for row in cross) for m in range(n)])
+        fails = [(name, i, j, bits) for i, j in pairs
+                 for name, bits in _failed_certificates(families, i, j, cells[i, j], window, bound)]
+        if fails:
+            raise _refusal(fails, f0.s)
         for i, j in pairs:
             inside, count, point, on_planes = _index_pair(families, i, j, cells[i, j], window,
-                                                          cross, bound, seen)
+                                                          cross, seen)
             checked += inside
             shared += on_planes
             if count > best:

@@ -22,10 +22,12 @@ evaluation routes are kept in cross-checkable agreement:
 
 Both routes of the maximal operator run through one pair driver: it shares
 the (k, v) pairs among worker threads, one per CPU the process may run on (at
-most 4), which overlap in numpy's FFTs and array loops, whenever a worker's
-array (the spectrum, or the L x L grid on the spatial route) has at least
-2^14 entries; smaller grids stay on the calling thread, where splitting the
-work costs more than it saves.
+most 4), which overlap in numpy's FFTs and array loops, whenever the work
+has at least 2^14 entries (the spectrum's on the spectral route, the L x L
+grid's on the spatial one); smaller grids stay on the calling thread, where
+splitting the work costs more than it saves.  Every worker allocates its own
+arrays with np.empty, each the size of one unit of work: a product array of
+the spectrum's shape, or two blocks of rows on the spatial route.
 
 The module also carries the discrete line decomposition of the grid along a
 direction and the transference check built on it: a single-direction operator
@@ -36,7 +38,6 @@ the pulled-back sequence.
 from __future__ import annotations
 
 import math
-import mmap
 import os
 import threading
 from dataclasses import dataclass
@@ -161,8 +162,8 @@ class OperatorConfig:
 
 
 def _block_rows(L: int, dtype) -> int:
-    """Rows per block of the spatial kernel: _BLOCK_BYTES of one array."""
-    return max(1, _BLOCK_BYTES // (L * np.dtype(dtype).itemsize))
+    """Rows per block of the spatial kernel: _BLOCK_BYTES of one array, at most L."""
+    return min(L, max(1, _BLOCK_BYTES // (L * np.dtype(dtype).itemsize)))
 
 
 def _roll_sum(tiled: np.ndarray, folded: np.ndarray, v: tuple[int, int],
@@ -172,17 +173,18 @@ def _roll_sum(tiled: np.ndarray, folded: np.ndarray, v: tuple[int, int],
 
     tiled is f tiled 2 x 2, so np.roll(f, (a, b), axis=(0, 1)) is the L x L
     view of tiled that starts at (-a mod L, -b mod L).  term and out are
-    arrays of out's shape and f's dtype, owned by the caller, with L
-    columns.  Each residue, in increasing order, is multiplied into term and
-    added into out, so out is the sum of np.roll copies bit for bit.  The sum
-    runs over blocks of rows of _BLOCK_BYTES each, so a block of term and out
-    stays in cache across the residues."""
+    arrays of f's dtype with L columns, owned by the caller; term is one
+    block of rows (_block_rows of them).  Each residue, in increasing order,
+    is multiplied into term and added into out, so out is the sum of np.roll
+    copies bit for bit.  The sum runs over out one block of term's rows at a
+    time, so a block of term and out stays in cache across the residues."""
     L = out.shape[1]
     r = np.flatnonzero(folded)
     sx, sy = (first - r * (v[0] % L)) % L, (-r * (v[1] % L)) % L
-    rows = _block_rows(L, out.dtype)
+    rows = len(term)
     for b in range(0, len(out), rows):
-        o, t = out[b:b + rows], term[b:b + rows]
+        o = out[b:b + rows]
+        t = term[:len(o)]
         o[...] = 0
         for x, y, w in zip(sx + b, sy, folded[r]):
             np.multiply(tiled[x:x + len(o), y:y + L], w, out=t)
@@ -241,8 +243,9 @@ def average_along(f: GridFunction, v: tuple[int, int], k: int, cfg: OperatorConf
     folds to at most L shifted copies of f.  The output has f's dtype.
     """
     vals = f.values
+    term = np.empty((_block_rows(f.L, vals.dtype), f.L), dtype=vals.dtype)
     return GridFunction(f.L, _roll_sum(np.tile(vals, (2, 2)), fold_weights(k, f.L, cfg.table),
-                                       v, np.empty_like(vals), np.empty_like(vals)))
+                                       v, term, np.empty_like(vals)))
 
 
 def spectral_average(f: GridFunction, v: tuple[int, int], k: int, cfg: OperatorConfig) -> GridFunction:
@@ -260,7 +263,7 @@ def spectral_average(f: GridFunction, v: tuple[int, int], k: int, cfg: OperatorC
 
 
 def _worker_count(entries: int, pairs: int) -> int:
-    """Threads for a worker array of this many entries: 1 below
+    """Threads for work of this many grid entries: 1 below
     _THREADED_ENTRIES, else one per CPU the process may run on, at most one
     per pair and _MAX_WORKERS."""
     if entries < _THREADED_ENTRIES:
@@ -272,28 +275,22 @@ def _worker_count(entries: int, pairs: int) -> int:
     return max(1, min(cpus, pairs, _MAX_WORKERS))
 
 
-def _mapped(shape: tuple[int, int], dtype) -> np.ndarray:
-    """An uninitialised array in an anonymous mapping of its own, unmapped
-    when the array is freed."""
-    dtype = np.dtype(dtype)
-    n = shape[0] * shape[1]
-    return np.frombuffer(mmap.mmap(-1, dtype.itemsize * n), dtype=dtype).reshape(shape)
-
-
-def _pair_max(L: int, pairs: list, kernel, buffers: list) -> np.ndarray:
+def _pair_max(L: int, pairs: list, kernel, buffers: list, entries: int) -> np.ndarray:
     """sup over pairs of |kernel(*pair, *bufs)|, the pairs shared by the workers.
 
     kernel yields a pair's output as (row slice, block) pairs, computed in
-    bufs, the worker's own arrays: one per (shape, dtype) in buffers.  The
-    number of workers follows the entries of the first buffer."""
+    bufs, the worker's own arrays: one per (shape, dtype) in buffers, each
+    allocated by the worker itself.  The number of workers follows entries,
+    the size of the work (_worker_count)."""
     out = np.zeros((L, L), dtype=np.float64)
     todo = iter(pairs)
     lock = threading.Lock()
     stop = threading.Event()
     errors = []
 
-    def work(bufs):
+    def work():
         try:
+            bufs = [np.empty(*b) for b in buffers]
             while not stop.is_set():
                 with lock:
                     pair = next(todo, None)
@@ -307,14 +304,12 @@ def _pair_max(L: int, pairs: list, kernel, buffers: list) -> np.ndarray:
             errors.append(exc)
             stop.set()
 
-    # the other workers' arrays live in mappings of their own: on the heap,
-    # freeing them trimmed it, and the caller's next arrays page-faulted
-    threads = [threading.Thread(target=work, args=([_mapped(*b) for b in buffers],))
-               for _ in range(_worker_count(math.prod(buffers[0][0]), len(pairs)) - 1)]
+    threads = [threading.Thread(target=work)
+               for _ in range(_worker_count(entries, len(pairs)) - 1)]
     for t in threads:
         t.start()
     try:
-        work([np.empty(*b) for b in buffers])
+        work()
     finally:
         stop.set()
         for t in threads:
@@ -330,31 +325,32 @@ def maximal_op(f: GridFunction, cfg: OperatorConfig, method: str = "spectral") -
     Both routes share their work among w workers, the calling thread and
     w - 1 threads that start and end inside the call: the spectral route its
     (k, v) pairs, the spatial route each pair's blocks of rows (_BLOCK_BYTES
-    of one array each), so that a call with few pairs, such as
-    transference_check's one direction, still keeps every worker busy.  Each
-    worker owns its arrays: on the spectral route one complex product array
-    of the spectrum's size (L x (L//2 + 1) for real f, L x L for complex f),
-    on the spatial route two L x L arrays of f's dtype, which read f tiled 2 x 2
-    (built once per call, as the spectrum is, and shared read-only).  The
-    spectrum is one array that both forward passes write into, so a spectral
-    call holds it, w product arrays and the L x L float64 output beyond f:
-    at L = 1024, complex f and w = 2, 16 + 2 x 16 + 8 = 56 MiB.  w is 1
-    for fewer than 2^14 entries in such an array (spectral: real L < 181,
-    complex L < 128; spatial: L < 128), else the number of CPUs in the
-    process's affinity mask, capped at 4 and at the number of work units.  A
-    worker's exception is raised here once every worker has stopped.  The
-    modulus of each output block (64 rows on the spectral route, one row
-    block on the spatial one) is folded into the running maximum under a
-    lock; np.maximum is exact, and every element sums its residues in the
-    same order however the rows are shared, so the output is bit-identical
-    for any worker count.
+    of one array each, at most L rows), so that a call with few pairs, such
+    as transference_check's one direction, still keeps every worker busy.
+    Each worker allocates its own arrays with np.empty, one unit of work in
+    size: on the spectral route one complex product array of the spectrum's
+    shape (L x (L//2 + 1) for real f, L x L for complex f), on the spatial
+    route two row blocks of f's dtype, which read f tiled 2 x 2 (built once
+    per call, as the spectrum is, and shared read-only).  The spectrum is one
+    array that both forward passes write into, so a spectral call holds it,
+    w product arrays and the L x L float64 output beyond f: at L = 1024,
+    complex f and w = 2, 16 + 2 x 16 + 8 = 56 MiB.  w is 1 below 2^14
+    entries of work, the spectrum's on the spectral route and L^2 on the
+    spatial one (spectral: real L < 181, complex L < 128; spatial: L < 128),
+    else the number of CPUs in the process's affinity mask, capped at 4 and
+    at the number of work units.  A worker's exception is raised here once
+    every worker has stopped.  The modulus of each output block (64 rows on
+    the spectral route, one row block on the spatial one) is folded into the
+    running maximum under a lock; np.maximum is exact, and every element
+    sums its residues in the same order however the rows are shared, so the
+    output is bit-identical for any worker count.
     """
     L = f.L
     if method == "spectral":
         fhat, real = _spectrum(f.values)
         symbols = [m_k_grid(k, L, cfg.table) for k in cfg.scales]
         pairs = [(symbol, v) for symbol in symbols for v in cfg.directions]
-        buffers = [(fhat.shape, np.complex128)]
+        buffers, entries = [(fhat.shape, np.complex128)], fhat.size
 
         def kernel(symbol, v, buf):
             return _apply_symbol(fhat, symbol, v, real, buf)
@@ -362,15 +358,15 @@ def maximal_op(f: GridFunction, cfg: OperatorConfig, method: str = "spectral") -
         tiled = np.tile(f.values, (2, 2))
         folds = [fold_weights(k, L, cfg.table) for k in cfg.scales]
         rows = _block_rows(L, f.values.dtype)
-        pairs = [(folded, v, slice(b, b + rows)) for folded in folds for v in cfg.directions
-                 for b in range(0, L, rows)]
-        buffers = [((L, L), f.values.dtype)] * 2
+        pairs = [(folded, v, slice(b, min(b + rows, L))) for folded in folds
+                 for v in cfg.directions for b in range(0, L, rows)]
+        buffers, entries = [((rows, L), f.values.dtype)] * 2, L * L
 
         def kernel(folded, v, s, term, acc):
-            return [(s, _roll_sum(tiled, folded, v, term[s], acc[s], s.start))]
+            return [(s, _roll_sum(tiled, folded, v, term, acc[:s.stop - s.start], s.start))]
     else:
         raise ValueError("method must be 'spectral' or 'spatial'")
-    return GridFunction(L, _pair_max(L, pairs, kernel, buffers))
+    return GridFunction(L, _pair_max(L, pairs, kernel, buffers, entries))
 
 
 # -- line decomposition and transference ------------------------------------------

@@ -164,16 +164,31 @@ class TestIncidence:
         assert run("replay", "--ds", str(ds), "--report", str(rep)) == 0
 
     def test_thin_tubes_refused(self, tmp_path, capsys):
-        # at --c1 8 the tubes are too thick for the window certificate; the
-        # refusal names it and the least C1 that passes it, and writes nothing
+        # at --c1 8 the tubes are too thick for several certificates; the
+        # refusal names the one that needs the largest C1 and that C1, and
+        # writes nothing
         ds, rep = tmp_path / "ds.json", tmp_path / "thin.json"
         run("construct", "--n", "8", "--eps", "0.5", "--mode", "toy", "--seed", "7",
             "--out", str(ds))
         capsys.readouterr()
         assert run("incidence", "--ds", str(ds), "--s", "2", "--c1", "8", "--out", str(rep)) == 2
         assert capsys.readouterr().err == (
-            "invalid argument: window certificate fails for pair (0, 1); C1 >= 27 passes it\n")
+            "invalid argument: origin-cell certificate fails for pair (1, 5); C1 >= 44 passes it\n")
         assert not rep.exists()
+
+    def test_refusal_hint_accepted(self, tmp_path, capsys):
+        # the README set: every C1 below 44 gets the same hint, and 44 scans
+        ds, rep = tmp_path / "ds.json", tmp_path / "rep.json"
+        run("construct", "--n", "8", "--eps", "0.5", "--mode", "toy", "--seed", "7",
+            "--out", str(ds))
+        for c1 in ("8", "27", "42", "43"):
+            capsys.readouterr()
+            assert run("incidence", "--ds", str(ds), "--s", "2", "--c1", c1,
+                       "--out", str(rep)) == 2
+            assert capsys.readouterr().err.endswith("; C1 >= 44 passes it\n")
+        assert run("incidence", "--ds", str(ds), "--s", "2", "--c1", "44", "--out", str(rep)) == 0
+        assert "method=exact-candidates" in capsys.readouterr().out
+        assert json.loads(rep.read_text())["C1"] == 44
 
     def test_baseline_report_replays(self, tmp_path, capsys):
         ds = tmp_path / "ds.json"
@@ -423,6 +438,25 @@ class TestBadFiles:
         assert run("incidence", "--ds", str(ds), "--s", "2",
                    "--out", str(tmp_path / "x.json")) == 2
         assert capsys.readouterr().err == "validation error: bad integer 'x' at A\n"
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("entry", [["1"], ["1", "2", "3"], "12"],
+                             ids=["one", "three", "string"])
+    def test_rehashed_integer_vector_not_a_pair(self, tmp_path, capsys, entry):
+        ds = tmp_path / "ds.json"
+        run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
+        doc = json.loads(ds.read_text())
+        doc.pop("content_hash")
+        doc["integer_vectors"][0] = entry
+        canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        ds.write_text(json.dumps({"content_hash": hashlib.sha256(canon.encode()).hexdigest(),
+                                  **doc}))
+        capsys.readouterr()
+        assert run("incidence", "--ds", str(ds), "--s", "2",
+                   "--out", str(tmp_path / "x.json")) == 2
+        assert capsys.readouterr().err == (
+            f"validation error: bad integer pair {entry!r} at integer_vectors[0]: "
+            "not a two-element list\n")
         assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize("blob", BLOBS.values(), ids=BLOBS)

@@ -416,6 +416,20 @@ class TestSerialization:
         with pytest.raises(ParseError, match=re.escape(f"bad integer 'x' {named}")):
             D.deserialize(blob.encode())
 
+    @pytest.mark.parametrize("entry", [["1"], ["1", "2", "3"], "12", 12, None],
+                             ids=["one", "three", "string", "number", "null"])
+    def test_rehashed_integer_vector_not_a_pair(self, toy_ds, entry):
+        # a string of two digits would unpack to two integers, and a list of
+        # three would not unpack at all: each is refused, naming the entry
+        doc = json.loads(D.serialize(toy_ds))
+        doc.pop("content_hash")
+        doc["integer_vectors"][1] = entry
+        canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        blob = json.dumps({"content_hash": hashlib.sha256(canon.encode()).hexdigest(), **doc})
+        with pytest.raises(ParseError, match=re.escape(
+                f"bad integer pair {entry!r} at integer_vectors[1]: not a two-element list")):
+            D.deserialize(blob.encode())
+
     def test_file_is_canonical_json(self, toy_ds):
         # the file is the form the content hash covers, with the hash added
         blob = D.serialize(toy_ds)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import json
@@ -179,7 +180,8 @@ class TestScan:
 
     def test_monotone_in_thickness(self):
         # fatter tubes (smaller C1) can only raise the maximum, down to the
-        # least C1 the certificates accept; below it the scan refuses
+        # least C1 the certificates accept; below it the scan refuses, naming
+        # that C1 (at C1 = 2 the window certificate fails too, below 4)
         def scan(c1):
             fams = [
                 I.TubeFamily(v=(F(1), F(0)), r=2, s=1, C1=c1, torus_side=1),
@@ -188,7 +190,7 @@ class TestScan:
             ]
             return I.max_overlap_scan(fams, I.default_window("k")).max_overlap
 
-        with pytest.raises(ValueError, match=r"^window .* \(0, 1\); C1 >= 4 passes it$"):
+        with pytest.raises(ValueError, match=r"^slab .* \(0, 1\); C1 >= 6 passes it$"):
             scan(2)
         with pytest.raises(ValueError, match=r"^slab .* \(0, 1\); C1 >= 6 passes it$"):
             scan(4)
@@ -548,11 +550,20 @@ _REFUSAL = re.compile(r"(window|ball|origin-cell|slab|fold) certificate fails")
 
 def _scan_or_refusal(fams, window):
     """The exact scan's report, or None when the scan refuses with a
-    ValueError that names a certificate."""
+    ValueError that names a certificate.  A refusal that names a least C1
+    gives the scan's one answer: the same families at that C1 are accepted,
+    and one below it they get the same refusal."""
     try:
         return I.max_overlap_scan(fams, window)
     except ValueError as exc:
         assert _REFUSAL.match(str(exc)), exc
+        hint = re.search(r"C1 >= (\d+) passes it$", str(exc))
+        if hint:
+            c1 = int(hint[1])
+            I.max_overlap_scan([dataclasses.replace(f, C1=c1) for f in fams], window)
+            with pytest.raises(ValueError) as again:
+                I.max_overlap_scan([dataclasses.replace(f, C1=c1 - 1) for f in fams], window)
+            assert str(again.value) == str(exc)
         return None
 
 
@@ -567,8 +578,8 @@ def _fold_moves(fams, window) -> bool:
 
 def _refused_pairs(fams, window) -> int:
     """How many of the scan's non-parallel pairs a certificate refuses: all of
-    them when the fold certificate fails, else those ``_index_pair`` refuses
-    after the scan's first pass."""
+    them when the fold certificate fails, else those that fail one of
+    ``_failed_certificates`` after the scan's first pass."""
     n = len(fams)
     cross = [[f.ax * g.ay - f.ay * g.ax for g in fams] for f in fams]
     pairs = [(i, j) for i, j in itertools.combinations(range(n), 2) if cross[i][j]]
@@ -579,14 +590,9 @@ def _refused_pairs(fams, window) -> int:
     ranges = [I._plane_range(f, window) for f in fams]
     bound = (max(f.r for f in fams), max(f.den for f in fams),
              [max(abs(row[m]) for row in cross) for m in range(n)])
-    refused = 0
-    for i, j in pairs:
-        cells = I._pair_centers(fams[i], fams[j], cross[i][j], ranges[i], ranges[j], window)
-        try:
-            I._index_pair(fams, i, j, cells, window, cross, bound, Counter())
-        except ValueError:
-            refused += 1
-    return refused
+    return sum(bool(I._failed_certificates(
+        fams, i, j, I._pair_centers(fams[i], fams[j], cross[i][j], ranges[i], ranges[j], window),
+        window, bound)) for i, j in pairs)
 
 
 class TestInt64Counts:
@@ -725,13 +731,16 @@ class TestInt64Counts:
 
     @pytest.mark.parametrize("fams,window,message", [
         (_axis_families(C1=8, ex=F(1, 1000)), I.ScanWindow(F(0), F(1, 4), F(0), F(1, 4)),
-         "origin-cell certificate fails for pair (0, 1); C1 >= 11 passes it"),
+         "origin-cell certificate fails for pair (0, 2); C1 >= 12 passes it"),
         (_axis_families(r=(1, 1, 1), s=0), I.default_window("ktilde"),
          "window certificate fails for pair (0, 1); no C1 passes it"),
+        # the window certificate passes from C1 = 3 and the slab one from 5:
+        # the refusal names the larger
         (_axis_families(C1=2), I.default_window("ktilde"),
-         "window certificate fails for pair (0, 1); C1 >= 3 passes it"),
+         "slab certificate fails for pair (0, 1); C1 >= 5 passes it"),
+        # pair (0, 1) passes the slab bound from C1 = 13, pair (1, 2) from 21
         (_axis_families(C1=8)[:2] + [I.TubeFamily(v=(F(257, 256), F(0)), r=2, s=1, C1=8)],
-         I.default_window("ktilde"), "slab certificate fails for pair (0, 1); C1 >= 13 passes it"),
+         I.default_window("ktilde"), "slab certificate fails for pair (1, 2); C1 >= 21 passes it"),
         (_axis_families(C1=8)[:2], I.ScanWindow(F(1, 512), F(1, 4), F(-1, 4), F(1, 4)),
          "window certificate fails for pair (0, 1); C1 >= 12 passes it"),
         # the nearest nonzero center of the axis pair, (1/2, 0), lies on the
@@ -753,6 +762,7 @@ class TestInt64Counts:
         with pytest.raises(ValueError) as info:
             I.max_overlap_scan(fams, window)
         assert str(info.value) == message
+        assert _scan_or_refusal(fams, window) is None  # a named C1 is accepted
 
     def test_nearest_center_ball_certifies(self):
         # the N = 4, seed-0 ktilde families at s = 6 and the default C1: for

@@ -575,7 +575,8 @@ class TestSpatialKernel:
         for v in ((1, 0), (3, -7), (-2, -5), (10**30 + 1, -(10**30) - 3)):
             for k in (3, 6):
                 folded = fold_weights(k, L, table13)
-                got = X._roll_sum(tiled, folded, v, np.empty_like(f), np.empty_like(f))
+                term = np.empty((X._block_rows(L, f.dtype), L), dtype=f.dtype)
+                got = X._roll_sum(tiled, folded, v, term, np.empty_like(f))
                 assert got.dtype == f.dtype
                 assert np.array_equal(got, _rolled(f, folded, v))
 
@@ -651,10 +652,39 @@ class TestSpatialKernel:
                 for k in cfg.scales]
         assert np.array_equal(got, np.max(each, axis=0))
 
+    def test_workers_hold_row_blocks(self, table13, monkeypatch):
+        # a complex L = 256 grid is 1 MiB and a row block 64 rows of it; two
+        # workers hold two blocks each beside f tiled 2 x 2 and the output.
+        # The slack of one grid covers np.tile's intermediate copy and the
+        # modulus blocks; two L x L arrays on the calling thread exceed it
+        cfg, f = self._case(table13, 256, False)
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        _cpus(monkeypatch, 2)
+        X.maximal_op(f, cfg, method="spatial")  # numpy's one-time setup
+        tracemalloc.start()
+        try:
+            X.maximal_op(f, cfg, method="spatial")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(started) == 2  # one thread beside the caller, per call
+        grid = f.values.nbytes
+        block = X._block_rows(256, f.values.dtype) * 256 * f.values.itemsize
+        assert block == grid // 4
+        assert peak < 4 * grid + 256 * 256 * 8 + 4 * block + grid
+
 
 class TestThreshold:
-    """Workers start from 2^14 entries in a worker's array: the spectrum on
-    the spectral route, the L x L grid on the spatial one."""
+    """Workers start from 2^14 entries of work: the spectrum's on the
+    spectral route, the L x L grid's on the spatial one, whose worker arrays
+    are smaller row blocks (at L = 129 complex, 127 x 129 = 16 383 entries)."""
 
     @pytest.mark.parametrize("method, L, real, threads", [
         ("spectral", 127, False, 0),  # 16 129 entries
@@ -663,6 +693,12 @@ class TestThreshold:
         ("spectral", 181, True, 3),  # 181 x 91 = 16 471
         ("spatial", 127, True, 0),
         ("spatial", 128, True, 3),
+        ("spatial", 129, True, 3),
+        ("spatial", 255, True, 3),
+        ("spatial", 127, False, 0),
+        ("spatial", 128, False, 3),
+        ("spatial", 129, False, 3),  # row blocks of 127 x 129 entries
+        ("spatial", 255, False, 3),  # row blocks of 64 x 255
     ])
     def test_boundary(self, table13, method, L, real, threads, monkeypatch):
         started = []
