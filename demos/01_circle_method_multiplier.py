@@ -39,9 +39,9 @@ for row in res.rows:
     print(f"  k={row.k}: sup|E_k| = {row.sup_abs_E:.5f}   (argmax alpha = {row.argmax_alpha:.4f})")
 
 print("\narc classification at desk scale:")
-lbl = multiplier.classify_arc(0.6180339887, 20, 1.2)
-print(f"  golden ratio at D=1.2  -> {lbl.kind} (no fraction with q <= 20^1.2 close enough)")
-lbl = multiplier.classify_arc(0.6180339887, 20, 1.5)
-print(f"  golden ratio at D=1.5  -> {lbl.kind} via {lbl.fraction.a}/{lbl.fraction.q} (Fibonacci)")
+for D, why in [(1.2, "no fraction with q <= 20^1.2 close enough"), (1.5, "Fibonacci")]:
+    frac = multiplier.classify_arc(0.6180339887, 20, D)  # None on a minor arc
+    arc = "minor" if frac is None else f"major via {frac}"
+    print(f"  golden ratio at D={D}  -> {arc} ({why})")
 print("  (at the error-bound exponent D = 17 the arc radius exceeds 1 for k <= 24,")
 print("   so every desk-scale frequency is major; minor arcs need the true regime)")

@@ -20,9 +20,10 @@ print(f"rescaling constant A~ has {len(str(ds.A_tilde))} digits\n")
 
 for i, rec in enumerate(ds.vectors):
     primes = [ds.prime_window[j] for j in rec.prime_subset]
+    x, y = rec.v  # exact Fractions
     print(
         f"  v{i}: (m,n)=({rec.m},{rec.n})  Q=2^{rec.q_exponent}  primes={primes}  "
-        f"|v|~{float(rec.v.norm2()) ** 0.5:.4f}"
+        f"|v|~{float(x * x + y * y) ** 0.5:.4f}"
     )
 
 angle = directions.min_angle(ds)

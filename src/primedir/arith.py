@@ -1,8 +1,8 @@
-"""Arithmetic substrate: primes, Mobius/totient, reduced fractions, exponential sums.
+"""Arithmetic substrate: primes, Mobius/totient, dyadic Farey levels, exponential sums.
 
 Everything downstream (multiplier weights mu(q)/phi(q), level sets of reduced
-fractions, prime-indexed exponential sums) sits on this module.  The two
-exponential-sum identities
+fractions as sorted lists of Fractions, prime-indexed exponential sums) sits
+on this module.  The two exponential-sum identities
 
     sum_{1<=a<=q} e(na/q)      = q  if q | n, else 0
     sum_{(a,q)=1} e(na/q)      = mu(q/g) phi(q) / phi(q/g),  g = gcd(n, q)
@@ -18,8 +18,6 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,13 +31,10 @@ __all__ = [
     "mobius",
     "totient",
     "factorize",
-    "ReducedFraction",
-    "FareyLevel",
     "farey_level",
     "full_exponential_sum",
     "ramanujan_sum",
     "ramanujan_sum_bruteforce",
-    "gcd",
     "is_prime_certified",
     "MR_DETERMINISTIC_BOUND",
     "convergents",
@@ -191,67 +186,42 @@ def totient(q: int) -> int:
     return out
 
 
-# -- reduced fractions and dyadic Farey levels --------------------------------
+# -- dyadic Farey levels --------------------------------------------------------
 
-class ReducedFraction(NamedTuple):
-    """A reduced fraction a/q on the torus, 0 <= a < q, gcd(a, q) = 1 (0 is 0/1)."""
+def farey_level(s: int, max_size: int = 20_000_000) -> list[Fraction]:
+    """The dyadic Farey level s: its reduced fractions in [0, 1), sorted.
 
-    a: int
-    q: int
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.a, self.q)
-
-
-def reduced_fraction(a: int, q: int) -> ReducedFraction:
-    """Canonicalize a/q: reduce, fold into [0, 1), send 0 to 0/1."""
-    if q <= 0:
-        raise ValueError("denominator must be positive")
-    a %= q
-    g = gcd(a, q)
-    a, q = a // g, q // g
-    if a == 0:
-        return ReducedFraction(0, 1)
-    return ReducedFraction(a, q)
-
-
-@dataclass(frozen=True)
-class FareyLevel:
-    """All reduced fractions with denominator in [2^s, 2^(s+1)); level 0 is {0/1}."""
-
-    s: int
-    fractions: list[ReducedFraction]
-
-
-def farey_level(s: int, max_size: int = 20_000_000) -> FareyLevel:
-    """Enumerate the dyadic Farey level s, sorted by value.
-
-    Level 0 is the single fraction 0/1.  For s >= 1 the list holds every a/q
+    Level 0 is the single fraction 0.  For s >= 1 the list holds every a/q
     with 2^s <= q < 2^(s+1) and gcd(a, q) = 1, so its cardinality is
     sum phi(q) over that denominator range.
 
     Raises ResourceLimitError when that cardinality exceeds ``max_size``
     (the count grows like 4^s; full enumeration stops being a desk-scale
-    object well before s = 22).
+    object well before s = 22).  Since phi(q) >= sqrt(q/2), the level holds
+    at least 2^s sqrt(2^(s-1)) fractions, so a level above the cap by that
+    bound is refused before any totient is computed.
     """
     if s < 0:
         raise ValueError("level must be >= 0")
     if s == 0:
-        return FareyLevel(0, [ReducedFraction(0, 1)])
+        return [Fraction(0)]
+    if 1 << (3 * s - 1) > max_size * max_size:
+        raise ResourceLimitError(
+            f"Farey level {s} holds at least 2^{s} sqrt(2^{s - 1}) fractions, "
+            f"above the cap {max_size}"
+        )
     q_lo, q_hi = 1 << s, 1 << (s + 1)
     total = sum(totient(q) for q in range(q_lo, q_hi))
     if total > max_size:
         raise ResourceLimitError(
             f"Farey level {s} holds {total} fractions, above the cap {max_size}"
         )
-    fracs: list[ReducedFraction] = []
+    fracs: list[Fraction] = []
     for q in range(q_lo, q_hi):
         ks = np.arange(1, q, dtype=np.int64)
-        for a in ks[np.gcd(ks, q) == 1]:
-            fracs.append(ReducedFraction(int(a), q))
-    fracs.sort(key=lambda f: Fraction(f.a, f.q))
-    return FareyLevel(s, fracs)
+        fracs.extend(Fraction(int(a), q) for a in ks[np.gcd(ks, q) == 1])
+    fracs.sort()
+    return fracs
 
 
 # -- exponential sums ----------------------------------------------------------
@@ -271,7 +241,7 @@ def ramanujan_sum(q: int, n: int) -> int:
     """Ramanujan sum c_q(n) by the closed form mu(q/g) phi(q) / phi(q/g), g = gcd(n, q)."""
     if q < 1:
         raise ValueError("modulus must be >= 1")
-    g = gcd(n, q)
+    g = math.gcd(n, q)
     qg = q // g
     return mobius(qg) * totient(q) // totient(qg)
 
@@ -282,7 +252,7 @@ def ramanujan_sum_bruteforce(q: int, n: int) -> float:
         raise ValueError("modulus must be >= 1")
     total = 0.0 + 0.0j
     for a in range(1, q + 1):
-        if gcd(a, q) == 1:
+        if math.gcd(a, q) == 1:
             total += cmath.exp(2j * cmath.pi * ((n * a) % q) / q)
     return total.real
 

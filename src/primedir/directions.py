@@ -21,7 +21,8 @@ Two parameter modes share the construction code:
   once N allows it), and R is base^kappa.  Same invariants, same validation.
 
 All construction and validation is exact: Fractions and big integers only,
-no floating point.
+no floating point.  Each direction v_i is an (x, y) pair of Fractions, the
+form the incidence scans take their tube directions in.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .errors import ConstructionError, ParseError
 
 __all__ = [
     "DirectionSpec",
-    "RationalVector",
     "VectorRecord",
     "DirectionSet",
     "choose_kappa",
@@ -90,15 +90,6 @@ class DirectionSpec:
 
 
 @dataclass(frozen=True)
-class RationalVector:
-    x: Fraction
-    y: Fraction
-
-    def norm2(self) -> Fraction:
-        return self.x * self.x + self.y * self.y
-
-
-@dataclass(frozen=True)
 class VectorRecord:
     """One constructed direction with its full provenance."""
 
@@ -106,7 +97,7 @@ class VectorRecord:
     n: int
     q_exponent: int  # Q_i = 2^q_exponent
     prime_subset: tuple[int, ...]  # indices into the prime window
-    v: RationalVector
+    v: tuple[Fraction, Fraction]  # (x, y)
 
 
 @dataclass(frozen=True)
@@ -289,7 +280,7 @@ def construct_directions(spec: DirectionSpec) -> DirectionSet:
         P = math.prod(window[idx] for idx in subset)
         e = _dyadic_exponent(Fraction(P * P * (m * m + n * n), R * R))
         num, den = _scaled(P, R, e)
-        v = RationalVector(x=Fraction(m * num, den), y=Fraction(n * num, den))
+        v = (Fraction(m * num, den), Fraction(n * num, den))
         records.append(
             VectorRecord(m=m, n=n, q_exponent=e, prime_subset=tuple(subset), v=v)
         )
@@ -352,7 +343,7 @@ def validate_direction_set(ds: DirectionSet) -> None:
             )
         # v = (m, n) num / den, cross-multiplied
         num, den = _scaled(ds.prime_product(i), ds.scale_denominator, e)
-        (xn, xd), (yn, yd) = ((t.numerator, t.denominator) for t in (rec.v.x, rec.v.y))
+        (xn, xd), (yn, yd) = ((t.numerator, t.denominator) for t in rec.v)
         if xn * den != m * num * xd or yn * den != n * num * yd:
             raise ConstructionError(f"vector {i} disagrees with its construction metadata")
         # |v|^2 = (xn^2 yd^2 + yn^2 xd^2) / (xd yd)^2 in [1/100, 100]
@@ -380,8 +371,7 @@ def _validate_rescaling(ds: DirectionSet) -> None:
         raise ConstructionError(f"A_tilde = {At} outside [A/10, 10A]")
     for i, (ix, iy) in enumerate(ds.integer_vectors):
         # x At = ix for x = xn / xd iff xn At = ix xd, an integer or not
-        v = ds.vectors[i].v
-        (xn, xd), (yn, yd) = ((t.numerator, t.denominator) for t in (v.x, v.y))
+        (xn, xd), (yn, yd) = ((t.numerator, t.denominator) for t in ds.vectors[i].v)
         if xn * At != ix * xd or yn * At != iy * yd:
             raise ConstructionError(f"integer vector {i} is not exactly A_tilde * v_{i}")
         r2 = ix * ix + iy * iy
@@ -421,8 +411,7 @@ def rescale_to_integers(ds: DirectionSet, A: int | None = None) -> DirectionSet:
         )
     # A_tilde is a multiple of the base multiple, so every product is integral;
     # _validate_rescaling checks that exactly
-    ints = tuple((rec.v.x.numerator * At // rec.v.x.denominator,
-                  rec.v.y.numerator * At // rec.v.y.denominator) for rec in ds.vectors)
+    ints = tuple(tuple(t.numerator * At // t.denominator for t in rec.v) for rec in ds.vectors)
     out = replace(ds, A=A, A_tilde=At, integer_vectors=ints)
     _validate_rescaling(out)
     return out
@@ -513,8 +502,8 @@ def _payload(ds: DirectionSet) -> dict:
                 "n": rec.n,
                 "q_exponent": rec.q_exponent,
                 "prime_subset": list(rec.prime_subset),
-                "x": _frac_str(rec.v.x),
-                "y": _frac_str(rec.v.y),
+                "x": _frac_str(rec.v[0]),
+                "y": _frac_str(rec.v[1]),
             }
             for rec in ds.vectors
         ],
@@ -566,10 +555,8 @@ def deserialize(data: bytes) -> DirectionSet:
                 n=rec["n"],
                 q_exponent=rec["q_exponent"],
                 prime_subset=tuple(rec["prime_subset"]),
-                v=RationalVector(
-                    _frac_parse(rec["x"], f"vectors[{i}].x"),
-                    _frac_parse(rec["y"], f"vectors[{i}].y"),
-                ),
+                v=(_frac_parse(rec["x"], f"vectors[{i}].x"),
+                   _frac_parse(rec["y"], f"vectors[{i}].y")),
             )
             for i, rec in enumerate(doc["vectors"])
         )

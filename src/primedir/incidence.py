@@ -863,7 +863,7 @@ def families_from_direction_set(
     if variant == "ktilde":
         if ds.A is None:
             raise ValueError("rescale the set first (the exclusion ball needs A)")
-        vs = [(rec.v.x, rec.v.y) for rec in ds.vectors]
+        vs = [rec.v for rec in ds.vectors]
         excl, side = Fraction(1, ds.A), ds.A_tilde
     elif variant == "k":
         if ds.integer_vectors is None:

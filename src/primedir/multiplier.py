@@ -16,7 +16,7 @@ and this module evaluates all the computable objects of that approximation:
   below the level cap;
 * the error profile E_k = m_k - L_k swept over a grid, with CSV output;
 * major/minor arc classification (exact, via the minimal-denominator
-  fraction in an interval);
+  fraction in an interval): the major arc's fraction a/q, or None;
 * the downsampled multiplier coefficients used by the high-frequency
   argument.
 """
@@ -33,14 +33,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import bumps
-from .arith import (
-    PrimeTable, ReducedFraction, convergents, farey_level, mobius, reduced_fraction, totient,
-)
+from .arith import PrimeTable, convergents, farey_level, mobius, totient
 from .bumps import chi_s, v_k
 
 __all__ = [
     "MultiplierProfile",
-    "ArcLabel",
     "ErrorProfileRow",
     "ErrorProfileResult",
     "prime_weights",
@@ -210,7 +207,7 @@ def L_k(k: int, alpha, s_max: int | None = None) -> complex:
 
 @dataclass(frozen=True)
 class MultiplierProfile:
-    """A sampled multiplier profile on the torus: kind 'm', 'L' or 'E'."""
+    """A sampled multiplier profile on the torus: kind 'm' or 'L'."""
 
     kind: str
     k: int
@@ -218,17 +215,10 @@ class MultiplierProfile:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in ("m", "L", "E"):
-            raise ValueError(f"profile kind must be m, L or E, got {self.kind!r}")
+        if self.kind not in ("m", "L"):
+            raise ValueError(f"profile kind must be m or L, got {self.kind!r}")
         if len(self.grid) != len(self.values):
             raise ValueError("grid and values must align")
-
-
-def difference_profile(mp: MultiplierProfile, lp: MultiplierProfile) -> MultiplierProfile:
-    """E = m - L on an identical grid."""
-    if mp.k != lp.k or len(mp.grid) != len(lp.grid) or not np.array_equal(mp.grid, lp.grid):
-        raise ValueError("m and L profiles must share a grid")
-    return MultiplierProfile("E", mp.k, mp.grid, mp.values - lp.values)
 
 
 @dataclass
@@ -246,7 +236,7 @@ class ErrorProfileRow:
 @dataclass
 class ErrorProfileResult:
     rows: list[ErrorProfileRow]
-    profiles: list[MultiplierProfile]
+    profiles: list[MultiplierProfile]  # the m and the L profile of each k, in that order
     grid_fractions: list[Fraction]
 
 
@@ -255,7 +245,7 @@ _FAREY_LEVEL = 6  # the sweep grid holds every reduced fraction of levels s <= 6
 
 def _profile_grid(grid_size: int) -> list[Fraction]:
     """Every fraction of the Farey levels s <= _FAREY_LEVEL, plus uniform fill."""
-    pts = {f.value for s in range(_FAREY_LEVEL + 1) for f in farey_level(s).fractions}
+    pts = {f for s in range(_FAREY_LEVEL + 1) for f in farey_level(s)}
     for j in range(grid_size):
         pts.add(Fraction(j, grid_size))
     return sorted(pts)
@@ -304,17 +294,13 @@ def error_profile(
                 m_vals[idx] = dft[grid[idx].numerator % q]
         sm, truncated = default_s_max(k, D)
         l_vals = np.array([L_k(k, fr, sm) for fr in grid])
-        e_vals = m_vals - l_vals
-        abs_e = np.abs(e_vals)
+        abs_e = np.abs(m_vals - l_vals)
         imax = int(np.argmax(abs_e))
-        minor_mask = np.array(
-            [classify_arc(fr, k, arc_D).kind == "minor" for fr in grid]
-        )
+        minor_mask = np.array([classify_arc(fr, k, arc_D) is None for fr in grid])
         sup_minor = float(np.max(np.abs(m_vals[minor_mask]))) if minor_mask.any() else math.nan
         wall = (time.perf_counter() - t0) * 1e3
-        mp = MultiplierProfile("m", k, grid_arr, m_vals)
-        lp = MultiplierProfile("L", k, grid_arr, l_vals)
-        profiles.extend([mp, lp, difference_profile(mp, lp)])
+        profiles.extend([MultiplierProfile("m", k, grid_arr, m_vals),
+                         MultiplierProfile("L", k, grid_arr, l_vals)])
         rows.append(
             ErrorProfileRow(
                 k=k,
@@ -344,14 +330,6 @@ def write_error_profile_csv(rows, path) -> None:
 
 # -- arcs ------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ArcLabel:
-    """Classification of a frequency: major (with its fraction) or minor."""
-
-    kind: str
-    fraction: ReducedFraction | None = None
-
-
 def simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
     """A fraction with smallest denominator in the closed interval [lo, hi].
 
@@ -378,12 +356,14 @@ def simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
     return best
 
 
-def classify_arc(alpha, k: int, D: float) -> ArcLabel:
+def classify_arc(alpha, k: int, D: float) -> Fraction | None:
     """Major/minor arc classification at scale k and exponent D.
 
     alpha is major when some reduced a/q with q <= k^D lies within
     2^(-k) k^D; the returned fraction is the minimal-denominator fraction in
-    that window (unique once k is large enough that windows disjoint).  All
+    that window (unique once k is large enough that windows disjoint),
+    reduced to [0, 1).  A minor alpha returns None; the major fraction 0 is
+    falsy, so callers test ``is None``.  All
     comparisons are exact: the minimal-denominator fraction in the window is
     found by Stern-Brocot descent, so "no qualifying fraction" is a proof.
     """
@@ -394,7 +374,7 @@ def classify_arc(alpha, k: int, D: float) -> ArcLabel:
     a = _torus_frac(Fraction(alpha))
     log2_kD = D * math.log2(k) if k > 1 else 0.0
     if log2_kD - k >= 1.0:  # radius >= 2: the whole torus is one major arc
-        return ArcLabel("major", ReducedFraction(0, 1))
+        return Fraction(0)
     if float(D).is_integer():
         kD_int = k ** int(D)
         radius = Fraction(kD_int, 1 << k)
@@ -403,8 +383,8 @@ def classify_arc(alpha, k: int, D: float) -> ArcLabel:
         radius = Fraction(math.floor((k**D) * 2**53)) / (1 << (k + 53))
     best = simplest_in_interval(a - radius, a + radius)
     if best.denominator <= kD_int:
-        return ArcLabel("major", reduced_fraction(best.numerator, best.denominator))
-    return ArcLabel("minor", None)
+        return best % 1
+    return None
 
 
 # -- downsampled multiplier -------------------------------------------------------

@@ -102,9 +102,10 @@ def _reference_bullets(ds: D.DirectionSet) -> None:
         if not q_lo <= Q <= q_hi:
             raise ConstructionError(f"dyadic normalizer bullet violated at vector {i}: Q = 2^{e}")
         S = Fraction(ds.prime_product(i), ds.scale_denominator)
-        if rec.v.x != rec.m * Q * S or rec.v.y != rec.n * Q * S:
+        x, y = rec.v
+        if x != rec.m * Q * S or y != rec.n * Q * S:
             raise ConstructionError(f"vector {i} disagrees with its construction metadata")
-        norm2 = rec.v.norm2()
+        norm2 = x * x + y * y
         if not (Fraction(1, 100) <= norm2 <= Fraction(100)):
             raise ConstructionError(
                 f"magnitude bullet violated at vector {i}: |v|^2 = {float(norm2):.3g}")
@@ -112,7 +113,7 @@ def _reference_bullets(ds: D.DirectionSet) -> None:
     if not (Fraction(A, 10) <= At <= 10 * A):
         raise ConstructionError(f"A_tilde = {At} outside [A/10, 10A]")
     for i, (ix, iy) in enumerate(ds.integer_vectors):
-        vx, vy = ds.vectors[i].v.x * At, ds.vectors[i].v.y * At
+        vx, vy = (t * At for t in ds.vectors[i].v)
         if vx.denominator != 1 or vy.denominator != 1 or (int(vx), int(vy)) != (ix, iy):
             raise ConstructionError(f"integer vector {i} is not exactly A_tilde * v_{i}")
         r2 = ix * ix + iy * iy
@@ -153,16 +154,16 @@ def _tampered_sets(draw):
         v = rec.v
         if kind == "q-and-v":
             S = Fraction(2) ** e * Fraction(ds.prime_product(i), ds.scale_denominator)
-            v = D.RationalVector(rec.m * S, rec.n * S)
+            v = (rec.m * S, rec.n * S)
         rec = dataclasses.replace(rec, q_exponent=e, v=v)
     elif kind == "numerator":
         step = draw(st.sampled_from((-1, 1)))
-        x, y = rec.v.x, rec.v.y
+        x, y = rec.v
         if draw(st.booleans()):
             x = Fraction(x.numerator + step, x.denominator)
         else:
             y = Fraction(y.numerator + step, y.denominator)
-        rec = dataclasses.replace(rec, v=D.RationalVector(x, y))
+        rec = dataclasses.replace(rec, v=(x, y))
     elif kind == "integer":
         ix, iy = ds.integer_vectors[i]
         d = draw(st.sampled_from(((1, 0), (0, -1), (-ix, -iy), (iy - ix, ix - iy))))
@@ -191,7 +192,7 @@ class TestIntegerValidation:
         assert _outcome(D.validate_direction_set, ds) is None
         assert _outcome(_reference_bullets, ds) is None
         At = ds.A_tilde
-        assert ds.integer_vectors == tuple((int(rec.v.x * At), int(rec.v.y * At))
+        assert ds.integer_vectors == tuple((int(rec.v[0] * At), int(rec.v[1] * At))
                                            for rec in ds.vectors)
 
     def test_normalizer_edges_named(self):
@@ -220,7 +221,7 @@ class TestIntegerValidation:
         for (m, n), e, sub in zip(((12, 5), (9, 4)), (e0, 2 if R > 100 else 0), subsets):
             S = Fraction(2) ** e * Fraction(window[sub[0]], R)
             recs.append(D.VectorRecord(m=m, n=n, q_exponent=e, prime_subset=sub,
-                                       v=D.RationalVector(m * S, n * S)))
+                                       v=(m * S, n * S)))
         ds = D.DirectionSet(spec=D.DirectionSpec(N=2, eps=1.0), kappa=1, prime_window=window,
                             scale_denominator=R, eps_adjusted=None, vectors=tuple(recs))
         got = _outcome(D.validate_direction_set, ds)
@@ -262,7 +263,7 @@ class TestConstruction:
     def test_magnitude_window_exact(self, toy_matrix):
         for ds in toy_matrix.values():
             for rec in ds.vectors:
-                n2 = rec.v.norm2()
+                n2 = rec.v[0] ** 2 + rec.v[1] ** 2
                 assert Fraction(1, 100) <= n2 <= Fraction(100)
 
     def test_distinct_prime_subsets(self, toy_matrix):
@@ -300,8 +301,8 @@ class TestRescaling:
     def test_denominators_cleared(self, toy_matrix):
         for ds in toy_matrix.values():
             for (ix, iy), rec in zip(ds.integer_vectors, ds.vectors):
-                assert rec.v.x * ds.A_tilde == ix
-                assert rec.v.y * ds.A_tilde == iy
+                assert rec.v[0] * ds.A_tilde == ix
+                assert rec.v[1] * ds.A_tilde == iy
 
     def test_annulus_exact(self, toy_matrix):
         for ds in toy_matrix.values():
@@ -492,4 +493,4 @@ class TestStrictScale:
             for idx in rec.prime_subset:
                 prod *= toy_ds.prime_window[idx]
             assert toy_ds.y_factor(i) == rec.n * prod
-            assert rec.v.y * toy_ds.scale_denominator == rec.n * prod * Fraction(2) ** rec.q_exponent
+            assert rec.v[1] * toy_ds.scale_denominator == rec.n * prod * Fraction(2) ** rec.q_exponent

@@ -1233,7 +1233,7 @@ class TestPinnedWitnesses:
 class TestGreedySelection:
     def _synthetic(self):
         # hand-built records: vectors 0,1 share window prime index 0; 2,3 share 1
-        from primedir.directions import DirectionSet, DirectionSpec, RationalVector, VectorRecord
+        from primedir.directions import DirectionSet, DirectionSpec, VectorRecord
 
         spec = DirectionSpec(N=4, eps=1.0)
         recs = []
@@ -1241,7 +1241,7 @@ class TestGreedySelection:
         for i, sub in enumerate(subsets):
             recs.append(
                 VectorRecord(m=4 + i, n=2, q_exponent=0, prime_subset=sub,
-                             v=RationalVector(F(1), F(1)))
+                             v=(F(1), F(1)))
             )
         return DirectionSet(
             spec=spec, kappa=2, prime_window=(101, 103, 107, 109),

@@ -580,6 +580,28 @@ class TestSpatialKernel:
                 assert got.dtype == f.dtype
                 assert np.array_equal(got, _rolled(f, folded, v))
 
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("L", [2, 3, 16, 129])
+    def test_tiled_equals_np_tile(self, L, real):
+        f = _draw(L, 500 + L, real).values
+        tiled = X._tiled(f)
+        assert tiled.dtype == f.dtype
+        assert np.array_equal(tiled, np.tile(f, (2, 2)))
+
+    def test_tiled_peak_is_its_output(self):
+        # np.tile(f, (2, 2)) passes through a copy of half its output's size
+        # (peak 1.5x); the tiling the spatial route reads allocates its output
+        # and nothing else
+        f = _draw(256, 7, False).values  # complex: 1 MiB, tiled 4 MiB
+        X._tiled(f)
+        tracemalloc.start()
+        try:
+            tiled = X._tiled(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.01 * tiled.nbytes
+
     @staticmethod
     def _case(table, L, real):
         cfg = X.OperatorConfig(directions=((1, 0), (3, -7), (2, 1)), k_min=5, k_max=6,
@@ -655,8 +677,8 @@ class TestSpatialKernel:
     def test_workers_hold_row_blocks(self, table13, monkeypatch):
         # a complex L = 256 grid is 1 MiB and a row block 64 rows of it; two
         # workers hold two blocks each beside f tiled 2 x 2 and the output.
-        # The slack of one grid covers np.tile's intermediate copy and the
-        # modulus blocks; two L x L arrays on the calling thread exceed it
+        # The slack of one grid covers the modulus blocks; two L x L arrays
+        # on the calling thread exceed it
         cfg, f = self._case(table13, 256, False)
         started = []
 
