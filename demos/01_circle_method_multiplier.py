@@ -9,7 +9,7 @@ profile; this script sweeps the sup-norm gap between m_k and the assembled
 main term L_k, and prints the landmark values m_k(0) ~ 1 (prime number
 theorem), m_k(1/2) = -m_k(0) (all weighted primes are odd), m_k(1/3) ~ -1/2.
 
-Run:  python demos/01_circle_method_multiplier.py      (~15 s)
+Run:  python demos/01_circle_method_multiplier.py      (~1 s)
 """
 
 from fractions import Fraction

@@ -5,7 +5,7 @@ kappa distinct window primes, and a dyadic normalizer Q placing the length in
 [1/10, 10].  Rescaling by one integer clears every denominator at once.  All
 arithmetic is exact; the serialized family is byte-stable under its seed.
 
-Run:  python demos/02_direction_family.py      (~1 s)
+Run:  python demos/02_direction_family.py      (under 1 s)
 """
 
 from primedir import directions

@@ -12,7 +12,7 @@ The thickness exponent C1 is derived from the rescaling constant A so the
 excluded ball - the computable face of the requirement that C1 = C1(A) be
 sufficiently large.
 
-Run:  python demos/03_tube_overlap.py      (~5 s)
+Run:  python demos/03_tube_overlap.py      (under 1 s)
 """
 
 from primedir import directions, incidence
@@ -38,13 +38,3 @@ for s in (1, 2, 3):
         f"({rep.candidates_checked} exact candidates, shared_centers={rep.shared_centers})"
     )
 
-print("\npair selection by shared fresh primes:")
-sel = incidence.greedy_pair_selection(ds)
-for p in sel:
-    print(f"  pair (v{p.i}, v{p.j}) shares window prime {p.prime}")
-
-if len(sel) >= 2:
-    rep = incidence.intersection_shrink_check(ds, sel, s=2, C1=8)
-    print("\nx-coordinates of the running pair-intersection shrink toward 0:")
-    for j, r in enumerate(rep.radii, 1):
-        print(f"  after {j} pair(s): containment radius {r:.6f}")

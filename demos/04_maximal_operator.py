@@ -2,16 +2,15 @@
 
 Averages along each direction are evaluated two independent ways (spatial
 prime-fold vs multiplier times FFT) and agree to near machine precision; the
-maximal function is their pointwise sup over directions and scales.  Three
+maximal function is their pointwise sup over directions and scales.  Two
 structural identities are demonstrated:
 
 * point-mass spread: with no wraparound collisions, the squared norm of the
   maximal function of a delta equals the sum of squared averaging weights;
 * line locality: a single-direction operator acts line by line, matching the
-  1D cyclic operator on each pulled-back sequence (the transfer mechanism);
-* low/high frequency splitting with an exact smooth partition.
+  1D cyclic operator on each pulled-back sequence (the transfer mechanism).
 
-Run:  python demos/04_maximal_operator.py      (~5 s)
+Run:  python demos/04_maximal_operator.py      (under 1 s)
 """
 
 import numpy as np
@@ -52,7 +51,3 @@ print("adversarial norm ratios ||Mf|| / ||f|| at L = 64:")
 for fam, info in nr.per_family.items():
     print(f"  {fam:>10}: {info['max_ratio']:.4f}  ({info['argmax']})")
 
-f1, f2, _ = maximal.frequency_split(f, A=3)
-print("\nfrequency split at radius 1/9:")
-print(f"  reconstruction error: {np.abs(f.values - f1.values - f2.values).max():.2e}")
-print(f"  low-part share of energy: {f1.norm2() ** 2 / f.norm2() ** 2:.4f}")

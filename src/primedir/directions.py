@@ -540,6 +540,8 @@ def deserialize(data: bytes) -> DirectionSet:
         raise ParseError(f"direction-set file is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed direction-set file: {exc.msg} at line {exc.lineno} col {exc.colno}") from exc
+    except ValueError as exc:  # an integer literal over Python's digit limit
+        raise ParseError(f"malformed direction-set file: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"direction-set file holds a JSON {type(doc).__name__} "
                          "at top level, not an object")

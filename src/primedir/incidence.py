@@ -1,4 +1,4 @@
-"""Tube families on the torus, exact overlap scanning, and pair-selection counting.
+"""Tube families on the torus and exact overlap scanning.
 
 A tube family at denominator r, level s and thickness exponent C1 is the set
 
@@ -15,8 +15,8 @@ point per family for the overlap-1 floor) finds the maximum.
 All geometry is exact and integer.  Points are carried as integer triples
 (px, py, d) meaning (px/d, py/d); each ``TubeFamily`` and each ``ScanWindow``
 fixes its integer form once, at construction.  Fractions appear only at the
-public API: windows and directions come in as Fractions, and witnesses,
-lattice centers and shrink intervals go out as Fractions.
+public API: windows and directions come in as Fractions, and witnesses go
+out as Fractions.
 ``TubeFamily.member`` is the scalar reference predicate (``tube_membership``
 applies it to a Fraction point).
 
@@ -66,14 +66,9 @@ __all__ = [
     "ScanWindow",
     "OverlapReport",
     "tube_membership",
-    "candidate_intersections",
     "max_overlap_scan",
     "families_from_direction_set",
     "default_window",
-    "greedy_pair_selection",
-    "SelectedPair",
-    "intersection_shrink_check",
-    "ShrinkReport",
     "save_overlap_report",
     "load_overlap_report",
     "replay_witness",
@@ -314,32 +309,6 @@ def _reach(fi: TubeFamily, fj: TubeFamily) -> tuple[int, int]:
     """(Kx, Ky): no move of the pair exceeds Kx in x or Ky in y."""
     return (abs(fj.ay * fi.den) + abs(fi.ay * fj.den),
             abs(fj.ax * fi.den) + abs(fi.ax * fj.den))
-
-
-def _grown(win: ScanWindow, fi: TubeFamily, fj: TubeFamily, dabs: int):
-    """(grown, ext_x, ext_y): the window grown by the corner reach (ext_x, ext_y) =
-    (Kx, Ky) 2^-c / |delta| of a pair that shares the shift c, so every cell with
-    a point in the window has its center in ``grown``."""
-    ext_x, ext_y = (Fraction(k, dabs << fi.shift) for k in _reach(fi, fj))
-    return (ScanWindow(win.x_lo - ext_x, win.x_hi + ext_x, win.y_lo - ext_y, win.y_hi + ext_y),
-            ext_x, ext_y)
-
-
-def candidate_intersections(
-    f1: TubeFamily, f2: TubeFamily, window: ScanWindow
-) -> list[tuple[Fraction, Fraction]]:
-    """Exact centers of the (f1, f2) tube-plane intersection lattice in the window.
-
-    The centers solve v1.beta = a/r1, v2.beta = b/r2; every returned point is a
-    member of both (thickened) families.  Raises ValueError on parallel input.
-    """
-    delta = f1.ax * f2.ay - f1.ay * f2.ax
-    if delta == 0:
-        raise ValueError("tube directions are parallel")
-    G = abs(delta) * f1.r * f2.r
-    return [(Fraction(cx, G), Fraction(cy, G)) for _, _, cx, cy, _ in
-            _pair_centers(f1, f2, delta, _plane_range(f1, window), _plane_range(f2, window),
-                          window)]
 
 
 def _axis_rows(xa: int, xb: int, lo: int, hi: int, a_range: tuple[int, int], b_first: int,
@@ -876,153 +845,6 @@ def families_from_direction_set(
             for v, r in zip(vs, r_values)]
 
 
-# -- greedy pair selection and shrinking intersections --------------------------------
-
-@dataclass(frozen=True)
-class SelectedPair:
-    i: int
-    j: int
-    prime: int
-
-
-def greedy_pair_selection(ds: DirectionSet) -> list[SelectedPair]:
-    """Inductively select disjoint pairs whose y-coordinate integer factors
-    share a fresh window prime.
-
-    Step j scans the unused elements in index order and takes the first pair
-    whose factors n_i * (prime product) are both divisible by some window
-    prime not chosen at an earlier step.  Returns the pairs with their primes;
-    an empty list is a valid outcome.
-    """
-    factors = {i: ds.y_factor(i) for i in range(len(ds.vectors))}
-    unused = list(range(len(ds.vectors)))
-    chosen_primes: set[int] = set()
-    out: list[SelectedPair] = []
-    while len(unused) >= 2:
-        found = None
-        for ai in range(len(unused)):
-            for bi in range(ai + 1, len(unused)):
-                i, j = unused[ai], unused[bi]
-                shared = next(
-                    (
-                        p
-                        for p in ds.prime_window
-                        if p not in chosen_primes
-                        and factors[i] % p == 0
-                        and factors[j] % p == 0
-                    ),
-                    None,
-                )
-                if shared is not None:
-                    found = (i, j, shared)
-                    break
-            if found:
-                break
-        if not found:
-            break
-        i, j, p = found
-        out.append(SelectedPair(i, j, p))
-        chosen_primes.add(p)
-        unused.remove(i)
-        unused.remove(j)
-    return out
-
-
-@dataclass
-class ShrinkReport:
-    pair_count: int
-    radii: list[float]  # measured x-containment radius after 1, 2, ... pairs
-    contained_in: float  # the final radius
-    empty: bool
-
-
-def _pair_x_intervals(
-    f1: TubeFamily, f2: TubeFamily, window: ScanWindow
-) -> list[tuple[Fraction, Fraction]]:
-    """Exact x-coordinate intervals of the (f1, f2) intersection cells in the window."""
-    delta = f1.ax * f2.ay - f1.ay * f2.ax
-    if delta == 0:
-        raise ValueError("parallel pair")
-    # a cell's corners lie within (ext, ext_y) of its center, so the cells
-    # that reach into the window have their centers in the grown window
-    grown, ext, ext_y = _grown(window, f1, f2, abs(delta))
-    excl = min(Fraction(f1.exclusion_radius), Fraction(f2.exclusion_radius))
-    G = abs(delta) * f1.r * f2.r
-    ivs = []
-    for _, _, cx, cy, _ in _pair_centers(f1, f2, delta, _plane_range(f1, window),
-                                         _plane_range(f2, window), grown):
-        x, y = Fraction(cx, G), Fraction(cy, G)
-        # cells swallowed by the excluded origin ball contribute no points
-        if excl > 0 and (abs(x) + ext) ** 2 + (abs(y) + ext_y) ** 2 <= excl * excl:
-            continue
-        ivs.append((x - ext, x + ext))
-    ivs.sort()
-    merged: list[tuple[Fraction, Fraction]] = []
-    for lo, hi in ivs:
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
-        else:
-            merged.append((lo, hi))
-    return merged
-
-
-def _intersect_interval_unions(a, b):
-    out = []
-    ia = ib = 0
-    while ia < len(a) and ib < len(b):
-        lo = max(a[ia][0], b[ib][0])
-        hi = min(a[ia][1], b[ib][1])
-        if lo <= hi:
-            out.append((lo, hi))
-        if a[ia][1] < b[ib][1]:
-            ia += 1
-        else:
-            ib += 1
-    return out
-
-
-def intersection_shrink_check(
-    ds: DirectionSet,
-    pairs: list[SelectedPair],
-    s: int,
-    C1: int | None = None,
-    window: ScanWindow | None = None,
-) -> ShrinkReport:
-    """Measure how the x-coordinate set of the running pair-intersection shrinks.
-
-    For each selected pair, the x-coordinates of its two-family intersection
-    form a union of exact intervals around a rank-2 progression; intersecting
-    these unions across pairs with distinct fresh primes should collapse
-    toward the origin.  The report carries the measured containment radius
-    after each pair (sup |x| over the surviving set; 0 when empty).
-
-    The pairs' families are the set's ``ktilde`` families at r = 2^s, so the
-    set must be rescaled.  ``C1`` defaults to the spec override or a
-    deliberately mild 8: measured radii are only informative when the
-    intervals are fat enough to meet.
-    """
-    if C1 is None:
-        C1 = ds.spec.C1 if ds.spec.C1 is not None else 8
-    if window is None:
-        window = default_window("ktilde")
-    if not pairs:
-        raise ValueError("need at least one selected pair")
-    fams = families_from_direction_set(ds, s, C1=C1, variant="ktilde")
-    current: list[tuple[Fraction, Fraction]] | None = None
-    radii: list[float] = []
-    for sp in pairs:
-        ivs = _pair_x_intervals(fams[sp.i], fams[sp.j], window)
-        current = ivs if current is None else _intersect_interval_unions(current, ivs)
-        radius = max((max(abs(lo), abs(hi)) for lo, hi in current), default=Fraction(0))
-        radii.append(float(radius))
-    return ShrinkReport(
-        pair_count=len(pairs),
-        radii=radii,
-        contained_in=radii[-1],
-        empty=not current,
-    )
-
-
 # -- report files -----------------------------------------------------------------------
 
 _REPORT_SCHEMA = "primedir.overlap_report.v3"
@@ -1067,7 +889,9 @@ def _is_int(x) -> bool:
 
 
 def _report_rationals(doc: dict, key: str, n: int, path, nullable: bool = False):
-    """doc[key] as a list of n exact rationals written as strings ("-2", "3/7")."""
+    """doc[key] as a list of n exact rationals written as strings ("-2", "3/7"):
+    an integer or int/int, each parsed by int, so no decimal or exponent form
+    ("1e5000000") can expand into a huge integer."""
     texts = _report_field(
         doc, key,
         lambda x: (x is None and nullable) or (
@@ -1078,8 +902,8 @@ def _report_rationals(doc: dict, key: str, n: int, path, nullable: bool = False)
     out = []
     for i, text in enumerate(texts):
         try:
-            out.append(Fraction(text))
-        except (ValueError, ZeroDivisionError) as exc:
+            out.append(Fraction(*map(int, text.split("/"))))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{path}: bad rational {text!r} at {key}[{i}]") from exc
     return out
 
@@ -1095,6 +919,8 @@ def load_overlap_report(path) -> OverlapReport:
         raise ParseError(f"{path}: not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc.msg} at line {exc.lineno}") from exc
+    except ValueError as exc:  # an integer literal over Python's digit limit
+        raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema") != _REPORT_SCHEMA:
         raise ParseError(f"{path}: not a {_REPORT_SCHEMA} report")
     ints = {key: _report_field(doc, key, _is_int, "an integer", path)

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import PrimeTable
-from .bumps import eval_chi
 from .directions import DirectionSet
 from .errors import ParseError
 from .multiplier import fold_weights, m_k_grid, prime_weights
@@ -64,7 +63,6 @@ __all__ = [
     "delta_spread_value",
     "delta_spread_disjoint",
     "degenerate_directions",
-    "frequency_split",
     "save_grid_function",
     "load_grid_function",
     "export_csv",
@@ -553,36 +551,6 @@ def empirical_norm(
             raise ValueError(f"unknown test family {name!r}")
         per[name] = {"max_ratio": best, "argmax": arg}
     return NormReport(L=L, per_family=per)
-
-
-# -- low/high frequency split ---------------------------------------------------------
-
-def frequency_split(f: GridFunction, A: int) -> tuple[GridFunction, GridFunction, bool]:
-    """Split f into low and high frequency parts at the radius 1/A^2.
-
-    f1 keeps the frequencies inside the ball (smooth radial cutoff built from
-    the package cutoff function) and f2 = f - f1 the rest, so f = f1 + f2
-    holds exactly.  When 1/A^2 <= 1/L the cutoff is degenerate: f1 is the
-    mean component and the returned flag is True.  The cutoff is radial, so
-    it keeps a Hermitian spectrum Hermitian: a real f is cut on its half
-    spectrum and gives real f1 and f2, which take the half-spectrum route.
-    """
-    if A < 1:
-        raise ValueError("A must be >= 1")
-    L = f.L
-    rho = 1.0 / (float(A) * float(A)) if A < 10**150 else 0.0
-    low, real = _spectrum(f.values)
-    degenerate = rho <= 1.0 / L
-    if degenerate:
-        mean = low[0, 0]
-        low[...] = 0
-        low[0, 0] = mean
-    else:
-        xi = np.fft.fftfreq(L)
-        eta = np.fft.rfftfreq(L) if real else xi
-        low *= eval_chi(np.hypot(xi[:, None], eta[None, :]) / (2.0 * rho))
-    f1 = GridFunction(L, np.fft.irfft2(low, s=(L, L)) if real else np.fft.ifft2(low))
-    return f1, GridFunction(L, f.values - f1.values), degenerate
 
 
 # -- grid-function files ----------------------------------------------------------------

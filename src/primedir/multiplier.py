@@ -16,9 +16,7 @@ and this module evaluates all the computable objects of that approximation:
   below the level cap;
 * the error profile E_k = m_k - L_k swept over a grid, with CSV output;
 * major/minor arc classification (exact, via the minimal-denominator
-  fraction in an interval): the major arc's fraction a/q, or None;
-* the downsampled multiplier coefficients used by the high-frequency
-  argument.
+  fraction in an interval): the major arc's fraction a/q, or None.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ __all__ = [
     "write_error_profile_csv",
     "classify_arc",
     "simplest_in_interval",
-    "downsampled_coefficients",
 ]
 
 DEFAULT_D = 17.0  # smallest integer above the 2^4 hypothesis threshold
@@ -385,44 +382,3 @@ def classify_arc(alpha, k: int, D: float) -> Fraction | None:
     if best.denominator <= kD_int:
         return best % 1
     return None
-
-
-# -- downsampled multiplier -------------------------------------------------------
-
-@lru_cache(maxsize=32)
-def _downsample_profile(k: int, log2_halfwidth: int, order: int, n_panels: int):
-    """Nodes u, weights, and profile values V_k(W u) chi(u/2) on [-1, 1]."""
-    nodes, weights = bumps._panel_nodes(-1.0, 1.0, n_panels, order)
-    W = math.ldexp(1.0, log2_halfwidth)
-    vk = np.array([v_k(k, W * u) for u in nodes])
-    g = vk * bumps.eval_chi(nodes / 2.0)
-    return nodes, weights, g
-
-
-def downsampled_coefficients(
-    k: int,
-    k0: int,
-    q: int,
-    n_values,
-    chi_scale_log2: int | None = None,
-) -> np.ndarray:
-    """Spatial coefficients of the q-downsampled localized profile at each n.
-
-    The coefficient at n is q times the inverse transform of V_k chi_{k0}
-    evaluated at qn, computed by quadrature of the product profile over the
-    cutoff support.  ``chi_scale_log2`` overrides the cutoff scale exponent
-    10(k0+4) for diagnostics: at the analysis scaling the coefficient mass
-    spreads over ~2^41 lattice points, so identities like "the coefficients
-    sum to the symbol at 0" are only observable at a milder width.
-    """
-    if q < 1:
-        raise ValueError("downsampling modulus must be >= 1")
-    scale_log2 = 10 * (k0 + 4) if chi_scale_log2 is None else chi_scale_log2
-    log2_W = -scale_log2 - 1  # support of chi(2^scale .) is |alpha| < 2^(-scale-1)
-    n_arr = np.asarray(list(n_values), dtype=np.int64)
-    W = math.ldexp(1.0, log2_W)
-    osc = float(q * np.max(np.abs(n_arr)) if n_arr.size else 0) * W
-    n_panels = int(max(24, math.ceil(2.0 * osc) + 8))
-    nodes, weights, g = _downsample_profile(k, log2_W, 20, n_panels)
-    phases = np.exp(2j * np.pi * (q * W) * np.outer(n_arr.astype(np.float64), nodes))
-    return (q * W) * (phases * (weights * g)[None, :]).sum(axis=1)

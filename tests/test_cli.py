@@ -283,6 +283,9 @@ class TestIncidence:
         ("method", "anything", "'method'"),
         ("variant", "K", "'variant'"),
         ("baseline", "Parallel", "'baseline'"),
+        # only integers and num/den: a decimal or exponent form is refused
+        ("witness", ["1.5", "0/1"], "witness[0]"),
+        ("window", ["1e5000000", "1", "-1", "1"], "window[0]"),
     ])
     def test_malformed_report_is_validation_failure(self, tmp_path, capsys, key, value, named):
         ds = tmp_path / "ds.json"
@@ -298,7 +301,7 @@ class TestIncidence:
         capsys.readouterr()
         assert run("replay", "--ds", str(ds), "--report", str(rep)) == 2
         err = capsys.readouterr().err
-        assert "validation error" in err and named in err
+        assert err.startswith("validation error:") and named in err
 
     def test_baseline_reaches_family_size(self, tmp_path, capsys):
         ds = tmp_path / "ds.json"
@@ -406,7 +409,9 @@ class TestBadFiles:
     """A direction-set or report file that is not a JSON object, or not
     UTF-8, is a validation error (exit 2) for every command that reads it."""
 
-    BLOBS = {"array": b"[1,2]", "null": b"null", "latin-1": '{"schema": "\u00e9"}'.encode("latin-1")}
+    BLOBS = {"array": b"[1,2]", "null": b"null", "latin-1": '{"schema": "\u00e9"}'.encode("latin-1"),
+             # over Python's 4300-digit conversion limit (3.11 and later)
+             "long-int": b'{"schema": ' + b"1" * 5000 + b"}"}
 
     @pytest.mark.parametrize("blob", BLOBS.values(), ids=BLOBS)
     @pytest.mark.parametrize("command", ["incidence", "replay", "apply"])

@@ -465,6 +465,15 @@ class TestSerialization:
         with pytest.raises(ParseError, match="line"):
             D.deserialize(b'{"schema": "primedir.direction_set.v1", ')
 
+    def test_over_long_integer_refused(self, toy_ds):
+        # Python >= 3.11 refuses the literal while parsing the JSON; without
+        # that limit the content hash no longer matches
+        doc = json.loads(D.serialize(toy_ds))
+        doc["kappa"] = "BIG"
+        blob = json.dumps(doc).replace('"BIG"', "1" * 5000).encode()
+        with pytest.raises(ParseError, match="malformed direction-set file|content hash mismatch"):
+            D.deserialize(blob)
+
     def test_file_round_trip(self, toy_ds, tmp_path):
         path = tmp_path / "ds.json"
         D.save_direction_set(toy_ds, path)

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import time
 from collections import Counter
 from fractions import Fraction as F
 from unittest import mock
@@ -89,11 +90,20 @@ class TestMembership:
         assert I.tube_membership((F(0), F(1, 50)), fam)
 
 
+def _centers(f1, f2, win):
+    """The pair's in-window cell centers from ``_pair_centers``, the scan's one
+    lattice enumerator, as Fractions."""
+    delta = f1.ax * f2.ay - f1.ay * f2.ax
+    G = abs(delta) * f1.r * f2.r
+    return [(F(cx, G), F(cy, G)) for _, _, cx, cy, _ in
+            I._pair_centers(f1, f2, delta, I._plane_range(f1, win), I._plane_range(f2, win), win)]
+
+
 class TestCandidates:
     def test_axis_lattice(self):
         f1, f2 = axis_families()
         win = I.default_window("k")
-        pts = set(I.candidate_intersections(f1, f2, win))
+        pts = set(_centers(f1, f2, win))
         expect = {
             (F(a, 2), F(b, 3))
             for a in range(-1, 2)
@@ -106,7 +116,7 @@ class TestCandidates:
         f1 = I.TubeFamily(v=(F(3, 2), F(1, 3)), r=5, s=2, C1=6)
         f2 = I.TubeFamily(v=(F(-1, 2), F(7, 5)), r=4, s=2, C1=6)
         win = I.ScanWindow(F(-1), F(1), F(-1), F(1))
-        pts = I.candidate_intersections(f1, f2, win)
+        pts = _centers(f1, f2, win)
         assert pts and all(
             I.tube_membership(p, f1) and I.tube_membership(p, f2) for p in pts
         )
@@ -115,7 +125,7 @@ class TestCandidates:
         f1 = I.TubeFamily(v=(F(3, 2), F(1, 3)), r=5, s=2, C1=6)
         f2 = I.TubeFamily(v=(F(-1, 2), F(7, 5)), r=4, s=2, C1=6)
         win = I.ScanWindow(F(-1), F(1), F(-1), F(1))
-        pts = I.candidate_intersections(f1, f2, win)
+        pts = _centers(f1, f2, win)
         # brute-force double loop over generous plane-index ranges
         brute = set()
         v1, v2 = f1.v, f2.v
@@ -127,13 +137,7 @@ class TestCandidates:
                 y = (-v2[0] * t1 + v1[0] * t2) / det
                 if win.contains(x, y):
                     brute.add((x, y))
-        assert set(pts) == brute
-
-    def test_parallel_rejected(self):
-        f1 = I.TubeFamily(v=(F(1), F(0)), r=2, s=1, C1=8)
-        f2 = I.TubeFamily(v=(F(2), F(0)), r=3, s=1, C1=8)
-        with pytest.raises(ValueError):
-            I.candidate_intersections(f1, f2, I.default_window("k"))
+        assert len(pts) == len(set(pts)) and set(pts) == brute
 
 
 class TestScan:
@@ -722,7 +726,7 @@ class TestInt64Counts:
         """``refused`` pairs of the scan fail a certificate: with none the scan
         equals member() at every candidate, and otherwise it refuses."""
         if window.x_lo == 0:
-            assert (F(0), F(0)) in I.candidate_intersections(fams[0], fams[1], window)
+            assert (F(0), F(0)) in _centers(fams[0], fams[1], window)
         assert _refused_pairs(fams, window) == refused
         rep = _scan_or_refusal(fams, window)
         assert (rep is None) == (refused > 0)
@@ -1230,91 +1234,6 @@ class TestPinnedWitnesses:
             5, "exact-candidates", 5, (F(173, 854), F(-1097, 4270)))
 
 
-class TestGreedySelection:
-    def _synthetic(self):
-        # hand-built records: vectors 0,1 share window prime index 0; 2,3 share 1
-        from primedir.directions import DirectionSet, DirectionSpec, VectorRecord
-
-        spec = DirectionSpec(N=4, eps=1.0)
-        recs = []
-        subsets = [(0, 2), (0, 3), (1, 2), (1, 3)]
-        for i, sub in enumerate(subsets):
-            recs.append(
-                VectorRecord(m=4 + i, n=2, q_exponent=0, prime_subset=sub,
-                             v=(F(1), F(1)))
-            )
-        return DirectionSet(
-            spec=spec, kappa=2, prime_window=(101, 103, 107, 109),
-            scale_denominator=1, eps_adjusted=None, vectors=tuple(recs),
-        )
-
-    def test_forced_example(self):
-        ds = self._synthetic()
-        sel = I.greedy_pair_selection(ds)
-        assert len(sel) == 2
-        assert (sel[0].i, sel[0].j, sel[0].prime) == (0, 1, 101)
-        assert (sel[1].i, sel[1].j, sel[1].prime) == (2, 3, 103)
-
-    def test_disjointness(self, toy_matrix):
-        for ds in toy_matrix.values():
-            sel = I.greedy_pair_selection(ds)
-            used = [idx for p in sel for idx in (p.i, p.j)]
-            assert len(used) == len(set(used))
-            primes = [p.prime for p in sel]
-            assert len(primes) == len(set(primes))
-
-    def test_pair_found_when_primes_shared(self, toy_matrix):
-        # whenever some window prime divides two y-factors, at least one pair
-        # is selected (brute-force pair search oracle)
-        for ds in toy_matrix.values():
-            shared_exists = any(
-                any(
-                    ds.y_factor(i) % p == 0 and ds.y_factor(j) % p == 0
-                    for p in ds.prime_window
-                )
-                for i in range(len(ds.vectors))
-                for j in range(i + 1, len(ds.vectors))
-            )
-            sel = I.greedy_pair_selection(ds)
-            if shared_exists:
-                assert len(sel) >= 1
-            else:
-                assert sel == []
-
-    def test_singleton_subsets_share_nothing(self, toy_ds):
-        # kappa = 1 with distinct singletons: disjoint prime support, K = 0
-        assert toy_ds.kappa == 1
-        assert I.greedy_pair_selection(toy_ds) == []
-
-
-class TestShrink:
-    def test_radii_shrink(self, toy_matrix):
-        ds = toy_matrix[(8, 0.5)]
-        sel = I.greedy_pair_selection(ds)
-        assert len(sel) >= 2
-        rep = I.intersection_shrink_check(ds, sel, s=2, C1=8)
-        assert rep.radii[1] < rep.radii[0]
-        assert rep.contained_in == rep.radii[-1]
-
-    def test_single_pair_bounded_by_window(self, toy_matrix):
-        ds = toy_matrix[(8, 0.5)]
-        sel = I.greedy_pair_selection(ds)[:1]
-        win = I.default_window("ktilde")
-        rep = I.intersection_shrink_check(ds, sel, s=2, C1=8, window=win)
-        assert rep.radii[0] <= float(win.x_hi) + 1.0 / 2**8
-
-    def test_empty_intersection_radius_zero(self, toy_matrix):
-        # needle-thin tubes: the interval lattices of distinct pairs miss
-        ds = toy_matrix[(8, 0.5)]
-        sel = I.greedy_pair_selection(ds)
-        rep = I.intersection_shrink_check(ds, sel, s=2, C1=60)
-        assert rep.empty and rep.contained_in == 0.0
-
-    def test_needs_pairs(self, toy_matrix):
-        with pytest.raises(ValueError):
-            I.intersection_shrink_check(toy_matrix[(8, 0.5)], [], s=2)
-
-
 class TestReportFiles:
     def test_round_trip(self, tmp_path):
         f1, f2 = axis_families()
@@ -1368,6 +1287,34 @@ class TestReportFiles:
         path = tmp_path / "r.json"
         path.write_text("{")
         with pytest.raises(ParseError):
+            I.load_overlap_report(path)
+
+    @pytest.mark.parametrize("key,text", [("window", "1e5000000"), ("window", "1.5"),
+                                          ("witness", "1e5000000"), ("witness", "1.5")])
+    def test_decimal_and_exponent_rationals_refused(self, tmp_path, key, text):
+        # save writes integers and num/den only; read as a decimal, "1e5000000"
+        # would become a 16.6-million-bit integer and take seconds to parse
+        f1, f2 = axis_families()
+        path = tmp_path / "r.json"
+        I.save_overlap_report(I.max_overlap_scan([f1, f2], I.default_window("k")), path)
+        doc = json.loads(path.read_text())
+        doc[key][0] = text
+        path.write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError, match=re.escape(f"bad rational {text!r} at {key}[0]")):
+            I.load_overlap_report(path)
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_over_long_integer_refused(self, tmp_path):
+        # Python >= 3.11 refuses the literal while parsing the JSON; without
+        # that limit the window fails its own check
+        f1, f2 = axis_families()
+        path = tmp_path / "r.json"
+        I.save_overlap_report(I.max_overlap_scan([f1, f2], I.default_window("k")), path)
+        doc = json.loads(path.read_text())
+        doc["window"] = "BIG"
+        path.write_text(json.dumps(doc).replace('"BIG"', "[" + "1" * 5000 + "]"))
+        with pytest.raises(ParseError, match=re.escape(f"{path}: ")):
             I.load_overlap_report(path)
 
     @pytest.mark.parametrize("blob", [b"\xff\xfe{}", b'{"schema": "\xe9"}'])

@@ -741,65 +741,6 @@ class TestThreshold:
         assert len(started) == threads
 
 
-class TestFrequencySplit:
-    def test_constant_is_all_low(self):
-        f = X.GridFunction.constant(32, 2.5)
-        f1, f2, deg = X.frequency_split(f, 3)
-        assert not deg
-        assert np.abs(f1.values - f.values).max() < 1e-12
-        assert np.abs(f2.values).max() < 1e-12
-
-    def test_high_character_is_all_high(self):
-        L = 32
-        jx = np.arange(L)
-        char = np.exp(2j * np.pi * (13 * jx[:, None] + 9 * jx[None, :]) / L)
-        f1, f2, _ = X.frequency_split(X.GridFunction(L, char), 3)
-        assert np.abs(f1.values).max() < 1e-12
-        assert np.abs(f2.values - char).max() < 1e-12
-
-    def test_exact_recomposition_and_plancherel(self):
-        f = X.GridFunction.random(64, np.random.default_rng(6))
-        f1, f2, deg = X.frequency_split(f, 2)
-        assert not deg
-        assert np.array_equal(f.values - f1.values, f2.values)
-        lhs = f.norm2() ** 2
-        inner = np.vdot(f1.values, f2.values)
-        rhs = f1.norm2() ** 2 + f2.norm2() ** 2 + 2 * inner.real
-        assert lhs == pytest.approx(rhs, rel=1e-10)
-
-    def test_degenerate_flag(self):
-        f = X.GridFunction.random(32, np.random.default_rng(8))
-        f1, f2, deg = X.frequency_split(f, 10**6)
-        assert deg
-        assert np.abs(f1.values - f.values.mean()).max() < 1e-12
-        assert np.array_equal(f.values - f1.values, f2.values)
-
-    @pytest.mark.parametrize("A", [1, 2, 3, 10**6])
-    @pytest.mark.parametrize("L", [2, 3, 15, 16, 31, 32, 64])
-    def test_real_input_stays_real(self, L, A):
-        f = _draw(L, 500 + L, True)
-        f1, f2, deg = X.frequency_split(f, A)
-        c1, _, cdeg = X.frequency_split(X.GridFunction(L, f.values.astype(complex)), A)
-        assert f1.values.dtype == f2.values.dtype == np.float64
-        assert deg == cdeg == (A * A >= L)
-        assert np.abs(f1.values - c1.values.real).max() <= 1e-14
-        assert np.array_equal(f.values - f1.values, f2.values)
-
-    def test_real_parts_take_half_spectrum(self, table13, monkeypatch):
-        cfg = X.OperatorConfig(directions=((1, 0), (2, 1)), k_min=4, k_max=5, table=table13)
-        f1, f2, _ = X.frequency_split(_draw(32, 7, True), 2)
-        inner, routes = X._spectrum, []
-
-        def spectrum(values):
-            fhat, real = inner(values)
-            routes.append(real)
-            return fhat, real
-
-        monkeypatch.setattr(X, "_spectrum", spectrum)
-        X.maximal_op(f1, cfg)
-        X.maximal_op(f2, cfg)
-        assert routes == [True, True]
-
 def _npy(values) -> bytes:
     buf = io.BytesIO()
     np.save(buf, values)

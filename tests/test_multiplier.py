@@ -406,43 +406,3 @@ class TestArcs:
             M.classify_arc(0.3, 16, 0.0)
         with pytest.raises(ValueError):
             M.classify_arc(0.3, 0, 17.0)
-
-
-class TestDownsampled:
-    def test_q_one_reduction(self):
-        # q = 1 is the plain inverse transform of the localized profile;
-        # cross-check against a direct high-order quadrature of the defining
-        # integral
-        W = 2.0**-41  # support half-width of the k0 = 0 cutoff
-        x, w = np.polynomial.legendre.leggauss(40)
-        total = 0.0 + 0.0j
-        for lo, hi in ((-1.0, -0.5), (-0.5, 0.5), (0.5, 1.0)):
-            mid, half = (hi + lo) / 2, (hi - lo) / 2
-            for xi, wi in zip(x, w):
-                u = mid + half * xi
-                total += wi * half * bumps.v_k(12, W * u) * bumps.eval_chi(u / 2.0)
-        oracle = W * total  # coefficient at n = 0
-        got = M.downsampled_coefficients(12, 0, 1, [0])[0]
-        assert abs(got - oracle) < 1e-12
-
-    def test_l1_bounded_at_paper_width(self):
-        cs = M.downsampled_coefficients(12, 0, 4, range(-10, 11))
-        assert np.abs(cs).sum() <= 10.0
-
-    def test_l1_bounded_at_diagnostic_width(self):
-        # at a computable cutoff width the full mass is reachable: the l1 norm
-        # is genuinely order one, uniformly in q
-        for q in (1, 2, 4, 8, 16):
-            cs = M.downsampled_coefficients(6, 0, q, range(-2048, 513), chi_scale_log2=6)
-            assert np.abs(cs).sum() <= 10.0
-
-    def test_sampling_consistency_at_diagnostic_width(self):
-        # sum of coefficients = periodized symbol at 0 = V_k(0) chi(0) = 1
-        # (exactly, by Poisson summation, whenever q * width < 1/2)
-        for q in (1, 2, 4, 8):
-            cs = M.downsampled_coefficients(6, 0, q, range(-2048, 513), chi_scale_log2=6)
-            assert abs(cs.sum() - 1.0) < 5e-3, (q, cs.sum())
-
-    def test_rejects_bad_modulus(self):
-        with pytest.raises(ValueError):
-            M.downsampled_coefficients(6, 0, 0, [0])[0]
