@@ -46,11 +46,6 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
-def _panel_nodes(a: float, b: float, n_panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights of composite Gauss-Legendre on [a, b] with equal panels."""
-    return _edge_nodes(np.linspace(a, b, n_panels + 1), order)
-
-
 def _edge_nodes(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights of Gauss-Legendre of the given order on each panel between edges."""
     x, w = _leggauss(order)
@@ -69,7 +64,7 @@ def _raw_bump(t: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _normalization_constant() -> float:
-    nodes, weights = _panel_nodes(1.0, 2.0, 64, 24)
+    nodes, weights = _edge_nodes(np.linspace(1.0, 2.0, 64 + 1), 24)
     return 1.0 / float(np.dot(weights, _raw_bump(nodes)))
 
 
@@ -142,7 +137,7 @@ def phi_deriv_l1() -> tuple[float, float]:
     (2 pi 2^k |alpha|)^n used both in tests and to certify the analytic-zero
     shortcut for extreme oscillation.
     """
-    nodes, weights = _panel_nodes(1.0, 2.0, 256, 16)
+    nodes, weights = _edge_nodes(np.linspace(1.0, 2.0, 256 + 1), 16)
     u = 2.0 * nodes - 3.0
     g = _raw_bump(nodes)
     one_m = 1.0 - u * u

@@ -339,10 +339,10 @@ def _build_parser() -> _Parser:
     c = add("construct", profile, help="build, validate, and write a direction set")
     c.add_argument("--n", type=int)
     c.add_argument("--eps", type=float)
-    c.add_argument("--mode", choices=["toy", "strict"], default="toy")
+    c.add_argument("--mode", choices=["toy", "strict"], default=DirectionSpec.mode)
     c.add_argument("--seed", type=int)
-    c.add_argument("--m-exp", type=int, default=2, help="window exponent M")
-    c.add_argument("--c0", type=int, default=3)
+    c.add_argument("--m-exp", type=int, default=DirectionSpec.M, help="window exponent M")
+    c.add_argument("--c0", type=int, default=DirectionSpec.C0)
     c.add_argument("--window-base", type=int, default=None)
     c.add_argument("--window-count", type=int, default=None)
     c.add_argument("--a", type=int, default=None, help="integer annulus radius (default N^C0)")
@@ -351,7 +351,7 @@ def _build_parser() -> _Parser:
 
     m = add("mult-error", profile, help="sweep sup|m_k - L_k| and write a CSV")
     m.add_argument("--k-list", dest="k_list")
-    m.add_argument("--d", type=float, default=17.0)
+    m.add_argument("--d", type=float, default=multiplier.DEFAULT_D)
     m.add_argument("--arc-d", type=float, default=None,
                    help="classification exponent for the per-arc column")
     m.add_argument("--grid", type=int)

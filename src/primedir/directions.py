@@ -36,7 +36,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .arith import is_prime_certified
-from .errors import ConstructionError, ParseError
+from .errors import (ConstructionError, ParseError, integer, items, json_int, json_object, nullable,
+                     one_of, rational, read_fields, record, typed)
 
 __all__ = [
     "DirectionSpec",
@@ -79,6 +80,8 @@ class DirectionSpec:
     window_count: int | None = None
 
     def __post_init__(self):
+        if not all(type(x) is int for x in (self.N, self.M, self.seed, self.C0)):
+            raise TypeError("N, M, seed and C0 must be integers")
         if self.N < 2:
             raise ValueError("family size N must be >= 2")
         if not 0 < self.eps <= 1:
@@ -367,6 +370,9 @@ def _validate_rescaling(ds: DirectionSet) -> None:
     A, At = ds.A, ds.A_tilde
     if A is None or At is None or ds.integer_vectors is None:
         raise ConstructionError("incomplete rescaling metadata")
+    if len(ds.integer_vectors) != len(ds.vectors):
+        raise ConstructionError(f"{len(ds.integer_vectors)} integer vectors for "
+                                f"{len(ds.vectors)} directions")
     if not (A <= 10 * At <= 100 * A):
         raise ConstructionError(f"A_tilde = {At} outside [A/10, 10A]")
     for i, (ix, iy) in enumerate(ds.integer_vectors):
@@ -456,28 +462,6 @@ def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _frac_parse(s: str, where: str) -> Fraction:
-    try:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    except Exception as exc:
-        raise ParseError(f"bad rational {s!r} at {where}") from exc
-
-
-def _int_parse(s: str, where: str) -> int:
-    try:
-        return int(s)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad integer {s!r} at {where}") from exc
-
-
-def _pair_parse(entry, where: str) -> tuple[int, int]:
-    """An integer vector: a list of two decimal integer strings."""
-    if not isinstance(entry, list) or len(entry) != 2:
-        raise ParseError(f"bad integer pair {entry!r} at {where}: not a two-element list")
-    return _int_parse(entry[0], f"{where}[0]"), _int_parse(entry[1], f"{where}[1]")
-
-
 def _canonical(doc: dict) -> bytes:
     """The one JSON encoding of a direction set: sorted keys, fixed separators."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
@@ -528,59 +512,41 @@ def serialize(ds: DirectionSet) -> bytes:
     return _canonical({"content_hash": _digest(payload), **payload})
 
 
+def _integer_vector(pair, name: str) -> tuple[int, int]:
+    """An integer vector: a list of two decimal-integer strings."""
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise ParseError(f"bad integer pair {pair!r} at {name}: not a two-element list")
+    return integer(pair[0], f"{name}[0]"), integer(pair[1], f"{name}[1]")
+
+
+_OPTIONAL_INT = typed((int, type(None)), "null or an integer")
+_SPEC = record((("N", json_int), ("eps", typed((int, float), "a number")), ("M", json_int),
+                ("mode", one_of("toy", "strict")), ("seed", json_int), ("C0", json_int),
+                ("C1", _OPTIONAL_INT), ("window_base", _OPTIONAL_INT),
+                ("window_count", _OPTIONAL_INT)), DirectionSpec)
+_VECTOR = record((("m", json_int), ("n", json_int), ("q_exponent", json_int),
+                  ("prime_subset", items(json_int)), ("x", rational), ("y", rational)),
+                 lambda m, n, e, subset, x, y: VectorRecord(m, n, e, subset, (x, y)))
+# DirectionSet's fields, in order
+_ENTRIES = (("spec", _SPEC), ("kappa", json_int), ("prime_window", items(integer)),
+            ("scale_denominator", integer),
+            ("eps_adjusted", typed((int, float, type(None)), "null or a number")),
+            ("vectors", items(_VECTOR)), ("A", nullable(integer)), ("A_tilde", nullable(integer)),
+            ("integer_vectors", nullable(items(_integer_vector))))
+
+
 def deserialize(data: bytes) -> DirectionSet:
     """Parse, re-hash, rebuild, and re-validate a DirectionSet.
 
     Any JSON layout of the same document loads, the indented form that older
-    files use included: the hash is taken over the canonical form.
+    files use included: the hash is taken over the canonical form.  Every
+    field is read through the strict reader of ``errors``, and a malformed
+    one is a ParseError that names it.
     """
-    try:
-        doc = json.loads(data.decode())
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"direction-set file is not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed direction-set file: {exc.msg} at line {exc.lineno} col {exc.colno}") from exc
-    except ValueError as exc:  # an integer literal over Python's digit limit
-        raise ParseError(f"malformed direction-set file: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"direction-set file holds a JSON {type(doc).__name__} "
-                         "at top level, not an object")
-    if doc.get("schema") != _DS_SCHEMA:
-        raise ParseError(f"unexpected schema {doc.get('schema')!r} at top level")
+    doc = json_object(data, _DS_SCHEMA, "direction-set file")
     if doc.pop("content_hash", None) != _digest(doc):
         raise ParseError("content hash mismatch: file was modified after writing")
-    try:
-        spec = DirectionSpec(**doc["spec"])
-        vectors = tuple(
-            VectorRecord(
-                m=rec["m"],
-                n=rec["n"],
-                q_exponent=rec["q_exponent"],
-                prime_subset=tuple(rec["prime_subset"]),
-                v=(_frac_parse(rec["x"], f"vectors[{i}].x"),
-                   _frac_parse(rec["y"], f"vectors[{i}].y")),
-            )
-            for i, rec in enumerate(doc["vectors"])
-        )
-        ds = DirectionSet(
-            spec=spec,
-            kappa=doc["kappa"],
-            prime_window=tuple(_int_parse(p, f"prime_window[{i}]")
-                               for i, p in enumerate(doc["prime_window"])),
-            scale_denominator=_int_parse(doc["scale_denominator"], "scale_denominator"),
-            eps_adjusted=doc["eps_adjusted"],
-            vectors=vectors,
-            A=_int_parse(doc["A"], "A") if doc["A"] is not None else None,
-            A_tilde=_int_parse(doc["A_tilde"], "A_tilde") if doc["A_tilde"] is not None else None,
-            integer_vectors=(
-                tuple(_pair_parse(v, f"integer_vectors[{i}]")
-                      for i, v in enumerate(doc["integer_vectors"]))
-                if doc["integer_vectors"] is not None
-                else None
-            ),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"missing or malformed field in direction-set file: {exc}") from exc
+    ds = DirectionSet(*read_fields(doc, _ENTRIES))
     validate_direction_set(ds)
     return ds
 

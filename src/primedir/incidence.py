@@ -59,7 +59,8 @@ from fractions import Fraction
 import numpy as np
 
 from .directions import DirectionSet
-from .errors import ParseError
+from .errors import (ParseError, items, json_int, json_object, nullable, one_of, rational,
+                     read_fields)
 
 __all__ = [
     "TubeFamily",
@@ -98,7 +99,7 @@ class TubeFamily:
     torus_side: int | None = None
 
     def __post_init__(self):
-        if not (1 << self.s) <= self.r < (1 << (self.s + 1)):
+        if not (self.s >= 0 and self.r > 0 and self.r.bit_length() == self.s + 1):
             raise ValueError(f"need 2^s <= r < 2^(s+1); got r={self.r}, s={self.s}")
         if self.C1 < 1:
             raise ValueError("thickness exponent C1 must be >= 1")
@@ -114,9 +115,10 @@ class TubeFamily:
                              ex_n=ex.numerator, ex_d=ex.denominator)
         if ax == 0 and ay == 0:
             raise ValueError("tube direction must be nonzero")
-        # thickness 2^(-C1 s) below the tube spacing 1/(r |v|):
-        # equivalent to r^2 |v|^2 < 4^(C1 s), exactly.
-        if self.s >= 1 and self.r**2 * (ax * ax + ay * ay) >= den * den << 2 * self.shift:
+        # thickness 2^(-C1 s) below the tube spacing 1/(r |v|): equivalent to
+        # r^2 |v|^2 < 4^(C1 s), exactly; compared by right shift (a << c > m iff
+        # a > m >> c), so no integer grows with C1 s
+        if self.s >= 1 and den * den <= self.r**2 * (ax * ax + ay * ay) >> 2 * self.shift:
             raise ValueError("tube thickness is not below the tube spacing; raise C1")
 
     @property
@@ -135,7 +137,7 @@ class TubeFamily:
         X = self.r * (self.ax * px + self.ay * py)
         Dd = self.den * d
         b = (2 * X + Dd) // (2 * Dd)  # nearest integer to X / Dd
-        if abs(X - b * Dd) << self.shift > self.r * Dd:
+        if abs(X - b * Dd) > self.r * Dd >> self.shift:
             return False
         return not self.ex_n or (px * px + py * py) * self.ex_d**2 >= self.ex_n**2 * d * d
 
@@ -848,6 +850,7 @@ def families_from_direction_set(
 # -- report files -----------------------------------------------------------------------
 
 _REPORT_SCHEMA = "primedir.overlap_report.v3"
+_REPORT_INTS = ("s", "C1", "max_overlap", "family_count", "candidates_checked")
 
 
 def save_overlap_report(report: OverlapReport, path) -> None:
@@ -875,69 +878,21 @@ def save_overlap_report(report: OverlapReport, path) -> None:
         json.dump(doc, fh, indent=1, sort_keys=True)
 
 
-def _report_field(doc: dict, key: str, ok, what: str, path):
-    """doc[key] when ok accepts it; a ParseError naming the field otherwise."""
-    if key not in doc:
-        raise ParseError(f"{path}: missing field {key!r}")
-    if not ok(doc[key]):
-        raise ParseError(f"{path}: field {key!r} must be {what}, got {doc[key]!r}")
-    return doc[key]
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _report_rationals(doc: dict, key: str, n: int, path, nullable: bool = False):
-    """doc[key] as a list of n exact rationals written as strings ("-2", "3/7"):
-    an integer or int/int, each parsed by int, so no decimal or exponent form
-    ("1e5000000") can expand into a huge integer."""
-    texts = _report_field(
-        doc, key,
-        lambda x: (x is None and nullable) or (
-            isinstance(x, list) and len(x) == n and all(isinstance(t, str) for t in x)),
-        f"{'null or ' if nullable else ''}a list of {n} rational strings", path)
-    if texts is None:
-        return None
-    out = []
-    for i, text in enumerate(texts):
-        try:
-            out.append(Fraction(*map(int, text.split("/"))))
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{path}: bad rational {text!r} at {key}[{i}]") from exc
-    return out
-
-
 def load_overlap_report(path) -> OverlapReport:
     """Read a report written by save_overlap_report; any malformed field is a
-    ParseError that names it."""
+    ParseError that names it, after the path."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        doc = json.loads(data.decode())
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc.msg} at line {exc.lineno}") from exc
-    except ValueError as exc:  # an integer literal over Python's digit limit
+        doc = json_object(data, _REPORT_SCHEMA, "report")
+        ints = dict(zip(_REPORT_INTS, read_fields(doc, [(key, json_int) for key in _REPORT_INTS])))
+        method, variant, baseline, witness, window, r_values = read_fields(doc, [
+            ("method", one_of("exact-candidates", "grid-sample")),
+            ("variant", one_of("k", "ktilde")), ("baseline", one_of(None, "parallel")),
+            ("witness", nullable(items(rational, 2))), ("window", items(rational, 4)),
+            # the scan writes one denominator per family; replay rebuilds from them
+            ("r_values", items(json_int, ints["family_count"]))])
+    except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema") != _REPORT_SCHEMA:
-        raise ParseError(f"{path}: not a {_REPORT_SCHEMA} report")
-    ints = {key: _report_field(doc, key, _is_int, "an integer", path)
-            for key in ("s", "C1", "max_overlap", "family_count", "candidates_checked")}
-    # tuples, not sets: a list or a dict in the file must fail the test, not raise
-    method, variant, baseline = (
-        _report_field(doc, key, lambda x, ok=ok: x in ok,
-                      "one of " + ", ".join(map(json.dumps, ok)), path)
-        for key, ok in (("method", ("exact-candidates", "grid-sample")),
-                        ("variant", ("k", "ktilde")), ("baseline", (None, "parallel"))))
-    witness = _report_rationals(doc, "witness", 2, path, nullable=True)
-    win = _report_rationals(doc, "window", 4, path)
-    rv = _report_field(doc, "r_values",
-                       lambda x: x is None or isinstance(x, list) and all(map(_is_int, x)),
-                       "null or a list of integers", path)
-    return OverlapReport(
-        **ints, method=method, variant=variant, window=ScanWindow(*win),
-        witness=tuple(witness) if witness is not None else None,
-        r_values=tuple(rv) if rv is not None else None, baseline=baseline,
-    )
+    return OverlapReport(**ints, method=method, variant=variant, window=ScanWindow(*window),
+                         witness=witness, r_values=r_values, baseline=baseline)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -286,6 +287,8 @@ class TestIncidence:
         # only integers and num/den: a decimal or exponent form is refused
         ("witness", ["1.5", "0/1"], "witness[0]"),
         ("window", ["1e5000000", "1", "-1", "1"], "window[0]"),
+        # one denominator per family, as the scan writes them
+        ("r_values", [4], "'r_values'"),
     ])
     def test_malformed_report_is_validation_failure(self, tmp_path, capsys, key, value, named):
         ds = tmp_path / "ds.json"
@@ -302,6 +305,23 @@ class TestIncidence:
         assert run("replay", "--ds", str(ds), "--report", str(rep)) == 2
         err = capsys.readouterr().err
         assert err.startswith("validation error:") and named in err
+
+    def test_huge_level_report_refused_fast(self, tmp_path, capsys):
+        # 2^s is never built: a 10^9-bit level is refused by the denominators'
+        # bit lengths, in well under a second
+        ds = tmp_path / "ds.json"
+        rep = tmp_path / "rep.json"
+        run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
+        assert run("incidence", "--ds", str(ds), "--s", "2", "--out", str(rep)) == 0
+        doc = json.loads(rep.read_text())
+        doc["s"] = 10**9
+        rep.write_text(json.dumps(doc))
+        capsys.readouterr()
+        t0 = time.perf_counter()
+        assert run("replay", "--ds", str(ds), "--report", str(rep)) == 2
+        assert time.perf_counter() - t0 < 0.5
+        assert capsys.readouterr().err == (
+            "invalid argument: need 2^s <= r < 2^(s+1); got r=4, s=1000000000\n")
 
     def test_baseline_reaches_family_size(self, tmp_path, capsys):
         ds = tmp_path / "ds.json"
@@ -462,6 +482,33 @@ class TestBadFiles:
         assert capsys.readouterr().err == (
             f"validation error: bad integer pair {entry!r} at integer_vectors[0]: "
             "not a two-element list\n")
+        assert not (tmp_path / "x.json").exists()
+
+    # a field of the wrong JSON type is a validation error that names it
+    MISTYPED = {
+        "spec-N-float": (lambda d: d["spec"].update(N=4.0), "'spec.N'"),
+        "prime-subset-float": (lambda d: d["vectors"][0]["prime_subset"].__setitem__(0, 0.0),
+                               "'vectors[0].prime_subset[0]'"),
+        "A-number": (lambda d: d.update(A=int(d["A"])), " at A"),
+        "m-float": (lambda d: d["vectors"][0].update(m=float(d["vectors"][0]["m"])),
+                    "'vectors[0].m'"),
+    }
+
+    @pytest.mark.parametrize("mutate,named", MISTYPED.values(), ids=MISTYPED)
+    def test_rehashed_mistyped_field(self, tmp_path, capsys, mutate, named):
+        ds = tmp_path / "ds.json"
+        run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
+        doc = json.loads(ds.read_text())
+        doc.pop("content_hash")
+        mutate(doc)
+        canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        ds.write_text(json.dumps({"content_hash": hashlib.sha256(canon.encode()).hexdigest(),
+                                  **doc}))
+        capsys.readouterr()
+        assert run("incidence", "--ds", str(ds), "--s", "2",
+                   "--out", str(tmp_path / "x.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and named in err
         assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize("blob", BLOBS.values(), ids=BLOBS)

@@ -25,6 +25,14 @@ class TestSpec:
         with pytest.raises(ValueError):
             D.DirectionSpec(N=4, eps=0.5, mode="loose")
 
+    @pytest.mark.parametrize("name", ["N", "M", "seed", "C0"])
+    def test_rejects_non_integers(self, name):
+        # 4.0 would pass every range check and fail deep in the construction
+        with pytest.raises(TypeError, match="must be integers"):
+            D.DirectionSpec(**{"N": 4, "eps": 0.5, name: 4.0})
+        with pytest.raises(TypeError, match="must be integers"):
+            D.DirectionSpec(**{"N": 4, "eps": 0.5, name: True})
+
 
 class TestKappa:
     def test_examples(self):
@@ -472,6 +480,51 @@ class TestSerialization:
         doc["kappa"] = "BIG"
         blob = json.dumps(doc).replace('"BIG"', "1" * 5000).encode()
         with pytest.raises(ParseError, match="malformed direction-set file|content hash mismatch"):
+            D.deserialize(blob)
+
+    @staticmethod
+    def _rehashed(ds, mutate) -> bytes:
+        """ds's file with mutate applied to its document and the hash recomputed."""
+        doc = json.loads(D.serialize(ds))
+        doc.pop("content_hash")
+        mutate(doc)
+        canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return json.dumps({"content_hash": hashlib.sha256(canon.encode()).hexdigest(),
+                           **doc}).encode()
+
+    # each field of a re-hashed file is read by its JSON type, and a missing
+    # or mistyped one is refused by name
+    MALFORMED = {
+        "spec-N-float": (lambda d: d["spec"].update(N=4.0),
+                         "field 'spec.N' must be an integer, got 4.0"),
+        "prime-subset-float": (lambda d: d["vectors"][1]["prime_subset"].__setitem__(0, 0.0),
+                               "field 'vectors[1].prime_subset[0]' must be an integer, got 0.0"),
+        "A-number": (lambda d: d.update(A=int(d["A"])), "at A"),
+        "m-float": (lambda d: d["vectors"][2].update(m=float(d["vectors"][2]["m"])),
+                    "field 'vectors[2].m' must be an integer"),
+        "kappa-bool": (lambda d: d.update(kappa=True), "field 'kappa' must be an integer, got True"),
+        "mode-unknown": (lambda d: d["spec"].update(mode="loose"), "field 'spec.mode' must be one of"),
+        "spec-extra": (lambda d: d["spec"].update(extra=1), "field 'spec' must be an object"),
+        "spec-missing": (lambda d: d["spec"].pop("C0"), "missing field 'spec.C0'"),
+        "top-missing": (lambda d: d.pop("eps_adjusted"), "missing field 'eps_adjusted'"),
+        "vector-missing": (lambda d: d["vectors"][0].pop("y"), "missing field 'vectors[0].y'"),
+        "vector-list": (lambda d: d["vectors"].__setitem__(3, []),
+                        "field 'vectors[3]' must be an object"),
+        "decimal-rational": (lambda d: d["vectors"][0].update(x="1.5"),
+                             "bad rational '1.5' at vectors[0].x"),
+        "window-string": (lambda d: d.update(prime_window="1009"),
+                          "field 'prime_window' must be a list"),
+    }
+
+    @pytest.mark.parametrize("mutate,named", MALFORMED.values(), ids=MALFORMED)
+    def test_rehashed_malformed_field_names_it(self, toy_ds, mutate, named):
+        with pytest.raises(ParseError, match=re.escape(named)):
+            D.deserialize(self._rehashed(toy_ds, mutate))
+
+    def test_rehashed_extra_integer_vector_refused(self, toy_ds):
+        # one integer vector per direction: a fifth has no direction to check against
+        blob = self._rehashed(toy_ds, lambda d: d["integer_vectors"].append(["1", "1"]))
+        with pytest.raises(ConstructionError, match="5 integer vectors for 4 directions"):
             D.deserialize(blob)
 
     def test_file_round_trip(self, toy_ds, tmp_path):

@@ -6,6 +6,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 from unittest import mock
@@ -47,6 +48,19 @@ class TestTubeFamily:
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
             I.TubeFamily(v=(F(0), F(0)), r=2, s=1, C1=8)
+
+    @pytest.mark.parametrize("r,s", [(-4, 2), (-5, 2), (0, 0), (1, -1)])
+    def test_negative_level_or_denominator_rejected(self, r, s):
+        # -4 and -5 have the bit length of a level-2 denominator
+        with pytest.raises(ValueError, match=r"need 2\^s <= r"):
+            I.TubeFamily(v=(F(1), F(0)), r=r, s=s, C1=8)
+
+    def test_thickness_boundary_exact(self):
+        # r^2 |v|^2 = 4 * 64 = 4^(C1 s) at C1 s = 4: equal is refused, one less passes
+        with pytest.raises(ValueError, match="spacing"):
+            I.TubeFamily(v=(F(8), F(0)), r=2, s=1, C1=4)
+        I.TubeFamily(v=(F(8), F(0)), r=2, s=1, C1=5)
+        I.TubeFamily(v=(F(8) - F(1, 10**6), F(0)), r=2, s=1, C1=4)
 
     @pytest.mark.parametrize("side", [0, -1])
     def test_nonpositive_torus_side_rejected(self, side):
@@ -1276,6 +1290,50 @@ class TestReportFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match=f"field '{key}' must be one of"):
             I.load_overlap_report(path)
+
+    @pytest.mark.parametrize("value,named", [
+        (None, "field 'r_values' must be a list of 2 entries, got None"),
+        ([2], "field 'r_values' must be a list of 2 entries"),
+        ([2, 3.0], "field 'r_values[1]' must be an integer, got 3.0"),
+    ])
+    def test_r_values_one_integer_per_family(self, tmp_path, value, named):
+        # the scan writes them all; replay rebuilds each family from its r
+        f1, f2 = axis_families()
+        path = tmp_path / "r.json"
+        I.save_overlap_report(I.max_overlap_scan([f1, f2], I.default_window("k")), path)
+        doc = json.loads(path.read_text())
+        doc["r_values"] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=re.escape(f"{path}: {named}")):
+            I.load_overlap_report(path)
+
+    @pytest.mark.parametrize("key,value", [("s", 10**9), ("C1", 10**100)])
+    def test_huge_level_or_thickness_replays_in_small_memory(self, toy_ds, tmp_path, key,
+                                                             value):
+        # 2^s and 2^(C1 s) are never built: s = 10^9 is refused by the
+        # denominators' bit lengths, and C1 = 10^100 replays through right shifts
+        path = tmp_path / "r.json"
+        fams = I.families_from_direction_set(toy_ds, s=2)
+        I.save_overlap_report(I.max_overlap_scan(fams, I.default_window("ktilde")), path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            rep = I.load_overlap_report(path)
+            try:
+                fams = I.families_from_direction_set(toy_ds, s=rep.s, C1=rep.C1,
+                                                     r_values=rep.r_values)
+                answer = I.replay_witness(rep, fams) == rep.max_overlap
+            except ValueError as exc:
+                answer = str(exc)
+            elapsed, peak = time.perf_counter() - t0, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert answer == (True if key == "C1" else
+                          "need 2^s <= r < 2^(s+1); got r=4, s=1000000000")
+        assert elapsed < 0.5 and peak < 1 << 20
 
     def test_bad_schema(self, tmp_path):
         path = tmp_path / "r.json"
