@@ -36,27 +36,22 @@ certificate and pair that need the largest C1, and that C1, the least at
 which every pair passes every certificate.  The overlap-1 floor, one point
 per family, is found and counted with ``member``, unless the maximum is
 already final.
-The numpy counter (``_plan`` and ``_counts``) serves only the grid sample:
-one fold, one exclusion row and one (families x points) broadcast per
-chunk of samples, in int64 when the bounds keep every intermediate value
-below 2^63 and in Python integers otherwise.  No point lies in more
-families than there are, so once the running maximum equals the family
-count the grid sample stops counting and the floor is skipped; the floor
-is skipped as well once the exact branch reaches a maximum >= 2 and at
-least the largest parallel class, which its pair candidates certify.
+The grid sample counts its points one at a time with ``member`` too.  No
+point lies in more families than there are, so once the running maximum
+equals the family count the grid sample stops counting and the floor is
+skipped; the floor is skipped as well once the exact branch reaches a
+maximum >= 2 and at least the largest parallel class, which its pair
+candidates certify.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .directions import DirectionSet
 from .errors import (ParseError, items, json_int, json_object, nullable, one_of, rational,
@@ -166,20 +161,12 @@ class ScanWindow:
     def contains(self, x: Fraction, y: Fraction) -> bool:
         return self.x_lo <= x <= self.x_hi and self.y_lo <= y <= self.y_hi
 
-    def mask(self, px, py, d: int):
-        """Is (px/d, py/d) in the closed window? d > 0; px and py are integers
-        or arrays of them: the edges are rounded inward to integers at d once,
-        so each point costs four comparisons."""
+    def mask(self, px: int, py: int, d: int) -> bool:
+        """Is (px/d, py/d) in the closed window? d > 0: the edges are rounded
+        inward to integers at d, so the test is four integer comparisons."""
         W = self.W
-        inside = px >= -(-self.x0 * d // W)
-        inside &= px <= self.x1 * d // W
-        inside &= py >= -(-self.y0 * d // W)
-        inside &= py <= self.y1 * d // W
-        return inside
-
-    def reach(self, d: int) -> int:
-        """floor(d max |edge|): no window point (px/d, py/d) has a larger |px| or |py|."""
-        return max(map(abs, (self.x0, self.x1, self.y0, self.y1))) * d // self.W
+        return (-(-self.x0 * d // W) <= px <= self.x1 * d // W
+                and -(-self.y0 * d // W) <= py <= self.y1 * d // W)
 
 
 def default_window(variant: str, half: int = 1) -> ScanWindow:
@@ -201,76 +188,6 @@ def _int_point(x: Fraction, y: Fraction) -> tuple[int, int, int]:
     return x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d
 
 
-# -- counting at one fixed denominator ------------------------------------------------
-
-_INT64_END = 1 << 63
-
-
-def _plan(families: list[TubeFamily], d: int, bound: int):
-    """Constants of every family's member() at the fixed denominator d, and a
-    dtype, for one chunk of the grid sample.
-
-    Valid for points (px, py, d) with |px|, |py| <= bound, and for families
-    that share a torus side and an exclusion radius, as a scan's do.  The
-    constants are one tuple (span, half, thr, Dd, cx, cy, lim), all taken at
-    the doubled denominator 2d that member() works at:
-
-    - span = side 2d and half = side d fold a doubled coordinate (span 0: no fold);
-    - thr = ceil(ex_n^2 (2d)^2 / ex_d^2): a folded point is excluded when
-      px^2 + py^2 < thr (0: no exclusion);
-    - Dd = den 2d, cx = r ax mod Dd, cy = r ay mod Dd: the slab test depends
-      only on res = (cx px + cy py) mod Dd;
-    - lim = (r Dd) >> shift: the point is in a slab when min(res, Dd - res) <= lim.
-
-    Dd, cx, cy and lim are columns of shape (families, 1), one row per
-    family, so that _counts applies them to a row of points in one
-    broadcast.  The dtype, which the columns take, is np.int64 when no
-    intermediate value of _counts can reach 2^63, else object.
-    """
-    f0, d2, big = families[0], 2 * d, 2 * bound  # big: doubled coordinates before folding
-    span = 0 if f0.torus_side is None else f0.torus_side * d2
-    m = span // 2 if span else big  # largest |coordinate| the slab and exclusion tests see
-    Dd = [f.den * d2 for f in families]
-    # |cx fx + cy fy| < 2 Dd m, and lim < 2 Dd since shift >= s and r < 2^(s+1);
-    # the + 1 keeps Dd itself in range when m is 0; only an exclusion squares m
-    fits = (big + span < _INT64_END and 2 * max(Dd) * (m + 1) < _INT64_END
-            and (not f0.ex_n or 2 * m * m + 1 < _INT64_END))
-    # no folded point reaches 2 m^2 + 1, so the clamp keeps every comparison
-    thr = min(-(-(f0.ex_n**2 * d2 * d2) // f0.ex_d**2), 2 * m * m + 1)
-    cols = (Dd, [(f.r * f.ax) % D for f, D in zip(families, Dd)],
-            [(f.r * f.ay) % D for f, D in zip(families, Dd)],
-            [(f.r * D) >> f.shift for f, D in zip(families, Dd)])
-    dtype = np.int64 if fits else object
-    return (span, span // 2, thr, *(np.array(c, dtype=dtype)[:, None] for c in cols)), dtype
-
-
-def _counts(plan, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Per-point family counts for 1-d arrays px, py of the plan's dtype; equals
-    member() summed.
-
-    One (families x points) broadcast, worked in place so that at most two
-    such arrays live at once; the exclusion mask is one row.
-    """
-    span, half, thr, Dd, cx, cy, lim = plan[0]
-    px, py = 2 * px, 2 * py
-    if span:
-        px += half
-        py += half
-        px %= span
-        py %= span
-        px -= half
-        py -= half
-    res = cx * px
-    res += cy * py
-    res %= Dd
-    hit = res <= lim
-    np.subtract(Dd, res, out=res)  # the distance to the next plane up
-    hit |= res <= lim
-    if thr:
-        hit &= px * px + py * py >= thr
-    return np.count_nonzero(hit, axis=0)
-
-
 def tube_membership(beta: tuple[Fraction, Fraction], fam: TubeFamily) -> bool:
     """Exact membership of a rational point in a tube family.
 
@@ -286,13 +203,15 @@ def _plane_range(fam: TubeFamily, win: ScanWindow) -> tuple[int, int]:
     """Indices a with the slab v.beta ~ a/r meeting the window (thickness included).
 
     v.beta = dot / D at a corner, with dot = ax x + ay y and D = den W, so the
-    range is ceil(r (min dot - D 2^-shift) / D) .. floor(r (max dot + D 2^-shift) / D).
+    range is ceil((r min dot - r D 2^-shift) / D) .. floor((r max dot + r D 2^-shift) / D).
+    The numerators are integers but for r D 2^-shift, which rounds down to
+    e = (r D) >> shift without moving either bound, so no integer grows with
+    the shift.
     """
     dots = [fam.ax * x + fam.ay * y for x in (win.x0, win.x1) for y in (win.y0, win.y1)]
     D = fam.den * win.W
-    scale = D << fam.shift
-    return (-(-fam.r * ((min(dots) << fam.shift) - D) // scale),
-            fam.r * ((max(dots) << fam.shift) + D) // scale)
+    e = fam.r * D >> fam.shift
+    return -((e - fam.r * min(dots)) // D), (fam.r * max(dots) + e) // D
 
 
 # a cell's candidate offsets (o1, o2): the center, then the four corners
@@ -395,8 +314,9 @@ def _failed_certificates(families: list[TubeFamily], i: int, j: int, cells,
     if cells and ex_n:
         reach = ex_d * (Kx + Ky) * rr
         # a nonzero center lies m / G from the origin in the max norm, m >= 1:
-        # the bound at m = 1 first, the nearest in-window center only when it fails
-        if (ex_d - ex_n * G) << c <= reach and any(key for *_, key in cells):
+        # the bound at m = 1 first, the nearest in-window center only when it
+        # fails; x 2^c <= reach iff x <= reach >> c, for integers and reach >= 0
+        if ex_d - ex_n * G <= reach >> c and any(key for *_, key in cells):
             m = min(max(abs(cx), abs(cy)) for _, _, cx, cy, key in cells if key)
             clear = ex_d * m - ex_n * G  # <= 0: that center is in the ball
             needs.append(("ball", (reach // clear).bit_length() if clear > 0 else None))
@@ -488,9 +408,10 @@ class OverlapReport:
     candidates_checked: int = 0
     r_values: tuple[int, ...] | None = None  # per-family denominators, for replay
     baseline: str | None = None  # "parallel" for a parallel-baseline scan, for replay
-    # grid samples actually counted (0 on the exact branch), and in-window
-    # centers that another pair shares, counted family by family; records of
-    # the run, not of the result: report files and equality leave them out
+    # grid samples counted through member, up to the first that reaches the
+    # family count (0 on the exact branch), and in-window centers that
+    # another pair shares, counted family by family; records of the run,
+    # not of the result: report files and equality leave them out
     samples_counted: int = field(default=0, compare=False)
     shared_centers: int = field(default=0, compare=False)
 
@@ -533,49 +454,34 @@ def _interior_point(fam: TubeFamily, win: ScanWindow) -> tuple[int, int, int] | 
 _EXACT_BUDGET = 2_000_000  # most pair candidates the exact branch takes on
 _SAMPLES = 20_000
 _SAMPLE_BITS = 24  # sample coordinates sit on the 2^-24 grid across the window
-_CHUNK = 2048  # points per batch; _counts' temporaries hold at most families x chunk values
-
-
-@functools.cache
-def _sample_indices() -> np.ndarray:
-    """The samples' (i, j) grid indices, drawn once from random.Random(0), x then y; read-only."""
-    rng = random.Random(0)
-    ij = np.fromiter((rng.randrange((1 << _SAMPLE_BITS) + 1) for _ in range(2 * _SAMPLES)),
-                     dtype=np.int32, count=2 * _SAMPLES).reshape(_SAMPLES, 2)
-    ij.flags.writeable = False
-    return ij
 
 
 def _grid_sample(families: list[TubeFamily], win: ScanWindow):
-    """(best, witness, counted) over the 20 000 seeded samples x_lo + (i / 2^24) wx.
+    """(best, witness, counted) over the 20 000 seeded samples
+    (x_lo + (i / 2^24) wx, y_lo + (j / 2^24) wy).
 
-    All samples share the denominator d = W 2^24, so sample i is the
-    unreduced triple (x0 + i wx, y0 + j wy, d) in integers.  The witness is
-    the first sample that reaches the maximum.  No point lies in more
-    families than there are, so counting stops after the first chunk whose
-    maximum reaches len(families): every later sample is certified to count
-    no more, and cannot be a first witness.  ``counted`` is the number of
-    samples actually counted.
+    Each sample's i, then its j, are the next two draws of random.Random(0),
+    so all samples share the denominator d = W 2^24 and a sample is the
+    unreduced triple (x0 2^24 + i wx, y0 2^24 + j wy, d) in integers,
+    counted with ``member``.  The witness is the first sample that reaches
+    the maximum.  No point lies in more families than there are, so
+    counting stops at the first sample that reaches len(families): no later
+    sample can count more, or be a first witness.  ``counted`` is the
+    number of samples counted.
     """
-    ij = _sample_indices()
+    rng, top = random.Random(0), (1 << _SAMPLE_BITS) + 1
     x0, y0 = win.x0 << _SAMPLE_BITS, win.y0 << _SAMPLE_BITS
     wx, wy = win.x1 - win.x0, win.y1 - win.y0
     d = win.W << _SAMPLE_BITS
-    plan = _plan(families, d, win.reach(d))
-    best, at = 0, None
-    for start in range(0, _SAMPLES, _CHUNK):
-        chunk = ij[start:start + _CHUNK].astype(plan[1])
-        counts = _counts(plan, x0 + chunk[:, 0] * wx, y0 + chunk[:, 1] * wy)
-        k = int(np.argmax(counts))
-        if counts[k] > best:
-            best, at = int(counts[k]), start + k
+    best, witness = 0, None
+    for counted in range(1, _SAMPLES + 1):
+        px, py = x0 + rng.randrange(top) * wx, y0 + rng.randrange(top) * wy
+        count = sum(f.member(px, py, d) for f in families)
+        if count > best:
+            best, witness = count, (Fraction(px, d), Fraction(py, d))
             if best == len(families):
                 break
-    counted = start + len(chunk)
-    if at is None:
-        return best, None, counted
-    i, j = ij[at].tolist()
-    return best, (Fraction(x0 + i * wx, d), Fraction(y0 + j * wy, d)), counted
+    return best, witness, counted
 
 
 def _fold_certificate(families: list[TubeFamily], window: ScanWindow) -> None:
@@ -691,28 +597,23 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
       integers of a few machine words;
       ``_pair_centers`` is the one enumerator of a pair's lattice.
 
-    The grid sample counts each 2048-point chunk, whose points share one
-    denominator, in the numpy counter: ``_plan`` computes the constants once
-    per chunk (one fold, one exclusion threshold and a column of per-family
-    slab constants) and picks int64 when they bound every intermediate value
-    below 2^63, Python integers otherwise; ``_counts`` applies them in one
-    (families x points) broadcast.  The floor's handful of points, one per
-    family, are counted one at a time with ``member``, in family order.  The
-    witness is the first candidate, in pair order then lattice order, to
-    reach the maximum; a floor point is the witness only when it beats
-    every count before it, so it is the first floor point to reach the
-    floor's maximum.  No point lies in more families than there are, so a
-    maximum equal to the family count is final: the grid sample stops at
-    the first chunk that reaches it (the samples after it still count
-    toward ``candidates_checked``, certified to count no more), and the
-    floor points are not counted (they still add to
-    ``candidates_checked``).  Nor are they on the exact branch once its
+    The grid sample counts its points one at a time with ``member``, in
+    draw order, and so does the floor, one point per family, in family
+    order.  The witness is the first candidate, in pair order then lattice
+    order (or sample order), to reach the maximum; a floor point is the
+    witness only when it beats every count before it, so it is the first
+    floor point to reach the floor's maximum.  No point lies in more
+    families than there are, so a maximum equal to the family count is
+    final: the grid sample stops at the first sample that reaches it (the
+    samples after it still count toward ``candidates_checked``, certified
+    to count no more), and the floor points are not counted (they still add
+    to ``candidates_checked``).  Nor are they on the exact branch once its
     maximum is 2 or more and at least the size of the largest parallel
     class: a point that two non-parallel families cover is counted at a
     pair candidate, and any other lies only in mutually parallel families,
     so no floor point can beat that maximum or become the witness.
     ``replay_witness`` recounts a witness through ``member``, so it checks a
-    pair or sample witness independently of the counters above.
+    pair witness independently of the plane-index counts above.
     """
     if not families:
         raise ValueError("need at least one family")

@@ -157,10 +157,10 @@ class TestIncidence:
         capsys.readouterr()
         assert run("incidence", "--ds", str(ds), "--s", "2", "--variant", "k",
                    "--out", str(rep)) == 0
-        # the first 2048-sample chunk reaches the family count, so the rest of
+        # sample 158 is the first to lie in all four families, so the rest of
         # the 20 000 samples, still reported as checked, are not counted
         assert ("max_overlap=4 method=grid-sample candidates=20004 families=4 "
-                "samples_counted=2048 shared_centers=0\n") in capsys.readouterr().out
+                "samples_counted=158 shared_centers=0\n") in capsys.readouterr().out
         assert "samples_counted" not in json.loads(rep.read_text())
         assert run("replay", "--ds", str(ds), "--report", str(rep)) == 0
 
