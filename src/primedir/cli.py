@@ -10,7 +10,8 @@ largest scale k as 2^(k+1) and sieve it in memory on each run.
 argparse refuses an unknown flag and a pair of conflicting flags (exit 3)
 before any file is read. The remaining size and scale flags resolve in one
 place, `_resolve`, which `main` calls before the command runs: explicit flag >
---profile preset > the command's fallback (`_FALLBACKS`).
+--profile preset > the command's fallback (`_FALLBACKS`). It then checks each
+integer flag against its floor (`_LEAST`), so no file is read or sieved first.
 
 Exit codes: 0 ok, 1 runtime error, 2 validation/construction failure, 3 usage.
 """
@@ -60,6 +61,9 @@ _FALLBACKS = {
     "selftest": {},
 }
 
+# The least value of each integer flag, for every command that takes the flag.
+_LEAST = {"n": 2, "s": 1, "grid": 1, "r_sweeps": 1, "window_half": 1, "l": 2, "trials": 1}
+
 
 class UsageError(Exception):
     """Flag combination violates a documented precondition."""
@@ -78,7 +82,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _resolve(args) -> None:
     """Set every flag of the command in place: the given value, else the
-    --profile preset, else the command's fallback."""
+    --profile preset, else the command's fallback; then check each set flag
+    against its floor in _LEAST."""
     # selftest and replay take no --profile
     preset = PROFILES.get(getattr(args, "profile", None), {})
     missing = []
@@ -93,12 +98,14 @@ def _resolve(args) -> None:
         setattr(args, name, val)
     if missing:
         raise UsageError(f"missing {' '.join(missing)} (give the flag or use --profile)")
+    for name, least in _LEAST.items():
+        val = getattr(args, name, None)
+        if val is not None and val < least:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= {least}")
 
 
 def _operator_scales(args) -> range:
-    """The scales of apply and norm-sweep, after checking them and the grid side."""
-    if args.l < 2:
-        raise UsageError("--l must be >= 2")
+    """The scales of apply and norm-sweep, after checking their order."""
     if args.k_min > args.k_max:
         raise UsageError("--k-min must be <= --k-max")
     return range(args.k_min, args.k_max + 1)
@@ -145,8 +152,6 @@ def _parse_vectors(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def cmd_construct(args) -> int:
-    if args.n < 2:
-        raise UsageError("family size --n must be >= 2")
     if not 0 < args.eps <= 1:
         raise UsageError("--eps must lie in (0, 1]")
     spec = DirectionSpec(
@@ -170,8 +175,6 @@ def cmd_mult_error(args) -> int:
         raise UsageError("--d must exceed 16 (the main-term approximation requires D > 2^4)")
     if args.arc_d is not None and args.arc_d <= 0:
         raise UsageError("--arc-d must be positive")
-    if args.grid < 1:
-        raise UsageError("--grid must be positive")
     table = _prime_table(ks, 1)  # classify_arc needs k >= 1
     rows = multiplier.error_profile(ks, args.d, args.grid, table, arc_D=args.arc_d).rows
     multiplier.write_error_profile_csv(rows, args.out)
@@ -194,15 +197,9 @@ def _incidence_families(ds, s, C1, r_values, variant, baseline):
 
 def cmd_incidence(args) -> int:
     s = args.s
-    if s < 1:
-        raise UsageError("--s must be >= 1")
-    if args.r_sweeps < 1:
-        raise UsageError("--r-sweeps must be >= 1")
     if args.window_half is not None and args.variant == "k":
         raise UsageError("--window-half sizes the ktilde window; the k window is fixed")
     half = 1 if args.window_half is None else args.window_half
-    if half < 1:
-        raise UsageError("--window-half must be >= 1")
     win = incidence.default_window(args.variant, half=half)
     rng = random.Random(args.seed)
     ds = _load_ds(args.ds)
@@ -243,24 +240,13 @@ def cmd_replay(args) -> int:
 def cmd_apply(args) -> int:
     L = args.l
     scales = _operator_scales(args)
-    if args.vectors is None:
-        ds = _load_ds(args.ds)
-    else:
-        vectors = _parse_vectors(args.vectors)
-    if args.delta:
-        f = maximal.GridFunction.delta(L)
-    else:
-        f = maximal.load_grid_function(args.input)
-        if f.L != L:
-            raise UsageError(f"input grid side {f.L} != --l {L}")
-
-    table = _prime_table(scales, 0)
-    if args.vectors is None:
-        cfg = maximal.OperatorConfig.from_direction_set(ds, args.k_min, args.k_max, table)
-    else:
-        cfg = maximal.OperatorConfig(
-            directions=vectors, k_min=args.k_min, k_max=args.k_max, table=table
-        )
+    directions = (_load_ds(args.ds).integer_vectors if args.vectors is None
+                  else _parse_vectors(args.vectors))
+    f = maximal.GridFunction.delta(L) if args.delta else maximal.load_grid_function(args.input)
+    if f.L != L:
+        raise UsageError(f"input grid side {f.L} != --l {L}")
+    cfg = maximal.OperatorConfig(directions=directions, k_min=args.k_min, k_max=args.k_max,
+                                 table=_prime_table(scales, 0))
     print(f"degenerate_directions={maximal.degenerate_directions(cfg, L)}/{len(cfg.directions)}")
     out = maximal.maximal_op(f, cfg)
     if args.delta:
@@ -287,8 +273,6 @@ def cmd_norm_sweep(args) -> int:
     ns = sorted(set(_parse_int_list(args.n_list, "n")))
     if not ns or ns[0] < 1:
         raise UsageError("--n-list must hold positive sizes")
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
     scales = _operator_scales(args)
     # one family at the largest size; its prefixes are nested sets, so the
     # operator norm cannot fall as N grows.  Each family's ratio is a lower

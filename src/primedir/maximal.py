@@ -145,15 +145,6 @@ class OperatorConfig:
                 f"prime table limit {self.table.limit} < 2^{self.k_max + 1}"
             )
 
-    @classmethod
-    def from_direction_set(
-        cls, ds: DirectionSet, k_min: int, k_max: int, table: PrimeTable
-    ) -> "OperatorConfig":
-        if ds.integer_vectors is None:
-            raise ValueError("rescale the direction set first")
-        return cls(directions=tuple(ds.integer_vectors), k_min=k_min, k_max=k_max,
-                   table=table, ds=ds)
-
     @property
     def scales(self) -> range:
         return range(self.k_min, self.k_max + 1)
@@ -507,6 +498,25 @@ class NormReport:
     per_family: dict
 
 
+def _test_functions(name: str, L: int, rng: np.random.Generator, trials: int):
+    """The (f, label) pairs of one test family of empirical_norm, drawn from
+    rng as they are yielded."""
+    if name == "delta":
+        yield GridFunction.delta(L), "point mass at 0"
+    elif name in ("gaussian", "rademacher"):
+        for t in range(trials):
+            yield GridFunction.random(L, rng, kind=name), f"{name} trial {t}"
+    elif name == "boxes":
+        for size in (1 << j for j in range((L // 2).bit_length())):  # 1, 2, 4, ..., <= L/2
+            vals = np.zeros((L, L))
+            vals[:size, :size] = 1.0
+            yield GridFunction(L, vals), f"box {size}x{size}"
+    elif name == "constant":
+        yield GridFunction.constant(L), "constant 1"
+    else:
+        raise ValueError(f"unknown test family {name!r}")
+
+
 def empirical_norm(
     cfg: OperatorConfig,
     L: int,
@@ -519,36 +529,15 @@ def empirical_norm(
     Families: the point mass, complex Gaussian noise, random signs,
     dyadic-size box indicators, and the constant 1, whose ratio is
     max_k |m_k(0)|.  Each family's ratio is attained by some f, so it is a
-    lower estimate of the operator norm, and may lie far below it.
+    lower estimate of the operator norm, and may lie far below it.  The
+    argmax is the first test function that attains the family's maximum.
     """
     rng = np.random.default_rng(seed)
     per = {}
     for name in families:
-        best, arg = 0.0, ""
-        if name == "delta":
-            f = GridFunction.delta(L)
-            best, arg = maximal_op(f, cfg).norm2() / f.norm2(), "point mass at 0"
-        elif name in ("gaussian", "rademacher"):
-            for t in range(trials):
-                f = GridFunction.random(L, rng, kind=name)
-                ratio = maximal_op(f, cfg).norm2() / f.norm2()
-                if ratio > best:
-                    best, arg = ratio, f"{name} trial {t}"
-        elif name == "boxes":
-            size = 1
-            while size <= L // 2:
-                vals = np.zeros((L, L))
-                vals[:size, :size] = 1.0
-                f = GridFunction(L, vals)
-                ratio = maximal_op(f, cfg).norm2() / f.norm2()
-                if ratio > best:
-                    best, arg = ratio, f"box {size}x{size}"
-                size *= 2
-        elif name == "constant":
-            f = GridFunction.constant(L)
-            best, arg = maximal_op(f, cfg).norm2() / f.norm2(), "constant 1"
-        else:
-            raise ValueError(f"unknown test family {name!r}")
+        ratios = ((maximal_op(f, cfg).norm2() / f.norm2(), label)
+                  for f, label in _test_functions(name, L, rng, trials))
+        best, arg = max(ratios, key=lambda r: r[0], default=(0.0, ""))
         per[name] = {"max_ratio": best, "argmax": arg}
     return NormReport(L=L, per_family=per)
 

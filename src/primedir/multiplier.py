@@ -8,7 +8,7 @@ supported on p in [2^k, 2^(k+1)] by the bump's support.  Near a reduced
 fraction a/q it is approximated by the main term mu(q)/phi(q) V_k(alpha - a/q),
 and this module evaluates all the computable objects of that approximation:
 
-* m_k pointwise (compensated summation, extended-precision phase reduction),
+* m_k pointwise (pairwise summation, extended-precision phase reduction),
   on equispaced grids via a fold-then-FFT fast path, and at reduced fractions
   via residue folding;
 * the main term L_k = sum over levels s of L_{k,s}, which is a single
@@ -76,21 +76,9 @@ def fold_weights(k: int, n: int, table: PrimeTable) -> np.ndarray:
 
 # -- m_k evaluation ------------------------------------------------------------
 
-def _fsum_complex(terms: np.ndarray) -> complex:
-    """Compensated reduction: pairwise partial sums per chunk (numpy), then an
-    exactly-rounded fsum over the chunk results."""
-    re, im = terms.real, terms.imag
-    if terms.size <= 2048:
-        return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
-    starts = range(0, terms.size, 4096)
-    return complex(
-        math.fsum(float(re[i : i + 4096].sum()) for i in starts),
-        math.fsum(float(im[i : i + 4096].sum()) for i in starts),
-    )
-
-
 def m_k(k: int, alpha, table: PrimeTable) -> complex:
-    """m_k(alpha), compensated to well under 1e-10 sqrt(#terms) absolute error.
+    """m_k(alpha), summed by numpy's pairwise reduction (absolute error about
+    1e-15 at the desk scales, well under 1e-10 sqrt(#terms)).
 
     Rational alpha (a Fraction) takes an exact-phase path: e(-p a/q) depends
     only on p a mod q, so residues fold exactly.  Float alpha reduces each
@@ -100,11 +88,11 @@ def m_k(k: int, alpha, table: PrimeTable) -> complex:
         q = alpha.denominator
         if q <= 1 << 16:  # larger denominators gain nothing over the 80-bit path
             res = np.arange(q) * (alpha.numerator % q) % q
-            return _fsum_complex(fold_weights(k, q, table) * np.exp(-2j * np.pi * res / q))
+            return complex((fold_weights(k, q, table) * np.exp(-2j * np.pi * res / q)).sum())
         alpha = float(alpha)
     primes, w = prime_weights(k, table)
     phase = np.mod(primes.astype(np.longdouble) * np.longdouble(alpha), 1.0).astype(np.float64)
-    return _fsum_complex(w * np.exp(-2j * np.pi * phase))
+    return complex((w * np.exp(-2j * np.pi * phase)).sum())
 
 
 def m_k_grid(k: int, L: int, table: PrimeTable) -> np.ndarray:

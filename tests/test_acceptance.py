@@ -110,7 +110,8 @@ def test_criterion_3_spectral_equals_spatial(toy_ds, table13):
     p = PROFILES["desk-small"]
     assert (toy_ds.spec.N, toy_ds.spec.eps, toy_ds.spec.seed) == (p["n"], p["eps"], p["seed"])
     assert table13.limit == 2 ** (p["k_max"] + 1)
-    cfg = maximal.OperatorConfig.from_direction_set(toy_ds, p["k_min"], p["k_max"], table13)
+    cfg = maximal.OperatorConfig(directions=toy_ds.integer_vectors, k_min=p["k_min"],
+                                 k_max=p["k_max"], table=table13)
     rng = np.random.default_rng(2024)
     worst = 0.0
     for L in (64, 128):
@@ -195,7 +196,8 @@ def test_criterion_6_incidence_separation(toy_matrix):
 
 
 def test_criterion_7_transference(toy_ds, table13):
-    cfg = maximal.OperatorConfig.from_direction_set(toy_ds, 5, 6, table13)
+    cfg = maximal.OperatorConfig(directions=toy_ds.integer_vectors, k_min=5, k_max=6,
+                                 table=table13)
     rep = maximal.transference_check(cfg, L=32, trials=100, seed=11)
     assert rep.max_off_line_leak == 0.0
     assert rep.max_norm_rel_err <= 1e-10

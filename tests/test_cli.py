@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from primedir import cli, incidence, maximal
+from primedir import cli, incidence, maximal, selftest
 from primedir.directions import (
     DirectionSpec, construct_directions, load_direction_set, save_direction_set,
 )
@@ -773,6 +773,47 @@ for _profile, _s in ((None, 2), ("desk-small", 1), ("desk-full", 2)):
     _RESOLVED[("incidence", _profile)] = ({"s": _s, **_SCAN}, None)
 
 
+# Usage errors (exit 3) with their message and the output file each line names:
+# every one is reported before that file is written
+_USAGE_ERRORS = {
+    "construct-missing": (["construct", "--out", "x.json"],
+                          "missing --n --eps (give the flag or use --profile)", "x.json"),
+    "construct-n-1": (["construct", "--n", "1", "--eps", "0.5", "--out", "x.json"],
+                      "--n must be >= 2", "x.json"),
+    "construct-eps-0": (["construct", "--n", "4", "--eps", "0", "--out", "x.json"],
+                        "--eps must lie in (0, 1]", "x.json"),
+    "construct-eps-1.5": (["construct", "--n", "4", "--eps", "1.5", "--out", "x.json"],
+                          "--eps must lie in (0, 1]", "x.json"),
+    "mult-error-k-list-word": (["mult-error", "--k-list", "14,x", "--out", "e.csv"],
+                               "cannot parse k list '14,x'", "e.csv"),
+    "mult-error-k-list-empty": (["mult-error", "--k-list", ",", "--out", "e.csv"],
+                                "--k-list is empty", "e.csv"),
+    "mult-error-grid-0": (["mult-error", "--grid", "0", "--out", "e.csv"],
+                          "--grid must be >= 1", "e.csv"),
+    "incidence-k-window-half-0": (
+        ["incidence", "--ds", "missing.json", "--s", "2", "--variant", "k",
+         "--window-half", "0", "--out", "r.json"], "--window-half must be >= 1", "r.json"),
+    "apply-vector-word": (
+        ["apply", "--vectors", "1,a", "--k-min", "5", "--k-max", "6", "--delta",
+         "--out", "m.npy"], "vector '1,a' is not a pair of integers", "m.npy"),
+    "apply-input-side": (
+        ["apply", "--vectors", "1,0", "--input", "g63.npy", "--l", "64", "--k-min", "5",
+         "--k-max", "6", "--out", "m.npy"], "input grid side 63 != --l 64", "m.npy"),
+    "norm-sweep-n-list-0": (["norm-sweep", "--n-list", "0", "--out", "sweep.csv"],
+                            "--n-list must hold positive sizes", "sweep.csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_USAGE_ERRORS))
+def test_usage_error_writes_nothing(tmp_path, monkeypatch, capsys, case):
+    argv, message, out = _USAGE_ERRORS[case]
+    monkeypatch.chdir(tmp_path)
+    maximal.save_grid_function(maximal.GridFunction.delta(63), "g63.npy")
+    assert run(*argv) == 3
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not (tmp_path / out).exists()
+
+
 class TestResolution:
     @pytest.mark.parametrize("command,profile", sorted(_RESOLVED, key=str))
     def test_resolved_values_and_table_limit(self, tmp_path, monkeypatch, command, profile):
@@ -874,6 +915,18 @@ class TestSelftest:
         assert run("selftest") == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_raising_check_fails(self, monkeypatch, capsys):
+        # a check that raises is reported and the remaining checks still run
+        def broken():
+            raise RuntimeError("broken oracle")
+
+        monkeypatch.setattr(selftest, "_check_bumps", broken)
+        assert selftest.run_all(verbose=True) is False
+        lines = capsys.readouterr().out.splitlines()
+        assert [l for l in lines if l.startswith("[FAIL]")] == [
+            "[FAIL] bump and cutoff exact values: FAIL (broken oracle)"]
+        assert len(lines) == 11
 
     def test_checks_survive_optimize(self):
         # a wrong folded grid must fail the selftest even with asserts stripped

@@ -262,6 +262,19 @@ class TestMnPairs:
         assert D.select_mn_pairs(8, seed=42) != D.select_mn_pairs(8, seed=43)
 
 
+class TestPrimeSubsets:
+    def test_sampled_subsets(self):
+        # C(700, 2) = 244 650 > 200 000: the subsets are sampled, not enumerated,
+        # and returned in sorted order
+        subsets = D._choose_prime_subsets(700, 2, 20, seed=3)
+        assert len(set(subsets)) == 20
+        assert subsets == sorted(subsets)
+        assert all(len(t) == 2 and list(t) == sorted(t) and 0 <= t[0] and t[1] < 700
+                   for t in subsets)
+        assert D._choose_prime_subsets(700, 2, 20, seed=3) == subsets
+        assert D._choose_prime_subsets(700, 2, 20, seed=4) != subsets
+
+
 class TestConstruction:
     def test_toy_matrix_validates(self, toy_matrix):
         for (n, eps), ds in toy_matrix.items():
@@ -547,6 +560,18 @@ class TestStrictScale:
         assert ds.scale_denominator == 50**3
         assert ds.eps_adjusted is None
         D.validate_direction_set(ds)
+
+    def test_non_integral_scale_exponent(self):
+        # M kappa / eps = 10/3 is not an integer: R = round(2^(10/3)) = 10, and
+        # eps_adjusted = log 2 / log 10 is the eps for which R = N^(M kappa / eps) holds
+        spec = D.DirectionSpec(N=2, eps=0.3, M=1, mode="strict")
+        ds = D.construct_directions(spec)
+        assert (ds.kappa, ds.scale_denominator) == (1, 10)
+        assert ds.eps_adjusted == pytest.approx(0.30103, abs=1e-5)
+        blob = D.serialize(D.rescale_to_integers(ds))
+        again = D.deserialize(blob)
+        assert D.serialize(again) == blob
+        assert again.eps_adjusted == ds.eps_adjusted
 
     def test_y_factor_structure(self, toy_ds):
         # the y factor is n_i times the vector's prime product, exactly

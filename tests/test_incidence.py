@@ -166,6 +166,12 @@ class TestScan:
         assert I.replay_witness(rep, [f1, f2]) == 2
         assert rep.method == "exact-candidates"
 
+    def test_replay_without_witness_counts_zero(self):
+        # a report that names no witness point recounts to 0, without a membership test
+        fams = list(axis_families())
+        rep = dataclasses.replace(I.max_overlap_scan(fams, I.default_window("k")), witness=None)
+        assert I.replay_witness(rep, fams) == 0
+
     def test_parallel_baseline(self):
         base = [I.TubeFamily(v=(F(1), F(0)), r=2, s=1, C1=8)] * 5
         rep = I.max_overlap_scan(base, I.default_window("k"))

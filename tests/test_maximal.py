@@ -105,7 +105,7 @@ class TestAverages:
 
     def test_huge_integer_directions_fold(self, toy_ds, table13):
         # constructed integer vectors are astronomically large; shifts reduce mod L
-        cfg = X.OperatorConfig.from_direction_set(toy_ds, 5, 6, table13)
+        cfg = X.OperatorConfig(directions=toy_ds.integer_vectors, k_min=5, k_max=6, table=table13)
         f = X.GridFunction.random(32, np.random.default_rng(0))
         for v in cfg.directions:
             a = X.average_along(f, v, 6, cfg)
@@ -263,6 +263,40 @@ class TestNorms:
         calls.clear()
         X.empirical_norm(cfg4, 32, families=("boxes",))
         assert len(calls) == 5  # boxes of side 1..16, and no point mass
+
+    @pytest.mark.parametrize("L", [12, 33])
+    def test_matches_one_loop_per_family(self, cfg4, L):
+        # each family written out as its own loop, with the rng drawn in the
+        # same order: the same ratios, labels and first-max argmax
+        rng = np.random.default_rng(3)
+
+        def ratio(f):
+            return X.maximal_op(f, cfg4).norm2() / f.norm2()
+
+        want = {"delta": (ratio(X.GridFunction.delta(L)), "point mass at 0")}
+        for name in ("gaussian", "rademacher"):
+            best = (0.0, "")
+            for t in range(2):
+                r = ratio(X.GridFunction.random(L, rng, kind=name))
+                if r > best[0]:
+                    best = (r, f"{name} trial {t}")
+            want[name] = best
+        best, size = (0.0, ""), 1
+        while size <= L // 2:
+            vals = np.zeros((L, L))
+            vals[:size, :size] = 1.0
+            r = ratio(X.GridFunction(L, vals))
+            if r > best[0]:
+                best = (r, f"box {size}x{size}")
+            size *= 2
+        want["boxes"] = best
+        want["constant"] = (ratio(X.GridFunction.constant(L)), "constant 1")
+        rep = X.empirical_norm(cfg4, L, trials=2, seed=3)
+        assert {k: (v["max_ratio"], v["argmax"]) for k, v in rep.per_family.items()} == want
+
+    def test_unknown_family_rejected(self, cfg4):
+        with pytest.raises(ValueError, match="unknown test family 'ascent'"):
+            X.empirical_norm(cfg4, 16, families=("delta", "ascent"))
 
     def test_degenerate_directions(self, table13):
         cfg = X.OperatorConfig(directions=((64, 0), (1, 0), (0, -128)), k_min=5, k_max=6,

@@ -182,6 +182,8 @@ class TestLk:
         assert s_max == M.S_MAX_CAP and truncated
         s_max, truncated = M.default_s_max(2, 17.0)
         assert s_max == 17 and not truncated
+        # k^D <= 1 needs no level, and log2(0) is never taken
+        assert M.default_s_max(0) == M.default_s_max(1) == (0, False)
 
 
 @st.composite
