@@ -14,11 +14,14 @@ evaluation routes are kept in cross-checkable agreement:
 * spectral: multiply the 2D transform by m_k(v . beta) sampled from the folded
   1D multiplier table and invert the product in place, one axis at a time.
   The prime weights are real, so the symbol is Hermitian,
-  m_k(-a) = conj m_k(a); for real f the route works on the half spectrum
-  (rfft2, inverted as irfft2 does) and a complex f takes the full one.  A
-  call's working set beyond f is the spectrum, computed in place in one
-  array, one product array of the same shape per worker, and the L x L
-  float64 output: about 56 MiB at L = 1024 for complex f and 2 workers.
+  m_k(-a) = conj m_k(a), and the average of a complex f is
+  A Re f + i A Im f.  The route therefore runs on real lanes only, each in
+  its half spectrum (rfft2, inverted as irfft2 does): a real f is one lane,
+  a complex f two, Re f and Im f, whose real outputs, stored side by side,
+  are the complex average.  A call's working set beyond f is the spectrum of
+  its lanes, computed in place in one array, one product array of the same
+  shape and one float64 block of rows per worker, and the L x L float64
+  output: about 58 MiB at L = 1024 for complex f and 2 workers.
 
 Both routes of the maximal operator run through one pair driver: it shares
 the (k, v) pairs among worker threads, one per CPU the process may run on (at
@@ -27,7 +30,8 @@ has at least 2^14 entries (the spectrum's on the spectral route, the L x L
 grid's on the spatial one); smaller grids stay on the calling thread, where
 splitting the work costs more than it saves.  Every worker allocates its own
 arrays with np.empty, each the size of one unit of work: a product array of
-the spectrum's shape, or two blocks of rows on the spatial route.
+the spectrum's shape and a block of rows, or two blocks of rows on the
+spatial route.
 
 The module also carries the discrete line decomposition of the grid along a
 direction and the transference check built on it: a single-direction operator
@@ -68,7 +72,8 @@ __all__ = [
     "export_csv",
 ]
 
-_ROWS = 64  # rows per block of the spectral kernel's gather, real inverse and fold
+_ROWS = 64  # least rows per block of the spectral kernel's gather, row inverse and fold
+_BLOCK_ENTRIES = 1 << 15  # least entries per block of the spectral kernel, in one lane
 _BLOCK_BYTES = 1 << 18  # rows per block of the spatial kernel, in bytes of one array
 _THREADED_ENTRIES = 1 << 14  # smaller grids run faster on the calling thread alone
 _MAX_WORKERS = 4
@@ -79,7 +84,8 @@ class GridFunction:
     """A real or complex function on the periodic grid (Z/L)^2, L >= 2.
 
     Values are kept as float64 or complex128, so both routes run in double
-    precision; real values take the half-spectrum route."""
+    precision; the spectral route takes real values as one real lane and
+    complex values as two."""
 
     L: int
     values: np.ndarray
@@ -193,48 +199,56 @@ def _roll_sum(tiled: np.ndarray, folded: np.ndarray, v: tuple[int, int],
     return out
 
 
-def _spectrum(values: np.ndarray) -> tuple[np.ndarray, bool]:
-    """The 2D transform of f and whether f is real.  A real f has a Hermitian
-    transform, so only its half spectrum (rfft2, columns 0..L//2) is kept.
-    The spectrum is allocated once and both 1D passes write into it."""
-    real = not np.iscomplexobj(values)
-    L = values.shape[0]
-    out = np.empty((L, L // 2 + 1 if real else L), dtype=np.complex128)
-    return (np.fft.rfft2(values, out=out) if real else np.fft.fft2(values, out=out)), real
+def _spectrum(values: np.ndarray) -> np.ndarray:
+    """The half spectra (rfft2, columns 0..L//2) of f's real lanes, as one
+    (lanes, L, L//2 + 1) array: f itself for real f, Re f and Im f for
+    complex f.  The array is allocated once and every pass writes into it."""
+    lanes = (values.real, values.imag) if np.iscomplexobj(values) else (values,)
+    out = np.empty((len(lanes), len(values), len(values) // 2 + 1), dtype=np.complex128)
+    for lane, o in zip(lanes, out):
+        np.fft.rfft2(lane, out=o)
+    return out
 
 
-def _apply_symbol(fhat: np.ndarray, symbol: np.ndarray, v: tuple[int, int], real: bool,
-                  buf: np.ndarray):
-    """Spectral kernel: invert fhat times symbol[(j1 vx + j2 vy) mod L] in buf.
+def _kernel_arrays(fhat: np.ndarray) -> list:
+    """(shape, dtype) of each array the spectral kernel writes into: a
+    complex product array of fhat's shape, and a float64 block of rows with
+    the lanes last, (rows, L, lanes), its rows holding at least
+    _BLOCK_ENTRIES entries of one lane and never fewer than _ROWS, at most L."""
+    lanes, L, _ = fhat.shape
+    rows = min(L, max(_ROWS, _BLOCK_ENTRIES // L))
+    return [(fhat.shape, np.complex128), ((rows, L, lanes), np.float64)]
 
-    buf is a complex product array of fhat's shape, owned by the caller; fhat
-    (shared by every call) is only read.  The two terms of the index are
-    reduced apart and read from the symbol tiled twice, so no modulo runs over
-    the grid.  The product is gathered and inverted in place, one 1D pass per
-    axis; the kernel yields the average in blocks of _ROWS rows, as (row
-    slice, block) pairs, so no grid-sized temporary is made.  A half spectrum
-    (real set) inverts its columns, then takes the real inverse along the rows
-    of each block to the L x L average: the order irfft2 takes.  A yielded
-    complex block is a view of buf, valid until the next call with buf.
+
+def _apply_symbol(fhat: np.ndarray, symbol: np.ndarray, v: tuple[int, int],
+                  prod: np.ndarray, block: np.ndarray):
+    """Spectral kernel: invert each lane of fhat times symbol[(j1 vx + j2 vy) mod L].
+
+    prod and block, the arrays of _kernel_arrays, are owned by the caller;
+    fhat (shared by every call) is only read.  The two terms of the index
+    are reduced apart and read from the symbol, cast to complex128 and tiled
+    twice, so no modulo runs over the grid.  The symbol is gathered once per
+    block of rows and multiplied into every lane; the columns of every lane
+    are inverted in place in one pass, then each block of rows takes the
+    real inverse along its rows into block, lanes last: the order irfft2
+    takes.  Two lanes viewed as complex128 are A Re f + i A Im f, so the
+    kernel yields the average as (row slice, block view) pairs, float64 for
+    one lane and complex128 for two, each valid until the next block.
     """
-    L = fhat.shape[0]
+    lanes, L, half = fhat.shape
     j = np.arange(L, dtype=np.int64)
-    rows = (j * (v[0] % L)) % L
-    cols = (j[:fhat.shape[1]] * (v[1] % L)) % L
-    tiled = np.tile(symbol, 2)
-    blocks = [slice(r, r + _ROWS) for r in range(0, L, _ROWS)]
+    rows, cols = (j * (v[0] % L)) % L, (j[:half] * (v[1] % L)) % L
+    tiled = np.tile(symbol.astype(np.complex128, copy=False), 2)
+    blocks = [slice(r, min(r + len(block), L)) for r in range(0, L, len(block))]
     for s in blocks:
-        np.take(tiled, rows[s, None] + cols, out=buf[s], mode="clip")
-        buf[s] *= fhat[s]
-    if real:
-        np.fft.ifft(buf, axis=0, out=buf)
-        for s in blocks:
-            yield s, np.fft.irfft(buf[s], n=L, axis=1)
-        return
-    np.fft.ifft(buf, axis=1, out=buf)
-    np.fft.ifft(buf, axis=0, out=buf)
+        gathered = np.take(tiled, rows[s, None] + cols, out=prod[0, s], mode="clip")
+        np.multiply(gathered, fhat[1:, s], out=prod[1:, s])
+        gathered *= fhat[0, s]
+    np.fft.ifft(prod, axis=1, out=prod)
     for s in blocks:
-        yield s, buf[s]
+        b = block[:s.stop - s.start]
+        np.fft.irfft(prod[:, s], n=L, axis=2, out=b.transpose(2, 0, 1))
+        yield s, b.view(np.float64 if lanes == 1 else np.complex128)[..., 0]
 
 
 def average_along(f: GridFunction, v: tuple[int, int], k: int, cfg: OperatorConfig) -> GridFunction:
@@ -255,10 +269,10 @@ def spectral_average(f: GridFunction, v: tuple[int, int], k: int, cfg: OperatorC
     The symbol at frequency (j1, j2) is m_k((j1 vx + j2 vy)/L mod 1), read
     from the folded 1D table, so the only approximation is the FFT round-off.
     """
-    fhat, real = _spectrum(f.values)
-    out = np.empty((f.L, f.L), dtype=np.float64 if real else np.complex128)
-    buf = np.empty(fhat.shape, dtype=np.complex128)
-    for s, block in _apply_symbol(fhat, m_k_grid(k, f.L, cfg.table), v, real, buf):
+    fhat = _spectrum(f.values)
+    out = np.empty((f.L, f.L), dtype=f.values.dtype)
+    arrays = [np.empty(*a) for a in _kernel_arrays(fhat)]
+    for s, block in _apply_symbol(fhat, m_k_grid(k, f.L, cfg.table), v, *arrays):
         out[s] = block
     return GridFunction(f.L, out)
 
@@ -330,31 +344,31 @@ def maximal_op(f: GridFunction, cfg: OperatorConfig, method: str = "spectral") -
     as transference_check's one direction, still keeps every worker busy.
     Each worker allocates its own arrays with np.empty, one unit of work in
     size: on the spectral route one complex product array of the spectrum's
-    shape (L x (L//2 + 1) for real f, L x L for complex f), on the spatial
-    route two row blocks of f's dtype, which read f tiled 2 x 2 (built once
-    per call, as the spectrum is, and shared read-only).  The spectrum is one
-    array that both forward passes write into, so a spectral call holds it,
-    w product arrays and the L x L float64 output beyond f: at L = 1024,
-    complex f and w = 2, 16 + 2 x 16 + 8 = 56 MiB.  w is 1 below 2^14
-    entries of work, the spectrum's on the spectral route and L^2 on the
-    spatial one (spectral: real L < 181, complex L < 128; spatial: L < 128),
-    else the number of CPUs in the process's affinity mask, capped at 4 and
-    at the number of work units.  A worker's exception is raised here once
-    every worker has stopped.  The modulus of each output block (64 rows on
-    the spectral route, one row block on the spatial one) is folded into the
-    running maximum under a lock; np.maximum is exact, and every element
-    sums its residues in the same order however the rows are shared, so the
-    output is bit-identical for any worker count.
+    shape, lanes x L x (L//2 + 1) with one lane for real f and two for
+    complex f, and one float64 row block, both of _kernel_arrays; on the
+    spatial route two row blocks of f's dtype, which read f tiled 2 x 2
+    (built once per call, as the spectrum is, and shared read-only).  The
+    spectrum is one array that every forward pass writes into, so a
+    spectral call holds it, w product arrays, w row blocks and the L x L
+    float64 output beyond f: at L = 1024, complex f and w = 2,
+    16 + 2 x (16 + 1) + 8 = 58 MiB.  w is 1 below 2^14 entries of work, the
+    spectrum's on the spectral route and L^2 on the spatial one (spectral:
+    real L < 181, complex L < 128; spatial: L < 128), else the number of
+    CPUs in the process's affinity mask, capped at 4 and at the number of
+    work units.  A worker's exception is raised here once every worker has
+    stopped.  The modulus of each output block (a row block on either
+    route; two spectral lanes read as complex128, so np.abs takes it
+    without overflow) is folded into the running maximum under a lock;
+    np.maximum is exact, and every element sums its residues in the same
+    order however the rows are shared, so the output is bit-identical for
+    any worker count.
     """
     L = f.L
     if method == "spectral":
-        fhat, real = _spectrum(f.values)
+        fhat = _spectrum(f.values)
         symbols = [m_k_grid(k, L, cfg.table) for k in cfg.scales]
-        pairs = [(symbol, v) for symbol in symbols for v in cfg.directions]
-        buffers, entries = [(fhat.shape, np.complex128)], fhat.size
-
-        def kernel(symbol, v, buf):
-            return _apply_symbol(fhat, symbol, v, real, buf)
+        pairs = [(fhat, symbol, v) for symbol in symbols for v in cfg.directions]
+        kernel, buffers, entries = _apply_symbol, _kernel_arrays(fhat), fhat.size
     elif method == "spatial":
         tiled = _tiled(f.values)
         folds = [fold_weights(k, L, cfg.table) for k in cfg.scales]
@@ -546,8 +560,8 @@ def empirical_norm(
 
 def save_grid_function(f: GridFunction, path) -> None:
     """A numpy .npy file holding the L x L values: float64 for a real grid and
-    complex128 otherwise, so a real grid read back takes the half-spectrum
-    route again.  np.save gets a file opened here, so it adds no .npy suffix."""
+    complex128 otherwise, so a real grid read back runs as one real lane
+    again.  np.save gets a file opened here, so it adds no .npy suffix."""
     with open(path, "wb") as fh:
         np.save(fh, f.values)
 

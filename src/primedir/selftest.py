@@ -128,10 +128,12 @@ def _check_operator(table):
         directions=((1, 0), (0, 1), (1, 1), (2, 1)), k_min=5, k_max=6, table=table
     )
     rng = np.random.default_rng(0)
-    # complex f takes the full spectrum; real f (odd side, so the half
-    # spectrum does not fix the inverse's length) takes the half one
+    # the spectral route runs real f as one half-spectrum lane and complex f
+    # as two; on an odd side the half spectrum does not fix the inverse's
+    # length, so both lane counts are checked there
     for f in (maximal.GridFunction.random(64, rng),
-              maximal.GridFunction.random(63, rng, kind="rademacher")):
+              maximal.GridFunction.random(63, rng, kind="rademacher"),
+              maximal.GridFunction.random(63, rng)):
         for v in cfg.directions:
             a = maximal.average_along(f, v, 6, cfg)
             b = maximal.spectral_average(f, v, 6, cfg)

@@ -953,7 +953,7 @@ class TestSelftest:
             "if __debug__:\n"
             "    raise SystemExit(2)\n"
             "src = textwrap.dedent(inspect.getsource(maximal._apply_symbol))\n"
-            "mutant = src.replace('np.fft.irfft(buf[s], n=L, axis=1)', 'np.fft.irfft(buf[s], axis=1)')\n"
+            "mutant = src.replace('np.fft.irfft(prod[:, s], n=L, axis=2', 'np.fft.irfft(prod[:, s], axis=2')\n"
             "if mutant == src:\n"
             "    raise SystemExit(3)\n"
             "exec(mutant, vars(maximal))\n"

@@ -311,7 +311,7 @@ _SIDES = st.sampled_from([2, 3, 8, 12, 15, 16, 32])
 
 
 def _draw(L, seed, real):
-    """A Gaussian grid function, real (half-spectrum route) or complex."""
+    """A Gaussian grid function, real (one spectral lane) or complex (two)."""
     rng = np.random.default_rng(seed)
     if real:
         return X.GridFunction(L, rng.standard_normal((L, L)))
@@ -343,7 +343,8 @@ class TestKernelProperties:
 
 
 class TestRealRoute:
-    """Real input takes the half spectrum; it must match the full-spectrum route."""
+    """Real input is one half-spectrum lane and complex input two; a real grid
+    must give what the same grid cast to complex gives."""
 
     @pytest.mark.parametrize("L", [2, 3, 16, 63])
     def test_maximal_real_equals_complex(self, table13, L):
@@ -372,16 +373,60 @@ class TestRealRoute:
         assert X.GridFunction.random(8, rng).values.dtype == np.complex128
 
 
+class TestLanes:
+    """A complex f runs as its real and imaginary lanes through one kernel."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(v=_VECTORS, k=st.integers(3, 6), L=_SIDES, seed=st.integers(0, 2**32 - 1))
+    def test_average_is_linear_in_lanes(self, table13, v, k, L, seed):
+        cfg = X.OperatorConfig(directions=(v,), k_min=k, k_max=k, table=table13)
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_normal((2, L, L))
+        whole = X.spectral_average(X.GridFunction(L, a + 1j * b), v, k, cfg).values
+        parts = (X.spectral_average(X.GridFunction(L, a), v, k, cfg).values
+                 + 1j * X.spectral_average(X.GridFunction(L, b), v, k, cfg).values)
+        assert np.linalg.norm(whole - parts) <= 1e-13 * np.linalg.norm(parts)
+
+    @pytest.mark.parametrize("L", [15, 16])
+    def test_modulus_does_not_overflow(self, table13, L):
+        # |x + iy| taken as sqrt(x^2 + y^2) overflows to inf at 1e200
+        cfg = X.OperatorConfig(directions=((1, 0), (3, -7), (2, 1)), k_min=4, k_max=6,
+                               table=table13)
+        f = X.GridFunction.random(L, np.random.default_rng(L))
+        unit = X.maximal_op(f, cfg).values
+        huge = X.maximal_op(X.GridFunction(L, 1e200 * f.values), cfg).values
+        assert np.all(np.isfinite(huge))
+        assert np.max(np.abs(huge - 1e200 * unit)) <= 1e-12 * 1e200 * np.max(unit)
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("L", [3, 16, 63])
+    def test_real_symbol_table(self, L, real):
+        # an even real table, such as the limit operator's mu(q)/phi(q)
+        fhat = X._spectrum(_draw(L, 500 + L, real).values)
+        table = np.random.default_rng(L).standard_normal(L)
+        table += table[-np.arange(L) % L]
+
+        def average(symbol):
+            arrays = [np.empty(*a) for a in X._kernel_arrays(fhat)]
+            return np.concatenate([b.copy() for _, b in
+                                   X._apply_symbol(fhat, symbol, (3, -7), *arrays)])
+
+        assert np.array_equal(average(table), average(table.astype(np.complex128)))
+
+
 class TestSpectrum:
-    """The forward transform is numpy's, computed in one array of the spectrum's size."""
+    """The forward transform is numpy's rfft2 of each real lane, computed in
+    one array of the spectrum's size."""
 
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("L", [2, 3, 15, 16, 63, 128, 181])
     def test_equals_numpy(self, L, real):
         values = _draw(L, 300 + L, real).values
-        fhat, is_real = X._spectrum(values)
-        assert is_real == real
-        assert np.array_equal(fhat, np.fft.rfft2(values) if real else np.fft.fft2(values))
+        fhat = X._spectrum(values)
+        lanes = [values] if real else [values.real, values.imag]
+        assert fhat.shape == (len(lanes), L, L // 2 + 1)
+        for lane, spectrum in zip(lanes, fhat):
+            assert np.array_equal(spectrum, np.fft.rfft2(lane))
 
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("L", [128, 181])
@@ -393,7 +438,7 @@ class TestSpectrum:
         X._spectrum(values)
         tracemalloc.start()
         try:
-            fhat, _ = X._spectrum(values)
+            fhat = X._spectrum(values)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -450,7 +495,7 @@ def _cpus(monkeypatch, n):
 
 
 # spectra well above the 2^14 entries that start workers: a real L = 512 grid
-# keeps 512 x 257 of them, a complex L = 363 grid (odd side) all 363 x 363
+# keeps 512 x 257 of them, a complex L = 363 grid (odd side) 2 x 363 x 182
 _WORKER_CASES = pytest.mark.parametrize("L, real", [(512, True), (363, False)])
 
 
