@@ -2,12 +2,11 @@
 
 Everything downstream (multiplier weights mu(q)/phi(q), level sets of reduced
 fractions as sorted lists of Fractions, prime-indexed exponential sums) sits
-on this module.  The two exponential-sum identities
+on this module.  The Ramanujan-sum identity
 
-    sum_{1<=a<=q} e(na/q)      = q  if q | n, else 0
     sum_{(a,q)=1} e(na/q)      = mu(q/g) phi(q) / phi(q/g),  g = gcd(n, q)
 
-are evaluated symbolically so they can serve as exact oracles for the
+is evaluated symbolically so it can serve as an exact oracle for the
 floating-point paths.
 """
 
@@ -32,7 +31,6 @@ __all__ = [
     "totient",
     "factorize",
     "farey_level",
-    "full_exponential_sum",
     "ramanujan_sum",
     "ramanujan_sum_bruteforce",
     "is_prime_certified",
@@ -225,17 +223,6 @@ def farey_level(s: int, max_size: int = 20_000_000) -> list[Fraction]:
 
 
 # -- exponential sums ----------------------------------------------------------
-
-def full_exponential_sum(q: int, n: int) -> int:
-    """sum_{1<=a<=q} e(na/q), evaluated symbolically: q if q | n else 0.
-
-    Kept exact (a divisibility test, never floating summation) so it can
-    oracle the floating paths.
-    """
-    if q < 1:
-        raise ValueError("modulus must be >= 1")
-    return q if n % q == 0 else 0
-
 
 def ramanujan_sum(q: int, n: int) -> int:
     """Ramanujan sum c_q(n) by the closed form mu(q/g) phi(q) / phi(q/g), g = gcd(n, q)."""

@@ -179,48 +179,79 @@ def choose_prime_window(spec: DirectionSpec) -> list[int]:
     return _primes_from(base, count, 10 * base)
 
 
+def _inner_row(N: int) -> int:
+    """The annulus' inner edge: the least m with 100 (m^2 + floor(m/2)^2) >= N^4.
+
+    floor(m/2) is the largest n of row m and m^2 + floor(m/2)^2 grows with m,
+    so no row below holds a candidate.  The least m with 125 m^2 >= N^4 is a
+    lower bound, and the edge is it or the next row, since
+    (m+1)^2 + floor((m+1)/2)^2 > 5 m^2 / 4.
+    """
+    m = math.isqrt((N**4 - 1) // 125) + 1
+    return m if 100 * (m * m + (m // 2) ** 2) >= N**4 else m + 1
+
+
+def _annulus_candidates(N: int) -> list[tuple[int, int]]:
+    """The canonical candidates: rows m ascending from the inner edge, in each
+    row n ascending with slope n/m in [1/4, 1/2] and 100 (m^2 + n^2) >= N^4,
+    until a row ends with at least max(64, 4N) of them."""
+    cands: list[tuple[int, int]] = []
+    r = -(-(N**4) // 100)  # 100 (m^2 + n^2) >= N^4 iff m^2 + n^2 >= r
+    m = _inner_row(N)
+    while len(cands) < max(64, 4 * N):
+        n_in = math.isqrt(r - m * m - 1) + 1 if r > m * m else 0  # least n with m^2 + n^2 >= r
+        cands.extend((m, n) for n in range(max((m + 3) // 4, n_in), m // 2 + 1))
+        m += 1
+    return cands
+
+
 def select_mn_pairs(N: int, seed: int) -> list[tuple[int, int]]:
     """N lattice pairs (m, n): slope in [1/4, 1/2], radius in [N^2/10, 10 N^2],
     pairwise non-parallel.
 
-    Candidates are enumerated canonically (m ascending, n ascending), shuffled
-    by the seed, then filtered greedily by exact cross products.  Deterministic
-    given (N, seed).
+    The candidates of ``_annulus_candidates`` are shuffled by the seed, then
+    filtered greedily by exact cross products, which keeps the first member of
+    each slope class.  Deterministic given (N, seed).
+
+    Proof that the one scan holds at least N slope classes, so the filter
+    always returns N pairs.  For N < N0 = 400 a test counts the classes (at
+    least 3.5 N) and checks that the scan's last row lies inside the outer
+    radius.  For N >= 400 write R = N^2/10 and D = ceil(4 sqrt(N/5)); let the
+    scan run over rows m0..m1.
+
+    (a) m0 < 2R/sqrt(5) + 2 (``_inner_row``: 125 m^2 >= N^4 means
+        m >= 2R/sqrt(5)).
+    (b) m1 <= m0 + D.  Row m = m0 + d holds every n from max(m/4, h) to m/2,
+        with h = sqrt(R^2 - m^2) (0 past R).  m/2 - h is at least 0 at m0 and
+        grows with slope at least 5/2, and m >= m0 > 10 D, so the row holds at
+        least 5d/2 - 1/2 candidates.  Rows d = 1..D hold (5D^2 + 3D)/4 >= 4N.
+    (c) Every scanned m^2 + n^2 <= 5 m1^2 / 4 < 100 N^4: no candidate meets
+        the outer radius, so the scan does not test it.
+    (d) Only slope 1/2 repeats.  Two parallel candidates are t (a, b) and
+        t' (a, b) with (a, b) primitive, so a <= |t - t'| a <= m1 - m0 <= D.
+        If b/a != 1/2 then a - 2b >= 1, so m - 2n = t (a - 2b) >= m/D, and
+        m^2 + n^2 <= m^2 (5D^2 - 2D + 1)/(4D^2) <= (5/4)(1 - 1/(3D)) m1^2.
+        With m1 < (2R/sqrt(5))(1 + y), y = sqrt(5)(D + 2)/(2R), that is below
+        R^2 (1 + 3y)(1 - 1/(3D)), which is below R^2 once 9yD <= 1, that is
+        45 sqrt(5) D (D + 2) <= N^2.  As D + 1 <= 4 sqrt(N/5) + 2, this holds
+        when sqrt(45 sqrt(5)) (4 sqrt(N/5) + 2) <= N: at N = 400 the left
+        side is 379, and it grows like sqrt(N).  Yet every candidate has
+        m^2 + n^2 >= R^2.
+    (e) The slope-1/2 class is the (2n, n) with m0 <= 2n <= m1, at most
+        D/2 + 1 members.  So the scan's 4N or more candidates fall into at
+        least 4N - D/2 >= N classes.
     """
     if N < 2:
         raise ValueError("need N >= 2")
-    lo4, hi4 = N**4, 100 * N**4  # 100(m^2+n^2) >= N^4 and m^2+n^2 <= 100 N^4
-    target = max(64, 4 * N)
-    m_hard_cap = 10 * N**2 + 2
-
-    def enumerate_candidates(limit: int) -> list[tuple[int, int]]:
-        cands: list[tuple[int, int]] = []
-        for m in range(1, m_hard_cap):
-            for n in range((m + 3) // 4, m // 2 + 1):
-                r2 = m * m + n * n
-                if 100 * r2 >= lo4 and r2 <= hi4:
-                    cands.append((m, n))
-            if len(cands) >= limit:
+    order = _annulus_candidates(N)
+    random.Random(f"{seed}:mn").shuffle(order)
+    chosen: list[tuple[int, int]] = []
+    for m, n in order:
+        if all(m * n2 - n * m2 != 0 for m2, n2 in chosen):
+            chosen.append((m, n))
+            if len(chosen) == N:
                 break
-        return cands
-
-    while True:
-        cands = enumerate_candidates(target)
-        order = list(cands)
-        rng_local = random.Random(f"{seed}:mn")
-        rng_local.shuffle(order)
-        chosen: list[tuple[int, int]] = []
-        for m, n in order:
-            if all(m * n2 - n * m2 != 0 for m2, n2 in chosen):
-                chosen.append((m, n))
-                if len(chosen) == N:
-                    return chosen
-        if len(cands) < target:  # enumeration exhausted the whole region
-            raise ConstructionError(
-                f"only {len(chosen)} pairwise non-parallel slope-admissible pairs exist "
-                f"for N = {N}"
-            )
-        target *= 4
+    return chosen
 
 
 def _choose_prime_subsets(window_size: int, kappa: int, N: int, seed: int) -> list[tuple[int, ...]]:

@@ -8,7 +8,6 @@ pytest suite covers the same ground at larger sizes.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 
@@ -36,14 +35,6 @@ def _check_ramanujan_cross_validation():
             closed = arith.ramanujan_sum(q, n)
             brute = arith.ramanujan_sum_bruteforce(q, n)
             _require(abs(closed - brute) < 1e-9, (q, n, closed, brute))
-
-
-def _check_full_exponential_sum():
-    for q in range(1, 51):
-        for n in range(-20, 21):
-            direct = sum(cmath.exp(2j * cmath.pi * n * a / q) for a in range(1, q + 1))
-            sym = arith.full_exponential_sum(q, n)
-            _require(abs(direct - sym) < 1e-9, (q, n))
 
 
 def _check_farey_cardinalities():
@@ -156,7 +147,6 @@ def run_all(verbose: bool = True) -> bool:
     checks = [
         ("mobius/totient divisor sums", _check_arith_identities),
         ("ramanujan closed form vs brute force", _check_ramanujan_cross_validation),
-        ("full exponential sum vs direct summation", _check_full_exponential_sum),
         ("farey level cardinalities", _check_farey_cardinalities),
         ("bump and cutoff exact values", _check_bumps),
         ("oscillatory profile decay bound", _check_vk_decay),

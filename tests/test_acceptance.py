@@ -66,11 +66,6 @@ def test_criterion_1_arithmetic_oracles():
         worst = max(worst, float(np.abs(brute - closed).max()))
     assert worst < 1e-9
 
-    # full exponential sums evaluated symbolically, exact
-    for q in range(1, 120):
-        for n in (0, 1, q - 1, q, 7 * q, -q):
-            assert arith.full_exponential_sum(q, n) == (q if n % q == 0 else 0)
-
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"criterion 1 runtime {elapsed:.1f}s exceeds 10s"
     _report("criterion 1", f"divisor sums to 1e4, ramanujan worst dev {worst:.2e}, {elapsed:.1f}s")

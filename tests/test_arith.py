@@ -155,18 +155,6 @@ class TestFarey:
 
 
 class TestExponentialSums:
-    def test_full_sum_examples(self):
-        assert arith.full_exponential_sum(4, 8) == 4
-        assert arith.full_exponential_sum(4, 3) == 0
-        assert arith.full_exponential_sum(7, 21) == 7
-
-    def test_full_sum_vs_floating(self):
-        for q in range(1, 501, 7):
-            a = np.arange(1, q + 1)
-            for n in (0, 1, q // 2, q, 2 * q + 1, -3):
-                direct = np.exp(2j * np.pi * n * a / q).sum()
-                assert abs(direct - arith.full_exponential_sum(q, n)) < 1e-9
-
     def test_ramanujan_examples(self):
         assert arith.ramanujan_sum(3, 1) == -1
         for q in (1, 2, 5, 12, 30):

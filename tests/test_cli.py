@@ -926,7 +926,7 @@ class TestSelftest:
         lines = capsys.readouterr().out.splitlines()
         assert [l for l in lines if l.startswith("[FAIL]")] == [
             "[FAIL] bump and cutoff exact values: FAIL (broken oracle)"]
-        assert len(lines) == 11
+        assert len(lines) == 10
 
     def test_checks_survive_optimize(self):
         # a wrong folded grid must fail the selftest even with asserts stripped

@@ -2,7 +2,10 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
+import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -260,6 +263,69 @@ class TestMnPairs:
     def test_deterministic(self):
         assert D.select_mn_pairs(8, seed=42) == D.select_mn_pairs(8, seed=42)
         assert D.select_mn_pairs(8, seed=42) != D.select_mn_pairs(8, seed=43)
+
+    @staticmethod
+    def _rows_from_one(N, seed):
+        """The older selection: every row from m = 1, both annulus radii
+        tested, then the same seeded shuffle and greedy filter."""
+        cands = []
+        for m in range(1, 10 * N**2 + 2):
+            cands += [(m, n) for n in range((m + 3) // 4, m // 2 + 1)
+                      if 100 * (m * m + n * n) >= N**4 and m * m + n * n <= 100 * N**4]
+            if len(cands) >= max(64, 4 * N):
+                break
+        random.Random(f"{seed}:mn").shuffle(cands)
+        chosen = []
+        for m, n in cands:
+            if all(m * n2 - n * m2 for m2, n2 in chosen):
+                chosen.append((m, n))
+        return chosen[:N]
+
+    @pytest.mark.parametrize("N, seeds", [(N, range(4)) for N in range(2, 65)]
+                             + [(96, [0]), (128, [0]), (256, [0])])
+    def test_equals_rows_from_one(self, N, seeds):
+        for seed in seeds:
+            assert D.select_mn_pairs(N, seed) == self._rows_from_one(N, seed)
+
+    def test_first_scan_holds_n_classes(self):
+        """The finite part of select_mn_pairs' proof: every N up to N0 = 400."""
+        for N in range(2, 401):
+            cands = D._annulus_candidates(N)
+            if N % 13 == 0:  # each row's least n, against testing every n of the slope cone
+                rows = range(D._inner_row(N), cands[-1][0] + 1)
+                assert cands == [(m, n) for m in rows for n in range((m + 3) // 4, m // 2 + 1)
+                                 if 100 * (m * m + n * n) >= N**4], N
+            classes = Counter((m // math.gcd(m, n), n // math.gcd(m, n)) for m, n in cands)
+            assert 2 * len(classes) >= 7 * N, N
+            last = cands[-1][0]
+            assert last * last + (last // 2) ** 2 <= 100 * N**4, N  # inside the outer radius
+            if N >= 37:  # what step (d) proves from N0 on holds here already
+                assert all(c == 1 for k, c in classes.items() if k != (2, 1)), N
+
+    def test_inner_row_is_the_edge(self):
+        def row(m, N):
+            return [n for n in range((m + 3) // 4, m // 2 + 1) if 100 * (m * m + n * n) >= N**4]
+
+        assert D._inner_row(2) == D._inner_row(3) == 1  # row 1 holds no n at all
+        for N in range(4, 200):
+            m0 = D._inner_row(N)
+            assert not row(m0 - 1, N) and row(m0, N), N
+        for N in [*range(200, 20000, 7), 10**9 + 7, 3**40]:
+            m0 = D._inner_row(N)
+            assert 100 * ((m0 - 1) ** 2 + ((m0 - 1) // 2) ** 2) < N**4, N
+            assert 100 * (m0 * m0 + (m0 // 2) ** 2) >= N**4, N
+
+    @pytest.mark.parametrize("N, seed, digest", [
+        (8, 0, "afb38b91d2549ddc4ac022da71345edb35da5b6a5fb82bc5632332e14d811fbd"),
+        (8, 1, "5c7c9d46067339c36e7c270db93532ae8e42dc4dbb8e60c2e428bc7781fc7c21"),
+        (8, 2, "9909e114290e26f94470596f4abc2cdbf19ae482edca257e892c296162b11706"),
+        (8, 3, "3bcc55b677b8dac3d78ee24a9b1762b34d4ba44c734011f6d5367cf7667e22f3"),
+        (16, 0, "d2cf84321d0400d6f57d33ae671e7d69ff94ee5ede03a81fa8bcc2fb709cf561"),
+    ])
+    def test_benchmark_sets_keep_their_hashes(self, N, seed, digest):
+        """The rescaled sets the benchmark workloads build, pinned by content hash."""
+        ds = D.rescale_to_integers(D.construct_directions(D.DirectionSpec(N=N, eps=0.5, seed=seed)))
+        assert json.loads(D.serialize(ds))["content_hash"] == digest
 
 
 class TestPrimeSubsets:
