@@ -25,9 +25,11 @@ s, the thickness constant C1, the torus side and the exclusion radius, and
 only the direction and the denominator r vary.  The exact scan counts each
 pair's lattice candidates on their plane indices, in integers of a few
 machine words, under the certificates in ``max_overlap_scan``'s docstring:
-one bound per scan is the slab certificate, with no family-by-family
-retest, and a cell center that no other pair shares lies on no third
-family's plane, so it counts 2 without a pass over the families.  The paper
+four bounds per scan, on the families' extreme sizes, imply the window,
+slab, ball and origin-cell certificates of every pair, so the pairs are
+tested one by one only when one of those bounds fails; and a cell center that no other
+pair shares lies on no third family's plane, so it counts 2 without a pass
+over the families.  The paper
 takes C1 sufficiently large depending on A, and ``default_c1`` follows it;
 a scan below the certificates' C1, or whose exclusion ball reaches the cell
 of an in-window center, is refused with one ValueError for the whole scan:
@@ -71,6 +73,13 @@ __all__ = [
 ]
 
 
+def _exact(x) -> int | Fraction:
+    """x as it is when it is an int or a Fraction, else Fraction(x).  The integer
+    forms read numerator and denominator, which Fraction() would copy from an
+    int or a Fraction unchanged, after a slower check of the Rational ABC."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
 @dataclass(frozen=True)
 class TubeFamily:
     """One family of parallel tubes: direction v, denominator r, level s.
@@ -100,10 +109,12 @@ class TubeFamily:
             raise ValueError("thickness exponent C1 must be >= 1")
         if self.torus_side is not None and self.torus_side < 1:
             raise ValueError(f"torus side must be >= 1 (or None); got {self.torus_side}")
-        vx, vy = Fraction(self.v[0]), Fraction(self.v[1])
+        vx, vy = _exact(self.v[0]), _exact(self.v[1])
         den = math.lcm(vx.denominator, vy.denominator)
         ax, ay = vx.numerator * (den // vx.denominator), vy.numerator * (den // vy.denominator)
-        ex = Fraction(self.exclusion_radius)
+        ex = _exact(self.exclusion_radius)
+        if ex < 0:  # the scan's ball and origin-cell certificates read its sign
+            raise ValueError(f"exclusion radius must be >= 0; got {self.exclusion_radius}")
         # derived attributes, not fields, so equality and hashing see only the
         # fields; written through __dict__ because the dataclass is frozen
         self.__dict__.update(ax=ax, ay=ay, den=den, shift=self.C1 * self.s,
@@ -182,7 +193,7 @@ def default_window(variant: str, half: int = 1) -> ScanWindow:
 
 # -- integer points and windows ----------------------------------------------------
 
-def _int_point(x: Fraction, y: Fraction) -> tuple[int, int, int]:
+def _int_point(x: int | Fraction, y: int | Fraction) -> tuple[int, int, int]:
     """The triple (px, py, d) with (x, y) = (px/d, py/d), d the least common denominator."""
     d = math.lcm(x.denominator, y.denominator)
     return x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d
@@ -194,7 +205,7 @@ def tube_membership(beta: tuple[Fraction, Fraction], fam: TubeFamily) -> bool:
     The slab condition is closed (boundary points are members) and the test
     locates the nearest plane index by rounding, never by search.
     """
-    return fam.member(*_int_point(Fraction(beta[0]), Fraction(beta[1])))
+    return fam.member(*_int_point(_exact(beta[0]), _exact(beta[1])))
 
 
 # -- pairwise intersection lattices ------------------------------------------------
@@ -295,6 +306,24 @@ def _refusal(fails: list, s: int) -> ValueError:
     return ValueError(f"{name} certificate fails for pair ({i}, {j}); {least} passes it")
 
 
+def _scan_certified(families: list[TubeFamily], deltas: list[int], win: ScanWindow) -> bool:
+    """Do the families pass the per-scan bounds of ``max_overlap_scan``'s
+    docstring?  ``deltas`` are |Delta| over the non-parallel pairs, at least
+    one.  Each bound implies the certificate of its name for every pair, so
+    when all pass no pair fails one (``_failed_certificates`` would return
+    nothing)."""
+    f0 = families[0]
+    c, ex_n, ex_d = f0.shift, f0.ex_n, f0.ex_d  # shared by every family
+    r_max, den_max, d_max = max(f.r for f in families), max(f.den for f in families), max(deltas)
+    r2 = r_max * r_max
+    kstar = 2 * den_max * max(max(abs(f.ax), abs(f.ay)) for f in families)  # >= every Kx, Ky
+    if ((r2 * win.W * kstar).bit_length() > c  # window
+            or (r2 * r_max * den_max * 3 * d_max).bit_length() > c):  # slab
+        return False
+    return not ex_n or (ex_d - ex_n * d_max * r2 > (2 * ex_d * kstar * r2) >> c  # ball
+                        and (2 * kstar * ex_d // (ex_n * min(deltas))).bit_length() <= c)  # origin
+
+
 def _failed_certificates(families: list[TubeFamily], i: int, j: int, cells,
                          win: ScanWindow, bound) -> list[tuple[str, int | None]]:
     """The certificates of the third fact of ``max_overlap_scan``'s docstring
@@ -324,7 +353,7 @@ def _failed_certificates(families: list[TubeFamily], i: int, j: int, cells,
             # the origin cell lies in the ball when its corners' reach is below the radius
             needs.append(("origin-cell", ((Kx + Ky) * ex_d // (ex_n * dabs)).bit_length()))
     if cells:
-        r_max, den_max, colmax = bound  # slab: the scan's one bound
+        r_max, den_max, colmax = bound  # slab: one bound per pair
         needs.append(("slab", (rr * r_max * (fi.den * colmax[j] + fj.den * colmax[i]
                                              + den_max * dabs)).bit_length()))
     return [(name, bits) for name, bits in needs if bits is None or bits > c]
@@ -416,6 +445,12 @@ class OverlapReport:
     shared_centers: int = field(default=0, compare=False)
 
 
+def _round_half_even(n: int, d: int) -> int:
+    """The integer nearest n / d, d > 0, ties to even, as round(Fraction(n, d))."""
+    q, rem = divmod(n, d)
+    return q + (2 * rem > d or (2 * rem == d and q & 1))
+
+
 def _interior_point(fam: TubeFamily, win: ScanWindow) -> tuple[int, int, int] | None:
     """A point on a tube center plane inside the window (overlap floor >= 1),
     as an unreduced triple (px, py, d).
@@ -441,7 +476,7 @@ def _interior_point(fam: TubeFamily, win: ScanWindow) -> tuple[int, int, int] | 
     d, step = 4 * W * r * S * den * n1, r * S * den * min(x1 - x0, y1 - y0)
     c = 2 * r * S * den * n1
     cx, cy = c * (x0 + x1), c * (y0 + y1)  # the center, over d
-    a0 = round(Fraction(r * T, 2 * W * den))  # the plane nearest the center; ties go to even
+    a0 = _round_half_even(r * T, 2 * W * den)  # the plane nearest the center
     for a in (a0, a0 - 1, a0 + 1, a0 - 2, a0 + 2):
         lam = 2 * den * n1 * (2 * W * den * a - r * T)  # plane a meets the normal at cx + lam ax
         for m in (0, 1, -1, 2, -2):
@@ -577,8 +612,25 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
       Delta, P_l = X[l][j] and Q_l = -X[l][i], so with colmax[m] =
       max_l |X[l][m]| the bound 2^c > r_i r_j r_max (den_i colmax[j] +
       den_j colmax[i] + den_max |Delta|) implies the slab certificate for
-      every l.  That bound is the scan's one slab test: there is no
-      family-by-family retest.
+      every l: one slab bound per pair, with no family-by-family retest.
+      Certificates once per scan: take r_max and den_max the largest r and
+      den, K* = 2 den_max max_l max(|ax_l|, |ay_l|), and Dmax and Dmin the
+      largest and smallest |Delta| over the non-parallel pairs.  Every pair
+      has r_i r_j <= r_max^2, Kx and Ky <= K* (so Kx + Ky <= 2 K*) and
+      Dmin <= |Delta| <= Dmax, and every colmax[m] <= Dmax (a family
+      parallel to m gives 0).  The radius is ex_n / ex_d with ex_n >= 0,
+      since a family refuses a negative one.  So each per-scan bound below
+      implies the certificate of its name for every pair, as the pair's
+      test in ``_failed_certificates`` reads it:
+      window, 2^c > r_max^2 W K*;
+      slab, 2^c > r_max^3 den_max 3 Dmax;
+      ball, when ex_n > 0, ex_d - ex_n Dmax r_max^2 > (2 ex_d K* r_max^2) >> c,
+      whose left side is at most ex_d - ex_n G and right side at least
+      (ex_d (Kx + Ky) r_i r_j) >> c, so the pair's test at m = 1 passes;
+      origin cell, when ex_n > 0, 2^c > (2 K* ex_d) // (ex_n Dmin).
+      The scan tests these once (``_scan_certified``); only when one fails
+      does it test every pair, so a refusal and its message come from the
+      pair-by-pair tests alone.
       Coincidences: at a center the offset is 0, so under the slab
       certificate family l covers it iff it lies on a central plane of l
       (N_l = 0 mod M_l).  Families i and j always do; a center other than
@@ -645,12 +697,14 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
         cells = {(i, j): _pair_centers(families[i], families[j], cross[i][j], ranges[i],
                                        ranges[j], window) for i, j in pairs}
         seen = Counter(key for cs in cells.values() for *_, key in cs if key)
-        bound = (max(f.r for f in families), max(f.den for f in families),
-                 [max(abs(row[m]) for row in cross) for m in range(n)])
-        fails = [(name, i, j, bits) for i, j in pairs
-                 for name, bits in _failed_certificates(families, i, j, cells[i, j], window, bound)]
-        if fails:
-            raise _refusal(fails, f0.s)
+        # the per-scan bounds first; only when one fails is every pair tested
+        if pairs and not _scan_certified(families, [abs(cross[i][j]) for i, j in pairs], window):
+            bound = (max(f.r for f in families), max(f.den for f in families),
+                     [max(abs(row[m]) for row in cross) for m in range(n)])
+            fails = [(name, i, j, bits) for i, j in pairs for name, bits
+                     in _failed_certificates(families, i, j, cells[i, j], window, bound)]
+            if fails:
+                raise _refusal(fails, f0.s)
         for i, j in pairs:
             inside, count, point, on_planes = _index_pair(families, i, j, cells[i, j], window,
                                                           cross, seen)

@@ -68,6 +68,44 @@ class TestTubeFamily:
         with pytest.raises(ValueError, match="torus side"):
             I.TubeFamily(v=(F(1), F(0)), r=2, s=1, C1=8, torus_side=side)
 
+    @pytest.mark.parametrize("ex", [F(-1, 2), -1, -0.5, "-1/10"])
+    def test_negative_exclusion_radius_rejected(self, ex):
+        # the scan's ball certificates read the radius' sign: the axes and
+        # the diagonal with a radius of -1/2 were once scanned as if no ball
+        # held the center (1/2, 0), which the ball 1/2 does ("ball-center")
+        with pytest.raises(ValueError, match="exclusion radius must be >= 0"):
+            I.TubeFamily(v=(F(1), F(0)), r=4, s=2, C1=12, exclusion_radius=ex, torus_side=1)
+
+
+class TestExactInputs:
+    """An int or a Fraction is read as it is, any other value through
+    Fraction(): the integer forms and answers are those of the Fraction."""
+
+    VALUES = (3, -2, True, F(3, 4), F(-5, 6), 0.75, -1.5, "3/4", "-5/6", "2")
+    RADII = (0, 1, F(1, 10), 0.25, "1/10", "0")
+
+    @pytest.mark.parametrize("x", VALUES)
+    @pytest.mark.parametrize("y", VALUES)
+    def test_family_integer_forms(self, x, y):
+        vx, vy = F(x), F(y)
+        den = math.lcm(vx.denominator, vy.denominator)
+        want = (vx.numerator * den // vx.denominator, vy.numerator * den // vy.denominator, den)
+        for ex in self.RADII:
+            fam = I.TubeFamily(v=(x, y), r=4, s=2, C1=8, exclusion_radius=ex)
+            assert (fam.ax, fam.ay, fam.den) == want
+            assert (fam.ex_n, fam.ex_d) == (F(ex).numerator, F(ex).denominator)
+            assert all(type(k) is int for k in (fam.ax, fam.ay, fam.den, fam.ex_n, fam.ex_d))
+
+    @pytest.mark.parametrize("ex", RADII)
+    def test_membership_answers(self, ex):
+        fam = I.TubeFamily(v=(F(3, 4), -2), r=5, s=2, C1=3, exclusion_radius=ex, torus_side=7)
+        answers = set()
+        for x, y in itertools.product(self.VALUES + (F(1, 8), "1/16", 0.0625, 0), repeat=2):
+            want = fam.member(*I._int_point(F(x), F(y)))
+            assert I.tube_membership((x, y), fam) == want, (x, y)
+            answers.add(want)
+        assert answers == {False, True}
+
 
 class TestMembership:
     def test_axis_plane(self):
@@ -602,23 +640,35 @@ def _fold_moves(fams, window) -> bool:
                     for f in fams))
 
 
+def _deltas(fams) -> list[int]:
+    """|Delta| over the non-parallel pairs, in pair order."""
+    return [abs(f.ax * g.ay - f.ay * g.ax) for f, g in itertools.combinations(fams, 2)
+            if f.ax * g.ay != f.ay * g.ax]
+
+
+def _pair_failures(fams, window) -> list:
+    """``_failed_certificates`` of every non-parallel pair after the scan's
+    first pass, one list per pair, in pair order."""
+    n = len(fams)
+    cross = [[f.ax * g.ay - f.ay * g.ax for g in fams] for f in fams]
+    pairs = [(i, j) for i, j in itertools.combinations(range(n), 2) if cross[i][j]]
+    ranges = [I._plane_range(f, window) for f in fams]
+    bound = (max(f.r for f in fams), max(f.den for f in fams),
+             [max(abs(row[m]) for row in cross) for m in range(n)])
+    return [I._failed_certificates(
+        fams, i, j, I._pair_centers(fams[i], fams[j], cross[i][j], ranges[i], ranges[j], window),
+        window, bound) for i, j in pairs]
+
+
 def _refused_pairs(fams, window) -> int:
     """How many of the scan's non-parallel pairs a certificate refuses: all of
     them when the fold certificate fails, else those that fail one of
     ``_failed_certificates`` after the scan's first pass."""
-    n = len(fams)
-    cross = [[f.ax * g.ay - f.ay * g.ax for g in fams] for f in fams]
-    pairs = [(i, j) for i, j in itertools.combinations(range(n), 2) if cross[i][j]]
     try:
         I._fold_certificate(fams, window)
     except ValueError:
-        return len(pairs)
-    ranges = [I._plane_range(f, window) for f in fams]
-    bound = (max(f.r for f in fams), max(f.den for f in fams),
-             [max(abs(row[m]) for row in cross) for m in range(n)])
-    return sum(bool(I._failed_certificates(
-        fams, i, j, I._pair_centers(fams[i], fams[j], cross[i][j], ranges[i], ranges[j], window),
-        window, bound)) for i, j in pairs)
+        return len(_deltas(fams))
+    return sum(map(bool, _pair_failures(fams, window)))
 
 
 class TestInt64Counts:
@@ -757,8 +807,14 @@ class TestInt64Counts:
                                 "and a shift by the torus side moves family 2"),
         (_axis_families(side=1), I.ScanWindow(F(-1, 2), F(3, 4), F(-1, 2), F(1, 2)),
          "fold certificate fails: the window leaves [-1/2, 1/2]^2"),
+        # |Delta| is 1 for the pair (0, 1) and 35 and 45 for the others: the
+        # per-scan origin-cell bound divides by the least |Delta|, and only
+        # it fails at C1 = 13, where pair (0, 1) fails too
+        ([I.TubeFamily(v=(F(a), F(b)), r=2, s=1, C1=13, exclusion_radius=F(1, 10**4))
+          for a, b in ((5, 4), (4, 3), (-5, 5))], I.default_window("ktilde"),
+         "origin-cell certificate fails for pair (0, 1); C1 >= 18 passes it"),
     ], ids=["origin-cell", "window-s0", "window", "slab", "window-edge", "ball-center",
-            "ball-reach", "fold-shift", "fold-box"])
+            "ball-reach", "fold-shift", "fold-box", "origin-cell-spread"])
     def test_certificate_refusal_named(self, fams, window, message):
         with pytest.raises(ValueError) as info:
             I.max_overlap_scan(fams, window)
@@ -799,6 +855,49 @@ class TestInt64Counts:
             assert min(max(abs(cx), abs(cy)) for _, _, cx, cy, key in cells if key) == 1
             fails = I._failed_certificates([fi, fj], 0, 1, cells, window, (3, 1, [1, 1]))
             assert [f for f in fails if f[0] == "ball"] == want
+
+    def test_scan_bounds_imply_pair_certificates(self):
+        """Whenever the per-scan bounds pass, no pair fails a certificate; at
+        the strategy's small and large C1 both outcomes of the bounds occur."""
+        certified = set()
+
+        @settings(max_examples=200, deadline=None)
+        @given(fams=st.one_of(_one_geometry_families().map(lambda case: case[0]),
+                              _concurrent_families(), _family_lists(2, 3)),
+               win=st.sampled_from(self.INDEX_WINDOWS))
+        def check(fams, win):
+            if _deltas(fams):
+                ok = I._scan_certified(fams, _deltas(fams), win)
+                if ok:
+                    assert not any(_pair_failures(fams, win))
+                certified.add(ok)
+
+        check()
+        assert certified == {False, True}
+
+    @pytest.mark.parametrize("fams,window,want", [
+        # the per-scan ball bound fails, as each pair's test with a center
+        # 1/G = 1/4 from the origin does, and each pair's nearest in-window
+        # nonzero center, 1/2 away, clears the ball 1/3
+        (_axis_families(ex=F(1, 3)), I.default_window("ktilde"),
+         (3, (F(-1), F(-1)), 286, 72)),
+        # the N = 4, seed-0 ktilde families at s = 6, as in
+        # test_nearest_center_ball_certifies
+        (None, I.default_window("ktilde"),
+         (2, (F(-2851750, 3096741), F(-2653750, 3096741)), 974, 0)),
+    ], ids=["axes", "n4-s6"])
+    def test_scan_bound_fails_every_pair_passes(self, fams, window, want):
+        """A scan whose ball bound fails while every pair passes its ball
+        test is answered, with the report the pair-by-pair scan gave."""
+        if fams is None:
+            ds = directions.rescale_to_integers(
+                directions.construct_directions(directions.DirectionSpec(N=4, eps=0.5, seed=0)))
+            fams = I.families_from_direction_set(ds, s=6)
+        assert not I._scan_certified(fams, _deltas(fams), window)
+        assert _refused_pairs(fams, window) == 0
+        rep = I.max_overlap_scan(fams, window)
+        assert rep.method == "exact-candidates"
+        assert (rep.max_overlap, rep.witness, rep.candidates_checked, rep.shared_centers) == want
 
     def test_concurrent_planes_scan_equals_recount(self):
         """Centers that lie on a third family's central plane are counted
@@ -1164,6 +1263,19 @@ def _windows(draw):
 
 class TestFloorWalkOracle:
     """The integer floor walk and plane range against their Fraction forms."""
+
+    @pytest.mark.parametrize("n,d", [(1, 2), (3, 2), (5, 2), (-1, 2), (-3, 2), (-5, 2),
+                                     (6, 4), (-6, 4), (10, 4), (0, 7), (-1, 3), (-2, 3),
+                                     (2 * 10**30 + 1, 2), (-(2 * 10**30 + 3), 2)])
+    def test_round_half_even_pinned(self, n, d):
+        # ties, in both signs and unreduced, and values on either side of them
+        assert I._round_half_even(n, d) == round(F(n, d))
+
+    @given(n=st.integers(-10**40, 10**40), d=st.integers(1, 10**6))
+    def test_round_half_even(self, n, d):
+        assert I._round_half_even(n, d) == round(F(n, d))
+        tie = ((2 * n + 1) * d, 2 * d)  # n + 1/2, unreduced
+        assert I._round_half_even(*tie) == round(F(*tie)) == n + (n & 1)
 
     @settings(max_examples=300, deadline=None)
     @given(fam=_tube_families(), window=_windows(), shrink=st.sampled_from((1, 12, 40)))

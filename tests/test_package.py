@@ -1,7 +1,10 @@
 """Package-level checks that no single module's tests cover."""
 
 import importlib
+import json
+import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -15,3 +18,37 @@ def test_all_names_exist(name):
     # a stale __all__ entry breaks `from module import *`
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+BENCH_FILES = sorted(pathlib.Path(__file__).resolve().parents[1].glob("BENCH_*.json"))
+
+
+def _metric_entries(node, where=""):
+    """(where, entry) for every metric of a benchmark file: each value of a
+    "metrics" object, at any depth."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key == "metrics" and isinstance(value, dict):
+                yield from ((f"{where}/metrics/{name}", entry) for name, entry in value.items())
+            yield from _metric_entries(value, f"{where}/{key}")
+    elif isinstance(node, list):
+        for k, value in enumerate(node):
+            yield from _metric_entries(value, f"{where}/{k}")
+
+
+def test_bench_file_committed():
+    # every performance claim cites a committed BENCH_<n>.json
+    assert "BENCH_1.json" in [path.name for path in BENCH_FILES]
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda path: path.name)
+def test_bench_file_schema(path):
+    """A committed benchmark file parses, names its schema, records the
+    machine, and gives every metric a unit."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert re.fullmatch(r"primedir\.bench\.[a-z_]+\.v\d+", doc["schema"])
+    assert {"nproc", "python", "numpy", "longdouble_nmant"} <= doc["fingerprint"].keys()
+    entries = list(_metric_entries(doc))
+    assert entries
+    for where, entry in entries:
+        assert isinstance(entry, dict) and isinstance(entry.get("unit"), str) and entry["unit"], where
