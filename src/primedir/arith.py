@@ -12,6 +12,7 @@ floating-point paths.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 import struct
@@ -246,10 +247,15 @@ def ramanujan_sum_bruteforce(q: int, n: int) -> float:
 
 # -- primality -----------------------------------------------------------------
 
-# Smallest composite that fools the witness set below is > 3.3e24
-# (Sorenson & Webster), so Miller-Rabin with these bases is deterministic there.
+# psi_t, the least strong pseudoprime to all of the first t prime bases
+# (OEIS A014233; Jaeschke 1993, Sorenson and Webster 2017): below psi_t those
+# t bases decide primality.  psi_13, where the 13 bases 2 .. 41 stop deciding,
+# is the bound; the first 12 bases are also the trial divisors.
 MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+        3825123056546413051, 318665857834031151167461, MR_DETERMINISTIC_BOUND)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PROBABILISTIC_ROUNDS = 64  # failure probability < 4^-64 = 2^-128
 
 
@@ -273,8 +279,10 @@ def _mr_witness(n: int, a: int) -> bool:
 def is_prime_certified(n: int) -> bool:
     """Miller-Rabin primality test, deterministic below MR_DETERMINISTIC_BOUND.
 
-    Above the bound the test runs 64 pseudo-random bases derived
-    deterministically from n (failure probability < 2^-128).
+    Trial division by the primes up to 37 comes first; then n takes the
+    first t bases of 2, 3, 5, ..., 41, t the least index with psi_t > n
+    (one base below 2047).  From the bound up the test runs 64 pseudo-random
+    bases derived deterministically from n (failure probability < 2^-128).
 
     Raises
     ------
@@ -283,13 +291,14 @@ def is_prime_certified(n: int) -> bool:
     """
     if n < 2:
         raise ValueError("primality test expects n >= 2")
-    for p in _MR_WITNESSES:
+    for p in _MR_WITNESSES[:12]:  # trial division by the primes up to 37
         if n == p:
             return True
         if n % p == 0:
             return False
     if n < MR_DETERMINISTIC_BOUND:
-        return not any(_mr_witness(n, a) for a in _MR_WITNESSES)
+        t = bisect.bisect_right(_PSI, n) + 1
+        return not any(_mr_witness(n, a) for a in _MR_WITNESSES[:t])
     import random
 
     rng = random.Random(n ^ 0x9E3779B97F4A7C15)

@@ -31,7 +31,7 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -506,7 +506,7 @@ def _digest(payload: dict) -> str:
 def _payload(ds: DirectionSet) -> dict:
     return {
         "schema": _DS_SCHEMA,
-        "spec": asdict(ds.spec),
+        "spec": {f.name: getattr(ds.spec, f.name) for f in fields(ds.spec)},  # no deep copy
         "kappa": ds.kappa,
         "prime_window": [str(p) for p in ds.prime_window],
         "scale_denominator": str(ds.scale_denominator),

@@ -37,7 +37,8 @@ it names a certificate that no C1 passes, if there is one, else the
 certificate and pair that need the largest C1, and that C1, the least at
 which every pair passes every certificate.  The overlap-1 floor, one point
 per family, is found and counted with ``member``, unless the maximum is
-already final.
+already final; a final maximum leaves the floor only its count, which a
+certificate on the window and the ball gives without a walk.
 The grid sample counts its points one at a time with ``member`` too.  No
 point lies in more families than there are, so once the running maximum
 equals the family count the grid sample stops counting and the floor is
@@ -54,6 +55,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 from .directions import DirectionSet
 from .errors import (ParseError, items, json_int, json_object, nullable, one_of, rational,
@@ -71,6 +73,10 @@ __all__ = [
     "load_overlap_report",
     "replay_witness",
 ]
+
+
+# the integer geometry a scan's families share
+_geometry = attrgetter("s", "C1", "torus_side", "ex_n", "ex_d")
 
 
 def _exact(x) -> int | Fraction:
@@ -152,8 +158,10 @@ class TubeFamily:
 class ScanWindow:
     """Closed axis-aligned box of exact rationals.
 
-    Construction also fixes the integer form that the scan reads: the edges
-    x0 <= x1 and y0 <= y1 over one denominator W > 0.
+    Each edge is stored exact: an int or a Fraction as it is, anything else
+    (a float, a string) through Fraction(), as ``TubeFamily`` reads its
+    inputs.  Construction also fixes the integer form that the scan reads:
+    the edges x0 <= x1 and y0 <= y1 over one denominator W > 0.
     """
 
     x_lo: Fraction
@@ -162,12 +170,15 @@ class ScanWindow:
     y_hi: Fraction
 
     def __post_init__(self):
-        if self.x_lo > self.x_hi or self.y_lo > self.y_hi:
+        edges = [_exact(e) for e in (self.x_lo, self.x_hi, self.y_lo, self.y_hi)]
+        x_lo, x_hi, y_lo, y_hi = edges
+        if x_lo > x_hi or y_lo > y_hi:
             raise ValueError("empty window")
-        edges = (self.x_lo, self.x_hi, self.y_lo, self.y_hi)
         W = math.lcm(*(f.denominator for f in edges))
         x0, x1, y0, y1 = (f.numerator * (W // f.denominator) for f in edges)
-        self.__dict__.update(x0=x0, x1=x1, y0=y0, y1=y1, W=W)  # derived, as in TubeFamily
+        # written through __dict__ as in TubeFamily: the exact edges, then the derived form
+        self.__dict__.update(x_lo=x_lo, x_hi=x_hi, y_lo=y_lo, y_hi=y_hi,
+                             x0=x0, x1=x1, y0=y0, y1=y1, W=W)
 
     def contains(self, x: Fraction, y: Fraction) -> bool:
         return self.x_lo <= x <= self.x_hi and self.y_lo <= y <= self.y_hi
@@ -519,6 +530,15 @@ def _grid_sample(families: list[TubeFamily], win: ScanWindow):
     return best, witness, counted
 
 
+def _floor_certified(fam: TubeFamily, win: ScanWindow) -> bool:
+    """Does every family's floor walk find a point?  The floor certificate
+    of ``max_overlap_scan``'s docstring, read from the window and from the
+    geometry that ``fam``, any family of the scan, shares with the rest."""
+    w, W = min(win.x1 - win.x0, win.y1 - win.y0), win.W
+    return (win.x0 + win.x1 == 0 == win.y0 + win.y1 and 6 * W * fam.ex_n <= w * fam.ex_d
+            and (fam.torus_side is None or w <= W * fam.torus_side))
+
+
 def _fold_certificate(families: list[TubeFamily], window: ScanWindow) -> None:
     """A ValueError unless the torus fold changes no window point's membership:
     the window lies in [-side/2, side/2), or in the closed box and a shift
@@ -664,17 +684,37 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
     class: a point that two non-parallel families cover is counted at a
     pair candidate, and any other lies only in mutually parallel families,
     so no floor point can beat that maximum or become the witness.
+
+    A final maximum leaves the floor only its share of
+    ``candidates_checked``: one per family whose walk (``_interior_point``)
+    finds a point.  The floor certificate (``_floor_certified``, once per
+    scan) proves that every walk finds one, and the scan then adds the
+    family count without walking.  It reads the window's integer edges and
+    the shared radius ex_n / ex_d: the window is centred at the origin,
+    x0 + x1 = 0 = y0 + y1; 6 W ex_n <= w ex_d with w = min(x1 - x0, y1 - y0);
+    and with a torus, w <= W side.  Then T = 0 in every walk, so its
+    nearest plane is a0 = 0 and its trial m = 0 is the origin, a member
+    exactly when ex_n = 0.  Its trial m = 1 is
+    p = (w / (4 W)) (-ay, ax) / (|ax| + |ay|): on plane 0 (v . p = 0, so the
+    slab holds); in the window, since |p_x| and |p_y| are at most
+    w / (4 W), below the half sides (x1 - x0) / (2 W) and (y1 - y0) / (2 W);
+    in the fold box, since w / (4 W) <= side / 4, so the fold moves it not;
+    and, when ex_n > 0, at least w / (4 sqrt(2) W) >= 6 ex_n / (4 sqrt(2) ex_d)
+    > ex_n / ex_d from the origin, so outside the ball.  So every walk
+    returns a point, by its second trial.  Every other scan walks every
+    family, and counts the points only when the maximum is not final.
     ``replay_witness`` recounts a witness through ``member``, so it checks a
     pair witness independently of the plane-index counts above.
     """
     if not families:
         raise ValueError("need at least one family")
     f0 = families[0]
-    for name in ("s", "C1", "torus_side", "exclusion_radius"):
-        for k, f in enumerate(families):
-            if getattr(f, name) != getattr(f0, name):
-                raise ValueError(f"a scan takes one geometry: family {k} has {name} "
-                                 f"{getattr(f, name)!r}, family 0 {getattr(f0, name)!r}")
+    if any(_geometry(f) != _geometry(f0) for f in families):  # names the field only then
+        for name in ("s", "C1", "torus_side", "exclusion_radius"):
+            for k, f in enumerate(families):
+                if getattr(f, name) != getattr(f0, name):
+                    raise ValueError(f"a scan takes one geometry: family {k} has {name} "
+                                     f"{getattr(f, name)!r}, family 0 {getattr(f0, name)!r}")
     variant = "k" if f0.torus_side == 1 else "ktilde"
 
     n = len(families)
@@ -721,16 +761,21 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
     # overlap-1 floor from per-family interior points, counted through member
     # unless the maximum is already final: the family count, or on the exact
     # branch a maximum >= 2 and >= the largest parallel class (a point off
-    # the pair candidates lies only in parallel families); a point replaces
-    # the witness only by beating the count so far
-    floor = [pt for pt in (_interior_point(f, window) for f in families) if pt is not None]
-    checked += len(floor)
+    # the pair candidates lies only in parallel families); under the floor
+    # certificate a final maximum adds one point per family, unwalked; a
+    # point replaces the witness only by beating the count so far
     par = max(row.count(0) for row in cross)  # cross[i][i] = 0
-    if best < (max(2, par) if method == "exact-candidates" else n):
-        for px, py, d in floor:
-            count = sum(f.member(px, py, d) for f in families)
-            if count > best:
-                best, witness = count, (Fraction(px, d), Fraction(py, d))
+    final = best >= (max(2, par) if method == "exact-candidates" else n)
+    if final and _floor_certified(f0, window):
+        checked += n
+    else:
+        floor = [pt for pt in (_interior_point(f, window) for f in families) if pt is not None]
+        checked += len(floor)
+        if not final:
+            for px, py, d in floor:
+                count = sum(f.member(px, py, d) for f in families)
+                if count > best:
+                    best, witness = count, (Fraction(px, d), Fraction(py, d))
 
     return OverlapReport(
         s=f0.s, C1=f0.C1, max_overlap=best, witness=witness,

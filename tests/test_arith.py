@@ -181,9 +181,10 @@ class TestPrimality:
             arith.is_prime_certified(1)
 
     def test_probabilistic_branch(self):
-        # the bound is the least strong pseudoprime to all twelve fixed
-        # witnesses (1287836182261 * 2575672364521); the random bases above it
-        # catch it, and pass Mersenne primes and a product of two of them
+        # the bound psi_13 is the least strong pseudoprime to all thirteen
+        # fixed bases 2 .. 41 (1287836182261 * 2575672364521); the random
+        # bases above it catch it, pass Mersenne primes and reject a product
+        # of two of them
         n = arith.MR_DETERMINISTIC_BOUND
         assert n == 1287836182261 * 2575672364521
         assert not any(arith._mr_witness(n, a) for a in arith._MR_WITNESSES)
@@ -194,6 +195,35 @@ class TestPrimality:
     def test_random_band(self):
         for n in range(10_000, 10_100):
             assert arith.is_prime_certified(n) == trial_division_is_prime(n)
+
+    # psi_t, the least strong pseudoprime to all of the first t prime bases
+    # (OEIS A014233), each a composite that the first t bases pass
+    PSI = {1: 2047, 2: 1373653, 3: 25326001, 4: 3215031751, 5: 2152302898747,
+           6: 3474749660383, 7: 341550071728321, 9: 3825123056546413051,
+           12: 318665857834031151167461, 13: 3317044064679887385961981}
+
+    @pytest.mark.parametrize("t", sorted(PSI))
+    def test_least_pseudoprimes_are_composite(self, t):
+        assert not arith.is_prime_certified(self.PSI[t])
+
+    def test_psi_12_needs_base_41(self):
+        n = self.PSI[12]
+        assert n == 399165290221 * 798330580441
+        assert [a for a in arith._MR_WITNESSES if arith._mr_witness(n, a)] == [41]
+
+    def test_agrees_with_the_sieve(self):
+        primes = set(arith.sieve_primes(2**18 - 1).primes.tolist())
+        assert [n for n in range(2, 2**18) if arith.is_prime_certified(n) != (n in primes)] == []
+
+    @pytest.mark.parametrize("centre", [2047, 1373653, 25326001, 3215031751])
+    def test_agrees_with_a_segment_sieve_where_the_bases_change(self, centre):
+        lo, hi = centre - 2000, centre + 2000
+        composite = [False] * (hi - lo + 1)
+        for p in arith.sieve_primes(math.isqrt(hi)).primes.tolist():
+            for m in range(max(p * p, -(-lo // p) * p), hi + 1, p):
+                composite[m - lo] = True
+        assert [n for n in range(lo, hi + 1)
+                if arith.is_prime_certified(n) == composite[n - lo]] == []
 
 
 class TestConvergents:

@@ -96,6 +96,22 @@ class TestExactInputs:
             assert (fam.ex_n, fam.ex_d) == (F(ex).numerator, F(ex).denominator)
             assert all(type(k) is int for k in (fam.ax, fam.ay, fam.den, fam.ex_n, fam.ex_d))
 
+    @pytest.mark.parametrize("edges", [(-0.5, 0.5, -0.5, 0.5), ("-1/2", "1/2", "-1/2", "1/2"),
+                                       (F(-1, 2), F(1, 2), -0.5, "1/2"), (-1, 1, F(-3, 4), 0.75)])
+    def test_window_edges(self, edges):
+        win = I.ScanWindow(*edges)
+        want = tuple(F(e) for e in edges)
+        assert (win.x_lo, win.x_hi, win.y_lo, win.y_hi) == want
+        assert all(type(e) in (int, F) for e in (win.x_lo, win.x_hi, win.y_lo, win.y_hi))
+        exact = I.ScanWindow(*want)
+        assert win == exact
+        assert (win.x0, win.x1, win.y0, win.y1, win.W) == (exact.x0, exact.x1, exact.y0, exact.y1,
+                                                           exact.W)
+
+    def test_window_refuses_empty_edges(self):
+        with pytest.raises(ValueError, match="empty window"):
+            I.ScanWindow("1/2", 0.25, 0, 1)
+
     @pytest.mark.parametrize("ex", RADII)
     def test_membership_answers(self, ex):
         fam = I.TubeFamily(v=(F(3, 4), -2), r=5, s=2, C1=3, exclusion_radius=ex, torus_side=7)
@@ -299,6 +315,41 @@ class TestScan:
             tracemalloc.stop()
         assert peak < 0.1 * 2**20
         assert rep == dataclasses.replace(want, C1=10**7)
+
+
+def _geometry_family(v=(1, 0), r=2, s=1, C1=8, ex=F(0), side=None):
+    return I.TubeFamily(v=v, r=r, s=s, C1=C1, exclusion_radius=ex, torus_side=side)
+
+
+class TestOneGeometry:
+    """A scan refuses families of more than one geometry, naming the first
+    field, in the order s, C1, torus side, radius, that some family has
+    otherwise than family 0, and the first such family."""
+
+    @pytest.mark.parametrize("fams,message", [
+        ([_geometry_family(), _geometry_family(v=(0, 1), r=4, s=2)], "family 1 has s 2, family 0 1"),
+        ([_geometry_family(), _geometry_family(v=(0, 1), C1=9)], "family 1 has C1 9, family 0 8"),
+        ([_geometry_family(side=1), _geometry_family(v=(0, 1))],
+         "family 1 has torus_side None, family 0 1"),
+        ([_geometry_family(ex=F(1, 10)), _geometry_family(v=(0, 1)),
+          _geometry_family(v=(1, 1), ex=F(1, 9))],
+         "family 1 has exclusion_radius Fraction(0, 1), family 0 Fraction(1, 10)"),
+        # family 1's C1 differs first, but s comes first among the fields
+        ([_geometry_family(), _geometry_family(v=(0, 1), C1=9),
+          _geometry_family(v=(1, 1), r=4, s=2)], "family 2 has s 2, family 0 1"),
+    ])
+    def test_mismatch_messages(self, fams, message):
+        with pytest.raises(ValueError) as exc:
+            I.max_overlap_scan(fams, I.default_window("ktilde"))
+        assert str(exc.value) == "a scan takes one geometry: " + message
+
+    @pytest.mark.parametrize("ex", [0.25, "1/4"])
+    def test_radius_compared_exactly(self, ex):
+        # a float or a string radius equal to family 0's Fraction is one geometry
+        fams = [_geometry_family(ex=F(1, 4)), _geometry_family(v=(0, 1), ex=ex)]
+        want = [_geometry_family(ex=F(1, 4)), _geometry_family(v=(0, 1), ex=F(1, 4))]
+        window = I.default_window("ktilde")
+        assert I.max_overlap_scan(fams, window) == I.max_overlap_scan(want, window)
 
 
 class TestIntWindow:
@@ -1123,8 +1174,9 @@ class TestFamilyCountCeiling:
 
     def test_certified_maximum_skips_floor_batch(self):
         # the benchmark's N = 8 ktilde families: the exact branch reaches 2 of
-        # 8, which its pair candidates certify, so the floor's 8 points are
-        # walked (candidates_checked keeps them) but none reaches member()
+        # 8, which its pair candidates certify, so none of the floor's 8
+        # points reaches member() (candidates_checked keeps them, and the
+        # floor certificate counts them without a walk)
         ds = directions.rescale_to_integers(
             directions.construct_directions(directions.DirectionSpec(N=8, eps=0.5, seed=0)))
         fams, window = I.families_from_direction_set(ds, s=3), I.default_window("ktilde")
@@ -1323,6 +1375,117 @@ class TestFloorWalkOracle:
         assert I.replay_witness(rep, [fam]) == 1
 
 
+@st.composite
+def _certified_floor_cases(draw):
+    """(family, window): one family as _tube_families draws it, a window
+    centred at the origin with half sides in [1/60, 2], and, half the time,
+    an exclusion radius of t min(half sides) / 3 with t in [0, 1], so that
+    6 W ex_n <= w ex_d holds, at times with equality."""
+    fam = draw(_tube_families())
+    hx, hy = (draw(st.fractions(F(1, 60), 2, max_denominator=60)) for _ in "xy")
+    if draw(st.booleans()):
+        t = draw(st.sampled_from((F(0), F(1))) | st.fractions(0, 1, max_denominator=20))
+        fam = dataclasses.replace(fam, exclusion_radius=t * min(hx, hy) / 3)
+    return fam, I.ScanWindow(-hx, hx, -hy, hy)
+
+
+class TestFloorCertificate:
+    """A final maximum under the floor certificate adds the family count to
+    candidates_checked without walking; the certificate is what makes every
+    walk find a point.  The axes and the diagonal at r = 2 meet at every
+    pair center, so their scans reach the family count."""
+
+    def test_certified_walks_find_a_point(self):
+        seen = set()
+
+        @settings(max_examples=300, deadline=None)
+        @given(case=_certified_floor_cases())
+        # equality in both bounds: 6 W ex_n = w ex_d and w = W side, and the
+        # diagonal's second trial (-1/8, 1/8) lies just outside the ball 1/6
+        @example(case=(I.TubeFamily(v=(F(1), F(1)), r=2, s=1, C1=8, exclusion_radius=F(1, 6),
+                                    torus_side=1), I.default_window("k")))
+        def check(case):
+            fam, win = case
+            if not I._floor_certified(fam, win):
+                seen.add(False)
+                return
+            seen.add(True)
+            # the walk's first trial, the origin, when the ball is empty, else its second
+            w, W, n1 = min(win.x1 - win.x0, win.y1 - win.y0), win.W, abs(fam.ax) + abs(fam.ay)
+            step = F(w, 4 * W * n1)
+            want = (F(0), F(0)) if not fam.ex_n else (-step * fam.ay, step * fam.ax)
+            assert _floor_point(fam, win) == want
+
+        check()
+        assert seen == {False, True}
+
+    def test_benchmark_scans_match_the_walk(self, monkeypatch):
+        """The 192 scans of the benchmark's range (N = 8 and 16, direction-set
+        seeds 0-23, s = 3 and 4, both variants) give the same reports with
+        the certificate forced off, and with it on walk no family."""
+        walks = []
+
+        def walk(fam, win):
+            walks.append(fam)
+            return real_walk(fam, win)
+
+        def reports():
+            out = []
+            for n, seed in itertools.product((8, 16), range(24)):
+                ds = directions.rescale_to_integers(directions.construct_directions(
+                    directions.DirectionSpec(N=n, eps=0.5, seed=seed)))
+                for s, variant in itertools.product((3, 4), ("ktilde", "k")):
+                    rep = I.max_overlap_scan(I.families_from_direction_set(ds, s=s, variant=variant),
+                                             I.default_window(variant))
+                    out.append((rep.max_overlap, rep.witness, rep.method, rep.candidates_checked,
+                                rep.shared_centers, rep.samples_counted))
+            return out
+
+        real_walk = I._interior_point
+        monkeypatch.setattr(I, "_interior_point", walk)
+        certified = reports()
+        assert len(certified) == 192 and walks == []
+        monkeypatch.setattr(I, "_floor_certified", lambda fam, win: False)
+        assert reports() == certified
+        assert len(walks) == 24 * 4 * (8 + 16)  # every family of every scan
+
+    @pytest.mark.parametrize("fams,window,want", [
+        # off centre: x0 + x1 != 0
+        (_axis_families(ex=F(1, 10)), I.ScanWindow(F(-1, 2), F(1), F(-1), F(1)),
+         (3, (F(-1, 2), F(-1)), 221)),
+        # a ball with 6 W ex_n > w ex_d: the diagonal's second trial lies in it
+        (_axis_families(ex=F(2, 5)), I.default_window("ktilde"), (3, (F(-1), F(-1)), 286)),
+    ])
+    def test_uncertified_exact_scans_walk(self, fams, window, want):
+        assert not I._floor_certified(fams[0], window)
+        with mock.patch.object(I, "_interior_point", mock.Mock(wraps=I._interior_point)) as walk:
+            rep = I.max_overlap_scan(fams, window)
+        assert walk.call_count == len(fams)
+        assert rep.max_overlap == rep.family_count  # final, yet walked
+        assert _exact_facts(rep) == want == _recount_exact(fams, window)
+
+    def test_window_wider_than_torus_walks(self):
+        # a grid-sample scan over [-1, 1]^2 of unit-torus families: w > W side
+        fams, window = _seed0_n8_k_families(), I.ScanWindow(F(-1), F(1), F(-1), F(1))
+        assert not I._floor_certified(fams[0], window)
+        with mock.patch.object(I, "_interior_point", mock.Mock(wraps=I._interior_point)) as walk:
+            rep = I.max_overlap_scan(fams, window)
+        assert walk.call_count == 8
+        assert (rep.max_overlap, rep.witness, rep.method, rep.candidates_checked,
+                rep.samples_counted) == (8, (F(4538079, 8388608), F(715429, 1048576)),
+                                         "grid-sample", 20008, 1)
+
+    def test_certified_scan_counts_the_families(self):
+        # centred and certified (w = W side, 6 W ex_n < w ex_d): no walk, and
+        # the count the walks would give
+        fams, window = _axis_families(ex=F(1, 10), side=1), I.default_window("k")
+        assert I._floor_certified(fams[0], window)
+        with mock.patch.object(I, "_interior_point", mock.Mock(wraps=I._interior_point)) as walk:
+            rep = I.max_overlap_scan(fams, window)
+        assert walk.call_count == 0
+        assert _exact_facts(rep) == (3, (F(-1, 2), F(-1, 2)), 86) == _recount_exact(fams, window)
+
+
 class TestPinnedWitnesses:
     """Whole scans against recorded reports, witness included; the benchmark
     compares no witness."""
@@ -1364,6 +1527,16 @@ class TestReportFiles:
         I.save_overlap_report(rep, path)
         again = I.load_overlap_report(path)
         assert again == rep
+
+    @pytest.mark.parametrize("window", [I.ScanWindow(-0.5, 0.5, -0.5, 0.5),
+                                        I.ScanWindow("-1/2", "1/2", "-3/8", "3/8"),
+                                        I.ScanWindow(F(-1, 2), F(1, 2), F(-1, 4), F(1, 4))])
+    def test_inexact_window_round_trip(self, tmp_path, window):
+        rep = I.max_overlap_scan(list(axis_families()), window)
+        path = tmp_path / "r.json"
+        I.save_overlap_report(rep, path)
+        assert all(re.fullmatch(r"-?\d+(/\d+)?", e) for e in json.loads(path.read_text())["window"])
+        assert I.load_overlap_report(path) == rep
 
     def test_other_enumerated_values_round_trip(self, tmp_path):
         # the values test_round_trip's scan does not write
