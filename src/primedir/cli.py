@@ -62,7 +62,8 @@ _FALLBACKS = {
 }
 
 # The least value of each integer flag, for every command that takes the flag.
-_LEAST = {"n": 2, "s": 1, "grid": 1, "r_sweeps": 1, "window_half": 1, "l": 2, "trials": 1}
+_LEAST = {"n": 2, "s": 1, "grid": 1, "r_sweeps": 1, "window_half": 1, "l": 2, "trials": 1,
+          "c1": 1, "a": 1, "m_exp": 1, "window_count": 1}
 
 
 class UsageError(Exception):

@@ -12,14 +12,18 @@ and each refuses a malformed input with a ParseError that names what it read:
   tests its value, ``items`` one that reads a list entry by entry,
   ``record`` one that reads an object field by field, and ``nullable`` one
   that also takes null;
-* ``integer``: a decimal-integer string;
-* ``rational``: an integer or ``int/int`` string, each part parsed by
-  ``int``, so no decimal or exponent form ("1e5000000") is expanded.
+* ``integer``: a canonical decimal-integer string, ASCII digits after an
+  optional minus sign;
+* ``rational``: such an integer, or two of them joined by "/" with no sign
+  on the denominator.  No other form that ``int`` would take (" 7", "+5",
+  "1_000", other scripts' digits) is read, and no decimal or exponent form
+  ("1e5000000") is expanded.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 
@@ -128,21 +132,25 @@ def record(readers, build):
     return read
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def integer(text, name: str) -> int:
     """A big integer, written as a decimal string."""
-    if isinstance(text, str):
+    if isinstance(text, str) and _INTEGER.fullmatch(text):
         try:
             return int(text)
-        except ValueError:
+        except ValueError:  # over Python's integer-string digit limit
             pass
     raise ParseError(f"bad integer {text!r} at {name}")
 
 
 def rational(text, name: str) -> Fraction:
     """An exact rational, written "n" or "n/d"."""
-    if isinstance(text, str):
+    if isinstance(text, str) and _RATIONAL.fullmatch(text):
         try:
             return Fraction(*map(int, text.split("/")))
-        except (TypeError, ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError):  # the digit limit, or d = 0
             pass
     raise ParseError(f"bad rational {text!r} at {name}")

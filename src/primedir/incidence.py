@@ -14,9 +14,11 @@ point per family for the overlap-1 floor) finds the maximum.
 
 All geometry is exact and integer.  Points are carried as integer triples
 (px, py, d) meaning (px/d, py/d); each ``TubeFamily`` and each ``ScanWindow``
-fixes its integer form once, at construction.  Fractions appear only at the
-public API: windows and directions come in as Fractions, and witnesses go
-out as Fractions.
+fixes its integer form once, at construction, over the least common
+denominator of its rationals (``_over_lcd``, which also puts a point of
+``tube_membership`` in that form).  Fractions appear only at the public
+API: windows and directions come in as Fractions, and witnesses go out as
+Fractions.
 ``TubeFamily.member`` is the scalar reference predicate (``tube_membership``
 applies it to a Fraction point).
 
@@ -24,12 +26,12 @@ A scan takes one geometry, as the paper does: every family shares the level
 s, the thickness constant C1, the torus side and the exclusion radius, and
 only the direction and the denominator r vary.  The exact scan counts each
 pair's lattice candidates on their plane indices, in integers of a few
-machine words, under the certificates in ``max_overlap_scan``'s docstring:
-four bounds per scan, on the families' extreme sizes, imply the window,
-slab, ball and origin-cell certificates of every pair, so the pairs are
-tested one by one only when one of those bounds fails; and a cell center that no other
-pair shares lies on no third family's plane, so it counts 2 without a pass
-over the families.  The paper
+machine words, under the certificates in ``max_overlap_scan``'s docstring,
+each stated once, as a pair's test: the scan first runs that test once at
+the families' extreme sizes, which imply every pair's, and tests the pairs
+one by one only when it fails.  One rule counts every cell center: the
+families that cover it are those of the pairs whose centers hold it, and
+the origin lies in every family or in every family's ball.  The paper
 takes C1 sufficiently large depending on A, and ``default_c1`` follows it;
 a scan below the certificates' C1, or whose exclusion ball reaches the cell
 of an in-window center, is refused with one ValueError for the whole scan:
@@ -52,7 +54,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
@@ -86,6 +87,14 @@ def _exact(x) -> int | Fraction:
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
+def _over_lcd(*xs) -> tuple[int, ...]:
+    """(n_1, ..., n_k, d) with x_i = n_i / d, d the least common denominator
+    of the exact xs: the integer form of a direction, a window or a point."""
+    ratios = [_exact(x).as_integer_ratio() for x in xs]
+    d = math.lcm(*[q for _, q in ratios])
+    return *[p * (d // q) for p, q in ratios], d
+
+
 @dataclass(frozen=True)
 class TubeFamily:
     """One family of parallel tubes: direction v, denominator r, level s.
@@ -115,16 +124,13 @@ class TubeFamily:
             raise ValueError("thickness exponent C1 must be >= 1")
         if self.torus_side is not None and self.torus_side < 1:
             raise ValueError(f"torus side must be >= 1 (or None); got {self.torus_side}")
-        vx, vy = _exact(self.v[0]), _exact(self.v[1])
-        den = math.lcm(vx.denominator, vy.denominator)
-        ax, ay = vx.numerator * (den // vx.denominator), vy.numerator * (den // vy.denominator)
-        ex = _exact(self.exclusion_radius)
-        if ex < 0:  # the scan's ball and origin-cell certificates read its sign
+        ax, ay, den = _over_lcd(*self.v)
+        ex_n, ex_d = _exact(self.exclusion_radius).as_integer_ratio()
+        if ex_n < 0:  # the scan's ball and origin-cell certificates read its sign
             raise ValueError(f"exclusion radius must be >= 0; got {self.exclusion_radius}")
         # derived attributes, not fields, so equality and hashing see only the
         # fields; written through __dict__ because the dataclass is frozen
-        self.__dict__.update(ax=ax, ay=ay, den=den, shift=self.C1 * self.s,
-                             ex_n=ex.numerator, ex_d=ex.denominator)
+        self.__dict__.update(ax=ax, ay=ay, den=den, shift=self.C1 * self.s, ex_n=ex_n, ex_d=ex_d)
         if ax == 0 and ay == 0:
             raise ValueError("tube direction must be nonzero")
         # thickness 2^(-C1 s) below the tube spacing 1/(r |v|): equivalent to
@@ -170,12 +176,11 @@ class ScanWindow:
     y_hi: Fraction
 
     def __post_init__(self):
-        edges = [_exact(e) for e in (self.x_lo, self.x_hi, self.y_lo, self.y_hi)]
-        x_lo, x_hi, y_lo, y_hi = edges
-        if x_lo > x_hi or y_lo > y_hi:
+        x_lo, x_hi, y_lo, y_hi = edges = [_exact(e) for e in
+                                          (self.x_lo, self.x_hi, self.y_lo, self.y_hi)]
+        x0, x1, y0, y1, W = _over_lcd(*edges)
+        if x0 > x1 or y0 > y1:
             raise ValueError("empty window")
-        W = math.lcm(*(f.denominator for f in edges))
-        x0, x1, y0, y1 = (f.numerator * (W // f.denominator) for f in edges)
         # written through __dict__ as in TubeFamily: the exact edges, then the derived form
         self.__dict__.update(x_lo=x_lo, x_hi=x_hi, y_lo=y_lo, y_hi=y_hi,
                              x0=x0, x1=x1, y0=y0, y1=y1, W=W)
@@ -202,21 +207,13 @@ def default_window(variant: str, half: int = 1) -> ScanWindow:
     return ScanWindow(-h, h, -h, h)
 
 
-# -- integer points and windows ----------------------------------------------------
-
-def _int_point(x: int | Fraction, y: int | Fraction) -> tuple[int, int, int]:
-    """The triple (px, py, d) with (x, y) = (px/d, py/d), d the least common denominator."""
-    d = math.lcm(x.denominator, y.denominator)
-    return x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d
-
-
 def tube_membership(beta: tuple[Fraction, Fraction], fam: TubeFamily) -> bool:
     """Exact membership of a rational point in a tube family.
 
     The slab condition is closed (boundary points are members) and the test
     locates the nearest plane index by rounding, never by search.
     """
-    return fam.member(*_int_point(_exact(beta[0]), _exact(beta[1])))
+    return fam.member(*_over_lcd(*beta))
 
 
 # -- pairwise intersection lattices ------------------------------------------------
@@ -269,25 +266,27 @@ def _axis_rows(xa: int, xb: int, lo: int, hi: int, a_range: tuple[int, int], b_f
 
 
 def _pair_centers(fi: TubeFamily, fj: TubeFamily, delta: int, range_i: tuple[int, int],
-                  range_j: tuple[int, int], win: ScanWindow):
-    """The pair's in-window cell centers, a outermost, as tuples (a, b, cx, cy,
-    key): center (a, b) is (cx, cy) / G with G = |delta| r_i r_j and delta =
-    ax_i ay_j - ay_i ax_j, and key is the point's reduced triple (cx/g, cy/g,
-    G/g), one key per point (None for the origin, a = b = 0).  Each row a's
-    in-window b interval is solved directly, so no cell outside the window is
-    visited; no certificate is needed."""
+                  range_j: tuple[int, int], win: ScanWindow) -> tuple[int, list]:
+    """(checked, keys): the pair's in-window cell centers, a outermost, and
+    the number of in-window candidates of their cells.  Center (a, b) is
+    (cx, cy) / G with G = |delta| r_i r_j and delta = ax_i ay_j - ay_i ax_j,
+    and its key is the point's reduced triple (cx/g, cy/g, G/g), one key per
+    point (None for the origin, a = b = 0).  Each row a's in-window b
+    interval is solved directly, so no cell outside the window is visited.
+    A cell's candidates are counted by its center's edge margins, which
+    the window certificate of ``max_overlap_scan``'s docstring makes exact."""
     sgn, G = (1, delta) if delta > 0 else (-1, -delta)
     G *= fi.r * fj.r
     xa, xb = sgn * fi.den * fj.ay * fj.r, -sgn * fj.den * fi.ay * fi.r
     ya, yb = -sgn * fi.den * fj.ax * fj.r, sgn * fj.den * fi.ax * fi.r
     W, b_first, b_last = win.W, *range_j
+    gx0, gx1, gy0, gy1 = G * win.x0, G * win.x1, G * win.y0, G * win.y1
     # the b whose center lies in the closed window: G x0 <= W cx <= G x1, same in y
-    px, qx, Lx, Hx, a_range = _axis_rows(W * xa, W * xb, G * win.x0, G * win.x1, range_i,
-                                         b_first, b_last)
-    py, qy, Ly, Hy, (a_lo, a_hi) = _axis_rows(W * ya, W * yb, G * win.y0, G * win.y1, a_range,
+    px, qx, Lx, Hx, a_range = _axis_rows(W * xa, W * xb, gx0, gx1, range_i, b_first, b_last)
+    py, qy, Ly, Hy, (a_lo, a_hi) = _axis_rows(W * ya, W * yb, gy0, gy1, a_range,
                                               b_first, b_last)
-    gcd = math.gcd
-    cells = []
+    gcd, moves = math.gcd, None  # moves: built when first needed
+    keys, checked = [], 0
     for a in range(a_lo, a_hi + 1):
         ux, uy = px * a, py * a
         b_lo = max(b_first, -((ux - Lx) // qx), -((uy - Ly) // qy))
@@ -296,8 +295,19 @@ def _pair_centers(fi: TubeFamily, fj: TubeFamily, delta: int, range_i: tuple[int
         for b in range(b_lo, b_hi + 1):
             cx, cy = ex + xb * b, ey + yb * b
             g = gcd(cx, cy, G)
-            cells.append((a, b, cx, cy, (cx // g, cy // g, G // g) if a or b else None))
-    return cells
+            keys.append((cx // g, cy // g, G // g) if a or b else None)
+            # on an edge (margin 0), a candidate stays when its move points
+            # inward or along the edge
+            wx, wy = W * cx, W * cy
+            if gx0 < wx < gx1 and gy0 < wy < gy1:
+                checked += len(_OFFSETS)
+            else:
+                if moves is None:
+                    moves = _moves(fi, fj, sgn)
+                edges = (wx - gx0, gx1 - wx, wy - gy0, gy1 - wy)
+                checked += sum(all(e > 0 or t >= 0 for e, t in zip(edges, (dx, -dx, dy, -dy)))
+                               for dx, dy in moves)
+    return checked, keys
 
 
 def _refusal(fails: list, s: int) -> ValueError:
@@ -317,115 +327,63 @@ def _refusal(fails: list, s: int) -> ValueError:
     return ValueError(f"{name} certificate fails for pair ({i}, {j}); {least} passes it")
 
 
-def _scan_certified(families: list[TubeFamily], deltas: list[int], win: ScanWindow) -> bool:
-    """Do the families pass the per-scan bounds of ``max_overlap_scan``'s
-    docstring?  ``deltas`` are |Delta| over the non-parallel pairs, at least
-    one.  Each bound implies the certificate of its name for every pair, so
-    when all pass no pair fails one (``_failed_certificates`` would return
-    nothing)."""
-    f0 = families[0]
-    c, ex_n, ex_d = f0.shift, f0.ex_n, f0.ex_d  # shared by every family
-    r_max, den_max, d_max = max(f.r for f in families), max(f.den for f in families), max(deltas)
-    r2 = r_max * r_max
-    kstar = 2 * den_max * max(max(abs(f.ax), abs(f.ay)) for f in families)  # >= every Kx, Ky
-    if ((r2 * win.W * kstar).bit_length() > c  # window
-            or (r2 * r_max * den_max * 3 * d_max).bit_length() > c):  # slab
-        return False
-    return not ex_n or (ex_d - ex_n * d_max * r2 > (2 * ex_d * kstar * r2) >> c  # ball
-                        and (2 * kstar * ex_d // (ex_n * min(deltas))).bit_length() <= c)  # origin
-
-
-def _failed_certificates(families: list[TubeFamily], i: int, j: int, cells,
-                         win: ScanWindow, bound) -> list[tuple[str, int | None]]:
-    """The certificates of the third fact of ``max_overlap_scan``'s docstring
-    that pair (i, j) fails at the scan's shift c, as (name, bits): bits is
-    the least shift that passes, None when none does.  ``cells`` are the
-    pair's in-window centers (``_pair_centers``) and ``bound`` the scan's
-    (r_max, den_max, colmax) with colmax[m] = max_l |cross[l][m]|.  A pair
-    with no in-window center is only tested against the window."""
-    fi, fj = families[i], families[j]
-    c, ex_n, ex_d = fi.shift, fi.ex_n, fi.ex_d  # shared by every family
-    dabs = abs(fi.ax * fj.ay - fi.ay * fj.ax)
-    rr = fi.r * fj.r
-    G = dabs * rr  # the cell centers' denominator
-    Kx, Ky = _reach(fi, fj)
+def _failed_certificates(f: TubeFamily, win: ScanWindow, rr: int, kx: int, ky: int, G: int,
+                         dabs: int, slab: int, m: int | None, origin: bool) -> list:
+    """The certificates of ``max_overlap_scan``'s docstring that a pair fails
+    at the shift c of f, a family of the scan, as (name, bits) in the order
+    window, ball, origin-cell, slab: bits is the least shift that passes,
+    None when none does.  The pair has r_i r_j = rr, reach (Kx, Ky) =
+    (kx, ky), |Delta| = dabs, centers over G, and slab bracket
+    slab = r_max (den_i colmax[j] + den_j colmax[i] + den_max |Delta|); m is
+    the least max(|cx|, |cy|) over its in-window nonzero centers (None when
+    it has none) and origin tells whether the origin is one of its centers,
+    so a pair with no in-window center is tested only against the window.
+    ``_scan_certified`` runs the same test at the scan's extreme values."""
+    c, ex_n, ex_d = f.shift, f.ex_n, f.ex_d  # shared by every family
     # each test, x 2^c > y, holds iff c >= bit_length(y // x), when x > 0
-    needs = [("window", (rr * win.W * max(Kx, Ky)).bit_length())]  # 2^c > r_i r_j W max(Kx, Ky)
-    if cells and ex_n:
-        reach = ex_d * (Kx + Ky) * rr
-        # a nonzero center lies m / G from the origin in the max norm, m >= 1:
-        # the bound at m = 1 first, the nearest in-window center only when it
-        # fails; x 2^c <= reach iff x <= reach >> c, for integers and reach >= 0
-        if ex_d - ex_n * G <= reach >> c and any(key for *_, key in cells):
-            m = min(max(abs(cx), abs(cy)) for _, _, cx, cy, key in cells if key)
+    needs = [("window", (rr * win.W * max(kx, ky)).bit_length())]
+    if ex_n:
+        reach = ex_d * (kx + ky) * rr
+        if m is not None:  # that center lies m / G from the origin in the max norm
             clear = ex_d * m - ex_n * G  # <= 0: that center is in the ball
             needs.append(("ball", (reach // clear).bit_length() if clear > 0 else None))
-        if any(key is None for *_, key in cells):
-            # the origin cell lies in the ball when its corners' reach is below the radius
-            needs.append(("origin-cell", ((Kx + Ky) * ex_d // (ex_n * dabs)).bit_length()))
-    if cells:
-        r_max, den_max, colmax = bound  # slab: one bound per pair
-        needs.append(("slab", (rr * r_max * (fi.den * colmax[j] + fj.den * colmax[i]
-                                             + den_max * dabs)).bit_length()))
+        if origin:  # the origin cell lies in the ball when its corners' reach is below the radius
+            needs.append(("origin-cell", ((kx + ky) * ex_d // (ex_n * dabs)).bit_length()))
+    if origin or m is not None:
+        needs.append(("slab", (rr * slab).bit_length()))
     return [(name, bits) for name, bits in needs if bits is None or bits > c]
 
 
-def _index_pair(families: list[TubeFamily], i: int, j: int, cells, win: ScanWindow,
-                cross, seen):
-    """Counts the pair's candidates on their plane indices (a, b) and offsets
-    o, without building their coordinates; the identities and certificates
-    are the third fact of ``max_overlap_scan``'s docstring, whose caller
-    has checked every certificate (``_failed_certificates``).
+def _scan_certified(families: list[TubeFamily], deltas: list[int], win: ScanWindow) -> bool:
+    """Do the families pass the per-scan bounds of ``max_overlap_scan``'s
+    docstring?  ``deltas`` are |Delta| over the non-parallel pairs, at least
+    one.  The bounds are the pair test, ``_failed_certificates``, run once
+    at the scan's extreme values, where each certificate is hardest to
+    pass, so when they pass no pair fails a certificate."""
+    r_max, den_max, d_max = max(f.r for f in families), max(f.den for f in families), max(deltas)
+    kstar = 2 * den_max * max(max(abs(f.ax), abs(f.ay)) for f in families)  # >= every Kx, Ky
+    return not _failed_certificates(families[0], win, r_max**2, kstar, kstar, d_max * r_max**2,
+                                    min(deltas), 3 * r_max * den_max * d_max, 1, True)
 
-    ``cells`` are the pair's in-window centers (``_pair_centers``),
-    ``cross[l][m] = ax_l ay_m - ay_l ax_m``, and ``seen`` counts, per center
-    key, the pairs whose centers hold that point.
 
-    Returns (checked, count, point, shared): the number of the pair's
-    in-window candidates, the largest family count among them, the first
-    candidate to reach it as a triple (px, py, d) (None when no count is
-    positive), and the number of centers counted family by family.
-    """
-    fi, fj = families[i], families[j]
-    delta = cross[i][j]
-    sgn, dabs = (1, delta) if delta > 0 else (-1, -delta)
-    rr = fi.r * fj.r
-    G = dabs * rr  # the cell centers' denominator
-    if not cells:
-        return 0, 0, None, 0
-    W = win.W
-    gx0, gx1, gy0, gy1 = G * win.x0, G * win.x1, G * win.y0, G * win.y1
-    moves = rows = point = None  # moves and rows: built when first needed
-    checked = shared = best = 0
-    for a, b, cx, cy, key in cells:
-        # the center's edge margins decide every point of the cell; on an
-        # edge (0), a point stays when its move points inward or along it;
-        # offset o moves a center by (dx, dy) / (|delta| 2^c), less than
-        # 1 / (W G) in each coordinate
-        wx, wy = W * cx, W * cy
-        if gx0 < wx < gx1 and gy0 < wy < gy1:
-            checked += len(_OFFSETS)
-        else:
-            if moves is None:
-                moves = _moves(fi, fj, sgn)
-            edges = (wx - gx0, gx1 - wx, wy - gy0, gy1 - wy)
-            checked += sum(all(e > 0 or t >= 0 for e, t in zip(edges, (dx, -dx, dy, -dy)))
-                           for dx, dy in moves)
-        if key is None:  # the origin: in every family, or inside the ball
-            count = 0 if fi.ex_n else len(families)
-        elif seen[key] == 1:  # on no third family's central plane
-            count = 2
-        else:
-            # f covers the center (a, b) iff N = f.r (rj p a + ri q b) = 0 mod M
-            if rows is None:
-                rows = [(f.r * fj.r * fi.den * cross[l][j], f.r * fi.r * fj.den * cross[i][l],
-                         f.den * dabs * rr) for l, f in enumerate(families)]
-            count = sum((A * a + B * b) % M == 0 for A, B, M in rows)
-            shared += 1
-        if count > best:  # the first center to reach the maximum
-            best, point = count, (cx, cy, G)
-    # best stays 0 only when the one cell is the origin's, inside the exclusion ball
-    return checked, best, point, shared
+def _pair_failures(families: list[TubeFamily], pairs, cross, cells, win: ScanWindow) -> list:
+    """(name, i, j, bits) for each certificate that a pair (i, j) fails
+    (``_failed_certificates``), in pair order; ``cross[l][m] = ax_l ay_m -
+    ay_l ax_m`` and ``cells`` maps each pair to its in-window center keys."""
+    r_max, den_max = max(f.r for f in families), max(f.den for f in families)
+    colmax = [max(map(abs, col)) for col in zip(*cross)]
+    fails = []
+    for i, j in pairs:
+        fi, fj, keys = families[i], families[j], cells[i, j]
+        dabs, rr = abs(cross[i][j]), fi.r * fj.r
+        G = dabs * rr
+        # key (kx, ky, kd) is the center (cx, cy) / G reduced by G // kd
+        m = min((max(abs(kx), abs(ky)) * (G // kd) for kx, ky, kd in filter(None, keys)),
+                default=None)
+        slab = r_max * (fi.den * colmax[j] + fj.den * colmax[i] + den_max * dabs)
+        fails += [(name, i, j, bits) for name, bits in _failed_certificates(
+            fi, win, rr, *_reach(fi, fj), G, dabs, slab, m, None in keys)]
+    return fails
 
 
 # -- the scan ------------------------------------------------------------------------
@@ -449,9 +407,10 @@ class OverlapReport:
     r_values: tuple[int, ...] | None = None  # per-family denominators, for replay
     baseline: str | None = None  # "parallel" for a parallel-baseline scan, for replay
     # grid samples counted through member, up to the first that reaches the
-    # family count (0 on the exact branch), and in-window centers that
-    # another pair shares, counted family by family; records of the run,
-    # not of the result: report files and equality leave them out
+    # family count (0 on the exact branch), and the pairs' in-window centers,
+    # the origin aside, that count more than 2 families, which is to say
+    # that another pair shares, once per pair; records of the run, not of
+    # the result: report files and equality leave them out
     samples_counted: int = field(default=0, compare=False)
     shared_centers: int = field(default=0, compare=False)
 
@@ -577,7 +536,7 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
     - ``TubeFamily.member(px, py, d)`` gives the same answer when the triple
       is scaled by any positive integer: the torus fold, the exclusion test
       and the nearest-plane rounding are all homogeneous.  So an unreduced
-      common denominator answers as ``_int_point``'s reduced triple does.
+      common denominator answers as ``_over_lcd``'s reduced triple does.
     - The slab test depends only on X mod Dd.  With res = X mod Dd,
       ``|X - b Dd| << shift <= r Dd`` holds exactly when
       ``min(res, Dd - res) <= (r Dd) >> shift``; a tie at Dd / 2 gives the
@@ -611,8 +570,7 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
       least max(|cx|, |cy|) over the pair's in-window nonzero centers: the
       center lies at least m / G from the origin in the max norm, and so in
       the Euclidean one, and a corner at most (Kx + Ky) 2^-c / |Delta| from
-      its center.  The test takes m = 1 first, and the pair's least m only
-      when that fails.  Origin cell: the cell a = b = 0 lies inside a ball of
+      its center.  Origin cell: the cell a = b = 0 lies inside a ball of
       nonzero radius when (Kx + Ky) 2^-c / |Delta| is below that radius.
       Each of these four tests reads x 2^c > y in integers, which holds iff
       c >= bit_length(y // x) when x > 0, and x and y do not depend on c, so
@@ -633,24 +591,25 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
       max_l |X[l][m]| the bound 2^c > r_i r_j r_max (den_i colmax[j] +
       den_j colmax[i] + den_max |Delta|) implies the slab certificate for
       every l: one slab bound per pair, with no family-by-family retest.
-      Certificates once per scan: take r_max and den_max the largest r and
-      den, K* = 2 den_max max_l max(|ax_l|, |ay_l|), and Dmax and Dmin the
-      largest and smallest |Delta| over the non-parallel pairs.  Every pair
-      has r_i r_j <= r_max^2, Kx and Ky <= K* (so Kx + Ky <= 2 K*) and
-      Dmin <= |Delta| <= Dmax, and every colmax[m] <= Dmax (a family
-      parallel to m gives 0).  The radius is ex_n / ex_d with ex_n >= 0,
-      since a family refuses a negative one.  So each per-scan bound below
-      implies the certificate of its name for every pair, as the pair's
-      test in ``_failed_certificates`` reads it:
-      window, 2^c > r_max^2 W K*;
-      slab, 2^c > r_max^3 den_max 3 Dmax;
-      ball, when ex_n > 0, ex_d - ex_n Dmax r_max^2 > (2 ex_d K* r_max^2) >> c,
-      whose left side is at most ex_d - ex_n G and right side at least
-      (ex_d (Kx + Ky) r_i r_j) >> c, so the pair's test at m = 1 passes;
-      origin cell, when ex_n > 0, 2^c > (2 K* ex_d) // (ex_n Dmin).
-      The scan tests these once (``_scan_certified``); only when one fails
-      does it test every pair, so a refusal and its message come from the
-      pair-by-pair tests alone.
+      Certificates once per scan: each certificate is stated once, as the
+      pair test ``_failed_certificates``, which reads a pair through r_i r_j,
+      Kx, Ky, G, |Delta|, the slab bracket r_max (den_i colmax[j] +
+      den_j colmax[i] + den_max |Delta|), m, and whether the origin is an
+      in-window center.  Take r_max and den_max the largest r and den,
+      K* = 2 den_max max_l max(|ax_l|, |ay_l|), and Dmax and Dmin the largest
+      and smallest |Delta| over the non-parallel pairs.  Every pair has
+      r_i r_j <= r_max^2, Kx and Ky <= K*, G <= Dmax r_max^2, |Delta| >= Dmin,
+      a bracket at most r_max 3 den_max Dmax (every colmax[m] <= Dmax, a
+      family parallel to m giving 0) and m >= 1.  The radius is ex_n / ex_d
+      with ex_n >= 0, since a family refuses a negative one, so each test
+      only gets harder as its values move to those extremes: the window and
+      slab sides grow with r_i r_j, Kx, Ky and the bracket, the ball's
+      clearance ex_d m - ex_n G falls and its reach ex_d (Kx + Ky) r_i r_j
+      grows, and the origin cell's (Kx + Ky) ex_d // (ex_n |Delta|) grows.
+      So the scan runs the pair test once at the extremes, with the origin
+      counted in (``_scan_certified``), and when it passes no pair fails a
+      certificate; only when it fails does the scan test every pair, so a
+      refusal and its message come from the pair-by-pair tests alone.
       Coincidences: at a center the offset is 0, so under the slab
       certificate family l covers it iff it lies on a central plane of l
       (N_l = 0 mod M_l).  Families i and j always do; a center other than
@@ -661,13 +620,14 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
       i's: an in-window center of the pair {i, l} (its plane indices lie in
       both ranges, since beta is in the window).  So a first pass lists
       every non-parallel pair's in-window centers, keyed by the reduced
-      triple (cx/g, cy/g, G/g), and counts per key the pairs that hold it;
-      a center no other pair holds counts 2, the origin
-      counts the family count or 0, and only a shared center is counted
-      family by family (the report's ``shared_centers``).
-      ``_failed_certificates`` tests, and ``_index_pair`` counts, in
-      integers of a few machine words;
-      ``_pair_centers`` is the one enumerator of a pair's lattice.
+      triple (cx/g, cy/g, G/g), and maps each key to the set of families of
+      the pairs that hold it; a center other than the origin counts the
+      size of that set, and the origin the family count or 0.  A center
+      counts more than 2 exactly when another pair holds it too (the
+      report's ``shared_centers``).  ``_pair_centers`` is the one enumerator
+      of a pair's lattice, and counts its in-window candidates as it goes;
+      it and ``_failed_certificates`` work in integers of a few machine
+      words.
 
     The grid sample counts its points one at a time with ``member``, in
     draw order, and so does the floor, one point per family, in family
@@ -731,28 +691,31 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
         method = "exact-candidates"
         if pairs:
             _fold_certificate(families, window)
-        # first pass: every pair's in-window centers, and per point the number
-        # of pairs that hold it (the origin, a center of every pair, is
-        # counted apart)
-        cells = {(i, j): _pair_centers(families[i], families[j], cross[i][j], ranges[i],
-                                       ranges[j], window) for i, j in pairs}
-        seen = Counter(key for cs in cells.values() for *_, key in cs if key)
+        # first pass: every pair's in-window centers and candidates, and per
+        # point the families of the pairs that hold it; the origin, a center
+        # of every pair, lies in every family's ball, or in every family
+        cells, holders = {}, {None: () if f0.ex_n else range(n)}
+        for i, j in pairs:
+            inside, cells[i, j] = _pair_centers(families[i], families[j], cross[i][j],
+                                                ranges[i], ranges[j], window)
+            checked += inside
+            for key in filter(None, cells[i, j]):
+                holders.setdefault(key, set()).update((i, j))
         # the per-scan bounds first; only when one fails is every pair tested
         if pairs and not _scan_certified(families, [abs(cross[i][j]) for i, j in pairs], window):
-            bound = (max(f.r for f in families), max(f.den for f in families),
-                     [max(abs(row[m]) for row in cross) for m in range(n)])
-            fails = [(name, i, j, bits) for i, j in pairs for name, bits
-                     in _failed_certificates(families, i, j, cells[i, j], window, bound)]
+            fails = _pair_failures(families, pairs, cross, cells, window)
             if fails:
                 raise _refusal(fails, f0.s)
-        for i, j in pairs:
-            inside, count, point, on_planes = _index_pair(families, i, j, cells[i, j], window,
-                                                          cross, seen)
-            checked += inside
-            shared += on_planes
-            if count > best:
-                px, py, d = point
-                best, witness = count, (Fraction(px, d), Fraction(py, d))
+        first = None
+        for keys in cells.values():
+            for key in keys:
+                count = len(holders[key])
+                shared += count > 2 and key is not None
+                if count > best:  # the first center to reach the maximum
+                    best, first = count, key
+        if best:
+            kx, ky, kd = first or (0, 0, 1)
+            witness = (Fraction(kx, kd), Fraction(ky, kd))
     else:
         method = "grid-sample"
         best, witness, counted = _grid_sample(families, window)
@@ -790,7 +753,8 @@ def replay_witness(report: OverlapReport, families: list[TubeFamily]) -> int:
     """Recompute the overlap count at the report's witness point."""
     if report.witness is None:
         return 0
-    return sum(1 for f in families if tube_membership(report.witness, f))
+    point = _over_lcd(*report.witness)  # as tube_membership puts it, once for every family
+    return sum(f.member(*point) for f in families)
 
 
 # -- families from a constructed direction set ---------------------------------------
@@ -859,12 +823,8 @@ def save_overlap_report(report: OverlapReport, path) -> None:
         "s": report.s,
         "C1": report.C1,
         "max_overlap": report.max_overlap,
-        "witness": (
-            [f"{report.witness[0].numerator}/{report.witness[0].denominator}",
-             f"{report.witness[1].numerator}/{report.witness[1].denominator}"]
-            if report.witness is not None
-            else None
-        ),
+        "witness": (None if report.witness is None
+                    else [f"{w.numerator}/{w.denominator}" for w in report.witness]),
         "family_count": report.family_count,
         "method": report.method,
         "variant": report.variant,
@@ -880,7 +840,8 @@ def save_overlap_report(report: OverlapReport, path) -> None:
 
 def load_overlap_report(path) -> OverlapReport:
     """Read a report written by save_overlap_report; any malformed field is a
-    ParseError that names it, after the path."""
+    ParseError that names it, after the path, and so is a witness outside
+    the window."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -894,5 +855,8 @@ def load_overlap_report(path) -> OverlapReport:
             ("r_values", items(json_int, ints["family_count"]))])
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    return OverlapReport(**ints, method=method, variant=variant, window=ScanWindow(*window),
+    window = ScanWindow(*window)
+    if witness is not None and not window.contains(*witness):  # no scan writes one outside
+        raise ParseError(f"{path}: field 'witness' lies outside the window")
+    return OverlapReport(**ints, method=method, variant=variant, window=window,
                          witness=witness, r_values=r_values, baseline=baseline)

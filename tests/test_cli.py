@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +276,22 @@ class TestIncidence:
         assert run("replay", "--ds", str(ds), "--report", str(rep)) == 2
         assert "REPLAY MISMATCH" in capsys.readouterr().out
 
+    def test_witness_outside_window_refused(self, tmp_path, capsys):
+        # moved by the torus side, the witness still lies in as many tubes,
+        # but far outside [-1, 1]^2, where no scan writes one
+        ds = tmp_path / "ds.json"
+        rep = tmp_path / "rep.json"
+        run("construct", "--n", "4", "--eps", "1.0", "--seed", "7", "--out", str(ds))
+        assert run("incidence", "--ds", str(ds), "--s", "2", "--out", str(rep)) == 0
+        doc = json.loads(rep.read_text())
+        x = Fraction(doc["witness"][0]) + load_direction_set(ds).A_tilde
+        doc["witness"][0] = f"{x.numerator}/{x.denominator}"
+        rep.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("replay", "--ds", str(ds), "--report", str(rep)) == 2
+        assert capsys.readouterr().err == (
+            f"validation error: {rep}: field 'witness' lies outside the window\n")
+
     @pytest.mark.parametrize("key,value,named", [
         ("baseline", None, "'baseline'"),  # None: delete the key
         ("witness", ["1/0", "0/1"], "witness[0]"),
@@ -381,7 +398,7 @@ class TestIncidence:
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("flags", [
-        ["--window-half", "0"], ["--window-half", "-1"], ["--s", "0"],
+        ["--window-half", "0"], ["--window-half", "-1"], ["--s", "0"], ["--c1", "0"],
     ])
     def test_bad_scan_flag_usage_error_before_load(self, tmp_path, capsys, flags):
         # the set does not exist, so exit 3 shows the check runs before loading it
@@ -784,6 +801,14 @@ _USAGE_ERRORS = {
                         "--eps must lie in (0, 1]", "x.json"),
     "construct-eps-1.5": (["construct", "--n", "4", "--eps", "1.5", "--out", "x.json"],
                           "--eps must lie in (0, 1]", "x.json"),
+    # the floors of the construction's integers, checked before a set is built
+    "construct-a-0": (["construct", "--n", "4", "--eps", "0.5", "--a", "0", "--out", "x.json"],
+                      "--a must be >= 1", "x.json"),
+    "construct-m-exp-0": (["construct", "--n", "4", "--eps", "0.5", "--m-exp", "0",
+                           "--out", "x.json"], "--m-exp must be >= 1", "x.json"),
+    "construct-window-count-0": (["construct", "--n", "4", "--eps", "0.5", "--window-count",
+                                  "0", "--out", "x.json"], "--window-count must be >= 1",
+                                 "x.json"),
     "mult-error-k-list-word": (["mult-error", "--k-list", "14,x", "--out", "e.csv"],
                                "cannot parse k list '14,x'", "e.csv"),
     "mult-error-k-list-empty": (["mult-error", "--k-list", ",", "--out", "e.csv"],
@@ -793,6 +818,8 @@ _USAGE_ERRORS = {
     "incidence-k-window-half-0": (
         ["incidence", "--ds", "missing.json", "--s", "2", "--variant", "k",
          "--window-half", "0", "--out", "r.json"], "--window-half must be >= 1", "r.json"),
+    "incidence-c1-0": (["incidence", "--ds", "missing.json", "--s", "2", "--c1", "0",
+                        "--out", "r.json"], "--c1 must be >= 1", "r.json"),
     "apply-vector-word": (
         ["apply", "--vectors", "1,a", "--k-min", "5", "--k-max", "6", "--delta",
          "--out", "m.npy"], "vector '1,a' is not a pair of integers", "m.npy"),

@@ -593,6 +593,14 @@ class TestSerialization:
                              "bad rational '1.5' at vectors[0].x"),
         "window-string": (lambda d: d.update(prime_window="1009"),
                           "field 'prime_window' must be a list"),
+        # forms that int() takes and the writer never produces: only ASCII
+        # digits after an optional minus sign, and "/" between two such
+        # parts, are read
+        **{f"A-{text!r}": (lambda d, text=text: d.update(A=text), f"bad integer {text!r} at A")
+           for text in ("1_000", " 7", "+5", "12\n", "\u0663")},
+        **{f"x-{text!r}": (lambda d, text=text: d["vectors"][0].update(x=text),
+                           f"bad rational {text!r} at vectors[0].x")
+           for text in ("1_000", " 7", "+5", "12\n", "\u0663", "1/+2", "1/ 2", "-1/-2")},
     }
 
     @pytest.mark.parametrize("mutate,named", MALFORMED.values(), ids=MALFORMED)

@@ -117,7 +117,7 @@ class TestExactInputs:
         fam = I.TubeFamily(v=(F(3, 4), -2), r=5, s=2, C1=3, exclusion_radius=ex, torus_side=7)
         answers = set()
         for x, y in itertools.product(self.VALUES + (F(1, 8), "1/16", 0.0625, 0), repeat=2):
-            want = fam.member(*I._int_point(F(x), F(y)))
+            want = fam.member(*I._over_lcd(F(x), F(y)))
             assert I.tube_membership((x, y), fam) == want, (x, y)
             answers.add(want)
         assert answers == {False, True}
@@ -160,11 +160,11 @@ class TestMembership:
 
 def _centers(f1, f2, win):
     """The pair's in-window cell centers from ``_pair_centers``, the scan's one
-    lattice enumerator, as Fractions."""
+    lattice enumerator, as Fractions: the origin is the key None."""
     delta = f1.ax * f2.ay - f1.ay * f2.ax
-    G = abs(delta) * f1.r * f2.r
-    return [(F(cx, G), F(cy, G)) for _, _, cx, cy, _ in
-            I._pair_centers(f1, f2, delta, I._plane_range(f1, win), I._plane_range(f2, win), win)]
+    _, keys = I._pair_centers(f1, f2, delta, I._plane_range(f1, win), I._plane_range(f2, win),
+                              win)
+    return [(F(kx, kd), F(ky, kd)) for kx, ky, kd in (key or (0, 0, 1) for key in keys)]
 
 
 class TestCandidates:
@@ -372,7 +372,7 @@ class TestIntWindow:
                 for dx in (-eps, F(0), eps):
                     for dy in (-eps, F(0), eps):
                         x, y = x0 + dx, y0 + dy
-                        px, py, d = I._int_point(x, y)
+                        px, py, d = I._over_lcd(x, y)
                         for k in (1, 6):  # unreduced triples too
                             assert win.mask(k * px, k * py, k * d) == win.contains(x, y)
 
@@ -381,7 +381,7 @@ class TestIntWindow:
         cx, cy = (win.x_lo + win.x_hi) / 2, (win.y_lo + win.y_hi) / 2
         pts = [(x, y) for x in (win.x_lo, win.x_hi) for y in (win.y_lo, win.y_hi)]
         pts += [(x, cy) for x in (win.x_lo, win.x_hi)] + [(cx, y) for y in (win.y_lo, win.y_hi)]
-        px, py, d = zip(*(I._int_point(x, y) for x, y in pts))
+        px, py, d = zip(*(I._over_lcd(x, y) for x, y in pts))
         e = math.lcm(*d)  # one denominator, as the grid sample's points share
         assert all(win.mask(x * (e // k), y * (e // k), e) for x, y, k in zip(px, py, d))
 
@@ -521,7 +521,7 @@ def _circle_points(fam: I.TubeFamily):
         c, s = F(k * k - j * j, k * k + j * j), F(2 * j * k, k * k + j * j)
         for x, y in ((c, s), (-s, c), (-c, -s), (s, -c)):
             for stretch in (F(1), F(63, 64), F(65, 64)):
-                pts.append(I._int_point(ex * stretch * x, ex * stretch * y))
+                pts.append(I._over_lcd(ex * stretch * x, ex * stretch * y))
     return pts
 
 
@@ -698,17 +698,16 @@ def _deltas(fams) -> list[int]:
 
 
 def _pair_failures(fams, window) -> list:
-    """``_failed_certificates`` of every non-parallel pair after the scan's
-    first pass, one list per pair, in pair order."""
+    """The certificates that each non-parallel pair fails after the scan's
+    first pass (``_pair_failures``), one list per pair, in pair order."""
     n = len(fams)
     cross = [[f.ax * g.ay - f.ay * g.ax for g in fams] for f in fams]
     pairs = [(i, j) for i, j in itertools.combinations(range(n), 2) if cross[i][j]]
     ranges = [I._plane_range(f, window) for f in fams]
-    bound = (max(f.r for f in fams), max(f.den for f in fams),
-             [max(abs(row[m]) for row in cross) for m in range(n)])
-    return [I._failed_certificates(
-        fams, i, j, I._pair_centers(fams[i], fams[j], cross[i][j], ranges[i], ranges[j], window),
-        window, bound) for i, j in pairs]
+    cells = {(i, j): I._pair_centers(fams[i], fams[j], cross[i][j], ranges[i], ranges[j],
+                                     window)[1] for i, j in pairs}
+    fails = I._pair_failures(fams, pairs, cross, cells, window)
+    return [[(name, bits) for name, k, m, bits in fails if (k, m) == pair] for pair in pairs]
 
 
 def _refused_pairs(fams, window) -> int:
@@ -901,11 +900,11 @@ class TestInt64Counts:
         for c1, want in ((5, [("ball", 6)]), (6, [])):
             fi = I.TubeFamily(v=(F(2), F(1)), r=2, s=1, C1=c1, exclusion_radius=F(1, 81))
             fj = I.TubeFamily(v=(F(1), F(1)), r=3, s=1, C1=c1, exclusion_radius=F(1, 81))
-            cells = I._pair_centers(fi, fj, 1, I._plane_range(fi, window),
-                                    I._plane_range(fj, window), window)
-            assert min(max(abs(cx), abs(cy)) for _, _, cx, cy, key in cells if key) == 1
-            fails = I._failed_certificates([fi, fj], 0, 1, cells, window, (3, 1, [1, 1]))
-            assert [f for f in fails if f[0] == "ball"] == want
+            _, keys = I._pair_centers(fi, fj, 1, I._plane_range(fi, window),
+                                      I._plane_range(fj, window), window)
+            # the center (kx, ky) / kd lies max(|kx|, |ky|) G / kd from the origin over G
+            assert min(max(abs(kx), abs(ky)) * 6 // kd for kx, ky, kd in filter(None, keys)) == 1
+            assert [f for f in _pair_failures([fi, fj], window)[0] if f[0] == "ball"] == want
 
     def test_scan_bounds_imply_pair_certificates(self):
         """Whenever the per-scan bounds pass, no pair fails a certificate; at
@@ -951,10 +950,10 @@ class TestInt64Counts:
         assert (rep.max_overlap, rep.witness, rep.candidates_checked, rep.shared_centers) == want
 
     def test_concurrent_planes_scan_equals_recount(self):
-        """Centers that lie on a third family's central plane are counted
-        family by family; the scan must refuse, naming a certificate, or
-        still equal member() at every candidate.  Some drawn scans refuse,
-        and some accepted ones count such centers."""
+        """Centers that lie on a third family's central plane count the
+        families of every pair that holds them; the scan must refuse, naming
+        a certificate, or still equal member() at every candidate.  Some
+        drawn scans refuse, and some accepted ones count such centers."""
         shared = set()
 
         @settings(max_examples=120, deadline=None)
@@ -1629,7 +1628,10 @@ class TestReportFiles:
             I.load_overlap_report(path)
 
     @pytest.mark.parametrize("key,text", [("window", "1e5000000"), ("window", "1.5"),
-                                          ("witness", "1e5000000"), ("witness", "1.5")])
+                                          ("witness", "1e5000000"), ("witness", "1.5")] + [
+        # forms that int() takes, and that save never writes
+        (key, text) for text in ("1_000", " 7", "+5", "12\n", "\u0663", "1/+2", "-1/-2")
+        for key in ("window", "witness")])
     def test_decimal_and_exponent_rationals_refused(self, tmp_path, key, text):
         # save writes integers and num/den only; read as a decimal, "1e5000000"
         # would become a 16.6-million-bit integer and take seconds to parse
