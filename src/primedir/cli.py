@@ -190,9 +190,7 @@ def _incidence_families(ds, s, C1, r_values, variant, baseline):
     """The tube families of ds, or with baseline "parallel" as many copies of
     its first family (the variant's direction, r, C1, torus and ball), so the
     two reports compare."""
-    fams = incidence.families_from_direction_set(
-        ds, s=s, C1=C1, r_values=r_values, variant=variant
-    )
+    fams = incidence.families_from_direction_set(ds, s=s, C1=C1, r_values=r_values, variant=variant)
     return fams[:1] * len(fams) if baseline == "parallel" else fams
 
 
@@ -200,17 +198,14 @@ def cmd_incidence(args) -> int:
     s = args.s
     if args.window_half is not None and args.variant == "k":
         raise UsageError("--window-half sizes the ktilde window; the k window is fixed")
-    half = 1 if args.window_half is None else args.window_half
-    win = incidence.default_window(args.variant, half=half)
+    win = incidence.default_window(args.variant, half=args.window_half or 1)
     rng = random.Random(args.seed)
     ds = _load_ds(args.ds)
     n = len(ds.vectors)
     best = None
     for sweep in range(args.r_sweeps):
-        if sweep == 0:
-            r_values = [1 << s] * n
-        else:
-            r_values = [rng.randrange(1 << s, 1 << (s + 1)) for _ in range(n)]
+        r_values = ([1 << s] * n if sweep == 0
+                    else [rng.randrange(1 << s, 1 << (s + 1)) for _ in range(n)])
         fams = _incidence_families(ds, s, args.c1, r_values, args.variant, args.baseline)
         rep = incidence.max_overlap_scan(fams, win)
         if best is None or rep.max_overlap > best.max_overlap:

@@ -31,13 +31,13 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
 from .arith import is_prime_certified
-from .errors import (ConstructionError, ParseError, integer, items, json_int, json_object, nullable,
-                     one_of, rational, read_fields, record, typed)
+from .errors import (ConstructionError, Field, ParseError, integer, items, json_int, json_object,
+                     nullable, one_of, rational, read_fields, record, typed, write_fields)
 
 __all__ = [
     "DirectionSpec",
@@ -489,65 +489,16 @@ def min_angle(ds: DirectionSet) -> MinAngleResult:
 _DS_SCHEMA = "primedir.direction_set.v1"
 
 
-def _frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
-
-
 def _canonical(doc: dict) -> bytes:
     """The one JSON encoding of a direction set: sorted keys, fixed separators."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-
-
-def _digest(payload: dict) -> str:
-    """sha256 of the payload's canonical JSON."""
-    return hashlib.sha256(_canonical(payload)).hexdigest()
-
-
-def _payload(ds: DirectionSet) -> dict:
-    return {
-        "schema": _DS_SCHEMA,
-        "spec": {f.name: getattr(ds.spec, f.name) for f in fields(ds.spec)},  # no deep copy
-        "kappa": ds.kappa,
-        "prime_window": [str(p) for p in ds.prime_window],
-        "scale_denominator": str(ds.scale_denominator),
-        "eps_adjusted": ds.eps_adjusted,
-        "vectors": [
-            {
-                "m": rec.m,
-                "n": rec.n,
-                "q_exponent": rec.q_exponent,
-                "prime_subset": list(rec.prime_subset),
-                "x": _frac_str(rec.v[0]),
-                "y": _frac_str(rec.v[1]),
-            }
-            for rec in ds.vectors
-        ],
-        "A": str(ds.A) if ds.A is not None else None,
-        "A_tilde": str(ds.A_tilde) if ds.A_tilde is not None else None,
-        "integer_vectors": (
-            [[str(x), str(y)] for x, y in ds.integer_vectors]
-            if ds.integer_vectors is not None
-            else None
-        ),
-    }
-
-
-def serialize(ds: DirectionSet) -> bytes:
-    """The payload's canonical JSON, the form its content hash covers, with
-    the hash added.
-
-    Byte-identical for identical spec + seed, which is the determinism contract
-    between CLI commands.
-    """
-    payload = _payload(ds)
-    return _canonical({"content_hash": _digest(payload), **payload})
 
 
 def _integer_vector(pair, name: str) -> tuple[int, int]:
     """An integer vector: a list of two decimal-integer strings."""
     if not (isinstance(pair, list) and len(pair) == 2):
         raise ParseError(f"bad integer pair {pair!r} at {name}: not a two-element list")
-    return integer(pair[0], f"{name}[0]"), integer(pair[1], f"{name}[1]")
+    return integer.read(pair[0], f"{name}[0]"), integer.read(pair[1], f"{name}[1]")
 
 
 _OPTIONAL_INT = typed((int, type(None)), "null or an integer")
@@ -557,13 +508,30 @@ _SPEC = record((("N", json_int), ("eps", typed((int, float), "a number")), ("M",
                 ("window_count", _OPTIONAL_INT)), DirectionSpec)
 _VECTOR = record((("m", json_int), ("n", json_int), ("q_exponent", json_int),
                   ("prime_subset", items(json_int)), ("x", rational), ("y", rational)),
-                 lambda m, n, e, subset, x, y: VectorRecord(m, n, e, subset, (x, y)))
+                 lambda m, n, e, subset, x, y: VectorRecord(m, n, e, subset, (x, y)),
+                 lambda rec: (rec.m, rec.n, rec.q_exponent, rec.prime_subset, *rec.v))
 # DirectionSet's fields, in order
 _ENTRIES = (("spec", _SPEC), ("kappa", json_int), ("prime_window", items(integer)),
             ("scale_denominator", integer),
             ("eps_adjusted", typed((int, float, type(None)), "null or a number")),
             ("vectors", items(_VECTOR)), ("A", nullable(integer)), ("A_tilde", nullable(integer)),
-            ("integer_vectors", nullable(items(_integer_vector))))
+            ("integer_vectors", nullable(items(Field(_integer_vector, items(integer, 2).write)))))
+
+
+def serialize(ds: DirectionSet) -> bytes:
+    """The payload's canonical JSON, the form its content hash covers, with
+    the hash added.
+
+    Byte-identical for identical spec + seed, which is the determinism contract
+    between CLI commands.
+    """
+    payload = _canonical({"schema": _DS_SCHEMA,
+                          **write_fields([getattr(ds, key) for key, _ in _ENTRIES], _ENTRIES)})
+    # the hash goes in at its sorted place, before "eps_adjusted": the keys
+    # before it, "A" and "A_tilde", hold a decimal string or null
+    i = payload.index(b',"eps_adjusted":')
+    return b'%s,"content_hash":"%s"%s' % (payload[:i], hashlib.sha256(payload).hexdigest().encode(),
+                                         payload[i:])
 
 
 def deserialize(data: bytes) -> DirectionSet:
@@ -575,7 +543,7 @@ def deserialize(data: bytes) -> DirectionSet:
     one is a ParseError that names it.
     """
     doc = json_object(data, _DS_SCHEMA, "direction-set file")
-    if doc.pop("content_hash", None) != _digest(doc):
+    if doc.pop("content_hash", None) != hashlib.sha256(_canonical(doc)).hexdigest():
         raise ParseError("content hash mismatch: file was modified after writing")
     ds = DirectionSet(*read_fields(doc, _ENTRIES))
     validate_direction_set(ds)

@@ -1,22 +1,21 @@
-"""Exception types shared across the package, and the one strict reader of
-its exact-JSON files.
+"""Exception types shared across the package, and the one strict reader and
+writer of its exact-JSON files.
 
 Direction sets and overlap reports share one syntax: a schema-tagged JSON
-object in which a big integer is a decimal string, a rational is "n" or
-"n/d", and every other field has one JSON type.  The reader has four parts,
-and each refuses a malformed input with a ParseError that names what it read:
+object in which a big integer is a decimal string, a rational is written
+"n/d" and read from "n" or "n/d", and every other field has one JSON type.
+A file is one table of (key, ``Field``) pairs, each a reader and its
+writer: ``read_fields`` reads the table and ``write_fields`` writes it.
+Each reader refuses a malformed value with a ParseError that names it:
 
 * ``json_object``: the top level is a JSON object with the expected schema;
-* ``read_fields``: named fields, each present and read by its reader:
-  ``typed`` makes one that tests a field's JSON type, ``one_of`` one that
-  tests its value, ``items`` one that reads a list entry by entry,
-  ``record`` one that reads an object field by field, and ``nullable`` one
-  that also takes null;
-* ``integer``: a canonical decimal-integer string, ASCII digits after an
-  optional minus sign;
-* ``rational``: such an integer, or two of them joined by "/" with no sign
-  on the denominator.  No other form that ``int`` would take (" 7", "+5",
-  "1_000", other scripts' digits) is read, and no decimal or exponent form
+* ``typed`` tests a field's JSON type, ``one_of`` its value, ``items``
+  reads a list entry by entry, ``record`` an object field by field, and
+  ``nullable`` also takes null;
+* ``integer``: ASCII digits after an optional minus sign;
+* ``rational``: such an integer, or two joined by "/" with no sign on the
+  denominator.  No other form that ``int`` takes (" 7", "+5", "1_000",
+  other scripts' digits) is read, and no decimal or exponent form
   ("1e5000000") is expanded.
 """
 
@@ -24,7 +23,9 @@ from __future__ import annotations
 
 import json
 import re
+from collections import namedtuple
 from fractions import Fraction
+from operator import attrgetter
 
 
 class ResourceLimitError(RuntimeError):
@@ -63,94 +64,114 @@ def json_object(data: bytes, schema: str, what: str) -> dict:
     return doc
 
 
-def read_fields(obj: dict, readers, at: str = "") -> list:
-    """read(obj[key], at + key) for each (key, read) of readers: the fields
+# read(value, name) is what a JSON value holds, else a ParseError naming
+# name; write(x) is the JSON value that read takes back to x
+Field = namedtuple("Field", "read write")
+
+
+def read_fields(obj: dict, fields, at: str = "") -> list:
+    """read(obj[key], at + key) for each (key, field) of fields: the values
     read, each named at + key in the ParseError when missing or malformed."""
-    for key, _ in readers:
+    for key, _ in fields:
         if key not in obj:
             raise ParseError(f"missing field {at + key!r}")
-    return [read(obj[key], at + key) for key, read in readers]
+    return [field.read(obj[key], at + key) for key, field in fields]
+
+
+def write_fields(values, fields) -> dict:
+    """The object that read_fields reads as values: {key: write(value)}."""
+    return {key: field.write(value) for (key, field), value in zip(fields, values)}
 
 
 def _refused(name: str, expected: str, value) -> ParseError:
     return ParseError(f"field {name!r} must be {expected}, got {value!r}")
 
 
-def typed(kinds: tuple, expected: str):
-    """A reader of a value whose type is one of kinds, exactly: json.loads
-    gives exact int, float, str, list, dict and NoneType, and a bool is not
-    an int."""
+def _as_is(value):
+    return value
+
+
+def _tested(allowed: tuple, key, expected: str) -> Field:
+    """A value read when key(value) is one of allowed, and written as it is."""
     def read(value, name: str):
-        if type(value) in kinds:
+        if key(value) in allowed:
             return value
         raise _refused(name, expected, value)
-    return read
+    return Field(read, _as_is)
 
 
-def one_of(*values):
-    """A reader of one of the values; they are a tuple, so a list or a dict
-    fails the test rather than raising."""
-    expected = "one of " + ", ".join(map(json.dumps, values))
+def typed(kinds: tuple, expected: str) -> Field:
+    """A value whose type is one of kinds, exactly: json.loads gives exact
+    int, float, str, list, dict and NoneType, and a bool is not an int."""
+    return _tested(kinds, type, expected)
 
-    def read(value, name: str):
-        if value in values:
-            return value
-        raise _refused(name, expected, value)
-    return read
+
+def one_of(*values) -> Field:
+    """One of the values; they are a tuple, so a list or a dict fails the
+    test rather than raising."""
+    return _tested(values, _as_is, "one of " + ", ".join(map(json.dumps, values)))
 
 
 json_int = typed((int,), "an integer")
 
 
-def nullable(read):
-    """``read``, or None for null."""
-    return lambda value, name: None if value is None else read(value, name)
+def nullable(field: Field) -> Field:
+    """``field``, or None for null."""
+    read, write = field
+    return Field(lambda value, name: None if value is None else read(value, name),
+                 lambda x: None if x is None else write(x))
 
 
-def items(read, n: int | None = None):
-    """A reader of a list of n entries (any number when n is None), each
-    read by ``read`` and named by its index."""
-    expected = "a list" if n is None else f"a list of {n} entries"
+def items(field: Field, n: int | None = None) -> Field:
+    """A list of n entries (any number when n is None), each read by
+    ``field`` and named by its index; another length is refused when
+    written too."""
+    (read, write), expected = field, "a list" if n is None else f"a list of {n} entries"
 
     def read_list(value, name: str) -> tuple:
         if type(value) is not list or n not in (None, len(value)):
             raise _refused(name, expected, value)
         return tuple([read(x, f"{name}[{i}]") for i, x in enumerate(value)])
-    return read_list
+
+    def write_list(xs) -> list:
+        if xs is None or n not in (None, len(xs)):
+            raise ValueError(f"cannot write {xs!r} as {expected}")
+        return [write(x) for x in xs]
+    return Field(read_list, write_list)
 
 
-def record(readers, build):
-    """A reader of an object with no fields but those of readers: build(*values)
-    of the fields read, each named by a dot after the object's name."""
-    keys = {key for key, _ in readers}
+def record(fields, build, parts=None) -> Field:
+    """An object with no fields but those of fields: build(*values) of the
+    values read, each named by a dot after the object's name, written from
+    parts(x) (by default the attributes that the keys name)."""
+    keys = {key for key, _ in fields}
     expected = "an object of the fields " + ", ".join(sorted(keys))
+    parts = parts or attrgetter(*[key for key, _ in fields])
 
     def read(value, name: str):
         if type(value) is not dict or not value.keys() <= keys:
             raise _refused(name, expected, value)
-        return build(*read_fields(value, readers, name + "."))
+        return build(*read_fields(value, fields, name + "."))
+    return Field(read, lambda x: write_fields(parts(x), fields))
+
+
+def _decimal(pattern: str, parse, what: str):
+    """A reader of a string that fullmatches pattern, through parse."""
+    fullmatch = re.compile(pattern).fullmatch
+
+    def read(text, name: str):
+        if isinstance(text, str) and fullmatch(text):
+            try:
+                return parse(text)
+            except (ValueError, ZeroDivisionError):  # the digit limit, or d = 0
+                pass
+        raise ParseError(f"bad {what} {text!r} at {name}")
     return read
 
 
-_INTEGER = re.compile(r"-?[0-9]+")
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
-def integer(text, name: str) -> int:
-    """A big integer, written as a decimal string."""
-    if isinstance(text, str) and _INTEGER.fullmatch(text):
-        try:
-            return int(text)
-        except ValueError:  # over Python's integer-string digit limit
-            pass
-    raise ParseError(f"bad integer {text!r} at {name}")
-
-
-def rational(text, name: str) -> Fraction:
-    """An exact rational, written "n" or "n/d"."""
-    if isinstance(text, str) and _RATIONAL.fullmatch(text):
-        try:
-            return Fraction(*map(int, text.split("/")))
-        except (ValueError, ZeroDivisionError):  # the digit limit, or d = 0
-            pass
-    raise ParseError(f"bad rational {text!r} at {name}")
+# a big integer, written as a decimal string
+integer = Field(_decimal(r"-?[0-9]+", int, "integer"), str)
+# an exact rational (an int or a Fraction), written "n/d" and read from "n" or "n/d"
+rational = Field(_decimal(r"-?[0-9]+(/[0-9]+)?",
+                          lambda text: Fraction(*map(int, text.split("/"))), "rational"),
+                 lambda q: "%d/%d" % q.as_integer_ratio())

@@ -26,27 +26,10 @@ A scan takes one geometry, as the paper does: every family shares the level
 s, the thickness constant C1, the torus side and the exclusion radius, and
 only the direction and the denominator r vary.  The exact scan counts each
 pair's lattice candidates on their plane indices, in integers of a few
-machine words, under the certificates in ``max_overlap_scan``'s docstring,
-each stated once, as a pair's test: the scan first runs that test once at
-the families' extreme sizes, which imply every pair's, and tests the pairs
-one by one only when it fails.  One rule counts every cell center: the
-families that cover it are those of the pairs whose centers hold it, and
-the origin lies in every family or in every family's ball.  The paper
-takes C1 sufficiently large depending on A, and ``default_c1`` follows it;
-a scan below the certificates' C1, or whose exclusion ball reaches the cell
-of an in-window center, is refused with one ValueError for the whole scan:
-it names a certificate that no C1 passes, if there is one, else the
-certificate and pair that need the largest C1, and that C1, the least at
-which every pair passes every certificate.  The overlap-1 floor, one point
-per family, is found and counted with ``member``, unless the maximum is
-already final; a final maximum leaves the floor only its count, which a
-certificate on the window and the ball gives without a walk.
-The grid sample counts its points one at a time with ``member`` too.  No
-point lies in more families than there are, so once the running maximum
-equals the family count the grid sample stops counting and the floor is
-skipped; the floor is skipped as well once the exact branch reaches a
-maximum >= 2 and at least the largest parallel class, which its pair
-candidates certify.
+machine words, under the certificates of ``max_overlap_scan``'s docstring,
+and a scan outside them is refused with a ValueError that names one.  The
+overlap-1 floor takes one point per family, walked or, under the floor
+certificate, in closed form; it and the grid sample count with ``member``.
 """
 
 from __future__ import annotations
@@ -59,8 +42,8 @@ from fractions import Fraction
 from operator import attrgetter
 
 from .directions import DirectionSet
-from .errors import (ParseError, items, json_int, json_object, nullable, one_of, rational,
-                     read_fields)
+from .errors import (Field, ParseError, items, json_int, json_object, nullable, one_of, rational,
+                     read_fields, write_fields)
 
 __all__ = [
     "TubeFamily",
@@ -498,6 +481,24 @@ def _floor_certified(fam: TubeFamily, win: ScanWindow) -> bool:
             and (fam.torus_side is None or w <= W * fam.torus_side))
 
 
+def _floor_refusal(families: list[TubeFamily], cross, ranges, walks, best: int) -> None:
+    """A ValueError naming the floor certificate, and the family or pair,
+    where the walks of an uncertified window prove nothing, in a parallel
+    class larger than best, the maximum so far (see ``max_overlap_scan``);
+    a family meets the window when its range is not empty."""
+    meets = [lo <= hi for lo, hi in ranges]
+    norms = [Fraction(f.r * (abs(f.ax) + abs(f.ay)), f.den) for f in families]  # |r v|_1
+    for l, row in enumerate(cross):
+        if row.count(0) > best and meets[l]:  # cross[l][m] = 0: m is parallel to l
+            if walks[l] is None:
+                raise ValueError(f"floor certificate fails for family {l}: its planes meet "
+                                 "the window, and its walk finds no point")
+            for m in range(l + 1, len(row)):
+                if not row[m] and meets[m] and norms[l] != norms[m]:
+                    raise ValueError(f"floor certificate fails for pair ({l}, {m}): "
+                                     "parallel families on different planes")
+
+
 def _fold_certificate(families: list[TubeFamily], window: ScanWindow) -> None:
     """A ValueError unless the torus fold changes no window point's membership:
     the window lies in [-side/2, side/2), or in the closed box and a shift
@@ -531,16 +532,12 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
 
     Both branches, and the floor, work on integer triples (px, py, d) and on
     the window as integer edges over one denominator; a Fraction is built
-    only for a new witness.  Three facts make that exact:
+    only for a new witness.  Two facts make that exact:
 
     - ``TubeFamily.member(px, py, d)`` gives the same answer when the triple
       is scaled by any positive integer: the torus fold, the exclusion test
       and the nearest-plane rounding are all homogeneous.  So an unreduced
       common denominator answers as ``_over_lcd``'s reduced triple does.
-    - The slab test depends only on X mod Dd.  With res = X mod Dd,
-      ``|X - b Dd| << shift <= r Dd`` holds exactly when
-      ``min(res, Dd - res) <= (r Dd) >> shift``; a tie at Dd / 2 gives the
-      same distance either way.
     - The exact branch counts each pair's candidates on their plane indices,
       under the certificates below; the paper takes C1 sufficiently large
       depending on A, and a scan whose C1 or ball is outside them is refused,
@@ -629,40 +626,40 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
       it and ``_failed_certificates`` work in integers of a few machine
       words.
 
-    The grid sample counts its points one at a time with ``member``, in
-    draw order, and so does the floor, one point per family, in family
-    order.  The witness is the first candidate, in pair order then lattice
-    order (or sample order), to reach the maximum; a floor point is the
-    witness only when it beats every count before it, so it is the first
-    floor point to reach the floor's maximum.  No point lies in more
-    families than there are, so a maximum equal to the family count is
-    final: the grid sample stops at the first sample that reaches it (the
-    samples after it still count toward ``candidates_checked``, certified
-    to count no more), and the floor points are not counted (they still add
-    to ``candidates_checked``).  Nor are they on the exact branch once its
-    maximum is 2 or more and at least the size of the largest parallel
-    class: a point that two non-parallel families cover is counted at a
-    pair candidate, and any other lies only in mutually parallel families,
-    so no floor point can beat that maximum or become the witness.
+    The grid sample counts its points with ``member``, in draw order, and
+    the floor its points, one per family, in family order.  The witness is
+    the first candidate, in pair then lattice (or sample) order, to reach
+    the maximum; a floor point becomes it only by beating every count
+    before it.  No point lies in more families than there are, so a maximum
+    equal to the family count is final: the grid sample stops at the first
+    sample that reaches it (the rest still count toward
+    ``candidates_checked``), and the floor points are not counted, though
+    they add to ``candidates_checked``.  Nor are they on the exact branch
+    once its maximum is at least 2 and the largest parallel class: a point
+    that two non-parallel families cover is a pair candidate, and any other
+    lies in one parallel class alone.
 
-    A final maximum leaves the floor only its share of
-    ``candidates_checked``: one per family whose walk (``_interior_point``)
-    finds a point.  The floor certificate (``_floor_certified``, once per
-    scan) proves that every walk finds one, and the scan then adds the
-    family count without walking.  It reads the window's integer edges and
-    the shared radius ex_n / ex_d: the window is centred at the origin,
+    Floor certificate (``_floor_certified``, once per scan), on the integer
+    window and radius ex_n / ex_d: the window is centred at the origin,
     x0 + x1 = 0 = y0 + y1; 6 W ex_n <= w ex_d with w = min(x1 - x0, y1 - y0);
-    and with a torus, w <= W side.  Then T = 0 in every walk, so its
-    nearest plane is a0 = 0 and its trial m = 0 is the origin, a member
-    exactly when ex_n = 0.  Its trial m = 1 is
-    p = (w / (4 W)) (-ay, ax) / (|ax| + |ay|): on plane 0 (v . p = 0, so the
-    slab holds); in the window, since |p_x| and |p_y| are at most
-    w / (4 W), below the half sides (x1 - x0) / (2 W) and (y1 - y0) / (2 W);
-    in the fold box, since w / (4 W) <= side / 4, so the fold moves it not;
-    and, when ex_n > 0, at least w / (4 sqrt(2) W) >= 6 ex_n / (4 sqrt(2) ex_d)
-    > ex_n / ex_d from the origin, so outside the ball.  So every walk
-    returns a point, by its second trial.  Every other scan walks every
-    family, and counts the points only when the maximum is not final.
+    and with a torus, w <= W side.  Then every
+    walk (``_interior_point``) has T = 0 and nearest plane a0 = 0; its
+    trial m = 0 is the origin, a member exactly when ex_n = 0, and its trial
+    m = 1 is p = (w / (4 W)) (-ay, ax) / (|ax| + |ay|): on plane 0
+    (v . p = 0); in the window, as |p_x|, |p_y| <= w / (4 W), below the half
+    sides; unmoved by the fold, as w / (4 W) <= side / 4; and, when
+    ex_n > 0, at least w / (4 sqrt(2) W) >= 6 ex_n / (4 sqrt(2) ex_d) >
+    ex_n / ex_d from the origin, outside the ball.  So the scan takes each
+    floor point in closed form, the origin or p, and a final maximum only
+    adds the family count; p lies on plane 0 of every family parallel to
+    its own, so it counts its whole class.  Else the scan walks every
+    family, and below a final maximum the exact branch refuses, naming the
+    floor certificate, where the walks prove nothing (``_floor_refusal``):
+    in a parallel class larger than the maximum so far, a family whose
+    planes meet the window and whose walk finds no point, or two such
+    families on different planes (r_l v_l != +-r_m v_m).  Else a walk's
+    point, on a central plane of its family, lies in each family of its
+    class that meets the window.
     ``replay_witness`` recounts a witness through ``member``, so it checks a
     pair witness independently of the plane-index counts above.
     """
@@ -721,18 +718,25 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
         best, witness, counted = _grid_sample(families, window)
         checked = _SAMPLES
 
-    # overlap-1 floor from per-family interior points, counted through member
-    # unless the maximum is already final: the family count, or on the exact
-    # branch a maximum >= 2 and >= the largest parallel class (a point off
-    # the pair candidates lies only in parallel families); under the floor
-    # certificate a final maximum adds one point per family, unwalked; a
-    # point replaces the witness only by beating the count so far
+    # the overlap-1 floor, one point per family, counted through member
+    # unless the maximum is final: the family count, or on the exact branch
+    # >= 2 and >= the largest parallel class; a point replaces the witness
+    # only by beating the count so far
     par = max(row.count(0) for row in cross)  # cross[i][i] = 0
     final = best >= (max(2, par) if method == "exact-candidates" else n)
-    if final and _floor_certified(f0, window):
+    certified = _floor_certified(f0, window)
+    if final and certified:
         checked += n
     else:
-        floor = [pt for pt in (_interior_point(f, window) for f in families) if pt is not None]
+        if certified:  # the origin, or the walk's second trial
+            w, W = min(window.x1 - window.x0, window.y1 - window.y0), window.W
+            walks = [(-w * f.ay, w * f.ax, 4 * W * (abs(f.ax) + abs(f.ay))) if f0.ex_n
+                     else (0, 0, 1) for f in families]
+        else:
+            walks = [_interior_point(f, window) for f in families]
+            if method == "exact-candidates" and not final:
+                _floor_refusal(families, cross, ranges, walks, best)
+        floor = [pt for pt in walks if pt is not None]
         checked += len(floor)
         if not final:
             for px, py, d in floor:
@@ -814,49 +818,41 @@ def families_from_direction_set(
 # -- report files -----------------------------------------------------------------------
 
 _REPORT_SCHEMA = "primedir.overlap_report.v3"
-_REPORT_INTS = ("s", "C1", "max_overlap", "family_count", "candidates_checked")
+_EDGES = items(rational, 4)
+_WINDOW = Field(lambda value, name: ScanWindow(*_EDGES.read(value, name)),
+                lambda w: _EDGES.write((w.x_lo, w.x_hi, w.y_lo, w.y_hi)))
+
+
+def _report_fields(n) -> tuple:
+    """The report file's table, in OverlapReport's order, for n families:
+    replay rebuilds each family from its r."""
+    return (("s", json_int), ("C1", json_int), ("max_overlap", json_int),
+            ("witness", nullable(items(rational, 2))), ("family_count", json_int),
+            ("method", one_of("exact-candidates", "grid-sample")),
+            ("variant", one_of("k", "ktilde")), ("window", _WINDOW),
+            ("candidates_checked", json_int), ("r_values", items(json_int, n)),
+            ("baseline", one_of(None, "parallel")))
 
 
 def save_overlap_report(report: OverlapReport, path) -> None:
-    doc = {
-        "schema": _REPORT_SCHEMA,
-        "s": report.s,
-        "C1": report.C1,
-        "max_overlap": report.max_overlap,
-        "witness": (None if report.witness is None
-                    else [f"{w.numerator}/{w.denominator}" for w in report.witness]),
-        "family_count": report.family_count,
-        "method": report.method,
-        "variant": report.variant,
-        "window": [str(report.window.x_lo), str(report.window.x_hi),
-                   str(report.window.y_lo), str(report.window.y_hi)],
-        "candidates_checked": report.candidates_checked,
-        "r_values": list(report.r_values) if report.r_values is not None else None,
-        "baseline": report.baseline,
-    }
+    """Write the report; a ValueError, before the file opens, unless its
+    r_values hold one denominator per family, as the reader requires."""
+    fields = _report_fields(report.family_count)
+    doc = write_fields([getattr(report, key) for key, _ in fields], fields)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+        json.dump({"schema": _REPORT_SCHEMA, **doc}, fh, indent=1, sort_keys=True)
 
 
 def load_overlap_report(path) -> OverlapReport:
     """Read a report written by save_overlap_report; any malformed field is a
     ParseError that names it, after the path, and so is a witness outside
     the window."""
-    with open(path, "rb") as fh:
-        data = fh.read()
     try:
-        doc = json_object(data, _REPORT_SCHEMA, "report")
-        ints = dict(zip(_REPORT_INTS, read_fields(doc, [(key, json_int) for key in _REPORT_INTS])))
-        method, variant, baseline, witness, window, r_values = read_fields(doc, [
-            ("method", one_of("exact-candidates", "grid-sample")),
-            ("variant", one_of("k", "ktilde")), ("baseline", one_of(None, "parallel")),
-            ("witness", nullable(items(rational, 2))), ("window", items(rational, 4)),
-            # the scan writes one denominator per family; replay rebuilds from them
-            ("r_values", items(json_int, ints["family_count"]))])
+        with open(path, "rb") as fh:
+            doc = json_object(fh.read(), _REPORT_SCHEMA, "report")
+        report = OverlapReport(*read_fields(doc, _report_fields(doc.get("family_count"))))
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    window = ScanWindow(*window)
-    if witness is not None and not window.contains(*witness):  # no scan writes one outside
-        raise ParseError(f"{path}: field 'witness' lies outside the window")
-    return OverlapReport(**ints, method=method, variant=variant, window=window,
-                         witness=witness, r_values=r_values, baseline=baseline)
+    if report.witness is not None and not report.window.contains(*report.witness):
+        raise ParseError(f"{path}: field 'witness' lies outside the window")  # no scan writes one
+    return report

@@ -381,7 +381,8 @@ class TestIncidence:
         rep = tmp_path / "t.json"
         assert run("incidence", "--ds", str(ds), "--s", "2", "--variant", "ktilde",
                    "--window-half", "2", "--out", str(rep)) == 0
-        assert json.loads(rep.read_text())["window"] == ["-2", "2", "-2", "2"]
+        # the one rational writer spells integral edges n/1
+        assert json.loads(rep.read_text())["window"] == ["-2/1", "2/1", "-2/1", "2/1"]
 
     def test_r_sweeps(self, tmp_path):
         ds = tmp_path / "ds.json"

@@ -9,12 +9,12 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primedir import directions as D
 from primedir.arith import is_prime_certified
-from primedir.errors import ConstructionError, ParseError
+from primedir.errors import ConstructionError, ParseError, integer, rational
 
 
 class TestSpec:
@@ -325,7 +325,9 @@ class TestMnPairs:
     def test_benchmark_sets_keep_their_hashes(self, N, seed, digest):
         """The rescaled sets the benchmark workloads build, pinned by content hash."""
         ds = D.rescale_to_integers(D.construct_directions(D.DirectionSpec(N=N, eps=0.5, seed=seed)))
-        assert json.loads(D.serialize(ds))["content_hash"] == digest
+        blob = D.serialize(ds)
+        assert json.loads(blob)["content_hash"] == digest
+        assert D.serialize(D.deserialize(blob)) == blob
 
 
 class TestPrimeSubsets:
@@ -436,6 +438,41 @@ class TestSerialization:
     def test_round_trip_byte_identical(self, toy_ds):
         blob = D.serialize(toy_ds)
         assert D.serialize(D.deserialize(blob)) == blob
+
+    def test_table_round_trip(self):
+        """read(write(x)) == x through the one field table, before and after
+        rescaling, and write(read(b)) == b; in both modes, strict mode
+        building sets only at N = 2 on the desk."""
+        built = set()
+
+        @settings(max_examples=40, deadline=None)
+        @given(N=st.integers(2, 16), mode=st.sampled_from(("toy", "strict")),
+               seed=st.integers(0, 30), eps=st.sampled_from((0.25, 0.5, 1.0)), M=st.integers(1, 2))
+        @example(N=2, mode="strict", seed=3, eps=0.5, M=1)
+        @example(N=16, mode="toy", seed=5, eps=0.5, M=2)
+        def check(N, mode, seed, eps, M):
+            try:
+                spec = D.DirectionSpec(N=N, eps=eps, M=M, mode=mode, seed=seed)
+                ds = D.construct_directions(spec)
+            except ConstructionError:
+                assert mode == "strict"
+                return
+            for x in (ds, D.rescale_to_integers(ds)):
+                blob = D.serialize(x)
+                assert D.deserialize(blob) == x
+                assert D.serialize(D.deserialize(blob)) == blob
+            built.add(mode)
+
+        check()
+        assert built == {"toy", "strict"}
+
+    @given(q=st.fractions() | st.integers(), big=st.integers(-10**200, 10**200))
+    def test_number_fields_round_trip(self, q, big):
+        # a rational is written n/d, an int n/1, and a big integer in decimal
+        text = rational.write(q)
+        assert text == f"{Fraction(q).numerator}/{Fraction(q).denominator}"
+        assert rational.read(text, "q") == q
+        assert integer.read(integer.write(big), "big") == big
 
     def test_determinism(self, toy_ds):
         again = D.rescale_to_integers(D.construct_directions(toy_ds.spec))

@@ -660,14 +660,46 @@ def _recount_exact(fams, window):
     return best, witness, len(pts)
 
 
-_REFUSAL = re.compile(r"(window|ball|origin-cell|slab|fold) certificate fails")
+def _pairs_max(fams, window):
+    """The largest count, through member(), at every pair's in-window
+    candidates (``_lattice_candidates``): the scan's maximum without its floor."""
+    return max((sum(f.member(*pt) for f in fams) for f1, f2 in itertools.combinations(fams, 2)
+                for pt in _lattice_candidates(f1, f2, window)), default=0)
+
+
+def _as_points(triples):
+    """Triples (px, py, d) as Fraction points, so that scaled triples compare equal."""
+    return [(F(px, d), F(py, d)) for px, py, d in triples]
+
+
+def _floor_unproven(fams, window, best=0) -> bool:
+    """Can the floor walks leave a maximum unproven?  In Fractions, within a
+    parallel class of more than best families: a family whose thickened
+    slabs meet the window and whose walk finds no point, or two families
+    whose slabs meet it with r v != +-r' v'."""
+    meets = [lo <= hi for lo, hi in (_fraction_plane_range(f, window) for f in fams)]
+    rv = [(f.r * F(f.v[0]), f.r * F(f.v[1])) for f in fams]
+
+    def parallel(i, j):
+        return rv[i][0] * rv[j][1] == rv[i][1] * rv[j][0]
+
+    big = [sum(parallel(i, j) for j in range(len(fams))) > best for i in range(len(fams))]
+    if any(b and m and _floor_point(f, window) is None for f, m, b in zip(fams, meets, big)):
+        return True
+    return any(big[i] and meets[i] and meets[j] and parallel(i, j)
+               and rv[j] not in (rv[i], (-rv[i][0], -rv[i][1]))
+               for i, j in itertools.combinations(range(len(fams)), 2))
+
+
+_REFUSAL = re.compile(r"(window|ball|origin-cell|slab|fold|floor) certificate fails")
 
 
 def _scan_or_refusal(fams, window):
     """The exact scan's report, or None when the scan refuses with a
     ValueError that names a certificate.  A refusal that names a least C1
-    gives the scan's one answer: the same families at that C1 are accepted,
-    and one below it they get the same refusal."""
+    gives the scan's one answer: the same families at that C1 pass every
+    pair certificate, so only the floor certificate, which names no C1, may
+    refuse them, and one below it they get the same refusal."""
     try:
         return I.max_overlap_scan(fams, window)
     except ValueError as exc:
@@ -675,7 +707,10 @@ def _scan_or_refusal(fams, window):
         hint = re.search(r"C1 >= (\d+) passes it$", str(exc))
         if hint:
             c1 = int(hint[1])
-            I.max_overlap_scan([dataclasses.replace(f, C1=c1) for f in fams], window)
+            try:  # every pair passes at c1, so only the floor certificate may refuse
+                I.max_overlap_scan([dataclasses.replace(f, C1=c1) for f in fams], window)
+            except ValueError as floor:
+                assert str(floor).startswith("floor certificate fails"), floor
             with pytest.raises(ValueError) as again:
                 I.max_overlap_scan([dataclasses.replace(f, C1=c1 - 1) for f in fams], window)
             assert str(again.value) == str(exc)
@@ -767,8 +802,9 @@ class TestInt64Counts:
 
     def test_index_scan_equals_recount(self):
         """The scan refuses, naming a certificate, or equals member() at every
-        candidate; it accepts every large C1 at s >= 1 with a small radius and
-        a fold that moves nothing.  Both outcomes are drawn."""
+        candidate; it accepts every large C1 at s >= 1 with a small radius, a
+        fold that moves nothing and floor walks that cannot leave the maximum
+        unproven.  Both outcomes are drawn."""
         refused = set()
 
         @settings(max_examples=150, deadline=None)
@@ -777,7 +813,7 @@ class TestInt64Counts:
             fams, large = case
             rep = _scan_or_refusal(fams, win)
             if (large and fams[0].s and not _fold_moves(fams, win)
-                    and fams[0].exclusion_radius < F(1, 3)):
+                    and fams[0].exclusion_radius < F(1, 3) and not _floor_unproven(fams, win)):
                 assert rep is not None
             if rep is not None:
                 assert rep.method == "exact-candidates"
@@ -1009,14 +1045,16 @@ class TestInt64Counts:
         assert rep.max_overlap == rep.family_count == 4
         assert rep.candidates_checked == 4
 
-    @pytest.mark.parametrize("v,ks,rs,corner", [
-        ((1, 3), (2, 1, 1, 3, 2), (4, 6, 5, 6, 5), (F(-3, 7), F(2, 9))),  # counts 1 2 2 1 2
-        ((1, 0), (3, 1, 1, 3, 2), (4, 5, 4, 5, 5), (F(-4, 7), F(2, 9))),  # counts 1 3 3 3 3
+    @pytest.mark.parametrize("v,ks,rs,corner,beyond", [
+        # counts 1 2 2 1 2, yet (-3/10, 4/15) lies in 4 of the 5 families
+        ((1, 3), (2, 1, 1, 3, 2), (4, 6, 5, 6, 5), (F(-3, 7), F(2, 9)), ((F(-3, 10), F(4, 15)), 4)),
+        ((1, 0), (3, 1, 1, 3, 2), (4, 5, 4, 5, 5), (F(-4, 7), F(2, 9)), None),  # counts 1 3 3 3 3
     ])
-    def test_floor_witness_first_to_reach_floor_maximum(self, v, ks, rs, corner):
-        # parallel directions with different r: the floor points differ, the
-        # maximum is reached at more than one of them, and the witness is the
-        # first point to reach it
+    def test_parallel_floor_on_different_planes_refused(self, v, ks, rs, corner, beyond):
+        # parallel directions with different r v: the floor points differ, and
+        # the maximum of their counts is reached at more than one of them, but
+        # a point off every floor point can lie in more families (in the first
+        # case it does); there is no pair candidate, so the scan refuses
         fams = [I.TubeFamily(v=(F(k * v[0]), F(k * v[1])), r=r, s=2, C1=8)
                 for k, r in zip(ks, rs)]
         x0, y0 = corner
@@ -1026,8 +1064,14 @@ class TestInt64Counts:
         first = counts.index(max(counts))
         assert first > 0 and any(c == counts[first] and pt != floor[first]
                                  for c, pt in zip(counts[first + 1:], floor[first + 1:]))
-        rep = I.max_overlap_scan(fams, win)
-        assert (rep.max_overlap, rep.witness) == (counts[first], floor[first])
+        assert _floor_unproven(fams, win) and not I._floor_certified(fams[0], win)
+        with pytest.raises(ValueError, match=r"^floor certificate fails for pair \(0, 1\): "
+                                             r"parallel families on different planes$"):
+            I.max_overlap_scan(fams, win)
+        if beyond:
+            pt, count = beyond
+            assert win.contains(*pt) and count > max(counts)
+            assert sum(I.tube_membership(pt, f) for f in fams) == count
 
     @pytest.mark.parametrize("win", WINDOWS)
     @settings(max_examples=3, deadline=None)
@@ -1168,7 +1212,8 @@ class TestFamilyCountCeiling:
         # one family, no pair: the floor point alone reaches the maximum
         fams = _axis_families()[:1]
         rep, counted = self._floor_counts(fams, I.default_window("ktilde"))
-        assert counted == [I._interior_point(fams[0], I.default_window("ktilde"))]
+        # the certified window gives the walk's point in closed form
+        assert _as_points(counted) == [_floor_point(fams[0], I.default_window("ktilde"))]
         assert (rep.max_overlap, rep.candidates_checked) == (1, 1)
 
     def test_certified_maximum_skips_floor_batch(self):
@@ -1192,8 +1237,11 @@ class TestFamilyCountCeiling:
         b = I.TubeFamily(v=(F(1), F(1)), r=4, s=2, C1=8)
         c = I.TubeFamily(v=(F(1), F(-1)), r=5, s=2, C1=8)
         fams, window = [a, a, a, b, c], I.ScanWindow(F(1, 10), F(1, 2), F(3, 20), F(7, 40))
-        with mock.patch.object(I, "_interior_point", lambda fam, win: None):
-            assert I.max_overlap_scan(fams, window).max_overlap == 2
+        assert _pairs_max(fams, window) == 2
+        # walks that found nothing would prove nothing: the scan refuses
+        with mock.patch.object(I, "_interior_point", lambda fam, win: None), \
+                pytest.raises(ValueError, match=r"^floor certificate fails for family 0: "):
+            I.max_overlap_scan(fams, window)
         rep, counted = self._floor_counts(fams, window)
         assert (rep.method, rep.max_overlap) == ("exact-candidates", 3)
         assert rep.witness == _floor_point(a, window)
@@ -1229,13 +1277,12 @@ class TestFamilyCountCeiling:
             assert rep.method == "exact-candidates"
             floor = [pt for pt in (I._interior_point(f, win) for f in fams) if pt is not None]
             assert all(sum(f.member(*pt) for f in fams) <= rep.max_overlap for pt in floor)
-            with mock.patch.object(I, "_interior_point", lambda fam, window: None):
-                pairs_max = I.max_overlap_scan(fams, win).max_overlap
+            pairs_max = _pairs_max(fams, win)
             par = max(sum(f.ax * g.ay == f.ay * g.ax for g in fams) for f in fams)
             if pairs_max >= max(2, par):
                 assert counted == [] and rep.max_overlap == pairs_max
             else:
-                assert counted == [pt for pt in floor for _ in fams]
+                assert _as_points(counted) == _as_points([pt for pt in floor for _ in fams])
             certified.add(pairs_max >= 2)
 
         check()
@@ -1485,6 +1532,114 @@ class TestFloorCertificate:
         assert _exact_facts(rep) == (3, (F(-1, 2), F(-1, 2)), 86) == _recount_exact(fams, window)
 
 
+class TestFloorRefusal:
+    """Below a final maximum, an uncertified window's floor walks are the
+    only evidence off the pair candidates, so the exact scan refuses, naming
+    the floor certificate, where they could miss a point; a certified window
+    gives every walk's point in closed form."""
+
+    @pytest.mark.parametrize("fams,window,point,message", [
+        # a thick tube whose slab covers the window's corner (1/7, -1/3)
+        ([I.TubeFamily(v=(F(1), F(0)), r=2, s=1, C1=2)],
+         I.ScanWindow(F(1, 7), F(27, 140), F(-1, 3), F(-3, 10)), (F(1, 7), F(-1, 3)),
+         "family 0: its planes meet the window, and its walk finds no point"),
+        # a thin window, 40 long, that the walk's quarter-side steps miss in
+        ([I.TubeFamily(v=(F(1, 40), F(1)), r=2, s=1, C1=8)],
+         I.ScanWindow(F(0), F(40), F(3, 10), F(2, 5)), (F(26), F(7, 20)),
+         "family 0: its planes meet the window, and its walk finds no point"),
+        # parallel families at r = 3 and r = 2, whose planes meet at x = 1
+        ([I.TubeFamily(v=(F(1), F(0)), r=r, s=1, C1=8) for r in (3, 2)],
+         I.ScanWindow(F(19, 20), F(37, 20), F(-1, 2), F(1, 2)), (F(1), F(1, 4)),
+         "pair (0, 1): parallel families on different planes"),
+    ], ids=["thick-tube", "thin-window", "parallel-spacings"])
+    def test_unproven_floor_refused(self, fams, window, point, message):
+        # each scan reported a maximum below the count at point before
+        assert window.contains(*point)
+        count = sum(I.tube_membership(point, f) for f in fams)
+        assert count == len(fams) and _floor_unproven(fams, window)
+        with pytest.raises(ValueError, match=re.escape(f"floor certificate fails for {message}")):
+            I.max_overlap_scan(fams, window)
+
+    def test_refusal_only_where_walks_can_miss(self):
+        """A floor refusal comes only from an uncertified window whose floor
+        walks, recounted in Fractions, can miss a point of a parallel class
+        larger than the pairs' maximum; every other exact scan equals its
+        recount.  One explicit example of each outcome keeps both in every run."""
+        seen = set()
+        window = TestInt64Counts.EXACT_WINDOWS[1]
+
+        @settings(max_examples=120, deadline=None)
+        @given(fams=st.one_of(_one_geometry_families().map(lambda case: case[0]),
+                              _concurrent_families()),
+               win=st.sampled_from(TestInt64Counts.INDEX_WINDOWS))
+        @example(fams=[I.TubeFamily(v=(F(1), F(0)), r=2, s=1, C1=2)], win=window)  # refused
+        @example(fams=_axis_families(), win=window)  # accepted
+        def check(fams, win):
+            try:
+                rep = I.max_overlap_scan(fams, win)
+            except ValueError as exc:
+                if not str(exc).startswith("floor"):
+                    return
+                assert not I._floor_certified(fams[0], win)
+                assert _floor_unproven(fams, win, _pairs_max(fams, win)), exc
+                seen.add(True)
+                return
+            if rep.method == "exact-candidates":
+                assert _exact_facts(rep) == _recount_exact(fams, win)
+                seen.add(False)
+
+        check()
+        assert seen == {False, True}
+
+    def test_readme_scan_takes_the_closed_form(self):
+        # the README's incidence line (N = 8, seed 7, s = 2): the pairs reach
+        # no 2, so the floor decides, and the certified window walks no family
+        spec = directions.DirectionSpec(N=8, eps=0.5, mode="toy", seed=7)
+        ds = directions.rescale_to_integers(directions.construct_directions(spec))
+        fams, window = I.families_from_direction_set(ds, s=2), I.default_window("ktilde")
+        assert I._floor_certified(fams[0], window)
+        with mock.patch.object(I, "_interior_point", mock.Mock(wraps=I._interior_point)) as walk:
+            rep = I.max_overlap_scan(fams, window)
+        assert walk.call_count == 0
+        assert _exact_facts(rep) == (1, (F(-1, 6), F(1, 3)), 148) == _recount_exact(fams, window)
+
+    def test_closed_form_equals_the_walk(self):
+        """Under the floor certificate, a scan below its final maximum gives the
+        report that walking every family gives, unless the walk-based floor
+        refuses, which the closed form does not need to.  Scans below and at
+        a final maximum are drawn; one explicit example of the latter keeps
+        it in every run."""
+        seen = set()
+
+        @settings(max_examples=60, deadline=None)
+        @given(fams=_family_lists(1, 3), case=_certified_floor_cases())
+        @example(fams=_axis_families(), case=(_axis_families()[0], I.default_window("ktilde")))
+        def check(fams, case):
+            _, win = case
+            fams = [dataclasses.replace(f, exclusion_radius=case[0].exclusion_radius,
+                                        torus_side=None) for f in fams]
+            if not I._floor_certified(fams[0], win):
+                return
+            try:
+                rep = I.max_overlap_scan(fams, win)
+            except ValueError as exc:
+                assert not str(exc).startswith("floor"), exc
+                return
+            try:
+                with mock.patch.object(I, "_floor_certified", lambda fam, win: False):
+                    walked = I.max_overlap_scan(fams, win)
+            except ValueError as exc:
+                assert str(exc).startswith("floor certificate fails"), exc
+                return
+            assert (rep.max_overlap, rep.witness, rep.candidates_checked) == \
+                (walked.max_overlap, walked.witness, walked.candidates_checked)
+            par = max(sum(f.ax * g.ay == f.ay * g.ax for g in fams) for f in fams)
+            seen.add(_pairs_max(fams, win) >= max(2, par))  # final before the floor
+
+        check()
+        assert seen == {False, True}
+
+
 class TestPinnedWitnesses:
     """Whole scans against recorded reports, witness included; the benchmark
     compares no witness."""
@@ -1518,6 +1673,12 @@ class TestPinnedWitnesses:
             5, "exact-candidates", 5, (F(173, 854), F(-1097, 4270)))
 
 
+@functools.cache
+def _rescaled_set(n, seed):
+    return directions.rescale_to_integers(
+        directions.construct_directions(directions.DirectionSpec(N=n, eps=0.5, seed=seed)))
+
+
 class TestReportFiles:
     def test_round_trip(self, tmp_path):
         f1, f2 = axis_families()
@@ -1535,6 +1696,53 @@ class TestReportFiles:
         path = tmp_path / "r.json"
         I.save_overlap_report(rep, path)
         assert all(re.fullmatch(r"-?\d+(/\d+)?", e) for e in json.loads(path.read_text())["window"])
+        assert I.load_overlap_report(path) == rep
+
+    def test_table_round_trip(self, tmp_path):
+        """load(save(report)) == report through the one field table, for scans
+        of both variants, with and without the parallel baseline."""
+        path = tmp_path / "r.json"
+        variants = set()
+
+        @settings(max_examples=24, deadline=None)
+        @given(n=st.sampled_from((4, 8)), seed=st.integers(0, 3), s=st.integers(1, 3),
+               variant=st.sampled_from(("k", "ktilde")), baseline=st.booleans())
+        def check(n, seed, s, variant, baseline):
+            fams = I.families_from_direction_set(_rescaled_set(n, seed), s=s, variant=variant)
+            rep = I.max_overlap_scan(fams[:1] * len(fams) if baseline else fams,
+                                     I.default_window(variant))
+            rep.baseline = "parallel" if baseline else None
+            I.save_overlap_report(rep, path)
+            assert I.load_overlap_report(path) == rep
+            variants.add((variant, baseline))
+
+        check()
+        assert len(variants) == 4
+
+    @pytest.mark.parametrize("r_values", [None, (2,), (2, 3, 3)])
+    def test_report_without_one_r_per_family_not_written(self, tmp_path, r_values):
+        # the reader refuses such a report, so the writer refuses it before
+        # opening the file
+        rep = I.max_overlap_scan(list(axis_families()), I.default_window("k"))
+        rep.r_values = r_values
+        path = tmp_path / "r.json"
+        with pytest.raises(ValueError, match=re.escape(f"cannot write {r_values!r} as a list of 2 "
+                                                       "entries")):
+            I.save_overlap_report(rep, path)
+        assert not path.exists()
+
+    def test_integral_edges_old_spelling_loads(self, tmp_path):
+        # integral edges are written n/1; a report that spells them "n", as
+        # earlier versions wrote them, loads to an equal report
+        fams = list(axis_families())
+        rep = I.max_overlap_scan([dataclasses.replace(f, torus_side=None) for f in fams],
+                                 I.default_window("ktilde", half=2))
+        path = tmp_path / "r.json"
+        I.save_overlap_report(rep, path)
+        doc = json.loads(path.read_text())
+        assert doc["window"] == ["-2/1", "2/1", "-2/1", "2/1"]
+        doc["window"] = ["-2", "2", "-2", "2"]
+        path.write_text(json.dumps(doc, indent=1, sort_keys=True))
         assert I.load_overlap_report(path) == rep
 
     def test_other_enumerated_values_round_trip(self, tmp_path):
