@@ -23,15 +23,10 @@ evaluation routes are kept in cross-checkable agreement:
   shape and one float64 block of rows per worker, and the L x L float64
   output: about 58 MiB at L = 1024 for complex f and 2 workers.
 
-Both routes of the maximal operator run through one pair driver: it shares
-the (k, v) pairs among worker threads, one per CPU the process may run on (at
-most 4), which overlap in numpy's FFTs and array loops, whenever the work
-has at least 2^14 entries (the spectrum's on the spectral route, the L x L
-grid's on the spatial one); smaller grids stay on the calling thread, where
-splitting the work costs more than it saves.  Every worker allocates its own
-arrays with np.empty, each the size of one unit of work: a product array of
-the spectrum's shape and a block of rows, or two blocks of rows on the
-spatial route.
+Both routes of the maximal operator run through one pair driver, which
+shares one unit of work per scale and distinct direction mod L among worker
+threads that overlap in numpy's FFTs and array loops; maximal_op states when
+workers start and how the rows are blocked.
 
 The module also carries the discrete line decomposition of the grid along a
 direction and the transference check built on it: a single-direction operator
@@ -41,6 +36,7 @@ the pulled-back sequence.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -72,9 +68,8 @@ __all__ = [
     "export_csv",
 ]
 
-_ROWS = 64  # least rows per block of the spectral kernel's gather, row inverse and fold
-_BLOCK_ENTRIES = 1 << 15  # least entries per block of the spectral kernel, in one lane
-_BLOCK_BYTES = 1 << 18  # rows per block of the spatial kernel, in bytes of one array
+_ROWS = 64  # least rows per block of rows, on either route
+_BLOCK_ENTRIES = 1 << 15  # least entries per block of rows, in one lane
 _THREADED_ENTRIES = 1 << 14  # smaller grids run faster on the calling thread alone
 _MAX_WORKERS = 4
 
@@ -144,6 +139,8 @@ class OperatorConfig:
             raise ValueError("need at least one direction")
         if any(v == (0, 0) for v in self.directions):
             raise ValueError("directions must be nonzero")
+        if self.k_min < 0:
+            raise ValueError("scale must be >= 0")
         if self.k_min > self.k_max:
             raise ValueError("k_min must be <= k_max")
         if self.table.limit < 2 ** (self.k_max + 1):
@@ -156,9 +153,10 @@ class OperatorConfig:
         return range(self.k_min, self.k_max + 1)
 
 
-def _block_rows(L: int, dtype) -> int:
-    """Rows per block of the spatial kernel: _BLOCK_BYTES of one array, at most L."""
-    return min(L, max(1, _BLOCK_BYTES // (L * np.dtype(dtype).itemsize)))
+def _block_rows(L: int) -> int:
+    """Rows per block of rows, on either route: at least _BLOCK_ENTRIES
+    entries of one lane and never fewer than _ROWS, at most L."""
+    return min(L, max(_ROWS, _BLOCK_ENTRIES // L))
 
 
 def _tiled(values: np.ndarray) -> np.ndarray:
@@ -212,12 +210,10 @@ def _spectrum(values: np.ndarray) -> np.ndarray:
 
 def _kernel_arrays(fhat: np.ndarray) -> list:
     """(shape, dtype) of each array the spectral kernel writes into: a
-    complex product array of fhat's shape, and a float64 block of rows with
-    the lanes last, (rows, L, lanes), its rows holding at least
-    _BLOCK_ENTRIES entries of one lane and never fewer than _ROWS, at most L."""
+    complex product array of fhat's shape, and a float64 block of rows
+    (_block_rows of them) with the lanes last, (rows, L, lanes)."""
     lanes, L, _ = fhat.shape
-    rows = min(L, max(_ROWS, _BLOCK_ENTRIES // L))
-    return [(fhat.shape, np.complex128), ((rows, L, lanes), np.float64)]
+    return [(fhat.shape, np.complex128), ((_block_rows(L), L, lanes), np.float64)]
 
 
 def _apply_symbol(fhat: np.ndarray, symbol: np.ndarray, v: tuple[int, int],
@@ -258,7 +254,7 @@ def average_along(f: GridFunction, v: tuple[int, int], k: int, cfg: OperatorConf
     folds to at most L shifted copies of f.  The output has f's dtype.
     """
     vals = f.values
-    term = np.empty((_block_rows(f.L, vals.dtype), f.L), dtype=vals.dtype)
+    term = np.empty((_block_rows(f.L), f.L), dtype=vals.dtype)
     return GridFunction(f.L, _roll_sum(_tiled(vals), fold_weights(k, f.L, cfg.table),
                                        v, term, np.empty_like(vals)))
 
@@ -296,12 +292,15 @@ def _pair_max(L: int, pairs: list, kernel, buffers: list, entries: int) -> np.nd
     kernel yields a pair's output as (row slice, block) pairs, computed in
     bufs, the worker's own arrays: one per (shape, dtype) in buffers, each
     allocated by the worker itself.  The number of workers follows entries,
-    the size of the work (_worker_count)."""
+    the size of the work (_worker_count); the calling thread is one of them,
+    the others run in a thread pool that the call starts and joins."""
+    # imported here: at module level it adds about 7 ms to import primedir
+    from concurrent.futures import ThreadPoolExecutor
+
     out = np.zeros((L, L), dtype=np.float64)
     todo = iter(pairs)
     lock = threading.Lock()
     stop = threading.Event()
-    errors = []
 
     def work():
         try:
@@ -315,66 +314,68 @@ def _pair_max(L: int, pairs: list, kernel, buffers: list, entries: int) -> np.nd
                     a = np.abs(block)
                     with lock:
                         np.maximum(out[s], a, out=out[s])
-        except Exception as exc:  # re-raised by the caller once every worker is joined
-            errors.append(exc)
+        finally:  # a worker that fails, or finds no pair left, stops the others
             stop.set()
 
-    threads = [threading.Thread(target=work)
-               for _ in range(_worker_count(entries, len(pairs)) - 1)]
-    for t in threads:
-        t.start()
-    try:
+    workers = _worker_count(entries, len(pairs))
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(work) for _ in range(workers - 1)]
         work()
-    finally:
-        stop.set()
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[0]
+    for future in futures:  # the pool is joined; a worker's exception is raised here
+        future.result()
     return out
 
 
 def maximal_op(f: GridFunction, cfg: OperatorConfig, method: str = "spectral") -> GridFunction:
     """Pointwise sup of |A_{v,k} f| over the configured directions and scales.
 
+    The average along v reads v only mod L, so vectors equal mod L give one
+    operator: both routes run one unit per scale and distinct v mod L, the
+    first of equal vectors kept (every vector still counts in
+    degenerate_directions).  Vectors that only share a line, such as v and
+    2v at odd L, stay apart, since m_k(u t / L) and m_k(t / L) differ at
+    finite k.
+
     Both routes share their work among w workers, the calling thread and
-    w - 1 threads that start and end inside the call: the spectral route its
-    (k, v) pairs, the spatial route each pair's blocks of rows (_BLOCK_BYTES
-    of one array each, at most L rows), so that a call with few pairs, such
-    as transference_check's one direction, still keeps every worker busy.
-    Each worker allocates its own arrays with np.empty, one unit of work in
-    size: on the spectral route one complex product array of the spectrum's
-    shape, lanes x L x (L//2 + 1) with one lane for real f and two for
-    complex f, and one float64 row block, both of _kernel_arrays; on the
-    spatial route two row blocks of f's dtype, which read f tiled 2 x 2
-    (built once per call, as the spectrum is, and shared read-only).  The
-    spectrum is one array that every forward pass writes into, so a
-    spectral call holds it, w product arrays, w row blocks and the L x L
-    float64 output beyond f: at L = 1024, complex f and w = 2,
-    16 + 2 x (16 + 1) + 8 = 58 MiB.  w is 1 below 2^14 entries of work, the
-    spectrum's on the spectral route and L^2 on the spatial one (spectral:
-    real L < 181, complex L < 128; spatial: L < 128), else the number of
-    CPUs in the process's affinity mask, capped at 4 and at the number of
-    work units.  A worker's exception is raised here once every worker has
-    stopped.  The modulus of each output block (a row block on either
-    route; two spectral lanes read as complex128, so np.abs takes it
-    without overflow) is folded into the running maximum under a lock;
-    np.maximum is exact, and every element sums its residues in the same
-    order however the rows are shared, so the output is bit-identical for
-    any worker count.
+    w - 1 threads of a thread pool that the call starts and joins: the
+    spectral route its (k, v) pairs, the spatial route each pair's blocks of
+    rows, so that a call with few pairs, such as transference_check's one
+    direction, still keeps every worker busy.  One rule sizes a block of
+    rows on either route (_block_rows): at least 2^15 entries of one lane,
+    never fewer than 64 rows, at most L.  Each worker allocates its own
+    arrays with np.empty, one unit of work in size: on the spectral route
+    one complex product array of the spectrum's shape, lanes x L x
+    (L//2 + 1) with one lane for real f and two for complex f, and one
+    float64 row block, both of _kernel_arrays; on the spatial route two row
+    blocks of f's dtype, which read f tiled 2 x 2 (built once per call, as
+    the spectrum is, and shared read-only).  The spectrum is one array that
+    every forward pass writes into, so a spectral call holds it, w product
+    arrays, w row blocks and the L x L float64 output beyond f: at
+    L = 1024, complex f and w = 2, 16 + 2 x (16 + 1) + 8 = 58 MiB.  w is 1
+    below 2^14 entries of work, the spectrum's on the spectral route and L^2
+    on the spatial one (spectral: real L < 181, complex L < 128; spatial:
+    L < 128), else the number of CPUs in the process's affinity mask,
+    capped at 4 and at the number of work units.  A worker's exception is
+    raised here once the pool is joined.  The modulus of each output block
+    (a row block on either route; two spectral lanes read as complex128, so
+    np.abs takes it without overflow) is folded into the running maximum
+    under a lock; np.maximum is exact, and every element sums its residues
+    in the same order however the rows are shared, so the output is
+    bit-identical for any worker count and any order of the units.
     """
     L = f.L
+    distinct = dict.fromkeys((vx % L, vy % L) for vx, vy in cfg.directions)
     if method == "spectral":
         fhat = _spectrum(f.values)
         symbols = [m_k_grid(k, L, cfg.table) for k in cfg.scales]
-        pairs = [(fhat, symbol, v) for symbol in symbols for v in cfg.directions]
+        pairs = [(fhat, symbol, v) for symbol in symbols for v in distinct]
         kernel, buffers, entries = _apply_symbol, _kernel_arrays(fhat), fhat.size
     elif method == "spatial":
         tiled = _tiled(f.values)
         folds = [fold_weights(k, L, cfg.table) for k in cfg.scales]
-        rows = _block_rows(L, f.values.dtype)
+        rows = _block_rows(L)
         pairs = [(folded, v, slice(b, min(b + rows, L))) for folded in folds
-                 for v in cfg.directions for b in range(0, L, rows)]
+                 for v in distinct for b in range(0, L, rows)]
         buffers, entries = [((rows, L), f.values.dtype)] * 2, L * L
 
         def kernel(folded, v, s, term, acc):
@@ -492,12 +493,7 @@ def delta_spread_disjoint(cfg: OperatorConfig, L: int) -> bool:
         lo = min(0, min(v[c] for v in cfg.directions))
         if pmax * (hi - lo) >= L:
             return False
-    dirs = cfg.directions
-    for i in range(len(dirs)):
-        for j in range(i + 1, len(dirs)):
-            if dirs[i][0] * dirs[j][1] - dirs[i][1] * dirs[j][0] == 0:
-                return False
-    return True
+    return all(v[0] * w[1] != v[1] * w[0] for v, w in itertools.combinations(cfg.directions, 2))
 
 
 def degenerate_directions(cfg: OperatorConfig, L: int) -> int:

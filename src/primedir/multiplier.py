@@ -59,7 +59,10 @@ S_MAX_CAP = 22
 # -- weights -------------------------------------------------------------------
 
 def prime_weights(k: int, table: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
-    """Primes p in [2^k, 2^(k+1)] and their weights 2^(-k) phi(2^(-k) p) log p."""
+    """Primes p in [2^k, 2^(k+1)] and their weights 2^(-k) phi(2^(-k) p) log p,
+    for a scale k >= 0."""
+    if k < 0:
+        raise ValueError("scale must be >= 0")
     primes, logs = table.slice_for_scale(k)
     scale = math.ldexp(1.0, -k)
     return primes, scale * bumps.eval_phi(scale * primes.astype(np.float64)) * logs

@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import math
 import os
@@ -11,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from primedir import maximal as X
 from primedir.errors import ParseError
@@ -488,10 +489,105 @@ class TestInPlaceKernel:
         assert np.array_equal(X.maximal_op(f, cfg).values, np.max(each, axis=0))
 
 
+class TestDistinctOperators:
+    """The average along v reads v only mod L, so maximal_op runs one unit
+    per scale and distinct v mod L; vectors that only share a line are
+    different operators at finite k and both run."""
+
+    @staticmethod
+    def _counted(monkeypatch, method):
+        """Count the calls of the route's kernel."""
+        name = "_apply_symbol" if method == "spectral" else "_roll_sum"
+        kernel, calls = getattr(X, name), []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(X, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("method", ["spectral", "spatial"])
+    def test_one_call_per_distinct_vector(self, toy_matrix, table13, method, monkeypatch):
+        # the README set (N = 8, seed 7): every vector is (0, 0) mod 64, so
+        # k = 10..12 run 3 units (one row block each at L = 64), not 24
+        vectors = toy_matrix[(8, 0.5)].integer_vectors
+        cfg = X.OperatorConfig(directions=vectors, k_min=10, k_max=12, table=table13)
+        first = X.OperatorConfig(directions=vectors[:1], k_min=10, k_max=12, table=table13)
+        assert X.degenerate_directions(cfg, 64) == 8
+        f = _draw(64, 17, False)
+        calls = self._counted(monkeypatch, method)
+        out = X.maximal_op(f, cfg, method=method).values
+        assert len(calls) == 3
+        assert np.array_equal(out, X.maximal_op(f, first, method=method).values)
+
+    @pytest.mark.parametrize("method", ["spectral", "spatial"])
+    def test_shared_line_not_merged(self, table13, method, monkeypatch):
+        # 2 is a unit mod 15, so v and 2v span one line of (Z/15)^2, yet
+        # their averages differ, since m_k(2t/15) != m_k(t/15)
+        L, v, w = 15, (1, 3), (2, 6)
+        assert {*zip(*X._orbit(L, v, (0, 0)))} == {*zip(*X._orbit(L, w, (0, 0)))}
+        cfg = X.OperatorConfig(directions=(v, w), k_min=5, k_max=6, table=table13)
+        f = _draw(L, 19, False)
+        average = X.spectral_average if method == "spectral" else X.average_along
+        each = [np.abs(average(f, u, k, cfg).values) for k in cfg.scales for u in (v, w)]
+        assert not np.allclose(each[0], each[1])
+        calls = self._counted(monkeypatch, method)
+        out = X.maximal_op(f, cfg, method=method).values
+        assert len(calls) == 4
+        assert np.array_equal(out, np.max(each, axis=0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), vectors=st.lists(_VECTORS, min_size=1, max_size=4), L=_SIDES,
+           seed=st.integers(0, 2**32 - 1), real=st.booleans(),
+           method=st.sampled_from(["spectral", "spatial"]))
+    def test_output_reads_distinct_vectors(self, table13, data, vectors, L, seed, real, method):
+        # bit-identical when the vectors are permuted, when one is
+        # duplicated, and when L w is added to one
+        f = _draw(L, seed, real)
+
+        def run(directions):
+            cfg = X.OperatorConfig(directions=directions, k_min=3, k_max=5, table=table13)
+            return X.maximal_op(f, cfg, method=method).values
+
+        base = run(vectors)
+        assert np.array_equal(run(data.draw(st.permutations(vectors))), base)
+        i = data.draw(st.integers(0, len(vectors) - 1))
+        j = data.draw(st.integers(0, len(vectors)))
+        assert np.array_equal(run(vectors[:j] + [vectors[i]] + vectors[j:]), base)
+        w = data.draw(st.tuples(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30)))
+        moved = (vectors[i][0] + L * w[0], vectors[i][1] + L * w[1])
+        assume(moved != (0, 0))
+        assert np.array_equal(run(vectors[:i] + [moved] + vectors[i + 1:]), base)
+
+
 def _cpus(monkeypatch, n):
     """Make the process look as if its affinity mask held n CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+def _workers(monkeypatch):
+    """(submitted, started): the work _pair_max submits to its thread pool,
+    the calling thread being one more worker, and the threads the pool
+    starts.  A pool thread that has found the pairs used up takes the next
+    submitted work itself, so small work may start fewer threads than it
+    submits."""
+    submitted, started = [], []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(threading, "Thread", Thread)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    return submitted, started
 
 
 # spectra well above the 2^14 entries that start workers: a real L = 512 grid
@@ -545,24 +641,19 @@ class TestWorkerPath:
 
     @_WORKER_CASES
     def test_threads_live_for_one_call(self, table13, L, real, monkeypatch):
-        started = []
-
-        class Counted(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(threading, "Thread", Counted)
+        submitted, started = _workers(monkeypatch)
         _cpus(monkeypatch, 4)
         cfg, f = self._case(table13, L, real)
         before = threading.active_count()
         X.maximal_op(f, cfg)
-        assert len(started) == 3  # the calling thread is the fourth worker
+        assert len(submitted) == 3  # the calling thread is the fourth worker
+        assert 1 <= len(started) <= 3
         assert threading.active_count() == before
         assert not any(t.is_alive() for t in started)
+        submitted.clear()
         started.clear()
         X.maximal_op(_draw(96, 0, False), cfg)  # 9 216 entries: no thread
-        assert started == []
+        assert submitted == [] and started == []
 
     @_WORKER_CASES
     def test_worker_exception_raised(self, table13, L, real, monkeypatch):
@@ -647,17 +738,17 @@ class TestSpatialKernel:
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("L", [2, 3, 15, 16, 128])
     def test_equals_roll_reference(self, table13, L, real, rows, monkeypatch):
-        f = _draw(L, 300 + L, real).values
+        f = _draw(L, 300 + L, real)
         if rows:  # blocks of 7 rows, the last one short when 7 does not divide L
-            monkeypatch.setattr(X, "_BLOCK_BYTES", rows * L * f.itemsize)
-        tiled = np.tile(f, (2, 2))
+            monkeypatch.setattr(X, "_ROWS", rows)
+            monkeypatch.setattr(X, "_BLOCK_ENTRIES", rows * L)
+            assert X._block_rows(L) == min(L, rows)
         for v in ((1, 0), (3, -7), (-2, -5), (10**30 + 1, -(10**30) - 3)):
+            cfg = X.OperatorConfig(directions=(v,), k_min=3, k_max=6, table=table13)
             for k in (3, 6):
-                folded = fold_weights(k, L, table13)
-                term = np.empty((X._block_rows(L, f.dtype), L), dtype=f.dtype)
-                got = X._roll_sum(tiled, folded, v, term, np.empty_like(f))
-                assert got.dtype == f.dtype
-                assert np.array_equal(got, _rolled(f, folded, v))
+                got = X.average_along(f, v, k, cfg).values
+                assert got.dtype == f.values.dtype
+                assert np.array_equal(got, _rolled(f.values, fold_weights(k, L, table13), v))
 
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("L", [2, 3, 16, 129])
@@ -734,8 +825,8 @@ class TestSpatialKernel:
 
     def test_one_direction_shares_row_blocks(self, table13, monkeypatch):
         # transference_check's shape: one direction and three scales, so three
-        # pairs; the workers take (pair, row block) units instead, 64 rows of
-        # a complex L = 256 grid each, and every unit sums the rows it owns
+        # pairs; the workers take (pair, row block) units instead, 128 rows of
+        # an L = 256 grid each, and every unit sums the rows it owns
         cfg = X.OperatorConfig(directions=((3, -7),), k_min=5, k_max=7, table=table13)
         f = _draw(256, 7, False)
         units = []
@@ -748,25 +839,19 @@ class TestSpatialKernel:
         monkeypatch.setattr(X, "_roll_sum", counted)
         _cpus(monkeypatch, 2)
         got = X.maximal_op(f, cfg, method="spatial").values
-        assert sorted(units) == sorted([(b, 64) for b in range(0, 256, 64)] * 3)
+        assert sorted(units) == sorted([(b, 128) for b in range(0, 256, 128)] * 3)
         each = [np.abs(_rolled(f.values, fold_weights(k, 256, table13), (3, -7)))
                 for k in cfg.scales]
         assert np.array_equal(got, np.max(each, axis=0))
 
     def test_workers_hold_row_blocks(self, table13, monkeypatch):
-        # a complex L = 256 grid is 1 MiB and a row block 64 rows of it; two
-        # workers hold two blocks each beside f tiled 2 x 2 and the output.
-        # The slack of one grid covers the modulus blocks; two L x L arrays
-        # on the calling thread exceed it
+        # a complex L = 256 grid is 1 MiB and a row block 128 rows of it,
+        # half a grid; two workers hold two blocks each beside f tiled 2 x 2
+        # and the output, and a block's float64 modulus (half its bytes)
+        # twice while the next one replaces it. A quarter grid of slack
+        # covers the rest; two L x L arrays on the calling thread exceed it
         cfg, f = self._case(table13, 256, False)
-        started = []
-
-        class Counted(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(threading, "Thread", Counted)
+        _, started = _workers(monkeypatch)
         _cpus(monkeypatch, 2)
         X.maximal_op(f, cfg, method="spatial")  # numpy's one-time setup
         tracemalloc.start()
@@ -777,17 +862,18 @@ class TestSpatialKernel:
             tracemalloc.stop()
         assert len(started) == 2  # one thread beside the caller, per call
         grid = f.values.nbytes
-        block = X._block_rows(256, f.values.dtype) * 256 * f.values.itemsize
-        assert block == grid // 4
-        assert peak < 4 * grid + 256 * 256 * 8 + 4 * block + grid
+        block = X._block_rows(256) * 256 * f.values.itemsize
+        assert block == grid // 2
+        assert peak < 4 * grid + 256 * 256 * 8 + 4 * block + 2 * block + grid // 4
 
 
 class TestThreshold:
     """Workers start from 2^14 entries of work: the spectrum's on the
     spectral route, the L x L grid's on the spatial one, whose worker arrays
-    are smaller row blocks (at L = 129 complex, 127 x 129 = 16 383 entries)."""
+    are row blocks (at L = 255, 128 x 255 entries)."""
 
-    @pytest.mark.parametrize("method, L, real, threads", [
+    # extra: the workers beside the calling thread
+    @pytest.mark.parametrize("method, L, real, extra", [
         ("spectral", 127, False, 0),  # 16 129 entries
         ("spectral", 128, False, 3),  # 16 384
         ("spectral", 180, True, 0),  # 180 x 91 = 16 380
@@ -798,26 +884,20 @@ class TestThreshold:
         ("spatial", 255, True, 3),
         ("spatial", 127, False, 0),
         ("spatial", 128, False, 3),
-        ("spatial", 129, False, 3),  # row blocks of 127 x 129 entries
-        ("spatial", 255, False, 3),  # row blocks of 64 x 255
+        ("spatial", 129, False, 3),
+        ("spatial", 255, False, 3),  # row blocks of 128 x 255
     ])
-    def test_boundary(self, table13, method, L, real, threads, monkeypatch):
-        started = []
-
-        class Counted(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
+    def test_boundary(self, table13, method, L, real, extra, monkeypatch):
         cfg = X.OperatorConfig(directions=((1, 0), (3, -7), (2, 1)), k_min=5, k_max=6,
                                table=table13)
         f = _draw(L, 500 + L, real)
         _cpus(monkeypatch, 1)
         one = X.maximal_op(f, cfg, method=method).values
-        monkeypatch.setattr(threading, "Thread", Counted)
+        submitted, started = _workers(monkeypatch)
         _cpus(monkeypatch, 4)
         assert np.array_equal(X.maximal_op(f, cfg, method=method).values, one)
-        assert len(started) == threads
+        assert len(submitted) == extra
+        assert len(started) <= extra
 
 
 def _npy(values) -> bytes:
@@ -957,3 +1037,12 @@ class TestConfig:
     def test_scale_order_checked(self, table13):
         with pytest.raises(ValueError):
             X.OperatorConfig(directions=((1, 0),), k_min=7, k_max=6, table=table13)
+
+    def test_negative_scale_rejected(self, table13):
+        # a negative scale reads no prime and gave an all-zero operator
+        with pytest.raises(ValueError, match="scale must be >= 0"):
+            X.OperatorConfig(directions=((1, 0),), k_min=-3, k_max=-1, table=table13)
+        with pytest.raises(ValueError, match="scale must be >= 0"):
+            X.OperatorConfig(directions=((1, 0),), k_min=-1, k_max=2, table=table13)
+        cfg = X.OperatorConfig(directions=((1, 0),), k_min=0, k_max=1, table=table13)
+        assert cfg.scales == range(0, 2)

@@ -79,6 +79,16 @@ class TestGridPaths:
         with pytest.raises(ValueError):
             M.fold_weights(10, 0, table13)
 
+    def test_negative_scale_rejected(self, table13):
+        # every weight helper reads prime_weights; a negative scale found no
+        # prime there and gave all-zero weights
+        for call in (lambda: M.prime_weights(-1, table13), lambda: M.m_k_grid(-1, 16, table13),
+                     lambda: M.fold_weights(-2, 16, table13), lambda: M.m_k(-1, 0.25, table13)):
+            with pytest.raises(ValueError, match="scale must be >= 0"):
+                call()
+        primes, _ = M.prime_weights(0, table13)  # scale 0, apply's floor, is accepted
+        assert primes.tolist() == [2]
+
     @pytest.mark.parametrize("L", [2, 3, 63, 64, 1024])
     def test_grid_hermitian(self, table13, L):
         # the half-spectrum route of maximal relies on m_k(-j/L) = conj m_k(j/L)

@@ -2,9 +2,12 @@
 
 import importlib
 import json
+import os
 import pathlib
 import pkgutil
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -52,3 +55,14 @@ def test_bench_file_schema(path):
     assert entries
     for where, entry in entries:
         assert isinstance(entry, dict) and isinstance(entry.get("unit"), str) and entry["unit"], where
+
+
+def test_import_leaves_thread_pool_unloaded():
+    # every benchmark run's setup_s counts `import primedir`, and importing
+    # concurrent.futures adds about 7 ms to it, so maximal imports its thread
+    # pool only inside a call
+    src = str(pathlib.Path(primedir.__file__).resolve().parents[1])
+    code = "import sys, primedir; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
