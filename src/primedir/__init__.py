@@ -10,7 +10,7 @@ with spatial and spectral evaluation routes kept in cross-checkable agreement.
 from . import arith, bumps, directions, incidence, maximal, multiplier
 from .arith import PrimeTable, sieve_primes
 from .directions import DirectionSpec, DirectionSet, construct_directions, rescale_to_integers
-from .errors import ConstructionError, ParseError, PrecisionError, ResourceLimitError
+from .errors import ConstructionError, ParseError, PrecisionError
 from .maximal import GridFunction, OperatorConfig, maximal_op
 
 __version__ = "0.1.0"
@@ -34,5 +34,4 @@ __all__ = [
     "ConstructionError",
     "ParseError",
     "PrecisionError",
-    "ResourceLimitError",
 ]

@@ -1,8 +1,8 @@
-"""Arithmetic substrate: primes, Mobius/totient, dyadic Farey levels, exponential sums.
+"""Arithmetic substrate: primes, Mobius/totient, exponential sums, convergents.
 
-Everything downstream (multiplier weights mu(q)/phi(q), level sets of reduced
-fractions as sorted lists of Fractions, prime-indexed exponential sums) sits
-on this module.  The Ramanujan-sum identity
+Everything downstream (multiplier weights mu(q)/phi(q), prime-indexed
+exponential sums, the convergent walk of the main term) sits on this
+module.  The Ramanujan-sum identity
 
     sum_{(a,q)=1} e(na/q)      = mu(q/g) phi(q) / phi(q/g),  g = gcd(n, q)
 
@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParseError, ResourceLimitError
+from .errors import ParseError
 
 __all__ = [
     "PrimeTable",
@@ -31,7 +31,6 @@ __all__ = [
     "mobius",
     "totient",
     "factorize",
-    "farey_level",
     "ramanujan_sum",
     "ramanujan_sum_bruteforce",
     "is_prime_certified",
@@ -183,44 +182,6 @@ def totient(q: int) -> int:
     for p, _ in factorize(q):
         out -= out // p
     return out
-
-
-# -- dyadic Farey levels --------------------------------------------------------
-
-def farey_level(s: int, max_size: int = 20_000_000) -> list[Fraction]:
-    """The dyadic Farey level s: its reduced fractions in [0, 1), sorted.
-
-    Level 0 is the single fraction 0.  For s >= 1 the list holds every a/q
-    with 2^s <= q < 2^(s+1) and gcd(a, q) = 1, so its cardinality is
-    sum phi(q) over that denominator range.
-
-    Raises ResourceLimitError when that cardinality exceeds ``max_size``
-    (the count grows like 4^s; full enumeration stops being a desk-scale
-    object well before s = 22).  Since phi(q) >= sqrt(q/2), the level holds
-    at least 2^s sqrt(2^(s-1)) fractions, so a level above the cap by that
-    bound is refused before any totient is computed.
-    """
-    if s < 0:
-        raise ValueError("level must be >= 0")
-    if s == 0:
-        return [Fraction(0)]
-    if 1 << (3 * s - 1) > max_size * max_size:
-        raise ResourceLimitError(
-            f"Farey level {s} holds at least 2^{s} sqrt(2^{s - 1}) fractions, "
-            f"above the cap {max_size}"
-        )
-    q_lo, q_hi = 1 << s, 1 << (s + 1)
-    total = sum(totient(q) for q in range(q_lo, q_hi))
-    if total > max_size:
-        raise ResourceLimitError(
-            f"Farey level {s} holds {total} fractions, above the cap {max_size}"
-        )
-    fracs: list[Fraction] = []
-    for q in range(q_lo, q_hi):
-        ks = np.arange(1, q, dtype=np.int64)
-        fracs.extend(Fraction(int(a), q) for a in ks[np.gcd(ks, q) == 1])
-    fracs.sort()
-    return fracs
 
 
 # -- exponential sums ----------------------------------------------------------

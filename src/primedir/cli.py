@@ -63,7 +63,7 @@ _FALLBACKS = {
 
 # The least value of each integer flag, for every command that takes the flag.
 _LEAST = {"n": 2, "s": 1, "grid": 1, "r_sweeps": 1, "window_half": 1, "l": 2, "trials": 1,
-          "c1": 1, "a": 1, "m_exp": 1, "window_count": 1}
+          "c1": 1, "a": 1, "m_exp": 1, "window_count": 1, "k_min": 1}
 
 
 class UsageError(Exception):
@@ -112,14 +112,16 @@ def _operator_scales(args) -> range:
     return range(args.k_min, args.k_max + 1)
 
 
-def _prime_table(scales, least: int):
-    """The sieve up to 2^(max(scales) + 1), after checking the scales against ``least``.
+def _prime_table(scales):
+    """The sieve up to 2^(max(scales) + 1), after checking that every scale is >= 1.
 
     A scale-k average reads only the primes in [2^k, 2^(k+1)]
     (``PrimeTable.slice_for_scale``), so a larger table changes no output.
+    Scale 0 holds the one prime 2, at weight phi(2) log 2 = 0, and
+    classify_arc needs k >= 1.
     """
-    if min(scales) < least:
-        raise UsageError(f"scales must be >= {least}; got k = {min(scales)}")
+    if min(scales) < 1:
+        raise UsageError(f"scales must be >= 1; got k = {min(scales)}")
     return sieve_primes(1 << (max(scales) + 1))
 
 
@@ -176,7 +178,7 @@ def cmd_mult_error(args) -> int:
         raise UsageError("--d must exceed 16 (the main-term approximation requires D > 2^4)")
     if args.arc_d is not None and args.arc_d <= 0:
         raise UsageError("--arc-d must be positive")
-    table = _prime_table(ks, 1)  # classify_arc needs k >= 1
+    table = _prime_table(ks)
     rows = multiplier.error_profile(ks, args.d, args.grid, table, arc_D=args.arc_d).rows
     multiplier.write_error_profile_csv(rows, args.out)
     for r in rows:
@@ -242,7 +244,7 @@ def cmd_apply(args) -> int:
     if f.L != L:
         raise UsageError(f"input grid side {f.L} != --l {L}")
     cfg = maximal.OperatorConfig(directions=directions, k_min=args.k_min, k_max=args.k_max,
-                                 table=_prime_table(scales, 0))
+                                 table=_prime_table(scales))
     print(f"degenerate_directions={maximal.degenerate_directions(cfg, L)}/{len(cfg.directions)}")
     out = maximal.maximal_op(f, cfg)
     if args.delta:
@@ -276,7 +278,7 @@ def cmd_norm_sweep(args) -> int:
     # same test functions (one seed) under a sup over more directions
     spec = DirectionSpec(N=max(ns[-1], 2), eps=args.eps, seed=args.seed)
     ds = rescale_to_integers(construct_directions(spec))
-    table = _prime_table(scales, 0)
+    table = _prime_table(scales)
     rows = []
     for n in ns:
         cfg = maximal.OperatorConfig(

@@ -28,10 +28,6 @@ from fractions import Fraction
 from operator import attrgetter
 
 
-class ResourceLimitError(RuntimeError):
-    """An enumeration or scan would exceed a configured size cap."""
-
-
 class PrecisionError(RuntimeError):
     """A quadrature could not certify the requested accuracy within budget."""
 

@@ -139,8 +139,8 @@ class OperatorConfig:
             raise ValueError("need at least one direction")
         if any(v == (0, 0) for v in self.directions):
             raise ValueError("directions must be nonzero")
-        if self.k_min < 0:
-            raise ValueError("scale must be >= 0")
+        if self.k_min < 1:  # scale 0 holds the one prime 2, at weight phi(2) log 2 = 0
+            raise ValueError("scale must be >= 1")
         if self.k_min > self.k_max:
             raise ValueError("k_min must be <= k_max")
         if self.table.limit < 2 ** (self.k_max + 1):
@@ -314,6 +314,7 @@ def _pair_max(L: int, pairs: list, kernel, buffers: list, entries: int) -> np.nd
                     a = np.abs(block)
                     with lock:
                         np.maximum(out[s], a, out=out[s])
+                    del a  # else the next block's modulus is made beside this one
         finally:  # a worker that fails, or finds no pair left, stops the others
             stop.set()
 

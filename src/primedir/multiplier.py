@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import bumps
-from .arith import PrimeTable, convergents, farey_level, mobius, totient
+from .arith import PrimeTable, convergents, mobius, totient
 from .bumps import chi_s, v_k
 
 __all__ = [
@@ -73,7 +73,11 @@ def fold_weights(k: int, n: int, table: PrimeTable) -> np.ndarray:
     weight of the primes p = r (mod n)."""
     if n < 1:
         raise ValueError("fold modulus must be >= 1")
-    primes, w = prime_weights(k, table)
+    return _fold(*prime_weights(k, table), n)
+
+
+def _fold(primes: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """The weights w of primes summed by residue mod n."""
     return np.bincount((primes % n).astype(np.int64), weights=w, minlength=n)
 
 
@@ -228,15 +232,22 @@ class ErrorProfileResult:
     grid_fractions: list[Fraction]
 
 
-_FAREY_LEVEL = 6  # the sweep grid holds every reduced fraction of levels s <= 6
+_GRID_Q = 128  # the grid holds every reduced a/q with q < 128: the Farey levels s <= 6
 
 
 def _profile_grid(grid_size: int) -> list[Fraction]:
-    """Every fraction of the Farey levels s <= _FAREY_LEVEL, plus uniform fill."""
-    pts = {f for s in range(_FAREY_LEVEL + 1) for f in farey_level(s)}
+    """Every reduced a/q in [0, 1) with q < _GRID_Q, plus the j/grid_size, sorted.
+
+    The points are built as reduced integer pairs and sorted by the float
+    a/q.  That key is exact: two distinct points differ by at least
+    1/(127 max(127, grid_size)), above the float spacing 2^-53 near 1 for
+    every grid below 2^46 points.
+    """
+    pairs = {(a, q) for q in range(1, _GRID_Q) for a in range(q) if math.gcd(a, q) == 1}
     for j in range(grid_size):
-        pts.add(Fraction(j, grid_size))
-    return sorted(pts)
+        g = math.gcd(j, grid_size)
+        pairs.add((j // g, grid_size // g))
+    return [Fraction(a, q) for a, q in sorted(pairs, key=lambda p: p[0] / p[1])]
 
 
 def error_profile(
@@ -249,8 +260,9 @@ def error_profile(
     """Sweep sup |m_k - L_k| over a fraction-heavy grid for each k.
 
     The grid holds every reduced fraction of levels s <= 6 plus a uniform fill
-    of ``grid_size`` points; m_k is evaluated with exact phases (per-denominator
-    folding for the fractions, folded DFT for the fill).  ``arc_D`` controls
+    of ``grid_size`` points, built once per call from integer pairs.  m_k is
+    evaluated with exact phases: each k's prime weights are read once and
+    folded mod every denominator of the grid, one DFT each.  ``arc_D`` controls
     the exponent used for the per-arc breakdown column only: under the
     error-bound hypothesis D > 16 the desk-scale minor arcs are empty (the arc
     radius 2^(-k) k^D exceeds 1 for every k <= 24), so diagnosing minor-arc
@@ -276,10 +288,11 @@ def error_profile(
     for k in k_values:
         t0 = time.perf_counter()
         m_vals = np.empty(len(grid), dtype=np.complex128)
+        primes, w = prime_weights(k, table)
         for q, idxs in by_den.items():
-            dft = m_k_grid(k, q, table)
+            dft = np.fft.fft(_fold(primes, w, q))
             for idx in idxs:
-                m_vals[idx] = dft[grid[idx].numerator % q]
+                m_vals[idx] = dft[grid[idx].numerator]
         sm, truncated = default_s_max(k, D)
         l_vals = np.array([L_k(k, fr, sm) for fr in grid])
         abs_e = np.abs(m_vals - l_vals)

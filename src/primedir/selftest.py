@@ -37,14 +37,12 @@ def _check_ramanujan_cross_validation():
             _require(abs(closed - brute) < 1e-9, (q, n, closed, brute))
 
 
-def _check_farey_cardinalities():
-    for s in range(0, 7):
-        level = arith.farey_level(s)
-        if s == 0:
-            _require(level == [Fraction(0)], "level 0")
-        else:
-            expect = sum(arith.totient(q) for q in range(1 << s, 1 << (s + 1)))
-            _require(len(level) == expect, s)
+def _check_profile_grid():
+    # every reduced a/q with q < 128 (the Farey levels s <= 6) and every j/G
+    for G in (64, 1000):
+        brute = {Fraction(a, q) for q in range(1, 128) for a in range(q) if math.gcd(a, q) == 1}
+        brute.update(Fraction(j, G) for j in range(G))
+        _require(multiplier._profile_grid(G) == sorted(brute), G)
 
 
 def _check_bumps():
@@ -147,7 +145,7 @@ def run_all(verbose: bool = True) -> bool:
     checks = [
         ("mobius/totient divisor sums", _check_arith_identities),
         ("ramanujan closed form vs brute force", _check_ramanujan_cross_validation),
-        ("farey level cardinalities", _check_farey_cardinalities),
+        ("profile grid content", _check_profile_grid),
         ("bump and cutoff exact values", _check_bumps),
         ("oscillatory profile decay bound", _check_vk_decay),
         ("multiplier PNT consistency", lambda: _check_multiplier_pnt(table)),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from primedir import arith
-from primedir.errors import ParseError, ResourceLimitError
+from primedir.errors import ParseError
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -103,55 +103,6 @@ class TestMultiplicative:
             arith.mobius(0)
         with pytest.raises(ValueError):
             arith.totient(0)
-
-
-class TestFarey:
-    def test_level_zero(self):
-        assert arith.farey_level(0) == [Fraction(0)]
-
-    def test_level_one(self):
-        assert arith.farey_level(1) == [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]
-
-    def test_level_two_bruteforce(self):
-        # brute-force enumeration oracle over q in [4, 8)
-        expect = sorted(
-            {Fraction(a, q) for q in range(4, 8) for a in range(1, q) if math.gcd(a, q) == 1}
-        )
-        got = arith.farey_level(2)
-        assert got == expect
-        assert len(got) == sum(arith.totient(q) for q in range(4, 8)) == 14
-
-    def test_cardinality_matches_totient_sum(self):
-        for s in range(1, 9):
-            want = sum(arith.totient(q) for q in range(1 << s, 1 << (s + 1)))
-            assert len(arith.farey_level(s)) == want
-
-    def test_sorted_and_reduced(self):
-        fracs = arith.farey_level(3)
-        assert all(isinstance(f, Fraction) for f in fracs)
-        assert fracs == sorted(set(fracs))
-        assert all(8 <= f.denominator < 16 and 0 < f < 1 for f in fracs)
-
-    def test_size_cap(self):
-        with pytest.raises(ResourceLimitError):
-            arith.farey_level(10, max_size=10)
-
-    def test_size_cap_at_the_exact_count(self):
-        # level 4 holds 236 fractions, while its lower bound 2^4 sqrt(2^3) ~ 45
-        # is below both caps, so the exact count decides
-        assert len(arith.farey_level(4, max_size=236)) == 236
-        with pytest.raises(ResourceLimitError, match="holds 236 fractions"):
-            arith.farey_level(4, max_size=235)
-
-    def test_size_cap_refuses_before_counting(self, monkeypatch):
-        # phi(q) >= sqrt(q/2) bounds level 40 below by 2^40 sqrt(2^39), far
-        # above the default cap, so no totient is needed to refuse it
-        def totient(q):
-            raise AssertionError("farey_level counted a level that its lower bound refuses")
-
-        monkeypatch.setattr(arith, "totient", totient)
-        with pytest.raises(ResourceLimitError, match="at least"):
-            arith.farey_level(40)
 
 
 class TestExponentialSums:

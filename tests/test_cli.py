@@ -625,7 +625,7 @@ class TestApply:
 
     @pytest.mark.parametrize("flags", [
         ["--k-min", "-2"], ["--k-min", "-3", "--k-max", "-2"], ["--l", "1"], ["--k-min", "7"],
-        ["--vectors", "1,0;0"],
+        ["--vectors", "1,0;0"], ["--k-min", "0"],
     ])
     def test_bad_flag_usage_error_before_sieve(self, tmp_path, sieved, flags):
         assert run("apply", "--vectors", "1,0;0,1", "--k-min", "5", "--k-max", "6", "--delta",
@@ -829,6 +829,11 @@ _USAGE_ERRORS = {
          "--k-max", "6", "--out", "m.npy"], "input grid side 63 != --l 64", "m.npy"),
     "norm-sweep-n-list-0": (["norm-sweep", "--n-list", "0", "--out", "sweep.csv"],
                             "--n-list must hold positive sizes", "sweep.csv"),
+    # scale 0 holds the one prime 2 at weight 0: its average is identically 0
+    "apply-k-min-0": (["apply", "--vectors", "1,0", "--k-min", "0", "--k-max", "6", "--delta",
+                       "--out", "m.npy"], "--k-min must be >= 1", "m.npy"),
+    "norm-sweep-k-min-0": (["norm-sweep", "--k-min", "0", "--out", "sweep.csv"],
+                           "--k-min must be >= 1", "sweep.csv"),
 }
 
 

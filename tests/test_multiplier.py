@@ -86,8 +86,10 @@ class TestGridPaths:
                      lambda: M.fold_weights(-2, 16, table13), lambda: M.m_k(-1, 0.25, table13)):
             with pytest.raises(ValueError, match="scale must be >= 0"):
                 call()
-        primes, _ = M.prime_weights(0, table13)  # scale 0, apply's floor, is accepted
-        assert primes.tolist() == [2]
+        # scale 0 holds the one prime 2 at weight phi(2) log 2 = 0, so its
+        # average is identically 0; OperatorConfig and the CLI refuse it
+        primes, w = M.prime_weights(0, table13)
+        assert primes.tolist() == [2] and w.tolist() == [0.0]
 
     @pytest.mark.parametrize("L", [2, 3, 63, 64, 1024])
     def test_grid_hermitian(self, table13, L):
@@ -98,9 +100,17 @@ class TestGridPaths:
 
 
 @functools.cache
+def _level(s: int) -> list[Fraction]:
+    """The dyadic Farey level s, sorted: every reduced a/q in [0, 1) with
+    2^s <= q < 2^(s+1), so the single fraction 0 at s = 0."""
+    return sorted(Fraction(a, q) for q in range(1 << s, 2 << s) for a in range(q)
+                  if math.gcd(a, q) == 1)
+
+
+@functools.cache
 def _level_values(s: int):
     """The dyadic Farey level s and its fractions' float values."""
-    fracs = arith.farey_level(s)
+    fracs = _level(s)
     return fracs, np.array([float(f) for f in fracs])
 
 
@@ -135,7 +145,7 @@ class TestLk:
         offsets = [Fraction(c) for c in ("0", "1/8", "-3/8", "2/5", "-9/20", "3/5")]
         alphas = []
         for s in range(s_max + 2):
-            fracs = arith.farey_level(s)
+            fracs = _level(s)
             for i in sorted({0, len(fracs) // 2, len(fracs) - 1, int(rng.integers(len(fracs)))}):
                 alphas += [fracs[i] + c / 2 ** (10 * (s + 4)) + int(rng.integers(-2, 3)) for c in offsets]
         for k in (12, 16):
@@ -163,7 +173,7 @@ class TestLk:
         # inside its cutoff support
         rng = np.random.default_rng(5)
         for s in (1, 2, 3, 4):
-            level = arith.farey_level(s)
+            level = _level(s)
             for _ in range(20):
                 alpha = Fraction(int(rng.integers(0, 2**40)), 2**40)
                 hits = [f for f in level if bumps.chi_s(s, float(alpha - f)) != 0.0]
@@ -172,7 +182,7 @@ class TestLk:
     def test_located_fraction_unique_among_neighbors(self):
         # at a fraction's own center, the two nearest level-mates stay outside
         s = 3
-        vals = arith.farey_level(s)
+        vals = _level(s)
         for i in (1, len(vals) // 2, len(vals) - 2):
             alpha = vals[i]
             for j in (i - 1, i + 1):
@@ -335,6 +345,35 @@ class TestErrorProfile:
         # k^17 exceeds 2^(S_MAX_CAP+1) at k = 10, so the level sum is truncated
         assert (res.rows[0].s_max, res.rows[0].truncated) == (22, True)
         assert lines[2].split(",")[5:7] == ["22", "True"]
+
+
+def _brute_grid(G: int) -> list[Fraction]:
+    """Every a/q with q < 128 that passes the gcd test, and every j/G, as
+    sorted Fractions: the error profile's grid by its definition."""
+    pts = {Fraction(a, q) for q in range(1, 128) for a in range(q) if math.gcd(a, q) == 1}
+    pts.update(Fraction(j, G) for j in range(G))
+    return sorted(pts)
+
+
+class TestProfileGrid:
+    """The error profile's grid is built from reduced integer pairs sorted by
+    the float a/q; it is the Fraction set it stands for, and each profile
+    entry is the value at its exact fraction."""
+
+    @pytest.mark.parametrize("G", [*range(1, 65), 127, 128, 1000, 1024, 2048])
+    def test_equals_fraction_set(self, G):
+        assert M._profile_grid(G) == _brute_grid(G)
+
+    def test_profiles_at_exact_fractions(self, table13):
+        res = M.error_profile([10, 12], 17.0, 256, table13)
+        grid = res.grid_fractions
+        assert grid == _brute_grid(256)
+        for m, main in zip(res.profiles[::2], res.profiles[1::2]):
+            vk0 = bumps.v_k(m.k, 0.0)
+            for f, m_val, l_val in zip(grid, m.values, main.values):
+                q = f.denominator
+                assert abs(m_val - M.m_k(m.k, f, table13)) <= 1e-12, f
+                assert abs(l_val - arith.mobius(q) / arith.totient(q) * vk0) <= 1e-12, f
 
 
 class TestArcs:
