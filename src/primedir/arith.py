@@ -186,6 +186,25 @@ def totient(q: int) -> int:
 
 # -- exponential sums ----------------------------------------------------------
 
+def _turns(n, x) -> np.ndarray:
+    """(n x) mod 1 for integers 0 <= n < 2^63 and finite floats x >= 0, in uint64.
+
+    x mod 1 is (hi + lo) 2^-64 with hi an integer and 0 <= lo < 1.  n hi wraps
+    mod 2^64 in uint64, which is the reduction, and floor(n lo) joins it
+    there.  The result is an array of at least one dimension, in [0, 1].  It
+    equals float((n Fraction(x)) % 1) when x 2^64 is an integer (every
+    x >= 2^-12), and lies within 2^-53 of it mod 1 otherwise, for n < 2^53.
+    """
+    n = np.atleast_1d(n)  # uint64 arithmetic on numpy scalars warns when it wraps
+    x = np.asarray(x, dtype=np.float64)
+    scaled = np.ldexp(x - np.floor(x), 64)
+    hi = np.floor(scaled)
+    low = n * (scaled - hi)
+    top = np.floor(low)
+    wrapped = n.astype(np.uint64) * hi.astype(np.uint64) + top.astype(np.uint64)
+    return np.ldexp(wrapped.astype(np.float64) + (low - top), -64)
+
+
 def ramanujan_sum(q: int, n: int) -> int:
     """Ramanujan sum c_q(n) by the closed form mu(q/g) phi(q) / phi(q/g), g = gcd(n, q)."""
     if q < 1:

@@ -24,6 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .arith import _turns
 from .errors import PrecisionError
 
 __all__ = [
@@ -153,8 +154,17 @@ def phi_deriv_l1() -> tuple[float, float]:
     return l1_d1, l1_d2
 
 
+def _phase(X: float, t: np.ndarray) -> np.ndarray:
+    """(X t) mod 1 for 0 <= X <= 2^40 and nodes t in [1, 2], within 2^-52 of exact.
+
+    X t = (t 2^52)(X 2^-52), and t 2^52 is an integer below 2^53, so _turns
+    reduces it to within 2^-53 of the rounded exact value.
+    """
+    return _turns(np.ldexp(t, 52).astype(np.int64), math.ldexp(X, -52))
+
+
 def _oscillatory_integral(X: float) -> complex:
-    """integral over [1,2] of e(X t) phi(t) dt, phases reduced in extended precision.
+    """integral over [1,2] of e(X t) phi(t) dt for X >= 0, phases reduced by _phase.
 
     The panels are cut from one set of edges over [1, 2] and summed
     _CHUNK_PANELS at a time.
@@ -164,8 +174,8 @@ def _oscillatory_integral(X: float) -> complex:
     total = 0j
     for lo in range(0, n_panels, _CHUNK_PANELS):
         nodes, weights = _edge_nodes(edges[lo:lo + _CHUNK_PANELS + 1], _QUADRATURE_POINTS)
-        # X*t can reach ~2^21; reduce mod 1 in 80-bit precision before exp.
-        phase = np.mod(np.longdouble(X) * nodes.astype(np.longdouble), 1.0).astype(np.float64)
+        # X t reaches about 2^21, where a float64 product errs by up to 2e-10 turns
+        phase = _phase(X, nodes)
         total += complex(np.dot(weights, _raw_bump(nodes) * np.exp(2j * math.pi * phase)))
     return _normalization_constant() * total
 

@@ -8,7 +8,7 @@ supported on p in [2^k, 2^(k+1)] by the bump's support.  Near a reduced
 fraction a/q it is approximated by the main term mu(q)/phi(q) V_k(alpha - a/q),
 and this module evaluates all the computable objects of that approximation:
 
-* m_k pointwise (pairwise summation, extended-precision phase reduction),
+* m_k pointwise (pairwise summation, phases reduced in 64-bit integers),
   on equispaced grids via a fold-then-FFT fast path, and at reduced fractions
   via residue folding;
 * the main term L_k = sum over levels s of L_{k,s}, which is a single
@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import bumps
-from .arith import PrimeTable, convergents, mobius, totient
+from .arith import PrimeTable, _turns, convergents, mobius, totient
 from .bumps import chi_s, v_k
 
 __all__ = [
@@ -89,17 +89,22 @@ def m_k(k: int, alpha, table: PrimeTable) -> complex:
 
     Rational alpha (a Fraction) takes an exact-phase path: e(-p a/q) depends
     only on p a mod q, so residues fold exactly.  Float alpha reduces each
-    p*alpha mod 1 in 80-bit precision before exponentiation.
+    p |alpha| mod 1 in 64-bit integers (arith._turns): the phase is the
+    exact one rounded once whenever |alpha| >= 2^-12, and within 2^-53 of it
+    below.  The sign goes on after the reduction, so m_k(-alpha) is
+    m_k(alpha).conjugate() exactly.
     """
     if isinstance(alpha, Fraction):
         q = alpha.denominator
-        if q <= 1 << 16:  # larger denominators gain nothing over the 80-bit path
+        if q <= 1 << 16:  # larger denominators gain nothing over the float path
             res = np.arange(q) * (alpha.numerator % q) % q
             return complex((fold_weights(k, q, table) * np.exp(-2j * np.pi * res / q)).sum())
         alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     primes, w = prime_weights(k, table)
-    phase = np.mod(primes.astype(np.longdouble) * np.longdouble(alpha), 1.0).astype(np.float64)
-    return complex((w * np.exp(-2j * np.pi * phase)).sum())
+    phase = _turns(primes, abs(alpha))
+    return complex((w * np.exp((2j if alpha < 0 else -2j) * np.pi * phase)).sum())
 
 
 def m_k_grid(k: int, L: int, table: PrimeTable) -> np.ndarray:

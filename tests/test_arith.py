@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from primedir import arith
 from primedir.errors import ParseError
@@ -116,6 +117,76 @@ class TestExponentialSums:
         for q in range(1, 51):
             for n in range(-50, 51):
                 assert abs(arith.ramanujan_sum(q, n) - arith.ramanujan_sum_bruteforce(q, n)) < 1e-9
+
+
+_PHASE_ALPHAS = st.one_of(
+    st.integers(0, 2**53 - 1).map(lambda i: math.ldexp(i, -53)),  # uniform in [0, 1)
+    st.floats(0.0, 2.0**-11, exclude_max=True),  # subnormals included
+    st.floats(1.0 - 2.0**-40, 1.0, exclude_max=True),
+    st.floats(-(2.0**20), 0.0, exclude_max=True),
+    st.floats(1.0, 2.0**40, exclude_min=True),
+    st.integers(0, 2**53).map(float),
+    st.sampled_from([0.0, -0.0]),
+)
+
+
+def _exact_turns(ns, x: float) -> np.ndarray:
+    """float((n Fraction(x)) % 1) for each n, in Python integers (x is num/2^E)."""
+    num, den = x.as_integer_ratio()
+    return np.array([(n * num % den) / den for n in ns.tolist()])
+
+
+def _assert_phases(got, want, x: float) -> None:
+    """Equal when x 2^64 is an integer (every x >= 2^-12), else within 2^-53 mod 1."""
+    assert got.dtype == np.float64 and np.all((0.0 <= got) & (got <= 1.0))
+    if math.ldexp(x, 64).is_integer():
+        assert np.array_equal(got, want)
+    else:
+        gap = np.abs(got - want)
+        assert np.minimum(gap, 1.0 - gap).max() <= 2.0**-53
+
+
+@pytest.fixture(scope="module")
+def primes23():
+    """The primes of every scale k <= 22."""
+    return arith.sieve_primes(2**23).primes
+
+
+class TestTurns:
+    """_turns, the (n x) mod 1 reduction behind every float phase."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(alpha=_PHASE_ALPHAS)
+    def test_every_prime_of_the_desk_scales(self, primes23, alpha):
+        # m_k reduces p |alpha| and puts the sign on afterwards (the
+        # multiplier's conjugate test covers the sign)
+        x = abs(alpha)
+        _assert_phases(arith._turns(primes23, x), _exact_turns(primes23, x), x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ns=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=32), alpha=_PHASE_ALPHAS)
+    def test_multipliers_up_to_2_63(self, ns, alpha):
+        # the uint64 wrap is exact for every n below 2^63; the low part's
+        # bound holds while n converts to float exactly
+        x = abs(alpha)
+        n = np.array(ns if math.ldexp(x, 64).is_integer() else [v >> 10 for v in ns])
+        _assert_phases(arith._turns(n, x), _exact_turns(n, x), x)
+
+    @pytest.mark.parametrize("n, x", [(8356619, "0x1.0700c02190441p-16"),
+                                      (8358923, "0x1.2b0eebd26e706p-15")])
+    def test_low_part_joins_the_wrap(self, n, x):
+        # n hi wraps to within 2^-54 of a whole turn, so it rounds to 1.0; a
+        # low part n lo 2^-64 added to that as a float rounds a second time,
+        # to 1.1 or 1.2 x 2^-53 from the exact phase
+        x = float.fromhex(x)
+        _assert_phases(arith._turns(n, x), _exact_turns(np.array([n]), x), x)
+
+    def test_scalar_arguments(self):
+        # numpy scalars would warn on the wrap, so scalars come back as arrays
+        assert arith._turns(3, 0.5).tolist() == [0.5]
+        assert arith._turns(2**62 + 1, 0.75).tolist() == [0.75]
+        assert arith._turns(2**62 + 1, 2.0**-40).tolist() == [2.0**-40]
+        assert arith._turns(7, np.array([0.25, 1.5, 2.0])).tolist() == [0.75, 0.5, 0.0]
 
 
 class TestPrimality:

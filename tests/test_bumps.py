@@ -1,8 +1,10 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from primedir import bumps
@@ -149,3 +151,39 @@ class TestVk:
     def test_oscillation_cap(self):
         with pytest.raises(PrecisionError):
             bumps.v_k(0, 2.0**41)
+
+    def test_many_panels_match_the_80_bit_reduction(self, monkeypatch):
+        # the reduction the integer one replaced: X t formed and reduced in
+        # np.longdouble, 80-bit on x86-64; X = 2^20 - 4.75 fills the panel budget
+        Xs = (1000.3, 2.0**14 + 0.61, 2.0**20 - 4.75)
+        values = [bumps.v_k(0, X) for X in Xs]
+        monkeypatch.setattr(bumps, "_phase", lambda X, t: np.mod(
+            np.longdouble(X) * t.astype(np.longdouble), 1.0).astype(np.float64))
+        for X, value in zip(Xs, values):
+            assert abs(value - bumps.v_k(0, X)) <= 1e-13
+
+    def test_against_mpmath_quadrature(self):
+        # tanh-sinh over pieces shorter than a period, at 20 digits, with the
+        # normalization taken by the same quadrature
+        import mpmath
+
+        def raw(t):
+            return mpmath.exp(-1 / (1 - (2 * t - 3) ** 2)) if 1 < t < 2 else mpmath.mpf(0)
+
+        with mpmath.workdps(20):
+            c = 1 / mpmath.quad(raw, mpmath.linspace(1, 2, 9))
+            for X in (0.3, 7.25, 100.6, 255.5):
+                pieces = mpmath.linspace(1, 2, int(X) + 9)
+                oracle = c * mpmath.quad(lambda t: raw(t) * mpmath.expjpi(2 * X * t), pieces)
+                assert abs(bumps.v_k(0, X) - complex(oracle)) <= 1e-12
+
+
+class TestPhase:
+    @settings(max_examples=200, deadline=None)
+    @given(X=st.one_of(st.floats(0.0, 2.0**40), st.integers(0, 2**40).map(float)),
+           t=st.lists(st.floats(1.0, 2.0), min_size=1, max_size=32))
+    def test_within_2_52_of_exact(self, X, t):
+        # a float64 product X t errs by up to 2^-12 turns at X = 2^40
+        for got, u in zip(bumps._phase(X, np.array(t)), t):
+            gap = (Fraction(float(got)) - Fraction(X) * Fraction(u)) % 1
+            assert min(gap, 1 - gap) <= 2.0**-52

@@ -40,6 +40,11 @@ class TestMk:
         with pytest.raises(ValueError):
             M.m_k(13, Fraction(0), table13)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_rejected(self, table13, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            M.m_k(10, alpha, table13)
+
     def test_against_mpmath_oracle(self, table13):
         # 40-digit reference summation of the defining series at k = 8
         import mpmath
@@ -278,10 +283,31 @@ class TestSymmetryProperties:
     @settings(max_examples=50, deadline=None)
     @given(alpha=st.one_of(_near_fractions(), _near_fraction_floats()), k=st.integers(4, 12))
     def test_symbol_conjugate_symmetric(self, table13, alpha, k):
-        # the float path reduces p alpha mod 1 for each sign separately, so
-        # the two sides agree to rounding, not bit for bit
-        gap = M.m_k(k, -alpha, table13) - M.m_k(k, alpha, table13).conjugate()
-        assert abs(gap) <= 1e-13
+        # the float path (floats, and Fractions with q > 2^16) reduces
+        # p |alpha| and puts the sign on afterwards, so the two sides are
+        # equal; the fold path reduces p a mod q for each sign separately
+        value, mirrored = M.m_k(k, alpha, table13), M.m_k(k, -alpha, table13)
+        if isinstance(alpha, Fraction) and alpha.denominator <= 1 << 16:
+            assert abs(mirrored - value.conjugate()) <= 1e-13
+        else:
+            assert mirrored == value.conjugate()
+
+
+class TestFloatPath:
+    """m_k at a float alpha, whose phases are reduced in 64-bit integers."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(alpha=st.one_of(st.floats(-8.0, 8.0), st.floats(-(2.0**-11), 2.0**-11),
+                           _near_fraction_floats()),
+           k=st.sampled_from([8, 14, 20]))
+    def test_matches_exact_phases(self, table21, alpha, k):
+        # the same weighted sum with each phase float((p Fraction(alpha)) % 1)
+        # taken from Python integers
+        primes, w = M.prime_weights(k, table21)
+        num, den = alpha.as_integer_ratio()
+        phase = np.array([(p * num % den) / den for p in primes.tolist()])
+        exact = complex((w * np.exp(-2j * np.pi * phase)).sum())
+        assert abs(M.m_k(k, alpha, table21) - exact) <= 1e-15
 
 
 class TestNearFractionApproximation:

@@ -1,5 +1,6 @@
 """Package-level checks that no single module's tests cover."""
 
+import ast
 import importlib
 import json
 import os
@@ -66,3 +67,19 @@ def test_import_leaves_thread_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def test_extended_precision_only_in_the_naive_baseline():
+    # np.longdouble is 80-bit on x86-64 but float64 on aarch64, macOS and
+    # Windows, so a library path that used it would depend on the platform;
+    # only criterion 8's timed baseline keeps it
+    where = set()
+    for path in sorted(pathlib.Path(primedir.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        funcs = [node for node in ast.walk(ast.parse(source))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for line, text in enumerate(source.splitlines(), 1):
+            if re.search(r"longdouble|longfloat|float96|float128", text):
+                inner = [f for f in funcs if f.lineno <= line <= f.end_lineno]
+                where.add((path.name, max(inner, key=lambda f: f.lineno).name if inner else None))
+    assert where == {("multiplier.py", "m_k_naive_grid")}
