@@ -28,8 +28,9 @@ only the direction and the denominator r vary.  The exact scan counts each
 pair's lattice candidates on their plane indices, in integers of a few
 machine words, under the certificates of ``max_overlap_scan``'s docstring,
 and a scan outside them is refused with a ValueError that names one.  The
-overlap-1 floor takes one point per family, walked or, under the floor
-certificate, in closed form; it and the grid sample count with ``member``.
+overlap-1 floor takes one point per family in closed form, under the floor
+certificate, which a scan below its final maximum requires; the floor and
+the grid sample count with ``member``.
 """
 
 from __future__ import annotations
@@ -170,13 +171,6 @@ class ScanWindow:
 
     def contains(self, x: Fraction, y: Fraction) -> bool:
         return self.x_lo <= x <= self.x_hi and self.y_lo <= y <= self.y_hi
-
-    def mask(self, px: int, py: int, d: int) -> bool:
-        """Is (px/d, py/d) in the closed window? d > 0: the edges are rounded
-        inward to integers at d, so the test is four integer comparisons."""
-        W = self.W
-        return (-(-self.x0 * d // W) <= px <= self.x1 * d // W
-                and -(-self.y0 * d // W) <= py <= self.y1 * d // W)
 
 
 def default_window(variant: str, half: int = 1) -> ScanWindow:
@@ -385,7 +379,7 @@ class OverlapReport:
     window: ScanWindow
     # the points the scan answers for: every in-window pair candidate (or all
     # 20 000 grid samples, including those after a sample reached the family
-    # count, which no later sample can beat) plus the floor points
+    # count, which no later sample can beat) plus one floor point per family
     candidates_checked: int = 0
     r_values: tuple[int, ...] | None = None  # per-family denominators, for replay
     baseline: str | None = None  # "parallel" for a parallel-baseline scan, for replay
@@ -396,47 +390,6 @@ class OverlapReport:
     # the result: report files and equality leave them out
     samples_counted: int = field(default=0, compare=False)
     shared_centers: int = field(default=0, compare=False)
-
-
-def _round_half_even(n: int, d: int) -> int:
-    """The integer nearest n / d, d > 0, ties to even, as round(Fraction(n, d))."""
-    q, rem = divmod(n, d)
-    return q + (2 * rem > d or (2 * rem == d and q & 1))
-
-
-def _interior_point(fam: TubeFamily, win: ScanWindow) -> tuple[int, int, int] | None:
-    """A point on a tube center plane inside the window (overlap floor >= 1),
-    as an unreduced triple (px, py, d).
-
-    Walks perpendicularly from the window center to the planes a/r nearest
-    it, then along each plane by multiples of about a quarter of the
-    window's smaller side, whatever |v| is (the zero-index plane passes
-    through the excluded origin ball, so an on-plane offset is usually
-    needed); the first trial in the window that the family covers is the point.
-    Each trial is tested alone, the window first and then ``member``, in
-    the order below, and the walk stops at its first hit.
-
-    The 25 trials share the denominator d = 4 W r S den n1, where
-    S = ax^2 + ay^2, n1 = |ax| + |ay| and T = ax (x0 + x1) + ay (y0 + y1):
-    v . center = T / (2 W den), plane a meets the normal at
-    center + (2 W den a - r T) / (2 W r S) (ax, ay), and one step along a plane
-    is w / (4 W) (-ay, ax) / n1, w = min(x1 - x0, y1 - y0), whose length lies
-    between 1/sqrt(2) and 1 times w / (4 W).
-    """
-    ax, ay, den, r = fam.ax, fam.ay, fam.den, fam.r
-    x0, x1, y0, y1, W = win.x0, win.x1, win.y0, win.y1, win.W
-    S, T, n1 = ax * ax + ay * ay, ax * (x0 + x1) + ay * (y0 + y1), abs(ax) + abs(ay)
-    d, step = 4 * W * r * S * den * n1, r * S * den * min(x1 - x0, y1 - y0)
-    c = 2 * r * S * den * n1
-    cx, cy = c * (x0 + x1), c * (y0 + y1)  # the center, over d
-    a0 = _round_half_even(r * T, 2 * W * den)  # the plane nearest the center
-    for a in (a0, a0 - 1, a0 + 1, a0 - 2, a0 + 2):
-        lam = 2 * den * n1 * (2 * W * den * a - r * T)  # plane a meets the normal at cx + lam ax
-        for m in (0, 1, -1, 2, -2):
-            px, py = cx + lam * ax - m * step * ay, cy + lam * ay + m * step * ax
-            if win.mask(px, py, d) and fam.member(px, py, d):
-                return px, py, d
-    return None
 
 
 _EXACT_BUDGET = 2_000_000  # most pair candidates the exact branch takes on
@@ -472,31 +425,25 @@ def _grid_sample(families: list[TubeFamily], win: ScanWindow):
     return best, witness, counted
 
 
-def _floor_certified(fam: TubeFamily, win: ScanWindow) -> bool:
-    """Does every family's floor walk find a point?  The floor certificate
-    of ``max_overlap_scan``'s docstring, read from the window and from the
-    geometry that ``fam``, any family of the scan, shares with the rest."""
-    w, W = min(win.x1 - win.x0, win.y1 - win.y0), win.W
-    return (win.x0 + win.x1 == 0 == win.y0 + win.y1 and 6 * W * fam.ex_n <= w * fam.ex_d
-            and (fam.torus_side is None or w <= W * fam.torus_side))
-
-
-def _floor_refusal(families: list[TubeFamily], cross, ranges, walks, best: int) -> None:
-    """A ValueError naming the floor certificate, and the family or pair,
-    where the walks of an uncertified window prove nothing, in a parallel
-    class larger than best, the maximum so far (see ``max_overlap_scan``);
-    a family meets the window when its range is not empty."""
-    meets = [lo <= hi for lo, hi in ranges]
-    norms = [Fraction(f.r * (abs(f.ax) + abs(f.ay)), f.den) for f in families]  # |r v|_1
-    for l, row in enumerate(cross):
-        if row.count(0) > best and meets[l]:  # cross[l][m] = 0: m is parallel to l
-            if walks[l] is None:
-                raise ValueError(f"floor certificate fails for family {l}: its planes meet "
-                                 "the window, and its walk finds no point")
-            for m in range(l + 1, len(row)):
-                if not row[m] and meets[m] and norms[l] != norms[m]:
-                    raise ValueError(f"floor certificate fails for pair ({l}, {m}): "
-                                     "parallel families on different planes")
+def _floor_points(families: list[TubeFamily], win: ScanWindow) -> list[tuple[int, int, int]]:
+    """One overlap-1 floor point per family, in closed form, as a triple
+    (px, py, d): the origin when there is no ball, else
+    (w / (4 W)) (-ay, ax) / (|ax| + |ay|).  A ValueError names the condition
+    of the floor certificate of ``max_overlap_scan``'s docstring that fails,
+    read from the window and the geometry that the families share."""
+    f0, W = families[0], win.W
+    w = min(win.x1 - win.x0, win.y1 - win.y0)
+    if win.x0 + win.x1 or win.y0 + win.y1:
+        condition = "the window is not centred at the origin"
+    elif 6 * W * f0.ex_n > w * f0.ex_d:
+        condition = "the exclusion radius exceeds a sixth of the window's shorter side"
+    elif f0.torus_side is not None and w > W * f0.torus_side:
+        condition = "the window's shorter side exceeds the torus side"
+    elif not f0.ex_n:
+        return [(0, 0, 1)] * len(families)
+    else:
+        return [(-w * f.ay, w * f.ax, 4 * W * (abs(f.ax) + abs(f.ay))) for f in families]
+    raise ValueError(f"floor certificate fails: {condition}")
 
 
 def _fold_certificate(families: list[TubeFamily], window: ScanWindow) -> None:
@@ -520,10 +467,11 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
     """Maximum pointwise overlap of the families over the window.
 
     Exact method: overlap counts are evaluated at every pairwise lattice cell
-    center and corner (sufficient for any maximum >= 2) plus one interior
-    point per family (the overlap-1 floor).  If the candidate count would
-    exceed 2 000 000 the scan takes a grid sample of 20 000 points (seed 0)
-    instead and labels the report method accordingly.
+    center and corner (sufficient for any maximum >= 2) plus one point per
+    family in closed form (the overlap-1 floor, under the floor certificate
+    below).  If the candidate count would exceed 2 000 000 the scan takes a
+    grid sample of 20 000 points (seed 0) instead and labels the report
+    method accordingly.
 
     The families must share one geometry: the level s, the thickness
     constant C1, the torus side and the exclusion radius, as the tubes of
@@ -633,33 +581,24 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
     before it.  No point lies in more families than there are, so a maximum
     equal to the family count is final: the grid sample stops at the first
     sample that reaches it (the rest still count toward
-    ``candidates_checked``), and the floor points are not counted, though
-    they add to ``candidates_checked``.  Nor are they on the exact branch
-    once its maximum is at least 2 and the largest parallel class: a point
-    that two non-parallel families cover is a pair candidate, and any other
-    lies in one parallel class alone.
+    ``candidates_checked``).  So is a maximum of the exact branch that is at
+    least 2 and the largest parallel class: a point that two non-parallel
+    families cover is a pair candidate, and any other lies in one parallel
+    class alone.  Only below a final maximum are the floor points counted;
+    they add the family count to ``candidates_checked`` in every scan.
 
-    Floor certificate (``_floor_certified``, once per scan), on the integer
-    window and radius ex_n / ex_d: the window is centred at the origin,
-    x0 + x1 = 0 = y0 + y1; 6 W ex_n <= w ex_d with w = min(x1 - x0, y1 - y0);
-    and with a torus, w <= W side.  Then every
-    walk (``_interior_point``) has T = 0 and nearest plane a0 = 0; its
-    trial m = 0 is the origin, a member exactly when ex_n = 0, and its trial
-    m = 1 is p = (w / (4 W)) (-ay, ax) / (|ax| + |ay|): on plane 0
-    (v . p = 0); in the window, as |p_x|, |p_y| <= w / (4 W), below the half
-    sides; unmoved by the fold, as w / (4 W) <= side / 4; and, when
-    ex_n > 0, at least w / (4 sqrt(2) W) >= 6 ex_n / (4 sqrt(2) ex_d) >
-    ex_n / ex_d from the origin, outside the ball.  So the scan takes each
-    floor point in closed form, the origin or p, and a final maximum only
-    adds the family count; p lies on plane 0 of every family parallel to
-    its own, so it counts its whole class.  Else the scan walks every
-    family, and below a final maximum the exact branch refuses, naming the
-    floor certificate, where the walks prove nothing (``_floor_refusal``):
-    in a parallel class larger than the maximum so far, a family whose
-    planes meet the window and whose walk finds no point, or two such
-    families on different planes (r_l v_l != +-r_m v_m).  Else a walk's
-    point, on a central plane of its family, lies in each family of its
-    class that meets the window.
+    Floor certificate (``_floor_points``), on the integer window and radius
+    ex_n / ex_d: the window is centred at the origin, x0 + x1 = 0 = y0 + y1;
+    6 W ex_n <= w ex_d with w = min(x1 - x0, y1 - y0); and with a torus,
+    w <= W side.  Then a family's floor point is the origin when ex_n = 0,
+    a member of every family, and else p = (w / (4 W)) (-ay, ax) /
+    (|ax| + |ay|): on plane 0 (v . p = 0); in the window, as |p_x|, |p_y| <=
+    w / (4 W), below the half sides; unmoved by the fold, as w / (4 W) <=
+    side / 4; and at least w / (4 sqrt(2) W) >= 6 ex_n / (4 sqrt(2) ex_d) >
+    ex_n / ex_d from the origin, outside the ball.  p lies on plane 0 of
+    every family parallel to its own, so it counts its whole class.  A scan
+    below a final maximum requires the certificate: without it the scan is
+    refused with a ValueError that names the condition that fails.
     ``replay_witness`` recounts a witness through ``member``, so it checks a
     pair witness independently of the plane-index counts above.
     """
@@ -718,31 +657,17 @@ def max_overlap_scan(families: list[TubeFamily], window: ScanWindow) -> OverlapR
         best, witness, counted = _grid_sample(families, window)
         checked = _SAMPLES
 
-    # the overlap-1 floor, one point per family, counted through member
-    # unless the maximum is final: the family count, or on the exact branch
-    # >= 2 and >= the largest parallel class; a point replaces the witness
-    # only by beating the count so far
+    # the overlap-1 floor adds one point per family; below a final maximum
+    # (the family count, or on the exact branch >= 2 and >= the largest
+    # parallel class) each is counted through member, and replaces the
+    # witness only by beating the count so far
+    checked += n
     par = max(row.count(0) for row in cross)  # cross[i][i] = 0
-    final = best >= (max(2, par) if method == "exact-candidates" else n)
-    certified = _floor_certified(f0, window)
-    if final and certified:
-        checked += n
-    else:
-        if certified:  # the origin, or the walk's second trial
-            w, W = min(window.x1 - window.x0, window.y1 - window.y0), window.W
-            walks = [(-w * f.ay, w * f.ax, 4 * W * (abs(f.ax) + abs(f.ay))) if f0.ex_n
-                     else (0, 0, 1) for f in families]
-        else:
-            walks = [_interior_point(f, window) for f in families]
-            if method == "exact-candidates" and not final:
-                _floor_refusal(families, cross, ranges, walks, best)
-        floor = [pt for pt in walks if pt is not None]
-        checked += len(floor)
-        if not final:
-            for px, py, d in floor:
-                count = sum(f.member(px, py, d) for f in families)
-                if count > best:
-                    best, witness = count, (Fraction(px, d), Fraction(py, d))
+    if best < (max(2, par) if method == "exact-candidates" else n):
+        for px, py, d in _floor_points(families, window):
+            count = sum(f.member(px, py, d) for f in families)
+            if count > best:
+                best, witness = count, (Fraction(px, d), Fraction(py, d))
 
     return OverlapReport(
         s=f0.s, C1=f0.C1, max_overlap=best, witness=witness,

@@ -178,6 +178,22 @@ class TestIncidence:
             "invalid argument: origin-cell certificate fails for pair (1, 5); C1 >= 44 passes it\n")
         assert not rep.exists()
 
+    @pytest.mark.parametrize("baseline", [["--baseline", "parallel"], []], ids=["parallel", "families"])
+    def test_window_wider_than_torus_refused(self, tmp_path, capsys, baseline):
+        # the README set's torus has side 36028797018963968000000, below
+        # 2^75, so a window of half side 2^80 fails the floor certificate, and neither scan reaches its final
+        # maximum without the floor: the parallel baseline has no pair, and
+        # the families' grid sample reaches 1 of 8; nothing is written
+        ds, rep = tmp_path / "ds.json", tmp_path / "rep.json"
+        run("construct", "--n", "8", "--eps", "0.5", "--mode", "toy", "--seed", "7",
+            "--out", str(ds))
+        capsys.readouterr()
+        assert run("incidence", "--ds", str(ds), "--s", "2", *baseline,
+                   "--window-half", str(2**80), "--out", str(rep)) == 2
+        assert capsys.readouterr().err == ("invalid argument: floor certificate fails: "
+                                           "the window's shorter side exceeds the torus side\n")
+        assert not rep.exists()
+
     def test_refusal_hint_accepted(self, tmp_path, capsys):
         # the README set: every C1 below 44 gets the same hint, and 44 scans
         ds, rep = tmp_path / "ds.json", tmp_path / "rep.json"

@@ -28,9 +28,31 @@ def axis_families():
 
 
 def _floor_point(fam, window):
-    """The family's floor point as Fractions (None when the walk finds none)."""
-    pt = I._interior_point(fam, window)
-    return pt and (F(pt[0], pt[2]), F(pt[1], pt[2]))
+    """The family's floor point in plain Fractions, as the floor certificate
+    gives it: the origin when there is no ball, else a quarter of the
+    window's shorter side along (-vy, vx) / (|vx| + |vy|)."""
+    if not fam.exclusion_radius:
+        return F(0), F(0)
+    vx, vy = F(fam.v[0]), F(fam.v[1])
+    q = min(window.x_hi - window.x_lo, window.y_hi - window.y_lo) / (4 * (abs(vx) + abs(vy)))
+    return -q * vy, q * vx
+
+
+def _floor_certified(fam, window) -> bool:
+    """The floor certificate in plain Fractions: the window is centred at the
+    origin, the exclusion radius is at most a sixth of its shorter side, and
+    that side is at most the torus side."""
+    w = min(window.x_hi - window.x_lo, window.y_hi - window.y_lo)
+    return (window.x_lo + window.x_hi == 0 == window.y_lo + window.y_hi
+            and 6 * F(fam.exclusion_radius) <= w
+            and (fam.torus_side is None or w <= fam.torus_side))
+
+
+def _floor_points_in(fams, window):
+    """The families' floor points that lie in the window, in family order:
+    all of them under the floor certificate.  A scan counts none outside
+    it, since one that needs its floor there is refused."""
+    return [pt for pt in (_floor_point(f, window) for f in fams) if window.contains(*pt)]
 
 
 class TestTubeFamily:
@@ -293,11 +315,15 @@ class TestScan:
 
     def test_k_variant_families(self, toy_ds, monkeypatch):
         fams = I.families_from_direction_set(toy_ds, s=1, variant="k")
-        # integer vectors are enormous: restrict to a tiny window around a
-        # known tube plane and check the scan stays exact and bounded
-        win = I.ScanWindow(F(1, 7), F(1, 7) + F(1, 10**6), F(1, 11), F(1, 11) + F(1, 10**6))
+        # integer vectors are enormous: restrict to a tiny window and check
+        # the scan stays bounded; its samples reach 1 of 4 families, so the
+        # floor is needed, and off centre it is refused
         monkeypatch.setattr(I, "_EXACT_BUDGET", 200_000)
-        rep = I.max_overlap_scan(fams, win)
+        win = I.ScanWindow(F(1, 7), F(1, 7) + F(1, 10**6), F(1, 11), F(1, 11) + F(1, 10**6))
+        with pytest.raises(ValueError, match="^floor certificate fails: the window is not centred"):
+            I.max_overlap_scan(fams, win)
+        h = F(1, 10**6)
+        rep = I.max_overlap_scan(fams, I.ScanWindow(-h, h, -h, h))
         assert rep.max_overlap <= len(fams)
 
     def test_memory_does_not_grow_with_c1(self, toy_ds):
@@ -350,40 +376,6 @@ class TestOneGeometry:
         want = [_geometry_family(ex=F(1, 4)), _geometry_family(v=(0, 1), ex=F(1, 4))]
         window = I.default_window("ktilde")
         assert I.max_overlap_scan(fams, window) == I.max_overlap_scan(want, window)
-
-
-class TestIntWindow:
-    """The window's integer edges, fixed at construction, against its Fractions."""
-
-    WINDOWS = (
-        I.ScanWindow(F(-3, 7), F(2, 5), F(-1, 3), F(-1, 9)),
-        I.ScanWindow(F(-2), F(-1, 2), F(0), F(5, 3)),
-        I.ScanWindow(F(1, 3), F(1, 3), F(-2, 7), F(-2, 7)),  # a single point
-    )
-
-    @pytest.mark.parametrize("win", WINDOWS)
-    def test_edges_and_corners_match_contains(self, win):
-        # mask() on scalar triples against the Fraction reference contains()
-        eps = F(1, 10**9)
-        xs = (win.x_lo, (win.x_lo + win.x_hi) / 2, win.x_hi)
-        ys = (win.y_lo, (win.y_lo + win.y_hi) / 2, win.y_hi)
-        for x0 in xs:
-            for y0 in ys:
-                for dx in (-eps, F(0), eps):
-                    for dy in (-eps, F(0), eps):
-                        x, y = x0 + dx, y0 + dy
-                        px, py, d = I._over_lcd(x, y)
-                        for k in (1, 6):  # unreduced triples too
-                            assert win.mask(k * px, k * py, k * d) == win.contains(x, y)
-
-    @pytest.mark.parametrize("win", WINDOWS)
-    def test_closed_edges_are_members(self, win):
-        cx, cy = (win.x_lo + win.x_hi) / 2, (win.y_lo + win.y_hi) / 2
-        pts = [(x, y) for x in (win.x_lo, win.x_hi) for y in (win.y_lo, win.y_hi)]
-        pts += [(x, cy) for x in (win.x_lo, win.x_hi)] + [(cx, y) for y in (win.y_lo, win.y_hi)]
-        px, py, d = zip(*(I._over_lcd(x, y) for x, y in pts))
-        e = math.lcm(*d)  # one denominator, as the grid sample's points share
-        assert all(win.mask(x * (e // k), y * (e // k), e) for x, y, k in zip(px, py, d))
 
 
 # -- the scan's counter against the scalar predicate ---------------------------------
@@ -589,8 +581,7 @@ def _samples(window):
 def _recount_scan(fams, window):
     """The grid-sample scan recounted point by point through tube_membership."""
     best, witness = 0, None
-    floor = [pt for pt in (_floor_point(f, window) for f in fams) if pt is not None]
-    for pt in _samples(window) + floor:
+    for pt in _samples(window) + _floor_points_in(fams, window):
         c = sum(I.tube_membership(pt, f) for f in fams)
         if c > best:
             best, witness = c, pt
@@ -648,16 +639,17 @@ def _lattice_candidates(f1, f2, window):
 
 def _recount_exact(fams, window):
     """The exact scan recounted point by point through member(): every in-window
-    candidate of every pair (``_lattice_candidates``), then the floor points."""
+    candidate of every pair (``_lattice_candidates``), then the floor points
+    in the window; the floor adds one point per family to the candidates."""
     pts = [pt for f1, f2 in itertools.combinations(fams, 2)
            for pt in _lattice_candidates(f1, f2, window)]
-    pts += [pt for pt in (I._interior_point(f, window) for f in fams) if pt]
+    floor = [I._over_lcd(*pt) for pt in _floor_points_in(fams, window)]
     best, witness = 0, None
-    for px, py, d in pts:
+    for px, py, d in pts + floor:
         c = sum(f.member(px, py, d) for f in fams)
         if c > best:
             best, witness = c, (F(px, d), F(py, d))
-    return best, witness, len(pts)
+    return best, witness, len(pts) + len(fams)
 
 
 def _pairs_max(fams, window):
@@ -672,23 +664,12 @@ def _as_points(triples):
     return [(F(px, d), F(py, d)) for px, py, d in triples]
 
 
-def _floor_unproven(fams, window, best=0) -> bool:
-    """Can the floor walks leave a maximum unproven?  In Fractions, within a
-    parallel class of more than best families: a family whose thickened
-    slabs meet the window and whose walk finds no point, or two families
-    whose slabs meet it with r v != +-r' v'."""
-    meets = [lo <= hi for lo, hi in (_fraction_plane_range(f, window) for f in fams)]
-    rv = [(f.r * F(f.v[0]), f.r * F(f.v[1])) for f in fams]
-
-    def parallel(i, j):
-        return rv[i][0] * rv[j][1] == rv[i][1] * rv[j][0]
-
-    big = [sum(parallel(i, j) for j in range(len(fams))) > best for i in range(len(fams))]
-    if any(b and m and _floor_point(f, window) is None for f, m, b in zip(fams, meets, big)):
-        return True
-    return any(big[i] and meets[i] and meets[j] and parallel(i, j)
-               and rv[j] not in (rv[i], (-rv[i][0], -rv[i][1]))
-               for i, j in itertools.combinations(range(len(fams)), 2))
+def _floor_refused(fams, window, best) -> bool:
+    """Must an exact scan whose pairs reach best refuse its floor?  Below its
+    final maximum, max(2, the largest parallel class), it needs the floor,
+    and the floor needs the certificate."""
+    par = max(sum(f.ax * g.ay == f.ay * g.ax for g in fams) for f in fams)
+    return best < max(2, par) and not _floor_certified(fams[0], window)
 
 
 _REFUSAL = re.compile(r"(window|ball|origin-cell|slab|fold|floor) certificate fails")
@@ -803,8 +784,8 @@ class TestInt64Counts:
     def test_index_scan_equals_recount(self):
         """The scan refuses, naming a certificate, or equals member() at every
         candidate; it accepts every large C1 at s >= 1 with a small radius, a
-        fold that moves nothing and floor walks that cannot leave the maximum
-        unproven.  Both outcomes are drawn."""
+        fold that moves nothing and a floor that is certified or not needed.
+        Both outcomes are drawn."""
         refused = set()
 
         @settings(max_examples=150, deadline=None)
@@ -813,7 +794,8 @@ class TestInt64Counts:
             fams, large = case
             rep = _scan_or_refusal(fams, win)
             if (large and fams[0].s and not _fold_moves(fams, win)
-                    and fams[0].exclusion_radius < F(1, 3) and not _floor_unproven(fams, win)):
+                    and fams[0].exclusion_radius < F(1, 3)
+                    and not _floor_refused(fams, win, _pairs_max(fams, win))):
                 assert rep is not None
             if rep is not None:
                 assert rep.method == "exact-candidates"
@@ -1051,34 +1033,40 @@ class TestInt64Counts:
         ((1, 0), (3, 1, 1, 3, 2), (4, 5, 4, 5, 5), (F(-4, 7), F(2, 9)), None),  # counts 1 3 3 3 3
     ])
     def test_parallel_floor_on_different_planes_refused(self, v, ks, rs, corner, beyond):
-        # parallel directions with different r v: the floor points differ, and
-        # the maximum of their counts is reached at more than one of them, but
-        # a point off every floor point can lie in more families (in the first
-        # case it does); there is no pair candidate, so the scan refuses
+        # parallel directions with different r v, off centre: there is no
+        # pair candidate, so the floor decides, and the scan refuses; planes
+        # of different families meet at points of more than one family (in
+        # the first case one lies in 4 of the 5).  Centred, every floor point
+        # lies on plane 0 of the whole class
         fams = [I.TubeFamily(v=(F(k * v[0]), F(k * v[1])), r=r, s=2, C1=8)
                 for k, r in zip(ks, rs)]
         x0, y0 = corner
         win = I.ScanWindow(x0, x0 + F(1, 3), y0, y0 + F(1, 4))
-        floor = [_floor_point(f, win) for f in fams]
-        counts = [sum(I.tube_membership(pt, f) for f in fams) for pt in floor]
-        first = counts.index(max(counts))
-        assert first > 0 and any(c == counts[first] and pt != floor[first]
-                                 for c, pt in zip(counts[first + 1:], floor[first + 1:]))
-        assert _floor_unproven(fams, win) and not I._floor_certified(fams[0], win)
-        with pytest.raises(ValueError, match=r"^floor certificate fails for pair \(0, 1\): "
-                                             r"parallel families on different planes$"):
+        assert _floor_refused(fams, win, 0)
+        with pytest.raises(ValueError, match=r"^floor certificate fails: "
+                                             r"the window is not centred at the origin$"):
             I.max_overlap_scan(fams, win)
         if beyond:
             pt, count = beyond
-            assert win.contains(*pt) and count > max(counts)
+            assert win.contains(*pt) and 1 < count < len(fams)
             assert sum(I.tube_membership(pt, f) for f in fams) == count
+        centred = I.ScanWindow(F(-1, 6), F(1, 6), F(-1, 8), F(1, 8))
+        rep = I.max_overlap_scan(fams, centred)
+        assert (rep.max_overlap, rep.witness) == (len(fams), _floor_point(fams[0], centred))
 
     @pytest.mark.parametrize("win", WINDOWS)
     @settings(max_examples=3, deadline=None)
     @given(fams=_family_lists(1, 3))
     def test_sample_scan_equals_recount(self, win, fams):
         # budget -1: a list without a non-parallel pair has 0 candidates
+        # below the family count the floor needs its certificate
+        refused = (_uncapped_grid_sample(tuple(fams), win)[0] < len(fams)
+                   and not _floor_certified(fams[0], win))
         with mock.patch.object(I, "_EXACT_BUDGET", -1):
+            if refused:
+                with pytest.raises(ValueError, match="^floor certificate fails: "):
+                    I.max_overlap_scan(fams, win)
+                return
             rep = I.max_overlap_scan(fams, win)
         assert rep.method == "grid-sample"
         assert (rep.max_overlap, rep.witness) == _recount_scan(fams, win)
@@ -1099,14 +1087,13 @@ def _uncapped_grid_sample(fams: tuple, win):
 
 def _counted_floor_scan(fams, window):
     """(max_overlap, witness, candidates_checked) of a grid-sample scan with
-    every sample and every floor point counted through member()."""
+    every sample and every in-window floor point counted."""
     best, witness = _uncapped_grid_sample(tuple(fams), window)
-    floor = [pt for pt in (I._interior_point(f, window) for f in fams) if pt is not None]
-    for px, py, d in floor:
-        c = sum(f.member(px, py, d) for f in fams)
+    for pt in _floor_points_in(fams, window):
+        c = sum(I.tube_membership(pt, f) for f in fams)
         if c > best:
-            best, witness = c, (F(px, d), F(py, d))
-    return best, witness, I._SAMPLES + len(floor)
+            best, witness = c, pt
+    return best, witness, I._SAMPLES + len(fams)
 
 
 def _seed0_n8_k_families():
@@ -1167,9 +1154,8 @@ class TestFamilyCountCeiling:
 
     @staticmethod
     def _floor_counts(fams, window):
-        """The report, and the member() calls the scan makes outside the floor
-        walks and the grid sample: the floor's counts, since the exact branch
-        calls no member()."""
+        """The report, and the member() calls the scan makes outside the grid
+        sample: the floor's counts, since the exact branch calls no member()."""
         counts, inside = [], []
         real_member = I.TubeFamily.member
 
@@ -1188,7 +1174,6 @@ class TestFamilyCountCeiling:
             return call
 
         with mock.patch.object(I.TubeFamily, "member", member), \
-                mock.patch.object(I, "_interior_point", marked(I._interior_point)), \
                 mock.patch.object(I, "_grid_sample", marked(I._grid_sample)):
             return I.max_overlap_scan(fams, window), counts
 
@@ -1212,15 +1197,14 @@ class TestFamilyCountCeiling:
         # one family, no pair: the floor point alone reaches the maximum
         fams = _axis_families()[:1]
         rep, counted = self._floor_counts(fams, I.default_window("ktilde"))
-        # the certified window gives the walk's point in closed form
+        # the certified window gives the floor point in closed form
         assert _as_points(counted) == [_floor_point(fams[0], I.default_window("ktilde"))]
         assert (rep.max_overlap, rep.candidates_checked) == (1, 1)
 
     def test_certified_maximum_skips_floor_batch(self):
         # the benchmark's N = 8 ktilde families: the exact branch reaches 2 of
         # 8, which its pair candidates certify, so none of the floor's 8
-        # points reaches member() (candidates_checked keeps them, and the
-        # floor certificate counts them without a walk)
+        # points reaches member() (candidates_checked keeps them)
         ds = directions.rescale_to_integers(
             directions.construct_directions(directions.DirectionSpec(N=8, eps=0.5, seed=0)))
         fams, window = I.families_from_direction_set(ds, s=3), I.default_window("ktilde")
@@ -1230,24 +1214,24 @@ class TestFamilyCountCeiling:
         assert _exact_facts(rep) == _recount_exact(fams, window)
 
     def test_parallel_copies_beat_pair_maximum(self):
-        # three copies of a vertical family and a pair that reaches 2 where
-        # the copies' strip x = 1/4 meets neither of them: only the floor
-        # point counts 3, so the floor is counted although the pairs reach 2
-        a = I.TubeFamily(v=(F(1), F(0)), r=4, s=2, C1=8)
-        b = I.TubeFamily(v=(F(1), F(1)), r=4, s=2, C1=8)
-        c = I.TubeFamily(v=(F(1), F(-1)), r=5, s=2, C1=8)
-        fams, window = [a, a, a, b, c], I.ScanWindow(F(1, 10), F(1, 2), F(3, 20), F(7, 40))
+        # three copies of a vertical family and a pair that reaches 2, where
+        # the copies' plane x = 0 meets neither of them in the window but at
+        # the origin, which the ball removes: only the copies' floor point
+        # counts 3, so the floor is counted although the pairs reach 2
+        ex = F(1, 100)
+        a = I.TubeFamily(v=(F(1), F(0)), r=4, s=2, C1=8, exclusion_radius=ex)
+        b = I.TubeFamily(v=(F(1), F(1)), r=4, s=2, C1=8, exclusion_radius=ex)
+        c = I.TubeFamily(v=(F(1), F(-1)), r=5, s=2, C1=8, exclusion_radius=ex)
+        fams, window = [a, a, a, b, c], I.ScanWindow(F(-1, 6), F(1, 6), F(-1, 6), F(1, 6))
         assert _pairs_max(fams, window) == 2
-        # walks that found nothing would prove nothing: the scan refuses
-        with mock.patch.object(I, "_interior_point", lambda fam, win: None), \
-                pytest.raises(ValueError, match=r"^floor certificate fails for family 0: "):
-            I.max_overlap_scan(fams, window)
         rep, counted = self._floor_counts(fams, window)
         assert (rep.method, rep.max_overlap) == ("exact-candidates", 3)
-        assert rep.witness == _floor_point(a, window)
-        floor = [pt for pt in (I._interior_point(f, window) for f in fams) if pt is not None]
-        assert counted == [pt for pt in floor for _ in fams]
+        assert rep.witness == _floor_point(a, window) == (F(0), F(1, 12))
+        assert _as_points(counted) == [_floor_point(f, window) for f in fams for _ in fams]
         assert _exact_facts(rep) == _recount_exact(fams, window)
+        # off centre no floor point is known, so the scan refuses
+        with pytest.raises(ValueError, match="^floor certificate fails: the window is not centred"):
+            I.max_overlap_scan(fams, I.ScanWindow(F(1, 10), F(1, 2), F(3, 20), F(7, 40)))
 
     def test_floor_never_beats_certified_maximum(self):
         """Once the pair candidates reach 2 and the largest parallel class the
@@ -1275,14 +1259,15 @@ class TestFamilyCountCeiling:
                 certified.add(None)
                 return
             assert rep.method == "exact-candidates"
-            floor = [pt for pt in (I._interior_point(f, win) for f in fams) if pt is not None]
-            assert all(sum(f.member(*pt) for f in fams) <= rep.max_overlap for pt in floor)
+            floor = _floor_points_in(fams, win)
+            assert all(sum(I.tube_membership(pt, f) for f in fams) <= rep.max_overlap
+                       for pt in floor)
             pairs_max = _pairs_max(fams, win)
             par = max(sum(f.ax * g.ay == f.ay * g.ax for g in fams) for f in fams)
             if pairs_max >= max(2, par):
                 assert counted == [] and rep.max_overlap == pairs_max
             else:
-                assert _as_points(counted) == _as_points([pt for pt in floor for _ in fams])
+                assert _as_points(counted) == [pt for pt in floor for _ in fams]
             certified.add(pairs_max >= 2)
 
         check()
@@ -1295,51 +1280,6 @@ def _fraction_plane_range(fam: I.TubeFamily, window: I.ScanWindow) -> tuple[int,
     dots = [vx * x + vy * y for x in (window.x_lo, window.x_hi) for y in (window.y_lo, window.y_hi)]
     return (math.ceil((min(dots) - fam.thickness) * fam.r),
             math.floor((max(dots) + fam.thickness) * fam.r))
-
-
-def _fraction_interior_point(fam: I.TubeFamily, window: I.ScanWindow):
-    """The floor walk in plain Fractions, one trial at a time through
-    tube_membership: from the window center along v to the planes a/r
-    nearest it, then along each plane by multiples of a quarter side
-    times the direction (-vy, vx) / (|vx| + |vy|)."""
-    vx, vy = F(fam.v[0]), F(fam.v[1])
-    n2, n1 = vx * vx + vy * vy, abs(vx) + abs(vy)
-    cx, cy = (window.x_lo + window.x_hi) / 2, (window.y_lo + window.y_hi) / 2
-    t0 = vx * cx + vy * cy
-    a0 = round(t0 * fam.r)
-    quarter = min(window.x_hi - window.x_lo, window.y_hi - window.y_lo) / 4
-    for a in (a0, a0 - 1, a0 + 1, a0 - 2, a0 + 2):
-        lam = (F(a, fam.r) - t0) / n2
-        px, py = cx + lam * vx, cy + lam * vy
-        for mu in (F(0), quarter, -quarter, 2 * quarter, -2 * quarter):
-            x, y = px - mu * vy / n1, py + mu * vx / n1
-            if window.contains(x, y) and I.tube_membership((x, y), fam):
-                return x, y
-    return None
-
-
-def _counted_interior_point(fam: I.TubeFamily, win: I.ScanWindow):
-    """The integer floor walk with its in-window trials collected first and
-    then tested through the Fraction oracle ``_oracle_member``, the first
-    covered trial kept."""
-    ax, ay, den, r = fam.ax, fam.ay, fam.den, fam.r
-    x0, x1, y0, y1, W = win.x0, win.x1, win.y0, win.y1, win.W
-    S, T, n1 = ax * ax + ay * ay, ax * (x0 + x1) + ay * (y0 + y1), abs(ax) + abs(ay)
-    d, step = 4 * W * r * S * den * n1, r * S * den * min(x1 - x0, y1 - y0)
-    c = 2 * r * S * den * n1
-    cx, cy = c * (x0 + x1), c * (y0 + y1)
-    a0 = round(F(r * T, 2 * W * den))
-    trials = []
-    for a in (a0, a0 - 1, a0 + 1, a0 - 2, a0 + 2):
-        lam = 2 * den * n1 * (2 * W * den * a - r * T)
-        for m in (0, 1, -1, 2, -2):
-            px, py = cx + lam * ax - m * step * ay, cy + lam * ay + m * step * ax
-            if win.mask(px, py, d):
-                trials.append((px, py))
-    for px, py in trials:
-        if _oracle_member((F(px, d), F(py, d)), fam):
-            return px, py, d
-    return None
 
 
 @st.composite
@@ -1359,66 +1299,15 @@ def _windows(draw):
     )))
 
 
-class TestFloorWalkOracle:
-    """The integer floor walk and plane range against their Fraction forms."""
-
-    @pytest.mark.parametrize("n,d", [(1, 2), (3, 2), (5, 2), (-1, 2), (-3, 2), (-5, 2),
-                                     (6, 4), (-6, 4), (10, 4), (0, 7), (-1, 3), (-2, 3),
-                                     (2 * 10**30 + 1, 2), (-(2 * 10**30 + 3), 2)])
-    def test_round_half_even_pinned(self, n, d):
-        # ties, in both signs and unreduced, and values on either side of them
-        assert I._round_half_even(n, d) == round(F(n, d))
-
-    @given(n=st.integers(-10**40, 10**40), d=st.integers(1, 10**6))
-    def test_round_half_even(self, n, d):
-        assert I._round_half_even(n, d) == round(F(n, d))
-        tie = ((2 * n + 1) * d, 2 * d)  # n + 1/2, unreduced
-        assert I._round_half_even(*tie) == round(F(*tie)) == n + (n & 1)
-
+class TestPlaneRange:
     @settings(max_examples=300, deadline=None)
     @given(fam=_tube_families(), window=_windows(), shrink=st.sampled_from((1, 12, 40)))
-    def test_integer_walk_equals_fraction_walk(self, fam, window, shrink):
-        # dividing v by shrink spreads the planes, 1/(r |v|) apart, so walks
-        # whose nearest planes miss the window, or whose trials sit at the
-        # window edges, are exercised, and raises the denominator den of v
-        fam = I.TubeFamily(v=(fam.v[0] / shrink, fam.v[1] / shrink), r=fam.r, s=fam.s,
-                           C1=fam.C1, exclusion_radius=fam.exclusion_radius,
-                           torus_side=fam.torus_side)
+    def test_plane_range_equals_fraction_range(self, fam, window, shrink):
+        # dividing v by shrink spreads the planes, 1/(r |v|) apart, so that
+        # ranges that miss the window are drawn, and raises the denominator
+        # den of v
+        fam = dataclasses.replace(fam, v=(fam.v[0] / shrink, fam.v[1] / shrink))
         assert I._plane_range(fam, window) == _fraction_plane_range(fam, window)
-        assert _floor_point(fam, window) == _fraction_interior_point(fam, window)
-
-    @settings(max_examples=300, deadline=None)
-    @given(fam=_tube_families(), window=_windows(), shrink=st.sampled_from((1, 12, 40)))
-    def test_walk_equals_counted_walk(self, fam, window, shrink):
-        # the walk tests one trial at a time through member(); testing all
-        # in-window trials through the Fraction oracle must keep the same
-        # first covered trial
-        fam = I.TubeFamily(v=(fam.v[0] / shrink, fam.v[1] / shrink), r=fam.r, s=fam.s,
-                           C1=fam.C1, exclusion_radius=fam.exclusion_radius,
-                           torus_side=fam.torus_side)
-        assert I._interior_point(fam, window) == _counted_interior_point(fam, window)
-
-    @pytest.mark.parametrize("ex,window,want", [
-        # the window center sits midway between the planes x = 0 and x = 1/2:
-        # t0 r = 1/2 rounds to the even plane 0, whose first trial (0, 0) is
-        # on the window edge; rounding half up would give (1/2, 0)
-        (F(0), I.ScanWindow(F(0), F(1, 2), F(-1, 4), F(1, 4)), (F(0), F(0))),
-        # the origin is excluded, so the walk slides along plane 0, up first
-        (F(1, 10), I.default_window("k"), (F(0), F(1, 4))),
-    ])
-    def test_explicit_walks(self, ex, window, want):
-        fam = I.TubeFamily(v=(F(1), F(0)), r=2, s=1, C1=8, exclusion_radius=ex)
-        assert _floor_point(fam, window) == want
-        assert _fraction_interior_point(fam, window) == want
-
-    def test_long_direction_still_finds_floor(self):
-        # with v = (30, 0) the planes near the center lie inside the excluded
-        # ball, so the floor point is a step along plane 0; the steps must
-        # not grow with |v|, or they all leave the window
-        fam = I.TubeFamily(v=(30, 0), r=2, s=1, C1=8, exclusion_radius=F(1, 10), torus_side=1)
-        rep = I.max_overlap_scan([fam], I.default_window("k"))
-        assert (rep.max_overlap, rep.witness) == (1, (F(0), F(1, 4)))
-        assert I.replay_witness(rep, [fam]) == 1
 
 
 @st.composite
@@ -1436,135 +1325,155 @@ def _certified_floor_cases(draw):
 
 
 class TestFloorCertificate:
-    """A final maximum under the floor certificate adds the family count to
-    candidates_checked without walking; the certificate is what makes every
-    walk find a point.  The axes and the diagonal at r = 2 meet at every
+    """Below a final maximum a scan counts one floor point per family, each
+    in closed form under the floor certificate; without the certificate it
+    is refused, naming the condition that fails.  A final maximum scans on
+    any window.  In every scan the floor adds the family count to
+    candidates_checked.  The axes and the diagonal at r = 2 meet at every
     pair center, so their scans reach the family count."""
 
-    def test_certified_walks_find_a_point(self):
+    def test_closed_form_points(self):
+        """Under the certificate each family's floor point lies in the window,
+        in its family and outside the ball, and is the Fraction oracle's
+        point; without it the floor is refused.  Both are drawn."""
         seen = set()
 
         @settings(max_examples=300, deadline=None)
-        @given(case=_certified_floor_cases())
-        # equality in both bounds: 6 W ex_n = w ex_d and w = W side, and the
-        # diagonal's second trial (-1/8, 1/8) lies just outside the ball 1/6
-        @example(case=(I.TubeFamily(v=(F(1), F(1)), r=2, s=1, C1=8, exclusion_radius=F(1, 6),
-                                    torus_side=1), I.default_window("k")))
-        def check(case):
+        @given(fams=_family_lists(1, 3), case=_certified_floor_cases())
+        # equality in both bounds: 6 ex = w and w = side, and the diagonal's
+        # point (-1/8, 1/8) lies just outside the ball 1/6
+        @example(fams=_axis_families(side=1), case=(
+            _axis_families(ex=F(1, 6))[0], I.default_window("k")))
+        def check(fams, case):
             fam, win = case
-            if not I._floor_certified(fam, win):
+            fams = [dataclasses.replace(f, exclusion_radius=fam.exclusion_radius) for f in fams]
+            if not _floor_certified(fams[0], win):
+                with pytest.raises(ValueError, match="^floor certificate fails: "):
+                    I._floor_points(fams, win)
                 seen.add(False)
                 return
             seen.add(True)
-            # the walk's first trial, the origin, when the ball is empty, else its second
-            w, W, n1 = min(win.x1 - win.x0, win.y1 - win.y0), win.W, abs(fam.ax) + abs(fam.ay)
-            step = F(w, 4 * W * n1)
-            want = (F(0), F(0)) if not fam.ex_n else (-step * fam.ay, step * fam.ax)
-            assert _floor_point(fam, win) == want
+            ex = F(fam.exclusion_radius)
+            for f, (px, py, d) in zip(fams, I._floor_points(fams, win), strict=True):
+                x, y = pt = F(px, d), F(py, d)
+                assert win.contains(x, y)
+                assert I.tube_membership(pt, f)
+                assert x * x + y * y > ex * ex or not ex
+                assert pt == _floor_point(f, win)
 
         check()
         assert seen == {False, True}
 
-    def test_benchmark_scans_match_the_walk(self, monkeypatch):
-        """The 192 scans of the benchmark's range (N = 8 and 16, direction-set
-        seeds 0-23, s = 3 and 4, both variants) give the same reports with
-        the certificate forced off, and with it on walk no family."""
-        walks = []
-
-        def walk(fam, win):
-            walks.append(fam)
-            return real_walk(fam, win)
-
-        def reports():
-            out = []
-            for n, seed in itertools.product((8, 16), range(24)):
-                ds = directions.rescale_to_integers(directions.construct_directions(
-                    directions.DirectionSpec(N=n, eps=0.5, seed=seed)))
-                for s, variant in itertools.product((3, 4), ("ktilde", "k")):
-                    rep = I.max_overlap_scan(I.families_from_direction_set(ds, s=s, variant=variant),
-                                             I.default_window(variant))
-                    out.append((rep.max_overlap, rep.witness, rep.method, rep.candidates_checked,
-                                rep.shared_centers, rep.samples_counted))
-            return out
-
-        real_walk = I._interior_point
-        monkeypatch.setattr(I, "_interior_point", walk)
-        certified = reports()
-        assert len(certified) == 192 and walks == []
-        monkeypatch.setattr(I, "_floor_certified", lambda fam, win: False)
-        assert reports() == certified
-        assert len(walks) == 24 * 4 * (8 + 16)  # every family of every scan
+    @pytest.mark.parametrize("fams,window,condition", [
+        # the plane x = 1/2 crosses the window
+        ([I.TubeFamily(v=(F(1), F(0)), r=2, s=1, C1=8)],
+         I.ScanWindow(F(1, 7), F(4, 7), F(-1, 3), F(-1, 5)), "the window is not centred at the origin"),
+        # a radius of 2/5 in the window [-1, 1]^2, where w / 6 = 1/3
+        ([I.TubeFamily(v=(F(1), F(0)), r=2, s=1, C1=8, exclusion_radius=F(2, 5))],
+         I.default_window("ktilde"),
+         "the exclusion radius exceeds a sixth of the window's shorter side"),
+        # the window [-1, 1]^2 on a torus of side 1
+        ([I.TubeFamily(v=(F(1), F(0)), r=2, s=1, C1=8, exclusion_radius=F(1, 10), torus_side=1)],
+         I.default_window("ktilde"), "the window's shorter side exceeds the torus side"),
+    ], ids=["off-centre", "wide-ball", "wider-than-torus"])
+    def test_uncertified_floor_refused(self, fams, window, condition):
+        # one family, so no pair: the floor decides a maximum of 1 or 0
+        assert _floor_refused(fams, window, 0)
+        with pytest.raises(ValueError) as info:
+            I.max_overlap_scan(fams, window)
+        assert str(info.value) == f"floor certificate fails: {condition}"
 
     @pytest.mark.parametrize("fams,window,want", [
-        # off centre: x0 + x1 != 0
+        # off centre, x0 + x1 != 0
         (_axis_families(ex=F(1, 10)), I.ScanWindow(F(-1, 2), F(1), F(-1), F(1)),
          (3, (F(-1, 2), F(-1)), 221)),
-        # a ball with 6 W ex_n > w ex_d: the diagonal's second trial lies in it
+        # off centre, and the planes x = k/2 of the third family miss the window
+        ([I.TubeFamily(v=(F(vx), F(vy)), r=r, s=2, C1=10)
+          for vx, vy, r in ((2, 1, 6), (3, 3, 7), (F(1, 2), 0, 4))],
+         I.ScanWindow(F(1, 20), F(9, 20), F(-1, 5), F(1, 5)), (2, (F(2, 21), F(-4, 21)), 103)),
+        # a ball with 6 ex > w: the diagonal's closed-form point lies in it
         (_axis_families(ex=F(2, 5)), I.default_window("ktilde"), (3, (F(-1), F(-1)), 286)),
-    ])
-    def test_uncertified_exact_scans_walk(self, fams, window, want):
-        assert not I._floor_certified(fams[0], window)
-        with mock.patch.object(I, "_interior_point", mock.Mock(wraps=I._interior_point)) as walk:
-            rep = I.max_overlap_scan(fams, window)
-        assert walk.call_count == len(fams)
-        assert rep.max_overlap == rep.family_count  # final, yet walked
+        # a ball of radius 7/15 in the window [-1/2, 1/2]^2
+        ([I.TubeFamily(v=v, r=r, s=2, C1=10, exclusion_radius=F(7, 15))
+          for v, r in (((F(-2, 3), F(-1, 2)), 4), ((F(-1), F(-1)), 6))],
+         I.default_window("k"), (2, (F(1, 2), F(1, 3)), 25)),
+    ], ids=["off-centre", "off-centre-plane-outside", "wide-ball", "wide-ball-unit-window"])
+    def test_uncertified_final_scans_add_the_family_count(self, fams, window, want):
+        # the pairs reach 2 and the largest parallel class, so the floor is
+        # not needed, and it adds one point per family, whether or not a
+        # family's planes meet the window
+        assert not _floor_certified(fams[0], window)
+        rep = I.max_overlap_scan(fams, window)
+        assert rep.max_overlap >= 2
         assert _exact_facts(rep) == want == _recount_exact(fams, window)
 
-    def test_window_wider_than_torus_walks(self):
-        # a grid-sample scan over [-1, 1]^2 of unit-torus families: w > W side
+    def test_window_wider_than_torus_final_scans(self, monkeypatch):
+        # grid-sample scans over windows wider than a torus of side 1 (w > W
+        # side) whose samples reach the family count: the benchmark's k
+        # families, and two thick axis families that a ball of radius 3/5
+        # keeps off the plane crossings (k/4, 0) and (0, k/4)
         fams, window = _seed0_n8_k_families(), I.ScanWindow(F(-1), F(1), F(-1), F(1))
-        assert not I._floor_certified(fams[0], window)
-        with mock.patch.object(I, "_interior_point", mock.Mock(wraps=I._interior_point)) as walk:
-            rep = I.max_overlap_scan(fams, window)
-        assert walk.call_count == 8
+        assert not _floor_certified(fams[0], window)
+        rep = I.max_overlap_scan(fams, window)
         assert (rep.max_overlap, rep.witness, rep.method, rep.candidates_checked,
                 rep.samples_counted) == (8, (F(4538079, 8388608), F(715429, 1048576)),
                                          "grid-sample", 20008, 1)
+        fams = [I.TubeFamily(v=v, r=4, s=2, C1=2, exclusion_radius=F(3, 5), torus_side=1)
+                for v in ((F(1), F(0)), (F(0), F(1)))]
+        window = I.ScanWindow(F(-2), F(2), F(-2), F(2))
+        monkeypatch.setattr(I, "_EXACT_BUDGET", -1)
+        rep = I.max_overlap_scan(fams, window)
+        assert (rep.max_overlap, rep.method, rep.candidates_checked, rep.samples_counted) == \
+            (2, "grid-sample", 20002, 20)
 
     def test_certified_scan_counts_the_families(self):
-        # centred and certified (w = W side, 6 W ex_n < w ex_d): no walk, and
-        # the count the walks would give
+        # centred and certified (w = W side, 6 W ex_n < w ex_d)
         fams, window = _axis_families(ex=F(1, 10), side=1), I.default_window("k")
-        assert I._floor_certified(fams[0], window)
-        with mock.patch.object(I, "_interior_point", mock.Mock(wraps=I._interior_point)) as walk:
-            rep = I.max_overlap_scan(fams, window)
-        assert walk.call_count == 0
-        assert _exact_facts(rep) == (3, (F(-1, 2), F(-1, 2)), 86) == _recount_exact(fams, window)
+        assert _floor_certified(fams[0], window)
+        assert _exact_facts(I.max_overlap_scan(fams, window)) == \
+            (3, (F(-1, 2), F(-1, 2)), 86) == _recount_exact(fams, window)
+
+    def test_long_direction_still_finds_floor(self):
+        # with v = (30, 0) the planes near the center lie inside the excluded
+        # ball, so the floor point is a quarter step along plane 0, whatever
+        # |v| is
+        fam = I.TubeFamily(v=(30, 0), r=2, s=1, C1=8, exclusion_radius=F(1, 10), torus_side=1)
+        rep = I.max_overlap_scan([fam], I.default_window("k"))
+        assert (rep.max_overlap, rep.witness) == (1, (F(0), F(1, 4)))
+        assert I.replay_witness(rep, [fam]) == 1
 
 
 class TestFloorRefusal:
-    """Below a final maximum, an uncertified window's floor walks are the
-    only evidence off the pair candidates, so the exact scan refuses, naming
-    the floor certificate, where they could miss a point; a certified window
-    gives every walk's point in closed form."""
+    """Below a final maximum an uncertified window leaves the floor unproven,
+    so the scan refuses, naming the condition of the floor certificate that
+    fails; a certified window gives every floor point in closed form."""
 
-    @pytest.mark.parametrize("fams,window,point,message", [
+    @pytest.mark.parametrize("fams,window,point", [
         # a thick tube whose slab covers the window's corner (1/7, -1/3)
         ([I.TubeFamily(v=(F(1), F(0)), r=2, s=1, C1=2)],
-         I.ScanWindow(F(1, 7), F(27, 140), F(-1, 3), F(-3, 10)), (F(1, 7), F(-1, 3)),
-         "family 0: its planes meet the window, and its walk finds no point"),
-        # a thin window, 40 long, that the walk's quarter-side steps miss in
+         I.ScanWindow(F(1, 7), F(27, 140), F(-1, 3), F(-3, 10)), (F(1, 7), F(-1, 3))),
+        # a thin window, 40 long
         ([I.TubeFamily(v=(F(1, 40), F(1)), r=2, s=1, C1=8)],
-         I.ScanWindow(F(0), F(40), F(3, 10), F(2, 5)), (F(26), F(7, 20)),
-         "family 0: its planes meet the window, and its walk finds no point"),
+         I.ScanWindow(F(0), F(40), F(3, 10), F(2, 5)), (F(26), F(7, 20))),
         # parallel families at r = 3 and r = 2, whose planes meet at x = 1
         ([I.TubeFamily(v=(F(1), F(0)), r=r, s=1, C1=8) for r in (3, 2)],
-         I.ScanWindow(F(19, 20), F(37, 20), F(-1, 2), F(1, 2)), (F(1), F(1, 4)),
-         "pair (0, 1): parallel families on different planes"),
+         I.ScanWindow(F(19, 20), F(37, 20), F(-1, 2), F(1, 2)), (F(1), F(1, 4))),
     ], ids=["thick-tube", "thin-window", "parallel-spacings"])
-    def test_unproven_floor_refused(self, fams, window, point, message):
-        # each scan reported a maximum below the count at point before
+    def test_unproven_floor_refused(self, fams, window, point):
+        # each scan once reported a maximum below the count at point
         assert window.contains(*point)
         count = sum(I.tube_membership(point, f) for f in fams)
-        assert count == len(fams) and _floor_unproven(fams, window)
-        with pytest.raises(ValueError, match=re.escape(f"floor certificate fails for {message}")):
+        assert count == len(fams) and _floor_refused(fams, window, 0)
+        with pytest.raises(ValueError, match="^floor certificate fails: "
+                                             "the window is not centred at the origin$"):
             I.max_overlap_scan(fams, window)
 
-    def test_refusal_only_where_walks_can_miss(self):
-        """A floor refusal comes only from an uncertified window whose floor
-        walks, recounted in Fractions, can miss a point of a parallel class
-        larger than the pairs' maximum; every other exact scan equals its
-        recount.  One explicit example of each outcome keeps both in every run."""
+    def test_refusal_only_where_the_certificate_fails(self):
+        """A floor refusal comes exactly where the floor certificate fails and
+        the pairs' maximum is below max(2, the largest parallel class), once
+        the pair certificates pass; every other exact scan equals its
+        recount.  One explicit example of each outcome keeps both in every
+        run."""
         seen = set()
         window = TestInt64Counts.EXACT_WINDOWS[1]
 
@@ -1580,11 +1489,11 @@ class TestFloorRefusal:
             except ValueError as exc:
                 if not str(exc).startswith("floor"):
                     return
-                assert not I._floor_certified(fams[0], win)
-                assert _floor_unproven(fams, win, _pairs_max(fams, win)), exc
+                assert _floor_refused(fams, win, _pairs_max(fams, win)), exc
                 seen.add(True)
                 return
             if rep.method == "exact-candidates":
+                assert not _floor_refused(fams, win, _pairs_max(fams, win))
                 assert _exact_facts(rep) == _recount_exact(fams, win)
                 seen.add(False)
 
@@ -1593,51 +1502,14 @@ class TestFloorRefusal:
 
     def test_readme_scan_takes_the_closed_form(self):
         # the README's incidence line (N = 8, seed 7, s = 2): the pairs reach
-        # no 2, so the floor decides, and the certified window walks no family
+        # no 2, so the floor decides, on a certified window
         spec = directions.DirectionSpec(N=8, eps=0.5, mode="toy", seed=7)
         ds = directions.rescale_to_integers(directions.construct_directions(spec))
         fams, window = I.families_from_direction_set(ds, s=2), I.default_window("ktilde")
-        assert I._floor_certified(fams[0], window)
-        with mock.patch.object(I, "_interior_point", mock.Mock(wraps=I._interior_point)) as walk:
-            rep = I.max_overlap_scan(fams, window)
-        assert walk.call_count == 0
+        assert _floor_certified(fams[0], window)
+        rep = I.max_overlap_scan(fams, window)
+        assert rep.witness in [_floor_point(f, window) for f in fams]
         assert _exact_facts(rep) == (1, (F(-1, 6), F(1, 3)), 148) == _recount_exact(fams, window)
-
-    def test_closed_form_equals_the_walk(self):
-        """Under the floor certificate, a scan below its final maximum gives the
-        report that walking every family gives, unless the walk-based floor
-        refuses, which the closed form does not need to.  Scans below and at
-        a final maximum are drawn; one explicit example of the latter keeps
-        it in every run."""
-        seen = set()
-
-        @settings(max_examples=60, deadline=None)
-        @given(fams=_family_lists(1, 3), case=_certified_floor_cases())
-        @example(fams=_axis_families(), case=(_axis_families()[0], I.default_window("ktilde")))
-        def check(fams, case):
-            _, win = case
-            fams = [dataclasses.replace(f, exclusion_radius=case[0].exclusion_radius,
-                                        torus_side=None) for f in fams]
-            if not I._floor_certified(fams[0], win):
-                return
-            try:
-                rep = I.max_overlap_scan(fams, win)
-            except ValueError as exc:
-                assert not str(exc).startswith("floor"), exc
-                return
-            try:
-                with mock.patch.object(I, "_floor_certified", lambda fam, win: False):
-                    walked = I.max_overlap_scan(fams, win)
-            except ValueError as exc:
-                assert str(exc).startswith("floor certificate fails"), exc
-                return
-            assert (rep.max_overlap, rep.witness, rep.candidates_checked) == \
-                (walked.max_overlap, walked.witness, walked.candidates_checked)
-            par = max(sum(f.ax * g.ay == f.ay * g.ax for g in fams) for f in fams)
-            seen.add(_pairs_max(fams, win) >= max(2, par))  # final before the floor
-
-        check()
-        assert seen == {False, True}
 
 
 class TestPinnedWitnesses:
@@ -1667,10 +1539,14 @@ class TestPinnedWitnesses:
         assert self._report(fams, I.default_window(variant)) == want
 
     def test_parallel_baseline_off_centre(self):
+        # no pair, so the floor decides: off centre it is refused, and
+        # centred the closed-form point is the witness
         fams = [I.TubeFamily(v=(F(3), F(-5, 2)), r=4, s=2, C1=8)] * 5
-        window = I.ScanWindow(F(1, 7), F(2, 7), F(-1, 3), F(-1, 5))
-        assert self._report(fams, window) == (
-            5, "exact-candidates", 5, (F(173, 854), F(-1097, 4270)))
+        with pytest.raises(ValueError, match="^floor certificate fails: the window is not centred"):
+            self._report(fams, I.ScanWindow(F(1, 7), F(2, 7), F(-1, 3), F(-1, 5)))
+        fams = [dataclasses.replace(fams[0], exclusion_radius=F(1, 100))] * 5
+        assert self._report(fams, I.ScanWindow(F(-1, 7), F(1, 7), F(-1, 3), F(1, 3))) == (
+            5, "exact-candidates", 5, (F(5, 154), F(3, 77)))
 
 
 @functools.cache
