@@ -26,7 +26,6 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -142,10 +141,6 @@ m_k_at_denominator = m_k_grid
 
 # -- the main term L_k ----------------------------------------------------------
 
-def _torus_frac(alpha: Fraction) -> Fraction:
-    return alpha - math.floor(alpha)
-
-
 _ONE_TERM_MAX_LEVEL = 38  # where the one-term proof of L_k stops
 
 
@@ -153,14 +148,11 @@ def _last_convergent(alpha, s_max: int) -> tuple[Fraction, int, int]:
     """(alpha mod 1, p, q) for the last convergent p/q of alpha mod 1 with q < 2^(s_max+1)."""
     if s_max > _ONE_TERM_MAX_LEVEL:
         raise ValueError(f"level {s_max} > {_ONE_TERM_MAX_LEVEL}, where the one-term proof stops")
-    alpha = _torus_frac(Fraction(alpha))
+    alpha = Fraction(alpha) % 1
     if alpha.denominator < 1 << (s_max + 1):  # a rational's last convergent is itself
         return alpha, alpha.numerator, alpha.denominator
     p, q = convergents(alpha, (1 << (s_max + 1)) - 1)[-1]
     return alpha, p, q
-
-
-_v_k_cached = lru_cache(maxsize=65536)(v_k)
 
 
 def _term_value(k: int, alpha: Fraction, p: int, q: int) -> complex:
@@ -170,7 +162,7 @@ def _term_value(k: int, alpha: Fraction, p: int, q: int) -> complex:
     if cut == 0.0:
         return 0.0 + 0.0j
     # adding to 0j turns -0.0 parts into +0.0, so a zero term has one sign
-    return 0j + (mobius(q) / totient(q)) * _v_k_cached(k, float(delta)) * cut
+    return 0j + (mobius(q) / totient(q)) * v_k(k, float(delta)) * cut
 
 
 def default_s_max(k: int, D: float = DEFAULT_D) -> tuple[int, bool]:
@@ -273,6 +265,15 @@ def error_profile(
     radius 2^(-k) k^D exceeds 1 for every k <= 24), so diagnosing minor-arc
     behavior requires a smaller classification exponent.
 
+    L_k is taken in closed form, one value per denominator: at a grid point
+    a/q it is mu(q)/phi(q) V_k(0) when q < 2^(s_max+1), else 0, which is
+    what ``L_k(k, a/q, s_max)`` returns.  Below the cap, a/q is its own last
+    convergent, so delta = 0, chi_s(0) = 1 and ``_term_value`` forms this
+    product.  Above it, the last convergent p'/q' differs from a/q and has
+    q' < 2^(s'+1) at its level s', so |delta| >= 1/(q q') > 2^-(s'+1) / q;
+    for q <= 2^40 that puts 2^(10(s'+4)) |delta| at or past 1/2, where
+    chi_s is 0.  A grid of 2^40 points does not fit in memory.
+
     Raises
     ------
     ValueError
@@ -293,13 +294,16 @@ def error_profile(
     for k in k_values:
         t0 = time.perf_counter()
         m_vals = np.empty(len(grid), dtype=np.complex128)
+        l_vals = np.empty(len(grid), dtype=np.complex128)
         primes, w = prime_weights(k, table)
+        sm, truncated = default_s_max(k, D)
+        vk0 = v_k(k, 0.0)
         for q, idxs in by_den.items():
             dft = np.fft.fft(_fold(primes, w, q))
             for idx in idxs:
                 m_vals[idx] = dft[grid[idx].numerator]
-        sm, truncated = default_s_max(k, D)
-        l_vals = np.array([L_k(k, fr, sm) for fr in grid])
+            # 0j + as in _term_value, so each zero part has L_k's sign
+            l_vals[idxs] = 0j + mobius(q) / totient(q) * vk0 if q < 1 << (sm + 1) else 0j
         abs_e = np.abs(m_vals - l_vals)
         imax = int(np.argmax(abs_e))
         minor_mask = np.array([classify_arc(fr, k, arc_D) is None for fr in grid])
@@ -372,12 +376,18 @@ def classify_arc(alpha, k: int, D: float) -> Fraction | None:
     falsy, so callers test ``is None``.  All
     comparisons are exact: the minimal-denominator fraction in the window is
     found by Stern-Brocot descent, so "no qualifying fraction" is a proof.
+
+    alpha is not reduced mod 1: the whole-torus answer does not read it,
+    and the descent reads its window [lo, hi] only through n = floor(lo),
+    lo - n and hi - n, and returns n plus a function of the last two.  So
+    an integer shift of alpha shifts the fraction by that integer, and
+    neither its denominator nor its value mod 1 changes.
     """
     if D <= 0:
         raise ValueError("arc exponent must be positive")
     if k < 1:
         raise ValueError("scale must be >= 1")
-    a = _torus_frac(Fraction(alpha))
+    a = Fraction(alpha)  # refuses NaN and infinities before any branch
     log2_kD = D * math.log2(k) if k > 1 else 0.0
     if log2_kD - k >= 1.0:  # radius >= 2: the whole torus is one major arc
         return Fraction(0)

@@ -202,6 +202,35 @@ class TestLk:
         with pytest.raises(ValueError):
             M.L_k(12, Fraction(1, 3), s_max=39)
 
+    @pytest.mark.parametrize("k", [12, 17, 20])
+    def test_off_fraction_equals_cutoff_product(self, k):
+        # a/q + delta for squarefree q < 128, with a dyadic delta in the
+        # plateau (|delta| 2^(10(s+4)) < 1/4) or the transition band ([1/4,
+        # 1/2)) of chi_s at the level s of q; a/q is then the last convergent
+        # below the level cap, and L_k is the one term mu/phi V_k chi_s
+        rng = np.random.default_rng(k)
+        band_cuts = []
+        for q in range(1, 128):
+            if arith.mobius(q) == 0:
+                continue
+            units = [a for a in range(q) if math.gcd(a, q) == 1]
+            s = q.bit_length() - 1
+            for band in (0, 1 << 20):
+                for sign in (1, -1):
+                    a = units[int(rng.integers(len(units)))]
+                    num = band + int(rng.integers(1, 1 << 20))
+                    delta = sign * Fraction(num, 1 << (10 * (s + 4) + 22))
+                    d = float(delta)
+                    want = arith.mobius(q) / arith.totient(q) * bumps.v_k(k, d) * bumps.chi_s(s, d)
+                    assert abs(M.L_k(k, Fraction(a, q) + delta) - want) <= 1e-12, (a, q, delta)
+                    if band:
+                        band_cuts.append(bumps.chi_s(s, d))
+                    else:
+                        assert bumps.chi_s(s, d) == 1.0
+        # chi rounds to 1 only just above 1/4, so most band probes read below 1
+        assert len(band_cuts) == 2 * sum(1 for q in range(1, 128) if arith.mobius(q) != 0)
+        assert sum(0.0 < c < 1.0 for c in band_cuts) > 0.9 * len(band_cuts)
+
     def test_default_s_max_cap(self):
         s_max, truncated = M.default_s_max(20, 17.0)
         assert s_max == M.S_MAX_CAP and truncated
@@ -372,6 +401,28 @@ class TestErrorProfile:
         assert (res.rows[0].s_max, res.rows[0].truncated) == (22, True)
         assert lines[2].split(",")[5:7] == ["22", "True"]
 
+    @pytest.mark.parametrize("k", [1, 2, 12, 14, 17])
+    @pytest.mark.parametrize("G", [64, 1000, 1024])
+    def test_closed_form_l_profile_equals_l_k(self, table21, G, k):
+        # the closed form mu(q)/phi(q) V_k(0) below the level cap and 0 above
+        # it against the pointwise L_k, byte for byte, so signed zeros count;
+        # at k = 1, s_max = 0 and every q >= 2 takes the zero branch
+        res = M.error_profile([k], 17.0, G, table21)
+        s_max = res.rows[0].s_max
+        want = np.array([M.L_k(k, fr, s_max) for fr in res.grid_fractions])
+        assert res.profiles[1].values.tobytes() == want.tobytes()
+        if k == 1:
+            assert s_max == 0
+            assert np.count_nonzero(res.profiles[1].values) == 1
+
+    def test_l_profile_makes_no_l_k_call(self, table21, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("error_profile called L_k")
+
+        monkeypatch.setattr(M, "L_k", refuse)
+        res = M.error_profile([14], 17.0, 64, table21)
+        assert res.profiles[1].values[0] == bumps.v_k(14, 0.0)
+
 
 def _brute_grid(G: int) -> list[Fraction]:
     """Every a/q with q < 128 that passes the gcd test, and every j/G, as
@@ -477,6 +528,26 @@ class TestArcs:
                 want = Fraction(a, q) % 1
                 break
         assert M.classify_arc(alpha, k, D) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=st.one_of(st.fractions(-10, 10, max_denominator=10**9),
+                           st.floats(-10, 10, allow_nan=False)),
+           n=st.integers(-(10**6), 10**6), k=st.integers(1, 24),
+           D=st.one_of(st.integers(1, 19),
+                       st.floats(0.5, 20, exclude_min=True, exclude_max=True)))
+    def test_integer_shift_invariant(self, alpha, n, k, D):
+        # the shift rule that lets classify_arc skip the mod-1 reduction
+        assert M.classify_arc(Fraction(alpha) + n, k, D) == M.classify_arc(alpha, k, D)
+
+    def test_non_finite_rejected_on_whole_torus(self):
+        # D = 17 at k = 14 makes the torus one major arc, which reads no alpha,
+        # yet NaN and infinities are still refused
+        assert M.classify_arc(0.3, 14, 17.0) == 0
+        with pytest.raises(ValueError):
+            M.classify_arc(math.nan, 14, 17.0)
+        for inf in (math.inf, -math.inf):
+            with pytest.raises(OverflowError):
+                M.classify_arc(inf, 14, 17.0)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
