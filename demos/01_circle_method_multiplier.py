@@ -43,5 +43,5 @@ for D, why in [(1.2, "no fraction with q <= 20^1.2 close enough"), (1.5, "Fibona
     frac = multiplier.classify_arc(0.6180339887, 20, D)  # None on a minor arc
     arc = "minor" if frac is None else f"major via {frac}"
     print(f"  golden ratio at D={D}  -> {arc} ({why})")
-print("  (at the error-bound exponent D = 17 the arc radius exceeds 1 for k <= 24,")
+print("  (at the error-bound exponent D = 17 the arc radius is >= 2 for every k from 2 to 115,")
 print("   so every desk-scale frequency is major; minor arcs need the true regime)")

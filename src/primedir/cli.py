@@ -117,8 +117,8 @@ def _prime_table(scales):
 
     A scale-k average reads only the primes in [2^k, 2^(k+1)]
     (``PrimeTable.slice_for_scale``), so a larger table changes no output.
-    Scale 0 holds the one prime 2, at weight phi(2) log 2 = 0, and
-    classify_arc needs k >= 1.
+    Scale 0 holds the one prime 2, at weight phi(2) log 2 = 0, so its m
+    profile is identically 0, and OperatorConfig refuses it too.
     """
     if min(scales) < 1:
         raise UsageError(f"scales must be >= 1; got k = {min(scales)}")
@@ -176,10 +176,8 @@ def cmd_mult_error(args) -> int:
         raise UsageError("--k-list is empty")
     if args.d <= 16:
         raise UsageError("--d must exceed 16 (the main-term approximation requires D > 2^4)")
-    if args.arc_d is not None and args.arc_d <= 0:
-        raise UsageError("--arc-d must be positive")
     table = _prime_table(ks)
-    rows = multiplier.error_profile(ks, args.d, args.grid, table, arc_D=args.arc_d).rows
+    rows = multiplier.error_profile(ks, args.d, args.grid, table).rows
     multiplier.write_error_profile_csv(rows, args.out)
     for r in rows:
         print(f"k={r.k} sup|E_k|={r.sup_abs_E:.6f} argmax={r.argmax_alpha:.6f} "
@@ -334,8 +332,6 @@ def _build_parser() -> _Parser:
     m = add("mult-error", profile, help="sweep sup|m_k - L_k| and write a CSV")
     m.add_argument("--k-list", dest="k_list")
     m.add_argument("--d", type=float, default=multiplier.DEFAULT_D)
-    m.add_argument("--arc-d", type=float, default=None,
-                   help="classification exponent for the per-arc column")
     m.add_argument("--grid", type=int)
     m.add_argument("--out", required=True)
     m.set_defaults(fn=cmd_mult_error)

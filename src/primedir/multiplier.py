@@ -14,7 +14,9 @@ and this module evaluates all the computable objects of that approximation:
 * the main term L_k = sum over levels s of L_{k,s}, which is a single
   cutoff-localized term at the last continued-fraction convergent of alpha
   below the level cap;
-* the error profile E_k = m_k - L_k swept over a grid, with CSV output;
+* the error profile E_k = m_k - L_k swept over a grid, with CSV output; it
+  has no minor-arc column, since under D > 16 every desk scale's major arc
+  is the whole torus;
 * major/minor arc classification (exact, via the minimal-denominator
   fraction in an interval): the major arc's fraction a/q, or None.
 """
@@ -24,7 +26,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -212,10 +214,11 @@ class MultiplierProfile:
 
 @dataclass
 class ErrorProfileRow:
+    """One scale's row of the profile; the fields, in order, are the CSV's columns."""
+
     k: int
     D: float
     sup_abs_E: float
-    sup_minor_m: float
     argmax_alpha: float
     s_max: int
     truncated: bool
@@ -247,23 +250,18 @@ def _profile_grid(grid_size: int) -> list[Fraction]:
     return [Fraction(a, q) for a, q in sorted(pairs, key=lambda p: p[0] / p[1])]
 
 
-def error_profile(
-    k_values,
-    D: float,
-    grid_size: int,
-    table: PrimeTable,
-    arc_D: float | None = None,
-) -> ErrorProfileResult:
+def error_profile(k_values, D: float, grid_size: int, table: PrimeTable) -> ErrorProfileResult:
     """Sweep sup |m_k - L_k| over a fraction-heavy grid for each k.
 
     The grid holds every reduced fraction of levels s <= 6 plus a uniform fill
     of ``grid_size`` points, built once per call from integer pairs.  m_k is
     evaluated with exact phases: each k's prime weights are read once and
-    folded mod every denominator of the grid, one DFT each.  ``arc_D`` controls
-    the exponent used for the per-arc breakdown column only: under the
-    error-bound hypothesis D > 16 the desk-scale minor arcs are empty (the arc
-    radius 2^(-k) k^D exceeds 1 for every k <= 24), so diagnosing minor-arc
-    behavior requires a smaller classification exponent.
+    folded mod every denominator of the grid, one DFT each.
+
+    There is no minor-arc column: alpha is major when some a/q with
+    q <= k^D lies within the radius 2^(-k) k^D, and D log2 k - k >= 1 holds
+    for every k in 2..24 at any D > 16, so that radius is at least 2 and the
+    major arc is the whole torus at every desk scale (``classify_arc``).
 
     L_k is taken in closed form, one value per denominator: at a grid point
     a/q it is mu(q)/phi(q) V_k(0) when q < 2^(s_max+1), else 0, which is
@@ -274,6 +272,11 @@ def error_profile(
     for q <= 2^40 that puts 2^(10(s'+4)) |delta| at or past 1/2, where
     chi_s is 0.  A grid of 2^40 points does not fit in memory.
 
+    A row's ``truncated`` is True exactly when some grid denominator reaches
+    the level cap 2^(s_max+1), that is when the L column took its zero
+    branch: always at k = 1, where s_max = 0, and from k = 3, where
+    s_max = 22, only on grids of 2^23 points or more.
+
     Raises
     ------
     ValueError
@@ -281,8 +284,6 @@ def error_profile(
     """
     if D <= 16:
         raise ValueError("error profile requires D > 16 (main-term approximation needs D > 2^4)")
-    if arc_D is None:
-        arc_D = D
     grid = _profile_grid(grid_size)
     by_den: dict[int, list[int]] = {}
     for idx, fr in enumerate(grid):
@@ -296,7 +297,7 @@ def error_profile(
         m_vals = np.empty(len(grid), dtype=np.complex128)
         l_vals = np.empty(len(grid), dtype=np.complex128)
         primes, w = prime_weights(k, table)
-        sm, truncated = default_s_max(k, D)
+        sm = default_s_max(k, D)[0]
         vk0 = v_k(k, 0.0)
         for q, idxs in by_den.items():
             dft = np.fft.fft(_fold(primes, w, q))
@@ -306,8 +307,6 @@ def error_profile(
             l_vals[idxs] = 0j + mobius(q) / totient(q) * vk0 if q < 1 << (sm + 1) else 0j
         abs_e = np.abs(m_vals - l_vals)
         imax = int(np.argmax(abs_e))
-        minor_mask = np.array([classify_arc(fr, k, arc_D) is None for fr in grid])
-        sup_minor = float(np.max(np.abs(m_vals[minor_mask]))) if minor_mask.any() else math.nan
         wall = (time.perf_counter() - t0) * 1e3
         profiles.extend([MultiplierProfile("m", k, grid_arr, m_vals),
                          MultiplierProfile("L", k, grid_arr, l_vals)])
@@ -316,10 +315,9 @@ def error_profile(
                 k=k,
                 D=D,
                 sup_abs_E=float(abs_e[imax]),
-                sup_minor_m=sup_minor,
                 argmax_alpha=float(grid_arr[imax]),
                 s_max=sm,
-                truncated=truncated,
+                truncated=max(by_den) >= 1 << (sm + 1),
                 wall_ms=wall,
             )
         )
@@ -329,13 +327,9 @@ def error_profile(
 def write_error_profile_csv(rows, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["schema", "primedir.error_profile.v2"])
-        writer.writerow(
-            ["k", "D", "sup_abs_E", "sup_minor_m", "argmax_alpha", "s_max", "truncated", "wall_ms"]
-        )
-        for r in rows:
-            writer.writerow([r.k, r.D, r.sup_abs_E, r.sup_minor_m, r.argmax_alpha,
-                             r.s_max, r.truncated, r.wall_ms])
+        writer.writerow(["schema", "primedir.error_profile.v3"])
+        writer.writerow([f.name for f in fields(ErrorProfileRow)])
+        writer.writerows(astuple(r) for r in rows)
 
 
 # -- arcs ------------------------------------------------------------------------

@@ -96,36 +96,44 @@ class TestMultError:
         out = tmp_path / "e.csv"
         assert run("mult-error", "--k-list", "10,12", "--grid", "64", "--out", str(out)) == 0
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == "schema,primedir.error_profile.v2"
-        assert lines[1] == "k,D,sup_abs_E,sup_minor_m,argmax_alpha,s_max,truncated,wall_ms"
+        assert lines[0] == "schema,primedir.error_profile.v3"
+        assert lines[1] == "k,D,sup_abs_E,argmax_alpha,s_max,truncated,wall_ms"
         rows = [line.split(",") for line in lines[2:]]
         assert [r[0] for r in rows] == ["10", "12"]
         assert float(rows[0][2]) > float(rows[1][2])  # decreasing sup error
 
     def test_stdout_reports_level_truncation(self, tmp_path, capsys):
-        # k^17 < 2^18 at k = 2; at k = 3 the level needed (26) exceeds the cap 22
+        # truncated reports a grid denominator at or above the level cap
+        # 2^(s_max+1): every q >= 2 at k = 1, where s_max = 0; none at k = 2
+        # (k^17 < 2^18) or k = 3, whose level 26 is capped at 22
         out = tmp_path / "e.csv"
-        assert run("mult-error", "--k-list", "2,3", "--grid", "32", "--out", str(out)) == 0
+        assert run("mult-error", "--k-list", "1,2,3", "--grid", "32", "--out", str(out)) == 0
         rows = [l for l in capsys.readouterr().out.splitlines() if l.startswith("k=")]
         assert [r.split()[-2:] for r in rows] == [
-            ["s_max=17", "truncated=False"], ["s_max=22", "truncated=True"],
+            ["s_max=0", "truncated=True"], ["s_max=17", "truncated=False"],
+            ["s_max=22", "truncated=False"],
         ]
         csv_rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
-        assert [r[5:7] for r in csv_rows] == [["17", "False"], ["22", "True"]]
+        assert [r[4:6] for r in csv_rows] == [["0", "True"], ["17", "False"], ["22", "False"]]
 
     def test_small_d_usage_error(self, tmp_path):
         assert run("mult-error", "--k-list", "10", "--d", "16", "--grid", "32",
                    "--out", str(tmp_path / "x.csv")) == 3
 
-    @pytest.mark.parametrize("arc_d", ["0", "-1"])
-    def test_nonpositive_arc_d_usage_error(self, tmp_path, sieved, arc_d):
-        assert run("mult-error", "--k-list", "10", "--grid", "32", "--arc-d", arc_d,
-                   "--out", str(tmp_path / "x.csv")) == 3
-        assert sieved == []  # rejected before any sieving
+    def test_arc_d_is_unknown_flag(self, tmp_path, sieved, capsys):
+        # the profile has no arc column, so no arc exponent to set
+        with pytest.raises(SystemExit) as exc:
+            run("mult-error", "--k-list", "10", "--grid", "32", "--arc-d", "2",
+                "--out", str(tmp_path / "x.csv"))
+        assert exc.value.code == 3
+        assert "unrecognized arguments: --arc-d 2" in capsys.readouterr().err
+        assert sieved == []
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("k_list", ["0", "-2", "10,0"])
     def test_scale_below_one_usage_error_before_sieve(self, tmp_path, sieved, k_list):
-        # classify_arc needs k >= 1
+        # scale 0 holds the one prime 2, at weight 0, so its m profile is
+        # identically 0; OperatorConfig refuses it too
         assert run("mult-error", f"--k-list={k_list}", "--grid", "32",
                    "--out", str(tmp_path / "x.csv")) == 3
         assert sieved == []

@@ -377,29 +377,28 @@ class TestErrorProfile:
         for p in res.profiles:
             assert np.array_equal(p.grid, [float(f) for f in res.grid_fractions])
 
-    def test_minor_column_nan_at_large_d(self, table13):
-        # under the error-bound hypothesis D > 16 the desk-scale minor arcs
-        # are empty, so the column degrades to NaN
-        res = M.error_profile([10], 17.0, 64, table13)
-        assert math.isnan(res.rows[0].sup_minor_m)
+    def test_makes_no_classify_arc_call(self, table21, monkeypatch):
+        # at D > 16 every desk scale's major arc is the whole torus, so the
+        # profile has no arc column and asks classify_arc nothing
+        def refuse(*args, **kwargs):
+            raise AssertionError("error_profile called classify_arc")
 
-    def test_minor_sup_decreases_at_small_arc_d(self, table21):
-        res = M.error_profile([14, 16, 18, 20], 17.0, 256, table21, arc_D=1.2)
-        sups = [r.sup_minor_m for r in res.rows]
-        assert all(not math.isnan(x) for x in sups)
-        assert all(a > b for a, b in zip(sups, sups[1:])), sups
+        monkeypatch.setattr(M, "classify_arc", refuse)
+        res = M.error_profile([14], 17.0, 64, table21)
+        assert [r.k for r in res.rows] == [14]
 
     def test_csv_output(self, table13, tmp_path):
         res = M.error_profile([10], 17.0, 64, table13)
         path = tmp_path / "e.csv"
         M.write_error_profile_csv(res.rows, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "schema,primedir.error_profile.v2"
-        assert lines[1] == "k,D,sup_abs_E,sup_minor_m,argmax_alpha,s_max,truncated,wall_ms"
+        assert lines[0] == "schema,primedir.error_profile.v3"
+        assert lines[1] == "k,D,sup_abs_E,argmax_alpha,s_max,truncated,wall_ms"
         assert len(lines) == 3
-        # k^17 exceeds 2^(S_MAX_CAP+1) at k = 10, so the level sum is truncated
-        assert (res.rows[0].s_max, res.rows[0].truncated) == (22, True)
-        assert lines[2].split(",")[5:7] == ["22", "True"]
+        # k^17 exceeds 2^(S_MAX_CAP+1) at k = 10, so s_max is capped; the cap
+        # 2^23 still lies above every denominator of the 64 grid
+        assert (res.rows[0].s_max, res.rows[0].truncated) == (22, False)
+        assert lines[2].split(",")[4:6] == ["22", "False"]
 
     @pytest.mark.parametrize("k", [1, 2, 12, 14, 17])
     @pytest.mark.parametrize("G", [64, 1000, 1024])
@@ -411,6 +410,9 @@ class TestErrorProfile:
         s_max = res.rows[0].s_max
         want = np.array([M.L_k(k, fr, s_max) for fr in res.grid_fractions])
         assert res.profiles[1].values.tobytes() == want.tobytes()
+        top = max(f.denominator for f in res.grid_fractions)
+        assert res.rows[0].truncated == (top >= 1 << (s_max + 1))
+        assert res.rows[0].truncated == (k == 1)
         if k == 1:
             assert s_max == 0
             assert np.count_nonzero(res.profiles[1].values) == 1
