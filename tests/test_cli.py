@@ -120,13 +120,14 @@ class TestMultError:
         assert run("mult-error", "--k-list", "10", "--d", "16", "--grid", "32",
                    "--out", str(tmp_path / "x.csv")) == 3
 
-    def test_arc_d_is_unknown_flag(self, tmp_path, sieved, capsys):
-        # the profile has no arc column, so no arc exponent to set
+    @pytest.mark.parametrize("arc_d", ["0", "-1"])
+    def test_nonpositive_arc_d_usage_error(self, tmp_path, sieved, capsys, arc_d):
+        # the profile has no arc column, so --arc-d is an unknown flag at any value
         with pytest.raises(SystemExit) as exc:
-            run("mult-error", "--k-list", "10", "--grid", "32", "--arc-d", "2",
+            run("mult-error", "--k-list", "10", "--grid", "32", f"--arc-d={arc_d}",
                 "--out", str(tmp_path / "x.csv"))
         assert exc.value.code == 3
-        assert "unrecognized arguments: --arc-d 2" in capsys.readouterr().err
+        assert f"unrecognized arguments: --arc-d={arc_d}" in capsys.readouterr().err
         assert sieved == []
         assert not (tmp_path / "x.csv").exists()
 
